@@ -2,7 +2,9 @@
 
 The alcove is the simplex cut out by (a_i, xi) >= 0 for simple roots a_i
 together with (a_0, xi) >= -1 for the lowest root a_0; scaling the last
-inequality by k gives the level-k alcove.  All tests here are exact.
+inequality by k gives the level-k alcove.  All tests here are exact: they
+clear the denominators of a vector once and decide on integers through the
+integer Gram matrix of the root system.
 """
 
 from __future__ import annotations
@@ -11,19 +13,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InputError
 from .rational import (
     CartanVector,
+    common_denominator,
     denominator_lcm,
     format_vector,
-    matvec,
-    solve,
     vsub,
     zero,
 )
-from .roots import RootSystem, coroot_pairing, inner_product
+from .roots import LatticeData, RootSystem
 
 
 @dataclass(frozen=True)
@@ -64,36 +66,52 @@ class AlcoveMembership(NamedTuple):
 
 @lru_cache(maxsize=None)
 def alcove_vertices(rs: RootSystem) -> AlcoveModel:
-    """Solve the vertex systems (a_i, v_j) = 0 for i != j, (a_0, v_j) = -1."""
+    """Vertices of the alcove: v_j solves (a_i, v_j) = 0 for i != j and
+    (a_0, v_j) = -1, so it is column j of the inverse Gram matrix over the
+    mark m_j.  With Gram = Cartan * diag(d) that column has entries
+    (Cartan^-1)_ij / (d_i m_j) = 2 scale N_ij / (det gram_ii m_j)."""
+    z = rs.lattice
     r = rs.rank
-    theta_row = matvec(rs.gram, rs.highest_root)  # row of (theta, .) pairings
     verts = [zero(r)]
     for j in range(r):
-        rows = []
-        rhs = []
-        for i in range(r):
-            if i == j:
-                rows.append(theta_row)
-                rhs.append(Fraction(1))  # (a_0, v) = -1  <=>  (theta, v) = 1
-            else:
-                rows.append(tuple(rs.gram[i]))
-                rhs.append(Fraction(0))
-        verts.append(solve(rows, tuple(rhs)))
+        verts.append(tuple(
+            Fraction(2 * z.scale * z.inverse_cartan[i][j], z.det * z.gram[i][i] * z.marks[j])
+            for i in range(r)
+        ))
     return AlcoveModel(rs=rs, vertices=tuple(verts))
 
 
-def _membership(rs: RootSystem, xi: CartanVector, k) -> AlcoveMembership:
-    k = Fraction(k)
+def _gram_pairings(z: LatticeData, nums: tuple[int, ...]) -> list[int]:
+    """scale * den * (a_i, xi) for xi = nums / den."""
+    return [sum(map(mul, row, nums)) for row in z.gram]
+
+
+def _int_membership(z: LatticeData, nums: tuple[int, ...], den: int, k) -> AlcoveMembership:
+    """Closed level-k alcove test of xi = nums / den: every scale * den *
+    (a_i, xi) >= 0 and scale * den * (theta, xi) <= k * scale * den."""
     tight = False
-    for i in range(rs.rank):
-        p = inner_product(rs, rs.simple_roots[i], xi)
+    for p in _gram_pairings(z, nums):
         if p < 0:
             return AlcoveMembership(False, False)
         tight = tight or p == 0
-    p = inner_product(rs, rs.highest_root, xi)
-    if p > k:
+    p = sum(map(mul, z.theta_row, nums))
+    top = k * z.scale * den
+    if p > top:
         return AlcoveMembership(False, False)
-    return AlcoveMembership(True, tight or p == k)
+    return AlcoveMembership(True, tight or p == top)
+
+
+def _int_lattice(z: LatticeData, nums: tuple[int, ...], den: int) -> bool:
+    """xi = nums / den is a weight: (xi, a_i^v) = 2 (gram nums)_i / (gram_ii
+    den) is an integer for every i."""
+    return all(
+        2 * p % (z.gram[i][i] * den) == 0 for i, p in enumerate(_gram_pairings(z, nums))
+    )
+
+
+def _membership(rs: RootSystem, xi: CartanVector, k) -> AlcoveMembership:
+    nums, den = common_denominator(xi)
+    return _int_membership(rs.lattice, nums, den, k)
 
 
 def alcove_contains(rs: RootSystem, xi: CartanVector, k: int) -> AlcoveMembership:
@@ -110,47 +128,58 @@ def weight_lattice_contains(rs: RootSystem, mu: CartanVector) -> bool:
     """True iff (mu, a_i^v) is an integer for every simple root."""
     if len(mu) != rs.rank:
         raise InputError("dimension-mismatch", f"expected length {rs.rank}")
-    return all(
-        coroot_pairing(rs, mu, i).denominator == 1 for i in range(rs.rank)
-    )
+    return _int_lattice(rs.lattice, *common_denominator(mu))
 
 
 def fundamental_weight_coords(rs: RootSystem, mu: CartanVector) -> CartanVector:
     """Coordinates of mu against the fundamental weights: m_i = (mu, a_i^v)."""
-    return tuple(coroot_pairing(rs, mu, i) for i in range(rs.rank))
+    z = rs.lattice
+    nums, den = common_denominator(mu)
+    return tuple(
+        Fraction(2 * p, z.gram[i][i] * den) for i, p in enumerate(_gram_pairings(z, nums))
+    )
 
 
 def level_weights(rs: RootSystem, k: int) -> LevelWeightSet:
     """Enumerate the weight lattice inside the closed level-k alcove.
 
-    Dominant weights are integer combinations sum m_i w_i with m_i >= 0; the
-    level bound (theta, mu) <= k caps each m_i by k, so a finite box suffices
-    and the alcove filter keeps exactly the level-k set.
+    These are the dominant weights sum m_i w_i with Dynkin labels m_i >= 0
+    and sum m_i comark_i <= k.  The labels are enumerated against that
+    integer budget, the weights accumulated as numerators over the
+    denominator det of the inverse Cartan matrix, and the alcove test
+    through the Gram matrix filters them independently.
     """
     if k < 0:
         raise InputError("invalid-level", f"level must be >= 0, got {k}")
+    z = rs.lattice
     r = rs.rank
-    weights = []
+    found = []
 
-    def descend(i: int, partial: CartanVector, budget: Fraction):
+    def descend(i: int, partial: tuple[int, ...], budget: int):
         if i == r:
-            weights.append(partial)
+            found.append(partial)
             return
-        comark = rs.comarks[i]
-        m = 0
-        while m * comark <= budget:
-            cand = tuple(
-                p + m * w for p, w in zip(partial, rs.fundamental_weights[i])
-            )
-            descend(i + 1, cand, budget - m * comark)
-            m += 1
+        comark, row = z.comarks[i], z.inverse_cartan[i]
+        while budget >= 0:
+            descend(i + 1, partial, budget)
+            partial = tuple(p + w for p, w in zip(partial, row))
+            budget -= comark
 
-    descend(0, zero(r), Fraction(k))
-    kept = [w for w in weights if _membership(rs, w, max(k, 0)).contains]
+    descend(0, (0,) * r, k)
+    kept = [w for w in found if _int_membership(z, w, z.det, k).contains]
     if len(set(kept)) != len(kept):
         raise InputError("duplicate-weights", "enumeration produced duplicates")
+    # one positive denominator: integer order is the order of the Fractions
     kept.sort()
-    return LevelWeightSet(rs=rs, level=k, weights=tuple(kept))
+    fractions = {}
+
+    def exact(n: int) -> Fraction:
+        if n not in fractions:
+            fractions[n] = Fraction(n, z.det)
+        return fractions[n]
+
+    weights = tuple(tuple(exact(n) for n in w) for w in kept)
+    return LevelWeightSet(rs=rs, level=k, weights=weights)
 
 
 @lru_cache(maxsize=None)
@@ -171,9 +200,12 @@ def barycentric_coords(rs: RootSystem, xi: CartanVector) -> tuple[Fraction, ...]
     t_j = mark_j * (a_j, xi) for j >= 1 and t_0 = 1 - (theta, xi); these sum
     to one and are all nonnegative exactly on the alcove.
     """
-    t = [Fraction(1) - inner_product(rs, rs.highest_root, xi)]
-    for j in range(rs.rank):
-        t.append(rs.marks[j] * inner_product(rs, rs.simple_roots[j], xi))
+    z = rs.lattice
+    nums, den = common_denominator(xi)
+    unit = z.scale * den
+    t = [Fraction(unit - sum(map(mul, z.theta_row, nums)), unit)]
+    for mark, p in zip(z.marks, _gram_pairings(z, nums)):
+        t.append(Fraction(mark * p, unit))
     return tuple(t)
 
 

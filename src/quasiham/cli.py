@@ -11,6 +11,7 @@ Numerical modules import lazily inside handlers so exact verbs stay snappy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -459,9 +460,16 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process: parse_args returns a fresh namespace each
+    call and leaves the parser as it was, so dispatch reuses it."""
+    return build_parser()
+
+
 def dispatch(argv: list[str]) -> tuple[int, dict]:
     """Parse arguments and run the verb; returns (exit code, payload)."""
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     return _HANDLERS[args.verb](args)
 
 

@@ -5,16 +5,25 @@ tuple of rational coefficients against the simple roots.  The Gram matrix
 of the basic inner product (long roots of squared length 2) turns those
 coefficients into geometry.  Positive roots come from height-by-height
 closure using root strings, so everything stays in exact integers.
+
+Each record carries its integer twin (`LatticeData`): the Gram matrix
+scaled to integers, the marks and comarks, and the inverse Cartan matrix
+over one denominator.  The lattice and alcove tests run on those; the
+public fields keep their Fraction entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
+from typing import NamedTuple
 
 from .errors import InputError
-from .rational import CartanVector, RationalMatrix, dot, matvec, solve
+from .rational import CartanVector, RationalMatrix, dot, integer_inverse, matvec
+
+IntMatrix = tuple[tuple[int, ...], ...]
 
 _RANK_RULES = {
     "A": (1, None),
@@ -57,13 +66,33 @@ class LieType:
         return f"{self.series}{self.rank}"
 
 
+class LatticeData(NamedTuple):
+    """Integer form of one root system's data.
+
+    gram is scale * (a_i, a_j) with the least scale that clears the
+    denominators, so (x, a_i^v) = 2 (gram x)_i / gram[i][i];  theta_row is
+    scale * (theta, a_j); the inverse Cartan matrix is inverse_cartan / det,
+    and its row i is det times the fundamental weight w_i.
+    """
+
+    scale: int
+    gram: IntMatrix
+    theta_row: tuple[int, ...]
+    marks: tuple[int, ...]
+    comarks: tuple[int, ...]
+    inverse_cartan: IntMatrix
+    det: int
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """Immutable root-system data, all entries exact rationals.
 
     cartan[i][j] is 2(a_i, a_j)/(a_j, a_j); gram[i][j] = (a_i, a_j) under
     the basic inner product.  positive_roots are ordered by height then
-    lexicographically; lowest_root is minus the highest root.
+    lexicographically; lowest_root is minus the highest root.  lattice holds
+    the same data as integers; it takes no part in equality, and the hash
+    is that of the type, which equal records share.
     """
 
     lie_type: LieType
@@ -74,36 +103,40 @@ class RootSystem:
     fundamental_weights: tuple[CartanVector, ...]
     dual_coxeter: int
     root_halves: tuple[Fraction, ...]  # d_i = (a_i, a_i)/2 per simple root
+    lattice: LatticeData = field(compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        return hash(self.lie_type)
 
     @property
     def rank(self) -> int:
         return self.lie_type.rank
 
-    @property
+    @cached_property
     def simple_roots(self) -> tuple[CartanVector, ...]:
         r = self.rank
         return tuple(
             tuple(Fraction(1 if i == j else 0) for j in range(r)) for i in range(r)
         )
 
-    @property
+    @cached_property
     def highest_root(self) -> CartanVector:
         return tuple(-c for c in self.lowest_root)
 
     @property
     def marks(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.highest_root)
+        return self.lattice.marks
 
-    @property
+    @cached_property
     def comarks(self) -> tuple[Fraction, ...]:
         """Coefficients a_i * d_i; integers for every simple type."""
-        return tuple(a * d for a, d in zip(self.highest_root, self.root_halves))
+        return tuple(Fraction(c) for c in self.lattice.comarks)
 
     def is_root(self, v: CartanVector) -> bool:
         neg = tuple(-c for c in v)
         return v in self._root_index or neg in self._root_index
 
-    @property
+    @cached_property
     def _root_index(self) -> frozenset:
         return frozenset(self.positive_roots)
 
@@ -146,37 +179,35 @@ def _cartan_and_halves(lt: LieType) -> tuple[list[list[int]], list[Fraction]]:
     return cartan, halves
 
 
-def _positive_roots(cartan: list[list[int]]) -> list[CartanVector]:
+def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
     """Height-by-height closure: alpha + a_i is a root iff its root string
-    through a_i still ascends (q - <alpha, a_i^v> > 0)."""
-    r = len(cartan)
-    simple = [tuple(Fraction(1 if i == j else 0) for j in range(r)) for i in range(r)]
-    found = set(simple)
-    layer = list(simple)
-    ordered = list(simple)
+    through a_i still ascends (q - <alpha, a_i^v> > 0).
+
+    A root is coded as one integer whose base-8 digits are its coefficients,
+    so a step along a_i adds 8**i.  Coefficients never exceed 6 (the highest
+    root of E8), so a step down from a zero digit leaves a digit 7, which no
+    root has: the string walk never aliases another root.
+    """
+    steps = [8**i for i in range(len(cartan))]
+    pairings = {s: cartan[i] for i, s in enumerate(steps)}  # root -> <root, a_j^v>
+    layer = steps
     while layer:
         nxt = []
         for alpha in layer:
-            for i in range(r):
-                pairing = sum(int(alpha[m]) * cartan[m][i] for m in range(r))
+            pa = pairings[alpha]
+            for i, s in enumerate(steps):
                 q = 0
-                probe = alpha
-                while True:
-                    probe = tuple(c - (1 if m == i else 0) for m, c in enumerate(probe))
-                    if probe in found:
-                        q += 1
-                    else:
-                        break
-                if q - pairing > 0:
-                    beta = tuple(c + (1 if m == i else 0) for m, c in enumerate(alpha))
-                    if beta not in found:
-                        found.add(beta)
-                        nxt.append(beta)
-        nxt.sort()
-        ordered.extend(nxt)
+                probe = alpha - s
+                while probe in pairings:
+                    q += 1
+                    probe -= s
+                if q > pa[i] and alpha + s not in pairings:
+                    pairings[alpha + s] = [p + c for p, c in zip(pa, cartan[i])]
+                    nxt.append(alpha + s)
         layer = nxt
-    ordered.sort(key=lambda v: (sum(v), v))
-    return ordered
+    roots = [tuple(code // s % 8 for s in steps) for code in pairings]
+    roots.sort(key=lambda v: (sum(v), v))
+    return roots
 
 
 @lru_cache(maxsize=None)
@@ -196,33 +227,39 @@ def build_root_system(lie_type: LieType) -> RootSystem:
     highest = positives[-1]
     if len(positives) > 1 and sum(positives[-2]) == sum(highest):
         raise InputError("no-unique-highest", "highest root is not unique")
-    lowest = tuple(-c for c in highest)
 
-    # (w_i, a_j^v) = sum_m c_m cartan[m][j] = delta_ij, so the coefficient
-    # rows solve against the transposed Cartan matrix.
-    ct = [[Fraction(cartan[m][j]) for m in range(r)] for j in range(r)]
-    weights = []
-    for i in range(r):
-        rhs = tuple(Fraction(1 if j == i else 0) for j in range(r))
-        weights.append(solve(ct, rhs))
-
-    # Dual Coxeter number: 1 + height of the highest root rewritten in the
-    # simple-coroot basis, i.e. 1 + sum of mark_i * d_i.
-    hprime = Fraction(1) + sum(
-        (Fraction(c) * d for c, d in zip(highest, halves)), Fraction(0)
+    scale = lcm(*(d.denominator for d in halves))
+    igram = tuple(tuple(int(g * scale) for g in row) for row in gram)
+    comarks = []
+    for mark, d in zip(highest, halves):
+        comark = mark * d
+        if comark.denominator != 1:
+            raise InputError("bad-comark", f"non-integer comark {comark}")
+        comarks.append(int(comark))
+    # (w_i, a_j^v) = sum_m c_m cartan[m][j] = delta_ij: the coefficient rows
+    # of the fundamental weights are the rows of the inverse Cartan matrix.
+    inverse, det = integer_inverse(cartan)
+    lattice = LatticeData(
+        scale=scale,
+        gram=igram,
+        theta_row=tuple(sum(t * g for t, g in zip(highest, col)) for col in zip(*igram)),
+        marks=highest,
+        comarks=tuple(comarks),
+        inverse_cartan=inverse,
+        det=det,
     )
-    if hprime.denominator != 1:
-        raise InputError("bad-dual-coxeter", f"non-integer value {hprime}")
 
     return RootSystem(
         lie_type=lie_type,
         cartan_matrix=tuple(tuple(row) for row in cartan),
         gram=gram,
-        positive_roots=tuple(positives),
-        lowest_root=lowest,
-        fundamental_weights=tuple(weights),
-        dual_coxeter=int(hprime),
+        positive_roots=tuple(tuple(Fraction(c) for c in v) for v in positives),
+        lowest_root=tuple(Fraction(-c) for c in highest),
+        fundamental_weights=tuple(tuple(Fraction(c, det) for c in row) for row in inverse),
+        # 1 + height of the highest root in the simple-coroot basis
+        dual_coxeter=1 + sum(comarks),
         root_halves=tuple(halves),
+        lattice=lattice,
     )
 
 

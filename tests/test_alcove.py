@@ -1,7 +1,10 @@
 import itertools
 import json
+import math
 import random
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -17,13 +20,18 @@ from quasiham.alcove import (
     weight_lattice_contains,
 )
 from quasiham.errors import InputError
-from quasiham.rational import solve, vadd, vec, vsub, zero
+from quasiham.rational import matvec, solve, vadd, vec, vsub, zero
 from quasiham.roots import (
     LieType,
     a_series_embedding,
     build_root_system,
     inner_product,
 )
+
+# The benchmark's workload module holds the level-weights pool and the types
+# of the table verb.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import LEVELS, TABLE_TYPES  # noqa: E402
 
 ALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "D4", "E6", "E7", "F4", "G2"]
 
@@ -293,3 +301,67 @@ def test_fundamental_weight_coords_integrality_iff_lattice():
         xi = _random_rational_vector(rng, 2)
         coords = fundamental_weight_coords(rs, xi)
         assert weight_lattice_contains(rs, xi) == all(c.denominator == 1 for c in coords)
+
+
+# The level-weights pool of the benchmark through E6 at level 4, plus k = 0.
+ORACLE_CASES = [
+    (name, k) for name, ks in LEVELS.items() for k in (0,) + ks
+    if not (name == "E6" and k > 4)
+]
+
+
+def _fraction_in_alcove(rs, xi, k):
+    """Closed level-k alcove test in Fraction arithmetic through the Gram
+    matrix, independent of the integer test of the library."""
+    if any(inner_product(rs, a, xi) < 0 for a in rs.simple_roots):
+        return False
+    return inner_product(rs, rs.highest_root, xi) <= k
+
+
+def fraction_level_weights(rs, k):
+    """The Fraction enumeration the integer one replaced: fundamental weights
+    solved from the transposed Cartan matrix, Dynkin labels under the comark
+    budget, every candidate kept by the Fraction alcove test."""
+    r = rs.rank
+    ct = [[Q(rs.cartan_matrix[m][j]) for m in range(r)] for j in range(r)]
+    fundamental = [solve(ct, tuple(Q(int(j == i)) for j in range(r))) for i in range(r)]
+    comarks = [a * d for a, d in zip(rs.highest_root, rs.root_halves)]
+    weights = []
+
+    def descend(i, partial, budget):
+        if i == r:
+            weights.append(partial)
+            return
+        m = 0
+        while m * comarks[i] <= budget:
+            cand = tuple(p + m * w for p, w in zip(partial, fundamental[i]))
+            descend(i + 1, cand, budget - m * comarks[i])
+            m += 1
+
+    descend(0, zero(r), Q(k))
+    return sorted(w for w in weights if _fraction_in_alcove(rs, w, k))
+
+
+@pytest.mark.parametrize("name,k", ORACLE_CASES)
+def test_level_weights_match_fraction_oracle(name, k):
+    rs = rs_of(name)
+    assert list(level_weights(rs, k).weights) == fraction_level_weights(rs, k)
+
+
+@pytest.mark.parametrize("name", TABLE_TYPES)
+def test_minimal_level_is_lcm_of_comarks(name):
+    rs = rs_of(name)
+    comarks = [int(c) for c in rs.comarks]
+    assert comarks == [a * d for a, d in zip(rs.highest_root, rs.root_halves)]
+    assert minimal_integral_level(rs) == math.lcm(*comarks)
+
+
+@pytest.mark.parametrize("name", TABLE_TYPES)
+def test_vertices_solve_their_defining_systems(name):
+    rs = rs_of(name)
+    theta_row = matvec(rs.gram, rs.highest_root)
+    vertices = alcove_vertices(rs).vertices
+    for j in range(rs.rank):
+        rows = [theta_row if i == j else rs.gram[i] for i in range(rs.rank)]
+        rhs = tuple(Q(int(i == j)) for i in range(rs.rank))
+        assert vertices[j + 1] == solve(rows, rhs)

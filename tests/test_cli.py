@@ -1,10 +1,15 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import quasiham
+from quasiham import cli
+from quasiham.alcove import LevelWeightSet
 from quasiham.cli import VERB_COVERAGE, _HANDLERS, build_parser, dispatch, main, render
+from quasiham.errors import ToolkitError
+from quasiham.roots import LieType, build_root_system
 from quasiham.serialize import matrix_from_json, matrix_to_json
 
 
@@ -136,6 +141,38 @@ def test_usage_errors_exit_two(capsys):
     err = capsys.readouterr().err
     assert "1/x" in err
     assert main(["check-class", "--type", "A9x", "--xi", "0", "--level", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "factor,message",
+    [("1/2", "escaped the lattice"), ("2", "escaped the alcove")],
+)
+def test_level_weights_validation_can_fail(monkeypatch, capsys, factor, message):
+    # half of w_1 lies in the level-1 alcove but is no weight; 2 w_1 is a
+    # weight outside the level-1 alcove
+    rs = build_root_system(LieType("A", 2))
+    bad = tuple(Fraction(factor) * c for c in rs.fundamental_weights[0])
+    origin = tuple(Fraction(0) for _ in range(rs.rank))
+    fake = LevelWeightSet(rs=rs, level=1, weights=(origin, bad))
+    monkeypatch.setattr(cli, "level_weights", lambda rs, k: fake)
+    argv = ["level-weights", "--type", "A2", "--level", "1"]
+    with pytest.raises(ToolkitError, match=message):
+        dispatch(argv)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_reused_parser_keeps_no_state(monkeypatch):
+    assert build_parser() is not build_parser()
+    assert cli._shared_parser() is cli._shared_parser()
+    _, two = dispatch(["check-class", "--type", "A1", "--xi", "1/4,-1/4",
+                       "--xi", "1/2,-1/2", "--level", "2"])
+    _, one = dispatch(["check-class", "--type", "A1", "--xi", "1/4,-1/4", "--level", "2"])
+    assert len(two["classes"]) == 2 and len(one["classes"]) == 1
+    seen = []
+    monkeypatch.setitem(_HANDLERS, "verify", lambda args: (seen.append(args), (0, {}))[1])
+    dispatch(["verify", "--space", "double"])
+    assert seen[0].xi is None and seen[0].axiom is None
 
 
 def test_failed_verification_exits_one():

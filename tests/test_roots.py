@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from quasiham.errors import InputError
-from quasiham.rational import dot, matvec, solve, vec
+from quasiham.rational import dot, integer_inverse, matvec, solve, vec
 from quasiham.roots import (
     LieType,
     a_series_embedding,
@@ -226,3 +226,19 @@ def test_exact_solver():
     assert matvec(m, x) == vec(1, 0)
     with pytest.raises(ValueError):
         solve([[Q(1), Q(1)], [Q(1), Q(1)]], vec(1, 0))
+
+
+def test_integer_inverse():
+    assert integer_inverse([[2, 1], [1, 3]]) == (((3, -1), (-1, 2)), 5)
+    # a zero leading pivot and a negative determinant
+    assert integer_inverse([[0, 1], [1, 0]]) == (((0, 1), (1, 0)), 1)
+    for name in ALL_TYPES:
+        cartan = rs_of(name).cartan_matrix
+        inv, det = integer_inverse(cartan)
+        exact = [solve([[Q(c) for c in row] for row in cartan],
+                       tuple(Q(int(i == j)) for i in range(len(cartan))))
+                 for j in range(len(cartan))]
+        assert all(Q(inv[i][j], det) == exact[j][i]
+                   for i in range(len(cartan)) for j in range(len(cartan)))
+    with pytest.raises(ValueError):
+        integer_inverse([[1, 2], [2, 4]])
