@@ -351,24 +351,23 @@ def _run_reduce_rank(args) -> tuple[int, dict]:
     from .sun import random_special_unitary
 
     rng = np.random.default_rng(args.seed)
+    # The space is built first: it rejects an n the points cannot be drawn for.
+    h = {"abba": 2, "commuting": 1}.get(args.at, args.genus)
+    space = make_space("genus", n=args.n, h=h)
     if args.at == "abba":
-        h = 2
         a = random_special_unitary(args.n, rng)
         b = random_special_unitary(args.n, rng)
         point = (a, b, b, a)
     elif args.at == "commuting":
-        h = 1
         diag = 1j * np.diag([1.0] + [0.0] * (args.n - 2) + [-1.0])
         u = random_special_unitary(args.n, rng)
         a = u @ scipy.linalg.expm(rng.normal() * diag) @ u.conj().T
         b = u @ scipy.linalg.expm(rng.normal() * diag) @ u.conj().T
         point = (a, b)
     elif args.at == "identity":
-        h = args.genus
         point = tuple(np.eye(args.n, dtype=complex) for _ in range(2 * h))
     else:
         raise ToolkitError(f"unknown point kind {args.at!r}")
-    space = make_space("genus", n=args.n, h=h)
     rank = reduction_rank(space, point)
     return 0, {
         "space": f"genus({args.n},{h})",

@@ -13,7 +13,6 @@ canonical 3-form integrates to 1 over SU(2).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 import scipy.linalg
@@ -23,13 +22,6 @@ from .errors import InputError
 UNITARY_TOL = 1e-12
 ALGEBRA_TOL = 1e-12
 SNAP_TOL = 1e-9
-
-_SIGNED_PERMS = [
-    (p, sign)
-    for p, sign in zip(
-        permutations(range(3)), (1, -1, -1, 1, 1, -1)
-    )
-]
 
 
 def check_special_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
@@ -61,16 +53,24 @@ def check_algebra(x: np.ndarray, tol: float = ALGEBRA_TOL) -> np.ndarray:
 
 
 def project_algebra(x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto traceless anti-Hermitian matrices."""
+    """Orthogonal projection onto traceless anti-Hermitian matrices, applied
+    to the last two axes."""
     x = np.asarray(x, dtype=complex)
-    y = 0.5 * (x - x.conj().T)
-    n = x.shape[0]
-    return y - (np.trace(y) / n) * np.eye(n)
+    y = 0.5 * (x - x.conj().swapaxes(-1, -2))
+    n = x.shape[-1]
+    tr = np.trace(y, axis1=-2, axis2=-1)
+    return y - (tr / n)[..., None, None] * np.eye(n)
 
 
-def basic_inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Invariant inner product -tr(XY)/(4 pi^2) on the algebra."""
-    return float(np.real(-np.trace(x @ y))) / (4.0 * np.pi**2)
+def basic_inner(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """Invariant inner product -tr(XY)/(4 pi^2) on the algebra.
+
+    Leading axes broadcast, giving an array of pairings; two plain matrices
+    give a float.
+    """
+    if np.ndim(x) == 2 and np.ndim(y) == 2:
+        return float(np.real(-np.trace(x @ y))) / (4.0 * np.pi**2)
+    return -np.real(np.einsum("...ij,...ji->...", x, y)) / (4.0 * np.pi**2)
 
 
 def random_algebra(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -178,21 +178,15 @@ def canonical_three_form(
 ) -> float:
     """The bi-invariant 3-form (1/12) B(theta, [theta, theta]) evaluated on
     three tangent vectors at g."""
-    xs = [maurer_cartan(g, v, "left", tol=tol) for v in (v1, v2, v3)]
-    total = 0.0
-    for perm, sign in _SIGNED_PERMS:
-        x, y, z = (xs[p] for p in perm)
-        total += sign * basic_inner(x, y @ z - z @ y)
-    return total / 12.0
+    return _three_form_pulled([maurer_cartan(g, v, "left", tol=tol) for v in (v1, v2, v3)])
 
 
-def _three_form_pulled(g: np.ndarray, xs: list[np.ndarray]) -> float:
-    """Same antisymmetrized sum on already left-translated algebra values."""
-    total = 0.0
-    for perm, sign in _SIGNED_PERMS:
-        x, y, z = (xs[p] for p in perm)
-        total += sign * basic_inner(x, y @ z - z @ y)
-    return total / 12.0
+def _three_form_pulled(xs: list[np.ndarray]) -> float:
+    """The 3-form on already left-translated algebra values.  By
+    ad-invariance of B the six signed terms of the antisymmetrization
+    (1/12) sum sign B(x, [y, z]) are equal, so the sum is (1/2) B(x, [y, z])."""
+    x, y, z = xs
+    return 0.5 * basic_inner(x, y @ z - z @ y)
 
 
 @lru_cache(maxsize=None)
@@ -217,25 +211,30 @@ def algebra_basis(n: int) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def algebra_coords(x: np.ndarray) -> np.ndarray:
-    """Coordinates of an algebra element in the orthonormal real basis."""
-    basis = algebra_basis(x.shape[0])
-    return np.array([float(np.real(np.trace(b.conj().T @ x))) for b in basis])
-
-
-def algebra_from_coords(n: int, coords: np.ndarray) -> np.ndarray:
-    basis = algebra_basis(n)
-    out = np.zeros((n, n), dtype=complex)
-    for c, b in zip(coords, basis):
-        out += c * b
+@lru_cache(maxsize=None)
+def _basis_stack(n: int) -> np.ndarray:
+    """algebra_basis(n) as one read-only (n^2-1, n, n) array."""
+    out = np.array(algebra_basis(n)).reshape(-1, n, n)
+    out.flags.writeable = False
     return out
 
 
+def algebra_coords(x: np.ndarray) -> np.ndarray:
+    """Coordinates of an algebra element in the orthonormal real basis,
+    Re tr(B_k* X); leading axes of x are kept."""
+    basis = _basis_stack(x.shape[-1])
+    return np.real(np.einsum("kij,...ij->...k", basis.conj(), x))
+
+
+def algebra_from_coords(n: int, coords: np.ndarray) -> np.ndarray:
+    """Inverse of algebra_coords; leading axes of coords are kept."""
+    return np.einsum("...k,kij->...ij", coords, _basis_stack(n))
+
+
 def realified_operator(n: int, fn) -> np.ndarray:
-    """Matrix of a real-linear operator on su(n) in the orthonormal basis."""
-    basis = algebra_basis(n)
-    cols = [algebra_coords(fn(b)) for b in basis]
-    return np.stack(cols, axis=1)
+    """Matrix of a real-linear operator on su(n) in the orthonormal basis;
+    fn is applied once to the stacked basis."""
+    return algebra_coords(fn(_basis_stack(n))).T
 
 
 def eta_integral_su2(samples: int = 2000, seed: int = 0) -> float:

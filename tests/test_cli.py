@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +174,33 @@ def test_reused_parser_keeps_no_state(monkeypatch):
     monkeypatch.setitem(_HANDLERS, "verify", lambda args: (seen.append(args), (0, {}))[1])
     dispatch(["verify", "--space", "double"])
     assert seen[0].xi is None and seen[0].axiom is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--space", "double", "--n", "0", "--axiom", "moment"],
+        ["verify", "--space", "double", "--n", "1", "--axiom", "moment"],
+        ["verify", "--space", "fused_double", "--n", "1", "--axiom", "min_degeneracy"],
+        ["verify", "--space", "genus", "--n", "1", "--axiom", "cocycle"],
+        ["reduce-rank", "--n", "1", "--at", "abba"],
+        ["reduce-rank", "--n", "1", "--at", "commuting"],
+        ["reduce-rank", "--n", "0", "--at", "identity"],
+    ],
+)
+def test_group_rank_below_two_exits_two(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert "invalid-rank" in captured.err and captured.out == ""
+
+
+def test_undecided_degeneracy_sample_is_redrawn():
+    argv = ["verify", "--space", "genus", "--n", "2", "--genus", "2",
+            "--axiom", "min_degeneracy", "--samples", "3", "--seed", "1976016887"]
+    code, payload = dispatch(argv)
+    assert code == 0 and payload["pass"] is True and payload["max_residual"] == 0.0
 
 
 def test_failed_verification_exits_one():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from quasiham import spaces
 from quasiham.errors import InputError
 from quasiham.spaces import (
     ConjugacyClass,
@@ -11,12 +12,17 @@ from quasiham.spaces import (
     Fusion,
     Genus,
     InternalFusion,
+    _degeneracy_mismatch,
+    _random_tangent,
+    _sample_with_basis,
     make_space,
+    omega_matrix,
     reduction_rank,
     sphere4_act,
     sphere4_equivariance_residual,
     sphere4_moment,
     tree_leaves,
+    tree_map,
     verify_axiom,
     zero_tangent,
 )
@@ -76,6 +82,11 @@ def test_space_validation_errors():
         InternalFusion(InternalFusion(Double(2)))
     with pytest.raises(InputError):
         Genus(2, 0)
+    for n in (0, 1):
+        for build in (lambda: Double(n), lambda: Genus(n, 1), lambda: InternalFusion(Double(n))):
+            with pytest.raises(InputError) as err:
+                build()
+            assert err.value.code == "invalid-rank"
 
 
 def test_dimensions():
@@ -160,6 +171,62 @@ def test_double_moment_values():
 
 
 # ---------------------------------------------------------------------------
+# the batched Gram matrix
+
+def pairwise_omega_matrix(space, m, basis):
+    """Reference: one omega call per pair i < j, mirrored."""
+    d = len(basis)
+    out = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i + 1, d):
+            val = space.omega(m, basis[i], basis[j])
+            out[i, j] = val
+            out[j, i] = -val
+    return out
+
+
+def gram_spaces():
+    return [
+        ("class(2,1/8)", ConjugacyClass(2, (Q(1, 8), Q(-1, 8))), 2),
+        ("class(2,1/4)", ConjugacyClass(2, (Q(1, 4), Q(-1, 4))), 2),
+        ("central", ConjugacyClass(2, (Q(1, 2), Q(-1, 2))), 0),
+        ("class(3)", ConjugacyClass(3, GENERIC_XI3), 6),
+        ("class(4)", ConjugacyClass(4, (Q(3, 8), Q(1, 8), Q(-1, 8), Q(-3, 8))), 12),
+        ("double(3)", Double(3), 16),
+        ("fused_double(3)", InternalFusion(Double(3)), 16),
+        ("genus(2,2)", Genus(2, 2), 12),
+        ("genus(3,3)", Genus(3, 3), 48),
+    ]
+
+
+@pytest.mark.parametrize("name,space,d", gram_spaces())
+def test_omega_matrix_matches_pairwise_loop(name, space, d):
+    rng = np.random.default_rng(83)
+    for _ in range(2):
+        m, basis = _sample_with_basis(space, rng)
+        assert len(basis) == d
+        batched = omega_matrix(space, m, basis)
+        assert batched.shape == (d, d)
+        assert np.array_equal(batched, -batched.T)
+        assert np.max(np.abs(batched - pairwise_omega_matrix(space, m, basis)), initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("name,space,d", gram_spaces())
+def test_random_tangent_is_basis_combination(name, space, d):
+    rng = np.random.default_rng(89)
+    m, basis = _sample_with_basis(space, rng)
+    state = rng.bit_generator.state
+    v = _random_tangent(space, m, basis, rng)
+    after = rng.bit_generator.state
+    rng.bit_generator.state = state
+    ref = zero_tangent(m)
+    for c, b in zip(rng.normal(size=len(basis)), basis):
+        ref = tree_add(ref, b, c)
+    assert rng.bit_generator.state == after  # the same single draw
+    assert tree_max(tree_add(v, ref, -1.0)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
 # axioms through the verifier
 
 @pytest.mark.parametrize("name,space", builtin_spaces())
@@ -208,6 +275,84 @@ def test_tampered_omega_is_detected():
 
     rep = verify_axiom(ScaledDouble(2), "cocycle", samples=5, seed=31)
     assert not rep.passed and rep.max_residual > 1e-3
+
+
+class UncorrectedFusion(InternalFusion):
+    """Internal fusion without its correction term."""
+
+    def omega(self, m, v, w):
+        return self.inner.omega(m, v, w)
+
+
+def squeezed(cls, shrink):
+    """cls with omega pulled back along the map that scales the first tangent
+    basis direction by shrink (0 projects it out)."""
+
+    class Squeezed(cls):
+        def omega(self, m, v, w):
+            first = self.tangent_basis(m)[0]
+
+            def squeeze(t):
+                c = sum(
+                    np.real(np.einsum("ij,...ij->...", x.conj(), y))
+                    for x, y in zip(tree_leaves(first), tree_leaves(t))
+                )
+                c = np.asarray(c)[..., None, None]
+                return tree_map(lambda x, y: y - (1.0 - shrink) * c * x, first, t)
+
+            return super().omega(m, squeeze(v), squeeze(w))
+
+    return Squeezed
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dropped_fusion_correction_fails_moment(n):
+    assert verify_axiom(InternalFusion(Double(n)), "moment", samples=4, seed=97).passed
+    rep = verify_axiom(UncorrectedFusion(Double(n)), "moment", samples=4, seed=97)
+    assert not rep.passed and rep.max_residual > 1e-3
+    rng = np.random.default_rng(101)
+    m, basis = _sample_with_basis(Double(n), rng)
+    gap = omega_matrix(InternalFusion(Double(n)), m, basis) - omega_matrix(
+        UncorrectedFusion(Double(n)), m, basis
+    )
+    assert np.max(np.abs(gap)) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "cls,args",
+    [(ConjugacyClass, (3, GENERIC_XI3)), (Double, (3,)), (Genus, (2, 2))],
+)
+def test_projected_omega_fails_min_degeneracy(cls, args):
+    assert verify_axiom(cls(*args), "min_degeneracy", samples=3, seed=103).passed
+    rep = verify_axiom(squeezed(cls, 0.0)(*args), "min_degeneracy", samples=3, seed=103)
+    assert not rep.passed and rep.max_residual == 2.0
+
+
+def test_undecided_ranks_are_redrawn():
+    # At the first draw |tr Psi| = 2.5e-6: omega has two relative singular
+    # values of 8.6e-8 (kernel) while Ad_Psi + 1 has two of 1.25e-6 (no
+    # kernel), so the two cutoffs disagree and gave a false FAIL of 2.0.
+    space = Genus(2, 2)
+    rng = np.random.default_rng(1976016887)
+    m, basis = _sample_with_basis(space, rng)
+    assert _degeneracy_mismatch(space, m, basis, rng) is None
+    rep = verify_axiom(space, "min_degeneracy", samples=3, seed=1976016887)
+    assert rep.passed and rep.max_residual == 0.0
+
+
+def test_persistently_undecided_sampling_is_an_input_error():
+    # scaling one direction by 1e-6 puts a pair of relative singular values
+    # of omega inside [RANK_CUTOFF, DECIDED_GAP) at every draw
+    space = squeezed(Double, 1e-6)(2)
+    rng = np.random.default_rng(107)
+    m, basis = _sample_with_basis(space, rng)
+    svals = np.linalg.svd(omega_matrix(space, m, basis), compute_uv=False)
+    rel = svals / svals[0]
+    assert np.any((rel >= spaces.RANK_CUTOFF) & (rel < spaces.DECIDED_GAP))
+    assert _degeneracy_mismatch(space, m, basis, rng) is None
+    with pytest.raises(InputError) as err:
+        verify_axiom(space, "min_degeneracy", samples=1, seed=107)
+    assert err.value.code == "undecided-sample"
 
 
 def test_degenerate_basis_triggers_resampling():

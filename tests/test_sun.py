@@ -1,9 +1,12 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from quasiham.errors import InputError
 from quasiham.sun import (
+    _three_form_pulled,
     alcove_coordinates,
     algebra_basis,
     algebra_coords,
@@ -17,6 +20,7 @@ from quasiham.sun import (
     project_algebra,
     random_algebra,
     random_special_unitary,
+    realified_operator,
     torus_algebra,
     torus_point,
 )
@@ -142,3 +146,79 @@ def test_random_special_unitary_is_group_point():
     rng = np.random.default_rng(7)
     for n in (2, 3, 5):
         check_special_unitary(random_special_unitary(n, rng))
+
+
+# ---------------------------------------------------------------------------
+# batched helpers against the same helper applied element by element
+
+def random_matrices(rng, shape, n):
+    return rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_basic_inner_broadcasts(n):
+    rng = np.random.default_rng(11)
+    xs = np.array([random_algebra(n, rng) for _ in range(4)])
+    ys = np.array([random_algebra(n, rng) for _ in range(5)])
+    gram = basic_inner(xs[:, None], ys[None, :])
+    assert gram.shape == (4, 5)
+    ref = np.array([[basic_inner(x, y) for y in ys] for x in xs])
+    assert np.max(np.abs(gram - ref)) <= 1e-15
+    assert type(basic_inner(xs[0], ys[0])) is float
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_project_algebra_broadcasts(n):
+    rng = np.random.default_rng(12)
+    zs = random_matrices(rng, (3, 2), n)
+    out = project_algebra(zs)
+    assert out.shape == zs.shape
+    for idx in np.ndindex(3, 2):
+        assert np.max(np.abs(out[idx] - project_algebra(zs[idx]))) <= 1e-15
+        check_algebra(out[idx])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_algebra_coords_match_trace_loop(n):
+    rng = np.random.default_rng(13)
+    xs = np.array([random_algebra(n, rng) for _ in range(6)]).reshape(2, 3, n, n)
+    coords = algebra_coords(xs)
+    assert coords.shape == (2, 3, n * n - 1)
+    for idx in np.ndindex(2, 3):
+        ref = [np.real(np.trace(b.conj().T @ xs[idx])) for b in algebra_basis(n)]
+        assert np.max(np.abs(coords[idx] - ref)) <= 1e-15
+        assert np.max(np.abs(algebra_coords(xs[idx]) - coords[idx])) <= 1e-15
+    back = algebra_from_coords(n, coords)
+    for idx in np.ndindex(2, 3):
+        ref = sum(c * b for c, b in zip(coords[idx], algebra_basis(n)))
+        assert np.max(np.abs(back[idx] - ref)) <= 1e-15
+        assert np.max(np.abs(algebra_from_coords(n, coords[idx]) - back[idx])) <= 1e-15
+    assert np.max(np.abs(back - xs)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_realified_operator_matches_column_loop(n):
+    rng = np.random.default_rng(14)
+    g = random_special_unitary(n, rng)
+    ginv = g.conj().T
+
+    def ad_plus_one(x):
+        return g @ x @ ginv + x
+
+    op = realified_operator(n, ad_plus_one)
+    ref = np.stack([algebra_coords(ad_plus_one(b)) for b in algebra_basis(n)], axis=1)
+    assert np.max(np.abs(op - ref)) <= 1e-15
+
+
+def test_three_form_matches_signed_permutation_sum():
+    rng = np.random.default_rng(15)
+    signs = (1, -1, -1, 1, 1, -1)  # of permutations(range(3)) in order
+    for n in (2, 3, 4):
+        xs = [random_algebra(n, rng) for _ in range(3)]
+        ref = sum(
+            sign * basic_inner(xs[p[0]], xs[p[1]] @ xs[p[2]] - xs[p[2]] @ xs[p[1]])
+            for p, sign in zip(permutations(range(3)), signs)
+        ) / 12.0
+        assert _three_form_pulled(xs) == pytest.approx(ref, abs=1e-15)
+        g = random_special_unitary(n, rng)
+        assert canonical_three_form(g, *(g @ x for x in xs)) == pytest.approx(ref, abs=1e-14)
