@@ -39,7 +39,8 @@ from .sun import (
 RANK_CUTOFF = 1e-7
 KERNEL_FLOOR = 1e-12
 # A relative singular value in [RANK_CUTOFF, DECIDED_GAP) leaves a rank
-# undecided, and min_degeneracy redraws the sample.  On the benchmark's
+# undecided; min_degeneracy redraws a sample whose ranks disagree while such
+# a value is present, and passes one whose ranks agree.  On the benchmark's
 # degeneracy streams (seeds 1-4) the smallest decided ones were 3.8e-5 for
 # omega and 4.3e-4 for Ad_Psi + 1; a genus(2,2) sample with |tr Psi| = 2.5e-6
 # puts omega at 8.6e-8 and Ad_Psi + 1 at 1.25e-6, where the two cutoffs
@@ -749,7 +750,7 @@ def _cocycle_residual(space: QSpace, m, rng, fd_step: float) -> float:
     return abs(d_omega - STRUCTURE_FORM_ORIENTATION * eta_total)
 
 
-def _undecided(svals: np.ndarray, scale: float) -> bool:
+def _in_band(svals: np.ndarray, scale: float) -> bool:
     """Whether a singular value sits in the band [RANK_CUTOFF, DECIDED_GAP)
     relative to scale."""
     return bool(np.any((svals >= RANK_CUTOFF * scale) & (svals < DECIDED_GAP * scale)))
@@ -757,15 +758,17 @@ def _undecided(svals: np.ndarray, scale: float) -> bool:
 
 def _degeneracy_mismatch(space: QSpace, m, basis: list, rng) -> float | None:
     """|dim ker omega - dim span{xi_M : Ad_Psi xi = -xi}| at m, or None when
-    a relative singular value leaves one of the ranks undecided."""
+    the two ranks disagree and a relative singular value lies in the band,
+    so that the disagreement may come from the cutoff."""
     d = len(basis)
-    svals = np.linalg.svd(omega_matrix(space, m, basis), compute_uv=False) if d else np.array([0.0])
-    if svals[0] <= KERNEL_FLOOR:
+    svals = np.linalg.svd(omega_matrix(space, m, basis), compute_uv=False)
+    top = svals.max(initial=0.0)
+    if top <= KERNEL_FLOOR:
         kernel_dim = d
-    elif _undecided(svals, svals[0]):
-        return None
+        undecided = False
     else:
-        kernel_dim = int(np.sum(svals < RANK_CUTOFF * svals[0]))
+        kernel_dim = int(np.sum(svals < RANK_CUTOFF * top))
+        undecided = _in_band(svals, top)
 
     # span of generating fields xi_M with (Ad_Psi + 1) xi = 0
     psis = space._moment(m)
@@ -777,8 +780,7 @@ def _degeneracy_mismatch(space: QSpace, m, basis: list, rng) -> float | None:
     op = scipy.linalg.block_diag(*blocks)
     u, s, vt = np.linalg.svd(op)
     scale = max(s[0], 1.0)
-    if _undecided(s, scale):
-        return None
+    undecided = undecided or _in_band(s, scale)
     null = vt[s < RANK_CUTOFF * scale]
     if null.size == 0:
         qualifying = 0
@@ -794,16 +796,19 @@ def _degeneracy_mismatch(space: QSpace, m, basis: list, rng) -> float | None:
         gs = np.linalg.svd(gmat, compute_uv=False)
         if gs[0] <= KERNEL_FLOOR:
             qualifying = 0
-        elif _undecided(gs, gs[0]):
-            return None
         else:
             qualifying = int(np.sum(gs > RANK_CUTOFF * gs[0]))
-    return float(abs(kernel_dim - qualifying))
+            undecided = undecided or _in_band(gs, gs[0])
+    mismatch = abs(kernel_dim - qualifying)
+    if mismatch and undecided:
+        return None
+    return float(mismatch)
 
 
 def _decided_mismatch(space: QSpace, rng, retries: int = 8) -> float:
-    """Degeneracy mismatch at the first drawn point whose ranks are decided;
-    an undecided point is redrawn from the same generator, never passed."""
+    """Degeneracy mismatch at the first drawn point that is decided; a point
+    whose ranks disagree next to the cutoff is redrawn from the same
+    generator, never failed or passed."""
     for _ in range(retries):
         m, basis = _sample_with_basis(space, rng)
         r = _degeneracy_mismatch(space, m, basis, rng)

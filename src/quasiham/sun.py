@@ -68,9 +68,8 @@ def basic_inner(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     Leading axes broadcast, giving an array of pairings; two plain matrices
     give a float.
     """
-    if np.ndim(x) == 2 and np.ndim(y) == 2:
-        return float(np.real(-np.trace(x @ y))) / (4.0 * np.pi**2)
-    return -np.real(np.einsum("...ij,...ji->...", x, y)) / (4.0 * np.pi**2)
+    out = -np.real(np.einsum("...ij,...ji->...", x, y)) / (4.0 * np.pi**2)
+    return float(out) if out.ndim == 0 else out
 
 
 def random_algebra(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

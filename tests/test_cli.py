@@ -203,6 +203,16 @@ def test_undecided_degeneracy_sample_is_redrawn():
     assert code == 0 and payload["pass"] is True and payload["max_residual"] == 0.0
 
 
+def test_class_near_half_wall_passes_min_degeneracy():
+    # Ad_Psi + 1 sits at a relative 6e-6 on the whole class, but it is
+    # invertible and omega has full rank, so the ranks agree
+    argv = ["verify", "--space", "conjugacy_class", "--n", "2",
+            "--xi", "250001/1000000,-250001/1000000", "--axiom", "min_degeneracy"]
+    code, payload = dispatch(argv)
+    assert code == 0 and payload["pass"] is True and payload["max_residual"] == 0.0
+    assert main(argv) == 0
+
+
 def test_failed_verification_exits_one():
     assert main(["check-class", "--type", "A1", "--xi", "1/4,-1/4", "--level", "1"]) == 1
 

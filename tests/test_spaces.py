@@ -26,7 +26,12 @@ from quasiham.spaces import (
     verify_axiom,
     zero_tangent,
 )
-from quasiham.sun import basic_inner, random_algebra, random_special_unitary
+from quasiham.sun import (
+    basic_inner,
+    random_algebra,
+    random_special_unitary,
+    realified_operator,
+)
 
 GENERIC_XI3 = (Q(1, 4), Q(1, 12), Q(-1, 3))
 
@@ -284,21 +289,24 @@ class UncorrectedFusion(InternalFusion):
         return self.inner.omega(m, v, w)
 
 
-def squeezed(cls, shrink):
-    """cls with omega pulled back along the map that scales the first tangent
-    basis direction by shrink (0 projects it out)."""
+def squeezed(cls, *shrinks):
+    """cls with omega pulled back along the map that scales the leading
+    tangent basis directions by shrinks (0 projects one out)."""
 
     class Squeezed(cls):
         def omega(self, m, v, w):
-            first = self.tangent_basis(m)[0]
+            lead = self.tangent_basis(m)[: len(shrinks)]
 
             def squeeze(t):
-                c = sum(
-                    np.real(np.einsum("ij,...ij->...", x.conj(), y))
-                    for x, y in zip(tree_leaves(first), tree_leaves(t))
-                )
-                c = np.asarray(c)[..., None, None]
-                return tree_map(lambda x, y: y - (1.0 - shrink) * c * x, first, t)
+                out = t
+                for first, shrink in zip(lead, shrinks):
+                    c = sum(
+                        np.real(np.einsum("ij,...ij->...", x.conj(), y))
+                        for x, y in zip(tree_leaves(first), tree_leaves(t))
+                    )
+                    c = np.asarray(c)[..., None, None]
+                    out = tree_map(lambda x, y: y - (1.0 - shrink) * c * x, first, out)
+                return out
 
             return super().omega(m, squeeze(v), squeeze(w))
 
@@ -340,10 +348,42 @@ def test_undecided_ranks_are_redrawn():
     assert rep.passed and rep.max_residual == 0.0
 
 
-def test_persistently_undecided_sampling_is_an_input_error():
+def test_band_value_with_agreeing_ranks_passes():
     # scaling one direction by 1e-6 puts a pair of relative singular values
-    # of omega inside [RANK_CUTOFF, DECIDED_GAP) at every draw
+    # of omega inside [RANK_CUTOFF, DECIDED_GAP); omega keeps full rank and
+    # Ad_Psi + 1 has no kernel, so the ranks agree and the sample is decided
     space = squeezed(Double, 1e-6)(2)
+    rng = np.random.default_rng(107)
+    m, basis = _sample_with_basis(space, rng)
+    svals = np.linalg.svd(omega_matrix(space, m, basis), compute_uv=False)
+    rel = svals / svals[0]
+    assert np.any((rel >= spaces.RANK_CUTOFF) & (rel < spaces.DECIDED_GAP))
+    assert _degeneracy_mismatch(space, m, basis, rng) == 0.0
+    assert verify_axiom(space, "min_degeneracy", samples=3, seed=107).passed
+
+
+def test_class_near_half_wall_passes_min_degeneracy():
+    # xi = +-(1/4 + 1e-6): Ad_Psi + 1 has relative singular values of about
+    # 6e-6 at every point of the class, yet it is invertible and the 2x2
+    # omega has full rank
+    space = ConjugacyClass(2, (Q(250001, 1000000), Q(-250001, 1000000)))
+    rng = np.random.default_rng(109)
+    m, basis = _sample_with_basis(space, rng)
+    psi = space._moment(m)[0]
+    op = realified_operator(2, lambda x: psi @ x @ psi.conj().T + x)
+    s = np.linalg.svd(op, compute_uv=False)
+    rel = s / max(s[0], 1.0)
+    assert np.any((rel >= spaces.RANK_CUTOFF) & (rel < spaces.DECIDED_GAP))
+    assert _degeneracy_mismatch(space, m, basis, rng) == 0.0
+    rep = verify_axiom(space, "min_degeneracy", samples=5, seed=109)
+    assert rep.passed and rep.max_residual == 0.0
+
+
+def test_persistently_undecided_sampling_is_an_input_error():
+    # projecting one direction out gives omega a kernel that Ad_Psi + 1 does
+    # not have, while scaling a second one by 1e-6 keeps a relative singular
+    # value of omega inside [RANK_CUTOFF, DECIDED_GAP) at every draw
+    space = squeezed(Double, 0.0, 1e-6)(2)
     rng = np.random.default_rng(107)
     m, basis = _sample_with_basis(space, rng)
     svals = np.linalg.svd(omega_matrix(space, m, basis), compute_uv=False)
