@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .alcove import (
@@ -24,7 +25,7 @@ from .alcove import (
     transition_weight,
     weight_lattice_contains,
 )
-from .errors import ToolkitError
+from .errors import InputError, ToolkitError
 from .prequant import class_prequantizable, fusion_prequantizable, torsion_level_admissible
 from .rational import format_vector, parse_vector
 from .roots import (
@@ -305,10 +306,17 @@ def _run_holonomy(args) -> tuple[int, dict]:
     from .sun import random_algebra, random_special_unitary
 
     if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            conn = connection_from_json(json.load(fh))
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                conn = connection_from_json(json.load(fh))
+        except OSError as exc:
+            raise InputError("io-error", f"cannot read {args.file}: {exc.strerror}") from exc
         hol = holonomy(conn)
         return 0, {"steps": conn.steps, "holonomy": matrix_to_json(hol)}
+
+    grids = [int(s) for s in args.grids.split(",")]
+    if len(set(grids)) < 2:
+        raise InputError("invalid-grids", f"need at least two distinct grid sizes, got {grids}")
 
     rng = np.random.default_rng(args.seed)
     x = random_algebra(args.n, rng)
@@ -327,7 +335,6 @@ def _run_holonomy(args) -> tuple[int, dict]:
             @ scipy.linalg.expm(np.sin(2 * np.pi * t) * z)
         )
 
-    grids = [int(s) for s in args.grids.split(",")]
     residuals = {
         n_steps: gauge_equivariance_residual(conn_fn, loop_fn, n_steps)
         for n_steps in grids
@@ -466,9 +473,20 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _check_args(args) -> None:
+    """Reject a sample count or tolerance no verb can run with; the checks
+    apply to every verb that takes the option."""
+    if getattr(args, "samples", 1) < 1:
+        raise InputError("invalid-samples", f"need --samples >= 1, got {args.samples}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise InputError("invalid-tolerance", f"need a finite --tol > 0, got {tol}")
+
+
 def dispatch(argv: list[str]) -> tuple[int, dict]:
     """Parse arguments and run the verb; returns (exit code, payload)."""
     args = _shared_parser().parse_args(argv)
+    _check_args(args)
     return _HANDLERS[args.verb](args)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .rational import CartanVector, vec
-from .sun import SNAP_TOL, alcove_coordinates, check_special_unitary
+from .sun import SNAP_TOL, alcove_coordinates, check_special_unitary, complex_pairs
 
 GAP_TOL = 1e-9
 
@@ -80,12 +80,8 @@ class DetLine:
 
     def to_json(self) -> dict:
         return {
-            "basis": [
-                [[float(v.real), float(v.imag)] for v in b] for b in self.subspace_basis
-            ],
-            "representative": [
-                [float(v.real), float(v.imag)] for v in self.representative
-            ],
+            "basis": [complex_pairs(b) for b in self.subspace_basis],
+            "representative": complex_pairs(self.representative),
         }
 
 

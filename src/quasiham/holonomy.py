@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError
-from .sun import check_algebra, check_special_unitary, project_algebra
+from .sun import check_algebra, check_special_unitary, complex_pairs, project_algebra
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,7 @@ class PiecewiseConnection:
     def to_json(self) -> dict:
         return {
             "steps": self.steps,
-            "samples": [
-                [[[float(v.real), float(v.imag)] for v in row] for row in s]
-                for s in self.samples
-            ],
+            "samples": [complex_pairs(s) for s in self.samples],
         }
 
 

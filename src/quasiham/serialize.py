@@ -11,10 +11,11 @@ import numpy as np
 from .errors import InputError
 from .holonomy import PiecewiseConnection
 from .rational import parse_rational
+from .sun import complex_pairs
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
+    return complex_pairs(m)
 
 
 def matrix_from_json(data) -> np.ndarray:

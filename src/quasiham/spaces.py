@@ -2,9 +2,12 @@
 
 Built-in spaces: conjugacy classes, the double (a G x G space), its internal
 fusion (commutator moment map), fusion products, and genus-h products of
-fused doubles.  Points and tangent representatives are nested tuples of
-matrices mirroring each space's construction; the verifier only touches the
-common interface, so every axiom check runs uniformly across spaces.
+fused doubles.  Points and tangent representatives are tuples of matrices
+mirroring each space's construction.  Every space gives one structure record
+for a stack of tangents: the Gram matrix of its 2-form, its moment factors
+and their left and right logarithmic derivatives.  Fusion is one rule on
+records; the verifier only reads records and the common interface, so every
+axiom check runs uniformly across spaces.
 
 Conventions: actions are left actions, generating vector fields satisfy
 [xi_M, zeta_M] = -[xi, zeta]_M, and the double pairs g-valued 1-forms by
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
@@ -26,6 +30,7 @@ from .sun import (
     algebra_basis,
     algebra_coords,
     algebra_from_coords,
+    basic_gram,
     basic_inner,
     check_special_unitary,
     project_algebra,
@@ -112,6 +117,52 @@ def _group_rank(n) -> int:
 
 
 # ---------------------------------------------------------------------------
+# structure records and fusion
+
+@dataclass(frozen=True)
+class Structure:
+    """A space's structure on a stack of k tangents v_1..v_k at one point.
+
+    omega is the k x k matrix omega(v_i, v_j).  Per moment factor, psi holds
+    its value, left the (k, n, n) stack Psi^-1 dPsi(v_i) and right the stack
+    dPsi(v_i) Psi^-1.
+    """
+
+    omega: np.ndarray
+    psi: tuple
+    left: tuple
+    right: tuple
+
+    def factor(self, i: int) -> tuple:
+        return self.psi[i], self.left[i], self.right[i]
+
+
+def _skew(p: np.ndarray) -> np.ndarray:
+    return 0.5 * (p - p.T)
+
+
+def _fuse(omega: np.ndarray, first: tuple, second: tuple) -> Structure:
+    """Fuse two moment factors (psi, left, right) (Alekseev-Malkin-Meinrenken
+    1998): omega gains 1/2 B(Psi_1* theta^L, Psi_2* theta^R), antisymmetrised,
+    the moment is Psi_1 Psi_2, and by the product rule
+    left = Ad_{Psi_2^-1} left_1 + left_2, right = right_1 + Ad_{Psi_1} right_2.
+    The pairing's orientation is pinned by the moment axiom check."""
+    (p1, l1, r1), (p2, l2, r2) = first, second
+    p1inv, p2inv = p1.conj().T, p2.conj().T
+    return Structure(
+        omega + _skew(basic_gram(l1, r2)),
+        (p1 @ p2,),
+        (p2inv @ l1 @ p2 + l2,),
+        (r1 + p1 @ r2 @ p1inv,),
+    )
+
+
+def _fuse_records(first: Structure, second: Structure) -> Structure:
+    """Fusion product of two G-valued records."""
+    return _fuse(first.omega + second.omega, first.factor(0), second.factor(0))
+
+
+# ---------------------------------------------------------------------------
 # space interface
 
 class QSpace:
@@ -162,7 +213,9 @@ class QSpace:
     def _moment(self, m) -> tuple:
         raise NotImplementedError
 
-    def _dmoment(self, m, v) -> tuple:
+    def structure(self, m, stack) -> Structure:
+        """The record of a stack of tangents at m: every leaf of stack
+        carries a leading axis of length k."""
         raise NotImplementedError
 
     def _act(self, g: tuple, m):
@@ -171,19 +224,10 @@ class QSpace:
     def _push(self, g: tuple, m, v):
         raise NotImplementedError
 
-    def omega(self, m, v, w):
-        """The 2-form at m.  Every leaf of v and w may carry leading batch
-        axes, which broadcast; plain tangents give a float."""
-        raise NotImplementedError
-
     def tangent_basis(self, m) -> list:
         raise NotImplementedError
 
     def _generating(self, xi: tuple, m):
-        raise NotImplementedError
-
-    def move(self, m, v, t: float):
-        """Retraction: a point reached from m along tangent v at time t."""
         raise NotImplementedError
 
     # extension fields for the invariant-extension derivative formula
@@ -231,9 +275,6 @@ class ConjugacyClass(QSpace):
     def _moment(self, m):
         return (m,)
 
-    def _dmoment(self, m, v):
-        return (v,)
-
     def _act(self, g, m):
         return g[0] @ m @ g[0].conj().T
 
@@ -243,28 +284,26 @@ class ConjugacyClass(QSpace):
     def _generating(self, xi, m):
         return xi[0] @ m - m @ xi[0]
 
-    def _potential(self, m, v):
-        """Solve (Ad_{m^-1} - 1) xi = m^-1 v for a generating potential xi;
-        a batch of tangents is solved as the columns of one lstsq."""
+    def _potential(self, m, stack):
+        """Solve (Ad_{m^-1} - 1) xi = m^-1 v for generating potentials xi of a
+        stack of tangents v, as the columns of one lstsq."""
         minv = m.conj().T
         op = realified_operator(self.n, lambda x: minv @ x @ m - x)
-        rhs = algebra_coords(project_algebra(minv @ v))
-        sol, *_ = np.linalg.lstsq(op, rhs.reshape(-1, op.shape[1]).T, rcond=None)
-        return algebra_from_coords(self.n, sol.T.reshape(rhs.shape))
+        rhs = algebra_coords(project_algebra(minv @ stack))
+        sol, *_ = np.linalg.lstsq(op, rhs.T, rcond=None)
+        return algebra_from_coords(self.n, sol.T)
 
-    def omega(self, m, v, w):
-        xi = self._potential(m, v)
-        zeta = self._potential(m, w)
+    def structure(self, m, stack):
+        # omega(v, w) = 1/2 B(Ad_m xi - Ad_{m^-1} xi, zeta) for potentials xi of
+        # v and zeta of w
         minv = m.conj().T
+        xi = self._potential(m, stack)
         spread = m @ xi @ minv - minv @ xi @ m
-        return 0.5 * basic_inner(spread, zeta)
+        return Structure(_skew(0.5 * basic_gram(spread, xi)), (m,), (minv @ stack,), (stack @ minv,))
 
     def tangent_basis(self, m):
         fields = [b @ m - m @ b for b in algebra_basis(self.n)]
         return _orthonormal_span(fields, m)
-
-    def move(self, m, v, t):
-        return self.field_flow(self._potential(m, v), m, t)
 
     def random_field(self, rng):
         return random_algebra(self.n, rng)
@@ -277,30 +316,44 @@ class ConjugacyClass(QSpace):
         return u @ m @ u.conj().T
 
 
-class Double(QSpace):
+class _Slots(QSpace):
+    """A space whose points are tuples of `slots` SU(n) matrices p_j; a
+    tangent or field value is X_j p_j in each slot, and a field flows by
+    exp(t X_j) p_j."""
+
+    slots: int
+
+    def sample(self, rng):
+        return tuple(random_special_unitary(self.n, rng) for _ in range(self.slots))
+
+    def tangent_basis(self, m):
+        zero = np.zeros_like(m[0])
+        return [tuple(x @ p if j == i else zero for j in range(self.slots))
+                for i, p in enumerate(m) for x in algebra_basis(self.n)]
+
+    def random_field(self, rng):
+        return tuple(random_algebra(self.n, rng) for _ in range(self.slots))
+
+    def field_at(self, data, m):
+        return tuple(x @ p for x, p in zip(data, m))
+
+    def field_flow(self, data, m, t):
+        return tuple(_expm(t * x) @ p for x, p in zip(data, m))
+
+
+class Double(_Slots):
     """G x G with the two-sided action and pair moment map (ab, a^-1 b^-1)."""
 
     group_factors = 2
+    slots = 2
 
     def __init__(self, n: int):
         self.n = _group_rank(n)
         self.dim = 2 * (self.n**2 - 1)
 
-    def sample(self, rng):
-        return (random_special_unitary(self.n, rng), random_special_unitary(self.n, rng))
-
     def _moment(self, m):
         a, b = m
         return (a @ b, a.conj().T @ b.conj().T)
-
-    def _dmoment(self, m, v):
-        a, b = m
-        va, vb = v
-        ainv = a.conj().T
-        binv = b.conj().T
-        first = va @ b + a @ vb
-        second = -ainv @ va @ ainv @ binv - ainv @ binv @ vb @ binv
-        return (first, second)
 
     def _act(self, g, m):
         g1, g2 = g
@@ -308,49 +361,25 @@ class Double(QSpace):
         return (g1 @ a @ g2.conj().T, g2 @ b @ g1.conj().T)
 
     def _push(self, g, m, v):
-        g1, g2 = g
-        va, vb = v
-        return (g1 @ va @ g2.conj().T, g2 @ vb @ g1.conj().T)
+        return self._act(g, v)
 
     def _generating(self, xi, m):
         x1, x2 = xi
         a, b = m
         return (x1 @ a - a @ x2, x2 @ b - b @ x1)
 
-    def omega(self, m, v, w):
+    def structure(self, m, stack):
         a, b = m
-        ainv = a.conj().T
-        binv = b.conj().T
-
-        def pairings(p, q):
-            # B(theta^L_a(p_a), theta^R_b(q_b)) + B(theta^R_a(p_a), theta^L_b(q_b))
-            return basic_inner(ainv @ p[0], q[1] @ binv) + basic_inner(
-                p[0] @ ainv, binv @ q[1]
-            )
-
-        return 0.5 * (pairings(v, w) - pairings(w, v))
-
-    def tangent_basis(self, m):
-        a, b = m
-        basis = algebra_basis(self.n)
-        za = np.zeros_like(a)
-        out = [(x @ a, za) for x in basis]
-        out += [(za, x @ b) for x in basis]
-        return out
-
-    def move(self, m, v, t):
-        a, b = m
-        va, vb = v
-        return (_expm(t * va @ a.conj().T) @ a, _expm(t * vb @ b.conj().T) @ b)
-
-    def random_field(self, rng):
-        return (random_algebra(self.n, rng), random_algebra(self.n, rng))
-
-    def field_at(self, data, m):
-        return tree_map(lambda x, p: x @ p, data, m)
-
-    def field_flow(self, data, m, t):
-        return tree_map(lambda x, p: _expm(t * x) @ p, data, m)
+        va, vb = stack
+        ainv, binv = a.conj().T, b.conj().T
+        al, ar = ainv @ va, va @ ainv  # theta^L and theta^R of the a slot
+        bl, br = binv @ vb, vb @ binv
+        return Structure(
+            _skew(basic_gram(al, br) + basic_gram(ar, bl)),
+            (a @ b, ainv @ binv),
+            (binv @ al @ b + bl, -(b @ ar @ binv) - br),
+            (ar + a @ br @ ainv, -al - ainv @ bl @ a),
+        )
 
 
 class InternalFusion(QSpace):
@@ -373,10 +402,9 @@ class InternalFusion(QSpace):
         p1, p2 = self.inner._moment(m)
         return (p1 @ p2,)
 
-    def _dmoment(self, m, v):
-        p1, p2 = self.inner._moment(m)
-        d1, d2 = self.inner._dmoment(m, v)
-        return (d1 @ p2 + p1 @ d2,)
+    def structure(self, m, stack):
+        rec = self.inner.structure(m, stack)
+        return _fuse(rec.omega, rec.factor(0), rec.factor(1))
 
     def _act(self, g, m):
         return self.inner._act((g[0], g[0]), m)
@@ -387,22 +415,8 @@ class InternalFusion(QSpace):
     def _generating(self, xi, m):
         return self.inner._generating((xi[0], xi[0]), m)
 
-    def omega(self, m, v, w):
-        p1, p2 = self.inner._moment(m)
-        d1v, d2v = self.inner._dmoment(m, v)
-        d1w, d2w = self.inner._dmoment(m, w)
-        lv, lw = p1.conj().T @ d1v, p1.conj().T @ d1w
-        rv, rw = d2v @ p2.conj().T, d2w @ p2.conj().T
-        # Pairing oriented so the fused moment condition holds; the axiom
-        # checks pin this sign.
-        correction = basic_inner(lw, rv) - basic_inner(lv, rw)
-        return self.inner.omega(m, v, w) - 0.5 * correction
-
     def tangent_basis(self, m):
         return self.inner.tangent_basis(m)
-
-    def move(self, m, v, t):
-        return self.inner.move(m, v, t)
 
     def random_field(self, rng):
         return self.inner.random_field(rng)
@@ -436,12 +450,8 @@ class Fusion(QSpace):
     def _moment(self, m):
         return (self.s1._moment(m[0])[0] @ self.s2._moment(m[1])[0],)
 
-    def _dmoment(self, m, v):
-        p1 = self.s1._moment(m[0])[0]
-        p2 = self.s2._moment(m[1])[0]
-        d1 = self.s1._dmoment(m[0], v[0])[0]
-        d2 = self.s2._dmoment(m[1], v[1])[0]
-        return (d1 @ p2 + p1 @ d2,)
+    def structure(self, m, stack):
+        return _fuse_records(self.s1.structure(m[0], stack[0]), self.s2.structure(m[1], stack[1]))
 
     def _act(self, g, m):
         return (self.s1._act(g, m[0]), self.s2._act(g, m[1]))
@@ -452,34 +462,12 @@ class Fusion(QSpace):
     def _generating(self, xi, m):
         return (self.s1._generating(xi, m[0]), self.s2._generating(xi, m[1]))
 
-    def omega(self, m, v, w):
-        p1 = self.s1._moment(m[0])[0]
-        p2 = self.s2._moment(m[1])[0]
-
-        def halves(t):
-            d1 = self.s1._dmoment(m[0], t[0])[0]
-            d2 = self.s2._dmoment(m[1], t[1])[0]
-            return p1.conj().T @ d1, d2 @ p2.conj().T
-
-        lv, rv = halves(v)
-        lw, rw = halves(w)
-        # Same pairing orientation as internal fusion.
-        correction = basic_inner(lw, rv) - basic_inner(lv, rw)
-        return (
-            self.s1.omega(m[0], v[0], w[0])
-            + self.s2.omega(m[1], v[1], w[1])
-            - 0.5 * correction
-        )
-
     def tangent_basis(self, m):
         z1 = zero_tangent(m[0])
         z2 = zero_tangent(m[1])
         out = [(t, z2) for t in self.s1.tangent_basis(m[0])]
         out += [(z1, t) for t in self.s2.tangent_basis(m[1])]
         return out
-
-    def move(self, m, v, t):
-        return (self.s1.move(m[0], v[0], t), self.s2.move(m[1], v[1], t))
 
     def random_field(self, rng):
         return (self.s1.random_field(rng), self.s2.random_field(rng))
@@ -490,16 +478,11 @@ class Fusion(QSpace):
     def field_flow(self, data, m, t):
         return (self.s1.field_flow(data[0], m[0], t), self.s2.field_flow(data[1], m[1], t))
 
-    def field_bracket(self, d1, d2):
-        return (
-            self.s1.field_bracket(d1[0], d2[0]),
-            self.s2.field_bracket(d1[1], d2[1]),
-        )
 
-
-class Genus(QSpace):
-    """Product of h fused doubles with the commutator-product moment map
-    prod_j [a_j, b_j]; points are flat 2h-tuples of SU(n) matrices."""
+class Genus(_Slots):
+    """h fused doubles fused in a row, with the commutator-product moment map
+    prod_j [a_j, b_j]; points are flat 2h-tuples (a_1, b_1, ..., a_h, b_h) of
+    SU(n) matrices, each conjugated by the group."""
 
     group_factors = 1
 
@@ -508,72 +491,26 @@ class Genus(QSpace):
             raise InputError("invalid-genus", f"genus must be >= 1, got {h}")
         self.n = _group_rank(n)
         self.h = int(h)
-        inner: QSpace = InternalFusion(Double(n))
-        for _ in range(h - 1):
-            inner = Fusion(inner, InternalFusion(Double(n)))
-        self.inner = inner
-        self.dim = inner.dim
-
-    def _nest(self, flat: tuple):
-        if len(flat) == 2:
-            return (flat[0], flat[1])
-        return (self._nest(flat[:-2]), (flat[-2], flat[-1]))
-
-    def _flat(self, nested) -> tuple:
-        if self.h == 1:
-            return (nested[0], nested[1])
-        out = []
-
-        def walk(node, depth):
-            if depth == 0:
-                out.append(node[0])
-                out.append(node[1])
-                return
-            walk(node[0], depth - 1)
-            out.append(node[1][0])
-            out.append(node[1][1])
-
-        walk(nested, self.h - 1)
-        return tuple(out)
-
-    def sample(self, rng):
-        return tuple(random_special_unitary(self.n, rng) for _ in range(2 * self.h))
+        self.slots = 2 * self.h
+        self.handle = InternalFusion(Double(self.n))
+        self.dim = self.h * self.handle.dim
 
     def _moment(self, m):
-        return self.inner._moment(self._nest(m))
+        return (reduce(np.matmul, (self.handle._moment(m[i : i + 2])[0]
+                                   for i in range(0, self.slots, 2))),)
 
-    def _dmoment(self, m, v):
-        return self.inner._dmoment(self._nest(m), self._nest(v))
+    def structure(self, m, stack):
+        return reduce(_fuse_records, (self.handle.structure(m[i : i + 2], stack[i : i + 2])
+                                      for i in range(0, self.slots, 2)))
 
     def _act(self, g, m):
-        return self._flat(self.inner._act(g, self._nest(m)))
+        return tuple(g[0] @ p @ g[0].conj().T for p in m)
 
     def _push(self, g, m, v):
-        return self._flat(self.inner._push(g, self._nest(m), self._nest(v)))
+        return self._act(g, v)
 
     def _generating(self, xi, m):
-        return self._flat(self.inner._generating(xi, self._nest(m)))
-
-    def omega(self, m, v, w):
-        return self.inner.omega(self._nest(m), self._nest(v), self._nest(w))
-
-    def tangent_basis(self, m):
-        return [self._flat(t) for t in self.inner.tangent_basis(self._nest(m))]
-
-    def move(self, m, v, t):
-        return self._flat(self.inner.move(self._nest(m), self._nest(v), t))
-
-    def random_field(self, rng):
-        return self.inner.random_field(rng)
-
-    def field_at(self, data, m):
-        return self._flat(self.inner.field_at(data, self._nest(m)))
-
-    def field_flow(self, data, m, t):
-        return self._flat(self.inner.field_flow(data, self._nest(m), t))
-
-    def field_bracket(self, d1, d2):
-        return self.inner.field_bracket(d1, d2)
+        return tuple(xi[0] @ p - p @ xi[0] for p in m)
 
 
 def make_space(kind: str, *, n: int | None = None, xi=None, h: int | None = None,
@@ -671,18 +608,14 @@ def _stack_tangents(m, basis: list):
     )
 
 
+def _record(space: QSpace, m, tangents: list) -> Structure:
+    return space.structure(m, _stack_tangents(m, tangents))
+
+
 def omega_matrix(space: QSpace, m, basis: list) -> np.ndarray:
-    """Gram matrix omega(b_i, b_j) of a tangent basis from one omega call on
-    the stacked basis, broadcast as (d, 1) against (1, d).  The upper
-    triangle is mirrored, so the result is exactly antisymmetric."""
-    if not basis:
-        return np.zeros((0, 0))
-    stack = _stack_tangents(m, basis)
-    vals = space.omega(
-        m, tree_map(lambda x: x[:, None], stack), tree_map(lambda x: x[None, :], stack)
-    )
-    upper = np.triu(vals, 1)
-    return upper - upper.T
+    """Gram matrix omega(b_i, b_j) of a list of tangents, read from the
+    structure record of the stacked list; it is exactly antisymmetric."""
+    return _record(space, m, basis).omega
 
 
 def _random_tangent(space: QSpace, m, basis: list, rng):
@@ -699,25 +632,24 @@ def _orthonormal_fields(space: QSpace, rng, count: int = 3) -> list:
 
 
 def _moment_residual(space: QSpace, m, basis: list, rng) -> float:
+    """|omega(xi_M, w) - 1/2 B(Psi^-1 dPsi(w) + dPsi(w) Psi^-1, xi)| for a
+    random xi and tangent w, read from the record of the stack [xi_M, w]."""
     xi = space._as_algebra(space.random_algebra_element(rng))
     v = space._generating(xi, m)
     w = _random_tangent(space, m, basis, rng)
-    lhs = space.omega(m, v, w)
-    psis = space._moment(m)
-    dpsis = space._dmoment(m, w)
+    rec = _record(space, m, [v, w])
     rhs = 0.0
-    for psi, dpsi, x in zip(psis, dpsis, xi):
-        pinv = psi.conj().T
-        pulled = pinv @ dpsi + dpsi @ pinv
-        rhs += 0.5 * basic_inner(pulled, x)
-    return abs(lhs - rhs)
+    for left, right, x in zip(rec.left, rec.right, xi):
+        rhs += 0.5 * basic_inner(left[1] + right[1], x)
+    return float(abs(rec.omega[0, 1] - rhs))
 
 
 def _cocycle_residual(space: QSpace, m, rng, fd_step: float) -> float:
     f1, f2, f3 = _orthonormal_fields(space, rng)
 
     def omega_of(da, db, point):
-        return space.omega(point, space.field_at(da, point), space.field_at(db, point))
+        pair = [space.field_at(da, point), space.field_at(db, point)]
+        return omega_matrix(space, point, pair)[0, 1]
 
     def derivative(d, da, db):
         plus = space.field_flow(d, m, fd_step)
@@ -747,7 +679,7 @@ def _cocycle_residual(space: QSpace, m, rng, fd_step: float) -> float:
     eta_total = 0.0
     for idx in range(len(psis)):
         eta_total += _three_form_pulled([pulled[0][idx], pulled[1][idx], pulled[2][idx]])
-    return abs(d_omega - STRUCTURE_FORM_ORIENTATION * eta_total)
+    return float(abs(d_omega - STRUCTURE_FORM_ORIENTATION * eta_total))
 
 
 def _in_band(svals: np.ndarray, scale: float) -> bool:
@@ -869,21 +801,17 @@ def verify_axiom(
     )
 
 
-def reduction_rank(space: QSpace, m, fd_step: float = 1e-5) -> int:
+def reduction_rank(space: QSpace, m) -> int:
     """Numerical rank of the moment differential at a point of the identity
-    level set; rank = dim SU(n) certifies the identity is regular there."""
+    level set, from the exact Jacobian Psi^-1 dPsi of the record on the
+    tangent basis; rank = dim SU(n) certifies the identity is regular there."""
     if space.group_factors != 1:
         raise InputError("not-g-valued", "rank check needs a G-valued moment map")
     psi = space._moment(m)[0]
     if np.max(np.abs(psi - np.eye(space.n))) >= 1e-8:
         raise InputError("not-identity-level", "moment value is not the identity")
-    cols = []
-    for v in space.tangent_basis(m):
-        plus = space._moment(space.move(m, v, fd_step))[0]
-        minus = space._moment(space.move(m, v, -fd_step))[0]
-        cols.append(algebra_coords(project_algebra((plus - minus) / (2.0 * fd_step))))
-    mat = np.stack(cols, axis=1)
-    svals = np.linalg.svd(mat, compute_uv=False)
+    jacobian = algebra_coords(_record(space, m, space.tangent_basis(m)).left[0])
+    svals = np.linalg.svd(jacobian, compute_uv=False)
     if svals.size == 0 or svals[0] <= 1e-9:
         return 0
     return int(np.sum(svals > RANK_CUTOFF * svals[0]))

@@ -72,6 +72,21 @@ def basic_inner(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+def basic_gram(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The matrix basic_inner(xs[i], ys[j]) of two stacks of n x n matrices,
+    as one matrix product."""
+    size = xs.shape[-2] * xs.shape[-1]
+    flat_ys = ys.swapaxes(-1, -2).reshape(len(ys), size)
+    return -np.real(xs.reshape(len(xs), size) @ flat_ys.T) / (4.0 * np.pi**2)
+
+
+def complex_pairs(a) -> list:
+    """A complex array as nested lists with [re, im] float pairs as entries,
+    the JSON shape of every matrix and vector."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
 def random_algebra(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Gaussian traceless anti-Hermitian matrix."""
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

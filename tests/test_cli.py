@@ -196,6 +196,38 @@ def test_group_rank_below_two_exits_two(argv, capsys):
     assert "invalid-rank" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,tag",
+    [
+        (["cocycle", "--samples", "0"], "invalid-samples"),
+        (["verify", "--space", "sphere4", "--samples", "0"], "invalid-samples"),
+        (["verify", "--space", "eta_su2", "--samples", "0"], "invalid-samples"),
+        (["verify", "--space", "double", "--axiom", "moment", "--samples", "-1"],
+         "invalid-samples"),
+        (["verify", "--space", "double", "--axiom", "moment", "--tol", "nan"],
+         "invalid-tolerance"),
+        (["verify", "--space", "double", "--axiom", "moment", "--tol", "-1"],
+         "invalid-tolerance"),
+        (["verify", "--space", "sphere4", "--tol", "0"], "invalid-tolerance"),
+        (["cocycle", "--tol", "inf"], "invalid-tolerance"),
+        (["holonomy-convergence", "--grids", "8"], "invalid-grids"),
+        (["holonomy-convergence", "--grids", "8,8"], "invalid-grids"),
+    ],
+)
+def test_invalid_input_exits_two_with_tag(argv, tag, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {tag}:") and captured.out == ""
+
+
+def test_missing_connection_file_exits_two(tmp_path, capsys):
+    assert main(["holonomy-convergence", "--file", str(tmp_path / "missing.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: io-error:") and captured.out == ""
+
+
 def test_undecided_degeneracy_sample_is_redrawn():
     argv = ["verify", "--space", "genus", "--n", "2", "--genus", "2",
             "--axiom", "min_degeneracy", "--samples", "3", "--seed", "1976016887"]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import numpy as np
@@ -14,6 +15,7 @@ from quasiham.spaces import (
     InternalFusion,
     _degeneracy_mismatch,
     _random_tangent,
+    _record,
     _sample_with_basis,
     make_space,
     omega_matrix,
@@ -27,7 +29,10 @@ from quasiham.spaces import (
     zero_tangent,
 )
 from quasiham.sun import (
+    algebra_coords,
+    algebra_from_coords,
     basic_inner,
+    project_algebra,
     random_algebra,
     random_special_unitary,
     realified_operator,
@@ -51,9 +56,107 @@ def tree_max(t):
 
 
 def tree_add(a, b, c=1.0):
-    from quasiham.spaces import tree_map
-
     return tree_map(lambda x, y: x + c * y, a, b)
+
+
+def pair_omega(space, m, v, w):
+    """omega(v, w), read from the record of the stack [v, w]."""
+    return omega_matrix(space, m, [v, w])[0, 1]
+
+
+def genus_chain(n, h):
+    """Genus(n, h) written out as nested fusions, and the map from its flat
+    2h-tuples to the chain's nested points."""
+    chain = InternalFusion(Double(n))
+    for _ in range(h - 1):
+        chain = Fusion(chain, InternalFusion(Double(n)))
+
+    def nest(flat):
+        if len(flat) == 2:
+            return (flat[0], flat[1])
+        return (nest(flat[:-2]), (flat[-2], flat[-1]))
+
+    return chain, nest
+
+
+# ---------------------------------------------------------------------------
+# reference formulas: the 2-form and dPsi one pair of tangents at a time,
+# written independently of the structure records
+
+def ref_dmoment(space, m, v):
+    if isinstance(space, ConjugacyClass):
+        return (v,)
+    if isinstance(space, Double):
+        (a, b), (va, vb) = m, v
+        ainv, binv = a.conj().T, b.conj().T
+        return (va @ b + a @ vb, -ainv @ va @ ainv @ binv - ainv @ binv @ vb @ binv)
+    if isinstance(space, InternalFusion):
+        p1, p2 = space.inner._moment(m)
+        d1, d2 = ref_dmoment(space.inner, m, v)
+        return (d1 @ p2 + p1 @ d2,)
+    if isinstance(space, Fusion):
+        p1, p2 = space.s1._moment(m[0])[0], space.s2._moment(m[1])[0]
+        d1, d2 = ref_dmoment(space.s1, m[0], v[0])[0], ref_dmoment(space.s2, m[1], v[1])[0]
+        return (d1 @ p2 + p1 @ d2,)
+    chain, nest = genus_chain(space.n, space.h)
+    return ref_dmoment(chain, nest(m), nest(v))
+
+
+def ref_potential(space, m, v):
+    minv = m.conj().T
+    op = realified_operator(space.n, lambda x: minv @ x @ m - x)
+    sol, *_ = np.linalg.lstsq(op, algebra_coords(project_algebra(minv @ v)), rcond=None)
+    return algebra_from_coords(space.n, sol)
+
+
+def ref_fusion_correction(l1v, r2v, l1w, r2w):
+    return 0.5 * (basic_inner(l1v, r2w) - basic_inner(l1w, r2v))
+
+
+def ref_omega(space, m, v, w):
+    if isinstance(space, ConjugacyClass):
+        xi, zeta = ref_potential(space, m, v), ref_potential(space, m, w)
+        minv = m.conj().T
+        return 0.5 * basic_inner(m @ xi @ minv - minv @ xi @ m, zeta)
+    if isinstance(space, Double):
+        a, b = m
+        ainv, binv = a.conj().T, b.conj().T
+
+        def pairings(p, q):
+            return basic_inner(ainv @ p[0], q[1] @ binv) + basic_inner(p[0] @ ainv, binv @ q[1])
+
+        return 0.5 * (pairings(v, w) - pairings(w, v))
+    if isinstance(space, InternalFusion):
+        p1, p2 = space.inner._moment(m)
+        (d1v, d2v), (d1w, d2w) = ref_dmoment(space.inner, m, v), ref_dmoment(space.inner, m, w)
+        return ref_omega(space.inner, m, v, w) + ref_fusion_correction(
+            p1.conj().T @ d1v, d2v @ p2.conj().T, p1.conj().T @ d1w, d2w @ p2.conj().T)
+    if isinstance(space, Fusion):
+        p1, p2 = space.s1._moment(m[0])[0], space.s2._moment(m[1])[0]
+        d1v, d1w = (ref_dmoment(space.s1, m[0], t[0])[0] for t in (v, w))
+        d2v, d2w = (ref_dmoment(space.s2, m[1], t[1])[0] for t in (v, w))
+        return (ref_omega(space.s1, m[0], v[0], w[0]) + ref_omega(space.s2, m[1], v[1], w[1])
+                + ref_fusion_correction(p1.conj().T @ d1v, d2v @ p2.conj().T,
+                                        p1.conj().T @ d1w, d2w @ p2.conj().T))
+    chain, nest = genus_chain(space.n, space.h)
+    return ref_omega(chain, nest(m), nest(v), nest(w))
+
+
+def fd_reduction_rank(space, m, fd_step=1e-5):
+    """Rank of the moment differential by central differences along the
+    tangent basis, each slot p moved to exp(t v p^-1) p."""
+    def move(t, v):
+        return tuple(scipy.linalg.expm(t * x @ p.conj().T) @ p for p, x in zip(m, v))
+
+    cols = []
+    for v in space.tangent_basis(m):
+        plus = space._moment(move(fd_step, v))[0]
+        minus = space._moment(move(-fd_step, v))[0]
+        cols.append(algebra_coords(project_algebra((plus - minus) / (2.0 * fd_step))))
+    svals = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
+    if svals.size == 0 or svals[0] <= 1e-9:
+        return 0
+    return int(np.sum(svals > spaces.RANK_CUTOFF * svals[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +216,9 @@ def test_omega_antisymmetric_bilinear(name, space):
     m = space.sample(rng)
     basis = space.tangent_basis(m)
     v, w, u = (sum_basis(space, m, basis, rng) for _ in range(3))
-    assert space.omega(m, v, w) == pytest.approx(-space.omega(m, w, v), abs=1e-10)
-    lhs = space.omega(m, tree_add(v, u, 0.7), w)
-    rhs = space.omega(m, v, w) + 0.7 * space.omega(m, u, w)
-    assert lhs == pytest.approx(rhs, abs=1e-10)
+    om = omega_matrix(space, m, [v, w, u, tree_add(v, u, 0.7)])
+    assert om[0, 1] == pytest.approx(-om[1, 0], abs=1e-10)
+    assert om[3, 1] == pytest.approx(om[0, 1] + 0.7 * om[2, 1], abs=1e-10)
 
 
 def sum_basis(space, m, basis, rng):
@@ -136,8 +238,8 @@ def test_omega_invariant_under_action(name, space):
         w = sum_basis(space, m, basis, rng)
         g = space.random_group(rng)
         moved = space.act(g, m)
-        lhs = space.omega(moved, space.push(g, m, v), space.push(g, m, w))
-        assert lhs == pytest.approx(space.omega(m, v, w), abs=1e-9)
+        lhs = pair_omega(space, moved, space.push(g, m, v), space.push(g, m, w))
+        assert lhs == pytest.approx(pair_omega(space, m, v, w), abs=1e-9)
 
 
 def test_double_omega_at_identity():
@@ -145,7 +247,7 @@ def test_double_omega_at_identity():
     rng = np.random.default_rng(3)
     e = np.eye(2, dtype=complex)
     x1, y1, x2, y2 = (random_algebra(2, rng) for _ in range(4))
-    lhs = d.omega((e, e), (x1, y1), (x2, y2))
+    lhs = pair_omega(d, (e, e), (x1, y1), (x2, y2))
     assert lhs == pytest.approx(basic_inner(x1, y2) - basic_inner(x2, y1), abs=1e-14)
 
 
@@ -155,7 +257,7 @@ def test_central_class_omega_vanishes():
     xi = random_algebra(2, np.random.default_rng(4))
     assert tree_max(c.generating_field(xi, m)) < 1e-14
     z = zero_tangent(m)
-    assert c.omega(m, z, z) == pytest.approx(0.0, abs=1e-14)
+    assert pair_omega(c, m, z, z) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_fused_double_moment_at_commuting_pair():
@@ -179,12 +281,12 @@ def test_double_moment_values():
 # the batched Gram matrix
 
 def pairwise_omega_matrix(space, m, basis):
-    """Reference: one omega call per pair i < j, mirrored."""
+    """Reference: one reference omega per pair i < j, mirrored."""
     d = len(basis)
     out = np.zeros((d, d))
     for i in range(d):
         for j in range(i + 1, d):
-            val = space.omega(m, basis[i], basis[j])
+            val = ref_omega(space, m, basis[i], basis[j])
             out[i, j] = val
             out[j, i] = -val
     return out
@@ -214,6 +316,21 @@ def test_omega_matrix_matches_pairwise_loop(name, space, d):
         assert batched.shape == (d, d)
         assert np.array_equal(batched, -batched.T)
         assert np.max(np.abs(batched - pairwise_omega_matrix(space, m, basis)), initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("name,space,d", gram_spaces())
+def test_record_matches_reference_moment_derivative(name, space, d):
+    rng = np.random.default_rng(79)
+    m, basis = _sample_with_basis(space, rng)
+    tangents = basis[:3] + [_random_tangent(space, m, basis, rng)]
+    rec = _record(space, m, tangents)
+    assert rec.omega.shape == (len(tangents), len(tangents))
+    for psi, ref in zip(rec.psi, space._moment(m)):
+        assert np.max(np.abs(psi - ref)) <= 1e-15
+    for i, t in enumerate(tangents):
+        for psi, left, right, dpsi in zip(rec.psi, rec.left, rec.right, ref_dmoment(space, m, t)):
+            assert np.max(np.abs(psi @ left[i] - dpsi)) <= 1e-14
+            assert np.max(np.abs(right[i] @ psi - dpsi)) <= 1e-14
 
 
 @pytest.mark.parametrize("name,space,d", gram_spaces())
@@ -265,9 +382,7 @@ def test_degenerate_class_reports_full_kernel():
     m = space.sample(rng)
     basis = space.tangent_basis(m)
     assert len(basis) == 2
-    worst = max(
-        abs(space.omega(m, bi, bj)) for bi in basis for bj in basis
-    )
+    worst = np.max(np.abs(omega_matrix(space, m, basis)))
     assert worst < 1e-12  # omega vanishes identically on this class
     rep = verify_axiom(space, "min_degeneracy", samples=10, seed=29)
     assert rep.passed
@@ -275,55 +390,52 @@ def test_degenerate_class_reports_full_kernel():
 
 def test_tampered_omega_is_detected():
     class ScaledDouble(Double):
-        def omega(self, m, v, w):
-            return 2.0 * super().omega(m, v, w)
+        def structure(self, m, stack):
+            rec = super().structure(m, stack)
+            return replace(rec, omega=2.0 * rec.omega)
 
     rep = verify_axiom(ScaledDouble(2), "cocycle", samples=5, seed=31)
     assert not rep.passed and rep.max_residual > 1e-3
 
 
-class UncorrectedFusion(InternalFusion):
-    """Internal fusion without its correction term."""
-
-    def omega(self, m, v, w):
-        return self.inner.omega(m, v, w)
-
-
 def squeezed(cls, *shrinks):
-    """cls with omega pulled back along the map that scales the leading
-    tangent basis directions by shrinks (0 projects one out)."""
+    """cls with its structure pulled back along the map that scales the
+    leading tangent basis directions by shrinks (0 projects one out)."""
 
     class Squeezed(cls):
-        def omega(self, m, v, w):
+        def structure(self, m, stack):
             lead = self.tangent_basis(m)[: len(shrinks)]
-
-            def squeeze(t):
-                out = t
-                for first, shrink in zip(lead, shrinks):
-                    c = sum(
-                        np.real(np.einsum("ij,...ij->...", x.conj(), y))
-                        for x, y in zip(tree_leaves(first), tree_leaves(t))
-                    )
-                    c = np.asarray(c)[..., None, None]
-                    out = tree_map(lambda x, y: y - (1.0 - shrink) * c * x, first, out)
-                return out
-
-            return super().omega(m, squeeze(v), squeeze(w))
+            out = stack
+            for first, shrink in zip(lead, shrinks):
+                c = sum(
+                    np.real(np.einsum("ij,kij->k", x.conj(), y))
+                    for x, y in zip(tree_leaves(first), tree_leaves(stack))
+                )[:, None, None]
+                out = tree_map(lambda x, y: y - (1.0 - shrink) * c * x, first, out)
+            return super().structure(m, out)
 
     return Squeezed
 
 
+def fusions(n):
+    """An internal fusion and a fusion product of two classes over SU(n)."""
+    xi = (Q(1, 8), Q(-1, 8)) if n == 2 else GENERIC_XI3
+    return [InternalFusion(Double(n)), Fusion(ConjugacyClass(n, xi), ConjugacyClass(n, xi))]
+
+
 @pytest.mark.parametrize("n", [2, 3])
-def test_dropped_fusion_correction_fails_moment(n):
-    assert verify_axiom(InternalFusion(Double(n)), "moment", samples=4, seed=97).passed
-    rep = verify_axiom(UncorrectedFusion(Double(n)), "moment", samples=4, seed=97)
-    assert not rep.passed and rep.max_residual > 1e-3
-    rng = np.random.default_rng(101)
-    m, basis = _sample_with_basis(Double(n), rng)
-    gap = omega_matrix(InternalFusion(Double(n)), m, basis) - omega_matrix(
-        UncorrectedFusion(Double(n)), m, basis
-    )
-    assert np.max(np.abs(gap)) > 1e-3
+def test_dropped_fusion_correction_fails_moment(n, monkeypatch):
+    points = []
+    for space in fusions(n):
+        assert verify_axiom(space, "moment", samples=4, seed=97).passed
+        points.append(_sample_with_basis(space, np.random.default_rng(101)))
+    corrected = [omega_matrix(s, *p) for s, p in zip(fusions(n), points)]
+    fuse = spaces._fuse
+    monkeypatch.setattr(spaces, "_fuse", lambda omega, a, b: replace(fuse(omega, a, b), omega=omega))
+    for space, point, good in zip(fusions(n), points, corrected):
+        rep = verify_axiom(space, "moment", samples=4, seed=97)
+        assert not rep.passed and rep.max_residual > 1e-3
+        assert np.max(np.abs(omega_matrix(space, *point) - good)) > 1e-3
 
 
 @pytest.mark.parametrize(
@@ -494,15 +606,54 @@ def test_genus_point_shapes():
     g = Genus(2, 3)
     rng = np.random.default_rng(43)
     m = g.sample(rng)
-    assert len(m) == 6
-    nested = g._nest(m)
-    assert g._flat(nested) == m
+    assert len(m) == 6 and all(p.shape == (2, 2) for p in m)
+    assert all(len(t) == 6 for t in g.tangent_basis(m)) and len(g.tangent_basis(m)) == g.dim
     psi = g.moment(m)
     expected = np.eye(2, dtype=complex)
     for i in range(0, 6, 2):
         a, b = m[i], m[i + 1]
         expected = expected @ a @ b @ a.conj().T @ b.conj().T
     assert np.max(np.abs(psi - expected)) < 1e-12
+
+
+def same_tree(a, b):
+    la, lb = tree_leaves(a), tree_leaves(b)
+    return len(la) == len(lb) and all(np.array_equal(x, y) for x, y in zip(la, lb))
+
+
+@pytest.mark.parametrize("n,h", [(2, 1), (2, 3), (3, 2)])
+def test_genus_matches_explicit_fusion_chain(n, h):
+    # the flat genus space and the nested fusion chain agree bit for bit at
+    # the same point: record, moment, basis, action, fields and draws
+    space = Genus(n, h)
+    chain, nest = genus_chain(n, h)
+    assert space.dim == chain.dim
+    rng = np.random.default_rng(113)
+    m = space.sample(rng)
+    basis = space.tangent_basis(m)
+    assert same_tree(tuple(nest(t) for t in basis), tuple(chain.tangent_basis(nest(m))))
+    rec = _record(space, m, basis)
+    ref = _record(chain, nest(m), [nest(t) for t in basis])
+    assert np.array_equal(rec.omega, ref.omega)
+    assert same_tree((rec.psi, rec.left, rec.right), (ref.psi, ref.left, ref.right))
+    assert np.array_equal(space.moment(m), chain.moment(nest(m)))
+    g = random_special_unitary(n, rng)
+    xi = random_algebra(n, rng)
+    data = space.random_field(np.random.default_rng(5))
+    assert same_tree(nest(data), chain.random_field(np.random.default_rng(5)))
+    assert same_tree(nest(space.sample(np.random.default_rng(7))),
+                     chain.sample(np.random.default_rng(7)))
+    flip = data[::-1]
+    pairs = [
+        (space.act(g, m), chain.act(g, nest(m))),
+        (space.push(g, m, basis[-1]), chain.push(g, nest(m), nest(basis[-1]))),
+        (space.generating_field(xi, m), chain.generating_field(xi, nest(m))),
+        (space.field_at(data, m), chain.field_at(nest(data), nest(m))),
+        (space.field_flow(data, m, 0.3), chain.field_flow(nest(data), nest(m), 0.3)),
+        (space.field_bracket(data, flip), chain.field_bracket(nest(data), nest(flip))),
+    ]
+    for flat, nested in pairs:
+        assert same_tree(nest(flat), nested)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +665,7 @@ def test_reduction_rank_at_reflected_pairs():
     for _ in range(5):
         a = random_special_unitary(2, rng)
         b = random_special_unitary(2, rng)
-        assert reduction_rank(g22, (a, b, b, a)) == 3
+        assert reduction_rank(g22, (a, b, b, a)) == 3 == fd_reduction_rank(g22, (a, b, b, a))
 
 
 def test_reduction_rank_at_commuting_and_identity():
@@ -524,9 +675,23 @@ def test_reduction_rank_at_commuting_and_identity():
     u = random_special_unitary(2, rng)
     a = u @ scipy.linalg.expm(0.37 * h) @ u.conj().T
     b = u @ scipy.linalg.expm(-0.83 * h) @ u.conj().T
-    assert reduction_rank(g21, (a, b)) == 2
+    assert reduction_rank(g21, (a, b)) == 2 == fd_reduction_rank(g21, (a, b))
     e = np.eye(2, dtype=complex)
-    assert reduction_rank(g21, (e, e)) == 0
+    assert reduction_rank(g21, (e, e)) == 0 == fd_reduction_rank(g21, (e, e))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_reduction_rank_matches_finite_differences(n):
+    rng = np.random.default_rng(131)
+    a, b = random_special_unitary(n, rng), random_special_unitary(n, rng)
+    diag = 1j * np.diag([1.0] + [0.0] * (n - 2) + [-1.0])
+    u = random_special_unitary(n, rng)
+    c, d = (u @ scipy.linalg.expm(t * diag) @ u.conj().T for t in (0.37, -0.83))
+    e = np.eye(n, dtype=complex)
+    cases = [(Genus(n, 2), (a, b, b, a), n * n - 1), (Genus(n, 1), (c, d), n * n - 1 - ((n - 2) ** 2 + 1)),
+             (Genus(n, 1), (e, e), 0), (Genus(n, 2), (e, e, e, e), 0)]
+    for space, point, expected in cases:
+        assert reduction_rank(space, point) == fd_reduction_rank(space, point) == expected
 
 
 def test_reduction_rank_rejections():
