@@ -2,8 +2,8 @@
 level-k pre-quantization tests, and a numerical SU(n) engine for spaces with
 group-valued moment maps.
 
-Attributes resolve lazily so the exact layer never pays for numpy/scipy
-imports; `from quasiham import <name>` works for everything in __all__.
+Attributes resolve lazily so the exact layer never pays for numpy imports;
+`from quasiham import <name>` works for everything in __all__.
 """
 
 from importlib import import_module
@@ -79,6 +79,7 @@ _HOME = {
         "check_algebra",
         "check_special_unitary",
         "eta_integral_su2",
+        "expm_skew",
         "maurer_cartan",
         "project_algebra",
         "random_algebra",

@@ -78,6 +78,7 @@ VERB_COVERAGE = {
         "alcove_coordinates",
     ],
     "holonomy-convergence": [
+        "expm_skew",
         "holonomy",
         "gauge_transform",
         "convergence_order",
@@ -258,6 +259,9 @@ def _run_cocycle(args) -> tuple[int, dict]:
     )
     from .sun import random_special_unitary
 
+    # the cocycle is checked on triples i < j < k of eigenvalue indices
+    if args.n < 3:
+        raise InputError("invalid-rank", f"cocycle needs n >= 3, got {args.n}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     rejected = 0
@@ -295,7 +299,6 @@ def _run_cocycle(args) -> tuple[int, dict]:
 
 def _run_holonomy(args) -> tuple[int, dict]:
     import numpy as np
-    import scipy.linalg
 
     from .holonomy import (
         convergence_order,
@@ -303,7 +306,7 @@ def _run_holonomy(args) -> tuple[int, dict]:
         holonomy,
     )
     from .serialize import connection_from_json, matrix_to_json
-    from .sun import random_algebra, random_special_unitary
+    from .sun import expm_skew, random_algebra, random_special_unitary
 
     if args.file is not None:
         try:
@@ -317,6 +320,8 @@ def _run_holonomy(args) -> tuple[int, dict]:
     grids = [int(s) for s in args.grids.split(",")]
     if len(set(grids)) < 2:
         raise InputError("invalid-grids", f"need at least two distinct grid sizes, got {grids}")
+    if args.n < 2:
+        raise InputError("invalid-rank", f"SU(n) needs n >= 2, got {args.n}")
 
     rng = np.random.default_rng(args.seed)
     x = random_algebra(args.n, rng)
@@ -328,12 +333,9 @@ def _run_holonomy(args) -> tuple[int, dict]:
     def conn_fn(t):
         return np.sin(2 * np.pi * t) * x + np.cos(4 * np.pi * t) * y
 
-    def loop_fn(t):
-        return (
-            g0
-            @ scipy.linalg.expm(2 * np.pi * t * winding)
-            @ scipy.linalg.expm(np.sin(2 * np.pi * t) * z)
-        )
+    def loop_fn(ts):
+        t = ts[:, None, None]
+        return g0 @ expm_skew(2 * np.pi * t * winding) @ expm_skew(np.sin(2 * np.pi * t) * z)
 
     residuals = {
         n_steps: gauge_equivariance_residual(conn_fn, loop_fn, n_steps)
@@ -352,10 +354,9 @@ def _run_holonomy(args) -> tuple[int, dict]:
 
 def _run_reduce_rank(args) -> tuple[int, dict]:
     import numpy as np
-    import scipy.linalg
 
     from .spaces import make_space, reduction_rank
-    from .sun import random_special_unitary
+    from .sun import expm_skew, random_special_unitary
 
     rng = np.random.default_rng(args.seed)
     # The space is built first: it rejects an n the points cannot be drawn for.
@@ -368,8 +369,8 @@ def _run_reduce_rank(args) -> tuple[int, dict]:
     elif args.at == "commuting":
         diag = 1j * np.diag([1.0] + [0.0] * (args.n - 2) + [-1.0])
         u = random_special_unitary(args.n, rng)
-        a = u @ scipy.linalg.expm(rng.normal() * diag) @ u.conj().T
-        b = u @ scipy.linalg.expm(rng.normal() * diag) @ u.conj().T
+        a = u @ expm_skew(rng.normal() * diag) @ u.conj().T
+        b = u @ expm_skew(rng.normal() * diag) @ u.conj().T
         point = (a, b)
     elif args.at == "identity":
         point = tuple(np.eye(args.n, dtype=complex) for _ in range(2 * h))

@@ -14,12 +14,12 @@ A constant sample ξ gives exp(ξ) exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError
-from .sun import check_algebra, check_special_unitary, complex_pairs, project_algebra
+from .sun import check_algebra, check_special_unitary, complex_pairs, expm_skew, project_algebra
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,10 @@ class PiecewiseConnection:
 
 
 def holonomy(conn: PiecewiseConnection) -> np.ndarray:
-    """Ordered product of step exponentials, earliest factor leftmost."""
-    n = conn.samples[0].shape[0]
-    h = 1.0 / conn.steps
-    out = np.eye(n, dtype=complex)
-    for a in conn.samples:
-        out = out @ scipy.linalg.expm(h * a)
-    return out
+    """Ordered product of step exponentials, earliest factor leftmost; the
+    N steps are exponentiated as one stack."""
+    steps = expm_skew((1.0 / conn.steps) * np.stack(conn.samples))
+    return reduce(np.matmul, steps)
 
 
 def gauge_transform(loop: list, conn: PiecewiseConnection) -> PiecewiseConnection:
@@ -97,11 +94,15 @@ def sample_smooth_connection(fn, steps: int) -> PiecewiseConnection:
 
 
 def gauge_equivariance_residual(conn_fn, loop_fn, steps: int) -> float:
-    """|hol(g.A) - g(0) hol(A) g(0)^-1| for midpoint-sampled smooth data."""
+    """|hol(g.A) - g(0) hol(A) g(0)^-1| for midpoint-sampled smooth data.
+
+    conn_fn maps one time to an algebra value; loop_fn maps an array of k
+    times to the (k, n, n) stack of loop values, so a grid is one call.
+    """
     conn = sample_smooth_connection(conn_fn, steps)
-    loop = [loop_fn(t) for t in midpoint_grid(steps)]
+    loop = loop_fn(midpoint_grid(steps))
     lhs = holonomy(gauge_transform(loop, conn))
-    g0 = loop_fn(0.0)
+    g0 = loop_fn(np.zeros(1))[0]
     rhs = g0 @ holonomy(conn) @ g0.conj().T
     return float(np.max(np.abs(lhs - rhs)))
 

@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError
 from .sun import (
@@ -33,6 +32,7 @@ from .sun import (
     basic_gram,
     basic_inner,
     check_special_unitary,
+    expm_skew,
     project_algebra,
     random_algebra,
     random_special_unitary,
@@ -103,10 +103,6 @@ def tree_unflatten(template, vector: np.ndarray):
 
 def zero_tangent(m):
     return tree_map(np.zeros_like, m)
-
-
-def _expm(x: np.ndarray) -> np.ndarray:
-    return scipy.linalg.expm(x)
 
 
 def _group_rank(n) -> int:
@@ -193,7 +189,8 @@ class QSpace:
         return self._generating(self._as_algebra(xi), m)
 
     def random_group(self, rng, scale: float = 1.0):
-        gs = tuple(random_special_unitary(self.n, rng, scale) for _ in range(self.group_factors))
+        draws = [random_algebra(self.n, rng, scale) for _ in range(self.group_factors)]
+        gs = tuple(expm_skew(np.stack(draws)))
         return gs[0] if self.group_factors == 1 else gs
 
     def random_algebra_element(self, rng, scale: float = 1.0):
@@ -312,7 +309,7 @@ class ConjugacyClass(QSpace):
         return data @ m - m @ data
 
     def field_flow(self, data, m, t):
-        u = _expm(t * data)
+        u = expm_skew(t * data)
         return u @ m @ u.conj().T
 
 
@@ -324,7 +321,8 @@ class _Slots(QSpace):
     slots: int
 
     def sample(self, rng):
-        return tuple(random_special_unitary(self.n, rng) for _ in range(self.slots))
+        draws = [random_algebra(self.n, rng) for _ in range(self.slots)]
+        return tuple(expm_skew(np.stack(draws)))
 
     def tangent_basis(self, m):
         zero = np.zeros_like(m[0])
@@ -338,7 +336,7 @@ class _Slots(QSpace):
         return tuple(x @ p for x, p in zip(data, m))
 
     def field_flow(self, data, m, t):
-        return tuple(_expm(t * x) @ p for x, p in zip(data, m))
+        return tuple(expm_skew(t * np.stack(data)) @ np.stack(m))
 
 
 class Double(_Slots):
@@ -709,7 +707,9 @@ def _degeneracy_mismatch(space: QSpace, m, basis: list, rng) -> float | None:
     for psi in psis:
         pinv = psi.conj().T
         blocks.append(realified_operator(space.n, lambda x: psi @ x @ pinv + x))
-    op = scipy.linalg.block_diag(*blocks)
+    op = np.zeros((len(blocks) * na, len(blocks) * na))
+    for k, block in enumerate(blocks):
+        op[k * na : (k + 1) * na, k * na : (k + 1) * na] = block
     u, s, vt = np.linalg.svd(op)
     scale = max(s[0], 1.0)
     undecided = undecided or _in_band(s, scale)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError
 
@@ -95,7 +94,22 @@ def random_algebra(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.n
 
 def random_special_unitary(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Group point exp(X) for a Gaussian algebra draw X."""
-    return scipy.linalg.expm(random_algebra(n, rng, scale))
+    return expm_skew(random_algebra(n, rng, scale))
+
+
+def expm_skew(x: np.ndarray) -> np.ndarray:
+    """exp of anti-Hermitian matrices, over any leading batch axes.
+
+    The Hermitian matrix H = i (X - X*)/2 has an eigendecomposition
+    V diag(lam) V*, and exp(X) = V diag(e^{-i lam}) V*; for a normal matrix
+    this is accurate and unitary up to rounding.  Only the anti-Hermitian
+    part (X - X*)/2 is read, so an input off the algebra by rounding (a
+    connection read from a file, say) is exponentiated as its nearest
+    anti-Hermitian matrix, and the result stays unitary.
+    """
+    x = np.asarray(x, dtype=complex)
+    lam, v = np.linalg.eigh(0.5j * (x - x.conj().swapaxes(-1, -2)))
+    return (v * np.exp(-1j * lam)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def torus_algebra(lam) -> np.ndarray:

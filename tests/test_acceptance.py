@@ -232,6 +232,7 @@ def test_criterion_09_holonomy():
         return np.sin(2 * np.pi * t) * x + np.cos(4 * np.pi * t) * y
 
     def loop_fn(t):
+        t = np.asarray(t)[..., None, None]  # one time or a grid of them
         return (
             g0
             @ scipy.linalg.expm(2 * np.pi * t * winding)

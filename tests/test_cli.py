@@ -1,6 +1,8 @@
 import json
+import re
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +214,11 @@ def test_group_rank_below_two_exits_two(argv, capsys):
         (["cocycle", "--tol", "inf"], "invalid-tolerance"),
         (["holonomy-convergence", "--grids", "8"], "invalid-grids"),
         (["holonomy-convergence", "--grids", "8,8"], "invalid-grids"),
+        (["cocycle", "--n", "0", "--samples", "1"], "invalid-rank"),
+        (["cocycle", "--n", "1"], "invalid-rank"),
+        (["cocycle", "--n", "2", "--samples", "1"], "invalid-rank"),
+        (["holonomy-convergence", "--n", "0"], "invalid-rank"),
+        (["holonomy-convergence", "--n", "1"], "invalid-rank"),
     ],
 )
 def test_invalid_input_exits_two_with_tag(argv, tag, capsys):
@@ -332,3 +339,41 @@ def test_exact_verbs_never_import_numerics():
         "assert 'numpy' not in sys.modules, 'exact verbs pulled in numpy'\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_numerical_verbs_never_import_scipy(tmp_path):
+    import subprocess
+    import sys
+
+    conn = tmp_path / "conn.json"
+    conn.write_text(json.dumps({"samples": [[[[0, 0.3], [0, 0]], [[0, 0], [0, -0.3]]]]}))
+    code = (
+        "import sys\n"
+        "from quasiham.cli import dispatch\n"
+        "dispatch(['table'])\n"
+        "dispatch(['vertices', '--type', 'A2'])\n"
+        "dispatch(['level-weights', '--type', 'A2', '--level', '2'])\n"
+        "dispatch(['check-class', '--type', 'A1', '--xi', '1/4,-1/4', '--level', '2'])\n"
+        "dispatch(['verify', '--space', 'genus', '--n', '2', '--genus', '2',"
+        " '--axiom', 'cocycle', '--samples', '1'])\n"
+        "dispatch(['verify', '--space', 'sphere4', '--samples', '2'])\n"
+        "dispatch(['verify', '--space', 'eta_su2', '--samples', '2'])\n"
+        "dispatch(['cocycle', '--n', '3', '--samples', '2'])\n"
+        "dispatch(['holonomy-convergence', '--grids', '8,16'])\n"
+        f"dispatch(['holonomy-convergence', '--file', {str(conn)!r}])\n"
+        "dispatch(['reduce-rank', '--n', '3', '--at', 'commuting'])\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.split(r"[<>=!~ \[;]", dep, maxsplit=1)[0] for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    test_extra = [re.split(r"[<>=!~ \[;]", dep, maxsplit=1)[0]
+                  for dep in project["optional-dependencies"]["test"]]
+    assert {"scipy", "pytest", "hypothesis"} <= set(test_extra)

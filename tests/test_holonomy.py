@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from quasiham.cli import dispatch
 from quasiham.errors import InputError
 from quasiham.holonomy import (
     PiecewiseConnection,
@@ -13,7 +16,8 @@ from quasiham.holonomy import (
     midpoint_grid,
     sample_smooth_connection,
 )
-from quasiham.sun import random_algebra, random_special_unitary
+from quasiham.serialize import matrix_from_json, matrix_to_json
+from quasiham.sun import project_algebra, random_algebra, random_special_unitary
 
 
 def smooth_data(n, seed):
@@ -26,6 +30,7 @@ def smooth_data(n, seed):
         return np.sin(2 * np.pi * t) * x + np.cos(4 * np.pi * t) * y
 
     def loop_fn(t):
+        t = np.asarray(t)[..., None, None]  # one time or a grid of them
         return (
             g0
             @ scipy.linalg.expm(2 * np.pi * t * winding)
@@ -115,3 +120,37 @@ def test_connection_json_shape():
 def test_convergence_order_rejects_zero_residuals():
     with pytest.raises(InputError):
         convergence_order({8: 0.0, 16: 0.0})
+
+
+@pytest.mark.parametrize("n,steps", [(2, 1), (2, 7), (3, 64), (4, 128)])
+def test_holonomy_is_ordered_product_of_step_exponentials(n, steps):
+    conn_fn, _ = smooth_data(n, 5)
+    conn = sample_smooth_connection(conn_fn, steps)
+    oracle = np.eye(n, dtype=complex)
+    for a in conn.samples:
+        oracle = oracle @ scipy.linalg.expm(a / steps)
+    assert np.max(np.abs(holonomy(conn) - oracle)) < 1e-13
+
+
+def test_file_connection_off_the_algebra_matches_oracle(tmp_path):
+    # check_algebra admits samples 1e-9 off skew; the holonomy of samples
+    # 1e-10 off stays within the offset of the exponentials of the raw
+    # samples, equals that of their anti-Hermitian parts and is unitary
+    rng = np.random.default_rng(6)
+    steps = 16
+    skew = [random_algebra(3, rng) for _ in range(steps)]
+    raw = [x + 1e-10 * (1j * project_algebra(rng.normal(size=(3, 3)) + 0j)) for x in skew]
+    path = tmp_path / "conn.json"
+    path.write_text(json.dumps({"samples": [matrix_to_json(a) for a in raw]}))
+    code, payload = dispatch(["holonomy-convergence", "--file", str(path)])
+    assert code == 0 and payload["steps"] == steps
+    hol = matrix_from_json(payload["holonomy"])
+    read = [matrix_from_json(matrix_to_json(a)) for a in raw]
+    oracle_raw = np.eye(3, dtype=complex)
+    oracle_skew = np.eye(3, dtype=complex)
+    for a in read:
+        oracle_raw = oracle_raw @ scipy.linalg.expm(a / steps)
+        oracle_skew = oracle_skew @ scipy.linalg.expm(0.5 * (a - a.conj().T) / steps)
+    assert np.max(np.abs(hol - oracle_raw)) < 1e-9
+    assert np.max(np.abs(hol - oracle_skew)) < 1e-13
+    assert np.max(np.abs(hol.conj().T @ hol - np.eye(3))) < 1e-13

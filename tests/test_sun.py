@@ -16,6 +16,7 @@ from quasiham.sun import (
     check_algebra,
     check_special_unitary,
     eta_integral_su2,
+    expm_skew,
     maurer_cartan,
     project_algebra,
     random_algebra,
@@ -222,3 +223,47 @@ def test_three_form_matches_signed_permutation_sum():
         assert _three_form_pulled(xs) == pytest.approx(ref, abs=1e-15)
         g = random_special_unitary(n, rng)
         assert canonical_three_form(g, *(g @ x for x in xs)) == pytest.approx(ref, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_expm_skew_matches_scipy(n):
+    rng = np.random.default_rng(20 + n)
+    for scale in (1e-3, 0.5, 1.0, 3.0):
+        x = random_algebra(n, rng, scale)
+        assert np.max(np.abs(expm_skew(x) - scipy.linalg.expm(x))) < 1e-13
+    stack = np.stack([random_algebra(n, rng) for _ in range(7)])
+    out = expm_skew(stack)
+    assert out.shape == (7, n, n)
+    for x, e in zip(stack, out):
+        assert np.max(np.abs(e - scipy.linalg.expm(x))) < 1e-13
+    grid = stack.reshape(7, 1, n, n) * np.linspace(-1.0, 1.0, 3)[:, None, None]
+    assert np.max(np.abs(expm_skew(grid) - scipy.linalg.expm(grid))) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_expm_skew_is_special_unitary(n):
+    rng = np.random.default_rng(30 + n)
+    out = expm_skew(np.stack([random_algebra(n, rng, 2.0) for _ in range(16)]))
+    eye = np.eye(n)
+    assert np.max(np.abs(out.conj().swapaxes(-1, -2) @ out - eye)) < 1e-13
+    assert np.max(np.abs(np.linalg.det(out) - 1.0)) < 1e-13
+    assert np.max(np.abs(expm_skew(np.zeros((n, n))) - eye)) == 0.0
+
+
+def test_expm_skew_reads_the_anti_hermitian_part():
+    # an input off the algebra by 1e-10 is exponentiated as its anti-Hermitian
+    # part: unitary, and within the offset of the exponential of the input
+    rng = np.random.default_rng(40)
+    x = random_algebra(3, rng)
+    off = 1e-10 * (1j * project_algebra(rng.normal(size=(3, 3)) + 0j))
+    y = x + off
+    out = expm_skew(y)
+    assert np.max(np.abs(out - scipy.linalg.expm(x))) < 1e-13
+    assert 1e-11 < np.max(np.abs(out - scipy.linalg.expm(y))) < 1e-9
+    assert np.max(np.abs(out.conj().T @ out - np.eye(3))) < 1e-13
+
+
+def test_random_special_unitary_is_exp_of_the_same_draw():
+    a = random_special_unitary(4, np.random.default_rng(9), 0.7)
+    x = random_algebra(4, np.random.default_rng(9), 0.7)
+    assert np.max(np.abs(a - scipy.linalg.expm(x))) < 1e-13
