@@ -15,6 +15,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+# numpy loads its random module lazily.  Every numerical verb draws from it,
+# so it is loaded here with the layer, not inside the first verb's first draw.
+import numpy.random
 
 from .errors import InputError
 

@@ -368,6 +368,20 @@ def test_numerical_verbs_never_import_scipy(tmp_path):
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
+def test_numerical_layer_loads_numpy_random_on_import():
+    # every numerical verb draws from numpy.random, which numpy loads lazily;
+    # its import belongs to loading the layer, not to the first verb's time
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import quasiham.spaces\n"
+        "assert 'numpy.random' in sys.modules, 'numpy.random is loaded by the first draw'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
