@@ -70,6 +70,7 @@ VERB_COVERAGE = {
         "sphere4_equivariance_residual",
     ],
     "cocycle": [
+        "spectral_record",
         "cover_index_set",
         "spectral_det_line",
         "cocycle_check",
@@ -251,12 +252,7 @@ def _run_verify(args) -> tuple[int, dict]:
 def _run_cocycle(args) -> tuple[int, dict]:
     import numpy as np
 
-    from .gerbe import (
-        cocycle_check,
-        cover_index_set,
-        eigenline_weight,
-        vertex_weight_consistency,
-    )
+    from .gerbe import eigenline_weight, spectral_record, vertex_weight_consistency
     from .sun import random_special_unitary
 
     # the cocycle is checked on triples i < j < k of eigenvalue indices
@@ -267,8 +263,8 @@ def _run_cocycle(args) -> tuple[int, dict]:
     rejected = 0
     done = 0
     while done < args.samples:
-        a = random_special_unitary(args.n, rng)
-        if len(cover_index_set(a)) < args.n:
+        record = spectral_record(random_special_unitary(args.n, rng))
+        if len(record.cover) < args.n:
             rejected += 1
             if rejected > 100 * args.samples:
                 raise ToolkitError("sampling failed to produce regular matrices")
@@ -276,23 +272,24 @@ def _run_cocycle(args) -> tuple[int, dict]:
         for i in range(1, args.n - 1):
             for j in range(i + 1, args.n):
                 for k in range(j + 1, args.n + 1):
-                    coeff, ok = cocycle_check(a, i, j, k)
+                    coeff, ok = record.check(i, j, k)
                     if not ok:
                         raise ToolkitError("cocycle coefficient collapsed")
                     worst = max(worst, abs(abs(coeff) - 1.0))
         done += 1
     tol = 1e-8 if args.tol is None else args.tol
-    ok = worst < tol
+    consistent = vertex_weight_consistency(args.n)
     payload = {
         "n": args.n,
         "samples": args.samples,
+        "rejected": rejected,
         "max_unimodularity_defect": worst,
         "tolerance": tol,
         "eigenline_weights": [
             format_vector(eigenline_weight(args.n, i)) for i in range(1, args.n + 1)
         ],
-        "vertex_weight_consistency": vertex_weight_consistency(args.n),
-        "pass": ok and vertex_weight_consistency(args.n),
+        "vertex_weight_consistency": consistent,
+        "pass": worst < tol and consistent,
     }
     return (0 if payload["pass"] else 1), payload
 

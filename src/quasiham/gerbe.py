@@ -4,8 +4,9 @@ The sorted eigenvalue phases of a special unitary matrix have n cyclic gaps;
 the cover piece V_i collects matrices whose i-th gap is strict (the n-th gap
 compares the bottom phase against the top phase minus one).  Over double
 intersections the eigenvalue block between two strict gaps spans a canonical
-subspace whose top wedge is the determinant line; wedging bases realizes the
-cocycle isomorphism over triple intersections.
+subspace whose top wedge is the determinant line.  Over triple intersections
+the wedge of two lines realizes the third; by Cauchy-Binet its coefficient is
+one determinant of orthonormal bases.
 """
 
 from __future__ import annotations
@@ -19,24 +20,22 @@ import numpy as np
 
 from .errors import InputError
 from .rational import CartanVector, vec
-from .sun import SNAP_TOL, alcove_coordinates, check_special_unitary, complex_pairs
+from .sun import SNAP_TOL, alcove_coordinates, complex_pairs
 
 GAP_TOL = 1e-9
 
 
-def _cyclic_gaps(lam: np.ndarray) -> np.ndarray:
-    """Gap sizes after each sorted phase; entry n-1 wraps around by one."""
-    inner = lam[:-1] - lam[1:]
-    wrap = lam[-1] - (lam[0] - 1.0)
-    return np.append(inner, wrap)
+def _cover(lam: np.ndarray) -> frozenset[int]:
+    """Indices i whose gap after the i-th sorted phase is strict; gap n
+    compares the bottom phase against the top phase minus one."""
+    gaps = np.append(lam[:-1] - lam[1:], lam[-1] - (lam[0] - 1.0))
+    return frozenset(i + 1 for i, g in enumerate(gaps) if g > GAP_TOL)
 
 
 def cover_index_set(a: np.ndarray, snap_tol: float = SNAP_TOL) -> frozenset[int]:
     """Indices i in 1..n whose eigenvalue gap is strict: the cover pieces
     containing the matrix."""
-    lam = alcove_coordinates(a, snap_tol=snap_tol)
-    gaps = _cyclic_gaps(lam)
-    return frozenset(i + 1 for i, g in enumerate(gaps) if g > GAP_TOL)
+    return _cover(alcove_coordinates(a, snap_tol=snap_tol))
 
 
 def eigenline_weight(n: int, i: int) -> CartanVector:
@@ -95,45 +94,66 @@ def wedge_coordinates(columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def wedge_product(u: np.ndarray, p: int, v: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Exterior product of a p-vector and a q-vector given in lexicographic
-    wedge coordinates on C^n."""
-    p_sets = list(combinations(range(n), p))
-    q_sets = list(combinations(range(n), q))
-    out_sets = {s: k for k, s in enumerate(combinations(range(n), p + q))}
-    out = np.zeros(comb(n, p + q), dtype=complex)
-    for i, s1 in enumerate(p_sets):
-        if u[i] == 0:
-            continue
-        for j, s2 in enumerate(q_sets):
-            if set(s1) & set(s2):
-                continue
-            merged = tuple(sorted(s1 + s2))
-            # sign of the shuffle sorting (s1, s2) into merged order
-            perm = list(s1 + s2)
-            sign = 1
-            for x in range(len(perm)):
-                for y in range(x + 1, len(perm)):
-                    if perm[x] > perm[y]:
-                        sign = -sign
-            out[out_sets[merged]] += sign * u[i] * v[j]
-    return out
+@dataclass(frozen=True)
+class SpectralRecord:
+    """What the gerbe reads off one special unitary matrix: its alcove
+    phases, its cover pieces and an orthonormal basis Q_ij of the spectral
+    subspace of eigenvalue positions i+1 .. j for each pair i < j of strict
+    gaps."""
+
+    phases: np.ndarray
+    cover: frozenset[int]
+    bases: dict[tuple[int, int], np.ndarray]
+
+    def basis(self, i: int, j: int) -> np.ndarray:
+        n = len(self.phases)
+        if not (1 <= i < j <= n):
+            raise InputError("invalid-index", f"need 1 <= i < j <= {n}, got ({i}, {j})")
+        if i not in self.cover or j not in self.cover:
+            raise InputError(
+                "outside-cover",
+                f"matrix is not in the double intersection V_{i} * V_{j}",
+            )
+        return self.bases[i, j]
+
+    def coefficient(self, i: int, j: int, k: int) -> complex:
+        """<rep(i,k), rep(i,j) ^ rep(j,k)> / <rep(i,k), rep(i,k)>; by
+        Cauchy-Binet each pairing of top wedges is one determinant."""
+        if not (i < j < k):
+            raise InputError("invalid-index", f"need i < j < k, got ({i}, {j}, {k})")
+        if not {i, j, k} <= self.cover:
+            raise InputError("outside-cover", f"matrix is not in V_{i} * V_{j} * V_{k}")
+        full = self.bases[i, k].conj().T
+        both = np.hstack([self.bases[i, j], self.bases[j, k]])
+        return complex(np.linalg.det(full @ both) / np.linalg.det(full @ self.bases[i, k]))
+
+    def check(self, i: int, j: int, k: int) -> tuple[complex, bool]:
+        """The coefficient and whether it witnesses an isomorphism (nonzero
+        well above rounding)."""
+        coeff = self.coefficient(i, j, k)
+        return coeff, abs(coeff) > 1e-8
 
 
-def _eigen_blocks(a: np.ndarray, snap_tol: float):
-    """Eigenvalues matched to the sorted alcove phases, with eigenvectors."""
+def spectral_record(a: np.ndarray, snap_tol: float = SNAP_TOL) -> SpectralRecord:
+    """One validation and phase computation (both in alcove_coordinates) and
+    one eigendecomposition of a, shared by every determinant line and
+    cocycle triple on it."""
+    a = np.asarray(a, dtype=complex)
     lam = alcove_coordinates(a, snap_tol=snap_tol)
     vals, vecs = np.linalg.eig(a)
-    targets = np.exp(2j * np.pi * lam)
+    # eigenvectors matched to the sorted phases
     unused = list(range(len(vals)))
     order = []
-    for t in targets:
+    for t in np.exp(2j * np.pi * lam):
         best = min(unused, key=lambda k: abs(vals[k] - t))
         if abs(vals[best] - t) > 1e-6:
             raise InputError("eigen-matching", "failed to match eigenvalues to phases")
         order.append(best)
         unused.remove(best)
-    return lam, vecs[:, order]
+    vecs = vecs[:, order]
+    cover = _cover(lam)
+    bases = {(i, j): np.linalg.qr(vecs[:, i:j])[0] for i in cover for j in cover if i < j}
+    return SpectralRecord(phases=lam, cover=cover, bases=bases)
 
 
 def spectral_det_line(
@@ -141,19 +161,7 @@ def spectral_det_line(
 ) -> DetLine:
     """Determinant line of the spectral subspace for eigenvalue positions
     i+1 .. j; requires both gaps i and j to be strict."""
-    a = check_special_unitary(a)
-    n = a.shape[0]
-    if not (1 <= i < j <= n):
-        raise InputError("invalid-index", f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    present = cover_index_set(a, snap_tol=snap_tol)
-    if i not in present or j not in present:
-        raise InputError(
-            "outside-cover",
-            f"matrix is not in the double intersection V_{i} * V_{j}",
-        )
-    _, vecs = _eigen_blocks(a, snap_tol)
-    block = vecs[:, i:j]
-    basis, _ = np.linalg.qr(block)
+    basis = spectral_record(a, snap_tol).basis(i, j)
     return DetLine(
         subspace_basis=tuple(basis[:, k] for k in range(j - i)),
         representative=wedge_coordinates(basis),
@@ -165,21 +173,7 @@ def cocycle_coefficient(
 ) -> complex:
     """Coefficient of rep(i,j) ^ rep(j,k) against rep(i,k); the canonical
     isomorphism is witnessed by a coefficient of modulus one."""
-    if not (i < j < k):
-        raise InputError("invalid-index", f"need i < j < k, got ({i}, {j}, {k})")
-    present = cover_index_set(a, snap_tol=snap_tol)
-    for idx in (i, j, k):
-        if idx not in present:
-            raise InputError(
-                "outside-cover", f"matrix is not in V_{i} * V_{j} * V_{k}"
-            )
-    n = a.shape[0]
-    lower = spectral_det_line(a, i, j, snap_tol)
-    upper = spectral_det_line(a, j, k, snap_tol)
-    full = spectral_det_line(a, i, k, snap_tol)
-    product = wedge_product(lower.representative, j - i, upper.representative, k - j, n)
-    denom = np.vdot(full.representative, full.representative)
-    return complex(np.vdot(full.representative, product) / denom)
+    return spectral_record(a, snap_tol).coefficient(i, j, k)
 
 
 def cocycle_check(
@@ -187,8 +181,7 @@ def cocycle_check(
 ) -> tuple[complex, bool]:
     """The wedge-pairing coefficient and whether it witnesses an isomorphism
     (nonzero well above rounding)."""
-    coeff = cocycle_coefficient(a, i, j, k, snap_tol)
-    return coeff, abs(coeff) > 1e-8
+    return spectral_record(a, snap_tol).check(i, j, k)
 
 
 def subspace_projector(line: DetLine) -> np.ndarray:

@@ -31,8 +31,7 @@ class PiecewiseConnection:
     def __post_init__(self):
         if len(self.samples) < 1:
             raise InputError("empty-grid", "need at least one sample")
-        for s in self.samples:
-            check_algebra(s, tol=1e-9)
+        check_algebra(np.stack(self.samples), tol=1e-9)
 
     @property
     def steps(self) -> int:
@@ -53,7 +52,7 @@ def holonomy(conn: PiecewiseConnection) -> np.ndarray:
 
 
 def gauge_transform(loop: list, conn: PiecewiseConnection) -> PiecewiseConnection:
-    """Apply g.A = Ad_g(A) - (dg) g^{-1} on matching grids.
+    """Apply g.A = Ad_g(A) - (dg) g^{-1} on matching grids, as one stack.
 
     The derivative term uses central differences of the loop samples with
     cyclic indexing, so the loop grid must match the connection grid.
@@ -63,16 +62,13 @@ def gauge_transform(loop: list, conn: PiecewiseConnection) -> PiecewiseConnectio
         raise InputError(
             "grid-mismatch", f"loop has {len(loop)} samples, connection {n_steps}"
         )
-    gs = [check_special_unitary(g, tol=1e-9) for g in loop]
+    gs = check_special_unitary(loop, tol=1e-9)
+    ginv = gs.conj().swapaxes(-1, -2)
     h = 1.0 / n_steps
-    out = []
-    for i in range(n_steps):
-        g = gs[i]
-        ginv = g.conj().T
-        dg = (gs[(i + 1) % n_steps] - gs[(i - 1) % n_steps]) / (2.0 * h)
-        # The discretized derivative term sits O(h^2) off the algebra;
-        # projecting it back removes pure discretization noise.
-        out.append(g @ conn.samples[i] @ ginv - project_algebra(dg @ ginv))
+    dg = (np.roll(gs, -1, axis=0) - np.roll(gs, 1, axis=0)) / (2.0 * h)
+    # The discretized derivative term sits O(h^2) off the algebra;
+    # projecting it back removes pure discretization noise.
+    out = gs @ np.stack(conn.samples) @ ginv - project_algebra(dg @ ginv)
     return PiecewiseConnection(samples=tuple(out))
 
 

@@ -38,6 +38,7 @@ from .sun import (
     random_special_unitary,
     realified_operator,
     torus_point,
+    _PAULI,
     _three_form_pulled,
 )
 
@@ -820,53 +821,43 @@ def reduction_rank(space: QSpace, m) -> int:
 # ---------------------------------------------------------------------------
 # the four-sphere with SU(2)-valued moment map
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
-def sphere4_moment(z, t: float) -> np.ndarray:
+def sphere4_moment(z, t) -> np.ndarray:
     """SU(2)-valued moment map of the unit sphere in C^2 x R: the suspension
-    of the Hopf map, sending the poles to plus/minus identity."""
-    z = np.asarray(z, dtype=complex).reshape(2)
-    t = float(t)
-    if abs(np.vdot(z, z).real + t * t - 1.0) >= 1e-10:
+    of the Hopf map, sending the poles to plus/minus identity.  A stack of
+    points, z of shape (..., 2) and t of shape (...), gives the stack of
+    values."""
+    t = np.asarray(t, dtype=float)
+    z = np.asarray(z, dtype=complex).reshape(t.shape + (2,))
+    r2 = np.einsum("...i,...i->...", z.conj(), z).real
+    if np.any(np.abs(r2 + t * t - 1.0) >= 1e-10):
         raise InputError("off-sphere", "|z|^2 + t^2 must equal 1")
-    r2 = np.vdot(z, z).real
-    if r2 < 1e-26:
-        return np.sign(t) * np.eye(2, dtype=complex)
-    r = np.sqrt(r2)
-    hopf_c = 2.0 * np.conj(z[0]) * z[1]
-    hopf_r = (abs(z[0]) ** 2 - abs(z[1]) ** 2)
-    vec = np.array([hopf_c.real, hopf_c.imag, hopf_r]) / r
-    out = t * np.eye(2, dtype=complex)
-    for c, s in zip(vec, _PAULI):
-        out = out + 1j * c * s
-    return out
+    pole = r2 < 1e-26
+    r = np.sqrt(np.where(pole, 1.0, r2))
+    hopf_c = 2.0 * np.conj(z[..., 0]) * z[..., 1]
+    hopf_r = np.abs(z[..., 0]) ** 2 - np.abs(z[..., 1]) ** 2
+    out = t[..., None, None] * np.eye(2, dtype=complex)
+    for c, s in zip((hopf_c.real / r, hopf_c.imag / r, hopf_r / r), _PAULI):
+        out = out + 1j * c[..., None, None] * s
+    return np.where(pole[..., None, None], np.sign(t)[..., None, None] * np.eye(2), out)
 
 
-def sphere4_act(g: np.ndarray, z, t: float):
-    """SU(2) action through the C^2 factor."""
+def sphere4_act(g: np.ndarray, z, t):
+    """SU(2) action through the C^2 factor; stacks of g, z and t act
+    samplewise."""
     g = check_special_unitary(g)
-    return g @ np.asarray(z, dtype=complex).reshape(2), float(t)
-
-
-def sphere4_sample(rng) -> tuple:
-    p = rng.normal(size=5)
-    p /= np.linalg.norm(p)
-    return np.array([p[0] + 1j * p[1], p[2] + 1j * p[3]]), float(p[4])
+    z = np.asarray(z, dtype=complex).reshape(np.shape(t) + (2, 1))
+    return (g @ z)[..., 0], t
 
 
 def sphere4_equivariance_residual(samples: int = 100, seed: int = 0) -> float:
-    """Worst-case |Psi(g p) - g Psi(p) g^-1| over random pairs."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        z, t = sphere4_sample(rng)
-        g = random_special_unitary(2, rng)
-        lhs = sphere4_moment(*sphere4_act(g, z, t))
-        rhs = g @ sphere4_moment(z, t) @ g.conj().T
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    """Worst-case |Psi(g p) - g Psi(p) g^-1| over random pairs, as one
+    stack.  Each pair draws 13 normals: 5 normalized to the point
+    (Re z1, Im z1, Re z2, Im z2, t), then the real and imaginary parts of the
+    2 x 2 matrix whose projection to su(2) exponentiates to g."""
+    draws = np.random.default_rng(seed).normal(size=(samples, 13))
+    p = draws[:, :5] / np.linalg.norm(draws[:, :5], axis=1, keepdims=True)
+    z, t = p[:, 0:4:2] + 1j * p[:, 1:4:2], p[:, 4]
+    g = expm_skew(project_algebra((draws[:, 5:9] + 1j * draws[:, 9:]).reshape(samples, 2, 2)))
+    lhs = sphere4_moment(*sphere4_act(g, z, t))
+    rhs = g @ sphere4_moment(z, t) @ g.conj().swapaxes(-1, -2)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))

@@ -25,15 +25,18 @@ UNITARY_TOL = 1e-12
 ALGEBRA_TOL = 1e-12
 SNAP_TOL = 1e-9
 
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
 
 def check_special_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
-    """Validate A*A = I and det A = 1; returns A unchanged."""
+    """Validate A*A = I and det A = 1 on a matrix or a stack of them (the
+    worst defects over the stack decide); returns A unchanged."""
     a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InputError("not-square", f"expected square matrix, got {a.shape}")
-    defect = np.max(np.abs(a.conj().T @ a - np.eye(n)))
-    det_defect = abs(np.linalg.det(a) - 1.0)
+    n = a.shape[-1]
+    defect = np.max(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(n)), initial=0.0)
+    det_defect = np.max(np.abs(np.linalg.det(a) - 1.0), initial=0.0)
     if defect >= tol or det_defect >= tol:
         raise InputError(
             "not-special-unitary",
@@ -43,10 +46,11 @@ def check_special_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray
 
 
 def check_algebra(x: np.ndarray, tol: float = ALGEBRA_TOL) -> np.ndarray:
-    """Validate X* + X = 0 and tr X = 0; returns X unchanged."""
+    """Validate X* + X = 0 and tr X = 0 on a matrix or a stack of them;
+    returns X unchanged."""
     x = np.asarray(x, dtype=complex)
-    herm = np.max(np.abs(x + x.conj().T))
-    tr = abs(np.trace(x))
+    herm = np.max(np.abs(x + x.conj().swapaxes(-1, -2)))
+    tr = np.max(np.abs(np.trace(x, axis1=-2, axis2=-1)))
     if herm >= tol or tr >= tol:
         raise InputError(
             "not-algebra", f"anti-Hermitian defect {herm:.2e}, trace {tr:.2e}"
@@ -162,6 +166,8 @@ def alcove_coordinates(a: np.ndarray, snap_tol: float = SNAP_TOL) -> np.ndarray:
     most one.  Phases within snap_tol of an alcove wall are snapped onto it.
     """
     a = check_special_unitary(a)
+    if a.ndim != 2:
+        raise InputError("not-square", f"expected one square matrix, got {a.shape}")
     n = a.shape[0]
     try:
         eigvals = np.linalg.eigvals(a)
@@ -187,15 +193,17 @@ def alcove_coordinates(a: np.ndarray, snap_tol: float = SNAP_TOL) -> np.ndarray:
 
 
 def maurer_cartan(g: np.ndarray, v: np.ndarray, side: str, tol: float = 1e-8) -> np.ndarray:
-    """Left or right translation of a tangent vector at g back to the algebra."""
+    """Left or right translation of a tangent vector at g back to the
+    algebra; leading axes of g and v broadcast, and the tangency check
+    covers the whole stack."""
     g = np.asarray(g, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if side not in ("left", "right"):
         raise InputError("invalid-side", f"side must be 'left' or 'right', got {side!r}")
-    ginv = g.conj().T
+    ginv = g.conj().swapaxes(-1, -2)
     x = ginv @ v
-    defect = np.max(np.abs(x + x.conj().T))
-    if defect >= tol or abs(np.trace(x)) >= tol:
+    defect = np.max(np.abs(x + x.conj().swapaxes(-1, -2)))
+    if defect >= tol or np.max(np.abs(np.trace(x, axis1=-2, axis2=-1))) >= tol:
         raise InputError("not-tangent", f"vector is not tangent at g (defect {defect:.2e})")
     return x if side == "left" else v @ ginv
 
@@ -206,13 +214,14 @@ def canonical_three_form(
     v2: np.ndarray,
     v3: np.ndarray,
     tol: float = 1e-8,
-) -> float:
+) -> float | np.ndarray:
     """The bi-invariant 3-form (1/12) B(theta, [theta, theta]) evaluated on
-    three tangent vectors at g."""
+    three tangent vectors at g; stacks of points and tangents give an array
+    of values."""
     return _three_form_pulled([maurer_cartan(g, v, "left", tol=tol) for v in (v1, v2, v3)])
 
 
-def _three_form_pulled(xs: list[np.ndarray]) -> float:
+def _three_form_pulled(xs: list[np.ndarray]) -> float | np.ndarray:
     """The 3-form on already left-translated algebra values.  By
     ad-invariance of B the six signed terms of the antisymmetrization
     (1/12) sum sign B(x, [y, z]) are equal, so the sum is (1/2) B(x, [y, z])."""
@@ -274,42 +283,30 @@ def eta_integral_su2(samples: int = 2000, seed: int = 0) -> float:
     Points are Haar-uniform via unit quaternions; at each point an oriented
     frame orthonormal for the round embedding metric Re tr(V W*)/2 is drawn,
     oriented against the left-invariant reference frame, and the 3-form value
-    is averaged and scaled by vol(S^3) = 2 pi^2.
+    is averaged and scaled by vol(S^3) = 2 pi^2.  Each sample draws 13
+    normals (a quaternion, then three rows of frame coefficients); all
+    samples are drawn and evaluated as one stack.
     """
-    rng = np.random.default_rng(seed)
-    sigma = (
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    )
+    draws = np.random.default_rng(seed).normal(size=(samples, 13))
+    q = draws[:, :4] / np.linalg.norm(draws[:, :4], axis=1, keepdims=True)
+    # g = w + i(x sigma_1 + y sigma_2 + z sigma_3)
+    g = q[:, 0, None, None] * np.eye(2) + 1j * np.einsum("sk,kij->sij", q[:, 1:], _PAULI)
+    # Left-invariant round-orthonormal reference frame, ordered so the
+    # 3-form is positive on it (that orientation makes the integral +1).
+    ref = g[:, None] @ (1j * _PAULI[[0, 2, 1]])
 
-    def quat_matrix(w, x, y, z):
-        return w * np.eye(2, dtype=complex) + 1j * (x * sigma[0] + y * sigma[1] + z * sigma[2])
+    def round_inner(v, w):
+        return 0.5 * np.real(np.sum(v * w.conj(), axis=(-2, -1)))
 
-    total = 0.0
-    for _ in range(samples):
-        q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        g = quat_matrix(*q)
-        # Left-invariant round-orthonormal reference frame, ordered so the
-        # 3-form is positive on it (that orientation makes the integral +1).
-        ref = [g @ (1j * sigma[0]), g @ (1j * sigma[2]), g @ (1j * sigma[1])]
+    # Random round-orthonormal tangent frame at g, by Gram-Schmidt.
+    raw = np.einsum("svr,srij->svij", draws[:, 4:].reshape(samples, 3, 3), ref)
+    frame = []
+    for v in raw.swapaxes(0, 1):
+        for u in frame:
+            v = v - round_inner(v, u)[:, None, None] * u
+        frame.append(v / np.sqrt(round_inner(v, v))[:, None, None])
 
-        # Random round-orthonormal tangent frame at g.
-        raw = [sum(rng.normal() * r for r in ref) for _ in range(3)]
-        frame = []
-        for v in raw:
-            for u in frame:
-                v = v - 0.5 * np.real(np.trace(v @ u.conj().T)) * u
-            norm = np.sqrt(0.5 * np.real(np.trace(v @ v.conj().T)))
-            frame.append(v / norm)
-
-        change = np.array(
-            [
-                [0.5 * np.real(np.trace(f @ r.conj().T)) for r in ref]
-                for f in frame
-            ]
-        )
-        orient = np.sign(np.linalg.det(change))
-        total += orient * canonical_three_form(g, *frame, tol=1e-6)
-    return float(total / samples * 2.0 * np.pi**2)
+    change = round_inner(np.stack(frame, axis=1)[:, :, None], ref[:, None])
+    orient = np.sign(np.linalg.det(change))
+    values = canonical_three_form(g, *frame, tol=1e-6)
+    return float(np.sum(orient * values) / samples * 2.0 * np.pi**2)

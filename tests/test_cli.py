@@ -93,6 +93,31 @@ def test_cocycle_verb():
     code, payload = dispatch(["cocycle", "--n", "3", "--samples", "10", "--seed", "4"])
     assert code == 0 and payload["pass"] is True
     assert payload["vertex_weight_consistency"] is True
+    assert payload["rejected"] == 0
+
+
+def test_cocycle_verb_at_rank_ten():
+    code, payload = dispatch(["cocycle", "--n", "10", "--samples", "2", "--seed", "0"])
+    assert code == 0 and payload["pass"] is True
+    assert payload["max_unimodularity_defect"] < payload["tolerance"]
+
+
+def test_cocycle_reports_rejected_draws(monkeypatch):
+    # two wall points (covers {3} and {1, 2}) are drawn first and rejected
+    from quasiham import gerbe, sun
+
+    walls = [np.eye(3, dtype=complex), sun.torus_point([0.5, 0.5, -1.0])]
+    real_draw = sun.random_special_unitary
+    monkeypatch.setattr(sun, "random_special_unitary",
+                        lambda n, rng: walls.pop(0) if walls else real_draw(n, rng))
+
+    calls = []
+    real_check = gerbe.vertex_weight_consistency
+    monkeypatch.setattr(gerbe, "vertex_weight_consistency",
+                        lambda n: calls.append(n) or real_check(n))
+    code, payload = dispatch(["cocycle", "--n", "3", "--samples", "4", "--seed", "1"])
+    assert code == 0 and payload["rejected"] == 2 and payload["samples"] == 4
+    assert calls == [3]
 
 
 def test_holonomy_verb():

@@ -1,4 +1,6 @@
 from fractions import Fraction as Q
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,13 +13,39 @@ from quasiham.gerbe import (
     cover_index_set,
     eigenline_weight,
     spectral_det_line,
+    spectral_record,
     subspace_projector,
     vertex_weight_consistency,
     wedge_coordinates,
-    wedge_product,
 )
 from quasiham.roots import LieType, a_series_from_euclidean, build_root_system
 from quasiham.sun import alcove_coordinates, random_special_unitary, torus_point
+
+
+def wedge_product(u, p, v, q, n):
+    """Exterior product of a p-vector and a q-vector given in lexicographic
+    wedge coordinates on C^n: the exterior-algebra oracle of the
+    determinant coefficient."""
+    p_sets = list(combinations(range(n), p))
+    q_sets = list(combinations(range(n), q))
+    out_sets = {s: k for k, s in enumerate(combinations(range(n), p + q))}
+    out = np.zeros(comb(n, p + q), dtype=complex)
+    for i, s1 in enumerate(p_sets):
+        if u[i] == 0:
+            continue
+        for j, s2 in enumerate(q_sets):
+            if set(s1) & set(s2):
+                continue
+            merged = tuple(sorted(s1 + s2))
+            # sign of the shuffle sorting (s1, s2) into merged order
+            perm = list(s1 + s2)
+            sign = 1
+            for x in range(len(perm)):
+                for y in range(x + 1, len(perm)):
+                    if perm[x] > perm[y]:
+                        sign = -sign
+            out[out_sets[merged]] += sign * u[i] * v[j]
+    return out
 
 
 def regular_sample(n, rng, margin=1e-6):
@@ -176,6 +204,59 @@ def test_wedge_algebra():
     assert np.allclose(both, wedge_coordinates(cols))
     flipped = wedge_product(v, 1, u, 1, 4)
     assert np.allclose(both, -flipped)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_determinant_coefficient_matches_wedge_pairing(n, seed):
+    # <rep_ik, rep_ij ^ rep_jk> / <rep_ik, rep_ik> in exterior coordinates
+    # against the record's one determinant, on every triple
+    rng = np.random.default_rng(100 * n + seed)
+    a = regular_sample(n, rng)
+    record = spectral_record(a)
+    assert record.cover == frozenset(range(1, n + 1))
+    for i, j, k in combinations(range(1, n + 1), 3):
+        full = spectral_det_line(a, i, k).representative
+        product = wedge_product(
+            spectral_det_line(a, i, j).representative, j - i,
+            spectral_det_line(a, j, k).representative, k - j, n,
+        )
+        oracle = np.vdot(full, product) / np.vdot(full, full)
+        assert abs(record.coefficient(i, j, k) - oracle) < 1e-13
+        assert cocycle_check(a, i, j, k) == (record.coefficient(i, j, k), True)
+
+
+def test_record_bases_are_the_det_line_bases():
+    rng = np.random.default_rng(8)
+    a = regular_sample(4, rng)
+    record = spectral_record(a)
+    for i, j in combinations(range(1, 5), 2):
+        line = spectral_det_line(a, i, j)
+        assert np.array_equal(np.stack(line.subspace_basis, axis=1), record.basis(i, j))
+    assert np.array_equal(record.phases, alcove_coordinates(a))
+
+
+def test_record_outside_cover_and_index_errors():
+    record = spectral_record(torus_point([0.25, 0.25, -0.5]))
+    assert record.cover == frozenset({2, 3})
+    for call, args in [(record.basis, (1, 2)), (record.coefficient, (1, 2, 3))]:
+        with pytest.raises(InputError) as err:
+            call(*args)
+        assert err.value.code == "outside-cover"
+    for call, args in [(record.basis, (2, 2)), (record.basis, (0, 4)),
+                       (record.coefficient, (2, 1, 3))]:
+        with pytest.raises(InputError) as err:
+            call(*args)
+        assert err.value.code == "invalid-index"
+
+
+def test_record_rejects_non_unitary():
+    with pytest.raises(InputError) as err:
+        spectral_record(2.0 * np.eye(3, dtype=complex))
+    assert err.value.code == "not-special-unitary"
+    with pytest.raises(InputError) as err:
+        spectral_record(np.stack([np.eye(3, dtype=complex)] * 2))
+    assert err.value.code == "not-square"
 
 
 def test_det_line_json():

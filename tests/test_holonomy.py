@@ -17,7 +17,12 @@ from quasiham.holonomy import (
     sample_smooth_connection,
 )
 from quasiham.serialize import matrix_from_json, matrix_to_json
-from quasiham.sun import project_algebra, random_algebra, random_special_unitary
+from quasiham.sun import (
+    check_special_unitary,
+    project_algebra,
+    random_algebra,
+    random_special_unitary,
+)
 
 
 def smooth_data(n, seed):
@@ -95,6 +100,54 @@ def test_double_transform_is_inverse():
         np.max(np.abs(a - b)) for a, b in zip(back.samples, conn.samples)
     )
     assert worst < 1e-12
+
+
+def gauge_transform_loop(loop, conn):
+    """The per-sample loop gauge_transform stacks."""
+    n_steps = conn.steps
+    gs = [check_special_unitary(g, tol=1e-9) for g in loop]
+    h = 1.0 / n_steps
+    out = []
+    for i in range(n_steps):
+        g = gs[i]
+        ginv = g.conj().T
+        dg = (gs[(i + 1) % n_steps] - gs[(i - 1) % n_steps]) / (2.0 * h)
+        out.append(g @ conn.samples[i] @ ginv - project_algebra(dg @ ginv))
+    return out
+
+
+@pytest.mark.parametrize("n,steps", [(2, 1), (2, 2), (2, 7), (3, 32), (4, 128)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_gauge_transform_stack_matches_per_sample_loop(n, steps, seed):
+    conn_fn, loop_fn = smooth_data(n, seed)
+    conn = sample_smooth_connection(conn_fn, steps)
+    loop = loop_fn(midpoint_grid(steps))
+    batched = gauge_transform(loop, conn).samples
+    oracle = gauge_transform_loop(list(loop), conn)
+    assert len(batched) == steps
+    assert max(np.max(np.abs(a - b)) for a, b in zip(batched, oracle)) < 1e-13
+
+
+def test_gauge_transform_rejects_one_non_unitary_sample():
+    conn_fn, loop_fn = smooth_data(2, 7)
+    loop = list(loop_fn(midpoint_grid(16)))
+    loop[5] = loop[5] @ np.diag([1.0 + 1e-7, 1.0 / (1.0 + 1e-7)])  # det 1, not unitary
+    with pytest.raises(InputError) as err:
+        gauge_transform(loop, sample_smooth_connection(conn_fn, 16))
+    assert err.value.code == "not-special-unitary"
+
+
+def test_connection_rejects_one_sample_off_the_algebra():
+    samples = [random_algebra(3, np.random.default_rng(s)) for s in range(6)]
+    for offset in (1e-8 * np.diag([1.0, -1.0, 0.0]), 1e-8j * np.eye(3)):
+        bad = list(samples)
+        bad[4] = bad[4] + offset
+        with pytest.raises(InputError) as err:
+            PiecewiseConnection(samples=tuple(bad))
+        assert err.value.code == "not-algebra"
+        # samples within the 1e-9 tolerance are admitted
+        bad[4] = samples[4] + 0.01 * offset
+        assert PiecewiseConnection(samples=tuple(bad)).steps == 6
 
 
 def test_grid_mismatch_rejected():

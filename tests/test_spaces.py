@@ -721,6 +721,76 @@ def test_sphere4_equivariance():
     assert sphere4_equivariance_residual(samples=100, seed=0) < 1e-10
 
 
+def sphere4_loop(samples, seed):
+    """The per-sample loop sphere4_equivariance_residual stacks."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        p = rng.normal(size=5)
+        p /= np.linalg.norm(p)
+        z, t = np.array([p[0] + 1j * p[1], p[2] + 1j * p[3]]), float(p[4])
+        g = random_special_unitary(2, rng)
+        lhs = sphere4_moment(*spaces.sphere4_act(g, z, t))
+        rhs = g @ sphere4_moment(z, t) @ g.conj().T
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+@pytest.mark.parametrize("samples", [1, 3, 100, 400])
+@pytest.mark.parametrize("seed", [0, 2, 11])
+def test_sphere4_stack_matches_per_sample_loop(samples, seed):
+    batched = sphere4_equivariance_residual(samples=samples, seed=seed)
+    assert abs(batched - sphere4_loop(samples, seed)) < 1e-13
+
+
+def test_sphere4_stack_draws_the_loop_points_and_group_elements(monkeypatch):
+    # every draw gives a residual at rounding level, so the residual alone
+    # cannot show that the stack reads the loop's draws; the inputs can
+    seen = []
+    real = spaces.sphere4_act
+
+    def spy(g, z, t):
+        seen.append((g, z, t))
+        return real(g, z, t)
+
+    monkeypatch.setattr(spaces, "sphere4_act", spy)
+    sphere4_equivariance_residual(samples=30, seed=5)
+    sphere4_loop(30, 5)
+    (gs, zs, ts), loop = seen[0], seen[1:]
+    assert gs.shape == (30, 2, 2) and len(loop) == 30
+    assert np.max(np.abs(gs - np.stack([g for g, _, _ in loop]))) < 1e-13
+    assert np.max(np.abs(zs - np.stack([z for _, z, _ in loop]))) < 1e-15
+    assert np.max(np.abs(ts - np.array([t for _, _, t in loop]))) < 1e-15
+
+
+def test_sphere4_moment_stack_with_poles():
+    rng = np.random.default_rng(62)
+    p = rng.normal(size=(6, 5))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    z, t = p[:, 0:4:2] + 1j * p[:, 1:4:2], p[:, 4]
+    z[[1, 4]] = 0.0
+    t[1], t[4] = 1.0, -1.0
+    values = sphere4_moment(z, t)
+    assert values.shape == (6, 2, 2)
+    assert np.array_equal(values[1], np.eye(2)) and np.array_equal(values[4], -np.eye(2))
+    for zi, ti, value in zip(z, t, values):
+        assert np.max(np.abs(value - sphere4_moment(zi, ti))) < 1e-15
+    t[2] = 0.5 * t[2]
+    with pytest.raises(InputError) as err:
+        sphere4_moment(z, t)
+    assert err.value.code == "off-sphere"
+
+
+def test_sphere4_act_rejects_a_non_unitary_sample():
+    rng = np.random.default_rng(63)
+    gs = np.stack([random_special_unitary(2, rng) for _ in range(4)])
+    gs[1] = gs[1] @ np.diag([1.5, 1.0 / 1.5])  # det 1, not unitary
+    z, t = np.tile([0.6 + 0j, 0.0], (4, 1)), np.full(4, 0.8)
+    with pytest.raises(InputError) as err:
+        sphere4_act(gs, z, t)
+    assert err.value.code == "not-special-unitary"
+
+
 def test_sphere4_rejects_off_sphere():
     with pytest.raises(InputError) as err:
         sphere4_moment(np.array([0.5 + 0j, 0.0]), 0.5)

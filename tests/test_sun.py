@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from quasiham import sun
 from quasiham.errors import InputError
 from quasiham.sun import (
     _three_form_pulled,
@@ -141,6 +142,108 @@ def test_basic_inner_bridges_exact_dot():
 
 def test_eta_integral_unit():
     assert eta_integral_su2(samples=400, seed=0) == pytest.approx(1.0, abs=1e-10)
+
+
+def eta_loop(samples, seed):
+    """The per-sample loop eta_integral_su2 stacks: one quaternion and three
+    frame rows drawn per sample, in that order."""
+    rng = np.random.default_rng(seed)
+    sigma = (
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    )
+    total = 0.0
+    for _ in range(samples):
+        q = rng.normal(size=4)
+        q /= np.linalg.norm(q)
+        g = q[0] * np.eye(2, dtype=complex) + 1j * (
+            q[1] * sigma[0] + q[2] * sigma[1] + q[3] * sigma[2]
+        )
+        ref = [g @ (1j * sigma[0]), g @ (1j * sigma[2]), g @ (1j * sigma[1])]
+        raw = [sum(rng.normal() * r for r in ref) for _ in range(3)]
+        frame = []
+        for v in raw:
+            for u in frame:
+                v = v - 0.5 * np.real(np.trace(v @ u.conj().T)) * u
+            frame.append(v / np.sqrt(0.5 * np.real(np.trace(v @ v.conj().T))))
+        change = np.array(
+            [[0.5 * np.real(np.trace(f @ r.conj().T)) for r in ref] for f in frame]
+        )
+        total += np.sign(np.linalg.det(change)) * sun.canonical_three_form(g, *frame, tol=1e-6)
+    return float(total / samples * 2.0 * np.pi**2)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 13, 200, 400])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_eta_stack_matches_per_sample_loop(samples, seed):
+    assert abs(eta_integral_su2(samples=samples, seed=seed) - eta_loop(samples, seed)) < 1e-13
+
+
+def test_eta_stack_draws_the_loop_points_and_frames(monkeypatch):
+    # every frame integrates to 1, so the value alone cannot show that the
+    # stack reads the loop's draws; the points and frames can
+    seen = []
+    real = sun.canonical_three_form
+
+    def spy(g, *frame, tol):
+        seen.append((g, np.stack(frame, axis=-3)))
+        return real(g, *frame, tol=tol)
+
+    monkeypatch.setattr(sun, "canonical_three_form", spy)
+    eta_integral_su2(samples=40, seed=4)
+    eta_loop(40, 4)
+    (points, frames), loop = seen[0], seen[1:]
+    assert points.shape == (40, 2, 2) and len(loop) == 40
+    assert np.max(np.abs(points - np.stack([g for g, _ in loop]))) < 1e-13
+    assert np.max(np.abs(frames - np.stack([f for _, f in loop]))) < 1e-13
+
+
+def test_three_form_and_maurer_cartan_on_stacks():
+    rng = np.random.default_rng(12)
+    gs = np.stack([random_special_unitary(3, rng) for _ in range(5)])
+    vs = gs[:, None] @ np.stack([[random_algebra(3, rng) for _ in range(3)] for _ in range(5)])
+    values = canonical_three_form(gs, vs[:, 0], vs[:, 1], vs[:, 2])
+    right = maurer_cartan(gs, vs[:, 0], "right")
+    assert values.shape == (5,) and right.shape == (5, 3, 3)
+    for g, v, value, x in zip(gs, vs, values, right):
+        assert abs(value - canonical_three_form(g, *v)) < 1e-15
+        assert np.max(np.abs(x - maurer_cartan(g, v[0], "right"))) < 1e-15
+    # one non-tangent vector in the stack fails the whole stack, whether it
+    # is off the anti-Hermitian matrices or off the traceless ones
+    for offset in (1e-6 * np.diag([1.0, -1.0, 0.0]), 1e-6j * np.eye(3)):
+        bad = vs[:, 0].copy()
+        bad[3] = bad[3] + gs[3] @ offset
+        with pytest.raises(InputError) as err:
+            canonical_three_form(gs, bad, vs[:, 1], vs[:, 2])
+        assert err.value.code == "not-tangent"
+
+
+def test_checks_on_stacks():
+    # one defective late sample fails the stack, for each defect alone
+    rng = np.random.default_rng(13)
+    gs = np.stack([random_special_unitary(2, rng) for _ in range(4)])
+    check_special_unitary(gs)
+    for bad in (gs[2] @ np.diag([1.0 + 1e-8, 1.0 / (1.0 + 1e-8)]),  # det 1
+                gs[2] * np.exp(1e-8j)):  # unitary
+        stack = gs.copy()
+        stack[2] = bad
+        with pytest.raises(InputError) as err:
+            check_special_unitary(stack)
+        assert err.value.code == "not-special-unitary"
+    xs = np.stack([random_algebra(3, rng) for _ in range(4)])
+    check_algebra(xs)
+    for offset in (1e-6 * np.diag([1.0, -1.0, 0.0]), 1e-6j * np.eye(3)):
+        with pytest.raises(InputError) as err:
+            check_algebra(xs + np.array([0, 0, 1, 0])[:, None, None] * offset)
+        assert err.value.code == "not-algebra"
+    for shape in [(3,), (2, 3), (4, 2, 3)]:
+        with pytest.raises(InputError) as err:
+            check_special_unitary(np.zeros(shape))
+        assert err.value.code == "not-square"
+    with pytest.raises(InputError) as err:
+        alcove_coordinates(np.stack([np.eye(2)] * 2))
+    assert err.value.code == "not-square"
 
 
 def test_random_special_unitary_is_group_point():
