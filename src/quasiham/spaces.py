@@ -7,7 +7,9 @@ mirroring each space's construction.  Every space gives one structure record
 for a stack of tangents: the Gram matrix of its 2-form, its moment factors
 and their left and right logarithmic derivatives.  Fusion is one rule on
 records; the verifier only reads records and the common interface, so every
-axiom check runs uniformly across spaces.
+axiom check runs uniformly across spaces.  The leaves of a point may carry
+leading axes (a stack of points); records, moments, actions and fields then
+carry the same axes, and a single point is the case without them.
 
 Conventions: actions are left actions, generating vector fields satisfy
 [xi_M, zeta_M] = -[xi, zeta]_M, and the double pairs g-valued 1-forms by
@@ -71,19 +73,13 @@ def tree_map(fn, *trees):
 
 def tree_leaves(tree) -> list:
     if isinstance(tree, tuple):
-        out = []
-        for sub in tree:
-            out.extend(tree_leaves(sub))
-        return out
+        return [leaf for sub in tree for leaf in tree_leaves(sub)]
     return [tree]
 
 
 def tree_realvec(tree) -> np.ndarray:
-    parts = []
-    for leaf in tree_leaves(tree):
-        parts.append(np.asarray(leaf).real.ravel())
-        parts.append(np.asarray(leaf).imag.ravel())
-    return np.concatenate(parts)
+    leaves = [np.asarray(leaf) for leaf in tree_leaves(tree)]
+    return np.concatenate([part for x in leaves for part in (x.real.ravel(), x.imag.ravel())])
 
 
 def tree_unflatten(template, vector: np.ndarray):
@@ -106,6 +102,21 @@ def zero_tangent(m):
     return tree_map(np.zeros_like, m)
 
 
+def _dag(p: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes, the inverse of a unitary."""
+    return p.conj().swapaxes(-1, -2)
+
+
+def _lift(p: np.ndarray) -> np.ndarray:
+    """A point's matrix broadcast against the stack axis of its tangents."""
+    return p[..., None, :, :]
+
+
+def _times(t) -> np.ndarray:
+    """Flow times broadcast against the matrix axes of field data."""
+    return np.asarray(t, dtype=float)[..., None, None]
+
+
 def _group_rank(n) -> int:
     """The n of SU(n) for spaces built from whole group factors."""
     if int(n) < 2:
@@ -122,7 +133,8 @@ class Structure:
 
     omega is the k x k matrix omega(v_i, v_j).  Per moment factor, psi holds
     its value, left the (k, n, n) stack Psi^-1 dPsi(v_i) and right the stack
-    dPsi(v_i) Psi^-1.
+    dPsi(v_i) Psi^-1.  Over a stack of points every field carries the
+    points' leading axes in front.
     """
 
     omega: np.ndarray
@@ -135,7 +147,7 @@ class Structure:
 
 
 def _skew(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (p - p.T)
+    return 0.5 * (p - p.swapaxes(-1, -2))
 
 
 def _fuse(omega: np.ndarray, first: tuple, second: tuple) -> Structure:
@@ -145,12 +157,11 @@ def _fuse(omega: np.ndarray, first: tuple, second: tuple) -> Structure:
     left = Ad_{Psi_2^-1} left_1 + left_2, right = right_1 + Ad_{Psi_1} right_2.
     The pairing's orientation is pinned by the moment axiom check."""
     (p1, l1, r1), (p2, l2, r2) = first, second
-    p1inv, p2inv = p1.conj().T, p2.conj().T
     return Structure(
         omega + _skew(basic_gram(l1, r2)),
         (p1 @ p2,),
-        (p2inv @ l1 @ p2 + l2,),
-        (r1 + p1 @ r2 @ p1inv,),
+        (_lift(_dag(p2)) @ l1 @ _lift(p2) + l2,),
+        (r1 + _lift(p1) @ r2 @ _lift(_dag(p1)),),
     )
 
 
@@ -213,7 +224,7 @@ class QSpace:
 
     def structure(self, m, stack) -> Structure:
         """The record of a stack of tangents at m: every leaf of stack
-        carries a leading axis of length k."""
+        carries the leading axes of m's leaves, then an axis of length k."""
         raise NotImplementedError
 
     def _act(self, g: tuple, m):
@@ -235,7 +246,9 @@ class QSpace:
     def field_at(self, data, m):
         raise NotImplementedError
 
-    def field_flow(self, data, m, t: float):
+    def field_flow(self, data, m, t):
+        """The flow of the field for time t, a float or an array whose axes
+        broadcast against the leading axes of data and m."""
         raise NotImplementedError
 
     def field_bracket(self, d1, d2):
@@ -274,30 +287,40 @@ class ConjugacyClass(QSpace):
         return (m,)
 
     def _act(self, g, m):
-        return g[0] @ m @ g[0].conj().T
+        return g[0] @ m @ _dag(g[0])
 
     def _push(self, g, m, v):
-        return g[0] @ v @ g[0].conj().T
+        return g[0] @ v @ _dag(g[0])
 
     def _generating(self, xi, m):
         return xi[0] @ m - m @ xi[0]
 
     def _potential(self, m, stack):
-        """Solve (Ad_{m^-1} - 1) xi = m^-1 v for generating potentials xi of a
-        stack of tangents v, as the columns of one lstsq."""
-        minv = m.conj().T
-        op = realified_operator(self.n, lambda x: minv @ x @ m - x)
-        rhs = algebra_coords(project_algebra(minv @ stack))
-        sol, *_ = np.linalg.lstsq(op, rhs.T, rcond=None)
-        return algebra_from_coords(self.n, sol.T)
+        """Least-norm solution xi of (Ad_{m^-1} - 1) xi = m^-1 v for a stack
+        of tangents v, from one SVD per point.  The nonzero singular values
+        are those of the generating-field map, |e^{2 pi i (l_i - l_j)} - 1|;
+        the tangent basis keeps directions within its condition limit 1e8 of
+        the largest, while the centralizer's n - 1 zeros come out at 5e-16 to
+        1.5e-15 of it.  The relative cutoff 1e-12 sits far from both; numpy's
+        pinv defaults sit on the zeros and gave a false FAIL.  Applying the
+        factors to v, not forming a pseudo-inverse, keeps the accuracy of a
+        class with eigenphases 2e-6 apart."""
+        lm, lminv = _lift(m), _lift(_dag(m))
+        op = realified_operator(self.n, lambda x: lminv @ x @ lm - x)
+        rhs = algebra_coords(project_algebra(lminv @ stack)).swapaxes(-1, -2)
+        u, s, vt = np.linalg.svd(op)
+        inv = 1.0 / np.where(s > 1e-12 * s[..., :1], s, np.inf)
+        sol = vt.swapaxes(-1, -2) @ (inv[..., None] * (u.swapaxes(-1, -2) @ rhs))
+        return algebra_from_coords(self.n, sol.swapaxes(-1, -2))
 
     def structure(self, m, stack):
         # omega(v, w) = 1/2 B(Ad_m xi - Ad_{m^-1} xi, zeta) for potentials xi of
         # v and zeta of w
-        minv = m.conj().T
+        lm, lminv = _lift(m), _lift(_dag(m))
         xi = self._potential(m, stack)
-        spread = m @ xi @ minv - minv @ xi @ m
-        return Structure(_skew(0.5 * basic_gram(spread, xi)), (m,), (minv @ stack,), (stack @ minv,))
+        spread = lm @ xi @ lminv - lminv @ xi @ lm
+        return Structure(_skew(0.5 * basic_gram(spread, xi)), (m,), (lminv @ stack,),
+                         (stack @ lminv,))
 
     def tangent_basis(self, m):
         fields = [b @ m - m @ b for b in algebra_basis(self.n)]
@@ -310,8 +333,8 @@ class ConjugacyClass(QSpace):
         return data @ m - m @ data
 
     def field_flow(self, data, m, t):
-        u = expm_skew(t * data)
-        return u @ m @ u.conj().T
+        u = expm_skew(_times(t) * data)
+        return u @ m @ _dag(u)
 
 
 class _Slots(QSpace):
@@ -337,7 +360,7 @@ class _Slots(QSpace):
         return tuple(x @ p for x, p in zip(data, m))
 
     def field_flow(self, data, m, t):
-        return tuple(expm_skew(t * np.stack(data)) @ np.stack(m))
+        return tuple(expm_skew(_times(t) * np.stack(data)) @ np.stack(m))
 
 
 class Double(_Slots):
@@ -352,12 +375,12 @@ class Double(_Slots):
 
     def _moment(self, m):
         a, b = m
-        return (a @ b, a.conj().T @ b.conj().T)
+        return (a @ b, _dag(a) @ _dag(b))
 
     def _act(self, g, m):
         g1, g2 = g
         a, b = m
-        return (g1 @ a @ g2.conj().T, g2 @ b @ g1.conj().T)
+        return (g1 @ a @ _dag(g2), g2 @ b @ _dag(g1))
 
     def _push(self, g, m, v):
         return self._act(g, v)
@@ -368,14 +391,14 @@ class Double(_Slots):
         return (x1 @ a - a @ x2, x2 @ b - b @ x1)
 
     def structure(self, m, stack):
-        a, b = m
+        a, b = map(_lift, m)
         va, vb = stack
-        ainv, binv = a.conj().T, b.conj().T
+        ainv, binv = _dag(a), _dag(b)
         al, ar = ainv @ va, va @ ainv  # theta^L and theta^R of the a slot
         bl, br = binv @ vb, vb @ binv
         return Structure(
             _skew(basic_gram(al, br) + basic_gram(ar, bl)),
-            (a @ b, ainv @ binv),
+            self._moment(m),
             (binv @ al @ b + bl, -(b @ ar @ binv) - br),
             (ar + a @ br @ ainv, -al - ainv @ bl @ a),
         )
@@ -462,11 +485,9 @@ class Fusion(QSpace):
         return (self.s1._generating(xi, m[0]), self.s2._generating(xi, m[1]))
 
     def tangent_basis(self, m):
-        z1 = zero_tangent(m[0])
-        z2 = zero_tangent(m[1])
-        out = [(t, z2) for t in self.s1.tangent_basis(m[0])]
-        out += [(z1, t) for t in self.s2.tangent_basis(m[1])]
-        return out
+        z1, z2 = zero_tangent(m[0]), zero_tangent(m[1])
+        return ([(t, z2) for t in self.s1.tangent_basis(m[0])]
+                + [(z1, t) for t in self.s2.tangent_basis(m[1])])
 
     def random_field(self, rng):
         return (self.s1.random_field(rng), self.s2.random_field(rng))
@@ -503,7 +524,7 @@ class Genus(_Slots):
                                       for i in range(0, self.slots, 2)))
 
     def _act(self, g, m):
-        return tuple(g[0] @ p @ g[0].conj().T for p in m)
+        return tuple(g[0] @ p @ _dag(g[0]) for p in m)
 
     def _push(self, g, m, v):
         return self._act(g, v)
@@ -630,55 +651,41 @@ def _orthonormal_fields(space: QSpace, rng, count: int = 3) -> list:
     return [tree_unflatten(datas[0], q[:, i]) for i in range(count)]
 
 
-def _moment_residual(space: QSpace, m, basis: list, rng) -> float:
-    """|omega(xi_M, w) - 1/2 B(Psi^-1 dPsi(w) + dPsi(w) Psi^-1, xi)| for a
-    random xi and tangent w, read from the record of the stack [xi_M, w]."""
-    xi = space._as_algebra(space.random_algebra_element(rng))
-    v = space._generating(xi, m)
-    w = _random_tangent(space, m, basis, rng)
-    rec = _record(space, m, [v, w])
-    rhs = 0.0
-    for left, right, x in zip(rec.left, rec.right, xi):
-        rhs += 0.5 * basic_inner(left[1] + right[1], x)
-    return float(abs(rec.omega[0, 1] - rhs))
+def _moment_residuals(space: QSpace, m, xi, w) -> np.ndarray:
+    """|omega(xi_M, w) - 1/2 B(Psi^-1 dPsi(w) + dPsi(w) Psi^-1, xi)| per
+    point of a stack, read from one record of the stacked pairs [xi_M, w]."""
+    pairs = tree_map(lambda v, t: np.stack([v, t], axis=-3), space._generating(xi, m), w)
+    rec = space.structure(m, pairs)
+    rhs = sum(0.5 * basic_inner(left[..., 1, :, :] + right[..., 1, :, :], x)
+              for left, right, x in zip(rec.left, rec.right, xi))
+    return np.abs(rec.omega[..., 0, 1] - rhs)
 
 
-def _cocycle_residual(space: QSpace, m, rng, fd_step: float) -> float:
-    f1, f2, f3 = _orthonormal_fields(space, rng)
-
-    def omega_of(da, db, point):
-        pair = [space.field_at(da, point), space.field_at(db, point)]
-        return omega_matrix(space, point, pair)[0, 1]
-
-    def derivative(d, da, db):
-        plus = space.field_flow(d, m, fd_step)
-        minus = space.field_flow(d, m, -fd_step)
-        return (omega_of(da, db, plus) - omega_of(da, db, minus)) / (2.0 * fd_step)
-
-    d_omega = (
-        derivative(f1, f2, f3)
-        - derivative(f2, f1, f3)
-        + derivative(f3, f1, f2)
-        - omega_of(space.field_bracket(f1, f2), f3, m)
-        + omega_of(space.field_bracket(f1, f3), f2, m)
-        - omega_of(space.field_bracket(f2, f3), f1, m)
-    )
-
-    psis = space._moment(m)
-    pulled = []  # per field, per factor: theta^L of the finite-difference dPsi
-    for d in (f1, f2, f3):
-        plus = space._moment(space.field_flow(d, m, fd_step))
-        minus = space._moment(space.field_flow(d, m, -fd_step))
-        row = []
-        for psi, pp, pm in zip(psis, plus, minus):
-            dpsi = (pp - pm) / (2.0 * fd_step)
-            row.append(project_algebra(psi.conj().T @ dpsi))
-        pulled.append(row)
-
-    eta_total = 0.0
-    for idx in range(len(psis)):
-        eta_total += _three_form_pulled([pulled[0][idx], pulled[1][idx], pulled[2][idx]])
-    return float(abs(d_omega - STRUCTURE_FORM_ORIENTATION * eta_total))
+def _cocycle_residuals(space: QSpace, m, fields, fd_step: float) -> np.ndarray:
+    """|d omega - Psi* eta| on three fields f1, f2, f3 per point of a stack
+    of S points.  d omega is the invariant-extension formula with central
+    differences: one flow of the 6 S points exp(+-h f_i) m, one record of
+    the field pairs there (its Psi gives the differences of the moment) and
+    one record at m of [f1, f2], [f1, f3], [f2, f3], f3, f2, f1."""
+    f = tree_map(lambda *leaves: np.stack(leaves, axis=1), *fields)  # (S, 3, ...)
+    flows = space.field_flow(tree_map(lambda x: x[:, :, None], f),
+                             tree_map(lambda x: x[:, None, None], m), [fd_step, -fd_step])
+    pairs = tree_map(lambda x: x[:, [[1, 2], [0, 2], [0, 1]]][:, :, None], f)
+    moved = space.structure(flows, space.field_at(pairs, tree_map(_lift, flows)))
+    brackets = [space.field_bracket(fields[i], fields[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    six = tree_map(lambda *leaves: np.stack(leaves, axis=1), *brackets, *fields[::-1])
+    base = space.structure(m, space.field_at(six, tree_map(_lift, m)))
+    deriv = (moved.omega[:, :, 0, 0, 1] - moved.omega[:, :, 1, 0, 1]) / (2.0 * fd_step)
+    om = base.omega
+    d_omega = (deriv[:, 0] - deriv[:, 1] + deriv[:, 2]
+               - om[:, 0, 3] + om[:, 1, 4] - om[:, 2, 5])
+    eta = 0.0
+    for psi, ends in zip(base.psi, moved.psi):
+        # theta^L of the finite-difference dPsi along each field
+        dpsi = (ends[:, :, 0] - ends[:, :, 1]) / (2.0 * fd_step)
+        pulled = project_algebra(_lift(_dag(psi)) @ dpsi)
+        eta = eta + _three_form_pulled([pulled[:, 0], pulled[:, 1], pulled[:, 2]])
+    return np.abs(d_omega - STRUCTURE_FORM_ORIENTATION * eta)
 
 
 def _in_band(svals: np.ndarray, scale: float) -> bool:
@@ -701,31 +708,21 @@ def _degeneracy_mismatch(space: QSpace, m, basis: list, rng) -> float | None:
         kernel_dim = int(np.sum(svals < RANK_CUTOFF * top))
         undecided = _in_band(svals, top)
 
-    # span of generating fields xi_M with (Ad_Psi + 1) xi = 0
-    psis = space._moment(m)
-    na = space.n**2 - 1
-    blocks = []
-    for psi in psis:
-        pinv = psi.conj().T
-        blocks.append(realified_operator(space.n, lambda x: psi @ x @ pinv + x))
-    op = np.zeros((len(blocks) * na, len(blocks) * na))
-    for k, block in enumerate(blocks):
-        op[k * na : (k + 1) * na, k * na : (k + 1) * na] = block
-    u, s, vt = np.linalg.svd(op)
+    # span of generating fields xi_M with (Ad_Psi + 1) xi = 0, one block of
+    # the operator per moment factor
+    psis = np.stack(space._moment(m))
+    blocks = realified_operator(space.n, lambda x: _lift(psis) @ x @ _lift(_dag(psis)) + x)
+    f, na = blocks.shape[:2]
+    u, s, vt = np.linalg.svd(np.einsum("ij,iab->iajb", np.eye(f), blocks).reshape(f * na, -1))
     scale = max(s[0], 1.0)
     undecided = undecided or _in_band(s, scale)
     null = vt[s < RANK_CUTOFF * scale]
     if null.size == 0:
         qualifying = 0
     else:
-        gens = []
-        for row in null:
-            xi = tuple(
-                algebra_from_coords(space.n, row[k * na : (k + 1) * na])
-                for k in range(len(psis))
-            )
-            gens.append(tree_realvec(space._generating(xi, m)))
-        gmat = np.stack(gens)
+        xis = algebra_from_coords(space.n, null.reshape(len(null), f, na))
+        gens = space._generating(tuple(xis[:, k] for k in range(f)), m)
+        gmat = np.stack([tree_realvec(tree_map(lambda x: x[i], gens)) for i in range(len(null))])
         gs = np.linalg.svd(gmat, compute_uv=False)
         if gs[0] <= KERNEL_FLOOR:
             qualifying = 0
@@ -750,14 +747,34 @@ def _decided_mismatch(space: QSpace, rng, retries: int = 8) -> float:
     raise InputError("undecided-sample", f"no decided sample in {retries} draws")
 
 
-def _equivariance_residual(space: QSpace, m, rng) -> float:
-    g = space._as_group(space.random_group(rng))
+def _equivariance_residuals(space: QSpace, m, g) -> np.ndarray:
+    """max |Psi(g m) - g Psi(m) g^-1| over the factors, per point of a stack."""
     moved = space._moment(space._act(g, m))
-    ref = space._moment(m)
-    resid = 0.0
-    for gi, left, right in zip(g, moved, ref):
-        resid = max(resid, float(np.max(np.abs(left - gi @ right @ gi.conj().T))))
-    return resid
+    return reduce(np.maximum, (np.max(np.abs(left - gi @ right @ _dag(gi)), axis=(-2, -1))
+                               for gi, left, right in zip(g, moved, space._moment(m))))
+
+
+def _sample_residuals(space: QSpace, axiom: str, samples: int, fd_step: float,
+                      rng) -> np.ndarray:
+    """The residual of each sample.  Draws are made one sample at a time,
+    each with its own redraws; moment, cocycle and equivariance are then
+    evaluated on the stack of all samples at once."""
+    if axiom == "min_degeneracy":
+        return np.array([_decided_mismatch(space, rng) for _ in range(samples)])
+    draws = []
+    for _ in range(samples):
+        m, basis = _sample_with_basis(space, rng)
+        if axiom == "moment":
+            xi = space._as_algebra(space.random_algebra_element(rng))
+            draws.append((m, xi, _random_tangent(space, m, basis, rng)))
+        elif axiom == "cocycle":
+            draws.append((m, tuple(_orthonormal_fields(space, rng))))
+        else:
+            draws.append((m, space._as_group(space.random_group(rng))))
+    stacked = tree_map(lambda *leaves: np.stack(leaves), *draws)
+    if axiom == "cocycle":
+        return _cocycle_residuals(space, *stacked, fd_step)
+    return (_moment_residuals if axiom == "moment" else _equivariance_residuals)(space, *stacked)
 
 
 def verify_axiom(
@@ -778,28 +795,9 @@ def verify_axiom(
     if not (1e-6 < fd_step < 1e-2):
         raise InputError("invalid-step", f"fd_step must lie in (1e-6, 1e-2), got {fd_step}")
     tolerance = DEFAULT_TOLERANCES[axiom] if tol is None else float(tol)
-    rng = np.random.default_rng(seed)
-
-    worst = 0.0
-    for _ in range(samples):
-        if axiom == "min_degeneracy":
-            r = _decided_mismatch(space, rng)
-        else:
-            m, basis = _sample_with_basis(space, rng)
-            if axiom == "moment":
-                r = _moment_residual(space, m, basis, rng)
-            elif axiom == "cocycle":
-                r = _cocycle_residual(space, m, rng, fd_step)
-            else:
-                r = _equivariance_residual(space, m, rng)
-        worst = max(worst, r)
-    return VerificationReport(
-        axiom=axiom,
-        samples=samples,
-        max_residual=worst,
-        tolerance=tolerance,
-        passed=worst < tolerance,
-    )
+    worst = float(np.max(_sample_residuals(space, axiom, samples, fd_step,
+                                           np.random.default_rng(seed))))
+    return VerificationReport(axiom, samples, worst, tolerance, passed=worst < tolerance)
 
 
 def reduction_rank(space: QSpace, m) -> int:
@@ -854,6 +852,8 @@ def sphere4_equivariance_residual(samples: int = 100, seed: int = 0) -> float:
     stack.  Each pair draws 13 normals: 5 normalized to the point
     (Re z1, Im z1, Re z2, Im z2, t), then the real and imaginary parts of the
     2 x 2 matrix whose projection to su(2) exponentiates to g."""
+    if samples < 1:
+        raise InputError("invalid-samples", f"need samples >= 1, got {samples}")
     draws = np.random.default_rng(seed).normal(size=(samples, 13))
     p = draws[:, :5] / np.linalg.norm(draws[:, :5], axis=1, keepdims=True)
     z, t = p[:, 0:4:2] + 1j * p[:, 1:4:2], p[:, 4]

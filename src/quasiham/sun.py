@@ -79,11 +79,13 @@ def basic_inner(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
 
 
 def basic_gram(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The matrix basic_inner(xs[i], ys[j]) of two stacks of n x n matrices,
-    as one matrix product."""
+    """The matrix basic_inner(xs[..., i, :, :], ys[..., j, :, :]) of two
+    stacks of n x n matrices, as one matrix product; further leading axes
+    broadcast."""
     size = xs.shape[-2] * xs.shape[-1]
-    flat_ys = ys.swapaxes(-1, -2).reshape(len(ys), size)
-    return -np.real(xs.reshape(len(xs), size) @ flat_ys.T) / (4.0 * np.pi**2)
+    flat_xs = xs.reshape(xs.shape[:-2] + (size,))
+    flat_ys = ys.swapaxes(-1, -2).reshape(ys.shape[:-2] + (size,))
+    return -np.real(flat_xs @ flat_ys.swapaxes(-1, -2)) / (4.0 * np.pi**2)
 
 
 def complex_pairs(a) -> list:
@@ -273,8 +275,9 @@ def algebra_from_coords(n: int, coords: np.ndarray) -> np.ndarray:
 
 def realified_operator(n: int, fn) -> np.ndarray:
     """Matrix of a real-linear operator on su(n) in the orthonormal basis;
-    fn is applied once to the stacked basis."""
-    return algebra_coords(fn(_basis_stack(n))).T
+    fn is applied once to the stacked basis.  An fn that adds leading axes
+    in front of the basis axis gives a stack of matrices."""
+    return algebra_coords(fn(_basis_stack(n))).swapaxes(-1, -2)
 
 
 def eta_integral_su2(samples: int = 2000, seed: int = 0) -> float:
@@ -287,6 +290,8 @@ def eta_integral_su2(samples: int = 2000, seed: int = 0) -> float:
     normals (a quaternion, then three rows of frame coefficients); all
     samples are drawn and evaluated as one stack.
     """
+    if samples < 1:
+        raise InputError("invalid-samples", f"need samples >= 1, got {samples}")
     draws = np.random.default_rng(seed).normal(size=(samples, 13))
     q = draws[:, :4] / np.linalg.norm(draws[:, :4], axis=1, keepdims=True)
     # g = w + i(x sigma_1 + y sigma_2 + z sigma_3)

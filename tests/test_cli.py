@@ -1,11 +1,15 @@
+import io
 import json
 import re
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import quasiham
 from quasiham import cli
@@ -252,6 +256,42 @@ def test_invalid_input_exits_two_with_tag(argv, tag, capsys):
         assert main(argv + ["--json"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {tag}:") and captured.out == ""
+
+
+VERIFY_SPACES = ["conjugacy_class", "double", "fused_double", "genus", "sphere4", "eta_su2"]
+# valid, valid for other n, unsorted, nonzero-sum and malformed alcove points
+XI_POOL = ["1/8,-1/8", "1/4,1/12,-1/3", "3/8,1/8,-1/8,-3/8", "1/2,-1/2", "-1/8,1/8",
+           "1/4,1/4", "1/3,1/3,1/3", "1/0,0", "a,b", "", "nan,nan"]
+FLOAT_POOL = ["0", "nan", "inf", "-inf", "-1", "1e-7", "1e-4", "1e-3", "0.5"]
+
+
+@settings(max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(space=st.sampled_from(VERIFY_SPACES),
+       axiom=st.sampled_from([None, "cocycle", "moment", "min_degeneracy", "equivariance"]),
+       n=st.integers(-1, 4), genus=st.integers(-1, 3), samples=st.integers(-1, 4),
+       # an option is left out half of the time, so that most argv reach a verifier
+       xi=st.none() | st.sampled_from(XI_POOL), fd_step=st.none() | st.sampled_from(FLOAT_POOL),
+       tol=st.none() | st.sampled_from(FLOAT_POOL), seed=st.integers(0, 2**32 - 1))
+def test_verify_fuzz_exits_cleanly(space, axiom, n, genus, samples, xi, fd_step, tol, seed):
+    argv = ["verify", f"--space={space}", f"--n={n}", f"--genus={genus}",
+            f"--samples={samples}", f"--seed={seed}", "--json"]
+    for flag, value in (("--axiom", axiom), ("--xi", xi), ("--fd-step", fd_step), ("--tol", tol)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+            redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad choice this way
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert (code == 2) == (out.getvalue() == ""), argv
 
 
 def test_missing_connection_file_exits_two(tmp_path, capsys):

@@ -29,6 +29,7 @@ from quasiham.spaces import (
     zero_tangent,
 )
 from quasiham.sun import (
+    _three_form_pulled,
     algebra_coords,
     algebra_from_coords,
     basic_inner,
@@ -396,6 +397,11 @@ def test_tampered_omega_is_detected():
 
     rep = verify_axiom(ScaledDouble(2), "cocycle", samples=5, seed=31)
     assert not rep.passed and rep.max_residual > 1e-3
+    # every sample of the stack fails, as in the per-sample loop
+    residuals = spaces._sample_residuals(ScaledDouble(2), "cocycle", 5, 1e-4,
+                                         np.random.default_rng(31))
+    assert np.all(residuals > 1e-3)
+    assert np.max(np.abs(residuals - loop_residuals(ScaledDouble(2), "cocycle", 5, 31))) <= 1e-12
 
 
 def squeezed(cls, *shrinks):
@@ -555,6 +561,257 @@ def test_reports_are_seed_deterministic():
     assert verify_axiom(space, "moment", samples=4, seed=5) != verify_axiom(
         space, "moment", samples=4, seed=6
     )
+
+
+# ---------------------------------------------------------------------------
+# records and residuals over stacks of points
+
+def stack_spaces():
+    pair = Fusion(ConjugacyClass(2, (Q(1, 8), Q(-1, 8))), ConjugacyClass(2, (Q(1, 4), Q(-1, 4))))
+    return builtin_spaces() + [("fusion", pair)]
+
+
+def stack(trees):
+    """Trees of the same shape as one tree whose leaves carry a leading axis."""
+    return tree_map(lambda *leaves: np.stack(leaves), *trees)
+
+
+def at(tree, p):
+    return tree_map(lambda x: x[p], tree)
+
+
+@pytest.mark.parametrize("name,space", stack_spaces())
+def test_record_over_points_matches_single_points(name, space):
+    rng = np.random.default_rng(139)
+    draws = [_sample_with_basis(space, rng) for _ in range(3)]
+    points = [m for m, _ in draws]
+    tangents = [spaces._stack_tangents(m, basis) for m, basis in draws]
+    rec = space.structure(stack(points), stack(tangents))
+    assert rec.omega.shape == (3, space.dim, space.dim)
+    for p, (m, t) in enumerate(zip(points, tangents)):
+        one = space.structure(m, t)
+        assert np.max(np.abs(rec.omega[p] - one.omega)) <= 1e-15
+        for stacked, single in zip(rec.psi + rec.left + rec.right, one.psi + one.left + one.right):
+            assert np.max(np.abs(stacked[p] - single)) <= 1e-15
+
+
+@pytest.mark.parametrize("name,space", stack_spaces())
+def test_action_moment_and_fields_over_points_match_single_points(name, space):
+    rng = np.random.default_rng(149)
+    points = [space.sample(rng) for _ in range(3)]
+    gs = [space._as_group(space.random_group(rng)) for _ in range(3)]
+    datas = [space.random_field(rng) for _ in range(3)]
+    times = rng.normal(size=3)
+    m = stack(points)
+    cases = [
+        (space._act(stack(gs), m), [space._act(g, x) for g, x in zip(gs, points)]),
+        (space._moment(m), [space._moment(x) for x in points]),
+        (space.field_at(stack(datas), m), [space.field_at(d, x) for d, x in zip(datas, points)]),
+        (space.field_flow(stack(datas), m, times),
+         [space.field_flow(d, x, t) for d, x, t in zip(datas, points, times)]),
+    ]
+    for stacked, singles in cases:
+        for p, single in enumerate(singles):
+            assert tree_max(tree_add(at(stacked, p), single, -1.0)) <= 1e-15
+
+
+# The per-sample residuals the stacked verifier replaced, kept as oracles.
+
+def moment_residual(space, m, basis, rng):
+    xi = space._as_algebra(space.random_algebra_element(rng))
+    v = space._generating(xi, m)
+    w = spaces._random_tangent(space, m, basis, rng)
+    rec = _record(space, m, [v, w])
+    rhs = 0.0
+    for left, right, x in zip(rec.left, rec.right, xi):
+        rhs += 0.5 * basic_inner(left[1] + right[1], x)
+    return float(abs(rec.omega[0, 1] - rhs))
+
+
+def cocycle_residual(space, m, rng, fd_step):
+    f1, f2, f3 = spaces._orthonormal_fields(space, rng)
+
+    def omega_of(da, db, point):
+        pair = [space.field_at(da, point), space.field_at(db, point)]
+        return omega_matrix(space, point, pair)[0, 1]
+
+    def derivative(d, da, db):
+        plus = space.field_flow(d, m, fd_step)
+        minus = space.field_flow(d, m, -fd_step)
+        return (omega_of(da, db, plus) - omega_of(da, db, minus)) / (2.0 * fd_step)
+
+    d_omega = (
+        derivative(f1, f2, f3)
+        - derivative(f2, f1, f3)
+        + derivative(f3, f1, f2)
+        - omega_of(space.field_bracket(f1, f2), f3, m)
+        + omega_of(space.field_bracket(f1, f3), f2, m)
+        - omega_of(space.field_bracket(f2, f3), f1, m)
+    )
+
+    psis = space._moment(m)
+    pulled = []  # per field, per factor: theta^L of the finite-difference dPsi
+    for d in (f1, f2, f3):
+        plus = space._moment(space.field_flow(d, m, fd_step))
+        minus = space._moment(space.field_flow(d, m, -fd_step))
+        row = []
+        for psi, pp, pm in zip(psis, plus, minus):
+            dpsi = (pp - pm) / (2.0 * fd_step)
+            row.append(project_algebra(psi.conj().T @ dpsi))
+        pulled.append(row)
+
+    eta_total = 0.0
+    for idx in range(len(psis)):
+        eta_total += _three_form_pulled([pulled[0][idx], pulled[1][idx], pulled[2][idx]])
+    return float(abs(d_omega - spaces.STRUCTURE_FORM_ORIENTATION * eta_total))
+
+
+def equivariance_residual(space, m, rng):
+    g = space._as_group(space.random_group(rng))
+    moved = space._moment(space._act(g, m))
+    ref = space._moment(m)
+    resid = 0.0
+    for gi, left, right in zip(g, moved, ref):
+        resid = max(resid, float(np.max(np.abs(left - gi @ right @ gi.conj().T))))
+    return resid
+
+
+def loop_residuals(space, axiom, samples, seed, fd_step=1e-4):
+    """The verifier's per-sample loop: one draw and one residual at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(samples):
+        m, basis = spaces._sample_with_basis(space, rng)
+        if axiom == "moment":
+            out.append(moment_residual(space, m, basis, rng))
+        elif axiom == "cocycle":
+            out.append(cocycle_residual(space, m, rng, fd_step))
+        else:
+            out.append(equivariance_residual(space, m, rng))
+    return np.array(out)
+
+
+# Set from the arithmetic before measuring: the moment residual sums O(1)
+# pairings in another order (a few ulps of 1), the cocycle divides such
+# rounding by 2 fd_step = 2e-4, and the equivariance residual repeats the
+# same products matrix by matrix.
+STACK_TOLERANCES = {"moment": 1e-15, "cocycle": 1e-12, "equivariance": 0.0}
+
+
+@pytest.mark.parametrize("axiom", ["moment", "cocycle", "equivariance"])
+@pytest.mark.parametrize("name,space", stack_spaces())
+def test_stacked_residuals_match_per_sample_loop(name, space, axiom):
+    for seed in (3, 29, 101):
+        loop = loop_residuals(space, axiom, 5, seed)
+        for samples in range(1, 6):
+            rng = np.random.default_rng(seed)
+            stacked = spaces._sample_residuals(space, axiom, samples, 1e-4, rng)
+            assert stacked.shape == (samples,)
+            assert np.max(np.abs(stacked - loop[:samples])) <= STACK_TOLERANCES[axiom]
+        rep = verify_axiom(space, axiom, samples=5, seed=seed)
+        assert rep.max_residual == np.max(spaces._sample_residuals(
+            space, axiom, 5, 1e-4, np.random.default_rng(seed)))
+
+
+class EveryThirdBasisFails(InternalFusion):
+    """A fused double whose every third tangent basis is refused, so that the
+    verifier redraws points."""
+
+    def __init__(self, n):
+        super().__init__(Double(n))
+        self.calls = 0
+
+    def tangent_basis(self, m):
+        self.calls += 1
+        if self.calls % 3 == 0:
+            raise InputError("degenerate-basis", "synthetic conditioning failure")
+        return super().tangent_basis(m)
+
+
+def spy_draws(space, monkeypatch):
+    """Log every draw, in order: points (accepted or redrawn), accepted
+    points, fields, xi, w and g; and the stacked draws the residuals get."""
+    log, stacked = [], []
+
+    def spied(kind, fn):
+        def spy(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            log.append((kind, out))
+            return out
+        return spy
+
+    monkeypatch.setattr(space, "sample", spied("point", space.sample))
+    for kind in ("random_algebra_element", "random_group"):
+        monkeypatch.setattr(space, kind, spied(kind, getattr(space, kind)))
+    for kind in ("_sample_with_basis", "_orthonormal_fields", "_random_tangent"):
+        monkeypatch.setattr(spaces, kind, spied(kind, getattr(spaces, kind)))
+    for name in ("_moment_residuals", "_cocycle_residuals", "_equivariance_residuals"):
+        real = getattr(spaces, name)
+        monkeypatch.setattr(spaces, name,
+                            lambda sp, *args, _real=real: stacked.append(args) or _real(sp, *args))
+    return log, stacked
+
+
+@pytest.mark.parametrize("axiom", ["moment", "cocycle", "equivariance"])
+def test_verify_axiom_draws_what_the_loop_draws(axiom, monkeypatch):
+    space = EveryThirdBasisFails(2)
+    log, stacked = spy_draws(space, monkeypatch)
+    verify_axiom(space, axiom, samples=4, seed=157)
+    drawn, log[:] = list(log), []
+    space.calls = 0
+    loop_residuals(space, axiom, 4, 157)
+    assert [k for k, _ in drawn] == [k for k, _ in log]
+    assert sum(k == "point" for k, _ in log) > 4  # some points were redrawn
+    assert all(same_tree(a, b) for (_, a), (_, b) in zip(drawn, log))
+
+    def drawn_as(kind, as_tree=lambda x: x):
+        return stack([as_tree(out) for k, out in log if k == kind])
+
+    accepted = drawn_as("_sample_with_basis", lambda out: out[0])
+    if axiom == "moment":
+        expected = (accepted, drawn_as("random_algebra_element", space._as_algebra),
+                    drawn_as("_random_tangent"))
+    elif axiom == "cocycle":
+        expected = (accepted, drawn_as("_orthonormal_fields", tuple), 1e-4)
+    else:
+        expected = (accepted, drawn_as("random_group", space._as_group))
+    assert len(stacked) == 1 and same_tree(stacked[0], expected)
+
+
+# The class potential's singular-value cutoff: numpy's pinv defaults sit on
+# the centralizer's zero singular values (5e-16 to 1.5e-15).
+
+def test_class_potential_cutoff_keeps_seed_875134980_passing():
+    # a stacked solve with numpy's pinv cutoffs failed this op, residual 0.25
+    rep = verify_axiom(ConjugacyClass(2, (Q(1, 8), Q(-1, 8))), "cocycle", samples=2,
+                       seed=875134980)
+    assert rep.passed and rep.max_residual < 1e-9
+
+
+NEAR_DEGENERATE_XI3 = (Q(250001, 1000000), Q(249999, 1000000), Q(-1, 2))
+
+
+@pytest.mark.parametrize("axiom,bound", [("moment", 1e-10), ("cocycle", 1e-10),
+                                         ("min_degeneracy", 0.0)])
+def test_near_degenerate_class_passes(axiom, bound):
+    # eigenphases 2e-6 apart: |e^{2 pi i 2e-6} - 1| = 1.3e-5 is a kept
+    # singular value; a solve through an explicit pseudo-inverse put the
+    # cocycle residual at 3.7e-10 where the per-point lstsq gave 1.8e-11
+    rep = verify_axiom(ConjugacyClass(3, NEAR_DEGENERATE_XI3), axiom, samples=20, seed=3)
+    assert rep.passed and rep.max_residual <= bound
+
+
+@pytest.mark.parametrize("n,xi", [(2, (Q(1, 8), Q(-1, 8))), (3, GENERIC_XI3),
+                                  (4, (Q(3, 8), Q(1, 8), Q(-1, 8), Q(-3, 8)))])
+def test_stacked_potential_matches_lstsq_per_point(n, xi):
+    space = ConjugacyClass(n, xi)
+    rng = np.random.default_rng(151)
+    draws = [_sample_with_basis(space, rng) for _ in range(3)]
+    potentials = space._potential(stack([m for m, _ in draws]),
+                                  stack([spaces._stack_tangents(m, b) for m, b in draws]))
+    for p, (m, basis) in enumerate(draws):
+        for i, v in enumerate(basis):
+            assert np.max(np.abs(potentials[p, i] - ref_potential(space, m, v))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +1046,13 @@ def test_sphere4_act_rejects_a_non_unitary_sample():
     with pytest.raises(InputError) as err:
         sphere4_act(gs, z, t)
     assert err.value.code == "not-special-unitary"
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sphere4_rejects_empty_sample_counts(samples):
+    with pytest.raises(InputError) as err:
+        sphere4_equivariance_residual(samples=samples, seed=0)
+    assert err.value.code == "invalid-samples"
 
 
 def test_sphere4_rejects_off_sphere():

@@ -180,6 +180,13 @@ def test_eta_stack_matches_per_sample_loop(samples, seed):
     assert abs(eta_integral_su2(samples=samples, seed=seed) - eta_loop(samples, seed)) < 1e-13
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_eta_rejects_empty_sample_counts(samples):
+    with pytest.raises(InputError) as err:
+        eta_integral_su2(samples=samples, seed=0)
+    assert err.value.code == "invalid-samples"
+
+
 def test_eta_stack_draws_the_loop_points_and_frames(monkeypatch):
     # every frame integrates to 1, so the value alone cannot show that the
     # stack reads the loop's draws; the points and frames can
