@@ -187,7 +187,7 @@ def _build_space(args):
 
     if args.space == "conjugacy_class":
         if not args.xi:
-            raise ToolkitError("--xi is required for conjugacy_class")
+            raise InputError("missing-argument", "--xi is required for conjugacy_class")
         rs = build_root_system(LieType("A", args.n - 1))
         xi = _parse_xi(rs, args.xi[0])
         return spaces.make_space(
@@ -204,6 +204,8 @@ def _build_space(args):
 
 def _run_verify(args) -> tuple[int, dict]:
     if args.space == "eta_su2":
+        if args.axiom is not None:
+            raise InputError("unsupported-axiom", "eta_su2 checks only the 3-form normalization")
         from .sun import eta_integral_su2
 
         tol = 1e-2 if args.tol is None else args.tol
@@ -218,7 +220,7 @@ def _run_verify(args) -> tuple[int, dict]:
         }
     if args.space == "sphere4":
         if args.axiom not in (None, "equivariance"):
-            raise ToolkitError("sphere4 only supports the equivariance check")
+            raise InputError("unsupported-axiom", "sphere4 only supports the equivariance check")
         from .spaces import sphere4_equivariance_residual
 
         tol = 1e-10 if args.tol is None else args.tol
@@ -233,7 +235,7 @@ def _run_verify(args) -> tuple[int, dict]:
             "pass": ok,
         }
     if args.axiom is None:
-        raise ToolkitError("--axiom is required for this space")
+        raise InputError("missing-argument", "--axiom is required for this space")
     from .spaces import verify_axiom
 
     space = _build_space(args)

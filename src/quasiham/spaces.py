@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import InputError
 from .sun import (
-    algebra_basis,
     algebra_coords,
     algebra_from_coords,
     basic_gram,
@@ -41,11 +40,17 @@ from .sun import (
     realified_operator,
     torus_point,
     _PAULI,
+    _basis_stack,
     _three_form_pulled,
 )
 
 RANK_CUTOFF = 1e-7
 KERNEL_FLOOR = 1e-12
+COND_LIMIT = 1e8  # a tangent basis more ill-conditioned than this is redrawn
+# Tangents per stacked min_degeneracy evaluation.  More gain no speed and cost
+# memory: genus(4, 8) with 50 samples took 42-46 ms a sample at 512 and 45-55 ms
+# with 250 MB more peak memory in one stack (2-vCPU KVM guest, BLAS on 1 thread).
+STACK_ROWS = 512
 # A relative singular value in [RANK_CUTOFF, DECIDED_GAP) leaves a rank
 # undecided; min_degeneracy redraws a sample whose ranks disagree while such
 # a value is present, and passes one whose ranks agree.  On the benchmark's
@@ -77,29 +82,34 @@ def tree_leaves(tree) -> list:
     return [tree]
 
 
-def tree_realvec(tree) -> np.ndarray:
+def tree_realvec(tree, axes: int = 0) -> np.ndarray:
+    """The real and imaginary parts of every leaf in one real vector, one
+    per index of the leaves' first `axes` axes."""
     leaves = [np.asarray(leaf) for leaf in tree_leaves(tree)]
-    return np.concatenate([part for x in leaves for part in (x.real.ravel(), x.imag.ravel())])
+    return np.concatenate([part.reshape(x.shape[:axes] + (-1,)) for x in leaves
+                           for part in (x.real, x.imag)], axis=-1)
 
 
 def tree_unflatten(template, vector: np.ndarray):
+    """Inverse of tree_realvec; leading axes of vector lead every leaf."""
     pos = 0
 
     def rebuild(node):
         nonlocal pos
         if isinstance(node, tuple):
             return tuple(rebuild(sub) for sub in node)
-        size = node.size
-        re = vector[pos : pos + size].reshape(node.shape)
-        im = vector[pos + size : pos + 2 * size].reshape(node.shape)
-        pos += 2 * size
-        return re + 1j * im
+        size, pos = node.size, pos + 2 * node.size
+        part = vector[..., pos - 2 * size : pos]
+        return (part[..., :size] + 1j * part[..., size:]).reshape(vector.shape[:-1] + node.shape)
 
     return rebuild(template)
 
 
-def zero_tangent(m):
-    return tree_map(np.zeros_like, m)
+def _unstack(tree) -> list:
+    """The trees along the first axis of every leaf."""
+    if isinstance(tree, tuple):
+        return [tuple(parts) for parts in zip(*map(_unstack, tree))]
+    return list(tree)
 
 
 def _dag(p: np.ndarray) -> np.ndarray:
@@ -110,6 +120,19 @@ def _dag(p: np.ndarray) -> np.ndarray:
 def _lift(p: np.ndarray) -> np.ndarray:
     """A point's matrix broadcast against the stack axis of its tangents."""
     return p[..., None, :, :]
+
+
+def _block_rows(parts: list) -> tuple:
+    """Stacked tangents of a product from those of its factors: factor j's
+    tangents fill its own rows of the stack axis, zeros the other rows."""
+    ends = np.cumsum([0] + [tree_leaves(p)[0].shape[-3] for p in parts])
+
+    def pad(x, j):
+        out = np.zeros(x.shape[:-3] + (ends[-1],) + x.shape[-2:], dtype=complex)
+        out[..., ends[j] : ends[j + 1], :, :] = x
+        return out
+
+    return tuple(tree_map(lambda x: pad(x, j), p) for j, p in enumerate(parts))
 
 
 def _times(t) -> np.ndarray:
@@ -191,29 +214,32 @@ class QSpace:
         return out[0] if self.group_factors == 1 else out
 
     def act(self, g, m):
+        """Act on a point, or push a tangent forward: every action is linear."""
         return self._act(self._as_group(g), m)
 
-    def push(self, g, m, v):
-        """Pushforward of a tangent representative along act(g, .)."""
-        return self._push(self._as_group(g), m, v)
+    def tangent_basis(self, m) -> list:
+        """Orthonormal basis (round metric) of the tangent space at one point."""
+        basis, cond = self._basis(m)
+        if cond > COND_LIMIT:
+            raise InputError("degenerate-basis", f"condition number {cond:.2e}")
+        return _unstack(basis)
 
     def generating_field(self, xi, m):
         return self._generating(self._as_algebra(xi), m)
 
     def random_group(self, rng, scale: float = 1.0):
-        draws = [random_algebra(self.n, rng, scale) for _ in range(self.group_factors)]
-        gs = tuple(expm_skew(np.stack(draws)))
+        gs = tuple(expm_skew(random_algebra(self.n, rng, scale, (self.group_factors,))))
         return gs[0] if self.group_factors == 1 else gs
 
     def random_algebra_element(self, rng, scale: float = 1.0):
-        xs = tuple(random_algebra(self.n, rng, scale) for _ in range(self.group_factors))
+        xs = tuple(random_algebra(self.n, rng, scale, (self.group_factors,)))
         return xs[0] if self.group_factors == 1 else xs
 
     def _as_group(self, g):
+        """A group or algebra element as the tuple of its factors."""
         return (g,) if self.group_factors == 1 and not isinstance(g, tuple) else tuple(g)
 
-    def _as_algebra(self, xi):
-        return (xi,) if self.group_factors == 1 and not isinstance(xi, tuple) else tuple(xi)
+    _as_algebra = _as_group
 
     # -- hooks --------------------------------------------------------------
     def sample(self, rng):
@@ -230,10 +256,10 @@ class QSpace:
     def _act(self, g: tuple, m):
         raise NotImplementedError
 
-    def _push(self, g: tuple, m, v):
-        raise NotImplementedError
-
-    def tangent_basis(self, m) -> list:
+    def _basis(self, m):
+        """Orthonormal tangent bases at a stack of points as one tree whose
+        leaves carry m's leading axes, then d; and each basis's condition
+        number (inf where the rank differs from the first point's)."""
         raise NotImplementedError
 
     def _generating(self, xi: tuple, m):
@@ -289,9 +315,6 @@ class ConjugacyClass(QSpace):
     def _act(self, g, m):
         return g[0] @ m @ _dag(g[0])
 
-    def _push(self, g, m, v):
-        return g[0] @ v @ _dag(g[0])
-
     def _generating(self, xi, m):
         return xi[0] @ m - m @ xi[0]
 
@@ -322,9 +345,15 @@ class ConjugacyClass(QSpace):
         return Structure(_skew(0.5 * basic_gram(spread, xi)), (m,), (lminv @ stack,),
                          (stack @ lminv,))
 
-    def tangent_basis(self, m):
-        fields = [b @ m - m @ b for b in algebra_basis(self.n)]
-        return _orthonormal_span(fields, m)
+    def _basis(self, m):
+        # an orthonormal basis (round metric) of the span of the fields x m - m x,
+        # from one SVD per point, at the rank of the first point
+        x, lm = _basis_stack(self.n), _lift(m)
+        _, s, vt = np.linalg.svd(tree_realvec(x @ lm - lm @ x, m.ndim - 1), full_matrices=False)
+        ranks = _rank(s, s[..., 0])[0]
+        r = ranks.flat[0]
+        cond = np.where(ranks == r, s[..., 0] / (s[..., r - 1] if r else 1.0), np.inf)
+        return tree_unflatten(self.base, vt[..., :r, :]), cond
 
     def random_field(self, rng):
         return random_algebra(self.n, rng)
@@ -345,16 +374,15 @@ class _Slots(QSpace):
     slots: int
 
     def sample(self, rng):
-        draws = [random_algebra(self.n, rng) for _ in range(self.slots)]
-        return tuple(expm_skew(np.stack(draws)))
+        return tuple(expm_skew(random_algebra(self.n, rng, shape=(self.slots,))))
 
-    def tangent_basis(self, m):
-        zero = np.zeros_like(m[0])
-        return [tuple(x @ p if j == i else zero for j in range(self.slots))
-                for i, p in enumerate(m) for x in algebra_basis(self.n)]
+    def _basis(self, m):
+        # x_k p_j in slot j, for every su(n) basis element x_k
+        moved = [_basis_stack(self.n) @ _lift(p) for p in m]
+        return _block_rows(moved), np.ones(m[0].shape[:-2])
 
     def random_field(self, rng):
-        return tuple(random_algebra(self.n, rng) for _ in range(self.slots))
+        return tuple(random_algebra(self.n, rng, shape=(self.slots,)))
 
     def field_at(self, data, m):
         return tuple(x @ p for x, p in zip(data, m))
@@ -381,9 +409,6 @@ class Double(_Slots):
         g1, g2 = g
         a, b = m
         return (g1 @ a @ _dag(g2), g2 @ b @ _dag(g1))
-
-    def _push(self, g, m, v):
-        return self._act(g, v)
 
     def _generating(self, xi, m):
         x1, x2 = xi
@@ -431,14 +456,11 @@ class InternalFusion(QSpace):
     def _act(self, g, m):
         return self.inner._act((g[0], g[0]), m)
 
-    def _push(self, g, m, v):
-        return self.inner._push((g[0], g[0]), m, v)
-
     def _generating(self, xi, m):
         return self.inner._generating((xi[0], xi[0]), m)
 
-    def tangent_basis(self, m):
-        return self.inner.tangent_basis(m)
+    def _basis(self, m):
+        return self.inner._basis(m)
 
     def random_field(self, rng):
         return self.inner.random_field(rng)
@@ -478,16 +500,12 @@ class Fusion(QSpace):
     def _act(self, g, m):
         return (self.s1._act(g, m[0]), self.s2._act(g, m[1]))
 
-    def _push(self, g, m, v):
-        return (self.s1._push(g, m[0], v[0]), self.s2._push(g, m[1], v[1]))
-
     def _generating(self, xi, m):
         return (self.s1._generating(xi, m[0]), self.s2._generating(xi, m[1]))
 
-    def tangent_basis(self, m):
-        z1, z2 = zero_tangent(m[0]), zero_tangent(m[1])
-        return ([(t, z2) for t in self.s1.tangent_basis(m[0])]
-                + [(z1, t) for t in self.s2.tangent_basis(m[1])])
+    def _basis(self, m):
+        (t1, c1), (t2, c2) = self.s1._basis(m[0]), self.s2._basis(m[1])
+        return _block_rows([t1, t2]), np.maximum(c1, c2)
 
     def random_field(self, rng):
         return (self.s1.random_field(rng), self.s2.random_field(rng))
@@ -526,9 +544,6 @@ class Genus(_Slots):
     def _act(self, g, m):
         return tuple(g[0] @ p @ _dag(g[0]) for p in m)
 
-    def _push(self, g, m, v):
-        return self._act(g, v)
-
     def _generating(self, xi, m):
         return tuple(xi[0] @ p - p @ xi[0] for p in m)
 
@@ -537,31 +552,20 @@ def make_space(kind: str, *, n: int | None = None, xi=None, h: int | None = None
                s1: QSpace | None = None, s2: QSpace | None = None,
                s: QSpace | None = None) -> QSpace:
     """Build one of the built-in spaces by name."""
-    if kind == "conjugacy_class":
-        if n is None or xi is None:
-            raise InputError("missing-argument", "conjugacy_class needs n and xi")
-        return ConjugacyClass(n, xi)
-    if kind == "double":
-        if n is None:
-            raise InputError("missing-argument", "double needs n")
-        return Double(n)
-    if kind == "fused_double":
-        if n is None:
-            raise InputError("missing-argument", "fused_double needs n")
-        return InternalFusion(Double(n))
-    if kind == "genus":
-        if n is None or h is None:
-            raise InputError("missing-argument", "genus needs n and h")
-        return Genus(n, h)
-    if kind == "fusion":
-        if s1 is None or s2 is None:
-            raise InputError("missing-argument", "fusion needs s1 and s2")
-        return Fusion(s1, s2)
-    if kind == "internal_fusion":
-        if s is None:
-            raise InputError("missing-argument", "internal_fusion needs a space")
-        return InternalFusion(s)
-    raise InputError("unknown-space", f"no space kind {kind!r}")
+    table = {
+        "conjugacy_class": ((n, xi), "n and xi", lambda: ConjugacyClass(n, xi)),
+        "double": ((n,), "n", lambda: Double(n)),
+        "fused_double": ((n,), "n", lambda: InternalFusion(Double(n))),
+        "genus": ((n, h), "n and h", lambda: Genus(n, h)),
+        "fusion": ((s1, s2), "s1 and s2", lambda: Fusion(s1, s2)),
+        "internal_fusion": ((s,), "a space", lambda: InternalFusion(s)),
+    }
+    if kind not in table:
+        raise InputError("unknown-space", f"no space kind {kind!r}")
+    needed, names, build = table[kind]
+    if any(arg is None for arg in needed):
+        raise InputError("missing-argument", f"{kind} needs {names}")
+    return build()
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +580,9 @@ class VerificationReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+        out = dict(vars(self))
+        out["pass"] = out.pop("passed")
+        return out
 
 
 AXIOMS = ("cocycle", "moment", "min_degeneracy", "equivariance")
@@ -592,18 +592,6 @@ DEFAULT_TOLERANCES = {
     "min_degeneracy": 0.5,
     "equivariance": 1e-9,
 }
-
-
-def _orthonormal_span(vectors: list, template, cond_limit: float = 1e8) -> list:
-    """Orthonormal basis (round metric) of the span of tangent representatives."""
-    rows = np.stack([tree_realvec(v) for v in vectors])
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s[0] <= KERNEL_FLOOR:
-        return []
-    keep = s > RANK_CUTOFF * s[0]
-    if s[0] / s[keep].min() > cond_limit:
-        raise InputError("degenerate-basis", f"condition number {s[0] / s[keep].min():.2e}")
-    return [tree_unflatten(template, row) for row in vt[keep]]
 
 
 def _sample_with_basis(space: QSpace, rng, retries: int = 8):
@@ -688,63 +676,75 @@ def _cocycle_residuals(space: QSpace, m, fields, fd_step: float) -> np.ndarray:
     return np.abs(d_omega - STRUCTURE_FORM_ORIENTATION * eta)
 
 
-def _in_band(svals: np.ndarray, scale: float) -> bool:
-    """Whether a singular value sits in the band [RANK_CUTOFF, DECIDED_GAP)
-    relative to scale."""
-    return bool(np.any((svals >= RANK_CUTOFF * scale) & (svals < DECIDED_GAP * scale)))
+def _rank(svals: np.ndarray, scale: np.ndarray) -> tuple:
+    """Per row of svals, relative to its scale: how many exceed RANK_CUTOFF
+    (none if scale <= KERNEL_FLOOR), and whether one is in the band."""
+    live, scale = scale > KERNEL_FLOOR, scale[..., None]
+    rank = np.where(live, np.sum(svals > RANK_CUTOFF * scale, axis=-1), 0)
+    band = (svals >= RANK_CUTOFF * scale) & (svals < DECIDED_GAP * scale)
+    return rank, live & np.any(band, axis=-1)
 
 
-def _degeneracy_mismatch(space: QSpace, m, basis: list, rng) -> float | None:
-    """|dim ker omega - dim span{xi_M : Ad_Psi xi = -xi}| at m, or None when
-    the two ranks disagree and a relative singular value lies in the band,
-    so that the disagreement may come from the cutoff."""
-    d = len(basis)
-    svals = np.linalg.svd(omega_matrix(space, m, basis), compute_uv=False)
-    top = svals.max(initial=0.0)
-    if top <= KERNEL_FLOOR:
-        kernel_dim = d
-        undecided = False
-    else:
-        kernel_dim = int(np.sum(svals < RANK_CUTOFF * top))
-        undecided = _in_band(svals, top)
+def _degeneracy_mismatch(space: QSpace, m, tangents) -> np.ndarray:
+    """|dim ker omega - dim span{xi_M : Ad_Psi xi = -xi}| per point of a
+    stack with its stacked tangent bases; NaN where the ranks disagree while
+    a relative singular value lies in the band, next to the cutoff."""
+    rec = space.structure(m, tangents)
+    svals = np.linalg.svd(rec.omega, compute_uv=False)
+    rank, undecided = _rank(svals, svals.max(axis=-1, initial=0.0))
 
-    # span of generating fields xi_M with (Ad_Psi + 1) xi = 0, one block of
-    # the operator per moment factor
-    psis = np.stack(space._moment(m))
+    # Ad_Psi + 1 is block diagonal over the moment factors: its spectrum is
+    # the union of the blocks' spectra, and a null vector of block k is a xi
+    # with only factor k nonzero
+    psis = np.stack(rec.psi, axis=1)
     blocks = realified_operator(space.n, lambda x: _lift(psis) @ x @ _lift(_dag(psis)) + x)
-    f, na = blocks.shape[:2]
-    u, s, vt = np.linalg.svd(np.einsum("ij,iab->iajb", np.eye(f), blocks).reshape(f * na, -1))
-    scale = max(s[0], 1.0)
-    undecided = undecided or _in_band(s, scale)
-    null = vt[s < RANK_CUTOFF * scale]
-    if null.size == 0:
-        qualifying = 0
-    else:
-        xis = algebra_from_coords(space.n, null.reshape(len(null), f, na))
-        gens = space._generating(tuple(xis[:, k] for k in range(f)), m)
-        gmat = np.stack([tree_realvec(tree_map(lambda x: x[i], gens)) for i in range(len(null))])
-        gs = np.linalg.svd(gmat, compute_uv=False)
-        if gs[0] <= KERNEL_FLOOR:
-            qualifying = 0
+    s = np.linalg.svd(blocks, compute_uv=False)
+    count, f, na = s.shape
+    scale = np.maximum(s.max(axis=(-2, -1)), 1.0)
+    undecided |= _rank(s.reshape(count, -1), scale)[1]
+    qualifying = np.zeros(count, dtype=int)
+    live = np.flatnonzero(np.any(s < RANK_CUTOFF * scale[:, None, None], axis=(-2, -1)))
+    if live.size:
+        # the generating fields of the null vectors, other rows zeroed
+        _, s, vt = np.linalg.svd(blocks[live])
+        null = s < RANK_CUTOFF * scale[live, None, None]
+        rows = (vt * null[..., None]).reshape(live.size, f * na, na)
+        xis = algebra_from_coords(space.n, np.einsum("prc,rk->prkc", rows,
+                                                     np.repeat(np.eye(f), na, axis=0)))
+        gens = space._generating(tuple(xis[:, :, k] for k in range(f)),
+                                 tree_map(lambda x: _lift(x[live]), m))
+        gs = np.linalg.svd(tree_realvec(gens, 2), compute_uv=False)
+        qualifying[live], band = _rank(gs, gs[:, 0])
+        undecided[live] |= band
+    mismatch = np.abs(rec.omega.shape[-1] - rank - qualifying).astype(float)
+    return np.where((mismatch > 0) & undecided, np.nan, mismatch)
+
+
+def _degeneracy_residuals(space: QSpace, samples: int, rng, retries: int = 8) -> np.ndarray:
+    """The degeneracy mismatch of each sample.  The points are drawn in order and
+    evaluated in stacks; from the first with a degenerate basis or undecided ranks on,
+    the state before its draw is restored and the per-sample redraw loop takes over."""
+    states, points = zip(*[(rng.bit_generator.state, space.sample(rng)) for _ in range(samples)])
+    out, first, step = np.empty(samples), samples, max(1, STACK_ROWS // max(space.dim, 1))
+    for start in range(0, samples, step):
+        m = tree_map(lambda *leaves: np.stack(leaves), *points[start : start + step])
+        tangents, cond = space._basis(m)
+        part = out[start : start + step] = _degeneracy_mismatch(space, m, tangents)
+        redraw = np.flatnonzero(np.isnan(part) | (cond > COND_LIMIT))
+        if redraw.size:
+            first = start + int(redraw[0])
+            rng.bit_generator.state = states[first]
+            break
+    for i in range(first, samples):
+        for _ in range(retries):
+            m, basis = _sample_with_basis(space, rng)
+            one = tree_map(lambda x: x[None], (m, _stack_tangents(m, basis)))
+            out[i] = _degeneracy_mismatch(space, *one)[0]
+            if not np.isnan(out[i]):
+                break
         else:
-            qualifying = int(np.sum(gs > RANK_CUTOFF * gs[0]))
-            undecided = undecided or _in_band(gs, gs[0])
-    mismatch = abs(kernel_dim - qualifying)
-    if mismatch and undecided:
-        return None
-    return float(mismatch)
-
-
-def _decided_mismatch(space: QSpace, rng, retries: int = 8) -> float:
-    """Degeneracy mismatch at the first drawn point that is decided; a point
-    whose ranks disagree next to the cutoff is redrawn from the same
-    generator, never failed or passed."""
-    for _ in range(retries):
-        m, basis = _sample_with_basis(space, rng)
-        r = _degeneracy_mismatch(space, m, basis, rng)
-        if r is not None:
-            return r
-    raise InputError("undecided-sample", f"no decided sample in {retries} draws")
+            raise InputError("undecided-sample", f"no decided sample in {retries} draws")
+    return out
 
 
 def _equivariance_residuals(space: QSpace, m, g) -> np.ndarray:
@@ -756,11 +756,10 @@ def _equivariance_residuals(space: QSpace, m, g) -> np.ndarray:
 
 def _sample_residuals(space: QSpace, axiom: str, samples: int, fd_step: float,
                       rng) -> np.ndarray:
-    """The residual of each sample.  Draws are made one sample at a time,
-    each with its own redraws; moment, cocycle and equivariance are then
-    evaluated on the stack of all samples at once."""
+    """The residual of each sample, evaluated over stacks of samples with the
+    draws, redraws included, of a loop over one sample at a time."""
     if axiom == "min_degeneracy":
-        return np.array([_decided_mismatch(space, rng) for _ in range(samples)])
+        return _degeneracy_residuals(space, samples, rng)
     draws = []
     for _ in range(samples):
         m, basis = _sample_with_basis(space, rng)

@@ -95,10 +95,13 @@ def complex_pairs(a) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def random_algebra(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Gaussian traceless anti-Hermitian matrix."""
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return scale * project_algebra(z)
+def random_algebra(n: int, rng: np.random.Generator, scale: float = 1.0,
+                   shape: tuple = ()) -> np.ndarray:
+    """Gaussian traceless anti-Hermitian matrix, or a stack of the given
+    shape drawn in order: one call for all the normals, matrix by matrix its
+    real then its imaginary part, gives the values of one call per part."""
+    z = rng.normal(size=shape + (2, n, n))
+    return scale * project_algebra(z[..., 0, :, :] + 1j * z[..., 1, :, :])
 
 
 def random_special_unitary(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

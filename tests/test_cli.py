@@ -248,6 +248,11 @@ def test_group_rank_below_two_exits_two(argv, capsys):
         (["cocycle", "--n", "2", "--samples", "1"], "invalid-rank"),
         (["holonomy-convergence", "--n", "0"], "invalid-rank"),
         (["holonomy-convergence", "--n", "1"], "invalid-rank"),
+        (["verify", "--space", "eta_su2", "--axiom", "moment"], "unsupported-axiom"),
+        (["verify", "--space", "eta_su2", "--axiom", "min_degeneracy"], "unsupported-axiom"),
+        (["verify", "--space", "sphere4", "--axiom", "moment"], "unsupported-axiom"),
+        (["verify", "--space", "double"], "missing-argument"),
+        (["verify", "--space", "conjugacy_class", "--axiom", "moment"], "missing-argument"),
     ],
 )
 def test_invalid_input_exits_two_with_tag(argv, tag, capsys):

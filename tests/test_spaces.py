@@ -13,7 +13,6 @@ from quasiham.spaces import (
     Fusion,
     Genus,
     InternalFusion,
-    _degeneracy_mismatch,
     _random_tangent,
     _record,
     _sample_with_basis,
@@ -26,7 +25,6 @@ from quasiham.spaces import (
     tree_leaves,
     tree_map,
     verify_axiom,
-    zero_tangent,
 )
 from quasiham.sun import (
     _three_form_pulled,
@@ -54,6 +52,10 @@ def builtin_spaces():
 
 def tree_max(t):
     return max(np.max(np.abs(leaf)) for leaf in tree_leaves(t))
+
+
+def zero_tangent(m):
+    return tree_map(np.zeros_like, m)
 
 
 def tree_add(a, b, c=1.0):
@@ -239,7 +241,7 @@ def test_omega_invariant_under_action(name, space):
         w = sum_basis(space, m, basis, rng)
         g = space.random_group(rng)
         moved = space.act(g, m)
-        lhs = pair_omega(space, moved, space.push(g, m, v), space.push(g, m, w))
+        lhs = pair_omega(space, moved, space.act(g, v), space.act(g, w))
         assert lhs == pytest.approx(pair_omega(space, m, v, w), abs=1e-9)
 
 
@@ -406,21 +408,31 @@ def test_tampered_omega_is_detected():
 
 def squeezed(cls, *shrinks):
     """cls with its structure pulled back along the map that scales the
-    leading tangent basis directions by shrinks (0 projects one out)."""
+    leading tangent basis directions by shrinks (0 projects one out); the
+    points may carry leading axes, as for every structure."""
 
     class Squeezed(cls):
         def structure(self, m, stack):
-            lead = self.tangent_basis(m)[: len(shrinks)]
+            basis, _ = self._basis(m)
             out = stack
-            for first, shrink in zip(lead, shrinks):
+            for i, shrink in enumerate(shrinks):
+                first = tree_map(lambda x: x[..., i, :, :], basis)
                 c = sum(
-                    np.real(np.einsum("ij,kij->k", x.conj(), y))
+                    np.real(np.einsum("...ij,...kij->...k", x.conj(), y))
                     for x, y in zip(tree_leaves(first), tree_leaves(stack))
-                )[:, None, None]
-                out = tree_map(lambda x, y: y - (1.0 - shrink) * c * x, first, out)
+                )[..., None, None]
+                out = tree_map(lambda x, y: y - (1.0 - shrink) * c * spaces._lift(x), first, out)
             return super().structure(m, out)
 
     return Squeezed
+
+
+def point_mismatch(space, m, basis):
+    """The degeneracy mismatch at one point, evaluated as a stack of one;
+    None where the sample is undecided."""
+    one = tree_map(lambda x: x[None], (m, spaces._stack_tangents(m, basis)))
+    out = spaces._degeneracy_mismatch(space, *one)[0]
+    return None if np.isnan(out) else out
 
 
 def fusions(n):
@@ -461,7 +473,7 @@ def test_undecided_ranks_are_redrawn():
     space = Genus(2, 2)
     rng = np.random.default_rng(1976016887)
     m, basis = _sample_with_basis(space, rng)
-    assert _degeneracy_mismatch(space, m, basis, rng) is None
+    assert point_mismatch(space, m, basis) is None
     rep = verify_axiom(space, "min_degeneracy", samples=3, seed=1976016887)
     assert rep.passed and rep.max_residual == 0.0
 
@@ -476,7 +488,7 @@ def test_band_value_with_agreeing_ranks_passes():
     svals = np.linalg.svd(omega_matrix(space, m, basis), compute_uv=False)
     rel = svals / svals[0]
     assert np.any((rel >= spaces.RANK_CUTOFF) & (rel < spaces.DECIDED_GAP))
-    assert _degeneracy_mismatch(space, m, basis, rng) == 0.0
+    assert point_mismatch(space, m, basis) == 0.0
     assert verify_axiom(space, "min_degeneracy", samples=3, seed=107).passed
 
 
@@ -492,7 +504,7 @@ def test_class_near_half_wall_passes_min_degeneracy():
     s = np.linalg.svd(op, compute_uv=False)
     rel = s / max(s[0], 1.0)
     assert np.any((rel >= spaces.RANK_CUTOFF) & (rel < spaces.DECIDED_GAP))
-    assert _degeneracy_mismatch(space, m, basis, rng) == 0.0
+    assert point_mismatch(space, m, basis) == 0.0
     rep = verify_axiom(space, "min_degeneracy", samples=5, seed=109)
     assert rep.passed and rep.max_residual == 0.0
 
@@ -507,7 +519,7 @@ def test_persistently_undecided_sampling_is_an_input_error():
     svals = np.linalg.svd(omega_matrix(space, m, basis), compute_uv=False)
     rel = svals / svals[0]
     assert np.any((rel >= spaces.RANK_CUTOFF) & (rel < spaces.DECIDED_GAP))
-    assert _degeneracy_mismatch(space, m, basis, rng) is None
+    assert point_mismatch(space, m, basis) is None
     with pytest.raises(InputError) as err:
         verify_axiom(space, "min_degeneracy", samples=1, seed=107)
     assert err.value.code == "undecided-sample"
@@ -676,11 +688,25 @@ def equivariance_residual(space, m, rng):
     return resid
 
 
+def degeneracy_residual(space, rng, retries=8):
+    """The mismatch at the first drawn point whose ranks are decided; a point
+    whose ranks disagree next to the cutoff is redrawn."""
+    for _ in range(retries):
+        m, basis = spaces._sample_with_basis(space, rng)
+        r = point_mismatch(space, m, basis)
+        if r is not None:
+            return r
+    raise InputError("undecided-sample", f"no decided sample in {retries} draws")
+
+
 def loop_residuals(space, axiom, samples, seed, fd_step=1e-4):
     """The verifier's per-sample loop: one draw and one residual at a time."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(samples):
+        if axiom == "min_degeneracy":
+            out.append(degeneracy_residual(space, rng))
+            continue
         m, basis = spaces._sample_with_basis(space, rng)
         if axiom == "moment":
             out.append(moment_residual(space, m, basis, rng))
@@ -693,12 +719,13 @@ def loop_residuals(space, axiom, samples, seed, fd_step=1e-4):
 
 # Set from the arithmetic before measuring: the moment residual sums O(1)
 # pairings in another order (a few ulps of 1), the cocycle divides such
-# rounding by 2 fd_step = 2e-4, and the equivariance residual repeats the
-# same products matrix by matrix.
-STACK_TOLERANCES = {"moment": 1e-15, "cocycle": 1e-12, "equivariance": 0.0}
+# rounding by 2 fd_step = 2e-4, the equivariance residual repeats the same
+# products matrix by matrix, and the degeneracy mismatch is an integer.
+STACK_TOLERANCES = {"moment": 1e-15, "cocycle": 1e-12, "equivariance": 0.0,
+                    "min_degeneracy": 0.0}
 
 
-@pytest.mark.parametrize("axiom", ["moment", "cocycle", "equivariance"])
+@pytest.mark.parametrize("axiom", ["moment", "cocycle", "equivariance", "min_degeneracy"])
 @pytest.mark.parametrize("name,space", stack_spaces())
 def test_stacked_residuals_match_per_sample_loop(name, space, axiom):
     for seed in (3, 29, 101):
@@ -776,6 +803,83 @@ def test_verify_axiom_draws_what_the_loop_draws(axiom, monkeypatch):
     else:
         expected = (accepted, drawn_as("random_group", space._as_group))
     assert len(stacked) == 1 and same_tree(stacked[0], expected)
+
+
+class SecondDrawRedrawn(Genus):
+    """genus(2, 2) where the loop redraws the second point drawn from seed 5:
+    either that draw is replaced by the first draw of seed 1976016887, whose
+    ranks are undecided, or its tangent basis is refused as degenerate (with
+    no reason, plain genus(2, 2))."""
+
+    def __init__(self, reason):
+        super().__init__(2, 2)
+        self.reason = reason
+        rng = np.random.default_rng(5)
+        self.second = [Genus.sample(self, rng) for _ in range(2)][1]
+        self.undecided = Genus.sample(self, np.random.default_rng(1976016887))
+
+    def sample(self, rng):
+        m = super().sample(rng)
+        return self.undecided if self.reason == "undecided" and same_tree(m, self.second) else m
+
+    def _basis(self, m):
+        basis, cond = super()._basis(m)
+        if self.reason == "degenerate":
+            cond = np.where(np.all(m[0] == self.second[0], axis=(-2, -1)), np.inf, cond)
+        return basis, cond
+
+
+@pytest.mark.parametrize("reason", ["undecided", "degenerate"])
+def test_mid_stack_redraw_restores_the_loop_draws(reason, monkeypatch):
+    space = SecondDrawRedrawn(reason)
+    drawn, evaluated = [], []
+    sample, mismatch = space.sample, spaces._degeneracy_mismatch
+
+    def spied_sample(rng):
+        drawn.append(sample(rng))
+        return drawn[-1]
+
+    def spied_mismatch(sp, m, tangents):
+        out = mismatch(sp, m, tangents)
+        evaluated.append((m, out.copy()))
+        return out
+
+    monkeypatch.setattr(space, "sample", spied_sample)
+    monkeypatch.setattr(spaces, "_degeneracy_mismatch", spied_mismatch)
+    stacked = spaces._sample_residuals(space, "min_degeneracy", 3, 1e-4, np.random.default_rng(5))
+    stacked_drawn, stacked_evaluated = drawn[:], evaluated[:]
+    drawn.clear()
+    evaluated.clear()
+    loop = loop_residuals(space, "min_degeneracy", 3, 5)
+    assert np.array_equal(stacked, loop)
+    # the stack of the three draws, then, from the state before the second
+    # draw on, the loop's own draws, each evaluated as a stack of one
+    (points, first), rest = stacked_evaluated[0], stacked_evaluated[1:]
+    assert same_tree(points, stack(drawn[:3])) and first[0] == loop[0]
+    assert np.isnan(first[1]) == (reason == "undecided")
+    assert len(drawn) == 4 and len(stacked_drawn) == 6
+    assert all(same_tree(a, b) for a, b in zip(stacked_drawn, drawn[:3] + drawn[1:]))
+    assert len(rest) == len(evaluated) - 1
+    for (m, out), (ref_m, ref_out) in zip(rest, evaluated[1:]):
+        assert same_tree(m, ref_m) and np.array_equal(out, ref_out, equal_nan=True)
+
+
+@pytest.mark.parametrize("reason", ["undecided", "degenerate", None])
+@pytest.mark.parametrize("step", [1, 2])
+def test_degeneracy_stacks_hold_at_most_stack_rows(reason, step, monkeypatch):
+    space = SecondDrawRedrawn(reason)
+    monkeypatch.setattr(spaces, "STACK_ROWS", step * space.dim)
+    sizes, drawn, mismatch, sample = [], [], spaces._degeneracy_mismatch, space.sample
+    monkeypatch.setattr(spaces, "_degeneracy_mismatch",
+                        lambda sp, m, tangents: sizes.append(len(m[0])) or mismatch(sp, m, tangents))
+    monkeypatch.setattr(space, "sample", lambda rng: drawn.append(rng) or sample(rng))
+    stacked = spaces._sample_residuals(space, "min_degeneracy", 5, 1e-4, np.random.default_rng(5))
+    assert max(sizes) == step
+    stacked_draws = len(drawn)
+    drawn.clear()
+    assert np.array_equal(stacked, loop_residuals(space, "min_degeneracy", 5, 5))
+    # the five stacked draws, then the loop's draws from the redrawn second sample on
+    assert stacked_draws == 5 + len(drawn) - (1 if reason else 5)
 
 
 # The class potential's singular-value cutoff: numpy's pinv defaults sit on
@@ -903,7 +1007,7 @@ def test_genus_matches_explicit_fusion_chain(n, h):
     flip = data[::-1]
     pairs = [
         (space.act(g, m), chain.act(g, nest(m))),
-        (space.push(g, m, basis[-1]), chain.push(g, nest(m), nest(basis[-1]))),
+        (space.act(g, basis[-1]), chain.act(g, nest(basis[-1]))),
         (space.generating_field(xi, m), chain.generating_field(xi, nest(m))),
         (space.field_at(data, m), chain.field_at(nest(data), nest(m))),
         (space.field_flow(data, m, 0.3), chain.field_flow(nest(data), nest(m), 0.3)),
