@@ -252,33 +252,41 @@ def _run_verify(args) -> tuple[int, dict]:
 
 
 def _run_cocycle(args) -> tuple[int, dict]:
+    from itertools import combinations
+
     import numpy as np
 
-    from .gerbe import eigenline_weight, spectral_record, vertex_weight_consistency
+    from .gerbe import (
+        cover_index_set,
+        eigenline_weight,
+        spectral_record,
+        vertex_weight_consistency,
+    )
     from .sun import random_special_unitary
 
     # the cocycle is checked on triples i < j < k of eigenvalue indices
     if args.n < 3:
         raise InputError("invalid-rank", f"cocycle needs n >= 3, got {args.n}")
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
+    accepted = []
     rejected = 0
-    done = 0
-    while done < args.samples:
-        record = spectral_record(random_special_unitary(args.n, rng))
-        if len(record.cover) < args.n:
+    while len(accepted) < args.samples:
+        a = random_special_unitary(args.n, rng)
+        if len(cover_index_set(a)) < args.n:
             rejected += 1
             if rejected > 100 * args.samples:
                 raise ToolkitError("sampling failed to produce regular matrices")
             continue
-        for i in range(1, args.n - 1):
-            for j in range(i + 1, args.n):
-                for k in range(j + 1, args.n + 1):
-                    coeff, ok = record.check(i, j, k)
-                    if not ok:
-                        raise ToolkitError("cocycle coefficient collapsed")
-                    worst = max(worst, abs(abs(coeff) - 1.0))
-        done += 1
+        accepted.append(a)
+    # one record of the accepted samples; each triple is one batched pair of
+    # determinants over them
+    record = spectral_record(np.stack(accepted))
+    worst = 0.0
+    for triple in combinations(range(1, args.n + 1), 3):
+        coeff, ok = record.check(*triple)
+        if not np.all(ok):
+            raise ToolkitError("cocycle coefficient collapsed")
+        worst = max(worst, float(np.max(np.abs(np.abs(coeff) - 1.0))))
     tol = 1e-8 if args.tol is None else args.tol
     consistent = vertex_weight_consistency(args.n)
     payload = {
@@ -305,7 +313,7 @@ def _run_holonomy(args) -> tuple[int, dict]:
         holonomy,
     )
     from .serialize import connection_from_json, matrix_to_json
-    from .sun import expm_skew, random_algebra, random_special_unitary
+    from .sun import random_algebra, random_special_unitary
 
     if args.file is not None:
         try:
@@ -316,9 +324,14 @@ def _run_holonomy(args) -> tuple[int, dict]:
         hol = holonomy(conn)
         return 0, {"steps": conn.steps, "holonomy": matrix_to_json(hol)}
 
-    grids = [int(s) for s in args.grids.split(",")]
-    if len(set(grids)) < 2:
-        raise InputError("invalid-grids", f"need at least two distinct grid sizes, got {grids}")
+    try:
+        grids = [int(s) for s in args.grids.split(",")]
+    except ValueError as exc:
+        raise InputError(
+            "invalid-grids", f"--grids takes comma-separated integers, got {args.grids!r}"
+        ) from exc
+    if len(set(grids)) < 2 or min(grids) < 1:
+        raise InputError("invalid-grids", f"need two distinct grid sizes >= 1, got {grids}")
     if args.n < 2:
         raise InputError("invalid-rank", f"SU(n) needs n >= 2, got {args.n}")
 
@@ -327,14 +340,20 @@ def _run_holonomy(args) -> tuple[int, dict]:
     y = random_algebra(args.n, rng)
     z = random_algebra(args.n, rng)
     g0 = random_special_unitary(args.n, rng)
-    winding = 1j * np.diag([1.0] + [0.0] * (args.n - 2) + [-1.0])
+    # The test loop g0 exp(2 pi t W) exp(sin(2 pi t) z) in closed form: W is
+    # i diag(1, 0, ..., 0, -1), and exp(s z) = V e^{-i s mu} V* for i z = V mu V*.
+    mu, vecs = np.linalg.eigh(1j * z)
+    turn = np.zeros(args.n)
+    turn[0], turn[-1] = 1.0, -1.0
 
     def conn_fn(t):
         return np.sin(2 * np.pi * t) * x + np.cos(4 * np.pi * t) * y
 
     def loop_fn(ts):
-        t = ts[:, None, None]
-        return g0 @ expm_skew(2 * np.pi * t * winding) @ expm_skew(np.sin(2 * np.pi * t) * z)
+        t = ts[:, None]
+        wound = g0 * np.exp(2j * np.pi * t * turn)[:, None, :]
+        flow = vecs * np.exp(-1j * np.sin(2 * np.pi * t) * mu)[:, None, :]
+        return wound @ flow @ vecs.conj().T
 
     residuals = {
         n_steps: gauge_equivariance_residual(conn_fn, loop_fn, n_steps)

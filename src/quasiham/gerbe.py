@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -26,10 +27,13 @@ GAP_TOL = 1e-9
 
 
 def _cover(lam: np.ndarray) -> frozenset[int]:
-    """Indices i whose gap after the i-th sorted phase is strict; gap n
-    compares the bottom phase against the top phase minus one."""
-    gaps = np.append(lam[:-1] - lam[1:], lam[-1] - (lam[0] - 1.0))
-    return frozenset(i + 1 for i, g in enumerate(gaps) if g > GAP_TOL)
+    """Indices i whose gap after the i-th sorted phase is strict for every
+    row of phases; gap n compares the bottom phase against the top phase
+    minus one."""
+    gaps = np.concatenate([lam[..., :-1] - lam[..., 1:], lam[..., -1:] - (lam[..., :1] - 1.0)],
+                          axis=-1)
+    strict = np.all(gaps > GAP_TOL, axis=tuple(range(gaps.ndim - 1)))
+    return frozenset(int(i) + 1 for i in np.flatnonzero(strict))
 
 
 def cover_index_set(a: np.ndarray, snap_tol: float = SNAP_TOL) -> frozenset[int]:
@@ -47,6 +51,7 @@ def eigenline_weight(n: int, i: int) -> CartanVector:
     return tuple(base)
 
 
+@lru_cache(maxsize=None)
 def vertex_weight_consistency(n: int) -> bool:
     """Check that partial sums of the eigenline weights reproduce the alcove
     vertices of the rank n-1 simplex (index n giving the origin)."""
@@ -96,17 +101,18 @@ def wedge_coordinates(columns: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralRecord:
-    """What the gerbe reads off one special unitary matrix: its alcove
-    phases, its cover pieces and an orthonormal basis Q_ij of the spectral
-    subspace of eigenvalue positions i+1 .. j for each pair i < j of strict
-    gaps."""
+    """What the gerbe reads off a special unitary matrix or a stack of them:
+    the alcove phases (..., n), the cover pieces containing every matrix and,
+    for each pair i < j of those pieces, orthonormal bases Q_ij (..., n, j - i)
+    of the spectral subspaces of eigenvalue positions i+1 .. j.  Leading
+    axes are those of the matrices; coefficients carry them too."""
 
     phases: np.ndarray
     cover: frozenset[int]
     bases: dict[tuple[int, int], np.ndarray]
 
     def basis(self, i: int, j: int) -> np.ndarray:
-        n = len(self.phases)
+        n = self.phases.shape[-1]
         if not (1 <= i < j <= n):
             raise InputError("invalid-index", f"need 1 <= i < j <= {n}, got ({i}, {j})")
         if i not in self.cover or j not in self.cover:
@@ -116,43 +122,49 @@ class SpectralRecord:
             )
         return self.bases[i, j]
 
-    def coefficient(self, i: int, j: int, k: int) -> complex:
+    def coefficient(self, i: int, j: int, k: int) -> complex | np.ndarray:
         """<rep(i,k), rep(i,j) ^ rep(j,k)> / <rep(i,k), rep(i,k)>; by
-        Cauchy-Binet each pairing of top wedges is one determinant."""
+        Cauchy-Binet each pairing of top wedges is one determinant, taken
+        over the whole stack at once."""
         if not (i < j < k):
             raise InputError("invalid-index", f"need i < j < k, got ({i}, {j}, {k})")
         if not {i, j, k} <= self.cover:
             raise InputError("outside-cover", f"matrix is not in V_{i} * V_{j} * V_{k}")
-        full = self.bases[i, k].conj().T
-        both = np.hstack([self.bases[i, j], self.bases[j, k]])
-        return complex(np.linalg.det(full @ both) / np.linalg.det(full @ self.bases[i, k]))
+        full = self.bases[i, k].conj().swapaxes(-1, -2)
+        both = np.concatenate([self.bases[i, j], self.bases[j, k]], axis=-1)
+        out = np.linalg.det(full @ both) / np.linalg.det(full @ self.bases[i, k])
+        return complex(out) if out.ndim == 0 else out
 
-    def check(self, i: int, j: int, k: int) -> tuple[complex, bool]:
+    def check(self, i: int, j: int, k: int) -> tuple:
         """The coefficient and whether it witnesses an isomorphism (nonzero
-        well above rounding)."""
+        well above rounding), per matrix of the stack."""
         coeff = self.coefficient(i, j, k)
         return coeff, abs(coeff) > 1e-8
 
 
 def spectral_record(a: np.ndarray, snap_tol: float = SNAP_TOL) -> SpectralRecord:
-    """One validation and phase computation (both in alcove_coordinates) and
-    one eigendecomposition of a, shared by every determinant line and
-    cocycle triple on it."""
+    """The record of a matrix or a stack of them: one validation and phase
+    computation (both in alcove_coordinates), one batched eigendecomposition
+    and one batched QR per pair of cover pieces, shared by every determinant
+    line and cocycle triple on the stack."""
     a = np.asarray(a, dtype=complex)
-    lam = alcove_coordinates(a, snap_tol=snap_tol)
-    vals, vecs = np.linalg.eig(a)
-    # eigenvectors matched to the sorted phases
-    unused = list(range(len(vals)))
-    order = []
-    for t in np.exp(2j * np.pi * lam):
-        best = min(unused, key=lambda k: abs(vals[k] - t))
-        if abs(vals[best] - t) > 1e-6:
+    flat = a.reshape((-1,) + a.shape[-2:])
+    lam = alcove_coordinates(flat, snap_tol=snap_tol)
+    vals, vecs = np.linalg.eig(flat)
+    # eigenvectors matched to the sorted phases: position by position, the
+    # nearest eigenvalue not yet taken
+    dist = np.abs(vals[:, None, :] - np.exp(2j * np.pi * lam)[:, :, None])
+    rows = np.arange(len(flat))
+    order = np.empty(lam.shape, dtype=int)
+    for pos in range(lam.shape[1]):
+        best = order[:, pos] = np.argmin(dist[:, pos], axis=-1)
+        if np.any(dist[rows, pos, best] > 1e-6):
             raise InputError("eigen-matching", "failed to match eigenvalues to phases")
-        order.append(best)
-        unused.remove(best)
-    vecs = vecs[:, order]
+        dist[rows, :, best] = np.inf
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1).reshape(a.shape)
+    lam = lam.reshape(a.shape[:-1])
     cover = _cover(lam)
-    bases = {(i, j): np.linalg.qr(vecs[:, i:j])[0] for i in cover for j in cover if i < j}
+    bases = {(i, j): np.linalg.qr(vecs[..., i:j])[0] for i in cover for j in cover if i < j}
     return SpectralRecord(phases=lam, cover=cover, bases=bases)
 
 

@@ -14,7 +14,6 @@ A constant sample ξ gives exp(ξ) exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -24,40 +23,52 @@ from .sun import check_algebra, check_special_unitary, complex_pairs, expm_skew,
 
 @dataclass(frozen=True)
 class PiecewiseConnection:
-    """Uniform grid of algebra values on the circle."""
+    """Uniform grid of algebra values on the circle, held as one (N, n, n)
+    array and validated once."""
 
-    samples: tuple[np.ndarray, ...]
+    samples: np.ndarray
 
     def __post_init__(self):
-        if len(self.samples) < 1:
-            raise InputError("empty-grid", "need at least one sample")
-        check_algebra(np.stack(self.samples), tol=1e-9)
+        try:
+            samples = np.asarray(self.samples, dtype=complex)
+        except ValueError as exc:
+            raise InputError("malformed-connection", "samples must share one shape") from exc
+        if samples.ndim != 3 or samples.size == 0 or samples.shape[1] != samples.shape[2]:
+            raise InputError(
+                "empty-grid" if samples.size == 0 else "malformed-connection",
+                f"need a nonempty stack of square samples, got shape {samples.shape}",
+            )
+        object.__setattr__(self, "samples", check_algebra(samples, tol=1e-9))
 
     @property
     def steps(self) -> int:
         return len(self.samples)
 
     def to_json(self) -> dict:
-        return {
-            "steps": self.steps,
-            "samples": [complex_pairs(s) for s in self.samples],
-        }
+        return {"steps": self.steps, "samples": complex_pairs(self.samples)}
 
 
 def holonomy(conn: PiecewiseConnection) -> np.ndarray:
-    """Ordered product of step exponentials, earliest factor leftmost; the
-    N steps are exponentiated as one stack."""
-    steps = expm_skew((1.0 / conn.steps) * np.stack(conn.samples))
-    return reduce(np.matmul, steps)
+    """Ordered product of step exponentials, earliest factor leftmost.  The N
+    steps are exponentiated as one stack and multiplied by halving: each
+    round multiplies neighbouring pairs as one batched product, an odd last
+    step paired with the identity on its right."""
+    steps = expm_skew((1.0 / conn.steps) * conn.samples)
+    while len(steps) > 1:
+        if len(steps) % 2:
+            steps = np.concatenate([steps, np.eye(steps.shape[-1])[None]])
+        steps = steps[0::2] @ steps[1::2]
+    return steps[0]
 
 
-def gauge_transform(loop: list, conn: PiecewiseConnection) -> PiecewiseConnection:
-    """Apply g.A = Ad_g(A) - (dg) g^{-1} on matching grids, as one stack.
+def gauge_transform(loop: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Apply g.A = Ad_g(A) - (dg) g^{-1} to a stack of connection samples on
+    the matching grid of loop samples; returns the transformed stack.
 
     The derivative term uses central differences of the loop samples with
     cyclic indexing, so the loop grid must match the connection grid.
     """
-    n_steps = conn.steps
+    n_steps = len(samples)
     if len(loop) != n_steps:
         raise InputError(
             "grid-mismatch", f"loop has {len(loop)} samples, connection {n_steps}"
@@ -68,13 +79,12 @@ def gauge_transform(loop: list, conn: PiecewiseConnection) -> PiecewiseConnectio
     dg = (np.roll(gs, -1, axis=0) - np.roll(gs, 1, axis=0)) / (2.0 * h)
     # The discretized derivative term sits O(h^2) off the algebra;
     # projecting it back removes pure discretization noise.
-    out = gs @ np.stack(conn.samples) @ ginv - project_algebra(dg @ ginv)
-    return PiecewiseConnection(samples=tuple(out))
+    return gs @ samples @ ginv - project_algebra(dg @ ginv)
 
 
 def constant_connection(xi: np.ndarray, steps: int) -> PiecewiseConnection:
     check_algebra(xi)
-    return PiecewiseConnection(samples=tuple(np.array(xi) for _ in range(steps)))
+    return PiecewiseConnection(samples=np.broadcast_to(xi, (steps,) + np.shape(xi)))
 
 
 def midpoint_grid(steps: int) -> np.ndarray:
@@ -83,21 +93,22 @@ def midpoint_grid(steps: int) -> np.ndarray:
 
 
 def sample_smooth_connection(fn, steps: int) -> PiecewiseConnection:
-    """Sample a smooth algebra-valued function at the midpoint grid."""
-    return PiecewiseConnection(
-        samples=tuple(fn(t) for t in midpoint_grid(steps))
-    )
+    """Sample a smooth algebra-valued function at the midpoint grid: fn is
+    called once, on the (steps, 1, 1) column of midpoint times, and returns
+    the (steps, n, n) stack of values."""
+    return PiecewiseConnection(samples=fn(midpoint_grid(steps)[:, None, None]))
 
 
 def gauge_equivariance_residual(conn_fn, loop_fn, steps: int) -> float:
     """|hol(g.A) - g(0) hol(A) g(0)^-1| for midpoint-sampled smooth data.
 
-    conn_fn maps one time to an algebra value; loop_fn maps an array of k
-    times to the (k, n, n) stack of loop values, so a grid is one call.
+    conn_fn maps the (steps, 1, 1) column of times to the stack of algebra
+    values; loop_fn maps an array of k times to the (k, n, n) stack of loop
+    values, so a grid is one call of each.
     """
     conn = sample_smooth_connection(conn_fn, steps)
     loop = loop_fn(midpoint_grid(steps))
-    lhs = holonomy(gauge_transform(loop, conn))
+    lhs = holonomy(PiecewiseConnection(gauge_transform(loop, conn.samples)))
     g0 = loop_fn(np.zeros(1))[0]
     rhs = g0 @ holonomy(conn) @ g0.conj().T
     return float(np.max(np.abs(lhs - rhs)))

@@ -20,6 +20,7 @@ structure equation are pinned by the moment and cocycle residual checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -303,7 +304,8 @@ class ConjugacyClass(QSpace):
             raise InputError("not-in-alcove", "top-bottom eigenvalue gap exceeds one")
         self.xi = tuple(xi)
         self.base = torus_point([float(x) for x in xi])
-        self.dim = len(self.tangent_basis(self.base))
+        # n^2 - 1 less the centralizer's sum m_i^2 - 1; m_i counts entries equal mod 1
+        self.dim = self.n**2 - sum(m * m for m in Counter(x % 1 for x in xi).values())
 
     def sample(self, rng):
         u = random_special_unitary(self.n, rng)

@@ -138,61 +138,37 @@ def torus_point(lam) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * lam))
 
 
-def _circular_clusters(phases: np.ndarray, tol: float) -> list[list[int]]:
-    """Group phase values in [0,1) that sit within tol on the circle."""
-    order = np.argsort(phases)
-    n = len(phases)
-    breaks = []
-    for pos in range(n):
-        cur = phases[order[pos]]
-        nxt = phases[order[(pos + 1) % n]] + (1.0 if pos == n - 1 else 0.0)
-        if nxt - cur > tol:
-            breaks.append(pos)
-    if not breaks:
-        return [list(order)]
-    clusters = []
-    start = (breaks[-1] + 1) % n
-    for b in breaks:
-        cluster = []
-        pos = start
-        while True:
-            cluster.append(int(order[pos]))
-            if pos == b:
-                break
-            pos = (pos + 1) % n
-        clusters.append(cluster)
-        start = (b + 1) % n
-    return clusters
-
-
 def alcove_coordinates(a: np.ndarray, snap_tol: float = SNAP_TOL) -> np.ndarray:
     """Sorted eigenvalue phases of a special unitary matrix, normalized to
     the fundamental alcove: descending, summing to zero, top-bottom gap at
     most one.  Phases within snap_tol of an alcove wall are snapped onto it.
+    A stack of matrices gives the stack of their coordinates.
     """
     a = check_special_unitary(a)
-    if a.ndim != 2:
-        raise InputError("not-square", f"expected one square matrix, got {a.shape}")
-    n = a.shape[0]
+    n = a.shape[-1]
     try:
         eigvals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise InputError("eigensolver-failure", str(exc)) from exc
-    phases = (np.angle(eigvals) / (2.0 * np.pi)) % 1.0
+    phases = np.sort((np.angle(eigvals) / (2.0 * np.pi)) % 1.0, axis=-1)
 
     # Snap: replace each circular cluster of nearly equal phases by its
-    # circular mean so wall membership is exact downstream.
-    snapped = phases.copy()
-    for cluster in _circular_clusters(phases, snap_tol):
-        zs = np.exp(2j * np.pi * phases[cluster])
-        mean = (np.angle(zs.sum()) / (2.0 * np.pi)) % 1.0
-        snapped[cluster] = mean
+    # circular mean so wall membership is exact downstream.  A cluster ends
+    # at each gap wider than snap_tol; the run after the last such gap
+    # continues the first cluster across the wrap at one.
+    wide = np.concatenate([phases[..., 1:], phases[..., :1] + 1.0], axis=-1) - phases > snap_tol
+    label = np.cumsum(wide, axis=-1) - wide
+    label[label == np.sum(wide, axis=-1, keepdims=True)] = 0
+    sums = np.einsum("...p,...pc->...c", np.exp(2j * np.pi * phases),
+                     label[..., :, None] == np.arange(n))
+    snapped = (np.angle(np.take_along_axis(sums, label, axis=-1)) / (2.0 * np.pi)) % 1.0
 
-    q = np.sort(snapped)[::-1]
-    m = int(round(q.sum()))
-    lam = np.concatenate([q[m:], q[:m] - 1.0])
-    lam -= lam.sum() / n
-    if not (np.all(np.diff(lam) <= 1e-12) and lam[0] - lam[-1] <= 1.0 + 1e-9):
+    # the top m phases move down by one, m the rounded phase sum
+    q = np.sort(snapped, axis=-1)[..., ::-1]
+    m = np.rint(np.sum(q, axis=-1, keepdims=True)).astype(int)
+    lam = np.take_along_axis(q, (np.arange(n) + m) % n, axis=-1) - (np.arange(n) >= n - m)
+    lam -= np.sum(lam, axis=-1, keepdims=True) / n
+    if not (np.all(np.diff(lam) <= 1e-12) and np.all(lam[..., 0] - lam[..., -1] <= 1.0 + 1e-9)):
         raise InputError("alcove-normalization", f"bad representative {lam}")
     return lam
 

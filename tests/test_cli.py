@@ -253,6 +253,10 @@ def test_group_rank_below_two_exits_two(argv, capsys):
         (["verify", "--space", "sphere4", "--axiom", "moment"], "unsupported-axiom"),
         (["verify", "--space", "double"], "missing-argument"),
         (["verify", "--space", "conjugacy_class", "--axiom", "moment"], "missing-argument"),
+        (["holonomy-convergence", "--grids", "a,b"], "invalid-grids"),
+        (["holonomy-convergence", "--grids", "8,,16"], "invalid-grids"),
+        (["holonomy-convergence", "--grids", "0,8"], "invalid-grids"),
+        (["holonomy-convergence", "--grids=-8,8"], "invalid-grids"),
     ],
 )
 def test_invalid_input_exits_two_with_tag(argv, tag, capsys):
@@ -297,6 +301,51 @@ def test_verify_fuzz_exits_cleanly(space, axiom, n, genus, samples, xi, fd_step,
     assert "Traceback" not in err.getvalue(), argv
     assert not caught, (argv, [str(w.message) for w in caught])
     assert (code == 2) == (out.getvalue() == ""), argv
+
+
+def run_main_quietly(argv):
+    """Exit code, stdout, stderr and warnings of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+            redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def assert_clean_exit(argv, code, out, err, caught):
+    event(f"exit {code}")
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err and not caught, (argv, err, caught)
+    assert (code == 2) == (out == ""), argv
+    if code == 2:
+        assert re.match(r"error: [a-z]+(-[a-z]+)*: ", err), (argv, err)
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(-1, 6), samples=st.integers(-1, 5),
+       tol=st.none() | st.sampled_from(FLOAT_POOL), seed=st.integers(0, 2**32 - 1))
+def test_cocycle_fuzz_exits_cleanly(n, samples, tol, seed):
+    argv = ["cocycle", f"--n={n}", f"--samples={samples}", f"--seed={seed}", "--json"]
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    assert_clean_exit(argv, *run_main_quietly(argv))
+
+
+# at most four grids of at most 256 steps, some of them malformed
+GRID_ITEMS = st.integers(-2, 256).map(str) | st.sampled_from(["", "x", "1.5", " 16"])
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(-1, 6), grids=st.none() | st.lists(GRID_ITEMS, min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_holonomy_convergence_fuzz_exits_cleanly(n, grids, seed):
+    argv = ["holonomy-convergence", f"--n={n}", f"--seed={seed}", "--json"]
+    if grids is not None:
+        argv.append(f"--grids={','.join(grids)}")
+    assert_clean_exit(argv, *run_main_quietly(argv))
 
 
 def test_missing_connection_file_exits_two(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import importlib
+from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import combinations
 from math import comb
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from quasiham.alcove import open_face_set
+from quasiham.cli import dispatch, main, render
 from quasiham.errors import InputError
 from quasiham.gerbe import (
     cocycle_check,
@@ -18,8 +21,11 @@ from quasiham.gerbe import (
     vertex_weight_consistency,
     wedge_coordinates,
 )
+from quasiham.rational import format_vector
 from quasiham.roots import LieType, a_series_from_euclidean, build_root_system
 from quasiham.sun import alcove_coordinates, random_special_unitary, torus_point
+
+gerbe = importlib.import_module("quasiham.gerbe")
 
 
 def wedge_product(u, p, v, q, n):
@@ -255,8 +261,12 @@ def test_record_rejects_non_unitary():
         spectral_record(2.0 * np.eye(3, dtype=complex))
     assert err.value.code == "not-special-unitary"
     with pytest.raises(InputError) as err:
-        spectral_record(np.stack([np.eye(3, dtype=complex)] * 2))
-    assert err.value.code == "not-square"
+        spectral_record(np.stack([np.eye(3, dtype=complex), 2.0 * np.eye(3, dtype=complex)]))
+    assert err.value.code == "not-special-unitary"
+    for shape in [(3, 4), (2, 3, 4), (3,)]:
+        with pytest.raises(InputError) as err:
+            spectral_record(np.ones(shape, dtype=complex))
+        assert err.value.code == "not-square"
 
 
 def test_det_line_json():
@@ -264,3 +274,140 @@ def test_det_line_json():
     data = spectral_det_line(a, 1, 2).to_json()
     assert len(data["basis"]) == 1 and len(data["basis"][0]) == 3
     assert len(data["representative"]) == 3
+
+
+def record_per_matrix(a):
+    """The record of one matrix as built before records took stacks: a
+    greedy Python match of eigenvalues to phases and one QR per pair."""
+    lam = alcove_coordinates(a)
+    vals, vecs = np.linalg.eig(a)
+    unused = list(range(len(vals)))
+    order = []
+    for t in np.exp(2j * np.pi * lam):
+        best = min(unused, key=lambda k: abs(vals[k] - t))
+        assert abs(vals[best] - t) <= 1e-6
+        order.append(best)
+        unused.remove(best)
+    vecs = vecs[:, order]
+    gaps = np.append(lam[:-1] - lam[1:], lam[-1] - (lam[0] - 1.0))
+    cover = frozenset(i + 1 for i, g in enumerate(gaps) if g > 1e-9)
+    bases = {(i, j): np.linalg.qr(vecs[:, i:j])[0] for i in cover for j in cover if i < j}
+    return lam, cover, bases
+
+
+def coefficient_per_matrix(bases, i, j, k):
+    full = bases[i, k].conj().T
+    both = np.hstack([bases[i, j], bases[j, k]])
+    return complex(np.linalg.det(full @ both) / np.linalg.det(full @ bases[i, k]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stacked_record_equals_per_matrix_records(n, seed):
+    rng = np.random.default_rng(40 + 10 * n + seed)
+    mats = np.stack([regular_sample(n, rng) for _ in range(4)])
+    record = spectral_record(mats)
+    assert record.phases.shape == (4, n) and record.cover == frozenset(range(1, n + 1))
+    for p, a in enumerate(mats):
+        lam, cover, bases = record_per_matrix(a)
+        assert np.array_equal(record.phases[p], lam) and record.cover == cover
+        assert record.bases.keys() == bases.keys()
+        for key, q in bases.items():
+            assert record.bases[key].shape == (4, n, key[1] - key[0])
+            assert np.array_equal(record.bases[key][p], q)
+        for triple in combinations(range(1, n + 1), 3):
+            assert record.coefficient(*triple)[p] == coefficient_per_matrix(bases, *triple)
+    # one matrix is the same record without the leading axis
+    one = spectral_record(mats[2])
+    assert np.array_equal(one.phases, record.phases[2])
+    assert all(np.array_equal(one.bases[key], q[2]) for key, q in record.bases.items())
+    assert one.coefficient(1, 2, 3) == record.coefficient(1, 2, 3)[2]
+    assert one.check(1, 2, 3) == (one.coefficient(1, 2, 3), True)
+
+
+def test_stacked_record_cover_is_the_pieces_containing_every_matrix():
+    wall = torus_point([0.25, 0.25, -0.5])  # cover {2, 3}
+    generic = regular_sample(3, np.random.default_rng(9))
+    record = spectral_record(np.stack([generic, wall, generic]))
+    assert record.cover == frozenset({2, 3}) and set(record.bases) == {(2, 3)}
+    assert np.array_equal(record.basis(2, 3)[1], record_per_matrix(wall)[2][2, 3])
+    with pytest.raises(InputError) as err:
+        record.coefficient(1, 2, 3)
+    assert err.value.code == "outside-cover"
+    coeff, ok = spectral_record(np.stack([generic, generic])).check(1, 2, 3)
+    assert coeff.shape == (2,) and ok.tolist() == [True, True]
+
+
+def test_stacked_record_spans_degenerate_eigenspaces():
+    # two positions share an eigenvalue: each takes its own eigenvector
+    rng = np.random.default_rng(17)
+    us = np.stack([random_special_unitary(3, rng) for _ in range(3)])
+    mats = us @ torus_point([0.4, -0.2, -0.2]) @ us.conj().swapaxes(-1, -2)
+    record = spectral_record(mats)
+    assert record.cover == frozenset({1, 3})
+    q = record.basis(1, 3)
+    assert np.max(np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(2))) < 1e-12
+    eigenspace = us[:, :, 1:] @ us[:, :, 1:].conj().swapaxes(-1, -2)
+    assert np.max(np.abs(q @ q.conj().swapaxes(-1, -2) - eigenspace)) < 1e-9
+
+
+def cocycle_payload_per_sample(n, samples, seed):
+    """The cocycle verb as a loop over samples, one record per draw."""
+    rng = np.random.default_rng(seed)
+    worst, rejected, done = 0.0, 0, 0
+    while done < samples:
+        lam, cover, bases = record_per_matrix(random_special_unitary(n, rng))
+        if len(cover) < n:
+            rejected += 1
+            continue
+        for triple in combinations(range(1, n + 1), 3):
+            coeff = coefficient_per_matrix(bases, *triple)
+            assert abs(coeff) > 1e-8
+            worst = max(worst, abs(abs(coeff) - 1.0))
+        done += 1
+    return {
+        "n": n, "samples": samples, "rejected": rejected, "max_unimodularity_defect": worst,
+        "tolerance": 1e-8,
+        "eigenline_weights": [format_vector(eigenline_weight(n, i)) for i in range(1, n + 1)],
+        "vertex_weight_consistency": True, "pass": worst < 1e-8,
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 7, 1234567])
+def test_cocycle_payload_equals_per_sample_loop(n, seed):
+    code, payload = dispatch(["cocycle", "--n", str(n), "--samples", "5", "--seed", str(seed)])
+    assert code == 0
+    assert render(payload, True) == render(cocycle_payload_per_sample(n, 5, seed), True)
+
+
+def wrong_block_record(shift):
+    """spectral_record with Q_jk replaced by a wrong basis: the eigenvector
+    block one position early (shift="position") or the block of the next
+    sample of the stack (shift="sample")."""
+    honest = gerbe.spectral_record
+
+    def tampered(a, *args, **kwargs):
+        record = honest(a, *args, **kwargs)
+        bases = dict(record.bases)
+        for (j, k), q in record.bases.items():
+            if j > 1 and shift == "position":
+                bases[j, k] = honest(a).bases[j - 1, k - 1]
+            elif j > 1:
+                bases[j, k] = np.roll(q, 1, axis=0)
+        return replace(record, bases=bases)
+
+    return tampered
+
+
+def test_cocycle_fails_on_a_record_with_a_wrong_block(monkeypatch, capsys):
+    # another sample's block gives coefficients off the unit circle
+    monkeypatch.setattr(gerbe, "spectral_record", wrong_block_record("sample"))
+    for n in (3, 4, 5):
+        code, payload = dispatch(["cocycle", "--n", str(n), "--samples", "5"])
+        assert code == 1 and payload["pass"] is False
+        assert payload["max_unimodularity_defect"] > 1e-2
+    # the block one position early shares a line with Q_ij: the coefficient collapses
+    monkeypatch.setattr(gerbe, "spectral_record", wrong_block_record("position"))
+    assert main(["cocycle", "--n", "4", "--samples", "5"]) == 2
+    assert "cocycle coefficient collapsed" in capsys.readouterr().err

@@ -263,6 +263,34 @@ def test_central_class_omega_vanishes():
     assert pair_omega(c, m, z, z) == pytest.approx(0.0, abs=1e-14)
 
 
+def rational_alcove_point(rng, n):
+    """A rational SU(n) alcove point whose n cyclic gaps c_i / q may vanish,
+    the wrap-around gap included (top minus bottom entry equal to one)."""
+    q = int(rng.integers(1, 13))
+    gaps = np.diff(np.concatenate([[0], np.sort(rng.integers(0, q + 1, n - 1)), [q]]))
+    lam = [Q(0)]
+    for c in gaps[1:]:
+        lam.append(lam[-1] - Q(int(c), q))
+    shift = sum(lam) / n
+    return tuple(x - shift for x in lam)
+
+
+def test_class_dim_is_exact_and_matches_tangent_basis():
+    # dim = n^2 - sum m_i^2 over the multiplicities of the entries mod 1
+    rng = np.random.default_rng(23)
+    points = [rational_alcove_point(rng, int(rng.integers(2, 6))) for _ in range(600)]
+    points += [(Q(1, 2), Q(-1, 2)), (Q(0), Q(0)), (Q(1, 3), Q(1, 3), Q(-2, 3)),
+               (Q(1, 2), Q(0), Q(-1, 2)), NEAR_DEGENERATE_XI3]
+    walls = 0
+    for xi in points:
+        c = ConjugacyClass(len(xi), xi)
+        assert c.dim == len(c.tangent_basis(c.base)), xi
+        walls += xi[0] - xi[-1] == 1
+    assert walls > 20
+    assert ConjugacyClass(2, (Q(1, 2), Q(-1, 2))).dim == 0  # the half-central class
+    assert ConjugacyClass(3, (Q(1, 2), Q(0), Q(-1, 2))).dim == 4
+
+
 def test_fused_double_moment_at_commuting_pair():
     f = InternalFusion(Double(2))
     h = 1j * np.diag([1.0, -1.0])

@@ -87,6 +87,56 @@ def test_alcove_coordinates_snaps_walls():
     assert alcove_coordinates(c)[0] == pytest.approx(0.1, abs=1e-15)
 
 
+def alcove_coordinates_loop(a, snap_tol=1e-9):
+    """alcove_coordinates of one matrix as a loop over the circular clusters
+    of its phases, each snapped to the numpy sum of its unit vectors."""
+    phases = (np.angle(np.linalg.eigvals(a)) / (2.0 * np.pi)) % 1.0
+    n = len(phases)
+    order = np.argsort(phases)
+    breaks = [pos for pos in range(n)
+              if phases[order[(pos + 1) % n]] + (1.0 if pos == n - 1 else 0.0)
+              - phases[order[pos]] > snap_tol]
+    clusters = [list(order)] if not breaks else []
+    start = (breaks[-1] + 1) % n if breaks else 0
+    for b in breaks:
+        cluster, pos = [], start
+        while True:
+            cluster.append(int(order[pos]))
+            if pos == b:
+                break
+            pos = (pos + 1) % n
+        clusters.append(cluster)
+        start = (b + 1) % n
+    snapped = phases.copy()
+    for cluster in clusters:
+        mean = np.angle(np.exp(2j * np.pi * phases[cluster]).sum()) / (2.0 * np.pi)
+        snapped[cluster] = mean % 1.0
+    q = np.sort(snapped)[::-1]
+    m = int(round(q.sum()))
+    lam = np.concatenate([q[m:], q[:m] - 1.0])
+    return lam - lam.sum() / n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_stacked_alcove_coordinates_match_cluster_loop(n):
+    rng = np.random.default_rng(60 + n)
+    mats = np.stack([random_special_unitary(n, rng) for _ in range(200)])
+    stacked = alcove_coordinates(mats)
+    assert stacked.shape == (200, n)
+    for lam, a in zip(stacked, mats):
+        assert np.array_equal(lam, alcove_coordinates_loop(a))
+        assert np.array_equal(lam, alcove_coordinates(a))
+    # wall points, conjugated: clusters of two or more phases, across the
+    # wrap at one too, snap to means that agree up to the summation order
+    u = random_special_unitary(n, rng)
+    for lam in ([0.0] * n, [0.5, -0.5] + [0.0] * (n - 2), [(n - 1) / n] + [-1 / n] * (n - 1),
+                [0.25, 0.25] + [-0.5 / max(n - 2, 1)] * (n - 2)):
+        if len(lam) != n or abs(sum(lam)) > 1e-12:
+            continue
+        wall = u @ torus_point(lam) @ u.conj().T
+        assert np.max(np.abs(alcove_coordinates(wall) - alcove_coordinates_loop(wall))) <= 1e-15
+
+
 def test_maurer_cartan():
     rng = np.random.default_rng(4)
     e = np.eye(2, dtype=complex)
@@ -249,7 +299,7 @@ def test_checks_on_stacks():
             check_special_unitary(np.zeros(shape))
         assert err.value.code == "not-square"
     with pytest.raises(InputError) as err:
-        alcove_coordinates(np.stack([np.eye(2)] * 2))
+        alcove_coordinates(np.zeros((2, 2, 3)))
     assert err.value.code == "not-square"
 
 
