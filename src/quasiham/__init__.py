@@ -25,13 +25,10 @@ _HOME = {
     ],
     "errors": ["InputError", "ToolkitError"],
     "gerbe": [
-        "DetLine",
         "SpectralRecord",
         "cocycle_check",
-        "cocycle_coefficient",
         "cover_index_set",
         "eigenline_weight",
-        "spectral_det_line",
         "spectral_record",
         "vertex_weight_consistency",
     ],

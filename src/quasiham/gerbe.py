@@ -1,4 +1,4 @@
-"""Eigenvalue-gap cover of SU(n) and spectral determinant lines.
+"""Eigenvalue-gap cover of SU(n) and the spectral record of the basic gerbe.
 
 The sorted eigenvalue phases of a special unitary matrix have n cyclic gaps;
 the cover piece V_i collects matrices whose i-th gap is strict (the n-th gap
@@ -14,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
 from .errors import InputError
 from .rational import CartanVector, vec
-from .sun import SNAP_TOL, alcove_coordinates, complex_pairs
+from .sun import alcove_coordinates
 
 GAP_TOL = 1e-9
 
@@ -36,10 +34,10 @@ def _cover(lam: np.ndarray) -> frozenset[int]:
     return frozenset(int(i) + 1 for i in np.flatnonzero(strict))
 
 
-def cover_index_set(a: np.ndarray, snap_tol: float = SNAP_TOL) -> frozenset[int]:
+def cover_index_set(a: np.ndarray) -> frozenset[int]:
     """Indices i in 1..n whose eigenvalue gap is strict: the cover pieces
     containing the matrix."""
-    return _cover(alcove_coordinates(a, snap_tol=snap_tol))
+    return _cover(alcove_coordinates(a))
 
 
 def eigenline_weight(n: int, i: int) -> CartanVector:
@@ -68,35 +66,6 @@ def vertex_weight_consistency(n: int) -> bool:
         if a_series_embedding(rs, vertex) != total:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class DetLine:
-    """Orthonormal basis of a spectral subspace plus its top-wedge
-    representative in the lexicographic wedge basis."""
-
-    subspace_basis: tuple[np.ndarray, ...]
-    representative: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.subspace_basis)
-
-    def to_json(self) -> dict:
-        return {
-            "basis": [complex_pairs(b) for b in self.subspace_basis],
-            "representative": complex_pairs(self.representative),
-        }
-
-
-def wedge_coordinates(columns: np.ndarray) -> np.ndarray:
-    """Coordinates of v_1 ^ ... ^ v_m against the lexicographic wedge basis:
-    the m x m minors of the column matrix."""
-    n, m = columns.shape
-    out = np.empty(comb(n, m), dtype=complex)
-    for pos, rows in enumerate(combinations(range(n), m)):
-        out[pos] = np.linalg.det(columns[list(rows), :])
-    return out
 
 
 @dataclass(frozen=True)
@@ -142,14 +111,14 @@ class SpectralRecord:
         return coeff, abs(coeff) > 1e-8
 
 
-def spectral_record(a: np.ndarray, snap_tol: float = SNAP_TOL) -> SpectralRecord:
+def spectral_record(a: np.ndarray) -> SpectralRecord:
     """The record of a matrix or a stack of them: one validation and phase
     computation (both in alcove_coordinates), one batched eigendecomposition
     and one batched QR per pair of cover pieces, shared by every determinant
     line and cocycle triple on the stack."""
     a = np.asarray(a, dtype=complex)
     flat = a.reshape((-1,) + a.shape[-2:])
-    lam = alcove_coordinates(flat, snap_tol=snap_tol)
+    lam = alcove_coordinates(flat)
     vals, vecs = np.linalg.eig(flat)
     # eigenvectors matched to the sorted phases: position by position, the
     # nearest eigenvalue not yet taken
@@ -168,34 +137,7 @@ def spectral_record(a: np.ndarray, snap_tol: float = SNAP_TOL) -> SpectralRecord
     return SpectralRecord(phases=lam, cover=cover, bases=bases)
 
 
-def spectral_det_line(
-    a: np.ndarray, i: int, j: int, snap_tol: float = SNAP_TOL
-) -> DetLine:
-    """Determinant line of the spectral subspace for eigenvalue positions
-    i+1 .. j; requires both gaps i and j to be strict."""
-    basis = spectral_record(a, snap_tol).basis(i, j)
-    return DetLine(
-        subspace_basis=tuple(basis[:, k] for k in range(j - i)),
-        representative=wedge_coordinates(basis),
-    )
-
-
-def cocycle_coefficient(
-    a: np.ndarray, i: int, j: int, k: int, snap_tol: float = SNAP_TOL
-) -> complex:
-    """Coefficient of rep(i,j) ^ rep(j,k) against rep(i,k); the canonical
-    isomorphism is witnessed by a coefficient of modulus one."""
-    return spectral_record(a, snap_tol).coefficient(i, j, k)
-
-
-def cocycle_check(
-    a: np.ndarray, i: int, j: int, k: int, snap_tol: float = SNAP_TOL
-) -> tuple[complex, bool]:
+def cocycle_check(a: np.ndarray, i: int, j: int, k: int) -> tuple[complex, bool]:
     """The wedge-pairing coefficient and whether it witnesses an isomorphism
     (nonzero well above rounding)."""
-    return spectral_record(a, snap_tol).check(i, j, k)
-
-
-def subspace_projector(line: DetLine) -> np.ndarray:
-    cols = np.stack(line.subspace_basis, axis=1)
-    return cols @ cols.conj().T
+    return spectral_record(a).check(i, j, k)

@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
+from .errors import InputError
+
 CartanVector = tuple[Fraction, ...]
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -33,10 +35,6 @@ def vsub(x: CartanVector, y: CartanVector) -> CartanVector:
     return tuple(a - b for a, b in zip(x, y, strict=True))
 
 
-def vneg(x: CartanVector) -> CartanVector:
-    return tuple(-a for a in x)
-
-
 def scale(r, x: CartanVector) -> CartanVector:
     r = Fraction(r)
     return tuple(r * a for a in x)
@@ -48,27 +46,6 @@ def dot(x: CartanVector, y: CartanVector) -> Fraction:
 
 def matvec(m: Sequence[Sequence[Fraction]], x: CartanVector) -> CartanVector:
     return tuple(dot(tuple(row), x) for row in m)
-
-
-def solve(m: Sequence[Sequence[Fraction]], rhs: CartanVector) -> CartanVector:
-    """Solve a square exact linear system by Gaussian elimination.
-
-    Raises ValueError if the matrix is singular.
-    """
-    n = len(rhs)
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular exact linear system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))
 
 
 def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -122,14 +99,14 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}, expected 'p/q'") from exc
+        raise InputError("malformed-rational", f"expected 'p/q', got {text!r}") from exc
 
 
 def parse_vector(text: str) -> CartanVector:
     """Parse a comma-separated list of rationals."""
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
-        raise ValueError("empty rational vector")
+        raise InputError("empty-vector", "expected comma-separated rationals, got none")
     return tuple(parse_rational(p) for p in parts)
 
 

@@ -1,7 +1,5 @@
-"""JSON shapes shared by the command-line front end.
-
-Rationals serialize as 'p/q' strings, vectors as lists of those, complex
-matrices as row-major nested lists of [re, im] pairs.
+"""JSON input of the command-line front end: complex matrices as row-major
+nested lists of [re, im] pairs, and connections as lists of those.
 """
 
 from __future__ import annotations
@@ -10,12 +8,6 @@ import numpy as np
 
 from .errors import InputError
 from .holonomy import PiecewiseConnection
-from .rational import parse_rational
-from .sun import complex_pairs
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    return complex_pairs(m)
 
 
 def matrix_from_json(data) -> np.ndarray:
@@ -38,7 +30,3 @@ def connection_from_json(data) -> PiecewiseConnection:
     if not isinstance(data, list):
         raise InputError("malformed-connection", "expected a list of algebra matrices")
     return PiecewiseConnection(samples=tuple(matrix_from_json(m) for m in data))
-
-
-def vector_from_strings(items) -> tuple:
-    return tuple(parse_rational(str(s)) for s in items)

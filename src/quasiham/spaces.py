@@ -48,6 +48,7 @@ from .sun import (
 RANK_CUTOFF = 1e-7
 KERNEL_FLOOR = 1e-12
 COND_LIMIT = 1e8  # a tangent basis more ill-conditioned than this is redrawn
+RETRIES = 8  # draws per sample before a degenerate basis or undecided ranks is an error
 # Tangents per stacked min_degeneracy evaluation.  More gain no speed and cost
 # memory: genus(4, 8) with 50 samples took 42-46 ms a sample at 512 and 45-55 ms
 # with 250 MB more peak memory in one stack (2-vCPU KVM guest, BLAS on 1 thread).
@@ -228,12 +229,12 @@ class QSpace:
     def generating_field(self, xi, m):
         return self._generating(self._as_algebra(xi), m)
 
-    def random_group(self, rng, scale: float = 1.0):
-        gs = tuple(expm_skew(random_algebra(self.n, rng, scale, (self.group_factors,))))
+    def random_group(self, rng):
+        gs = tuple(expm_skew(random_algebra(self.n, rng, shape=(self.group_factors,))))
         return gs[0] if self.group_factors == 1 else gs
 
-    def random_algebra_element(self, rng, scale: float = 1.0):
-        xs = tuple(random_algebra(self.n, rng, scale, (self.group_factors,)))
+    def random_algebra_element(self, rng):
+        xs = tuple(random_algebra(self.n, rng, shape=(self.group_factors,)))
         return xs[0] if self.group_factors == 1 else xs
 
     def _as_group(self, g):
@@ -596,10 +597,10 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _sample_with_basis(space: QSpace, rng, retries: int = 8):
+def _sample_with_basis(space: QSpace, rng):
     """Draw a point and its tangent basis, resampling on bad conditioning."""
     last_exc = None
-    for _ in range(retries):
+    for _ in range(RETRIES):
         m = space.sample(rng)
         try:
             return m, space.tangent_basis(m)
@@ -633,12 +634,11 @@ def _random_tangent(space: QSpace, m, basis: list, rng):
     return tree_map(lambda x: np.tensordot(coeffs, x, axes=1), _stack_tangents(m, basis))
 
 
-def _orthonormal_fields(space: QSpace, rng, count: int = 3) -> list:
-    """Random field data, orthonormalized in the flat round metric."""
-    datas = [space.random_field(rng) for _ in range(count)]
-    rows = np.stack([tree_realvec(d) for d in datas])
-    q, _ = np.linalg.qr(rows.T)
-    return [tree_unflatten(datas[0], q[:, i]) for i in range(count)]
+def _orthonormal_fields(space: QSpace, rng) -> list:
+    """Three random field data, orthonormalized in the flat round metric."""
+    datas = [space.random_field(rng) for _ in range(3)]
+    q, _ = np.linalg.qr(np.stack([tree_realvec(d) for d in datas], axis=1))
+    return [tree_unflatten(datas[0], q[:, i]) for i in range(3)]
 
 
 def _moment_residuals(space: QSpace, m, xi, w) -> np.ndarray:
@@ -678,12 +678,12 @@ def _cocycle_residuals(space: QSpace, m, fields, fd_step: float) -> np.ndarray:
     return np.abs(d_omega - STRUCTURE_FORM_ORIENTATION * eta)
 
 
-def _rank(svals: np.ndarray, scale: np.ndarray) -> tuple:
-    """Per row of svals, relative to its scale: how many exceed RANK_CUTOFF
-    (none if scale <= KERNEL_FLOOR), and whether one is in the band."""
-    live, scale = scale > KERNEL_FLOOR, scale[..., None]
-    rank = np.where(live, np.sum(svals > RANK_CUTOFF * scale, axis=-1), 0)
-    band = (svals >= RANK_CUTOFF * scale) & (svals < DECIDED_GAP * scale)
+def _rank(svals: np.ndarray, ref: np.ndarray) -> tuple:
+    """Per row of svals, relative to its reference value ref: how many exceed
+    RANK_CUTOFF (none if ref <= KERNEL_FLOOR), and whether one is in the band."""
+    live, ref = ref > KERNEL_FLOOR, ref[..., None]
+    rank = np.where(live, np.sum(svals > RANK_CUTOFF * ref, axis=-1), 0)
+    band = (svals >= RANK_CUTOFF * ref) & (svals < DECIDED_GAP * ref)
     return rank, live & np.any(band, axis=-1)
 
 
@@ -722,7 +722,7 @@ def _degeneracy_mismatch(space: QSpace, m, tangents) -> np.ndarray:
     return np.where((mismatch > 0) & undecided, np.nan, mismatch)
 
 
-def _degeneracy_residuals(space: QSpace, samples: int, rng, retries: int = 8) -> np.ndarray:
+def _degeneracy_residuals(space: QSpace, samples: int, rng) -> np.ndarray:
     """The degeneracy mismatch of each sample.  The points are drawn in order and
     evaluated in stacks; from the first with a degenerate basis or undecided ranks on,
     the state before its draw is restored and the per-sample redraw loop takes over."""
@@ -738,14 +738,14 @@ def _degeneracy_residuals(space: QSpace, samples: int, rng, retries: int = 8) ->
             rng.bit_generator.state = states[first]
             break
     for i in range(first, samples):
-        for _ in range(retries):
+        for _ in range(RETRIES):
             m, basis = _sample_with_basis(space, rng)
             one = tree_map(lambda x: x[None], (m, _stack_tangents(m, basis)))
             out[i] = _degeneracy_mismatch(space, *one)[0]
             if not np.isnan(out[i]):
                 break
         else:
-            raise InputError("undecided-sample", f"no decided sample in {retries} draws")
+            raise InputError("undecided-sample", f"no decided sample in {RETRIES} draws")
     return out
 
 

@@ -95,18 +95,17 @@ def complex_pairs(a) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def random_algebra(n: int, rng: np.random.Generator, scale: float = 1.0,
-                   shape: tuple = ()) -> np.ndarray:
+def random_algebra(n: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
     """Gaussian traceless anti-Hermitian matrix, or a stack of the given
     shape drawn in order: one call for all the normals, matrix by matrix its
     real then its imaginary part, gives the values of one call per part."""
     z = rng.normal(size=shape + (2, n, n))
-    return scale * project_algebra(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+    return project_algebra(z[..., 0, :, :] + 1j * z[..., 1, :, :])
 
 
-def random_special_unitary(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Group point exp(X) for a Gaussian algebra draw X."""
-    return expm_skew(random_algebra(n, rng, scale))
+    return expm_skew(random_algebra(n, rng))
 
 
 def expm_skew(x: np.ndarray) -> np.ndarray:
@@ -138,10 +137,10 @@ def torus_point(lam) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * lam))
 
 
-def alcove_coordinates(a: np.ndarray, snap_tol: float = SNAP_TOL) -> np.ndarray:
+def alcove_coordinates(a: np.ndarray) -> np.ndarray:
     """Sorted eigenvalue phases of a special unitary matrix, normalized to
     the fundamental alcove: descending, summing to zero, top-bottom gap at
-    most one.  Phases within snap_tol of an alcove wall are snapped onto it.
+    most one.  Phases within SNAP_TOL of an alcove wall are snapped onto it.
     A stack of matrices gives the stack of their coordinates.
     """
     a = check_special_unitary(a)
@@ -154,9 +153,9 @@ def alcove_coordinates(a: np.ndarray, snap_tol: float = SNAP_TOL) -> np.ndarray:
 
     # Snap: replace each circular cluster of nearly equal phases by its
     # circular mean so wall membership is exact downstream.  A cluster ends
-    # at each gap wider than snap_tol; the run after the last such gap
+    # at each gap wider than SNAP_TOL; the run after the last such gap
     # continues the first cluster across the wrap at one.
-    wide = np.concatenate([phases[..., 1:], phases[..., :1] + 1.0], axis=-1) - phases > snap_tol
+    wide = np.concatenate([phases[..., 1:], phases[..., :1] + 1.0], axis=-1) - phases > SNAP_TOL
     label = np.cumsum(wide, axis=-1) - wide
     label[label == np.sum(wide, axis=-1, keepdims=True)] = 0
     sums = np.einsum("...p,...pc->...c", np.exp(2j * np.pi * phases),

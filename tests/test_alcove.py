@@ -20,7 +20,7 @@ from quasiham.alcove import (
     weight_lattice_contains,
 )
 from quasiham.errors import InputError
-from quasiham.rational import matvec, solve, vadd, vec, vsub, zero
+from quasiham.rational import matvec, vadd, vec, vsub, zero
 from quasiham.roots import (
     LieType,
     a_series_embedding,
@@ -32,6 +32,8 @@ from quasiham.roots import (
 # of the table verb.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import LEVELS, TABLE_TYPES  # noqa: E402
+
+from oracles import solve  # noqa: E402
 
 ALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "D4", "E6", "E7", "F4", "G2"]
 

@@ -1,6 +1,9 @@
+import importlib
+import inspect
 import io
 import json
 import re
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -14,10 +17,11 @@ from hypothesis import strategies as st
 import quasiham
 from quasiham import cli
 from quasiham.alcove import LevelWeightSet
-from quasiham.cli import VERB_COVERAGE, _HANDLERS, build_parser, dispatch, main, render
+from quasiham.cli import _HANDLERS, build_parser, dispatch, main, render
 from quasiham.errors import ToolkitError
 from quasiham.roots import LieType, build_root_system
-from quasiham.serialize import matrix_from_json, matrix_to_json
+from quasiham.serialize import matrix_from_json
+from quasiham.sun import complex_pairs
 
 
 def test_table_verb():
@@ -227,6 +231,9 @@ def test_group_rank_below_two_exits_two(argv, capsys):
     assert "invalid-rank" in captured.err and captured.out == ""
 
 
+CLASS = ["verify", "--space", "conjugacy_class", "--axiom", "moment"]
+
+
 @pytest.mark.parametrize(
     "argv,tag",
     [
@@ -257,6 +264,14 @@ def test_group_rank_below_two_exits_two(argv, capsys):
         (["holonomy-convergence", "--grids", "8,,16"], "invalid-grids"),
         (["holonomy-convergence", "--grids", "0,8"], "invalid-grids"),
         (["holonomy-convergence", "--grids=-8,8"], "invalid-grids"),
+        (CLASS + ["--n", "2", "--xi", "a"], "malformed-rational"),
+        (CLASS + ["--n", "2", "--xi", "1/0,0"], "malformed-rational"),
+        (CLASS + ["--n", "2", "--xi", "nan,nan"], "malformed-rational"),
+        (["check-class", "--type", "A1", "--xi", "1/x", "--level", "2"], "malformed-rational"),
+        (CLASS + ["--n", "2", "--xi", ""], "empty-vector"),
+        (CLASS + ["--n", "4", "--xi", "1/8,-1/8"], "dimension-mismatch"),
+        (CLASS + ["--n", "2", "--xi", "3/8,1/8,-1/8,-3/8"], "dimension-mismatch"),
+        (["check-class", "--type", "A2", "--xi", "1/2", "--level", "1"], "dimension-mismatch"),
     ],
 )
 def test_invalid_input_exits_two_with_tag(argv, tag, capsys):
@@ -265,6 +280,25 @@ def test_invalid_input_exits_two_with_tag(argv, tag, capsys):
         assert main(argv + ["--json"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {tag}:") and captured.out == ""
+
+
+def run_main_quietly(argv):
+    """Exit code, stdout, stderr and warnings of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+            redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def assert_clean_exit(argv, code, out, err, caught):
+    event(f"exit {code}")
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err and not caught, (argv, err, caught)
+    assert (code == 2) == (out == ""), argv
+    if code == 2:
+        assert re.match(r"error: [a-z]+(-[a-z]+)*: ", err), (argv, err)
 
 
 VERIFY_SPACES = ["conjugacy_class", "double", "fused_double", "genus", "sphere4", "eta_su2"]
@@ -288,38 +322,7 @@ def test_verify_fuzz_exits_cleanly(space, axiom, n, genus, samples, xi, fd_step,
     for flag, value in (("--axiom", axiom), ("--xi", xi), ("--fd-step", fd_step), ("--tol", tol)):
         if value is not None:
             argv.append(f"{flag}={value}")
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
-            redirect_stderr(err):
-        warnings.simplefilter("always")
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a bad choice this way
-            code = exc.code
-    event(f"exit {code}")
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in err.getvalue(), argv
-    assert not caught, (argv, [str(w.message) for w in caught])
-    assert (code == 2) == (out.getvalue() == ""), argv
-
-
-def run_main_quietly(argv):
-    """Exit code, stdout, stderr and warnings of main(argv)."""
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
-            redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
-
-
-def assert_clean_exit(argv, code, out, err, caught):
-    event(f"exit {code}")
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in err and not caught, (argv, err, caught)
-    assert (code == 2) == (out == ""), argv
-    if code == 2:
-        assert re.match(r"error: [a-z]+(-[a-z]+)*: ", err), (argv, err)
+    assert_clean_exit(argv, *run_main_quietly(argv))
 
 
 @settings(max_examples=150, deadline=None, database=None,
@@ -388,27 +391,60 @@ def test_console_entry_point_prints(capsys):
     assert "G2" in out and "60" in out
 
 
-def test_verb_coverage_table():
-    # every verb is real, and the coverage union spans the public operations
-    assert set(VERB_COVERAGE) == set(_HANDLERS)
-    covered = set()
-    for ops in VERB_COVERAGE.values():
-        covered.update(ops)
-    for name in covered:
-        assert hasattr(quasiham, name), name
-    required = {
-        "build_root_system", "inner_product", "height",
-        "alcove_vertices", "alcove_contains", "weight_lattice_contains",
-        "level_weights", "minimal_integral_level", "open_face_set",
-        "transition_weight",
-        "class_prequantizable", "torsion_level_admissible", "fusion_prequantizable",
-        "alcove_coordinates", "maurer_cartan", "canonical_three_form",
-        "make_space", "verify_axiom", "holonomy", "gauge_transform",
-        "sphere4_moment", "reduction_rank",
-        "cover_index_set", "eigenline_weight", "vertex_weight_consistency",
-        "spectral_det_line", "cocycle_check",
-    }
-    assert required <= covered
+# One light argv per verb, verify once per kind of check; the test adds the
+# file mode of holonomy-convergence.
+COVERAGE_ARGV = [
+    ["table"],
+    ["vertices", "--type", "A2"],
+    ["level-weights", "--type", "A2", "--level", "2"],
+    ["check-class", "--type", "A1", "--xi", "1/4,-1/4", "--level", "2", "--torsion", "2"],
+    ["verify", "--space", "conjugacy_class", "--n", "2", "--xi", "1/8,-1/8",
+     "--axiom", "cocycle", "--samples", "2"],
+    ["verify", "--space", "sphere4", "--samples", "2"],
+    ["verify", "--space", "eta_su2", "--samples", "2"],
+    ["cocycle", "--n", "3", "--samples", "2"],
+    ["holonomy-convergence", "--grids", "4,8"],
+    ["reduce-rank", "--n", "2", "--at", "commuting"],
+]
+# Public functions no verb calls, each with its reason.
+LIBRARY_ONLY = {
+    "cocycle_check": "the acceptance tests' one-matrix form of SpectralRecord.check",
+    "constant_connection": "the acceptance tests' connection xi dt",
+    "inner_product": "the exact side of the exact-numerical bridge",
+    "torus_algebra": "the numerical side of the exact-numerical bridge",
+}
+
+
+def test_verb_coverage_table(tmp_path):
+    # every public function is reached by some verb, or is library-only
+    conn = tmp_path / "conn.json"
+    conn.write_text(json.dumps({"samples": [[[[0, 0.3], [0, 0]], [[0, 0], [0, -0.3]]]]}))
+    argvs = COVERAGE_ARGV + [["holonomy-convergence", "--file", str(conn)]]
+    assert {argv[0] for argv in argvs} == set(_HANDLERS)
+    # read from the home modules: the package attribute `holonomy` is the
+    # submodule once that is loaded
+    functions = {name: getattr(importlib.import_module(f"quasiham.{module}"), name)
+                 for name, module in quasiham._LOOKUP.items()}
+    codes = {inspect.unwrap(fn).__code__: name for name, fn in functions.items()
+             if inspect.isfunction(inspect.unwrap(fn))}
+    # a cached call that hits runs no frame
+    for module in [m for key, m in sys.modules.items() if key.startswith("quasiham.")]:
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            reached.add(codes[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        for argv in argvs:
+            dispatch(argv)
+    finally:
+        sys.setprofile(None)
+    assert set(codes.values()) - reached == set(LIBRARY_ONLY)
 
 
 def test_all_payloads_json_clean():
@@ -430,7 +466,7 @@ def test_all_payloads_json_clean():
 
 def test_matrix_json_roundtrip():
     m = np.array([[1.0 + 2.0j, 0.0], [0.5j, -1.0]])
-    back = matrix_from_json(matrix_to_json(m))
+    back = matrix_from_json(complex_pairs(m))
     assert np.max(np.abs(back - m)) == 0.0
     with pytest.raises(Exception):
         matrix_from_json([[1, 2], [3]])

@@ -12,20 +12,26 @@ from quasiham.cli import dispatch, main, render
 from quasiham.errors import InputError
 from quasiham.gerbe import (
     cocycle_check,
-    cocycle_coefficient,
     cover_index_set,
     eigenline_weight,
-    spectral_det_line,
     spectral_record,
-    subspace_projector,
     vertex_weight_consistency,
-    wedge_coordinates,
 )
 from quasiham.rational import format_vector
 from quasiham.roots import LieType, a_series_from_euclidean, build_root_system
 from quasiham.sun import alcove_coordinates, random_special_unitary, torus_point
 
 gerbe = importlib.import_module("quasiham.gerbe")
+
+
+def wedge_coordinates(columns):
+    """Coordinates of v_1 ^ ... ^ v_m against the lexicographic wedge basis:
+    the m x m minors of the column matrix."""
+    n, m = columns.shape
+    out = np.empty(comb(n, m), dtype=complex)
+    for pos, rows in enumerate(combinations(range(n), m)):
+        out[pos] = np.linalg.det(columns[list(rows), :])
+    return out
 
 
 def wedge_product(u, p, v, q, n):
@@ -52,6 +58,11 @@ def wedge_product(u, p, v, q, n):
                         sign = -sign
             out[out_sets[merged]] += sign * u[i] * v[j]
     return out
+
+
+def projector(q):
+    """Orthogonal projector Q Q* onto the span of orthonormal columns."""
+    return q @ q.conj().T
 
 
 def regular_sample(n, rng, margin=1e-6):
@@ -100,13 +111,12 @@ def test_transition_weights_are_eigenline_sums():
 
 def test_diagonal_det_line():
     a = torus_point([0.3, 0.1, -0.4])
-    line = spectral_det_line(a, 1, 2)
-    assert line.dim == 1
+    record = spectral_record(a)
+    assert record.basis(1, 2).shape[1] == 1
     # eigenposition 2 is the phase-0.1 coordinate axis: e_2 up to phase
-    mods = np.abs(line.representative)
+    mods = np.abs(wedge_coordinates(record.basis(1, 2)))
     assert mods == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
-    wide = spectral_det_line(a, 1, 3)
-    assert wide.dim == 2
+    assert record.basis(1, 3).shape[1] == 2
 
 
 def test_det_line_dim_and_equivariance():
@@ -115,10 +125,10 @@ def test_det_line_dim_and_equivariance():
         a = regular_sample(3, rng)
         g = random_special_unitary(3, rng)
         for i, j in [(1, 2), (1, 3), (2, 3)]:
-            line = spectral_det_line(a, i, j)
-            assert line.dim == j - i
-            p = subspace_projector(line)
-            pg = subspace_projector(spectral_det_line(g @ a @ g.conj().T, i, j))
+            q = spectral_record(a).basis(i, j)
+            assert q.shape[1] == j - i
+            p = projector(q)
+            pg = projector(spectral_record(g @ a @ g.conj().T).basis(i, j))
             assert np.max(np.abs(pg - g @ p @ g.conj().T)) < 1e-9
 
 
@@ -126,9 +136,10 @@ def test_flag_orthogonal_sums():
     rng = np.random.default_rng(2)
     for _ in range(10):
         a = regular_sample(3, rng)
-        p12 = subspace_projector(spectral_det_line(a, 1, 2))
-        p23 = subspace_projector(spectral_det_line(a, 2, 3))
-        p13 = subspace_projector(spectral_det_line(a, 1, 3))
+        record = spectral_record(a)
+        p12 = projector(record.basis(1, 2))
+        p23 = projector(record.basis(2, 3))
+        p13 = projector(record.basis(1, 3))
         assert np.max(np.abs(p12 + p23 - p13)) < 1e-9
 
 
@@ -147,14 +158,14 @@ def test_cocycle_unimodular():
 
 def test_diagonal_cocycle_is_one():
     a = torus_point([0.3, 0.1, -0.4])
-    coeff = cocycle_coefficient(a, 1, 2, 3)
+    coeff = spectral_record(a).coefficient(1, 2, 3)
     assert abs(coeff) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_collapsed_gap_rejected():
     a = torus_point([0.25, 0.25, -0.5])
     with pytest.raises(InputError) as err:
-        spectral_det_line(a, 1, 2)
+        spectral_record(a).basis(1, 2)
     assert err.value.code == "outside-cover"
     with pytest.raises(InputError):
         cocycle_check(a, 1, 2, 3)
@@ -165,7 +176,7 @@ def test_collapsed_gap_rejected():
 def test_index_validation():
     a = torus_point([0.3, 0.1, -0.4])
     with pytest.raises(InputError):
-        spectral_det_line(a, 2, 2)
+        spectral_record(a).basis(2, 2)
     with pytest.raises(InputError):
         cocycle_check(a, 2, 1, 3)
 
@@ -222,10 +233,10 @@ def test_determinant_coefficient_matches_wedge_pairing(n, seed):
     record = spectral_record(a)
     assert record.cover == frozenset(range(1, n + 1))
     for i, j, k in combinations(range(1, n + 1), 3):
-        full = spectral_det_line(a, i, k).representative
+        full = wedge_coordinates(record.basis(i, k))
         product = wedge_product(
-            spectral_det_line(a, i, j).representative, j - i,
-            spectral_det_line(a, j, k).representative, k - j, n,
+            wedge_coordinates(record.basis(i, j)), j - i,
+            wedge_coordinates(record.basis(j, k)), k - j, n,
         )
         oracle = np.vdot(full, product) / np.vdot(full, full)
         assert abs(record.coefficient(i, j, k) - oracle) < 1e-13
@@ -233,12 +244,18 @@ def test_determinant_coefficient_matches_wedge_pairing(n, seed):
 
 
 def test_record_bases_are_the_det_line_bases():
+    # each basis is orthonormal and spans the spectral subspace of its
+    # eigenvalue positions: invariant under a, with those eigenvalues
     rng = np.random.default_rng(8)
     a = regular_sample(4, rng)
     record = spectral_record(a)
     for i, j in combinations(range(1, 5), 2):
-        line = spectral_det_line(a, i, j)
-        assert np.array_equal(np.stack(line.subspace_basis, axis=1), record.basis(i, j))
+        q = record.basis(i, j)
+        assert q is record.bases[i, j] and q.shape == (4, j - i)
+        assert np.max(np.abs(q.conj().T @ q - np.eye(j - i))) < 1e-12
+        assert np.max(np.abs(a @ projector(q) - projector(q) @ a)) < 1e-12
+        eigenvalues = np.exp(2j * np.pi * record.phases[i:j])
+        assert abs(np.trace(q.conj().T @ a @ q) - eigenvalues.sum()) < 1e-12
     assert np.array_equal(record.phases, alcove_coordinates(a))
 
 
@@ -267,13 +284,6 @@ def test_record_rejects_non_unitary():
         with pytest.raises(InputError) as err:
             spectral_record(np.ones(shape, dtype=complex))
         assert err.value.code == "not-square"
-
-
-def test_det_line_json():
-    a = torus_point([0.3, 0.1, -0.4])
-    data = spectral_det_line(a, 1, 2).to_json()
-    assert len(data["basis"]) == 1 and len(data["basis"][0]) == 3
-    assert len(data["representative"]) == 3
 
 
 def record_per_matrix(a):
@@ -400,14 +410,17 @@ def wrong_block_record(shift):
     return tampered
 
 
-def test_cocycle_fails_on_a_record_with_a_wrong_block(monkeypatch, capsys):
+def test_cocycle_fails_on_a_record_with_a_wrong_block(monkeypatch):
     # another sample's block gives coefficients off the unit circle
     monkeypatch.setattr(gerbe, "spectral_record", wrong_block_record("sample"))
     for n in (3, 4, 5):
         code, payload = dispatch(["cocycle", "--n", str(n), "--samples", "5"])
         assert code == 1 and payload["pass"] is False
         assert payload["max_unimodularity_defect"] > 1e-2
-    # the block one position early shares a line with Q_ij: the coefficient collapses
+    # the block one position early shares a line with Q_ij: the coefficient
+    # collapses, a unimodularity defect of one
     monkeypatch.setattr(gerbe, "spectral_record", wrong_block_record("position"))
-    assert main(["cocycle", "--n", "4", "--samples", "5"]) == 2
-    assert "cocycle coefficient collapsed" in capsys.readouterr().err
+    code, payload = dispatch(["cocycle", "--n", "4", "--samples", "5"])
+    assert code == 1 and payload["pass"] is False
+    assert payload["max_unimodularity_defect"] > 0.99
+    assert main(["cocycle", "--n", "4", "--samples", "5"]) == 1

@@ -18,9 +18,10 @@ from quasiham.holonomy import (
     midpoint_grid,
     sample_smooth_connection,
 )
-from quasiham.serialize import matrix_from_json, matrix_to_json
+from quasiham.serialize import matrix_from_json
 from quasiham.sun import (
     check_special_unitary,
+    complex_pairs,
     expm_skew,
     project_algebra,
     random_algebra,
@@ -203,11 +204,11 @@ def test_file_connection_off_the_algebra_matches_oracle(tmp_path):
     skew = [random_algebra(3, rng) for _ in range(steps)]
     raw = [x + 1e-10 * (1j * project_algebra(rng.normal(size=(3, 3)) + 0j)) for x in skew]
     path = tmp_path / "conn.json"
-    path.write_text(json.dumps({"samples": [matrix_to_json(a) for a in raw]}))
+    path.write_text(json.dumps({"samples": [complex_pairs(a) for a in raw]}))
     code, payload = dispatch(["holonomy-convergence", "--file", str(path)])
     assert code == 0 and payload["steps"] == steps
     hol = matrix_from_json(payload["holonomy"])
-    read = [matrix_from_json(matrix_to_json(a)) for a in raw]
+    read = [matrix_from_json(complex_pairs(a)) for a in raw]
     oracle_raw = np.eye(3, dtype=complex)
     oracle_skew = np.eye(3, dtype=complex)
     for a in read:

@@ -35,6 +35,7 @@ from quasiham.sun import (
     random_algebra,
     random_special_unitary,
     realified_operator,
+    torus_point,
 )
 
 GENERIC_XI3 = (Q(1, 4), Q(1, 12), Q(-1, 3))
@@ -432,6 +433,61 @@ def test_tampered_omega_is_detected():
                                          np.random.default_rng(31))
     assert np.all(residuals > 1e-3)
     assert np.max(np.abs(residuals - loop_residuals(ScaledDouble(2), "cocycle", 5, 31))) <= 1e-12
+
+
+def orientation_spaces():
+    """Spaces of dimension above two, where the 3-form term of the cocycle
+    axiom is live; on an SU(2) class eta vanishes and the sign is invisible."""
+    return [
+        ConjugacyClass(3, GENERIC_XI3),
+        ConjugacyClass(4, (Q(3, 8), Q(1, 8), Q(-1, 8), Q(-3, 8))),
+        Double(2),
+        Double(3),
+        InternalFusion(Double(2)),
+        Genus(2, 2),
+        Genus(3, 2),
+        Fusion(ConjugacyClass(2, (Q(1, 8), Q(-1, 8))), ConjugacyClass(2, (Q(1, 4), Q(-1, 4)))),
+    ]
+
+
+def test_flipped_three_form_orientation_fails_cocycle(monkeypatch):
+    # residuals 4e-13 to 5e-10 as pinned, 1.5e-2 to 8.6e-2 flipped (tolerance 1e-4)
+    for space in orientation_spaces():
+        rep = verify_axiom(space, "cocycle", samples=3, seed=211)
+        assert rep.passed and rep.max_residual < 1e-8
+    monkeypatch.setattr(spaces, "STRUCTURE_FORM_ORIENTATION", 1.0)
+    for space in orientation_spaces():
+        rep = verify_axiom(space, "cocycle", samples=3, seed=211)
+        assert not rep.passed and rep.max_residual > 1e-3, space
+
+
+@pytest.mark.parametrize(
+    "cls,args", [(Double, (2,)), (ConjugacyClass, (2, (Q(1, 8), Q(-1, 8))))]
+)
+def test_non_equivariant_moment_fails_equivariance(cls, args):
+    # Psi c with c off the centre: residual 0.73-0.87 against 1e-15 (tolerance 1e-9)
+    shift = torus_point([0.1, -0.1])
+
+    class Shifted(cls):
+        def _moment(self, m):
+            return tuple(psi @ shift for psi in super()._moment(m))
+
+    assert verify_axiom(cls(*args), "equivariance", samples=4, seed=223).passed
+    rep = verify_axiom(Shifted(*args), "equivariance", samples=4, seed=223)
+    assert not rep.passed and rep.max_residual > 0.1
+
+
+@pytest.mark.parametrize("n,xi", [(2, (Q(1, 8), Q(-1, 8))), (3, GENERIC_XI3)])
+def test_doubled_class_omega_fails_moment(n, xi):
+    # residual 3.5e-2 (n = 2) and 4.1e-2 (n = 3) against 1e-16 (tolerance 1e-8)
+    class Doubled(ConjugacyClass):
+        def structure(self, m, stack):
+            rec = super().structure(m, stack)
+            return replace(rec, omega=2.0 * rec.omega)
+
+    assert verify_axiom(ConjugacyClass(n, xi), "moment", samples=4, seed=227).passed
+    rep = verify_axiom(Doubled(n, xi), "moment", samples=4, seed=227)
+    assert not rep.passed and rep.max_residual > 1e-3
 
 
 def squeezed(cls, *shrinks):
