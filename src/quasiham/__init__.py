@@ -37,7 +37,6 @@ _HOME = {
         "constant_connection",
         "convergence_order",
         "gauge_transform",
-        "holonomy",
     ],
     "prequant": [
         "PrequantVerdict",

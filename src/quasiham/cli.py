@@ -133,23 +133,15 @@ def _run_check_class(args) -> tuple[int, dict]:
 
 
 def _build_space(args):
-    from . import spaces
+    from .spaces import make_space
 
+    xi = None
     if args.space == "conjugacy_class":
         if not args.xi:
             raise InputError("missing-argument", "--xi is required for conjugacy_class")
         rs = build_root_system(LieType("A", args.n - 1))
-        xi = _parse_xi(rs, args.xi[0])
-        return spaces.make_space(
-            "conjugacy_class", n=args.n, xi=a_series_embedding(rs, xi)
-        )
-    if args.space == "double":
-        return spaces.make_space("double", n=args.n)
-    if args.space == "fused_double":
-        return spaces.make_space("fused_double", n=args.n)
-    if args.space == "genus":
-        return spaces.make_space("genus", n=args.n, h=args.genus)
-    raise ToolkitError(f"no such space {args.space!r}")
+        xi = a_series_embedding(rs, _parse_xi(rs, args.xi[0]))
+    return make_space(args.space, n=args.n, xi=xi, h=args.genus)
 
 
 def _run_verify(args) -> tuple[int, dict]:
@@ -505,10 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         code, payload = dispatch(argv)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ToolkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     as_json = "--json" in argv

@@ -226,9 +226,6 @@ class QSpace:
             raise InputError("degenerate-basis", f"condition number {cond:.2e}")
         return _unstack(basis)
 
-    def generating_field(self, xi, m):
-        return self._generating(self._as_algebra(xi), m)
-
     def random_group(self, rng):
         gs = tuple(expm_skew(random_algebra(self.n, rng, shape=(self.group_factors,))))
         return gs[0] if self.group_factors == 1 else gs
@@ -597,20 +594,6 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _sample_with_basis(space: QSpace, rng):
-    """Draw a point and its tangent basis, resampling on bad conditioning."""
-    last_exc = None
-    for _ in range(RETRIES):
-        m = space.sample(rng)
-        try:
-            return m, space.tangent_basis(m)
-        except InputError as exc:
-            if exc.code != "degenerate-basis":
-                raise
-            last_exc = exc
-    raise InputError("degenerate-basis", f"persistent bad sampling: {last_exc}")
-
-
 def _stack_tangents(m, basis: list):
     """The basis as one tangent tree whose leaves carry a leading axis of
     length d (zero-length for an empty basis)."""
@@ -627,11 +610,6 @@ def omega_matrix(space: QSpace, m, basis: list) -> np.ndarray:
     """Gram matrix omega(b_i, b_j) of a list of tangents, read from the
     structure record of the stacked list; it is exactly antisymmetric."""
     return _record(space, m, basis).omega
-
-
-def _random_tangent(space: QSpace, m, basis: list, rng):
-    coeffs = rng.normal(size=len(basis))
-    return tree_map(lambda x: np.tensordot(coeffs, x, axes=1), _stack_tangents(m, basis))
 
 
 def _orthonormal_fields(space: QSpace, rng) -> list:
@@ -722,33 +700,6 @@ def _degeneracy_mismatch(space: QSpace, m, tangents) -> np.ndarray:
     return np.where((mismatch > 0) & undecided, np.nan, mismatch)
 
 
-def _degeneracy_residuals(space: QSpace, samples: int, rng) -> np.ndarray:
-    """The degeneracy mismatch of each sample.  The points are drawn in order and
-    evaluated in stacks; from the first with a degenerate basis or undecided ranks on,
-    the state before its draw is restored and the per-sample redraw loop takes over."""
-    states, points = zip(*[(rng.bit_generator.state, space.sample(rng)) for _ in range(samples)])
-    out, first, step = np.empty(samples), samples, max(1, STACK_ROWS // max(space.dim, 1))
-    for start in range(0, samples, step):
-        m = tree_map(lambda *leaves: np.stack(leaves), *points[start : start + step])
-        tangents, cond = space._basis(m)
-        part = out[start : start + step] = _degeneracy_mismatch(space, m, tangents)
-        redraw = np.flatnonzero(np.isnan(part) | (cond > COND_LIMIT))
-        if redraw.size:
-            first = start + int(redraw[0])
-            rng.bit_generator.state = states[first]
-            break
-    for i in range(first, samples):
-        for _ in range(RETRIES):
-            m, basis = _sample_with_basis(space, rng)
-            one = tree_map(lambda x: x[None], (m, _stack_tangents(m, basis)))
-            out[i] = _degeneracy_mismatch(space, *one)[0]
-            if not np.isnan(out[i]):
-                break
-        else:
-            raise InputError("undecided-sample", f"no decided sample in {RETRIES} draws")
-    return out
-
-
 def _equivariance_residuals(space: QSpace, m, g) -> np.ndarray:
     """max |Psi(g m) - g Psi(m) g^-1| over the factors, per point of a stack."""
     moved = space._moment(space._act(g, m))
@@ -756,26 +707,58 @@ def _equivariance_residuals(space: QSpace, m, g) -> np.ndarray:
                                for gi, left, right in zip(g, moved, space._moment(m))))
 
 
+def _draw(space: QSpace, axiom: str, rng) -> tuple:
+    """One sample as a loop over samples draws it: a point, redrawn while its
+    tangent basis is worse conditioned than COND_LIMIT, then the axiom's own
+    draws.  The result is the residual's arguments at that point."""
+    for _ in range(RETRIES):
+        m = space.sample(rng)
+        basis, cond = space._basis(m)
+        if cond <= COND_LIMIT:
+            break
+    else:
+        raise InputError("degenerate-basis", f"persistent bad sampling: condition number {cond:.2e}")
+    if axiom == "moment":
+        xi = space._as_algebra(space.random_algebra_element(rng))
+        coeffs = rng.normal(size=tree_leaves(basis)[0].shape[0])
+        return m, xi, tree_map(lambda x: np.tensordot(coeffs, x, axes=1), basis)
+    if axiom == "cocycle":
+        return m, tuple(_orthonormal_fields(space, rng))
+    if axiom == "equivariance":
+        return m, space._as_group(space.random_group(rng))
+    return m, basis
+
+
 def _sample_residuals(space: QSpace, axiom: str, samples: int, fd_step: float,
                       rng) -> np.ndarray:
-    """The residual of each sample, evaluated over stacks of samples with the
-    draws, redraws included, of a loop over one sample at a time."""
-    if axiom == "min_degeneracy":
-        return _degeneracy_residuals(space, samples, rng)
-    draws = []
-    for _ in range(samples):
-        m, basis = _sample_with_basis(space, rng)
-        if axiom == "moment":
-            xi = space._as_algebra(space.random_algebra_element(rng))
-            draws.append((m, xi, _random_tangent(space, m, basis, rng)))
-        elif axiom == "cocycle":
-            draws.append((m, tuple(_orthonormal_fields(space, rng))))
-        else:
-            draws.append((m, space._as_group(space.random_group(rng))))
-    stacked = tree_map(lambda *leaves: np.stack(leaves), *draws)
-    if axiom == "cocycle":
-        return _cocycle_residuals(space, *stacked, fd_step)
-    return (_moment_residuals if axiom == "moment" else _equivariance_residuals)(space, *stacked)
+    """The residual of each sample, with the draws of a loop over one sample
+    at a time, evaluated in stacks.  A min_degeneracy stack holds at most
+    STACK_ROWS tangents; at its first undecided sample the results before it
+    are kept and the state saved right after its draw is restored, so the
+    loop's redraw comes next.  RETRIES undecided draws in a row are an error."""
+    residuals = {"moment": _moment_residuals, "cocycle": _cocycle_residuals,
+                 "equivariance": _equivariance_residuals,
+                 "min_degeneracy": _degeneracy_mismatch}[axiom]
+    extra = (fd_step,) if axiom == "cocycle" else ()
+    redraws = axiom == "min_degeneracy"
+    step = max(1, STACK_ROWS // max(space.dim, 1)) if redraws else samples
+    out, done, undecided = np.empty(samples), 0, 0
+    while done < samples:
+        draws, states = [], []
+        for _ in range(min(step, samples - done)):
+            draws.append(_draw(space, axiom, rng))
+            states.append(rng.bit_generator.state)
+        part = residuals(space, *tree_map(lambda *leaves: np.stack(leaves), *draws), *extra)
+        nan = np.flatnonzero(np.isnan(part)) if redraws else []
+        keep = nan[0] if len(nan) else len(part)
+        out[done : done + keep], done = part[:keep], done + keep
+        undecided = 0 if keep else undecided
+        if len(nan):
+            undecided += 1
+            if undecided == RETRIES:
+                raise InputError("undecided-sample", f"no decided sample in {RETRIES} draws")
+            rng.bit_generator.state = states[keep]
+    return out
 
 
 def verify_axiom(

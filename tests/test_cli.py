@@ -421,8 +421,6 @@ def test_verb_coverage_table(tmp_path):
     conn.write_text(json.dumps({"samples": [[[[0, 0.3], [0, 0]], [[0, 0], [0, -0.3]]]]}))
     argvs = COVERAGE_ARGV + [["holonomy-convergence", "--file", str(conn)]]
     assert {argv[0] for argv in argvs} == set(_HANDLERS)
-    # read from the home modules: the package attribute `holonomy` is the
-    # submodule once that is loaded
     functions = {name: getattr(importlib.import_module(f"quasiham.{module}"), name)
                  for name, module in quasiham._LOOKUP.items()}
     codes = {inspect.unwrap(fn).__code__: name for name, fn in functions.items()
@@ -535,6 +533,26 @@ def test_numerical_layer_loads_numpy_random_on_import():
         "assert 'numpy.random' in sys.modules, 'numpy.random is loaded by the first draw'\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_package_name_holonomy_is_the_submodule_in_every_process():
+    # the function is quasiham.holonomy.holonomy; the package name is the
+    # submodule in a fresh process and after a verb has loaded it
+    import subprocess
+    import types
+
+    code = (
+        "import types\n"
+        "from quasiham import holonomy\n"
+        "assert isinstance(holonomy, types.ModuleType), holonomy\n"
+        "assert callable(holonomy.holonomy)\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+    dispatch(["holonomy-convergence", "--grids", "4,8"])
+    from quasiham import holonomy
+
+    assert isinstance(holonomy, types.ModuleType) and holonomy is sys.modules["quasiham.holonomy"]
+    assert callable(holonomy.holonomy)
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -279,7 +279,6 @@ def test_gauge_action_without_derivative_term_fails(n, monkeypatch):
         gs = check_special_unitary(loop, tol=1e-9)
         return gs @ samples @ gs.conj().swapaxes(-1, -2)
 
-    # the package re-exports the function holonomy under the module's name
     module = importlib.import_module("quasiham.holonomy")
     monkeypatch.setattr(module, "gauge_transform", conjugation_only)
     for seed in range(10):

@@ -13,9 +13,7 @@ from quasiham.spaces import (
     Fusion,
     Genus,
     InternalFusion,
-    _random_tangent,
     _record,
-    _sample_with_basis,
     make_space,
     omega_matrix,
     reduction_rank,
@@ -259,7 +257,7 @@ def test_central_class_omega_vanishes():
     c = ConjugacyClass(2, (Q(1, 2), Q(-1, 2)))  # class of -identity, a point
     m = c.base
     xi = random_algebra(2, np.random.default_rng(4))
-    assert tree_max(c.generating_field(xi, m)) < 1e-14
+    assert tree_max(c._generating(c._as_algebra(xi), m)) < 1e-14
     z = zero_tangent(m)
     assert pair_omega(c, m, z, z) == pytest.approx(0.0, abs=1e-14)
 
@@ -342,7 +340,7 @@ def gram_spaces():
 def test_omega_matrix_matches_pairwise_loop(name, space, d):
     rng = np.random.default_rng(83)
     for _ in range(2):
-        m, basis = _sample_with_basis(space, rng)
+        m, basis = sample_with_basis(space, rng)
         assert len(basis) == d
         batched = omega_matrix(space, m, basis)
         assert batched.shape == (d, d)
@@ -353,8 +351,8 @@ def test_omega_matrix_matches_pairwise_loop(name, space, d):
 @pytest.mark.parametrize("name,space,d", gram_spaces())
 def test_record_matches_reference_moment_derivative(name, space, d):
     rng = np.random.default_rng(79)
-    m, basis = _sample_with_basis(space, rng)
-    tangents = basis[:3] + [_random_tangent(space, m, basis, rng)]
+    m, basis = sample_with_basis(space, rng)
+    tangents = basis[:3] + [random_tangent(m, basis, rng)]
     rec = _record(space, m, tangents)
     assert rec.omega.shape == (len(tangents), len(tangents))
     for psi, ref in zip(rec.psi, space._moment(m)):
@@ -367,17 +365,18 @@ def test_record_matches_reference_moment_derivative(name, space, d):
 
 @pytest.mark.parametrize("name,space,d", gram_spaces())
 def test_random_tangent_is_basis_combination(name, space, d):
+    # the moment draw's w combines the basis with the d normals drawn after xi
     rng = np.random.default_rng(89)
-    m, basis = _sample_with_basis(space, rng)
-    state = rng.bit_generator.state
-    v = _random_tangent(space, m, basis, rng)
-    after = rng.bit_generator.state
-    rng.bit_generator.state = state
+    m, xi, w = spaces._draw(space, "moment", rng)
+    ref_rng = np.random.default_rng(89)
+    ref_m, basis = sample_with_basis(space, ref_rng)
+    assert same_tree(m, ref_m) and len(basis) == d
+    assert same_tree(xi, space._as_algebra(space.random_algebra_element(ref_rng)))
     ref = zero_tangent(m)
-    for c, b in zip(rng.normal(size=len(basis)), basis):
+    for c, b in zip(ref_rng.normal(size=len(basis)), basis):
         ref = tree_add(ref, b, c)
-    assert rng.bit_generator.state == after  # the same single draw
-    assert tree_max(tree_add(v, ref, -1.0)) < 1e-14
+    assert ref_rng.bit_generator.state == rng.bit_generator.state  # the same draws
+    assert tree_max(tree_add(w, ref, -1.0)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +529,7 @@ def test_dropped_fusion_correction_fails_moment(n, monkeypatch):
     points = []
     for space in fusions(n):
         assert verify_axiom(space, "moment", samples=4, seed=97).passed
-        points.append(_sample_with_basis(space, np.random.default_rng(101)))
+        points.append(sample_with_basis(space, np.random.default_rng(101)))
     corrected = [omega_matrix(s, *p) for s, p in zip(fusions(n), points)]
     fuse = spaces._fuse
     monkeypatch.setattr(spaces, "_fuse", lambda omega, a, b: replace(fuse(omega, a, b), omega=omega))
@@ -556,7 +555,7 @@ def test_undecided_ranks_are_redrawn():
     # kernel), so the two cutoffs disagree and gave a false FAIL of 2.0.
     space = Genus(2, 2)
     rng = np.random.default_rng(1976016887)
-    m, basis = _sample_with_basis(space, rng)
+    m, basis = sample_with_basis(space, rng)
     assert point_mismatch(space, m, basis) is None
     rep = verify_axiom(space, "min_degeneracy", samples=3, seed=1976016887)
     assert rep.passed and rep.max_residual == 0.0
@@ -568,7 +567,7 @@ def test_band_value_with_agreeing_ranks_passes():
     # Ad_Psi + 1 has no kernel, so the ranks agree and the sample is decided
     space = squeezed(Double, 1e-6)(2)
     rng = np.random.default_rng(107)
-    m, basis = _sample_with_basis(space, rng)
+    m, basis = sample_with_basis(space, rng)
     svals = np.linalg.svd(omega_matrix(space, m, basis), compute_uv=False)
     rel = svals / svals[0]
     assert np.any((rel >= spaces.RANK_CUTOFF) & (rel < spaces.DECIDED_GAP))
@@ -582,7 +581,7 @@ def test_class_near_half_wall_passes_min_degeneracy():
     # omega has full rank
     space = ConjugacyClass(2, (Q(250001, 1000000), Q(-250001, 1000000)))
     rng = np.random.default_rng(109)
-    m, basis = _sample_with_basis(space, rng)
+    m, basis = sample_with_basis(space, rng)
     psi = space._moment(m)[0]
     op = realified_operator(2, lambda x: psi @ x @ psi.conj().T + x)
     s = np.linalg.svd(op, compute_uv=False)
@@ -599,7 +598,7 @@ def test_persistently_undecided_sampling_is_an_input_error():
     # value of omega inside [RANK_CUTOFF, DECIDED_GAP) at every draw
     space = squeezed(Double, 0.0, 1e-6)(2)
     rng = np.random.default_rng(107)
-    m, basis = _sample_with_basis(space, rng)
+    m, basis = sample_with_basis(space, rng)
     svals = np.linalg.svd(omega_matrix(space, m, basis), compute_uv=False)
     rel = svals / svals[0]
     assert np.any((rel >= spaces.RANK_CUTOFF) & (rel < spaces.DECIDED_GAP))
@@ -609,23 +608,34 @@ def test_persistently_undecided_sampling_is_an_input_error():
     assert err.value.code == "undecided-sample"
 
 
+class FlakyDouble(Double):
+    """The double whose first `failures` tangent bases are refused as
+    degenerate, through the condition number of `_basis`."""
+
+    def __init__(self, n, failures):
+        super().__init__(n)
+        self.remaining = failures
+
+    def _basis(self, m):
+        basis, cond = super()._basis(m)
+        if self.remaining > 0:
+            self.remaining -= 1
+            cond = np.inf
+        return basis, cond
+
+
 def test_degenerate_basis_triggers_resampling():
-    class FlakyDouble(Double):
-        def __init__(self, n, failures):
-            super().__init__(n)
-            self.remaining = failures
-
-        def tangent_basis(self, m):
-            if self.remaining > 0:
-                self.remaining -= 1
-                raise InputError("degenerate-basis", "synthetic conditioning failure")
-            return super().tangent_basis(m)
-
-    rep = verify_axiom(FlakyDouble(2, failures=3), "moment", samples=2, seed=3)
-    assert rep.passed
-    with pytest.raises(InputError) as err:
-        verify_axiom(FlakyDouble(2, failures=10**6), "moment", samples=1, seed=3)
-    assert err.value.code == "degenerate-basis"
+    retries = spaces.RETRIES
+    for axiom in spaces.AXIOMS:
+        rep = verify_axiom(FlakyDouble(2, failures=retries - 1), axiom, samples=2, seed=3)
+        assert rep.passed, axiom
+        stacked = spaces._sample_residuals(FlakyDouble(2, failures=3), axiom, 2, 1e-4,
+                                           np.random.default_rng(3))
+        loop = loop_residuals(FlakyDouble(2, failures=3), axiom, 2, 3)
+        assert np.max(np.abs(stacked - loop)) <= STACK_TOLERANCES[axiom], axiom
+        with pytest.raises(InputError) as err:
+            verify_axiom(FlakyDouble(2, failures=retries), axiom, samples=1, seed=3)
+        assert err.value.code == "degenerate-basis", axiom
 
 
 def test_verify_axiom_argument_validation():
@@ -679,7 +689,7 @@ def at(tree, p):
 @pytest.mark.parametrize("name,space", stack_spaces())
 def test_record_over_points_matches_single_points(name, space):
     rng = np.random.default_rng(139)
-    draws = [_sample_with_basis(space, rng) for _ in range(3)]
+    draws = [sample_with_basis(space, rng) for _ in range(3)]
     points = [m for m, _ in draws]
     tangents = [spaces._stack_tangents(m, basis) for m, basis in draws]
     rec = space.structure(stack(points), stack(tangents))
@@ -711,12 +721,32 @@ def test_action_moment_and_fields_over_points_match_single_points(name, space):
             assert tree_max(tree_add(at(stacked, p), single, -1.0)) <= 1e-15
 
 
-# The per-sample residuals the stacked verifier replaced, kept as oracles.
+# The per-sample draws and residuals the stacked verifier replaced, kept as
+# oracles.
+
+def sample_with_basis(space, rng):
+    """Draw a point and its tangent basis as a list, redrawing a point whose
+    basis is refused as degenerate."""
+    for _ in range(spaces.RETRIES):
+        m = space.sample(rng)
+        try:
+            return m, space.tangent_basis(m)
+        except InputError as exc:
+            if exc.code != "degenerate-basis":
+                raise
+    raise InputError("degenerate-basis", "persistent bad sampling")
+
+
+def random_tangent(m, basis, rng):
+    """A combination of the basis with one normal coefficient each."""
+    coeffs = rng.normal(size=len(basis))
+    return tree_map(lambda x: np.tensordot(coeffs, x, axes=1), spaces._stack_tangents(m, basis))
+
 
 def moment_residual(space, m, basis, rng):
     xi = space._as_algebra(space.random_algebra_element(rng))
     v = space._generating(xi, m)
-    w = spaces._random_tangent(space, m, basis, rng)
+    w = random_tangent(m, basis, rng)
     rec = _record(space, m, [v, w])
     rhs = 0.0
     for left, right, x in zip(rec.left, rec.right, xi):
@@ -776,7 +806,7 @@ def degeneracy_residual(space, rng, retries=8):
     """The mismatch at the first drawn point whose ranks are decided; a point
     whose ranks disagree next to the cutoff is redrawn."""
     for _ in range(retries):
-        m, basis = spaces._sample_with_basis(space, rng)
+        m, basis = sample_with_basis(space, rng)
         r = point_mismatch(space, m, basis)
         if r is not None:
             return r
@@ -791,7 +821,7 @@ def loop_residuals(space, axiom, samples, seed, fd_step=1e-4):
         if axiom == "min_degeneracy":
             out.append(degeneracy_residual(space, rng))
             continue
-        m, basis = spaces._sample_with_basis(space, rng)
+        m, basis = sample_with_basis(space, rng)
         if axiom == "moment":
             out.append(moment_residual(space, m, basis, rng))
         elif axiom == "cocycle":
@@ -825,23 +855,23 @@ def test_stacked_residuals_match_per_sample_loop(name, space, axiom):
 
 
 class EveryThirdBasisFails(InternalFusion):
-    """A fused double whose every third tangent basis is refused, so that the
-    verifier redraws points."""
+    """A fused double whose every third tangent basis is refused, through
+    the condition number of `_basis`, so that the verifier redraws points."""
 
     def __init__(self, n):
         super().__init__(Double(n))
         self.calls = 0
 
-    def tangent_basis(self, m):
+    def _basis(self, m):
         self.calls += 1
-        if self.calls % 3 == 0:
-            raise InputError("degenerate-basis", "synthetic conditioning failure")
-        return super().tangent_basis(m)
+        basis, cond = super()._basis(m)
+        return basis, (np.inf if self.calls % 3 == 0 else cond)
 
 
 def spy_draws(space, monkeypatch):
-    """Log every draw, in order: points (accepted or redrawn), accepted
-    points, fields, xi, w and g; and the stacked draws the residuals get."""
+    """Log every draw, in order: points (accepted or redrawn), their bases
+    with condition numbers, fields, xi, the loop's w and g; and the stacked
+    draws the residuals get."""
     log, stacked = [], []
 
     def spied(kind, fn):
@@ -852,10 +882,11 @@ def spy_draws(space, monkeypatch):
         return spy
 
     monkeypatch.setattr(space, "sample", spied("point", space.sample))
+    monkeypatch.setattr(space, "_basis", spied("basis", space._basis))
     for kind in ("random_algebra_element", "random_group"):
         monkeypatch.setattr(space, kind, spied(kind, getattr(space, kind)))
-    for kind in ("_sample_with_basis", "_orthonormal_fields", "_random_tangent"):
-        monkeypatch.setattr(spaces, kind, spied(kind, getattr(spaces, kind)))
+    monkeypatch.setattr(spaces, "_orthonormal_fields", spied("fields", spaces._orthonormal_fields))
+    monkeypatch.setitem(globals(), "random_tangent", spied("w", random_tangent))
     for name in ("_moment_residuals", "_cocycle_residuals", "_equivariance_residuals"):
         real = getattr(spaces, name)
         monkeypatch.setattr(spaces, name,
@@ -871,51 +902,63 @@ def test_verify_axiom_draws_what_the_loop_draws(axiom, monkeypatch):
     drawn, log[:] = list(log), []
     space.calls = 0
     loop_residuals(space, axiom, 4, 157)
-    assert [k for k, _ in drawn] == [k for k, _ in log]
+    # the loop's w is a draw of the verifier's own, inside the moment draw
+    loop_drawn = [(k, out) for k, out in log if k != "w"]
+    assert [k for k, _ in drawn] == [k for k, _ in loop_drawn]
     assert sum(k == "point" for k, _ in log) > 4  # some points were redrawn
-    assert all(same_tree(a, b) for (_, a), (_, b) in zip(drawn, log))
+    assert all(same_tree(a, b) for (_, a), (_, b) in zip(drawn, loop_drawn))
 
     def drawn_as(kind, as_tree=lambda x: x):
         return stack([as_tree(out) for k, out in log if k == kind])
 
-    accepted = drawn_as("_sample_with_basis", lambda out: out[0])
+    conds = [out[1] for k, out in log if k == "basis"]
+    points = [out for k, out in log if k == "point"]
+    accepted = stack([m for m, cond in zip(points, conds) if cond <= spaces.COND_LIMIT])
     if axiom == "moment":
         expected = (accepted, drawn_as("random_algebra_element", space._as_algebra),
-                    drawn_as("_random_tangent"))
+                    drawn_as("w"))
     elif axiom == "cocycle":
-        expected = (accepted, drawn_as("_orthonormal_fields", tuple), 1e-4)
+        expected = (accepted, drawn_as("fields", tuple), 1e-4)
     else:
         expected = (accepted, drawn_as("random_group", space._as_group))
     assert len(stacked) == 1 and same_tree(stacked[0], expected)
 
 
-class SecondDrawRedrawn(Genus):
-    """genus(2, 2) where the loop redraws the second point drawn from seed 5:
-    either that draw is replaced by the first draw of seed 1976016887, whose
-    ranks are undecided, or its tangent basis is refused as degenerate (with
-    no reason, plain genus(2, 2))."""
+class Scripted(Genus):
+    """genus(2, 2) whose k-th point drawn from seed 5 is kept ("ok"), has its
+    basis refused ("degenerate"), or is replaced by the first draw of seed
+    1976016887, whose ranks are undecided ("undecided"), as script[k] says;
+    the verdict follows the point, not the call."""
 
-    def __init__(self, reason):
+    def __init__(self, script):
         super().__init__(2, 2)
-        self.reason = reason
         rng = np.random.default_rng(5)
-        self.second = [Genus.sample(self, rng) for _ in range(2)][1]
+        self.stream = [Genus.sample(self, rng)[0] for _ in script]
+        self.script = script
         self.undecided = Genus.sample(self, np.random.default_rng(1976016887))
+
+    def kind(self, m):
+        return next((k for p, k in zip(self.stream, self.script) if np.array_equal(p, m[0])), "ok")
 
     def sample(self, rng):
         m = super().sample(rng)
-        return self.undecided if self.reason == "undecided" and same_tree(m, self.second) else m
+        return self.undecided if self.kind(m) == "undecided" else m
 
     def _basis(self, m):
         basis, cond = super()._basis(m)
-        if self.reason == "degenerate":
-            cond = np.where(np.all(m[0] == self.second[0], axis=(-2, -1)), np.inf, cond)
-        return basis, cond
+        return basis, (np.inf if self.kind(m) == "degenerate" else cond)
+
+
+def second_draw_redrawn(reason):
+    """genus(2, 2) where the loop redraws the second point drawn from seed 5:
+    either that draw is replaced by a point whose ranks are undecided, or its
+    tangent basis is refused as degenerate (with no reason, plain genus(2, 2))."""
+    return Scripted(["ok", reason] if reason else [])
 
 
 @pytest.mark.parametrize("reason", ["undecided", "degenerate"])
 def test_mid_stack_redraw_restores_the_loop_draws(reason, monkeypatch):
-    space = SecondDrawRedrawn(reason)
+    space = second_draw_redrawn(reason)
     drawn, evaluated = [], []
     sample, mismatch = space.sample, spaces._degeneracy_mismatch
 
@@ -933,25 +976,30 @@ def test_mid_stack_redraw_restores_the_loop_draws(reason, monkeypatch):
     stacked = spaces._sample_residuals(space, "min_degeneracy", 3, 1e-4, np.random.default_rng(5))
     stacked_drawn, stacked_evaluated = drawn[:], evaluated[:]
     drawn.clear()
-    evaluated.clear()
     loop = loop_residuals(space, "min_degeneracy", 3, 5)
-    assert np.array_equal(stacked, loop)
-    # the stack of the three draws, then, from the state before the second
-    # draw on, the loop's own draws, each evaluated as a stack of one
-    (points, first), rest = stacked_evaluated[0], stacked_evaluated[1:]
-    assert same_tree(points, stack(drawn[:3])) and first[0] == loop[0]
-    assert np.isnan(first[1]) == (reason == "undecided")
-    assert len(drawn) == 4 and len(stacked_drawn) == 6
-    assert all(same_tree(a, b) for a, b in zip(stacked_drawn, drawn[:3] + drawn[1:]))
-    assert len(rest) == len(evaluated) - 1
-    for (m, out), (ref_m, ref_out) in zip(rest, evaluated[1:]):
-        assert same_tree(m, ref_m) and np.array_equal(out, ref_out, equal_nan=True)
+    assert np.array_equal(stacked, loop) and len(drawn) == 4
+    if reason == "degenerate":
+        # the refused second point is redrawn at once, as the loop does, and
+        # one stack holds the three accepted points
+        assert len(stacked_drawn) == 4
+        assert all(same_tree(a, b) for a, b in zip(stacked_drawn, drawn))
+        [(points, out)] = stacked_evaluated
+        assert same_tree(points, stack(drawn[:1] + drawn[2:])) and np.array_equal(out, loop)
+        return
+    # the stack of the first three draws, the second undecided; then, from
+    # the state right after the second draw, the last two samples as the
+    # loop draws them, so the third draw is made twice
+    assert len(stacked_drawn) == 4 + 1
+    assert all(same_tree(a, b) for a, b in zip(stacked_drawn, drawn[:3] + drawn[2:]))
+    (points, first), (rest, second) = stacked_evaluated
+    assert same_tree(points, stack(drawn[:3])) and first[0] == loop[0] and np.isnan(first[1])
+    assert same_tree(rest, stack(drawn[2:])) and np.array_equal(second, loop[1:])
 
 
 @pytest.mark.parametrize("reason", ["undecided", "degenerate", None])
-@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("step", [1, 2, 3])
 def test_degeneracy_stacks_hold_at_most_stack_rows(reason, step, monkeypatch):
-    space = SecondDrawRedrawn(reason)
+    space = second_draw_redrawn(reason)
     monkeypatch.setattr(spaces, "STACK_ROWS", step * space.dim)
     sizes, drawn, mismatch, sample = [], [], spaces._degeneracy_mismatch, space.sample
     monkeypatch.setattr(spaces, "_degeneracy_mismatch",
@@ -962,8 +1010,33 @@ def test_degeneracy_stacks_hold_at_most_stack_rows(reason, step, monkeypatch):
     stacked_draws = len(drawn)
     drawn.clear()
     assert np.array_equal(stacked, loop_residuals(space, "min_degeneracy", 5, 5))
-    # the five stacked draws, then the loop's draws from the redrawn second sample on
-    assert stacked_draws == 5 + len(drawn) - (1 if reason else 5)
+    # the loop's draws, and those after the undecided second sample in its
+    # stack, which are discarded and drawn again
+    assert stacked_draws == len(drawn) + (step - 2 if reason == "undecided" and step > 2 else 0)
+
+
+def test_refused_bases_and_undecided_samples_are_counted_apart():
+    retries = spaces.RETRIES
+
+    def residuals(script, samples):
+        stacked = spaces._sample_residuals(Scripted(script), "min_degeneracy", samples, 1e-4,
+                                           np.random.default_rng(5))
+        assert np.array_equal(stacked, loop_residuals(Scripted(script), "min_degeneracy",
+                                                      samples, 5))
+        return stacked
+
+    # every undecided draw starts a fresh basis count, and refused bases do
+    # not count toward the undecided limit
+    refused_then_undecided = ["degenerate"] * (retries - 1) + ["undecided"]
+    assert np.all(residuals(refused_then_undecided * (retries - 1), 1) == 0.0)
+    # every accepted sample starts a fresh undecided count
+    assert np.all(residuals((["undecided"] * (retries - 1) + ["ok"]) * 2, 2) == 0.0)
+    for script, code in ((["degenerate"] * retries, "degenerate-basis"),
+                         (["undecided"] * retries, "undecided-sample"),
+                         (["ok"] + ["undecided"] * retries, "undecided-sample")):
+        with pytest.raises(InputError) as err:
+            residuals(script, 2)
+        assert err.value.code == code
 
 
 # The class potential's singular-value cutoff: numpy's pinv defaults sit on
@@ -994,7 +1067,7 @@ def test_near_degenerate_class_passes(axiom, bound):
 def test_stacked_potential_matches_lstsq_per_point(n, xi):
     space = ConjugacyClass(n, xi)
     rng = np.random.default_rng(151)
-    draws = [_sample_with_basis(space, rng) for _ in range(3)]
+    draws = [sample_with_basis(space, rng) for _ in range(3)]
     potentials = space._potential(stack([m for m, _ in draws]),
                                   stack([spaces._stack_tangents(m, b) for m, b in draws]))
     for p, (m, basis) in enumerate(draws):
@@ -1092,7 +1165,8 @@ def test_genus_matches_explicit_fusion_chain(n, h):
     pairs = [
         (space.act(g, m), chain.act(g, nest(m))),
         (space.act(g, basis[-1]), chain.act(g, nest(basis[-1]))),
-        (space.generating_field(xi, m), chain.generating_field(xi, nest(m))),
+        (space._generating(space._as_algebra(xi), m),
+         chain._generating(chain._as_algebra(xi), nest(m))),
         (space.field_at(data, m), chain.field_at(nest(data), nest(m))),
         (space.field_flow(data, m, 0.3), chain.field_flow(nest(data), nest(m), 0.3)),
         (space.field_bracket(data, flip), chain.field_bracket(nest(data), nest(flip))),
