@@ -199,30 +199,32 @@ def _run_cocycle(args) -> tuple[int, dict]:
     import numpy as np
 
     from .gerbe import (
-        cover_index_set,
+        _spectral_record,
+        _strict_gaps,
         eigenline_weight,
-        spectral_record,
         vertex_weight_consistency,
     )
-    from .sun import random_special_unitary
+    from .sun import alcove_coordinates, expm_skew, random_algebra
 
     # the cocycle is checked on triples i < j < k of eigenvalue indices
     if args.n < 3:
         raise InputError("invalid-rank", f"cocycle needs n >= 3, got {args.n}")
     rng = np.random.default_rng(args.seed)
-    accepted = []
+    # a loop's draws, which reject a matrix with a gap that is not strict: the
+    # missing samples are drawn as one stack until none is missing
+    mats, phases = np.empty((0, args.n, args.n), dtype=complex), np.empty((0, args.n))
     rejected = 0
-    while len(accepted) < args.samples:
-        a = random_special_unitary(args.n, rng)
-        if len(cover_index_set(a)) < args.n:
-            rejected += 1
-            if rejected > 100 * args.samples:
-                raise InputError("sampling-failed", "no regular matrices among the draws")
-            continue
-        accepted.append(a)
+    while len(mats) < args.samples:
+        a = expm_skew(random_algebra(args.n, rng, shape=(args.samples - len(mats),)))
+        lam = alcove_coordinates(a)
+        regular = np.all(_strict_gaps(lam), axis=-1)
+        rejected += int(np.sum(~regular))
+        if rejected > 100 * args.samples:
+            raise InputError("sampling-failed", "no regular matrices among the draws")
+        mats, phases = np.concatenate([mats, a[regular]]), np.concatenate([phases, lam[regular]])
     # one record of the accepted samples; each triple is one batched pair of
     # determinants over them, and a collapsed coefficient is a defect of one
-    record = spectral_record(np.stack(accepted))
+    record = _spectral_record(mats, phases)
     worst = 0.0
     for triple in combinations(range(1, args.n + 1), 3):
         coeff = record.coefficient(*triple)
@@ -258,9 +260,12 @@ def _run_holonomy(args) -> tuple[int, dict]:
     if args.file is not None:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
-                conn = connection_from_json(json.load(fh))
+                data = json.load(fh)
         except OSError as exc:
             raise InputError("io-error", f"cannot read {args.file}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise InputError("malformed-json", f"{args.file} is not JSON: {exc}") from exc
+        conn = connection_from_json(data)
         hol = holonomy(conn)
         return 0, {"steps": conn.steps, "holonomy": complex_pairs(hol)}
 

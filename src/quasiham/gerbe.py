@@ -24,13 +24,18 @@ from .sun import alcove_coordinates
 GAP_TOL = 1e-9
 
 
-def _cover(lam: np.ndarray) -> frozenset[int]:
-    """Indices i whose gap after the i-th sorted phase is strict for every
-    row of phases; gap n compares the bottom phase against the top phase
-    minus one."""
+def _strict_gaps(lam: np.ndarray) -> np.ndarray:
+    """Per row of phases, whether the gap after each sorted phase is strict;
+    gap n compares the bottom phase against the top phase minus one."""
     gaps = np.concatenate([lam[..., :-1] - lam[..., 1:], lam[..., -1:] - (lam[..., :1] - 1.0)],
                           axis=-1)
-    strict = np.all(gaps > GAP_TOL, axis=tuple(range(gaps.ndim - 1)))
+    return gaps > GAP_TOL
+
+
+def _cover(lam: np.ndarray) -> frozenset[int]:
+    """Indices i whose gap after the i-th sorted phase is strict for every
+    row of phases."""
+    strict = np.all(_strict_gaps(lam), axis=tuple(range(lam.ndim - 1)))
     return frozenset(int(i) + 1 for i in np.flatnonzero(strict))
 
 
@@ -117,8 +122,14 @@ def spectral_record(a: np.ndarray) -> SpectralRecord:
     and one batched QR per pair of cover pieces, shared by every determinant
     line and cocycle triple on the stack."""
     a = np.asarray(a, dtype=complex)
+    return _spectral_record(a, alcove_coordinates(a))
+
+
+def _spectral_record(a: np.ndarray, lam: np.ndarray) -> SpectralRecord:
+    """The record of a stack of special unitary matrices whose alcove phases
+    lam are already known, one row per matrix."""
     flat = a.reshape((-1,) + a.shape[-2:])
-    lam = alcove_coordinates(flat)
+    lam = lam.reshape(flat.shape[:-1])
     vals, vecs = np.linalg.eig(flat)
     # eigenvectors matched to the sorted phases: position by position, the
     # nearest eigenvalue not yet taken

@@ -12,12 +12,12 @@ from .holonomy import PiecewiseConnection
 
 def matrix_from_json(data) -> np.ndarray:
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    except (TypeError, IndexError) as exc:
+        out = np.array([[complex(entry[0], entry[1]) for entry in row] for row in data],
+                       dtype=complex)
+    except (TypeError, IndexError, ValueError) as exc:
         raise InputError(
-            "malformed-matrix", "expected row-major [re, im] pair entries"
+            "malformed-matrix", "expected rows of equal length of [re, im] pair entries"
         ) from exc
-    out = np.array(rows, dtype=complex)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise InputError("malformed-matrix", f"expected a square matrix, got {out.shape}")
     return out

@@ -47,8 +47,7 @@ from .sun import (
 
 RANK_CUTOFF = 1e-7
 KERNEL_FLOOR = 1e-12
-COND_LIMIT = 1e8  # a tangent basis more ill-conditioned than this is redrawn
-RETRIES = 8  # draws per sample before a degenerate basis or undecided ranks is an error
+RETRIES = 8  # draws per sample before undecided ranks are an error
 # Tangents per stacked min_degeneracy evaluation.  More gain no speed and cost
 # memory: genus(4, 8) with 50 samples took 42-46 ms a sample at 512 and 45-55 ms
 # with 250 MB more peak memory in one stack (2-vCPU KVM guest, BLAS on 1 thread).
@@ -105,13 +104,6 @@ def tree_unflatten(template, vector: np.ndarray):
         return (part[..., :size] + 1j * part[..., size:]).reshape(vector.shape[:-1] + node.shape)
 
     return rebuild(template)
-
-
-def _unstack(tree) -> list:
-    """The trees along the first axis of every leaf."""
-    if isinstance(tree, tuple):
-        return [tuple(parts) for parts in zip(*map(_unstack, tree))]
-    return list(tree)
 
 
 def _dag(p: np.ndarray) -> np.ndarray:
@@ -221,14 +213,8 @@ class QSpace:
 
     def tangent_basis(self, m) -> list:
         """Orthonormal basis (round metric) of the tangent space at one point."""
-        basis, cond = self._basis(m)
-        if cond > COND_LIMIT:
-            raise InputError("degenerate-basis", f"condition number {cond:.2e}")
-        return _unstack(basis)
-
-    def random_group(self, rng):
-        gs = tuple(expm_skew(random_algebra(self.n, rng, shape=(self.group_factors,))))
-        return gs[0] if self.group_factors == 1 else gs
+        basis = self._basis(m)
+        return [tree_map(lambda x: x[i], basis) for i in range(len(tree_leaves(basis)[0]))]
 
     def random_algebra_element(self, rng):
         xs = tuple(random_algebra(self.n, rng, shape=(self.group_factors,)))
@@ -257,8 +243,7 @@ class QSpace:
 
     def _basis(self, m):
         """Orthonormal tangent bases at a stack of points as one tree whose
-        leaves carry m's leading axes, then d; and each basis's condition
-        number (inf where the rank differs from the first point's)."""
+        leaves carry m's leading axes, then d."""
         raise NotImplementedError
 
     def _generating(self, xi: tuple, m):
@@ -322,7 +307,7 @@ class ConjugacyClass(QSpace):
         """Least-norm solution xi of (Ad_{m^-1} - 1) xi = m^-1 v for a stack
         of tangents v, from one SVD per point.  The nonzero singular values
         are those of the generating-field map, |e^{2 pi i (l_i - l_j)} - 1|;
-        the tangent basis keeps directions within its condition limit 1e8 of
+        the tangent basis keeps the directions above RANK_CUTOFF = 1e-7 of
         the largest, while the centralizer's n - 1 zeros come out at 5e-16 to
         1.5e-15 of it.  The relative cutoff 1e-12 sits far from both; numpy's
         pinv defaults sit on the zeros and gave a false FAIL.  Applying the
@@ -346,14 +331,11 @@ class ConjugacyClass(QSpace):
                          (stack @ lminv,))
 
     def _basis(self, m):
-        # an orthonormal basis (round metric) of the span of the fields x m - m x,
-        # from one SVD per point, at the rank of the first point
+        # an orthonormal basis (round metric) of the span of the fields x m - m x, one
+        # SVD per point, at the first point's rank: conjugation keeps their spectrum
         x, lm = _basis_stack(self.n), _lift(m)
         _, s, vt = np.linalg.svd(tree_realvec(x @ lm - lm @ x, m.ndim - 1), full_matrices=False)
-        ranks = _rank(s, s[..., 0])[0]
-        r = ranks.flat[0]
-        cond = np.where(ranks == r, s[..., 0] / (s[..., r - 1] if r else 1.0), np.inf)
-        return tree_unflatten(self.base, vt[..., :r, :]), cond
+        return tree_unflatten(self.base, vt[..., : _rank(s, s[..., 0])[0].flat[0], :])
 
     def random_field(self, rng):
         return random_algebra(self.n, rng)
@@ -379,7 +361,7 @@ class _Slots(QSpace):
     def _basis(self, m):
         # x_k p_j in slot j, for every su(n) basis element x_k
         moved = [_basis_stack(self.n) @ _lift(p) for p in m]
-        return _block_rows(moved), np.ones(m[0].shape[:-2])
+        return _block_rows(moved)
 
     def random_field(self, rng):
         return tuple(random_algebra(self.n, rng, shape=(self.slots,)))
@@ -504,8 +486,7 @@ class Fusion(QSpace):
         return (self.s1._generating(xi, m[0]), self.s2._generating(xi, m[1]))
 
     def _basis(self, m):
-        (t1, c1), (t2, c2) = self.s1._basis(m[0]), self.s2._basis(m[1])
-        return _block_rows([t1, t2]), np.maximum(c1, c2)
+        return _block_rows([self.s1._basis(m[0]), self.s2._basis(m[1])])
 
     def random_field(self, rng):
         return (self.s1.random_field(rng), self.s2.random_field(rng))
@@ -602,21 +583,18 @@ def _stack_tangents(m, basis: list):
     )
 
 
-def _record(space: QSpace, m, tangents: list) -> Structure:
-    return space.structure(m, _stack_tangents(m, tangents))
-
-
 def omega_matrix(space: QSpace, m, basis: list) -> np.ndarray:
     """Gram matrix omega(b_i, b_j) of a list of tangents, read from the
     structure record of the stacked list; it is exactly antisymmetric."""
-    return _record(space, m, basis).omega
+    return space.structure(m, _stack_tangents(m, basis)).omega
 
 
-def _orthonormal_fields(space: QSpace, rng) -> list:
-    """Three random field data, orthonormalized in the flat round metric."""
-    datas = [space.random_field(rng) for _ in range(3)]
-    q, _ = np.linalg.qr(np.stack([tree_realvec(d) for d in datas], axis=1))
-    return [tree_unflatten(datas[0], q[:, i]) for i in range(3)]
+def _orthonormal_fields(datas: tuple) -> tuple:
+    """Three stacks of field data, orthonormalized sample by sample in the
+    flat round metric, by one stacked QR."""
+    q, _ = np.linalg.qr(np.stack([tree_realvec(d, 1) for d in datas], axis=-1))
+    template = tree_map(lambda x: x[0], datas[0])
+    return tuple(tree_unflatten(template, q[..., i]) for i in range(3))
 
 
 def _moment_residuals(space: QSpace, m, xi, w) -> np.ndarray:
@@ -708,25 +686,34 @@ def _equivariance_residuals(space: QSpace, m, g) -> np.ndarray:
 
 
 def _draw(space: QSpace, axiom: str, rng) -> tuple:
-    """One sample as a loop over samples draws it: a point, redrawn while its
-    tangent basis is worse conditioned than COND_LIMIT, then the axiom's own
-    draws.  The result is the residual's arguments at that point."""
-    for _ in range(RETRIES):
-        m = space.sample(rng)
-        basis, cond = space._basis(m)
-        if cond <= COND_LIMIT:
-            break
-    else:
-        raise InputError("degenerate-basis", f"persistent bad sampling: condition number {cond:.2e}")
+    """One sample as a loop over samples draws it, by the generator alone: the
+    point, then for moment xi and space.dim coefficients of w on the tangent
+    basis, for cocycle three field data, for equivariance the exponent of g."""
+    m = space.sample(rng)
     if axiom == "moment":
         xi = space._as_algebra(space.random_algebra_element(rng))
-        coeffs = rng.normal(size=tree_leaves(basis)[0].shape[0])
-        return m, xi, tree_map(lambda x: np.tensordot(coeffs, x, axes=1), basis)
+        return m, xi, rng.normal(size=space.dim)
     if axiom == "cocycle":
-        return m, tuple(_orthonormal_fields(space, rng))
+        return m, tuple(space.random_field(rng) for _ in range(3))
     if axiom == "equivariance":
-        return m, space._as_group(space.random_group(rng))
-    return m, basis
+        return m, space._as_algebra(space.random_algebra_element(rng))
+    return (m,)
+
+
+def _residuals(space: QSpace, axiom: str, fd_step: float, m, *drawn) -> np.ndarray:
+    """The residuals at a stack of draws, whose matrix work runs once on the
+    stack.  A class basis of fewer than dim rows (eigenphases closer than
+    RANK_CUTOFF resolves) takes the first of each sample's coefficients."""
+    if axiom == "moment":
+        xi, coeffs = drawn
+        w = tree_map(lambda x: np.stack([np.tensordot(c[: x.shape[1]], xp, axes=1)
+                                         for c, xp in zip(coeffs, x)]), space._basis(m))
+        return _moment_residuals(space, m, xi, w)
+    if axiom == "cocycle":
+        return _cocycle_residuals(space, m, _orthonormal_fields(drawn[0]), fd_step)
+    if axiom == "equivariance":
+        return _equivariance_residuals(space, m, tuple(expm_skew(np.stack(drawn[0]))))
+    return _degeneracy_mismatch(space, m, space._basis(m))
 
 
 def _sample_residuals(space: QSpace, axiom: str, samples: int, fd_step: float,
@@ -736,10 +723,6 @@ def _sample_residuals(space: QSpace, axiom: str, samples: int, fd_step: float,
     STACK_ROWS tangents; at its first undecided sample the results before it
     are kept and the state saved right after its draw is restored, so the
     loop's redraw comes next.  RETRIES undecided draws in a row are an error."""
-    residuals = {"moment": _moment_residuals, "cocycle": _cocycle_residuals,
-                 "equivariance": _equivariance_residuals,
-                 "min_degeneracy": _degeneracy_mismatch}[axiom]
-    extra = (fd_step,) if axiom == "cocycle" else ()
     redraws = axiom == "min_degeneracy"
     step = max(1, STACK_ROWS // max(space.dim, 1)) if redraws else samples
     out, done, undecided = np.empty(samples), 0, 0
@@ -748,7 +731,7 @@ def _sample_residuals(space: QSpace, axiom: str, samples: int, fd_step: float,
         for _ in range(min(step, samples - done)):
             draws.append(_draw(space, axiom, rng))
             states.append(rng.bit_generator.state)
-        part = residuals(space, *tree_map(lambda *leaves: np.stack(leaves), *draws), *extra)
+        part = _residuals(space, axiom, fd_step, *tree_map(lambda *x: np.stack(x), *draws))
         nan = np.flatnonzero(np.isnan(part)) if redraws else []
         keep = nan[0] if len(nan) else len(part)
         out[done : done + keep], done = part[:keep], done + keep
@@ -793,7 +776,7 @@ def reduction_rank(space: QSpace, m) -> int:
     psi = space._moment(m)[0]
     if np.max(np.abs(psi - np.eye(space.n))) >= 1e-8:
         raise InputError("not-identity-level", "moment value is not the identity")
-    jacobian = algebra_coords(_record(space, m, space.tangent_basis(m)).left[0])
+    jacobian = algebra_coords(space.structure(m, space._basis(m)).left[0])
     svals = np.linalg.svd(jacobian, compute_uv=False)
     if svals.size == 0 or svals[0] <= 1e-9:
         return 0

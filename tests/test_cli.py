@@ -111,13 +111,21 @@ def test_cocycle_verb_at_rank_ten():
 
 
 def test_cocycle_reports_rejected_draws(monkeypatch):
-    # two wall points (covers {3} and {1, 2}) are drawn first and rejected
+    # the first two draws are the exponents of wall points (covers {3} and
+    # {1, 2}) and are rejected
     from quasiham import gerbe, sun
 
-    walls = [np.eye(3, dtype=complex), sun.torus_point([0.5, 0.5, -1.0])]
-    real_draw = sun.random_special_unitary
-    monkeypatch.setattr(sun, "random_special_unitary",
-                        lambda n, rng: walls.pop(0) if walls else real_draw(n, rng))
+    walls = [np.zeros((3, 3)), 2j * np.pi * np.diag([0.5, 0.5, -1.0])]
+    real_draw = sun.random_algebra
+
+    def draw(n, rng, shape=()):
+        out = real_draw(n, rng, shape)
+        rows = out.reshape(-1, n, n)
+        for k in range(min(len(walls), len(rows))):
+            rows[k] = walls.pop(0)
+        return out
+
+    monkeypatch.setattr(sun, "random_algebra", draw)
 
     calls = []
     real_check = gerbe.vertex_weight_consistency
@@ -357,6 +365,49 @@ def test_missing_connection_file_exits_two(tmp_path, capsys):
     assert captured.err.startswith("error: io-error:") and captured.out == ""
 
 
+PAIR = [0.0, 0.3]
+# connection file contents that are not JSON, ragged, or not in the algebra
+BAD_FILES = {
+    "empty": "", "not-json": "not json", "cut-short": '{"samples": [',
+    "not-utf8": b"\xff\xfe\x00",
+    "ragged-rows": json.dumps({"samples": [[[PAIR, PAIR], [PAIR]]]}),
+    "ragged-stack": json.dumps([[[PAIR, PAIR], [PAIR, PAIR]], [[PAIR], [PAIR]]]),
+    "short-entry": json.dumps([[[PAIR, PAIR], [PAIR, [0.0]]]]),
+    "not-algebra": json.dumps([[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]),
+    "no-samples": json.dumps({"samples": []}), "no-key": json.dumps({"steps": 3}),
+    "numbers": "[1, 2]",
+}
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=st.sampled_from(list(BAD_FILES.values())) | st.text(max_size=30)
+       | st.binary(max_size=30))
+def test_holonomy_file_fuzz_exits_with_a_tag(content, tmp_path):
+    path = tmp_path / "conn.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    argv = ["holonomy-convergence", "--file", str(path), "--json"]
+    code, out, err, caught = run_main_quietly(argv)
+    assert_clean_exit(argv, code, out, err, caught)
+
+
+@pytest.mark.parametrize("name,tag", [("not-json", "malformed-json"),
+                                      ("not-utf8", "malformed-json"),
+                                      ("ragged-rows", "malformed-matrix"),
+                                      ("ragged-stack", "malformed-matrix"),
+                                      ("not-algebra", "not-algebra")])
+def test_holonomy_file_errors_carry_tags(name, tag, tmp_path, capsys):
+    path = tmp_path / "conn.json"
+    content = BAD_FILES[name]
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    assert main(["holonomy-convergence", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {tag}:") and captured.out == ""
+
+
 def test_undecided_degeneracy_sample_is_redrawn():
     argv = ["verify", "--space", "genus", "--n", "2", "--genus", "2",
             "--axiom", "min_degeneracy", "--samples", "3", "--seed", "1976016887"]
@@ -409,6 +460,10 @@ COVERAGE_ARGV = [
 # Public functions no verb calls, each with its reason.
 LIBRARY_ONLY = {
     "cocycle_check": "the acceptance tests' one-matrix form of SpectralRecord.check",
+    "cover_index_set": "the acceptance tests' cover of one matrix; the cocycle verb reads "
+                       "the gaps of the phases it has already computed",
+    "spectral_record": "the record of matrices whose phases are not yet computed; the "
+                       "cocycle verb builds its record from the phases of its draws",
     "constant_connection": "the acceptance tests' connection xi dt",
     "inner_product": "the exact side of the exact-numerical bridge",
     "torus_algebra": "the numerical side of the exact-numerical bridge",

@@ -22,6 +22,7 @@ from quasiham.roots import LieType, a_series_from_euclidean, build_root_system
 from quasiham.sun import alcove_coordinates, random_special_unitary, torus_point
 
 gerbe = importlib.import_module("quasiham.gerbe")
+sun = importlib.import_module("quasiham.sun")
 
 
 def wedge_coordinates(columns):
@@ -391,18 +392,77 @@ def test_cocycle_payload_equals_per_sample_loop(n, seed):
     assert render(payload, True) == render(cocycle_payload_per_sample(n, 5, seed), True)
 
 
-def wrong_block_record(shift):
-    """spectral_record with Q_jk replaced by a wrong basis: the eigenvector
-    block one position early (shift="position") or the block of the next
-    sample of the stack (shift="sample")."""
-    honest = gerbe.spectral_record
+def scalar_draws(monkeypatch, rows):
+    """Make the draws of the given row numbers, counted over every algebra
+    draw from now on, zero: their exponential is the identity, which lies on
+    a wall and is rejected."""
+    real, drawn = sun.random_algebra, [0]
 
-    def tampered(a, *args, **kwargs):
-        record = honest(a, *args, **kwargs)
+    def draw(n, rng, shape=()):
+        out = real(n, rng, shape)
+        flat = out.reshape(-1, n, n)
+        for k in range(len(flat)):
+            if drawn[0] + k in rows:
+                flat[k] = 0.0
+        drawn[0] += len(flat)
+        return out
+
+    monkeypatch.setattr(sun, "random_algebra", draw)
+
+
+def loop_draws(n, samples, seed):
+    """The accepted matrices and the rejected count of the cocycle verb as a
+    loop that draws one matrix at a time."""
+    rng, accepted, rejected = np.random.default_rng(seed), [], 0
+    while len(accepted) < samples:
+        a = random_special_unitary(n, rng)
+        if len(cover_index_set(a)) < n:
+            rejected += 1
+        else:
+            accepted.append(a)
+    return np.stack(accepted), rejected
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("scalar,stacks", [((), 1), ((1,), 2), ((1, 4, 5), 3)])
+def test_cocycle_draws_equal_the_loop(n, scalar, stacks, monkeypatch):
+    # one phase computation per stack of draws, and the record is built
+    # from those phases; the rejected draws are made up in the next stack:
+    # with draws 1, 4 and 5 rejected the stacks are draws 0-4, 5-6 and 7
+    calls, records = [], []
+    phases, record = sun.alcove_coordinates, gerbe._spectral_record
+    monkeypatch.setattr(sun, "alcove_coordinates", lambda a: calls.append(a) or phases(a))
+    monkeypatch.setattr(gerbe, "alcove_coordinates", lambda a: calls.append(a) or phases(a))
+    monkeypatch.setattr(gerbe, "_spectral_record",
+                        lambda a, lam: records.append(a) or record(a, lam))
+    with monkeypatch.context() as patch:
+        scalar_draws(patch, scalar)
+        code, payload = dispatch(["cocycle", "--n", str(n), "--samples", "5", "--seed", "11"])
+    assert code == 0 and payload["rejected"] == len(scalar)
+    assert len(calls) == stacks
+    with monkeypatch.context() as patch:
+        scalar_draws(patch, scalar)
+        accepted, rejected = loop_draws(n, 5, 11)
+    with monkeypatch.context() as patch:
+        scalar_draws(patch, scalar)
+        expected = cocycle_payload_per_sample(n, 5, 11)
+    [stacked] = records
+    assert np.array_equal(stacked, accepted) and rejected == payload["rejected"]
+    assert render(payload, True) == render(expected, True)
+
+
+def wrong_block_record(shift):
+    """The record the cocycle verb builds, with Q_jk replaced by a wrong
+    basis: the eigenvector block one position early (shift="position") or
+    the block of the next sample of the stack (shift="sample")."""
+    honest = gerbe._spectral_record
+
+    def tampered(a, lam):
+        record = honest(a, lam)
         bases = dict(record.bases)
         for (j, k), q in record.bases.items():
             if j > 1 and shift == "position":
-                bases[j, k] = honest(a).bases[j - 1, k - 1]
+                bases[j, k] = honest(a, lam).bases[j - 1, k - 1]
             elif j > 1:
                 bases[j, k] = np.roll(q, 1, axis=0)
         return replace(record, bases=bases)
@@ -412,14 +472,14 @@ def wrong_block_record(shift):
 
 def test_cocycle_fails_on_a_record_with_a_wrong_block(monkeypatch):
     # another sample's block gives coefficients off the unit circle
-    monkeypatch.setattr(gerbe, "spectral_record", wrong_block_record("sample"))
+    monkeypatch.setattr(gerbe, "_spectral_record", wrong_block_record("sample"))
     for n in (3, 4, 5):
         code, payload = dispatch(["cocycle", "--n", str(n), "--samples", "5"])
         assert code == 1 and payload["pass"] is False
         assert payload["max_unimodularity_defect"] > 1e-2
     # the block one position early shares a line with Q_ij: the coefficient
     # collapses, a unimodularity defect of one
-    monkeypatch.setattr(gerbe, "spectral_record", wrong_block_record("position"))
+    monkeypatch.setattr(gerbe, "_spectral_record", wrong_block_record("position"))
     code, payload = dispatch(["cocycle", "--n", "4", "--samples", "5"])
     assert code == 1 and payload["pass"] is False
     assert payload["max_unimodularity_defect"] > 0.99

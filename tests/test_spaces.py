@@ -13,7 +13,6 @@ from quasiham.spaces import (
     Fusion,
     Genus,
     InternalFusion,
-    _record,
     make_space,
     omega_matrix,
     reduction_rank,
@@ -29,6 +28,7 @@ from quasiham.sun import (
     algebra_coords,
     algebra_from_coords,
     basic_inner,
+    expm_skew,
     project_algebra,
     random_algebra,
     random_special_unitary,
@@ -59,6 +59,17 @@ def zero_tangent(m):
 
 def tree_add(a, b, c=1.0):
     return tree_map(lambda x, y: x + c * y, a, b)
+
+
+def _record(space, m, tangents):
+    """The structure record of a list of tangents at one point."""
+    return space.structure(m, spaces._stack_tangents(m, tangents))
+
+
+def random_group(space, rng):
+    """A group element as the verifier draws g: the exponential of the
+    space's algebra draw, as a tuple of factors."""
+    return tuple(expm_skew(np.stack(space._as_algebra(space.random_algebra_element(rng)))))
 
 
 def pair_omega(space, m, v, w):
@@ -238,7 +249,7 @@ def test_omega_invariant_under_action(name, space):
         basis = space.tangent_basis(m)
         v = sum_basis(space, m, basis, rng)
         w = sum_basis(space, m, basis, rng)
-        g = space.random_group(rng)
+        g = random_group(space, rng)
         moved = space.act(g, m)
         lhs = pair_omega(space, moved, space.act(g, v), space.act(g, w))
         assert lhs == pytest.approx(pair_omega(space, m, v, w), abs=1e-9)
@@ -272,6 +283,16 @@ def rational_alcove_point(rng, n):
         lam.append(lam[-1] - Q(int(c), q))
     shift = sum(lam) / n
     return tuple(x - shift for x in lam)
+
+
+def test_unresolved_class_directions_take_the_first_coefficients():
+    # eigenphases 2e-8 apart put two singular values of the fields below
+    # RANK_CUTOFF: the basis has 4 of the 6 directions, the moment draw still
+    # draws 6 coefficients, and w combines the basis with the first 4
+    space = ConjugacyClass(3, (Q(1, 4) + Q(1, 10**8), Q(1, 4) - Q(1, 10**8), Q(-1, 2)))
+    assert space.dim == 6 and len(space.tangent_basis(space.base)) == 4
+    rep = verify_axiom(space, "moment", samples=5, seed=1)
+    assert rep.passed and rep.max_residual < 1e-12
 
 
 def test_class_dim_is_exact_and_matches_tangent_basis():
@@ -364,19 +385,25 @@ def test_record_matches_reference_moment_derivative(name, space, d):
 
 
 @pytest.mark.parametrize("name,space,d", gram_spaces())
-def test_random_tangent_is_basis_combination(name, space, d):
+def test_random_tangent_is_basis_combination(name, space, d, monkeypatch):
     # the moment draw's w combines the basis with the d normals drawn after xi
     rng = np.random.default_rng(89)
-    m, xi, w = spaces._draw(space, "moment", rng)
+    m, xi, coeffs = spaces._draw(space, "moment", rng)
     ref_rng = np.random.default_rng(89)
     ref_m, basis = sample_with_basis(space, ref_rng)
     assert same_tree(m, ref_m) and len(basis) == d
     assert same_tree(xi, space._as_algebra(space.random_algebra_element(ref_rng)))
-    ref = zero_tangent(m)
-    for c, b in zip(ref_rng.normal(size=len(basis)), basis):
-        ref = tree_add(ref, b, c)
+    assert np.array_equal(coeffs, ref_rng.normal(size=len(basis)))
     assert ref_rng.bit_generator.state == rng.bit_generator.state  # the same draws
-    assert tree_max(tree_add(w, ref, -1.0)) < 1e-14
+    ref = zero_tangent(m)
+    for c, b in zip(coeffs, basis):
+        ref = tree_add(ref, b, c)
+    # the w the stacked residual gets, from the basis built over the stack
+    seen = []
+    monkeypatch.setattr(spaces, "_moment_residuals", lambda sp, *args: seen.append(args))
+    spaces._residuals(space, "moment", 1e-4, *stack([(m, xi, coeffs)]))
+    [(_, _, w)] = seen
+    assert tree_max(tree_add(at(w, 0), ref, -1.0)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +523,7 @@ def squeezed(cls, *shrinks):
 
     class Squeezed(cls):
         def structure(self, m, stack):
-            basis, _ = self._basis(m)
+            basis = self._basis(m)
             out = stack
             for i, shrink in enumerate(shrinks):
                 first = tree_map(lambda x: x[..., i, :, :], basis)
@@ -608,36 +635,6 @@ def test_persistently_undecided_sampling_is_an_input_error():
     assert err.value.code == "undecided-sample"
 
 
-class FlakyDouble(Double):
-    """The double whose first `failures` tangent bases are refused as
-    degenerate, through the condition number of `_basis`."""
-
-    def __init__(self, n, failures):
-        super().__init__(n)
-        self.remaining = failures
-
-    def _basis(self, m):
-        basis, cond = super()._basis(m)
-        if self.remaining > 0:
-            self.remaining -= 1
-            cond = np.inf
-        return basis, cond
-
-
-def test_degenerate_basis_triggers_resampling():
-    retries = spaces.RETRIES
-    for axiom in spaces.AXIOMS:
-        rep = verify_axiom(FlakyDouble(2, failures=retries - 1), axiom, samples=2, seed=3)
-        assert rep.passed, axiom
-        stacked = spaces._sample_residuals(FlakyDouble(2, failures=3), axiom, 2, 1e-4,
-                                           np.random.default_rng(3))
-        loop = loop_residuals(FlakyDouble(2, failures=3), axiom, 2, 3)
-        assert np.max(np.abs(stacked - loop)) <= STACK_TOLERANCES[axiom], axiom
-        with pytest.raises(InputError) as err:
-            verify_axiom(FlakyDouble(2, failures=retries), axiom, samples=1, seed=3)
-        assert err.value.code == "degenerate-basis", axiom
-
-
 def test_verify_axiom_argument_validation():
     d = Double(2)
     with pytest.raises(InputError) as err:
@@ -705,7 +702,7 @@ def test_record_over_points_matches_single_points(name, space):
 def test_action_moment_and_fields_over_points_match_single_points(name, space):
     rng = np.random.default_rng(149)
     points = [space.sample(rng) for _ in range(3)]
-    gs = [space._as_group(space.random_group(rng)) for _ in range(3)]
+    gs = [random_group(space, rng) for _ in range(3)]
     datas = [space.random_field(rng) for _ in range(3)]
     times = rng.normal(size=3)
     m = stack(points)
@@ -725,16 +722,9 @@ def test_action_moment_and_fields_over_points_match_single_points(name, space):
 # oracles.
 
 def sample_with_basis(space, rng):
-    """Draw a point and its tangent basis as a list, redrawing a point whose
-    basis is refused as degenerate."""
-    for _ in range(spaces.RETRIES):
-        m = space.sample(rng)
-        try:
-            return m, space.tangent_basis(m)
-        except InputError as exc:
-            if exc.code != "degenerate-basis":
-                raise
-    raise InputError("degenerate-basis", "persistent bad sampling")
+    """Draw a point and its tangent basis as a list."""
+    m = space.sample(rng)
+    return m, space.tangent_basis(m)
 
 
 def random_tangent(m, basis, rng):
@@ -754,8 +744,19 @@ def moment_residual(space, m, basis, rng):
     return float(abs(rec.omega[0, 1] - rhs))
 
 
+def orthonormalized(datas):
+    """Three field data, orthonormalized in the flat round metric by one QR."""
+    q, _ = np.linalg.qr(np.stack([spaces.tree_realvec(d) for d in datas], axis=1))
+    return [spaces.tree_unflatten(datas[0], q[:, i]) for i in range(3)]
+
+
+def orthonormal_fields(space, rng):
+    """Three random field data, orthonormalized."""
+    return orthonormalized([space.random_field(rng) for _ in range(3)])
+
+
 def cocycle_residual(space, m, rng, fd_step):
-    f1, f2, f3 = spaces._orthonormal_fields(space, rng)
+    f1, f2, f3 = orthonormal_fields(space, rng)
 
     def omega_of(da, db, point):
         pair = [space.field_at(da, point), space.field_at(db, point)]
@@ -793,7 +794,7 @@ def cocycle_residual(space, m, rng, fd_step):
 
 
 def equivariance_residual(space, m, rng):
-    g = space._as_group(space.random_group(rng))
+    g = random_group(space, rng)
     moved = space._moment(space._act(g, m))
     ref = space._moment(m)
     resid = 0.0
@@ -854,24 +855,15 @@ def test_stacked_residuals_match_per_sample_loop(name, space, axiom):
             space, axiom, 5, 1e-4, np.random.default_rng(seed)))
 
 
-class EveryThirdBasisFails(InternalFusion):
-    """A fused double whose every third tangent basis is refused, through
-    the condition number of `_basis`, so that the verifier redraws points."""
-
-    def __init__(self, n):
-        super().__init__(Double(n))
-        self.calls = 0
-
-    def _basis(self, m):
-        self.calls += 1
-        basis, cond = super()._basis(m)
-        return basis, (np.inf if self.calls % 3 == 0 else cond)
+# The loop oracle's own draws, made from draws of the verifier's: its w, its
+# orthonormal fields and its g.
+LOOP_ONLY = ("random_tangent", "orthonormal_fields", "random_group")
 
 
 def spy_draws(space, monkeypatch):
-    """Log every draw, in order: points (accepted or redrawn), their bases
-    with condition numbers, fields, xi, the loop's w and g; and the stacked
-    draws the residuals get."""
+    """Log every draw, in order: points, algebra elements (xi or the
+    exponent of g), field data and the loop oracle's own draws; and the
+    stacked arguments the residuals get."""
     log, stacked = [], []
 
     def spied(kind, fn):
@@ -882,11 +874,10 @@ def spy_draws(space, monkeypatch):
         return spy
 
     monkeypatch.setattr(space, "sample", spied("point", space.sample))
-    monkeypatch.setattr(space, "_basis", spied("basis", space._basis))
-    for kind in ("random_algebra_element", "random_group"):
+    for kind in ("random_algebra_element", "random_field"):
         monkeypatch.setattr(space, kind, spied(kind, getattr(space, kind)))
-    monkeypatch.setattr(spaces, "_orthonormal_fields", spied("fields", spaces._orthonormal_fields))
-    monkeypatch.setitem(globals(), "random_tangent", spied("w", random_tangent))
+    for kind in LOOP_ONLY:
+        monkeypatch.setitem(globals(), kind, spied(kind, globals()[kind]))
     for name in ("_moment_residuals", "_cocycle_residuals", "_equivariance_residuals"):
         real = getattr(spaces, name)
         monkeypatch.setattr(spaces, name,
@@ -896,39 +887,54 @@ def spy_draws(space, monkeypatch):
 
 @pytest.mark.parametrize("axiom", ["moment", "cocycle", "equivariance"])
 def test_verify_axiom_draws_what_the_loop_draws(axiom, monkeypatch):
-    space = EveryThirdBasisFails(2)
-    log, stacked = spy_draws(space, monkeypatch)
-    verify_axiom(space, axiom, samples=4, seed=157)
-    drawn, log[:] = list(log), []
-    space.calls = 0
-    loop_residuals(space, axiom, 4, 157)
-    # the loop's w is a draw of the verifier's own, inside the moment draw
-    loop_drawn = [(k, out) for k, out in log if k != "w"]
-    assert [k for k, _ in drawn] == [k for k, _ in loop_drawn]
-    assert sum(k == "point" for k, _ in log) > 4  # some points were redrawn
-    assert all(same_tree(a, b) for (_, a), (_, b) in zip(drawn, loop_drawn))
+    for space in (ConjugacyClass(3, GENERIC_XI3), InternalFusion(Double(2)), Genus(2, 2)):
+        with monkeypatch.context() as patch:
+            log, stacked = spy_draws(space, patch)
+            verify_axiom(space, axiom, samples=4, seed=157)
+            drawn, log[:] = list(log), []
+            loop_residuals(space, axiom, 4, 157)
+        loop_drawn = [(k, out) for k, out in log if k not in LOOP_ONLY]
+        assert [k for k, _ in drawn] == [k for k, _ in loop_drawn]
+        assert all(same_tree(a, b) for (_, a), (_, b) in zip(drawn, loop_drawn))
 
-    def drawn_as(kind, as_tree=lambda x: x):
-        return stack([as_tree(out) for k, out in log if k == kind])
+        def drawn_as(kind, as_tree=lambda x: x):
+            return stack([as_tree(out) for k, out in log if k == kind])
 
-    conds = [out[1] for k, out in log if k == "basis"]
-    points = [out for k, out in log if k == "point"]
-    accepted = stack([m for m, cond in zip(points, conds) if cond <= spaces.COND_LIMIT])
-    if axiom == "moment":
-        expected = (accepted, drawn_as("random_algebra_element", space._as_algebra),
-                    drawn_as("w"))
-    elif axiom == "cocycle":
-        expected = (accepted, drawn_as("fields", tuple), 1e-4)
-    else:
-        expected = (accepted, drawn_as("random_group", space._as_group))
-    assert len(stacked) == 1 and same_tree(stacked[0], expected)
+        # the loop's w, fields and g equal, bit for bit, what the verifier
+        # builds once per stack from its draws
+        if axiom == "moment":
+            expected = (drawn_as("point"), drawn_as("random_algebra_element", space._as_algebra),
+                        drawn_as("random_tangent"))
+        elif axiom == "cocycle":
+            expected = (drawn_as("point"), drawn_as("orthonormal_fields", tuple), 1e-4)
+        else:
+            expected = (drawn_as("point"), drawn_as("random_group"))
+        assert len(stacked) == 1 and same_tree(stacked[0], expected)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_draw_work_equals_per_sample_work(n):
+    # the verifier exponentiates g, orthonormalizes the fields and builds
+    # the tangent bases once per stack of samples; its verdicts keep their
+    # bytes because each equals the per-sample result bit for bit
+    rng = np.random.default_rng(163 + n)
+    xs = random_algebra(n, rng, shape=(6,))
+    assert np.array_equal(expm_skew(xs), np.stack([expm_skew(x) for x in xs]))
+    xi = tuple(Q(n - 1 - 2 * j, 2 * n) for j in range(n))
+    for space in (ConjugacyClass(n, xi), Double(n), Genus(n, 2)):
+        points = [space.sample(rng) for _ in range(4)]
+        bases = space._basis(stack(points))
+        assert all(same_tree(at(bases, p), space._basis(m)) for p, m in enumerate(points))
+        datas = [tuple(space.random_field(rng) for _ in range(3)) for _ in range(4)]
+        fields = spaces._orthonormal_fields(stack(datas))
+        assert all(same_tree(at(fields, p), tuple(orthonormalized(d)))
+                   for p, d in enumerate(datas))
 
 
 class Scripted(Genus):
-    """genus(2, 2) whose k-th point drawn from seed 5 is kept ("ok"), has its
-    basis refused ("degenerate"), or is replaced by the first draw of seed
-    1976016887, whose ranks are undecided ("undecided"), as script[k] says;
-    the verdict follows the point, not the call."""
+    """genus(2, 2) whose k-th point drawn from seed 5 is kept ("ok") or is
+    replaced by the first draw of seed 1976016887, whose ranks are undecided
+    ("undecided"), as script[k] says."""
 
     def __init__(self, script):
         super().__init__(2, 2)
@@ -937,26 +943,20 @@ class Scripted(Genus):
         self.script = script
         self.undecided = Genus.sample(self, np.random.default_rng(1976016887))
 
-    def kind(self, m):
-        return next((k for p, k in zip(self.stream, self.script) if np.array_equal(p, m[0])), "ok")
-
     def sample(self, rng):
         m = super().sample(rng)
-        return self.undecided if self.kind(m) == "undecided" else m
-
-    def _basis(self, m):
-        basis, cond = super()._basis(m)
-        return basis, (np.inf if self.kind(m) == "degenerate" else cond)
+        kind = next((k for p, k in zip(self.stream, self.script) if np.array_equal(p, m[0])), "ok")
+        return self.undecided if kind == "undecided" else m
 
 
 def second_draw_redrawn(reason):
-    """genus(2, 2) where the loop redraws the second point drawn from seed 5:
-    either that draw is replaced by a point whose ranks are undecided, or its
-    tangent basis is refused as degenerate (with no reason, plain genus(2, 2))."""
+    """genus(2, 2) where the loop redraws the second point drawn from seed 5,
+    replaced by a point whose ranks are undecided (with no reason, plain
+    genus(2, 2))."""
     return Scripted(["ok", reason] if reason else [])
 
 
-@pytest.mark.parametrize("reason", ["undecided", "degenerate"])
+@pytest.mark.parametrize("reason", ["undecided"])
 def test_mid_stack_redraw_restores_the_loop_draws(reason, monkeypatch):
     space = second_draw_redrawn(reason)
     drawn, evaluated = [], []
@@ -978,14 +978,6 @@ def test_mid_stack_redraw_restores_the_loop_draws(reason, monkeypatch):
     drawn.clear()
     loop = loop_residuals(space, "min_degeneracy", 3, 5)
     assert np.array_equal(stacked, loop) and len(drawn) == 4
-    if reason == "degenerate":
-        # the refused second point is redrawn at once, as the loop does, and
-        # one stack holds the three accepted points
-        assert len(stacked_drawn) == 4
-        assert all(same_tree(a, b) for a, b in zip(stacked_drawn, drawn))
-        [(points, out)] = stacked_evaluated
-        assert same_tree(points, stack(drawn[:1] + drawn[2:])) and np.array_equal(out, loop)
-        return
     # the stack of the first three draws, the second undecided; then, from
     # the state right after the second draw, the last two samples as the
     # loop draws them, so the third draw is made twice
@@ -996,7 +988,7 @@ def test_mid_stack_redraw_restores_the_loop_draws(reason, monkeypatch):
     assert same_tree(rest, stack(drawn[2:])) and np.array_equal(second, loop[1:])
 
 
-@pytest.mark.parametrize("reason", ["undecided", "degenerate", None])
+@pytest.mark.parametrize("reason", ["undecided", None])
 @pytest.mark.parametrize("step", [1, 2, 3])
 def test_degeneracy_stacks_hold_at_most_stack_rows(reason, step, monkeypatch):
     space = second_draw_redrawn(reason)
@@ -1015,7 +1007,7 @@ def test_degeneracy_stacks_hold_at_most_stack_rows(reason, step, monkeypatch):
     assert stacked_draws == len(drawn) + (step - 2 if reason == "undecided" and step > 2 else 0)
 
 
-def test_refused_bases_and_undecided_samples_are_counted_apart():
+def test_undecided_samples_are_counted_per_sample():
     retries = spaces.RETRIES
 
     def residuals(script, samples):
@@ -1025,18 +1017,12 @@ def test_refused_bases_and_undecided_samples_are_counted_apart():
                                                       samples, 5))
         return stacked
 
-    # every undecided draw starts a fresh basis count, and refused bases do
-    # not count toward the undecided limit
-    refused_then_undecided = ["degenerate"] * (retries - 1) + ["undecided"]
-    assert np.all(residuals(refused_then_undecided * (retries - 1), 1) == 0.0)
     # every accepted sample starts a fresh undecided count
     assert np.all(residuals((["undecided"] * (retries - 1) + ["ok"]) * 2, 2) == 0.0)
-    for script, code in ((["degenerate"] * retries, "degenerate-basis"),
-                         (["undecided"] * retries, "undecided-sample"),
-                         (["ok"] + ["undecided"] * retries, "undecided-sample")):
+    for script in (["undecided"] * retries, ["ok"] + ["undecided"] * retries):
         with pytest.raises(InputError) as err:
             residuals(script, 2)
-        assert err.value.code == code
+        assert err.value.code == "undecided-sample"
 
 
 # The class potential's singular-value cutoff: numpy's pinv defaults sit on
