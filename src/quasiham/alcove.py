@@ -213,7 +213,8 @@ def open_face_set(rs: RootSystem, xi: CartanVector) -> frozenset[int]:
     """Indices j of the cover pieces containing xi: the vertices whose
     barycentric coordinate at xi is strictly positive."""
     if not _membership(rs, xi, 1).contains:
-        raise InputError("not-in-alcove", f"{xi} lies outside the level-1 alcove")
+        raise InputError("not-in-alcove",
+                         f"{','.join(format_vector(xi))} lies outside the level-1 alcove")
     bary = barycentric_coords(rs, xi)
     return frozenset(j for j, t in enumerate(bary) if t > 0)
 

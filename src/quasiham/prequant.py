@@ -47,7 +47,8 @@ def class_prequantizable(rs: RootSystem, xi: CartanVector, k: int) -> PrequantVe
     if not _membership(rs, xi, 1).contains:
         raise InputError(
             "not-in-alcove",
-            f"{xi} is not a conjugacy-class parameter (outside the alcove)",
+            f"{','.join(format_vector(xi))} is not a conjugacy-class parameter"
+            " (outside the alcove)",
         )
     candidate = scale(k, xi)
     if weight_lattice_contains(rs, candidate):

@@ -1,13 +1,15 @@
 """Quasi-Hamiltonian SU(n)-spaces and numerical verification of their axioms.
 
-Built-in spaces: conjugacy classes, the double (a G x G space), its internal
-fusion (commutator moment map), fusion products, and genus-h products of
-fused doubles.  Points and tangent representatives are tuples of matrices
-mirroring each space's construction.  Every space gives one structure record
-for a stack of tangents: the Gram matrix of its 2-form, its moment factors
-and their left and right logarithmic derivatives.  Fusion is one rule on
-records; the verifier only reads records and the common interface, so every
-axiom check runs uniformly across spaces.  The leaves of a point may carry
+Built-in spaces: conjugacy classes, the double (a G x G space), and `Fused`,
+one left fold of fusion over a list of parts.  Its constructors are the
+internal fusion of a double (commutator moment map), the fusion product of
+two G-valued spaces, and the genus-h product of h fused doubles.  Points and
+tangent representatives are tuples of matrices mirroring each space's
+construction.  Every space gives one structure record for a stack of
+tangents: the Gram matrix of its 2-form, its moment factors and their left
+and right logarithmic derivatives.  Fusion is one rule on records; the
+verifier only reads records and the common interface, so every axiom check
+runs uniformly across spaces.  The leaves of a point may carry
 leading axes (a stack of points); records, moments, actions and fields then
 carry the same axes, and a single point is the case without them.
 
@@ -24,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -119,9 +122,11 @@ def _lift(p: np.ndarray) -> np.ndarray:
 def _block_rows(parts: list) -> tuple:
     """Stacked tangents of a product from those of its factors: factor j's
     tangents fill its own rows of the stack axis, zeros the other rows."""
-    ends = np.cumsum([0] + [tree_leaves(p)[0].shape[-3] for p in parts])
+    ends = list(accumulate((tree_leaves(p)[0].shape[-3] for p in parts), initial=0))
 
     def pad(x, j):
+        if x.shape[-3] == ends[-1]:  # a part that fills every row, as a one-part product's
+            return x
         out = np.zeros(x.shape[:-3] + (ends[-1],) + x.shape[-2:], dtype=complex)
         out[..., ends[j] : ends[j + 1], :, :] = x
         return out
@@ -349,9 +354,9 @@ class ConjugacyClass(QSpace):
 
 
 class _Slots(QSpace):
-    """A space whose points are tuples of `slots` SU(n) matrices p_j; a
-    tangent or field value is X_j p_j in each slot, and a field flows by
-    exp(t X_j) p_j."""
+    """A space whose points are tuples of `slots` SU(n) matrices p_j (2 for
+    a double, 2h for a genus-h space); a tangent or field value is X_j p_j
+    in each slot, and a field flows by exp(t X_j) p_j."""
 
     slots: int
 
@@ -411,122 +416,95 @@ class Double(_Slots):
         )
 
 
-class InternalFusion(QSpace):
-    """Fuse the two group factors of a G x G space: diagonal action, moment
-    map the product of the two components, corrected 2-form."""
+class Fused(QSpace):
+    """The fusion product of its parts in a left fold: diagonal action,
+    product moment map, corrected 2-form (Alekseev-Malkin-Meinrenken 1998).
+    A part is G-valued, or a pair space whose two factors fuse first; a point
+    is the flat tuple of the parts' points, one slot for a G-valued part and
+    two for a pair part."""
 
     group_factors = 1
+
+    def __init__(self, parts: list):
+        self.parts = tuple(parts)
+        self.n = parts[0].n
+        self.dim = sum(p.dim for p in parts)
+        ends = list(accumulate((p.group_factors for p in parts), initial=0))
+        self.slots = ends[-1]
+        self._keys = [i if j - i == 1 else slice(i, j) for i, j in zip(ends, ends[1:])]
+
+    def _join(self, shares) -> tuple:
+        out = ()
+        for p, t in zip(self.parts, shares):
+            out += t if p.group_factors == 2 else (t,)
+        return out
+
+    def _each(self, fn, *trees) -> tuple:
+        """fn(part, its shares of the trees) for every part, joined."""
+        return self._join([fn(p, *[t[k] for t in trees]) for p, k in zip(self.parts, self._keys)])
+
+    def sample(self, rng):
+        return self._each(lambda p: p.sample(rng))
+
+    def _moment(self, m):
+        return (reduce(np.matmul, (reduce(np.matmul, p._moment(m[k]))
+                                   for p, k in zip(self.parts, self._keys))),)
+
+    def structure(self, m, stack):
+        def record(p, k):  # a pair part's two factors fuse first
+            r = p.structure(m[k], stack[k])
+            return _fuse(r.omega, r.factor(0), r.factor(1)) if p.group_factors == 2 else r
+
+        return reduce(_fuse_records, map(record, self.parts, self._keys))
+
+    def _act(self, g, m):
+        return self._each(lambda p, x: p._act(g * p.group_factors, x), m)
+
+    def _generating(self, xi, m):
+        return self._each(lambda p, x: p._generating(xi * p.group_factors, x), m)
+
+    def _basis(self, m):
+        return self._join(_block_rows([p._basis(m[k]) for p, k in zip(self.parts, self._keys)]))
+
+    def random_field(self, rng):
+        return self._each(lambda p: p.random_field(rng))
+
+    def field_at(self, data, m):
+        return self._each(lambda p, d, x: p.field_at(d, x), data, m)
+
+    def field_flow(self, data, m, t):
+        return self._each(lambda p, d, x: p.field_flow(d, x, t), data, m)
+
+
+class InternalFusion(Fused):
+    """Fuse the two group factors of a G x G space."""
 
     def __init__(self, inner: QSpace):
         if inner.group_factors != 2:
             raise InputError("not-a-pair-space", "internal fusion needs a G x G space")
-        self.inner = inner
-        self.n = inner.n
-        self.dim = inner.dim
-
-    def sample(self, rng):
-        return self.inner.sample(rng)
-
-    def _moment(self, m):
-        p1, p2 = self.inner._moment(m)
-        return (p1 @ p2,)
-
-    def structure(self, m, stack):
-        rec = self.inner.structure(m, stack)
-        return _fuse(rec.omega, rec.factor(0), rec.factor(1))
-
-    def _act(self, g, m):
-        return self.inner._act((g[0], g[0]), m)
-
-    def _generating(self, xi, m):
-        return self.inner._generating((xi[0], xi[0]), m)
-
-    def _basis(self, m):
-        return self.inner._basis(m)
-
-    def random_field(self, rng):
-        return self.inner.random_field(rng)
-
-    def field_at(self, data, m):
-        return self.inner.field_at(data, m)
-
-    def field_flow(self, data, m, t):
-        return self.inner.field_flow(data, m, t)
+        Fused.__init__(self, [inner])
 
 
-class Fusion(QSpace):
-    """Fusion product of two G-valued spaces over the same SU(n): diagonal
-    action, product moment map, corrected 2-form."""
-
-    group_factors = 1
+class Fusion(Fused):
+    """Fusion product of two G-valued spaces over the same SU(n)."""
 
     def __init__(self, s1: QSpace, s2: QSpace):
         if s1.group_factors != 1 or s2.group_factors != 1:
             raise InputError("not-g-valued", "fusion factors must carry G-valued moments")
         if s1.n != s2.n:
             raise InputError("group-size-mismatch", f"SU({s1.n}) vs SU({s2.n})")
-        self.s1 = s1
-        self.s2 = s2
-        self.n = s1.n
-        self.dim = s1.dim + s2.dim
-
-    def sample(self, rng):
-        return (self.s1.sample(rng), self.s2.sample(rng))
-
-    def _moment(self, m):
-        return (self.s1._moment(m[0])[0] @ self.s2._moment(m[1])[0],)
-
-    def structure(self, m, stack):
-        return _fuse_records(self.s1.structure(m[0], stack[0]), self.s2.structure(m[1], stack[1]))
-
-    def _act(self, g, m):
-        return (self.s1._act(g, m[0]), self.s2._act(g, m[1]))
-
-    def _generating(self, xi, m):
-        return (self.s1._generating(xi, m[0]), self.s2._generating(xi, m[1]))
-
-    def _basis(self, m):
-        return _block_rows([self.s1._basis(m[0]), self.s2._basis(m[1])])
-
-    def random_field(self, rng):
-        return (self.s1.random_field(rng), self.s2.random_field(rng))
-
-    def field_at(self, data, m):
-        return (self.s1.field_at(data[0], m[0]), self.s2.field_at(data[1], m[1]))
-
-    def field_flow(self, data, m, t):
-        return (self.s1.field_flow(data[0], m[0], t), self.s2.field_flow(data[1], m[1], t))
+        Fused.__init__(self, [s1, s2])
 
 
-class Genus(_Slots):
-    """h fused doubles fused in a row, with the commutator-product moment map
-    prod_j [a_j, b_j]; points are flat 2h-tuples (a_1, b_1, ..., a_h, b_h) of
-    SU(n) matrices, each conjugated by the group."""
-
-    group_factors = 1
+class Genus(_Slots, Fused):
+    """h doubles fused in a row, with the commutator-product moment map
+    prod_j [a_j, b_j]; points are flat 2h-tuples (a_1, b_1, ..., a_h, b_h),
+    and the group-slot methods run once over all 2h slots."""
 
     def __init__(self, n: int, h: int):
         if h < 1:
             raise InputError("invalid-genus", f"genus must be >= 1, got {h}")
-        self.n = _group_rank(n)
-        self.h = int(h)
-        self.slots = 2 * self.h
-        self.handle = InternalFusion(Double(self.n))
-        self.dim = self.h * self.handle.dim
-
-    def _moment(self, m):
-        return (reduce(np.matmul, (self.handle._moment(m[i : i + 2])[0]
-                                   for i in range(0, self.slots, 2))),)
-
-    def structure(self, m, stack):
-        return reduce(_fuse_records, (self.handle.structure(m[i : i + 2], stack[i : i + 2])
-                                      for i in range(0, self.slots, 2)))
-
-    def _act(self, g, m):
-        return tuple(g[0] @ p @ _dag(g[0]) for p in m)
-
-    def _generating(self, xi, m):
-        return tuple(xi[0] @ p - p @ xi[0] for p in m)
+        Fused.__init__(self, [Double(_group_rank(n))] * int(h))
 
 
 def make_space(kind: str, *, n: int | None = None, xi=None, h: int | None = None,

@@ -193,8 +193,8 @@ def test_open_face_set_examples():
     a1 = rs_of("A1")
     assert open_face_set(a1, vec("1/4")) == frozenset({0, 1})
     with pytest.raises(InputError) as err:
-        open_face_set(a1, vec(2))
-    assert err.value.code == "not-in-alcove"
+        open_face_set(a1, vec("3/2"))
+    assert err.value.code == "not-in-alcove" and str(err.value).startswith("not-in-alcove: 3/2 ")
 
 
 def test_facet_point_misses_opposite_vertex():

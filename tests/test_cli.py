@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import io
+import itertools
 import json
 import re
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, currently_in_test_context, event, given, settings
 from hypothesis import strategies as st
 
 import quasiham
@@ -290,6 +291,16 @@ def test_invalid_input_exits_two_with_tag(argv, tag, capsys):
     assert captured.err.startswith(f"error: {tag}:") and captured.out == ""
 
 
+@pytest.mark.parametrize("xi,shown", [("3/4", "3/4"), ("3/4,-1/4", "3/4,-1/4"),
+                                      ("0.75", "3/4")])
+def test_not_in_alcove_shows_xi_as_entered(xi, shown, capsys):
+    assert main(["check-class", "--type", "A2" if "," in xi else "A1", f"--xi={xi}",
+                 "--level", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: not-in-alcove: {shown} ")
+    assert "Fraction(" not in captured.err
+
+
 def run_main_quietly(argv):
     """Exit code, stdout, stderr and warnings of main(argv)."""
     out, err = io.StringIO(), io.StringIO()
@@ -301,7 +312,8 @@ def run_main_quietly(argv):
 
 
 def assert_clean_exit(argv, code, out, err, caught):
-    event(f"exit {code}")
+    if currently_in_test_context():
+        event(f"exit {code}")
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err and not caught, (argv, err, caught)
     assert (code == 2) == (out == ""), argv
@@ -357,6 +369,42 @@ def test_holonomy_convergence_fuzz_exits_cleanly(n, grids, seed):
     if grids is not None:
         argv.append(f"--grids={','.join(grids)}")
     assert_clean_exit(argv, *run_main_quietly(argv))
+
+
+@settings(max_examples=3, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reduce_rank_fuzz_exits_cleanly(seed):
+    # every point kind, n and genus of the range; the seed draws the points
+    for at, n, genus in itertools.product(["abba", "commuting", "identity"], range(-1, 6),
+                                          range(-1, 4)):
+        argv = ["reduce-rank", f"--at={at}", f"--n={n}", f"--genus={genus}", f"--seed={seed}",
+                "--json"]
+        assert_clean_exit(argv, *run_main_quietly(argv))
+
+
+# spellings LieType.parse accepts, then unknown series, out-of-range ranks and
+# malformed labels
+TYPE_POOL = ["A1", "a2", "A_3", "b3", "C_2", "g2", "D3", "d4", "F4", "e6", " a_1 ",
+             "A0", "B1", "C1", "E9", "G3", "X2", "A", "2A", "", "A-1", "-1", "A1.5"]
+EXACT_XI_POOL = XI_POOL + ["0", "1/4", "3/4", "1/4,-1/4", "1/3,0,-1/3", "-1/2,1/2", "1"]
+
+
+@pytest.mark.parametrize("lie_type", TYPE_POOL)
+def test_level_weights_and_vertices_exit_cleanly(lie_type):
+    for argv in [["vertices"]] + [["level-weights", f"--level={k}"] for k in range(-1, 9)]:
+        argv += [f"--type={lie_type}", "--json"]
+        assert_clean_exit(argv, *run_main_quietly(argv))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(lie_type=st.sampled_from(TYPE_POOL), level=st.integers(-1, 8),
+       xis=st.lists(st.sampled_from(EXACT_XI_POOL), min_size=1, max_size=2))
+def test_check_class_fuzz_exits_cleanly(lie_type, level, xis):
+    # the torsion is checked last, so every value of it is tried on each draw
+    for torsion in (None, -1, 0, 1, 2, 3):
+        argv = ["check-class", f"--type={lie_type}", f"--level={level}", "--json"]
+        argv += [f"--xi={xi}" for xi in xis] + ([] if torsion is None else [f"--torsion={torsion}"])
+        assert_clean_exit(argv, *run_main_quietly(argv))
 
 
 def test_missing_connection_file_exits_two(tmp_path, capsys):

@@ -10,6 +10,7 @@ from quasiham.errors import InputError
 from quasiham.spaces import (
     ConjugacyClass,
     Double,
+    Fused,
     Fusion,
     Genus,
     InternalFusion,
@@ -92,6 +93,17 @@ def genus_chain(n, h):
     return chain, nest
 
 
+def ref_shares(space, tree):
+    """A fused space's flat point or tangent cut into its parts' shares: one
+    slot for a G-valued part, the next two for a pair part."""
+    shares, i = [], 0
+    for part in space.parts:
+        w = part.group_factors
+        shares.append(tree[i] if w == 1 else tuple(tree[i : i + w]))
+        i += w
+    return shares
+
+
 # ---------------------------------------------------------------------------
 # reference formulas: the 2-form and dPsi one pair of tangents at a time,
 # written independently of the structure records
@@ -103,16 +115,12 @@ def ref_dmoment(space, m, v):
         (a, b), (va, vb) = m, v
         ainv, binv = a.conj().T, b.conj().T
         return (va @ b + a @ vb, -ainv @ va @ ainv @ binv - ainv @ binv @ vb @ binv)
-    if isinstance(space, InternalFusion):
-        p1, p2 = space.inner._moment(m)
-        d1, d2 = ref_dmoment(space.inner, m, v)
-        return (d1 @ p2 + p1 @ d2,)
-    if isinstance(space, Fusion):
-        p1, p2 = space.s1._moment(m[0])[0], space.s2._moment(m[1])[0]
-        d1, d2 = ref_dmoment(space.s1, m[0], v[0])[0], ref_dmoment(space.s2, m[1], v[1])[0]
-        return (d1 @ p2 + p1 @ d2,)
-    chain, nest = genus_chain(space.n, space.h)
-    return ref_dmoment(chain, nest(m), nest(v))
+    # a fused space: the product rule over every moment factor of its parts, left to right
+    p, d = np.eye(space.n, dtype=complex), np.zeros((space.n, space.n), dtype=complex)
+    for part, x, t in zip(space.parts, ref_shares(space, m), ref_shares(space, v)):
+        for q, dq in zip(part._moment(x), ref_dmoment(part, x, t)):
+            p, d = p @ q, d @ q + p @ dq
+    return (d,)
 
 
 def ref_potential(space, m, v):
@@ -139,20 +147,17 @@ def ref_omega(space, m, v, w):
             return basic_inner(ainv @ p[0], q[1] @ binv) + basic_inner(p[0] @ ainv, binv @ q[1])
 
         return 0.5 * (pairings(v, w) - pairings(w, v))
-    if isinstance(space, InternalFusion):
-        p1, p2 = space.inner._moment(m)
-        (d1v, d2v), (d1w, d2w) = ref_dmoment(space.inner, m, v), ref_dmoment(space.inner, m, w)
-        return ref_omega(space.inner, m, v, w) + ref_fusion_correction(
-            p1.conj().T @ d1v, d2v @ p2.conj().T, p1.conj().T @ d1w, d2w @ p2.conj().T)
-    if isinstance(space, Fusion):
-        p1, p2 = space.s1._moment(m[0])[0], space.s2._moment(m[1])[0]
-        d1v, d1w = (ref_dmoment(space.s1, m[0], t[0])[0] for t in (v, w))
-        d2v, d2w = (ref_dmoment(space.s2, m[1], t[1])[0] for t in (v, w))
-        return (ref_omega(space.s1, m[0], v[0], w[0]) + ref_omega(space.s2, m[1], v[1], w[1])
-                + ref_fusion_correction(p1.conj().T @ d1v, d2v @ p2.conj().T,
-                                        p1.conj().T @ d1w, d2w @ p2.conj().T))
-    chain, nest = genus_chain(space.n, space.h)
-    return ref_omega(chain, nest(m), nest(v), nest(w))
+    # a fused space: the parts' forms, plus one correction per moment factor
+    # fused onto the product of those before it (zero for the first)
+    p, total = np.eye(space.n, dtype=complex), 0.0
+    dv = dw = np.zeros_like(p)
+    for part, x, tv, tw in zip(space.parts, *(ref_shares(space, t) for t in (m, v, w))):
+        total += ref_omega(part, x, tv, tw)
+        for q, qv, qw in zip(part._moment(x), ref_dmoment(part, x, tv), ref_dmoment(part, x, tw)):
+            pinv, qinv = p.conj().T, q.conj().T
+            total += ref_fusion_correction(pinv @ dv, qv @ qinv, pinv @ dw, qw @ qinv)
+            p, dv, dw = p @ q, dv @ q + p @ qv, dw @ q + p @ qw
+    return total
 
 
 def fd_reduction_rank(space, m, fd_step=1e-5):
@@ -1065,14 +1070,26 @@ def test_stacked_potential_matches_lstsq_per_point(n, xi):
 # fusion structure
 
 def test_fusion_moment_associativity():
+    # (a * c) * b and a * (c * b), with a class c between two fused doubles,
+    # give the same record on matching tangents: form, moment and both
+    # logarithmic derivatives
     rng = np.random.default_rng(37)
-    parts = [InternalFusion(Double(2)) for _ in range(3)]
-    points = [p.sample(rng) for p in parts]
-    left = Fusion(Fusion(parts[0], parts[1]), parts[2])
-    right = Fusion(parts[0], Fusion(parts[1], parts[2]))
-    m_left = left.moment(((points[0], points[1]), points[2]))
-    m_right = right.moment((points[0], (points[1], points[2])))
-    assert np.max(np.abs(m_left - m_right)) < 1e-12
+    a, b = InternalFusion(Double(2)), InternalFusion(Double(2))
+    c = ConjugacyClass(2, (Q(1, 8), Q(-1, 8)))
+    left, right = Fusion(Fusion(a, c), b), Fusion(a, Fusion(c, b))
+
+    def regroup(t):
+        (x, y), z = t
+        return (x, (y, z))
+
+    m = left.sample(rng)
+    basis = left.tangent_basis(m)
+    rec_left = _record(left, m, basis)
+    rec_right = _record(right, regroup(m), [regroup(t) for t in basis])
+    assert np.max(np.abs(rec_left.omega - rec_right.omega)) < 1e-12
+    for x, y in zip(tree_leaves((rec_left.psi, rec_left.left, rec_left.right)),
+                    tree_leaves((rec_right.psi, rec_right.left, rec_right.right))):
+        assert np.max(np.abs(x - y)) < 1e-12
 
 
 def test_fusion_of_classes_is_quasi_hamiltonian():
@@ -1127,38 +1144,41 @@ def same_tree(a, b):
 
 @pytest.mark.parametrize("n,h", [(2, 1), (2, 3), (3, 2)])
 def test_genus_matches_explicit_fusion_chain(n, h):
-    # the flat genus space and the nested fusion chain agree bit for bit at
-    # the same point: record, moment, basis, action, fields and draws
+    # the flat genus space agrees bit for bit with the nested fusion chain and
+    # with Fused([Double(n)] * h), which runs the group-slot methods once per
+    # double instead of once over all 2h slots: record, moment, basis,
+    # action, fields, draws and flows at the same point
     space = Genus(n, h)
-    chain, nest = genus_chain(n, h)
-    assert space.dim == chain.dim
     rng = np.random.default_rng(113)
     m = space.sample(rng)
     basis = space.tangent_basis(m)
-    assert same_tree(tuple(nest(t) for t in basis), tuple(chain.tangent_basis(nest(m))))
-    rec = _record(space, m, basis)
-    ref = _record(chain, nest(m), [nest(t) for t in basis])
-    assert np.array_equal(rec.omega, ref.omega)
-    assert same_tree((rec.psi, rec.left, rec.right), (ref.psi, ref.left, ref.right))
-    assert np.array_equal(space.moment(m), chain.moment(nest(m)))
     g = random_special_unitary(n, rng)
     xi = random_algebra(n, rng)
     data = space.random_field(np.random.default_rng(5))
-    assert same_tree(nest(data), chain.random_field(np.random.default_rng(5)))
-    assert same_tree(nest(space.sample(np.random.default_rng(7))),
-                     chain.sample(np.random.default_rng(7)))
     flip = data[::-1]
-    pairs = [
-        (space.act(g, m), chain.act(g, nest(m))),
-        (space.act(g, basis[-1]), chain.act(g, nest(basis[-1]))),
-        (space._generating(space._as_algebra(xi), m),
-         chain._generating(chain._as_algebra(xi), nest(m))),
-        (space.field_at(data, m), chain.field_at(nest(data), nest(m))),
-        (space.field_flow(data, m, 0.3), chain.field_flow(nest(data), nest(m), 0.3)),
-        (space.field_bracket(data, flip), chain.field_bracket(nest(data), nest(flip))),
-    ]
-    for flat, nested in pairs:
-        assert same_tree(nest(flat), nested)
+    chain, nest = genus_chain(n, h)
+    for other, to in ((chain, nest), (Fused([Double(n)] * h), lambda flat: flat)):
+        assert other.dim == space.dim
+        assert same_tree(tuple(to(t) for t in basis), tuple(other.tangent_basis(to(m))))
+        rec = _record(space, m, basis)
+        ref = _record(other, to(m), [to(t) for t in basis])
+        assert np.array_equal(rec.omega, ref.omega)
+        assert same_tree((rec.psi, rec.left, rec.right), (ref.psi, ref.left, ref.right))
+        assert np.array_equal(space.moment(m), other.moment(to(m)))
+        assert same_tree(to(data), other.random_field(np.random.default_rng(5)))
+        assert same_tree(to(space.sample(np.random.default_rng(7))),
+                         other.sample(np.random.default_rng(7)))
+        pairs = [
+            (space.act(g, m), other.act(g, to(m))),
+            (space.act(g, basis[-1]), other.act(g, to(basis[-1]))),
+            (space._generating(space._as_algebra(xi), m),
+             other._generating(other._as_algebra(xi), to(m))),
+            (space.field_at(data, m), other.field_at(to(data), to(m))),
+            (space.field_flow(data, m, 0.3), other.field_flow(to(data), to(m), 0.3)),
+            (space.field_bracket(data, flip), other.field_bracket(to(data), to(flip))),
+        ]
+        for flat, nested in pairs:
+            assert same_tree(to(flat), nested)
 
 
 # ---------------------------------------------------------------------------
