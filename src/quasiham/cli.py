@@ -133,12 +133,13 @@ def _run_check_class(args) -> tuple[int, dict]:
 
 
 def _build_space(args):
-    from .spaces import make_space
+    from .spaces import _bounded, make_space
 
     xi = None
     if args.space == "conjugacy_class":
         if not args.xi:
             raise InputError("missing-argument", "--xi is required for conjugacy_class")
+        _bounded(args.n**2 - 1)  # before the root system, which grows with n
         rs = build_root_system(LieType("A", args.n - 1))
         xi = a_series_embedding(rs, _parse_xi(rs, args.xi[0]))
     return make_space(args.space, n=args.n, xi=xi, h=args.genus)

@@ -5,7 +5,9 @@ one left fold of fusion over a list of parts.  Its constructors are the
 internal fusion of a double (commutator moment map), the fusion product of
 two G-valued spaces, and the genus-h product of h fused doubles.  Points and
 tangent representatives are tuples of matrices mirroring each space's
-construction.  Every space gives one structure record for a stack of
+construction.  A random point is the time-one flow from the space's base
+point of a field drawn as one Gaussian su(n) element per matrix.  Every
+space gives one structure record for a stack of
 tangents: the Gram matrix of its 2-form, its moment factors and their left
 and right logarithmic derivatives.  Fusion is one rule on records; the
 verifier only reads records and the common interface, so every axiom check
@@ -40,7 +42,6 @@ from .sun import (
     expm_skew,
     project_algebra,
     random_algebra,
-    random_special_unitary,
     realified_operator,
     torus_point,
     _PAULI,
@@ -63,6 +64,9 @@ STACK_ROWS = 512
 # puts omega at 8.6e-8 and Ad_Psi + 1 at 1.25e-6, where the two cutoffs
 # disagree.
 DECIDED_GAP = 1e-5
+# Largest tangent dimension (a class's n^2 - 1), checked before any array grows with
+# n or h.  At it the costliest default verify, class(16) cocycle, took 8.1 s, 655 MB.
+MAX_DIM = 256
 
 # Relative orientation of the canonical 3-form inside the structure equation
 # d omega = Psi* eta.  With the 2-form and moment conventions used here the
@@ -139,6 +143,12 @@ def _times(t) -> np.ndarray:
     return np.asarray(t, dtype=float)[..., None, None]
 
 
+def _bounded(dim: int) -> int:
+    if dim > MAX_DIM:
+        raise InputError("space-too-large", f"tangent dimension {dim} exceeds {MAX_DIM}")
+    return dim
+
+
 def _group_rank(n) -> int:
     """The n of SU(n) for spaces built from whole group factors."""
     if int(n) < 2:
@@ -187,18 +197,16 @@ def _fuse(omega: np.ndarray, first: tuple, second: tuple) -> Structure:
     )
 
 
-def _fuse_records(first: Structure, second: Structure) -> Structure:
-    """Fusion product of two G-valued records."""
-    return _fuse(first.omega + second.omega, first.factor(0), second.factor(0))
-
-
 # ---------------------------------------------------------------------------
 # space interface
 
 class QSpace:
     """Common interface of a sampled quasi-Hamiltonian space.
 
-    Subclasses fill in the internal hooks; `group_factors` is 1 for G-valued
+    Subclasses set the `base` point and fill in the hooks `_moment`,
+    `structure`, `_basis`, `field_at` and `field_flow`.  `sample`,
+    `random_field` and the action of G-valued spaces, conjugation of every
+    matrix of a point, are written here.  `group_factors` is 1 for G-valued
     moment maps and 2 for the double.  Public entry points unwrap singleton
     group tuples so G-valued spaces take bare matrices.
     """
@@ -225,6 +233,16 @@ class QSpace:
         xs = tuple(random_algebra(self.n, rng, shape=(self.group_factors,)))
         return xs[0] if self.group_factors == 1 else xs
 
+    def sample(self, rng):
+        """The time-one flow of a random field from the base point."""
+        return self.field_flow(self.random_field(rng), self.base, 1.0)
+
+    def random_field(self, rng):
+        """A Gaussian su(n) element on every matrix of the base point, drawn
+        in one call."""
+        leaves = iter(random_algebra(self.n, rng, shape=(len(tree_leaves(self.base)),)))
+        return tree_map(lambda _: next(leaves), self.base)
+
     def _as_group(self, g):
         """A group or algebra element as the tuple of its factors."""
         return (g,) if self.group_factors == 1 and not isinstance(g, tuple) else tuple(g)
@@ -232,9 +250,6 @@ class QSpace:
     _as_algebra = _as_group
 
     # -- hooks --------------------------------------------------------------
-    def sample(self, rng):
-        raise NotImplementedError
-
     def _moment(self, m) -> tuple:
         raise NotImplementedError
 
@@ -244,7 +259,7 @@ class QSpace:
         raise NotImplementedError
 
     def _act(self, g: tuple, m):
-        raise NotImplementedError
+        return tree_map(lambda p: g[0] @ p @ _dag(g[0]), m)
 
     def _basis(self, m):
         """Orthonormal tangent bases at a stack of points as one tree whose
@@ -252,12 +267,9 @@ class QSpace:
         raise NotImplementedError
 
     def _generating(self, xi: tuple, m):
-        raise NotImplementedError
+        return tree_map(lambda p: xi[0] @ p - p @ xi[0], m)
 
     # extension fields for the invariant-extension derivative formula
-    def random_field(self, rng):
-        raise NotImplementedError
-
     def field_at(self, data, m):
         raise NotImplementedError
 
@@ -284,6 +296,7 @@ class ConjugacyClass(QSpace):
         xi = [Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**9) for x in xi]
         if len(xi) != self.n:
             raise InputError("dimension-mismatch", f"xi must have length {self.n}")
+        _bounded(self.n**2 - 1)
         if sum(xi) != 0:
             raise InputError("nonzero-sum", "alcove coordinates must sum to zero")
         if any(a < b for a, b in zip(xi, xi[1:])):
@@ -295,18 +308,8 @@ class ConjugacyClass(QSpace):
         # n^2 - 1 less the centralizer's sum m_i^2 - 1; m_i counts entries equal mod 1
         self.dim = self.n**2 - sum(m * m for m in Counter(x % 1 for x in xi).values())
 
-    def sample(self, rng):
-        u = random_special_unitary(self.n, rng)
-        return u @ self.base @ u.conj().T
-
     def _moment(self, m):
         return (m,)
-
-    def _act(self, g, m):
-        return g[0] @ m @ _dag(g[0])
-
-    def _generating(self, xi, m):
-        return xi[0] @ m - m @ xi[0]
 
     def _potential(self, m, stack):
         """Least-norm solution xi of (Ad_{m^-1} - 1) xi = m^-1 v for a stack
@@ -342,9 +345,6 @@ class ConjugacyClass(QSpace):
         _, s, vt = np.linalg.svd(tree_realvec(x @ lm - lm @ x, m.ndim - 1), full_matrices=False)
         return tree_unflatten(self.base, vt[..., : _rank(s, s[..., 0])[0].flat[0], :])
 
-    def random_field(self, rng):
-        return random_algebra(self.n, rng)
-
     def field_at(self, data, m):
         return data @ m - m @ data
 
@@ -354,39 +354,31 @@ class ConjugacyClass(QSpace):
 
 
 class _Slots(QSpace):
-    """A space whose points are tuples of `slots` SU(n) matrices p_j (2 for
-    a double, 2h for a genus-h space); a tangent or field value is X_j p_j
-    in each slot, and a field flows by exp(t X_j) p_j."""
-
-    slots: int
-
-    def sample(self, rng):
-        return tuple(expm_skew(random_algebra(self.n, rng, shape=(self.slots,))))
+    """A space whose points are flat tuples of SU(n) matrices p_j, one per
+    slot (2 for a double, 2h for genus h); a tangent or field value is X_j p_j,
+    a field flows by exp(t X_j) p_j, and both run once over all slots."""
 
     def _basis(self, m):
         # x_k p_j in slot j, for every su(n) basis element x_k
         moved = [_basis_stack(self.n) @ _lift(p) for p in m]
         return _block_rows(moved)
 
-    def random_field(self, rng):
-        return tuple(random_algebra(self.n, rng, shape=(self.slots,)))
-
     def field_at(self, data, m):
         return tuple(x @ p for x, p in zip(data, m))
 
     def field_flow(self, data, m, t):
-        return tuple(expm_skew(_times(t) * np.stack(data)) @ np.stack(m))
+        return tuple(u @ p for u, p in zip(expm_skew(_times(t) * np.stack(data)), m))
 
 
 class Double(_Slots):
     """G x G with the two-sided action and pair moment map (ab, a^-1 b^-1)."""
 
     group_factors = 2
-    slots = 2
 
     def __init__(self, n: int):
         self.n = _group_rank(n)
-        self.dim = 2 * (self.n**2 - 1)
+        self.dim = _bounded(2 * (self.n**2 - 1))
+        self.base = (np.eye(self.n, dtype=complex),) * 2
 
     def _moment(self, m):
         a, b = m
@@ -428,23 +420,18 @@ class Fused(QSpace):
     def __init__(self, parts: list):
         self.parts = tuple(parts)
         self.n = parts[0].n
-        self.dim = sum(p.dim for p in parts)
+        self.dim = _bounded(sum(p.dim for p in parts))
         ends = list(accumulate((p.group_factors for p in parts), initial=0))
-        self.slots = ends[-1]
         self._keys = [i if j - i == 1 else slice(i, j) for i, j in zip(ends, ends[1:])]
+        self.base = self._join([p.base for p in parts])
 
     def _join(self, shares) -> tuple:
-        out = ()
-        for p, t in zip(self.parts, shares):
-            out += t if p.group_factors == 2 else (t,)
-        return out
+        return tuple(x for p, t in zip(self.parts, shares)
+                     for x in (t if p.group_factors == 2 else (t,)))
 
     def _each(self, fn, *trees) -> tuple:
         """fn(part, its shares of the trees) for every part, joined."""
         return self._join([fn(p, *[t[k] for t in trees]) for p, k in zip(self.parts, self._keys)])
-
-    def sample(self, rng):
-        return self._each(lambda p: p.sample(rng))
 
     def _moment(self, m):
         return (reduce(np.matmul, (reduce(np.matmul, p._moment(m[k]))
@@ -455,19 +442,11 @@ class Fused(QSpace):
             r = p.structure(m[k], stack[k])
             return _fuse(r.omega, r.factor(0), r.factor(1)) if p.group_factors == 2 else r
 
-        return reduce(_fuse_records, map(record, self.parts, self._keys))
-
-    def _act(self, g, m):
-        return self._each(lambda p, x: p._act(g * p.group_factors, x), m)
-
-    def _generating(self, xi, m):
-        return self._each(lambda p, x: p._generating(xi * p.group_factors, x), m)
+        return reduce(lambda r1, r2: _fuse(r1.omega + r2.omega, r1.factor(0), r2.factor(0)),
+                      map(record, self.parts, self._keys))
 
     def _basis(self, m):
         return self._join(_block_rows([p._basis(m[k]) for p, k in zip(self.parts, self._keys)]))
-
-    def random_field(self, rng):
-        return self._each(lambda p: p.random_field(rng))
 
     def field_at(self, data, m):
         return self._each(lambda p, d, x: p.field_at(d, x), data, m)
@@ -504,7 +483,8 @@ class Genus(_Slots, Fused):
     def __init__(self, n: int, h: int):
         if h < 1:
             raise InputError("invalid-genus", f"genus must be >= 1, got {h}")
-        Fused.__init__(self, [Double(_group_rank(n))] * int(h))
+        _bounded(2 * int(h) * (_group_rank(n) ** 2 - 1))
+        Fused.__init__(self, [Double(n)] * int(h))
 
 
 def make_space(kind: str, *, n: int | None = None, xi=None, h: int | None = None,
@@ -665,23 +645,25 @@ def _equivariance_residuals(space: QSpace, m, g) -> np.ndarray:
 
 def _draw(space: QSpace, axiom: str, rng) -> tuple:
     """One sample as a loop over samples draws it, by the generator alone: the
-    point, then for moment xi and space.dim coefficients of w on the tangent
-    basis, for cocycle three field data, for equivariance the exponent of g."""
-    m = space.sample(rng)
+    point's field, then for moment xi and space.dim coefficients of w on the
+    tangent basis, for cocycle three field data, for equivariance g's exponent."""
+    f = space.random_field(rng)
     if axiom == "moment":
         xi = space._as_algebra(space.random_algebra_element(rng))
-        return m, xi, rng.normal(size=space.dim)
+        return f, xi, rng.normal(size=space.dim)
     if axiom == "cocycle":
-        return m, tuple(space.random_field(rng) for _ in range(3))
+        return f, tuple(space.random_field(rng) for _ in range(3))
     if axiom == "equivariance":
-        return m, space._as_algebra(space.random_algebra_element(rng))
-    return (m,)
+        return f, space._as_algebra(space.random_algebra_element(rng))
+    return (f,)
 
 
-def _residuals(space: QSpace, axiom: str, fd_step: float, m, *drawn) -> np.ndarray:
+def _residuals(space: QSpace, axiom: str, fd_step: float, f, *drawn) -> np.ndarray:
     """The residuals at a stack of draws, whose matrix work runs once on the
-    stack.  A class basis of fewer than dim rows (eigenphases closer than
+    stack: the points are one flow of the stacked fields f from the base
+    point.  A class basis of fewer than dim rows (eigenphases closer than
     RANK_CUTOFF resolves) takes the first of each sample's coefficients."""
+    m = space.field_flow(f, space.base, 1.0)
     if axiom == "moment":
         xi, coeffs = drawn
         w = tree_map(lambda x: np.stack([np.tensordot(c[: x.shape[1]], xp, axes=1)

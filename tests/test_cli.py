@@ -4,7 +4,9 @@ import io
 import itertools
 import json
 import re
+import shlex
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -291,6 +293,46 @@ def test_invalid_input_exits_two_with_tag(argv, tag, capsys):
     assert captured.err.startswith(f"error: {tag}:") and captured.out == ""
 
 
+# Spaces past spaces.MAX_DIM: memory for su(300) bases or a list of 10^9
+# doubles, or the root system of A299 (18 s), before the bound was checked.
+TOO_LARGE = [
+    ["reduce-rank", "--n", "300", "--at", "identity"],
+    ["verify", "--space", "double", "--n", "300", "--axiom", "moment"],
+    ["verify", "--space", "conjugacy_class", "--n", "300", "--xi", ",".join(["0"] * 300),
+     "--axiom", "moment"],
+    ["verify", "--space", "genus", "--n", "2", "--genus", "1000000000", "--axiom", "moment"],
+]
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE)
+def test_too_large_space_exits_two_at_once(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv + ["--json"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: space-too-large:") and captured.out == ""
+
+
+def readme_commands() -> list:
+    """The argv of every line of the README's command-line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("quasiham ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # a renamed flag or verb breaks this test instead of the documentation
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "connection.json").write_text(
+        json.dumps({"samples": [[[[0, 0.3], [0, 0]], [[0, 0], [0, -0.3]]]] * 4}))
+    commands = readme_commands()
+    assert len(commands) == 14 and {argv[0] for argv in commands} == set(_HANDLERS)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out
+
+
 @pytest.mark.parametrize("xi,shown", [("3/4", "3/4"), ("3/4,-1/4", "3/4,-1/4"),
                                       ("0.75", "3/4")])
 def test_not_in_alcove_shows_xi_as_entered(xi, shown, capsys):
@@ -332,7 +374,8 @@ FLOAT_POOL = ["0", "nan", "inf", "-inf", "-1", "1e-7", "1e-4", "1e-3", "0.5"]
           suppress_health_check=[HealthCheck.too_slow])
 @given(space=st.sampled_from(VERIFY_SPACES),
        axiom=st.sampled_from([None, "cocycle", "moment", "min_degeneracy", "equivariance"]),
-       n=st.integers(-1, 4), genus=st.integers(-1, 3), samples=st.integers(-1, 4),
+       n=st.integers(-1, 4) | st.just(300), genus=st.integers(-1, 3) | st.just(10**9),
+       samples=st.integers(-1, 4),
        # an option is left out half of the time, so that most argv reach a verifier
        xi=st.none() | st.sampled_from(XI_POOL), fd_step=st.none() | st.sampled_from(FLOAT_POOL),
        tol=st.none() | st.sampled_from(FLOAT_POOL), seed=st.integers(0, 2**32 - 1))
@@ -374,9 +417,10 @@ def test_holonomy_convergence_fuzz_exits_cleanly(n, grids, seed):
 @settings(max_examples=3, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_reduce_rank_fuzz_exits_cleanly(seed):
-    # every point kind, n and genus of the range; the seed draws the points
-    for at, n, genus in itertools.product(["abba", "commuting", "identity"], range(-1, 6),
-                                          range(-1, 4)):
+    # every point kind, n and genus of the range and past the size bound; the
+    # seed draws the points
+    for at, n, genus in itertools.product(["abba", "commuting", "identity"], [*range(-1, 6), 300],
+                                          [*range(-1, 4), 10**9]):
         argv = ["reduce-rank", f"--at={at}", f"--n={n}", f"--genus={genus}", f"--seed={seed}",
                 "--json"]
         assert_clean_exit(argv, *run_main_quietly(argv))

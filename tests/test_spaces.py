@@ -215,6 +215,28 @@ def test_space_validation_errors():
             assert err.value.code == "invalid-rank"
 
 
+def generic_xi(n):
+    """A class with distinct eigenphases, of dimension n^2 - n."""
+    return tuple(Q(n - 1 - 2 * j, 2 * n) for j in range(n))
+
+
+def test_space_size_is_bounded_before_allocation():
+    # the largest spaces accepted, and the first rejected; each rejection
+    # comes before any array of the size of n or h (a list of 10^9 doubles,
+    # the 89999 x 300 x 300 basis of su(300)) is built
+    bound = spaces.MAX_DIM
+    assert Genus(4, 8).dim <= bound and Double(11).dim <= bound
+    assert ConjugacyClass(16, generic_xi(16)).dim <= bound
+    too_large = [lambda: Double(12), lambda: InternalFusion(Double(300)), lambda: Genus(4, 9),
+                 lambda: Genus(2, 10**9), lambda: ConjugacyClass(300, (Q(0),) * 300),
+                 lambda: ConjugacyClass(17, generic_xi(17)),
+                 lambda: Fusion(*[ConjugacyClass(16, generic_xi(16))] * 2)]
+    for build in too_large:
+        with pytest.raises(InputError) as err:
+            build()
+        assert err.value.code == "space-too-large"
+
+
 def test_dimensions():
     assert ConjugacyClass(2, (Q(1, 8), Q(-1, 8))).dim == 2
     assert ConjugacyClass(3, GENERIC_XI3).dim == 6
@@ -393,7 +415,8 @@ def test_record_matches_reference_moment_derivative(name, space, d):
 def test_random_tangent_is_basis_combination(name, space, d, monkeypatch):
     # the moment draw's w combines the basis with the d normals drawn after xi
     rng = np.random.default_rng(89)
-    m, xi, coeffs = spaces._draw(space, "moment", rng)
+    f, xi, coeffs = spaces._draw(space, "moment", rng)
+    m = space.field_flow(f, space.base, 1.0)
     ref_rng = np.random.default_rng(89)
     ref_m, basis = sample_with_basis(space, ref_rng)
     assert same_tree(m, ref_m) and len(basis) == d
@@ -406,7 +429,7 @@ def test_random_tangent_is_basis_combination(name, space, d, monkeypatch):
     # the w the stacked residual gets, from the basis built over the stack
     seen = []
     monkeypatch.setattr(spaces, "_moment_residuals", lambda sp, *args: seen.append(args))
-    spaces._residuals(space, "moment", 1e-4, *stack([(m, xi, coeffs)]))
+    spaces._residuals(space, "moment", 1e-4, *stack([(f, xi, coeffs)]))
     [(_, _, w)] = seen
     assert tree_max(tree_add(at(w, 0), ref, -1.0)) < 1e-14
 
@@ -866,9 +889,10 @@ LOOP_ONLY = ("random_tangent", "orthonormal_fields", "random_group")
 
 
 def spy_draws(space, monkeypatch):
-    """Log every draw, in order: points, algebra elements (xi or the
-    exponent of g), field data and the loop oracle's own draws; and the
-    stacked arguments the residuals get."""
+    """Log every draw, in order: field data (a point's field first, then a
+    cocycle's three), algebra elements (xi or the exponent of g), the loop
+    oracle's points and its own draws; and the stacked arguments the
+    residuals get."""
     log, stacked = [], []
 
     def spied(kind, fn):
@@ -898,15 +922,15 @@ def test_verify_axiom_draws_what_the_loop_draws(axiom, monkeypatch):
             verify_axiom(space, axiom, samples=4, seed=157)
             drawn, log[:] = list(log), []
             loop_residuals(space, axiom, 4, 157)
-        loop_drawn = [(k, out) for k, out in log if k not in LOOP_ONLY]
+        loop_drawn = [(k, out) for k, out in log if k not in LOOP_ONLY + ("point",)]
         assert [k for k, _ in drawn] == [k for k, _ in loop_drawn]
         assert all(same_tree(a, b) for (_, a), (_, b) in zip(drawn, loop_drawn))
 
         def drawn_as(kind, as_tree=lambda x: x):
             return stack([as_tree(out) for k, out in log if k == kind])
 
-        # the loop's w, fields and g equal, bit for bit, what the verifier
-        # builds once per stack from its draws
+        # the loop's points, w, fields and g equal, bit for bit, what the
+        # verifier builds once per stack from its draws
         if axiom == "moment":
             expected = (drawn_as("point"), drawn_as("random_algebra_element", space._as_algebra),
                         drawn_as("random_tangent"))
@@ -925,8 +949,7 @@ def test_stacked_draw_work_equals_per_sample_work(n):
     rng = np.random.default_rng(163 + n)
     xs = random_algebra(n, rng, shape=(6,))
     assert np.array_equal(expm_skew(xs), np.stack([expm_skew(x) for x in xs]))
-    xi = tuple(Q(n - 1 - 2 * j, 2 * n) for j in range(n))
-    for space in (ConjugacyClass(n, xi), Double(n), Genus(n, 2)):
+    for space in (ConjugacyClass(n, generic_xi(n)), Double(n), Genus(n, 2)):
         points = [space.sample(rng) for _ in range(4)]
         bases = space._basis(stack(points))
         assert all(same_tree(at(bases, p), space._basis(m)) for p, m in enumerate(points))
@@ -936,22 +959,87 @@ def test_stacked_draw_work_equals_per_sample_work(n):
                    for p, d in enumerate(datas))
 
 
+def contract_spaces(n):
+    return [ConjugacyClass(n, generic_xi(n)), Double(n), InternalFusion(Double(n)), Genus(n, 1),
+            Genus(n, 3), Fusion(ConjugacyClass(n, generic_xi(n)), InternalFusion(Double(n)))]
+
+
+def draw_by_parts(space, rng, kind):
+    """A point ("point") or a field ("field") drawn as the spaces drew them
+    before both were one flow of one draw: a class point is u base u* for a
+    random special unitary u and its field one algebra draw; the slots of a
+    double or a genus space are the exponentials of one stack of algebra
+    draws; a product draws part by part."""
+    if isinstance(space, ConjugacyClass):
+        if kind == "field":
+            return random_algebra(space.n, rng)
+        u = random_special_unitary(space.n, rng)
+        return u @ space.base @ u.conj().T
+    if isinstance(space, (Double, Genus)):
+        xs = random_algebra(space.n, rng, shape=(len(space.base),))
+        return tuple(xs if kind == "field" else expm_skew(xs))
+    out = ()
+    for part in space.parts:
+        drawn = draw_by_parts(part, rng, kind)
+        out += drawn if part.group_factors == 2 else (drawn,)
+    return out
+
+
+def same_bits(a, b):
+    la, lb = tree_leaves(a), tree_leaves(b)
+    return len(la) == len(lb) and all(x.shape == y.shape and x.dtype == y.dtype
+                                      and x.tobytes() == y.tobytes() for x, y in zip(la, lb))
+
+
+class Raising:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.linalg.{name} called in a draw")
+
+
+def raising_expm(x):
+    raise AssertionError("expm_skew called in a draw")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_draws_keep_the_seed_contract(n, monkeypatch):
+    # a point is the time-one flow of a field from the base point, and the
+    # same seed gives the same samples as the draws by parts, sign bits
+    # included; the loop oracle's space.sample therefore checks the verifier
+    # against the points of the earlier rule
+    for space in contract_spaces(n):
+        for seed in range(6):
+            for kind, draw in (("point", space.sample), ("field", space.random_field)):
+                assert same_bits(draw(np.random.default_rng(seed)),
+                                 draw_by_parts(space, np.random.default_rng(seed), kind))
+            f = spaces._draw(space, "min_degeneracy", np.random.default_rng(seed))[0]
+            assert same_bits(space.field_flow(f, space.base, 1.0),
+                             draw_by_parts(space, np.random.default_rng(seed), "point"))
+    # the draw loop calls the generator and no matrix function
+    monkeypatch.setattr(spaces, "expm_skew", raising_expm)
+    monkeypatch.setattr(np, "linalg", Raising())
+    for space in contract_spaces(n):
+        with pytest.raises(AssertionError):  # the patches bite: a point is matrix work
+            space.sample(np.random.default_rng(n))
+        for axiom in spaces.AXIOMS:
+            spaces._draw(space, axiom, np.random.default_rng(n))
+
+
 class Scripted(Genus):
-    """genus(2, 2) whose k-th point drawn from seed 5 is kept ("ok") or is
-    replaced by the first draw of seed 1976016887, whose ranks are undecided
-    ("undecided"), as script[k] says."""
+    """genus(2, 2) whose k-th point field drawn from seed 5 is kept ("ok") or
+    is replaced by the first field of seed 1976016887, which flows to a point
+    whose ranks are undecided ("undecided"), as script[k] says."""
 
     def __init__(self, script):
         super().__init__(2, 2)
         rng = np.random.default_rng(5)
-        self.stream = [Genus.sample(self, rng)[0] for _ in script]
+        self.stream = [Genus.random_field(self, rng)[0] for _ in script]
         self.script = script
-        self.undecided = Genus.sample(self, np.random.default_rng(1976016887))
+        self.undecided = Genus.random_field(self, np.random.default_rng(1976016887))
 
-    def sample(self, rng):
-        m = super().sample(rng)
-        kind = next((k for p, k in zip(self.stream, self.script) if np.array_equal(p, m[0])), "ok")
-        return self.undecided if kind == "undecided" else m
+    def random_field(self, rng):
+        f = super().random_field(rng)
+        kind = next((k for x, k in zip(self.stream, self.script) if np.array_equal(x, f[0])), "ok")
+        return self.undecided if kind == "undecided" else f
 
 
 def second_draw_redrawn(reason):
@@ -965,10 +1053,10 @@ def second_draw_redrawn(reason):
 def test_mid_stack_redraw_restores_the_loop_draws(reason, monkeypatch):
     space = second_draw_redrawn(reason)
     drawn, evaluated = [], []
-    sample, mismatch = space.sample, spaces._degeneracy_mismatch
+    field, mismatch = space.random_field, spaces._degeneracy_mismatch
 
-    def spied_sample(rng):
-        drawn.append(sample(rng))
+    def spied_field(rng):
+        drawn.append(field(rng))
         return drawn[-1]
 
     def spied_mismatch(sp, m, tangents):
@@ -976,7 +1064,7 @@ def test_mid_stack_redraw_restores_the_loop_draws(reason, monkeypatch):
         evaluated.append((m, out.copy()))
         return out
 
-    monkeypatch.setattr(space, "sample", spied_sample)
+    monkeypatch.setattr(space, "random_field", spied_field)
     monkeypatch.setattr(spaces, "_degeneracy_mismatch", spied_mismatch)
     stacked = spaces._sample_residuals(space, "min_degeneracy", 3, 1e-4, np.random.default_rng(5))
     stacked_drawn, stacked_evaluated = drawn[:], evaluated[:]
@@ -989,8 +1077,9 @@ def test_mid_stack_redraw_restores_the_loop_draws(reason, monkeypatch):
     assert len(stacked_drawn) == 4 + 1
     assert all(same_tree(a, b) for a, b in zip(stacked_drawn, drawn[:3] + drawn[2:]))
     (points, first), (rest, second) = stacked_evaluated
-    assert same_tree(points, stack(drawn[:3])) and first[0] == loop[0] and np.isnan(first[1])
-    assert same_tree(rest, stack(drawn[2:])) and np.array_equal(second, loop[1:])
+    flows = [space.field_flow(f, space.base, 1.0) for f in drawn]
+    assert same_tree(points, stack(flows[:3])) and first[0] == loop[0] and np.isnan(first[1])
+    assert same_tree(rest, stack(flows[2:])) and np.array_equal(second, loop[1:])
 
 
 @pytest.mark.parametrize("reason", ["undecided", None])
@@ -998,10 +1087,10 @@ def test_mid_stack_redraw_restores_the_loop_draws(reason, monkeypatch):
 def test_degeneracy_stacks_hold_at_most_stack_rows(reason, step, monkeypatch):
     space = second_draw_redrawn(reason)
     monkeypatch.setattr(spaces, "STACK_ROWS", step * space.dim)
-    sizes, drawn, mismatch, sample = [], [], spaces._degeneracy_mismatch, space.sample
+    sizes, drawn, mismatch, field = [], [], spaces._degeneracy_mismatch, space.random_field
     monkeypatch.setattr(spaces, "_degeneracy_mismatch",
                         lambda sp, m, tangents: sizes.append(len(m[0])) or mismatch(sp, m, tangents))
-    monkeypatch.setattr(space, "sample", lambda rng: drawn.append(rng) or sample(rng))
+    monkeypatch.setattr(space, "random_field", lambda rng: drawn.append(rng) or field(rng))
     stacked = spaces._sample_residuals(space, "min_degeneracy", 5, 1e-4, np.random.default_rng(5))
     assert max(sizes) == step
     stacked_draws = len(drawn)
