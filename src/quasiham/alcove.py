@@ -4,14 +4,17 @@ The alcove is the simplex cut out by (a_i, xi) >= 0 for simple roots a_i
 together with (a_0, xi) >= -1 for the lowest root a_0; scaling the last
 inequality by k gives the level-k alcove.  All tests here are exact: they
 clear the denominators of a vector once and decide on integers through the
-integer Gram matrix of the root system.
+integer Gram matrix of the root system.  A level-k weight set is born as
+integer numerators over one denominator and stays so through its checks
+(`weight_checks`) and its JSON; its Fractions are built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import NamedTuple
@@ -44,18 +47,29 @@ class AlcoveModel:
 
 @dataclass(frozen=True)
 class LevelWeightSet:
-    """All weights inside the closed level-k alcove, sorted lexicographically."""
+    """All weights inside the closed level-k alcove, sorted lexicographically,
+    as integer numerators `nums` over one positive denominator `den`: weight
+    i is nums[i] / den entrywise, and integer order is the order of the
+    Fractions."""
 
     rs: RootSystem
     level: int
-    weights: tuple[CartanVector, ...]
+    nums: tuple[tuple[int, ...], ...]
+    den: int
+
+    @cached_property
+    def weights(self) -> tuple[CartanVector, ...]:
+        exact = {n: Fraction(n, self.den) for n in set(chain.from_iterable(self.nums))}
+        return tuple(tuple(map(exact.__getitem__, w)) for w in self.nums)
 
     def to_json(self) -> dict:
+        # each distinct numerator is formatted once: str(Fraction) is format_rational
+        text = {n: str(Fraction(n, self.den)) for n in set(chain.from_iterable(self.nums))}
         return {
             "lie_type": str(self.rs.lie_type),
             "level": self.level,
-            "count": len(self.weights),
-            "weights": [format_vector(w) for w in self.weights],
+            "count": len(self.nums),
+            "weights": [list(map(text.__getitem__, w)) for w in self.nums],
         }
 
 
@@ -86,27 +100,34 @@ def _gram_pairings(z: LatticeData, nums: tuple[int, ...]) -> list[int]:
     return [sum(map(mul, row, nums)) for row in z.gram]
 
 
-def _int_membership(z: LatticeData, nums: tuple[int, ...], den: int, k) -> AlcoveMembership:
-    """Closed level-k alcove test of xi = nums / den: every scale * den *
-    (a_i, xi) >= 0 and scale * den * (theta, xi) <= k * scale * den."""
-    tight = False
-    for p in _gram_pairings(z, nums):
-        if p < 0:
-            return AlcoveMembership(False, False)
-        tight = tight or p == 0
+def _alcove_test(z: LatticeData, pairings: list[int], nums: tuple[int, ...], den: int,
+                 k) -> AlcoveMembership:
+    """Closed level-k alcove test of xi = nums / den with Gram pairings p:
+    every p_i = scale * den * (a_i, xi) >= 0 and scale * den * (theta, xi)
+    <= k * scale * den."""
     p = sum(map(mul, z.theta_row, nums))
     top = k * z.scale * den
-    if p > top:
+    if min(pairings) < 0 or p > top:
         return AlcoveMembership(False, False)
-    return AlcoveMembership(True, tight or p == top)
+    return AlcoveMembership(True, 0 in pairings or p == top)
 
 
-def _int_lattice(z: LatticeData, nums: tuple[int, ...], den: int) -> bool:
-    """xi = nums / den is a weight: (xi, a_i^v) = 2 (gram nums)_i / (gram_ii
-    den) is an integer for every i."""
-    return all(
-        2 * p % (z.gram[i][i] * den) == 0 for i, p in enumerate(_gram_pairings(z, nums))
-    )
+def _int_membership(z: LatticeData, nums: tuple[int, ...], den: int, k) -> AlcoveMembership:
+    return _alcove_test(z, _gram_pairings(z, nums), nums, den, k)
+
+
+def _is_weight(z: LatticeData, pairings: list[int], den: int) -> bool:
+    """xi = nums / den with Gram pairings p is a weight: (xi, a_i^v) = 2 p_i /
+    (gram_ii den) is an integer for every i."""
+    return all(2 * p % (z.gram[i][i] * den) == 0 for i, p in enumerate(pairings))
+
+
+def weight_checks(z: LatticeData, nums: tuple[int, ...], den: int, k: int) -> tuple[bool, bool]:
+    """(is a weight, lies in the closed level-k alcove) for xi = nums / den,
+    both decided from one set of Gram pairings: the predicates of
+    `weight_lattice_contains` and `alcove_contains` with no Fraction made."""
+    pairings = _gram_pairings(z, nums)
+    return _is_weight(z, pairings, den), _alcove_test(z, pairings, nums, den, k).contains
 
 
 def _membership(rs: RootSystem, xi: CartanVector, k) -> AlcoveMembership:
@@ -128,7 +149,8 @@ def weight_lattice_contains(rs: RootSystem, mu: CartanVector) -> bool:
     """True iff (mu, a_i^v) is an integer for every simple root."""
     if len(mu) != rs.rank:
         raise InputError("dimension-mismatch", f"expected length {rs.rank}")
-    return _int_lattice(rs.lattice, *common_denominator(mu))
+    nums, den = common_denominator(mu)
+    return _is_weight(rs.lattice, _gram_pairings(rs.lattice, nums), den)
 
 
 def fundamental_weight_coords(rs: RootSystem, mu: CartanVector) -> CartanVector:
@@ -147,7 +169,8 @@ def level_weights(rs: RootSystem, k: int) -> LevelWeightSet:
     and sum m_i comark_i <= k.  The labels are enumerated against that
     integer budget, the weights accumulated as numerators over the
     denominator det of the inverse Cartan matrix, and the alcove test
-    through the Gram matrix filters them independently.
+    through the Gram matrix filters them independently.  The set keeps
+    those numerators over det; no Fraction is made here.
     """
     if k < 0:
         raise InputError("invalid-level", f"level must be >= 0, got {k}")
@@ -169,17 +192,7 @@ def level_weights(rs: RootSystem, k: int) -> LevelWeightSet:
     kept = [w for w in found if _int_membership(z, w, z.det, k).contains]
     if len(set(kept)) != len(kept):
         raise InputError("duplicate-weights", "enumeration produced duplicates")
-    # one positive denominator: integer order is the order of the Fractions
-    kept.sort()
-    fractions = {}
-
-    def exact(n: int) -> Fraction:
-        if n not in fractions:
-            fractions[n] = Fraction(n, z.det)
-        return fractions[n]
-
-    weights = tuple(tuple(exact(n) for n in w) for w in kept)
-    return LevelWeightSet(rs=rs, level=k, weights=weights)
+    return LevelWeightSet(rs=rs, level=k, nums=tuple(sorted(kept)), den=z.det)
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from .alcove import (
     minimal_integral_level,
     open_face_set,
     transition_weight,
-    weight_lattice_contains,
+    weight_checks,
 )
 from .errors import InputError, ToolkitError
 from .prequant import class_prequantizable, fusion_prequantizable, torsion_level_admissible
@@ -96,10 +96,11 @@ def _run_vertices(args) -> tuple[int, dict]:
 def _run_level_weights(args) -> tuple[int, dict]:
     rs = build_root_system(LieType.parse(args.type))
     lws = level_weights(rs, args.level)
-    for w in lws.weights:
-        if not weight_lattice_contains(rs, w):
+    for nums in lws.nums:
+        is_weight, in_alcove = weight_checks(rs.lattice, nums, lws.den, args.level)
+        if not is_weight:
             raise ToolkitError("enumerated weight escaped the lattice")
-        if args.level >= 1 and not alcove_contains(rs, w, args.level).contains:
+        if args.level >= 1 and not in_alcove:
             raise ToolkitError("enumerated weight escaped the alcove")
     return 0, lws.to_json()
 

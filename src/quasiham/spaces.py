@@ -52,9 +52,10 @@ from .sun import (
 RANK_CUTOFF = 1e-7
 KERNEL_FLOOR = 1e-12
 RETRIES = 8  # draws per sample before undecided ranks are an error
-# Tangents per stacked min_degeneracy evaluation.  More gain no speed and cost
-# memory: genus(4, 8) with 50 samples took 42-46 ms a sample at 512 and 45-55 ms
-# with 250 MB more peak memory in one stack (2-vCPU KVM guest, BLAS on 1 thread).
+# Tangents per stacked evaluation, STACK_ROWS // dim samples of any axiom.  More
+# gain no speed and cost memory: genus(4, 8) min_degeneracy with 50 samples took
+# 42-46 ms a sample at 512 and 45-55 ms with 250 MB more peak memory in one
+# stack (2-vCPU KVM guest, BLAS on 1 thread).
 STACK_ROWS = 512
 # A relative singular value in [RANK_CUTOFF, DECIDED_GAP) leaves a rank
 # undecided; min_degeneracy redraws a sample whose ranks disagree while such
@@ -65,7 +66,8 @@ STACK_ROWS = 512
 # disagree.
 DECIDED_GAP = 1e-5
 # Largest tangent dimension (a class's n^2 - 1), checked before any array grows with
-# n or h.  At it the costliest default verify, class(16) cocycle, took 8.1 s, 655 MB.
+# n or h.  At it the costliest default verify, class(16) cocycle, took 8.1 s; in
+# stacks of 2 samples it peaks at 69 MB, as one stack of 50 it took 655 MB.
 MAX_DIM = 256
 
 # Relative orientation of the canonical 3-form inside the structure equation
@@ -679,12 +681,13 @@ def _residuals(space: QSpace, axiom: str, fd_step: float, f, *drawn) -> np.ndarr
 def _sample_residuals(space: QSpace, axiom: str, samples: int, fd_step: float,
                       rng) -> np.ndarray:
     """The residual of each sample, with the draws of a loop over one sample
-    at a time, evaluated in stacks.  A min_degeneracy stack holds at most
-    STACK_ROWS tangents; at its first undecided sample the results before it
-    are kept and the state saved right after its draw is restored, so the
-    loop's redraw comes next.  RETRIES undecided draws in a row are an error."""
+    at a time, evaluated in stacks of at most STACK_ROWS // dim samples (one
+    when dim > STACK_ROWS).  At the first undecided min_degeneracy sample of
+    a stack the results before it are kept and the state saved right after
+    its draw is restored, so the loop's redraw comes next.  RETRIES undecided
+    draws in a row are an error."""
     redraws = axiom == "min_degeneracy"
-    step = max(1, STACK_ROWS // max(space.dim, 1)) if redraws else samples
+    step = max(1, STACK_ROWS // max(space.dim, 1))
     out, done, undecided = np.empty(samples), 0, 0
     while done < samples:
         draws, states = [], []

@@ -17,10 +17,12 @@ from quasiham.alcove import (
     minimal_integral_level,
     open_face_set,
     transition_weight,
+    weight_checks,
     weight_lattice_contains,
 )
+from quasiham.cli import dispatch, render
 from quasiham.errors import InputError
-from quasiham.rational import matvec, vadd, vec, vsub, zero
+from quasiham.rational import format_vector, matvec, vadd, vec, vsub, zero
 from quasiham.roots import (
     LieType,
     a_series_embedding,
@@ -31,6 +33,7 @@ from quasiham.roots import (
 # The benchmark's workload module holds the level-weights pool and the types
 # of the table verb.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from check import digest, load_snapshot  # noqa: E402
 from workloads import LEVELS, TABLE_TYPES  # noqa: E402
 
 from oracles import solve  # noqa: E402
@@ -348,6 +351,58 @@ def fraction_level_weights(rs, k):
 def test_level_weights_match_fraction_oracle(name, k):
     rs = rs_of(name)
     assert list(level_weights(rs, k).weights) == fraction_level_weights(rs, k)
+
+
+# Every level of the benchmark's pool, plus small levels of A1 and A2.
+INTEGER_CASES = sorted(
+    {(name, k) for name, ks in LEVELS.items() for k in ks}
+    | {(name, k) for name in ("A1", "A2") for k in range(7)}
+)
+
+
+@pytest.mark.parametrize("name,k", INTEGER_CASES)
+def test_integer_weight_set_matches_fraction_path(name, k):
+    # the numerators over one denominator give the oracle's Fractions, the
+    # JSON of format_vector, and the verdicts of the Fraction-taking tests,
+    # on the weights and on non-weights and points off the alcove near them
+    rs = rs_of(name)
+    z = rs.lattice
+    lws = level_weights(rs, k)
+    assert lws.den == z.det and lws.nums == tuple(sorted(lws.nums))
+    assert list(lws.weights) == fraction_level_weights(rs, k)
+    assert lws.to_json()["weights"] == [format_vector(w) for w in lws.weights]
+    assert lws.to_json()["count"] == len(lws.weights)
+    for nums in lws.nums:
+        shifted = (nums[0] + 1,) + nums[1:]
+        for n, d in ((nums, z.det), (nums, 2 * z.det), (tuple(-a for a in nums), z.det),
+                     (shifted, z.det), (shifted, 3 * z.det)):
+            xi = tuple(Q(a, d) for a in n)
+            is_weight, in_alcove = weight_checks(z, n, d, k)
+            assert is_weight == weight_lattice_contains(rs, xi)
+            if k >= 1:
+                assert in_alcove == alcove_contains(rs, xi, k).contains
+            else:
+                assert in_alcove == all(a == 0 for a in n)
+
+
+def test_level_weights_verb_makes_no_fraction_check(monkeypatch):
+    # the verb's escape checks and its JSON run on integers: with the
+    # Fraction-taking tests and common_denominator raising, E6 at level 8
+    # still gives the snapshot's bytes
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction check ran")
+
+    names = ("weight_lattice_contains", "alcove_contains", "common_denominator")
+    for mod in [m for key, m in sys.modules.items() if key.startswith("quasiham.")]:
+        for name in names:
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, refuse)
+    with pytest.raises(AssertionError):  # the patches bite
+        dispatch(["check-class", "--type", "E6", "--xi", "0,0,0,0,0,0", "--level", "1"])
+    code, payload = dispatch(["level-weights", "--type", "E6", "--level", "8", "--json"])
+    assert code == 0 and payload["count"] == 372
+    text = render(payload, as_json=True)
+    assert digest(text) == load_snapshot()["digests"]["level-weights E6 8"]
 
 
 @pytest.mark.parametrize("name", TABLE_TYPES)

@@ -190,17 +190,27 @@ def test_usage_errors_exit_two(capsys):
     assert main(["check-class", "--type", "A9x", "--xi", "0", "--level", "1"]) == 2
 
 
+# factor * w_1 of A2 (w_1 = (2, 1) / det, det = 3) as numerators over a
+# multiple of det
+FAKE_NUMERATORS = {"1/2": ((2, 1), 2), "2": ((4, 2), 1), "-1": ((-2, -1), 1)}
+
+
 @pytest.mark.parametrize(
     "factor,message",
-    [("1/2", "escaped the lattice"), ("2", "escaped the alcove")],
+    [("1/2", "escaped the lattice"), ("2", "escaped the alcove"), ("-1", "escaped the alcove")],
 )
 def test_level_weights_validation_can_fail(monkeypatch, capsys, factor, message):
     # half of w_1 lies in the level-1 alcove but is no weight; 2 w_1 is a
-    # weight outside the level-1 alcove
+    # weight beyond the level bound; -w_1 is a weight within the level bound
+    # with a negative label, so only the p_i >= 0 test catches it
     rs = build_root_system(LieType("A", 2))
+    z = rs.lattice
+    nums, times = FAKE_NUMERATORS[factor]
+    fake = LevelWeightSet(rs=rs, level=1, nums=((0, 0), nums), den=times * z.det)
     bad = tuple(Fraction(factor) * c for c in rs.fundamental_weights[0])
-    origin = tuple(Fraction(0) for _ in range(rs.rank))
-    fake = LevelWeightSet(rs=rs, level=1, weights=(origin, bad))
+    assert fake.weights == ((Fraction(0), Fraction(0)), bad)
+    if factor == "-1":
+        assert sum(t * n for t, n in zip(z.theta_row, nums)) <= z.scale * fake.den
     monkeypatch.setattr(cli, "level_weights", lambda rs, k: fake)
     argv = ["level-weights", "--type", "A2", "--level", "1"]
     with pytest.raises(ToolkitError, match=message):

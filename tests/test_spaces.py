@@ -1101,6 +1101,35 @@ def test_degeneracy_stacks_hold_at_most_stack_rows(reason, step, monkeypatch):
     assert stacked_draws == len(drawn) + (step - 2 if reason == "undecided" and step > 2 else 0)
 
 
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("axiom", ["moment", "cocycle", "equivariance"])
+@pytest.mark.parametrize("name,space", stack_spaces())
+def test_every_axiom_stack_holds_at_most_stack_rows(name, space, axiom, step, monkeypatch):
+    # stacks of at most STACK_ROWS // dim samples, each giving the residuals
+    # of its draws one at a time bit for bit, and all of them the residuals
+    # of one stack over every sample
+    samples, seed = 7, 41
+    whole = spaces._sample_residuals(space, axiom, samples, 1e-4, np.random.default_rng(seed))
+    monkeypatch.setattr(spaces, "STACK_ROWS", step * space.dim)
+    draws, stacks, residuals, draw = [], [], spaces._residuals, spaces._draw
+    monkeypatch.setattr(spaces, "_draw", lambda sp, ax, rng: draws.append(draw(sp, ax, rng))
+                        or draws[-1])
+
+    def spied(sp, ax, fd_step, *drawn):
+        stacks.append((len(draws), residuals(sp, ax, fd_step, *drawn)))
+        return stacks[-1][1]
+
+    monkeypatch.setattr(spaces, "_residuals", spied)
+    stacked = spaces._sample_residuals(space, axiom, samples, 1e-4, np.random.default_rng(seed))
+    assert [len(part) for _, part in stacks] == [step] * (samples // step) + (
+        [samples % step] if samples % step else [])
+    assert len(draws) == samples and np.array_equal(stacked, whole)
+    for end, part in stacks:
+        one_by_one = [residuals(space, axiom, 1e-4, *stack([d]))[0]
+                      for d in draws[end - len(part):end]]
+        assert np.array_equal(part, one_by_one)
+
+
 def test_undecided_samples_are_counted_per_sample():
     retries = spaces.RETRIES
 
