@@ -36,6 +36,17 @@ from .roots import (
     height,
 )
 
+# Largest --samples of any verb, checked before anything is drawn.  The
+# costliest verb per sample is cocycle at its largest n, 16, which holds every
+# sample's spectral record at once: 430 MB at 2000 samples, 1018 MB and 12 s
+# at 5000 (2-vCPU KVM guest, BLAS on 1 thread).  The README's eta_su2 check
+# takes 2000.
+MAX_SAMPLES = 5000
+# Largest grid of holonomy-convergence.  A grid's loop and connection samples
+# grow as N n^2: --n 16 with a grid of 4096 took 0.5 s and 185 MB, --n 2 with
+# 65536 took 76 MB.
+MAX_GRID = 4096
+
 _TABLE_RANKS = {
     "A": range(1, 9),
     "B": range(3, 9),
@@ -206,11 +217,13 @@ def _run_cocycle(args) -> tuple[int, dict]:
         eigenline_weight,
         vertex_weight_consistency,
     )
+    from .spaces import _bounded
     from .sun import alcove_coordinates, expm_skew, random_algebra
 
     # the cocycle is checked on triples i < j < k of eigenvalue indices
     if args.n < 3:
         raise InputError("invalid-rank", f"cocycle needs n >= 3, got {args.n}")
+    _bounded(args.n**2 - 1)
     rng = np.random.default_rng(args.seed)
     # a loop's draws, which reject a matrix with a gap that is not strict: the
     # missing samples are drawn as one stack until none is missing
@@ -257,6 +270,7 @@ def _run_holonomy(args) -> tuple[int, dict]:
         holonomy,
     )
     from .serialize import connection_from_json
+    from .spaces import _bounded
     from .sun import complex_pairs, random_algebra, random_special_unitary
 
     if args.file is not None:
@@ -279,8 +293,11 @@ def _run_holonomy(args) -> tuple[int, dict]:
         ) from exc
     if len(set(grids)) < 2 or min(grids) < 1:
         raise InputError("invalid-grids", f"need two distinct grid sizes >= 1, got {grids}")
+    if max(grids) > MAX_GRID:
+        raise InputError("grid-too-large", f"grid size {max(grids)} exceeds {MAX_GRID}")
     if args.n < 2:
         raise InputError("invalid-rank", f"SU(n) needs n >= 2, got {args.n}")
+    _bounded(args.n**2 - 1)
 
     rng = np.random.default_rng(args.seed)
     x = random_algebra(args.n, rng)
@@ -330,15 +347,15 @@ def _run_reduce_rank(args) -> tuple[int, dict]:
     if args.at == "abba":
         a = random_special_unitary(args.n, rng)
         b = random_special_unitary(args.n, rng)
-        point = (a, b, b, a)
+        point = np.stack([a, b, b, a])
     elif args.at == "commuting":
         diag = 1j * np.diag([1.0] + [0.0] * (args.n - 2) + [-1.0])
         u = random_special_unitary(args.n, rng)
         a = u @ expm_skew(rng.normal() * diag) @ u.conj().T
         b = u @ expm_skew(rng.normal() * diag) @ u.conj().T
-        point = (a, b)
+        point = np.stack([a, b])
     elif args.at == "identity":
-        point = tuple(np.eye(args.n, dtype=complex) for _ in range(2 * h))
+        point = space.base
     else:
         raise ToolkitError(f"unknown point kind {args.at!r}")
     rank = reduction_rank(space, point)
@@ -444,6 +461,8 @@ def _check_args(args) -> None:
     apply to every verb that takes the option."""
     if getattr(args, "samples", 1) < 1:
         raise InputError("invalid-samples", f"need --samples >= 1, got {args.samples}")
+    if getattr(args, "samples", 1) > MAX_SAMPLES:
+        raise InputError("too-many-samples", f"--samples {args.samples} exceeds {MAX_SAMPLES}")
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise InputError("invalid-tolerance", f"need a finite --tol > 0, got {tol}")

@@ -3,17 +3,19 @@
 Built-in spaces: conjugacy classes, the double (a G x G space), and `Fused`,
 one left fold of fusion over a list of parts.  Its constructors are the
 internal fusion of a double (commutator moment map), the fusion product of
-two G-valued spaces, and the genus-h product of h fused doubles.  Points and
-tangent representatives are tuples of matrices mirroring each space's
-construction.  A random point is the time-one flow from the space's base
-point of a field drawn as one Gaussian su(n) element per matrix.  Every
-space gives one structure record for a stack of
-tangents: the Gram matrix of its 2-form, its moment factors and their left
-and right logarithmic derivatives.  Fusion is one rule on records; the
-verifier only reads records and the common interface, so every axiom check
-runs uniformly across spaces.  The leaves of a point may carry
-leading axes (a stack of points); records, moments, actions and fields then
-carry the same axes, and a single point is the case without them.
+two G-valued spaces, and the genus-h product of h fused doubles.  A point
+is one complex array of shape (k, n, n): one SU(n) matrix per slot, one
+slot for a class and two for a double, and a fused space has the slots of
+its parts in a row.  Field data has the shape of a point, and a stack of d
+tangents at it has shape (k, d, n, n).  A random point is the time-one flow
+from the space's base point of a field drawn as one Gaussian su(n) element
+per slot.  Every space gives one structure record for a stack of tangents:
+the Gram matrix of its 2-form, its moment factors and their left and right
+logarithmic derivatives.  Fusion is one rule on records; the verifier only
+reads records and the common interface, so every axiom check runs uniformly
+across spaces.  A stack of points carries leading axes P after the slot
+axis, (k, *P, n, n); records, moments, actions and fields then carry the
+same axes, and a single point is the case without them.
 
 Conventions: actions are left actions, generating vector fields satisfy
 [xi_M, zeta_M] = -[xi, zeta]_M, and the double pairs g-valued 1-forms by
@@ -78,41 +80,21 @@ STRUCTURE_FORM_ORIENTATION = -1.0
 
 
 # ---------------------------------------------------------------------------
-# nested-tuple helpers (points, tangents, and field data are trees of arrays)
+# points, tangents and field data: arrays of shape (k, *P, n, n), slot first
 
-def tree_map(fn, *trees):
-    if isinstance(trees[0], tuple):
-        return tuple(tree_map(fn, *subs) for subs in zip(*trees))
-    return fn(*trees)
-
-
-def tree_leaves(tree) -> list:
-    if isinstance(tree, tuple):
-        return [leaf for sub in tree for leaf in tree_leaves(sub)]
-    return [tree]
+def realvec(x: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of every slot of x, of shape
+    (k, *L, n, n), in one real vector per index of L: slot by slot, the real
+    part before the imaginary part."""
+    parts = np.stack([x.real, x.imag], axis=1)
+    return np.moveaxis(parts, (0, 1), (-4, -3)).reshape(x.shape[1:-2] + (-1,))
 
 
-def tree_realvec(tree, axes: int = 0) -> np.ndarray:
-    """The real and imaginary parts of every leaf in one real vector, one
-    per index of the leaves' first `axes` axes."""
-    leaves = [np.asarray(leaf) for leaf in tree_leaves(tree)]
-    return np.concatenate([part.reshape(x.shape[:axes] + (-1,)) for x in leaves
-                           for part in (x.real, x.imag)], axis=-1)
-
-
-def tree_unflatten(template, vector: np.ndarray):
-    """Inverse of tree_realvec; leading axes of vector lead every leaf."""
-    pos = 0
-
-    def rebuild(node):
-        nonlocal pos
-        if isinstance(node, tuple):
-            return tuple(rebuild(sub) for sub in node)
-        size, pos = node.size, pos + 2 * node.size
-        part = vector[..., pos - 2 * size : pos]
-        return (part[..., :size] + 1j * part[..., size:]).reshape(vector.shape[:-1] + node.shape)
-
-    return rebuild(template)
+def unrealvec(vector: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of realvec for n x n slots; leading axes of vector follow the
+    slot axis."""
+    parts = vector.reshape(vector.shape[:-1] + (vector.shape[-1] // (2 * n * n), 2, n, n))
+    return np.moveaxis(parts[..., 0, :, :] + 1j * parts[..., 1, :, :], -3, 0)
 
 
 def _dag(p: np.ndarray) -> np.ndarray:
@@ -125,19 +107,17 @@ def _lift(p: np.ndarray) -> np.ndarray:
     return p[..., None, :, :]
 
 
-def _block_rows(parts: list) -> tuple:
-    """Stacked tangents of a product from those of its factors: factor j's
-    tangents fill its own rows of the stack axis, zeros the other rows."""
-    ends = list(accumulate((tree_leaves(p)[0].shape[-3] for p in parts), initial=0))
-
-    def pad(x, j):
-        if x.shape[-3] == ends[-1]:  # a part that fills every row, as a one-part product's
-            return x
-        out = np.zeros(x.shape[:-3] + (ends[-1],) + x.shape[-2:], dtype=complex)
-        out[..., ends[j] : ends[j + 1], :, :] = x
-        return out
-
-    return tuple(tree_map(lambda x: pad(x, j), p) for j, p in enumerate(parts))
+def _block_rows(parts: list) -> np.ndarray:
+    """Stacked tangents of a product from those of its factors, each of shape
+    (k_j, *P, d_j, n, n): factor j's tangents fill its own slots and rows,
+    zeros the others."""
+    rows = list(accumulate((p.shape[-3] for p in parts), initial=0))
+    slots = list(accumulate((len(p) for p in parts), initial=0))
+    x = parts[0]
+    out = np.zeros((slots[-1],) + x.shape[1:-3] + (rows[-1],) + x.shape[-2:], dtype=complex)
+    for j, p in enumerate(parts):
+        out[slots[j] : slots[j + 1], ..., rows[j] : rows[j + 1], :, :] = p
+    return out
 
 
 def _times(t) -> np.ndarray:
@@ -163,12 +143,12 @@ def _group_rank(n) -> int:
 
 @dataclass(frozen=True)
 class Structure:
-    """A space's structure on a stack of k tangents v_1..v_k at one point.
+    """A space's structure on a stack of d tangents v_1..v_d at one point.
 
-    omega is the k x k matrix omega(v_i, v_j).  Per moment factor, psi holds
-    its value, left the (k, n, n) stack Psi^-1 dPsi(v_i) and right the stack
+    omega is the d x d matrix omega(v_i, v_j).  Per moment factor, psi holds
+    its value, left the (d, n, n) stack Psi^-1 dPsi(v_i) and right the stack
     dPsi(v_i) Psi^-1.  Over a stack of points every field carries the
-    points' leading axes in front.
+    points' leading axes P in front.
     """
 
     omega: np.ndarray
@@ -205,71 +185,56 @@ def _fuse(omega: np.ndarray, first: tuple, second: tuple) -> Structure:
 class QSpace:
     """Common interface of a sampled quasi-Hamiltonian space.
 
-    Subclasses set the `base` point and fill in the hooks `_moment`,
-    `structure`, `_basis`, `field_at` and `field_flow`.  `sample`,
-    `random_field` and the action of G-valued spaces, conjugation of every
-    matrix of a point, are written here.  `group_factors` is 1 for G-valued
-    moment maps and 2 for the double.  Public entry points unwrap singleton
-    group tuples so G-valued spaces take bare matrices.
+    A point of a space with k slots is one complex array of shape
+    (k, *P, n, n): one SU(n) matrix per slot, over leading axes P of a stack
+    of points.  Field data has the shape of a point, and a stack of d
+    tangents at it has shape (k, *P, d, n, n).  An element of G, or of its
+    algebra, has one slot per group factor.  Subclasses set the `base` point
+    and fill in the hooks `_moment`, `structure`, `_basis`, `field_at` and
+    `field_flow`.  `sample`, `random_field` and the action of G-valued
+    spaces, conjugation of every slot of a point, are written here.
+    `group_factors` is 1 for G-valued moment maps and 2 for the double.
     """
 
     n: int
     group_factors: int
     dim: int
 
-    # -- public wrappers ----------------------------------------------------
-    def moment(self, m):
-        out = self._moment(m)
-        return out[0] if self.group_factors == 1 else out
-
-    def act(self, g, m):
-        """Act on a point, or push a tangent forward: every action is linear."""
-        return self._act(self._as_group(g), m)
-
     def tangent_basis(self, m) -> list:
         """Orthonormal basis (round metric) of the tangent space at one point."""
-        basis = self._basis(m)
-        return [tree_map(lambda x: x[i], basis) for i in range(len(tree_leaves(basis)[0]))]
+        return list(np.moveaxis(self._basis(m), -3, 0))
 
-    def random_algebra_element(self, rng):
-        xs = tuple(random_algebra(self.n, rng, shape=(self.group_factors,)))
-        return xs[0] if self.group_factors == 1 else xs
+    def random_algebra_element(self, rng) -> np.ndarray:
+        """A Gaussian su(n) element per group factor, drawn in one call."""
+        return random_algebra(self.n, rng, shape=(self.group_factors,))
 
-    def sample(self, rng):
+    def sample(self, rng) -> np.ndarray:
         """The time-one flow of a random field from the base point."""
         return self.field_flow(self.random_field(rng), self.base, 1.0)
 
-    def random_field(self, rng):
-        """A Gaussian su(n) element on every matrix of the base point, drawn
-        in one call."""
-        leaves = iter(random_algebra(self.n, rng, shape=(len(tree_leaves(self.base)),)))
-        return tree_map(lambda _: next(leaves), self.base)
-
-    def _as_group(self, g):
-        """A group or algebra element as the tuple of its factors."""
-        return (g,) if self.group_factors == 1 and not isinstance(g, tuple) else tuple(g)
-
-    _as_algebra = _as_group
+    def random_field(self, rng) -> np.ndarray:
+        """A Gaussian su(n) element on every slot, drawn in one call."""
+        return random_algebra(self.n, rng, shape=(len(self.base),))
 
     # -- hooks --------------------------------------------------------------
     def _moment(self, m) -> tuple:
         raise NotImplementedError
 
     def structure(self, m, stack) -> Structure:
-        """The record of a stack of tangents at m: every leaf of stack
-        carries the leading axes of m's leaves, then an axis of length k."""
+        """The record of a stack of tangents of shape (k, *P, d, n, n) at
+        points m of shape (k, *P, n, n)."""
         raise NotImplementedError
 
-    def _act(self, g: tuple, m):
-        return tree_map(lambda p: g[0] @ p @ _dag(g[0]), m)
+    def _act(self, g, m):
+        return g @ m @ _dag(g)
 
     def _basis(self, m):
-        """Orthonormal tangent bases at a stack of points as one tree whose
-        leaves carry m's leading axes, then d."""
+        """Orthonormal tangent bases at a stack of points, of shape
+        (k, *P, d, n, n)."""
         raise NotImplementedError
 
-    def _generating(self, xi: tuple, m):
-        return tree_map(lambda p: xi[0] @ p - p @ xi[0], m)
+    def _generating(self, xi, m):
+        return xi @ m - m @ xi
 
     # extension fields for the invariant-extension derivative formula
     def field_at(self, data, m):
@@ -277,19 +242,19 @@ class QSpace:
 
     def field_flow(self, data, m, t):
         """The flow of the field for time t, a float or an array whose axes
-        broadcast against the leading axes of data and m."""
+        broadcast against the leading axes of data and m after the slot axis."""
         raise NotImplementedError
 
     def field_bracket(self, d1, d2):
         """Data of the commutator field; the minus sign is the left-action
         convention for generating fields and the right-invariant-frame
         bracket for group slots."""
-        return tree_map(lambda x, y: -(x @ y - y @ x), d1, d2)
+        return -(d1 @ d2 - d2 @ d1)
 
 
 class ConjugacyClass(QSpace):
     """Conjugacy class of exp(2 pi i diag(xi)) in SU(n), acted on by
-    conjugation, moment map the inclusion."""
+    conjugation, moment map the inclusion; a point has one slot."""
 
     group_factors = 1
 
@@ -306,16 +271,16 @@ class ConjugacyClass(QSpace):
         if xi[0] - xi[-1] > 1:
             raise InputError("not-in-alcove", "top-bottom eigenvalue gap exceeds one")
         self.xi = tuple(xi)
-        self.base = torus_point([float(x) for x in xi])
+        self.base = torus_point([float(x) for x in xi])[None]
         # n^2 - 1 less the centralizer's sum m_i^2 - 1; m_i counts entries equal mod 1
         self.dim = self.n**2 - sum(m * m for m in Counter(x % 1 for x in xi).values())
 
     def _moment(self, m):
-        return (m,)
+        return (m[0],)
 
     def _potential(self, m, stack):
         """Least-norm solution xi of (Ad_{m^-1} - 1) xi = m^-1 v for a stack
-        of tangents v, from one SVD per point.  The nonzero singular values
+        of tangents v at matrices m, from one SVD per point.  The nonzero singular values
         are those of the generating-field map, |e^{2 pi i (l_i - l_j)} - 1|;
         the tangent basis keeps the directions above RANK_CUTOFF = 1e-7 of
         the largest, while the centralizer's n - 1 zeros come out at 5e-16 to
@@ -334,6 +299,7 @@ class ConjugacyClass(QSpace):
     def structure(self, m, stack):
         # omega(v, w) = 1/2 B(Ad_m xi - Ad_{m^-1} xi, zeta) for potentials xi of
         # v and zeta of w
+        m, stack = m[0], stack[0]
         lm, lminv = _lift(m), _lift(_dag(m))
         xi = self._potential(m, stack)
         spread = lm @ xi @ lminv - lminv @ xi @ lm
@@ -344,8 +310,8 @@ class ConjugacyClass(QSpace):
         # an orthonormal basis (round metric) of the span of the fields x m - m x, one
         # SVD per point, at the first point's rank: conjugation keeps their spectrum
         x, lm = _basis_stack(self.n), _lift(m)
-        _, s, vt = np.linalg.svd(tree_realvec(x @ lm - lm @ x, m.ndim - 1), full_matrices=False)
-        return tree_unflatten(self.base, vt[..., : _rank(s, s[..., 0])[0].flat[0], :])
+        _, s, vt = np.linalg.svd(realvec(x @ lm - lm @ x), full_matrices=False)
+        return unrealvec(vt[..., : _rank(s, s[..., 0])[0].flat[0], :], self.n)
 
     def field_at(self, data, m):
         return data @ m - m @ data
@@ -356,20 +322,19 @@ class ConjugacyClass(QSpace):
 
 
 class _Slots(QSpace):
-    """A space whose points are flat tuples of SU(n) matrices p_j, one per
-    slot (2 for a double, 2h for genus h); a tangent or field value is X_j p_j,
-    a field flows by exp(t X_j) p_j, and both run once over all slots."""
+    """A space whose slots are all SU(n) matrices p_j (2 for a double, 2h
+    for genus h); a tangent or field value is X_j p_j, a field flows by
+    exp(t X_j) p_j, and both run once over all slots."""
 
     def _basis(self, m):
         # x_k p_j in slot j, for every su(n) basis element x_k
-        moved = [_basis_stack(self.n) @ _lift(p) for p in m]
-        return _block_rows(moved)
+        return _block_rows(list((_basis_stack(self.n) @ _lift(m))[:, None]))
 
     def field_at(self, data, m):
-        return tuple(x @ p for x, p in zip(data, m))
+        return data @ m
 
     def field_flow(self, data, m, t):
-        return tuple(u @ p for u, p in zip(expm_skew(_times(t) * np.stack(data)), m))
+        return expm_skew(_times(t) * data) @ m
 
 
 class Double(_Slots):
@@ -380,21 +345,18 @@ class Double(_Slots):
     def __init__(self, n: int):
         self.n = _group_rank(n)
         self.dim = _bounded(2 * (self.n**2 - 1))
-        self.base = (np.eye(self.n, dtype=complex),) * 2
+        self.base = np.stack([np.eye(self.n, dtype=complex)] * 2)
 
     def _moment(self, m):
         a, b = m
         return (a @ b, _dag(a) @ _dag(b))
 
     def _act(self, g, m):
-        g1, g2 = g
-        a, b = m
-        return (g1 @ a @ _dag(g2), g2 @ b @ _dag(g1))
+        # (g1 a g2^-1, g2 b g1^-1)
+        return g @ m @ _dag(g[::-1])
 
     def _generating(self, xi, m):
-        x1, x2 = xi
-        a, b = m
-        return (x1 @ a - a @ x2, x2 @ b - b @ x1)
+        return xi @ m - m @ xi[::-1]
 
     def structure(self, m, stack):
         a, b = map(_lift, m)
@@ -413,9 +375,8 @@ class Double(_Slots):
 class Fused(QSpace):
     """The fusion product of its parts in a left fold: diagonal action,
     product moment map, corrected 2-form (Alekseev-Malkin-Meinrenken 1998).
-    A part is G-valued, or a pair space whose two factors fuse first; a point
-    is the flat tuple of the parts' points, one slot for a G-valued part and
-    two for a pair part."""
+    A part is G-valued, or a pair space whose two factors fuse first; a
+    point is the parts' points concatenated along the slot axis."""
 
     group_factors = 1
 
@@ -423,17 +384,13 @@ class Fused(QSpace):
         self.parts = tuple(parts)
         self.n = parts[0].n
         self.dim = _bounded(sum(p.dim for p in parts))
-        ends = list(accumulate((p.group_factors for p in parts), initial=0))
-        self._keys = [i if j - i == 1 else slice(i, j) for i, j in zip(ends, ends[1:])]
-        self.base = self._join([p.base for p in parts])
+        ends = list(accumulate((len(p.base) for p in parts), initial=0))
+        self._keys = [slice(i, j) for i, j in zip(ends, ends[1:])]
+        self.base = np.concatenate([p.base for p in parts])
 
-    def _join(self, shares) -> tuple:
-        return tuple(x for p, t in zip(self.parts, shares)
-                     for x in (t if p.group_factors == 2 else (t,)))
-
-    def _each(self, fn, *trees) -> tuple:
-        """fn(part, its shares of the trees) for every part, joined."""
-        return self._join([fn(p, *[t[k] for t in trees]) for p, k in zip(self.parts, self._keys)])
+    def _each(self, fn, *arrays) -> np.ndarray:
+        """fn(part, its slots of the arrays) for every part, concatenated."""
+        return np.concatenate([fn(p, *[x[k] for x in arrays]) for p, k in zip(self.parts, self._keys)])
 
     def _moment(self, m):
         return (reduce(np.matmul, (reduce(np.matmul, p._moment(m[k]))
@@ -448,7 +405,7 @@ class Fused(QSpace):
                       map(record, self.parts, self._keys))
 
     def _basis(self, m):
-        return self._join(_block_rows([p._basis(m[k]) for p, k in zip(self.parts, self._keys)]))
+        return _block_rows([p._basis(m[k]) for p, k in zip(self.parts, self._keys)])
 
     def field_at(self, data, m):
         return self._each(lambda p, d, x: p.field_at(d, x), data, m)
@@ -479,8 +436,8 @@ class Fusion(Fused):
 
 class Genus(_Slots, Fused):
     """h doubles fused in a row, with the commutator-product moment map
-    prod_j [a_j, b_j]; points are flat 2h-tuples (a_1, b_1, ..., a_h, b_h),
-    and the group-slot methods run once over all 2h slots."""
+    prod_j [a_j, b_j]; points have the 2h slots (a_1, b_1, ..., a_h, b_h),
+    and the group-slot methods run once over all of them."""
 
     def __init__(self, n: int, h: int):
         if h < 1:
@@ -535,12 +492,10 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _stack_tangents(m, basis: list):
-    """The basis as one tangent tree whose leaves carry a leading axis of
-    length d (zero-length for an empty basis)."""
-    return tree_map(
-        lambda x, *bs: np.array(bs, dtype=complex).reshape((len(bs),) + x.shape), m, *basis
-    )
+def _stack_tangents(m, basis: list) -> np.ndarray:
+    """A list of d tangents at m as one stack (k, *P, d, n, n), d = 0 for
+    an empty list."""
+    return np.moveaxis(np.array(basis, dtype=complex).reshape((len(basis),) + m.shape), 0, -3)
 
 
 def omega_matrix(space: QSpace, m, basis: list) -> np.ndarray:
@@ -549,38 +504,35 @@ def omega_matrix(space: QSpace, m, basis: list) -> np.ndarray:
     return space.structure(m, _stack_tangents(m, basis)).omega
 
 
-def _orthonormal_fields(datas: tuple) -> tuple:
-    """Three stacks of field data, orthonormalized sample by sample in the
-    flat round metric, by one stacked QR."""
-    q, _ = np.linalg.qr(np.stack([tree_realvec(d, 1) for d in datas], axis=-1))
-    template = tree_map(lambda x: x[0], datas[0])
-    return tuple(tree_unflatten(template, q[..., i]) for i in range(3))
+def _orthonormal_fields(data: np.ndarray) -> np.ndarray:
+    """Three field data per sample, of shape (k, S, 3, n, n), orthonormalized
+    sample by sample in the flat round metric, by one stacked QR."""
+    q, _ = np.linalg.qr(realvec(data).swapaxes(-1, -2))
+    return unrealvec(q.swapaxes(-1, -2), data.shape[-1])
 
 
 def _moment_residuals(space: QSpace, m, xi, w) -> np.ndarray:
     """|omega(xi_M, w) - 1/2 B(Psi^-1 dPsi(w) + dPsi(w) Psi^-1, xi)| per
     point of a stack, read from one record of the stacked pairs [xi_M, w]."""
-    pairs = tree_map(lambda v, t: np.stack([v, t], axis=-3), space._generating(xi, m), w)
-    rec = space.structure(m, pairs)
+    rec = space.structure(m, np.stack([space._generating(xi, m), w], axis=-3))
     rhs = sum(0.5 * basic_inner(left[..., 1, :, :] + right[..., 1, :, :], x)
               for left, right, x in zip(rec.left, rec.right, xi))
     return np.abs(rec.omega[..., 0, 1] - rhs)
 
 
-def _cocycle_residuals(space: QSpace, m, fields, fd_step: float) -> np.ndarray:
+def _cocycle_residuals(space: QSpace, m, f, fd_step: float) -> np.ndarray:
     """|d omega - Psi* eta| on three fields f1, f2, f3 per point of a stack
-    of S points.  d omega is the invariant-extension formula with central
-    differences: one flow of the 6 S points exp(+-h f_i) m, one record of
-    the field pairs there (its Psi gives the differences of the moment) and
-    one record at m of [f1, f2], [f1, f3], [f2, f3], f3, f2, f1."""
-    f = tree_map(lambda *leaves: np.stack(leaves, axis=1), *fields)  # (S, 3, ...)
-    flows = space.field_flow(tree_map(lambda x: x[:, :, None], f),
-                             tree_map(lambda x: x[:, None, None], m), [fd_step, -fd_step])
-    pairs = tree_map(lambda x: x[:, [[1, 2], [0, 2], [0, 1]]][:, :, None], f)
-    moved = space.structure(flows, space.field_at(pairs, tree_map(_lift, flows)))
-    brackets = [space.field_bracket(fields[i], fields[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
-    six = tree_map(lambda *leaves: np.stack(leaves, axis=1), *brackets, *fields[::-1])
-    base = space.structure(m, space.field_at(six, tree_map(_lift, m)))
+    of S points, with data f of shape (k, S, 3, n, n).  d omega is the
+    invariant-extension formula with central differences: one flow of the
+    6 S points exp(+-h f_i) m, one record of the field pairs there (its Psi
+    gives the differences of the moment) and one record at m of [f1, f2],
+    [f1, f3], [f2, f3], f3, f2, f1."""
+    flows = space.field_flow(f[:, :, :, None], m[:, :, None, None], [fd_step, -fd_step])
+    pairs = f[:, :, [[1, 2], [0, 2], [0, 1]]][:, :, :, None]
+    moved = space.structure(flows, space.field_at(pairs, _lift(flows)))
+    brackets = space.field_bracket(f[:, :, [0, 0, 1]], f[:, :, [1, 2, 2]])
+    six = np.concatenate([brackets, f[:, :, ::-1]], axis=2)
+    base = space.structure(m, space.field_at(six, _lift(m)))
     deriv = (moved.omega[:, :, 0, 0, 1] - moved.omega[:, :, 1, 0, 1]) / (2.0 * fd_step)
     om = base.omega
     d_omega = (deriv[:, 0] - deriv[:, 1] + deriv[:, 2]
@@ -629,9 +581,8 @@ def _degeneracy_mismatch(space: QSpace, m, tangents) -> np.ndarray:
         rows = (vt * null[..., None]).reshape(live.size, f * na, na)
         xis = algebra_from_coords(space.n, np.einsum("prc,rk->prkc", rows,
                                                      np.repeat(np.eye(f), na, axis=0)))
-        gens = space._generating(tuple(xis[:, :, k] for k in range(f)),
-                                 tree_map(lambda x: _lift(x[live]), m))
-        gs = np.linalg.svd(tree_realvec(gens, 2), compute_uv=False)
+        gens = space._generating(np.moveaxis(xis, 2, 0), _lift(m[:, live]))
+        gs = np.linalg.svd(realvec(gens), compute_uv=False)
         qualifying[live], band = _rank(gs, gs[:, 0])
         undecided[live] |= band
     mismatch = np.abs(rec.omega.shape[-1] - rank - qualifying).astype(float)
@@ -651,13 +602,19 @@ def _draw(space: QSpace, axiom: str, rng) -> tuple:
     tangent basis, for cocycle three field data, for equivariance g's exponent."""
     f = space.random_field(rng)
     if axiom == "moment":
-        xi = space._as_algebra(space.random_algebra_element(rng))
+        xi = space.random_algebra_element(rng)
         return f, xi, rng.normal(size=space.dim)
     if axiom == "cocycle":
-        return f, tuple(space.random_field(rng) for _ in range(3))
+        return f, np.stack([space.random_field(rng) for _ in range(3)], axis=1)
     if axiom == "equivariance":
-        return f, space._as_algebra(space.random_algebra_element(rng))
+        return f, space.random_algebra_element(rng)
     return (f,)
+
+
+def _stack_draws(draws: list) -> list:
+    """The draws of a stack of samples, each kind as one array: matrices
+    keep their slot axis first, then the samples; coefficients are by sample."""
+    return [np.stack(x, axis=int(x[0].ndim > 1)) for x in zip(*draws)]
 
 
 def _residuals(space: QSpace, axiom: str, fd_step: float, f, *drawn) -> np.ndarray:
@@ -665,16 +622,17 @@ def _residuals(space: QSpace, axiom: str, fd_step: float, f, *drawn) -> np.ndarr
     stack: the points are one flow of the stacked fields f from the base
     point.  A class basis of fewer than dim rows (eigenphases closer than
     RANK_CUTOFF resolves) takes the first of each sample's coefficients."""
-    m = space.field_flow(f, space.base, 1.0)
+    m = space.field_flow(f, space.base[:, None], 1.0)
     if axiom == "moment":
         xi, coeffs = drawn
-        w = tree_map(lambda x: np.stack([np.tensordot(c[: x.shape[1]], xp, axes=1)
-                                         for c, xp in zip(coeffs, x)]), space._basis(m))
+        # one product per slot and sample, as the loop combines its basis
+        w = np.array([[np.tensordot(c[: len(xp)], xp, axes=1) for c, xp in zip(coeffs, x)]
+                      for x in space._basis(m)])
         return _moment_residuals(space, m, xi, w)
     if axiom == "cocycle":
         return _cocycle_residuals(space, m, _orthonormal_fields(drawn[0]), fd_step)
     if axiom == "equivariance":
-        return _equivariance_residuals(space, m, tuple(expm_skew(np.stack(drawn[0]))))
+        return _equivariance_residuals(space, m, expm_skew(drawn[0]))
     return _degeneracy_mismatch(space, m, space._basis(m))
 
 
@@ -694,7 +652,7 @@ def _sample_residuals(space: QSpace, axiom: str, samples: int, fd_step: float,
         for _ in range(min(step, samples - done)):
             draws.append(_draw(space, axiom, rng))
             states.append(rng.bit_generator.state)
-        part = _residuals(space, axiom, fd_step, *tree_map(lambda *x: np.stack(x), *draws))
+        part = _residuals(space, axiom, fd_step, *_stack_draws(draws))
         nan = np.flatnonzero(np.isnan(part)) if redraws else []
         keep = nan[0] if len(nan) else len(part)
         out[done : done + keep], done = part[:keep], done + keep

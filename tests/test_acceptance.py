@@ -280,7 +280,7 @@ def test_criterion_11_reduction_ranks():
     for _ in range(20):
         a = random_special_unitary(2, rng)
         b = random_special_unitary(2, rng)
-        ranks.append(reduction_rank(g22, (a, b, b, a)))
+        ranks.append(reduction_rank(g22, np.stack([a, b, b, a])))
     g21 = Genus(2, 1)
     commuting_ranks = []
     h = 1j * np.diag([1.0, -1.0])
@@ -288,7 +288,7 @@ def test_criterion_11_reduction_ranks():
         u = random_special_unitary(2, rng)
         a = u @ scipy.linalg.expm(rng.normal() * h) @ u.conj().T
         b = u @ scipy.linalg.expm(rng.normal() * h) @ u.conj().T
-        commuting_ranks.append(reduction_rank(g21, (a, b)))
+        commuting_ranks.append(reduction_rank(g21, np.stack([a, b])))
     ok = all(r == 3 for r in ranks) and all(r == 2 for r in commuting_ranks)
     report(11, ok, f"20 reflected pairs rank 3; commuting pairs rank {set(commuting_ranks)}")
     assert all(r == 3 for r in ranks)

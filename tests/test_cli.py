@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import quasiham
 from quasiham import cli
 from quasiham.alcove import LevelWeightSet
-from quasiham.cli import _HANDLERS, build_parser, dispatch, main, render
+from quasiham.cli import MAX_GRID, MAX_SAMPLES, _HANDLERS, build_parser, dispatch, main, render
 from quasiham.errors import ToolkitError
 from quasiham.roots import LieType, build_root_system
 from quasiham.serialize import matrix_from_json
@@ -305,22 +305,41 @@ def test_invalid_input_exits_two_with_tag(argv, tag, capsys):
 
 # Spaces past spaces.MAX_DIM: memory for su(300) bases or a list of 10^9
 # doubles, or the root system of A299 (18 s), before the bound was checked.
+HUGE = str(10**12)
 TOO_LARGE = [
-    ["reduce-rank", "--n", "300", "--at", "identity"],
-    ["verify", "--space", "double", "--n", "300", "--axiom", "moment"],
-    ["verify", "--space", "conjugacy_class", "--n", "300", "--xi", ",".join(["0"] * 300),
-     "--axiom", "moment"],
-    ["verify", "--space", "genus", "--n", "2", "--genus", "1000000000", "--axiom", "moment"],
+    (["reduce-rank", "--n", "300", "--at", "identity"], "space-too-large"),
+    (["verify", "--space", "double", "--n", "300", "--axiom", "moment"], "space-too-large"),
+    (["verify", "--space", "conjugacy_class", "--n", "300", "--xi", ",".join(["0"] * 300),
+      "--axiom", "moment"], "space-too-large"),
+    (["verify", "--space", "genus", "--n", "2", "--genus", "1000000000", "--axiom", "moment"],
+     "space-too-large"),
+    # each of these allocated before any check and died of a MemoryError
+    (["cocycle", "--n", "3", "--samples", HUGE], "too-many-samples"),
+    (["cocycle", "--n", "100000"], "space-too-large"),
+    (["holonomy-convergence", "--grids", "8," + HUGE], "grid-too-large"),
+    (["holonomy-convergence", "--n", "100000"], "space-too-large"),
+    (["verify", "--space", "sphere4", "--samples", HUGE], "too-many-samples"),
+    (["verify", "--space", "eta_su2", "--samples", HUGE], "too-many-samples"),
+    (["verify", "--space", "double", "--n", "2", "--axiom", "moment", "--samples", HUGE],
+     "too-many-samples"),
 ]
 
 
-@pytest.mark.parametrize("argv", TOO_LARGE)
-def test_too_large_space_exits_two_at_once(argv, capsys):
+@pytest.mark.parametrize("argv,tag", TOO_LARGE, ids=[f"argv{i}" for i in range(len(TOO_LARGE))])
+def test_too_large_space_exits_two_at_once(argv, tag, capsys):
     start = time.perf_counter()
     assert main(argv + ["--json"]) == 2
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: space-too-large:") and captured.out == ""
+    assert captured.err.startswith(f"error: {tag}:") and captured.out == ""
+
+
+def test_largest_accepted_sizes_run():
+    # the bounds reject only what is above them
+    for argv in (["cocycle", "--n", "16", "--samples", "2"],
+                 ["holonomy-convergence", "--n", "2", "--grids", f"8,{MAX_GRID}"],
+                 ["verify", "--space", "sphere4", "--samples", str(MAX_SAMPLES)]):
+        assert dispatch(argv)[0] in (0, 1), argv
 
 
 def readme_commands() -> list:

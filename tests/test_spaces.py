@@ -20,8 +20,6 @@ from quasiham.spaces import (
     sphere4_act,
     sphere4_equivariance_residual,
     sphere4_moment,
-    tree_leaves,
-    tree_map,
     verify_axiom,
 )
 from quasiham.sun import (
@@ -50,18 +48,6 @@ def builtin_spaces():
     ]
 
 
-def tree_max(t):
-    return max(np.max(np.abs(leaf)) for leaf in tree_leaves(t))
-
-
-def zero_tangent(m):
-    return tree_map(np.zeros_like, m)
-
-
-def tree_add(a, b, c=1.0):
-    return tree_map(lambda x, y: x + c * y, a, b)
-
-
 def _record(space, m, tangents):
     """The structure record of a list of tangents at one point."""
     return space.structure(m, spaces._stack_tangents(m, tangents))
@@ -69,8 +55,8 @@ def _record(space, m, tangents):
 
 def random_group(space, rng):
     """A group element as the verifier draws g: the exponential of the
-    space's algebra draw, as a tuple of factors."""
-    return tuple(expm_skew(np.stack(space._as_algebra(space.random_algebra_element(rng)))))
+    space's algebra draw, one slot per factor."""
+    return expm_skew(space.random_algebra_element(rng))
 
 
 def pair_omega(space, m, v, w):
@@ -79,29 +65,19 @@ def pair_omega(space, m, v, w):
 
 
 def genus_chain(n, h):
-    """Genus(n, h) written out as nested fusions, and the map from its flat
-    2h-tuples to the chain's nested points."""
+    """Genus(n, h) written out as nested fusions; its points have the same
+    2h slots."""
     chain = InternalFusion(Double(n))
     for _ in range(h - 1):
         chain = Fusion(chain, InternalFusion(Double(n)))
-
-    def nest(flat):
-        if len(flat) == 2:
-            return (flat[0], flat[1])
-        return (nest(flat[:-2]), (flat[-2], flat[-1]))
-
-    return chain, nest
+    return chain
 
 
-def ref_shares(space, tree):
-    """A fused space's flat point or tangent cut into its parts' shares: one
-    slot for a G-valued part, the next two for a pair part."""
-    shares, i = [], 0
-    for part in space.parts:
-        w = part.group_factors
-        shares.append(tree[i] if w == 1 else tuple(tree[i : i + w]))
-        i += w
-    return shares
+def ref_shares(space, x):
+    """A fused space's point or tangent cut into its parts' shares, as many
+    slots as each part's base point has."""
+    ends = np.cumsum([0] + [len(part.base) for part in space.parts])
+    return [x[i:j] for i, j in zip(ends, ends[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +86,7 @@ def ref_shares(space, tree):
 
 def ref_dmoment(space, m, v):
     if isinstance(space, ConjugacyClass):
-        return (v,)
+        return (v[0],)
     if isinstance(space, Double):
         (a, b), (va, vb) = m, v
         ainv, binv = a.conj().T, b.conj().T
@@ -136,6 +112,7 @@ def ref_fusion_correction(l1v, r2v, l1w, r2w):
 
 def ref_omega(space, m, v, w):
     if isinstance(space, ConjugacyClass):
+        (m,), (v,), (w,) = m, v, w
         xi, zeta = ref_potential(space, m, v), ref_potential(space, m, w)
         minv = m.conj().T
         return 0.5 * basic_inner(m @ xi @ minv - minv @ xi @ m, zeta)
@@ -164,7 +141,7 @@ def fd_reduction_rank(space, m, fd_step=1e-5):
     """Rank of the moment differential by central differences along the
     tangent basis, each slot p moved to exp(t v p^-1) p."""
     def move(t, v):
-        return tuple(scipy.linalg.expm(t * x @ p.conj().T) @ p for p, x in zip(m, v))
+        return np.array([scipy.linalg.expm(t * x @ p.conj().T) @ p for p, x in zip(m, v)])
 
     cols = []
     for v in space.tangent_basis(m):
@@ -256,15 +233,15 @@ def test_omega_antisymmetric_bilinear(name, space):
     m = space.sample(rng)
     basis = space.tangent_basis(m)
     v, w, u = (sum_basis(space, m, basis, rng) for _ in range(3))
-    om = omega_matrix(space, m, [v, w, u, tree_add(v, u, 0.7)])
+    om = omega_matrix(space, m, [v, w, u, v + 0.7 * u])
     assert om[0, 1] == pytest.approx(-om[1, 0], abs=1e-10)
     assert om[3, 1] == pytest.approx(om[0, 1] + 0.7 * om[2, 1], abs=1e-10)
 
 
 def sum_basis(space, m, basis, rng):
-    out = zero_tangent(m)
+    out = np.zeros_like(m)
     for c, b in zip(rng.normal(size=len(basis)), basis):
-        out = tree_add(out, b, c)
+        out = out + c * b
     return out
 
 
@@ -277,8 +254,8 @@ def test_omega_invariant_under_action(name, space):
         v = sum_basis(space, m, basis, rng)
         w = sum_basis(space, m, basis, rng)
         g = random_group(space, rng)
-        moved = space.act(g, m)
-        lhs = pair_omega(space, moved, space.act(g, v), space.act(g, w))
+        moved = space._act(g, m)
+        lhs = pair_omega(space, moved, space._act(g, v), space._act(g, w))
         assert lhs == pytest.approx(pair_omega(space, m, v, w), abs=1e-9)
 
 
@@ -287,7 +264,7 @@ def test_double_omega_at_identity():
     rng = np.random.default_rng(3)
     e = np.eye(2, dtype=complex)
     x1, y1, x2, y2 = (random_algebra(2, rng) for _ in range(4))
-    lhs = pair_omega(d, (e, e), (x1, y1), (x2, y2))
+    lhs = pair_omega(d, np.stack([e, e]), np.stack([x1, y1]), np.stack([x2, y2]))
     assert lhs == pytest.approx(basic_inner(x1, y2) - basic_inner(x2, y1), abs=1e-14)
 
 
@@ -295,8 +272,8 @@ def test_central_class_omega_vanishes():
     c = ConjugacyClass(2, (Q(1, 2), Q(-1, 2)))  # class of -identity, a point
     m = c.base
     xi = random_algebra(2, np.random.default_rng(4))
-    assert tree_max(c._generating(c._as_algebra(xi), m)) < 1e-14
-    z = zero_tangent(m)
+    assert np.max(np.abs(c._generating(xi[None], m))) < 1e-14
+    z = np.zeros_like(m)
     assert pair_omega(c, m, z, z) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -343,14 +320,14 @@ def test_fused_double_moment_at_commuting_pair():
     h = 1j * np.diag([1.0, -1.0])
     a = scipy.linalg.expm(0.4 * h)
     b = scipy.linalg.expm(-1.1 * h)
-    assert np.max(np.abs(f.moment((a, b)) - np.eye(2))) < 1e-12
+    assert np.max(np.abs(f._moment(np.stack([a, b]))[0] - np.eye(2))) < 1e-12
 
 
 def test_double_moment_values():
     d = Double(2)
     rng = np.random.default_rng(5)
-    a, b = d.sample(rng)
-    p1, p2 = d.moment((a, b))
+    a, b = m = d.sample(rng)
+    p1, p2 = d._moment(m)
     assert np.allclose(p1, a @ b)
     assert np.allclose(p2, np.linalg.inv(a) @ np.linalg.inv(b))
 
@@ -419,19 +396,19 @@ def test_random_tangent_is_basis_combination(name, space, d, monkeypatch):
     m = space.field_flow(f, space.base, 1.0)
     ref_rng = np.random.default_rng(89)
     ref_m, basis = sample_with_basis(space, ref_rng)
-    assert same_tree(m, ref_m) and len(basis) == d
-    assert same_tree(xi, space._as_algebra(space.random_algebra_element(ref_rng)))
+    assert np.array_equal(m, ref_m) and len(basis) == d
+    assert np.array_equal(xi, space.random_algebra_element(ref_rng))
     assert np.array_equal(coeffs, ref_rng.normal(size=len(basis)))
     assert ref_rng.bit_generator.state == rng.bit_generator.state  # the same draws
-    ref = zero_tangent(m)
+    ref = np.zeros_like(m)
     for c, b in zip(coeffs, basis):
-        ref = tree_add(ref, b, c)
+        ref = ref + c * b
     # the w the stacked residual gets, from the basis built over the stack
     seen = []
     monkeypatch.setattr(spaces, "_moment_residuals", lambda sp, *args: seen.append(args))
-    spaces._residuals(space, "moment", 1e-4, *stack([(f, xi, coeffs)]))
+    spaces._residuals(space, "moment", 1e-4, *spaces._stack_draws([(f, xi, coeffs)]))
     [(_, _, w)] = seen
-    assert tree_max(tree_add(at(w, 0), ref, -1.0)) < 1e-14
+    assert np.max(np.abs(w[:, 0] - ref)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +531,12 @@ def squeezed(cls, *shrinks):
             basis = self._basis(m)
             out = stack
             for i, shrink in enumerate(shrinks):
-                first = tree_map(lambda x: x[..., i, :, :], basis)
+                first = basis[..., i, :, :]
                 c = sum(
                     np.real(np.einsum("...ij,...kij->...k", x.conj(), y))
-                    for x, y in zip(tree_leaves(first), tree_leaves(stack))
+                    for x, y in zip(first, stack)
                 )[..., None, None]
-                out = tree_map(lambda x, y: y - (1.0 - shrink) * c * spaces._lift(x), first, out)
+                out = out - (1.0 - shrink) * c * spaces._lift(first)
             return super().structure(m, out)
 
     return Squeezed
@@ -568,8 +545,8 @@ def squeezed(cls, *shrinks):
 def point_mismatch(space, m, basis):
     """The degeneracy mismatch at one point, evaluated as a stack of one;
     None where the sample is undecided."""
-    one = tree_map(lambda x: x[None], (m, spaces._stack_tangents(m, basis)))
-    out = spaces._degeneracy_mismatch(space, *one)[0]
+    out = spaces._degeneracy_mismatch(space, m[:, None],
+                                      spaces._stack_tangents(m, basis)[:, None])[0]
     return None if np.isnan(out) else out
 
 
@@ -697,18 +674,21 @@ def test_reports_are_seed_deterministic():
 # ---------------------------------------------------------------------------
 # records and residuals over stacks of points
 
+def nested_fusion():
+    """Fusion(Fusion(c1, c2), c3): three slots, one per class."""
+    c1, c2 = ConjugacyClass(2, (Q(1, 8), Q(-1, 8))), ConjugacyClass(2, (Q(1, 4), Q(-1, 4)))
+    return Fusion(Fusion(c1, c2), ConjugacyClass(2, (Q(3, 8), Q(-3, 8))))
+
+
 def stack_spaces():
     pair = Fusion(ConjugacyClass(2, (Q(1, 8), Q(-1, 8))), ConjugacyClass(2, (Q(1, 4), Q(-1, 4))))
-    return builtin_spaces() + [("fusion", pair)]
+    return builtin_spaces() + [("fusion", pair), ("nested_fusion", nested_fusion())]
 
 
-def stack(trees):
-    """Trees of the same shape as one tree whose leaves carry a leading axis."""
-    return tree_map(lambda *leaves: np.stack(leaves), *trees)
-
-
-def at(tree, p):
-    return tree_map(lambda x: x[p], tree)
+def stack(xs):
+    """Points, tangent stacks or field data as one stack: the slot axis
+    first, then the new axis."""
+    return np.stack(xs, axis=1)
 
 
 @pytest.mark.parametrize("name,space", stack_spaces())
@@ -736,14 +716,14 @@ def test_action_moment_and_fields_over_points_match_single_points(name, space):
     m = stack(points)
     cases = [
         (space._act(stack(gs), m), [space._act(g, x) for g, x in zip(gs, points)]),
-        (space._moment(m), [space._moment(x) for x in points]),
+        (np.stack(space._moment(m)), [np.stack(space._moment(x)) for x in points]),
         (space.field_at(stack(datas), m), [space.field_at(d, x) for d, x in zip(datas, points)]),
         (space.field_flow(stack(datas), m, times),
          [space.field_flow(d, x, t) for d, x, t in zip(datas, points, times)]),
     ]
     for stacked, singles in cases:
         for p, single in enumerate(singles):
-            assert tree_max(tree_add(at(stacked, p), single, -1.0)) <= 1e-15
+            assert np.max(np.abs(stacked[:, p] - single)) <= 1e-15
 
 
 # The per-sample draws and residuals the stacked verifier replaced, kept as
@@ -758,11 +738,11 @@ def sample_with_basis(space, rng):
 def random_tangent(m, basis, rng):
     """A combination of the basis with one normal coefficient each."""
     coeffs = rng.normal(size=len(basis))
-    return tree_map(lambda x: np.tensordot(coeffs, x, axes=1), spaces._stack_tangents(m, basis))
+    return np.array([np.tensordot(coeffs, x, axes=1) for x in spaces._stack_tangents(m, basis)])
 
 
 def moment_residual(space, m, basis, rng):
-    xi = space._as_algebra(space.random_algebra_element(rng))
+    xi = space.random_algebra_element(rng)
     v = space._generating(xi, m)
     w = random_tangent(m, basis, rng)
     rec = _record(space, m, [v, w])
@@ -774,8 +754,8 @@ def moment_residual(space, m, basis, rng):
 
 def orthonormalized(datas):
     """Three field data, orthonormalized in the flat round metric by one QR."""
-    q, _ = np.linalg.qr(np.stack([spaces.tree_realvec(d) for d in datas], axis=1))
-    return [spaces.tree_unflatten(datas[0], q[:, i]) for i in range(3)]
+    q, _ = np.linalg.qr(np.stack([spaces.realvec(d) for d in datas], axis=1))
+    return [spaces.unrealvec(q[:, i], datas[0].shape[-1]) for i in range(3)]
 
 
 def orthonormal_fields(space, rng):
@@ -924,21 +904,22 @@ def test_verify_axiom_draws_what_the_loop_draws(axiom, monkeypatch):
             loop_residuals(space, axiom, 4, 157)
         loop_drawn = [(k, out) for k, out in log if k not in LOOP_ONLY + ("point",)]
         assert [k for k, _ in drawn] == [k for k, _ in loop_drawn]
-        assert all(same_tree(a, b) for (_, a), (_, b) in zip(drawn, loop_drawn))
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(drawn, loop_drawn))
 
-        def drawn_as(kind, as_tree=lambda x: x):
-            return stack([as_tree(out) for k, out in log if k == kind])
+        def drawn_as(kind, as_array=lambda x: x):
+            return stack([as_array(out) for k, out in log if k == kind])
 
         # the loop's points, w, fields and g equal, bit for bit, what the
         # verifier builds once per stack from its draws
         if axiom == "moment":
-            expected = (drawn_as("point"), drawn_as("random_algebra_element", space._as_algebra),
+            expected = (drawn_as("point"), drawn_as("random_algebra_element"),
                         drawn_as("random_tangent"))
         elif axiom == "cocycle":
-            expected = (drawn_as("point"), drawn_as("orthonormal_fields", tuple), 1e-4)
+            expected = (drawn_as("point"), drawn_as("orthonormal_fields", stack), 1e-4)
         else:
             expected = (drawn_as("point"), drawn_as("random_group"))
-        assert len(stacked) == 1 and same_tree(stacked[0], expected)
+        assert len(stacked) == 1 and len(stacked[0]) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(stacked[0], expected))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -949,13 +930,14 @@ def test_stacked_draw_work_equals_per_sample_work(n):
     rng = np.random.default_rng(163 + n)
     xs = random_algebra(n, rng, shape=(6,))
     assert np.array_equal(expm_skew(xs), np.stack([expm_skew(x) for x in xs]))
-    for space in (ConjugacyClass(n, generic_xi(n)), Double(n), Genus(n, 2)):
+    c = ConjugacyClass(n, generic_xi(n))
+    for space in (c, Double(n), Genus(n, 2), Fusion(Fusion(c, c), c)):
         points = [space.sample(rng) for _ in range(4)]
         bases = space._basis(stack(points))
-        assert all(same_tree(at(bases, p), space._basis(m)) for p, m in enumerate(points))
-        datas = [tuple(space.random_field(rng) for _ in range(3)) for _ in range(4)]
-        fields = spaces._orthonormal_fields(stack(datas))
-        assert all(same_tree(at(fields, p), tuple(orthonormalized(d)))
+        assert all(np.array_equal(bases[:, p], space._basis(m)) for p, m in enumerate(points))
+        datas = [[space.random_field(rng) for _ in range(3)] for _ in range(4)]
+        fields = spaces._orthonormal_fields(stack([stack(d) for d in datas]))
+        assert all(np.array_equal(fields[:, p], stack(orthonormalized(d)))
                    for p, d in enumerate(datas))
 
 
@@ -972,23 +954,17 @@ def draw_by_parts(space, rng, kind):
     draws; a product draws part by part."""
     if isinstance(space, ConjugacyClass):
         if kind == "field":
-            return random_algebra(space.n, rng)
+            return random_algebra(space.n, rng)[None]
         u = random_special_unitary(space.n, rng)
-        return u @ space.base @ u.conj().T
+        return (u @ space.base[0] @ u.conj().T)[None]
     if isinstance(space, (Double, Genus)):
         xs = random_algebra(space.n, rng, shape=(len(space.base),))
-        return tuple(xs if kind == "field" else expm_skew(xs))
-    out = ()
-    for part in space.parts:
-        drawn = draw_by_parts(part, rng, kind)
-        out += drawn if part.group_factors == 2 else (drawn,)
-    return out
+        return xs if kind == "field" else expm_skew(xs)
+    return np.concatenate([draw_by_parts(part, rng, kind) for part in space.parts])
 
 
 def same_bits(a, b):
-    la, lb = tree_leaves(a), tree_leaves(b)
-    return len(la) == len(lb) and all(x.shape == y.shape and x.dtype == y.dtype
-                                      and x.tobytes() == y.tobytes() for x, y in zip(la, lb))
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class Raising:
@@ -1075,11 +1051,11 @@ def test_mid_stack_redraw_restores_the_loop_draws(reason, monkeypatch):
     # the state right after the second draw, the last two samples as the
     # loop draws them, so the third draw is made twice
     assert len(stacked_drawn) == 4 + 1
-    assert all(same_tree(a, b) for a, b in zip(stacked_drawn, drawn[:3] + drawn[2:]))
+    assert all(np.array_equal(a, b) for a, b in zip(stacked_drawn, drawn[:3] + drawn[2:]))
     (points, first), (rest, second) = stacked_evaluated
     flows = [space.field_flow(f, space.base, 1.0) for f in drawn]
-    assert same_tree(points, stack(flows[:3])) and first[0] == loop[0] and np.isnan(first[1])
-    assert same_tree(rest, stack(flows[2:])) and np.array_equal(second, loop[1:])
+    assert np.array_equal(points, stack(flows[:3])) and first[0] == loop[0] and np.isnan(first[1])
+    assert np.array_equal(rest, stack(flows[2:])) and np.array_equal(second, loop[1:])
 
 
 @pytest.mark.parametrize("reason", ["undecided", None])
@@ -1089,7 +1065,7 @@ def test_degeneracy_stacks_hold_at_most_stack_rows(reason, step, monkeypatch):
     monkeypatch.setattr(spaces, "STACK_ROWS", step * space.dim)
     sizes, drawn, mismatch, field = [], [], spaces._degeneracy_mismatch, space.random_field
     monkeypatch.setattr(spaces, "_degeneracy_mismatch",
-                        lambda sp, m, tangents: sizes.append(len(m[0])) or mismatch(sp, m, tangents))
+                        lambda sp, m, tangents: sizes.append(m.shape[1]) or mismatch(sp, m, tangents))
     monkeypatch.setattr(space, "random_field", lambda rng: drawn.append(rng) or field(rng))
     stacked = spaces._sample_residuals(space, "min_degeneracy", 5, 1e-4, np.random.default_rng(5))
     assert max(sizes) == step
@@ -1125,7 +1101,7 @@ def test_every_axiom_stack_holds_at_most_stack_rows(name, space, axiom, step, mo
         [samples % step] if samples % step else [])
     assert len(draws) == samples and np.array_equal(stacked, whole)
     for end, part in stacks:
-        one_by_one = [residuals(space, axiom, 1e-4, *stack([d]))[0]
+        one_by_one = [residuals(space, axiom, 1e-4, *spaces._stack_draws([d]))[0]
                       for d in draws[end - len(part):end]]
         assert np.array_equal(part, one_by_one)
 
@@ -1177,11 +1153,11 @@ def test_stacked_potential_matches_lstsq_per_point(n, xi):
     space = ConjugacyClass(n, xi)
     rng = np.random.default_rng(151)
     draws = [sample_with_basis(space, rng) for _ in range(3)]
-    potentials = space._potential(stack([m for m, _ in draws]),
-                                  stack([spaces._stack_tangents(m, b) for m, b in draws]))
+    potentials = space._potential(np.stack([m[0] for m, _ in draws]),
+                                  np.stack([spaces._stack_tangents(m, b)[0] for m, b in draws]))
     for p, (m, basis) in enumerate(draws):
         for i, v in enumerate(basis):
-            assert np.max(np.abs(potentials[p, i] - ref_potential(space, m, v))) < 1e-13
+            assert np.max(np.abs(potentials[p, i] - ref_potential(space, m[0], v[0]))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -1189,24 +1165,21 @@ def test_stacked_potential_matches_lstsq_per_point(n, xi):
 
 def test_fusion_moment_associativity():
     # (a * c) * b and a * (c * b), with a class c between two fused doubles,
-    # give the same record on matching tangents: form, moment and both
-    # logarithmic derivatives
+    # give the same record on the same tangents (both groupings have the
+    # slots of a, c and b in a row): form, moment and both logarithmic
+    # derivatives
     rng = np.random.default_rng(37)
     a, b = InternalFusion(Double(2)), InternalFusion(Double(2))
     c = ConjugacyClass(2, (Q(1, 8), Q(-1, 8)))
     left, right = Fusion(Fusion(a, c), b), Fusion(a, Fusion(c, b))
 
-    def regroup(t):
-        (x, y), z = t
-        return (x, (y, z))
-
     m = left.sample(rng)
     basis = left.tangent_basis(m)
     rec_left = _record(left, m, basis)
-    rec_right = _record(right, regroup(m), [regroup(t) for t in basis])
+    rec_right = _record(right, m, basis)
     assert np.max(np.abs(rec_left.omega - rec_right.omega)) < 1e-12
-    for x, y in zip(tree_leaves((rec_left.psi, rec_left.left, rec_left.right)),
-                    tree_leaves((rec_right.psi, rec_right.left, rec_right.right))):
+    for x, y in zip(rec_left.psi + rec_left.left + rec_left.right,
+                    rec_right.psi + rec_right.left + rec_right.right):
         assert np.max(np.abs(x - y)) < 1e-12
 
 
@@ -1229,9 +1202,9 @@ def test_marked_genus_shape_is_quasi_hamiltonian():
         assert rep.passed, (axiom, rep)
     rng = np.random.default_rng(71)
     m = space.sample(rng)
-    (a, b), c = m
+    a, b, c = m
     expected = a @ b @ a.conj().T @ b.conj().T @ c
-    assert np.max(np.abs(space.moment(m) - expected)) < 1e-12
+    assert np.max(np.abs(space._moment(m)[0] - expected)) < 1e-12
 
 
 def test_su3_genus_axioms():
@@ -1247,7 +1220,7 @@ def test_genus_point_shapes():
     m = g.sample(rng)
     assert len(m) == 6 and all(p.shape == (2, 2) for p in m)
     assert all(len(t) == 6 for t in g.tangent_basis(m)) and len(g.tangent_basis(m)) == g.dim
-    psi = g.moment(m)
+    psi = g._moment(m)[0]
     expected = np.eye(2, dtype=complex)
     for i in range(0, 6, 2):
         a, b = m[i], m[i + 1]
@@ -1255,9 +1228,19 @@ def test_genus_point_shapes():
     assert np.max(np.abs(psi - expected)) < 1e-12
 
 
-def same_tree(a, b):
-    la, lb = tree_leaves(a), tree_leaves(b)
-    return len(la) == len(lb) and all(np.array_equal(x, y) for x, y in zip(la, lb))
+@pytest.mark.parametrize("name,space", stack_spaces())
+def test_point_and_basis_shapes(name, space):
+    # one slot per class, two per double; a point, a field and the base are
+    # (k, n, n), a basis (k, d, n, n), and a stack of points puts its axis
+    # after the slot axis
+    k = {"class2": 1, "class3": 1, "double2": 2, "fused2": 2, "genus22": 4, "fusion": 2,
+         "nested_fusion": 3}[name]
+    n = space.n
+    rng = np.random.default_rng(29)
+    m = space.sample(rng)
+    assert m.shape == space.base.shape == space.random_field(rng).shape == (k, n, n)
+    assert space._basis(m).shape == (k, space.dim, n, n)
+    assert space._basis(stack([m, m])).shape == (k, 2, space.dim, n, n)
 
 
 @pytest.mark.parametrize("n,h", [(2, 1), (2, 3), (3, 2)])
@@ -1274,29 +1257,28 @@ def test_genus_matches_explicit_fusion_chain(n, h):
     xi = random_algebra(n, rng)
     data = space.random_field(np.random.default_rng(5))
     flip = data[::-1]
-    chain, nest = genus_chain(n, h)
-    for other, to in ((chain, nest), (Fused([Double(n)] * h), lambda flat: flat)):
+    for other in (genus_chain(n, h), Fused([Double(n)] * h)):
         assert other.dim == space.dim
-        assert same_tree(tuple(to(t) for t in basis), tuple(other.tangent_basis(to(m))))
+        assert np.array_equal(np.stack(basis), np.stack(other.tangent_basis(m)))
         rec = _record(space, m, basis)
-        ref = _record(other, to(m), [to(t) for t in basis])
+        ref = _record(other, m, basis)
         assert np.array_equal(rec.omega, ref.omega)
-        assert same_tree((rec.psi, rec.left, rec.right), (ref.psi, ref.left, ref.right))
-        assert np.array_equal(space.moment(m), other.moment(to(m)))
-        assert same_tree(to(data), other.random_field(np.random.default_rng(5)))
-        assert same_tree(to(space.sample(np.random.default_rng(7))),
-                         other.sample(np.random.default_rng(7)))
+        for x, y in zip(rec.psi + rec.left + rec.right, ref.psi + ref.left + ref.right):
+            assert np.array_equal(x, y)
+        assert np.array_equal(space._moment(m)[0], other._moment(m)[0])
+        assert np.array_equal(data, other.random_field(np.random.default_rng(5)))
+        assert np.array_equal(space.sample(np.random.default_rng(7)),
+                              other.sample(np.random.default_rng(7)))
         pairs = [
-            (space.act(g, m), other.act(g, to(m))),
-            (space.act(g, basis[-1]), other.act(g, to(basis[-1]))),
-            (space._generating(space._as_algebra(xi), m),
-             other._generating(other._as_algebra(xi), to(m))),
-            (space.field_at(data, m), other.field_at(to(data), to(m))),
-            (space.field_flow(data, m, 0.3), other.field_flow(to(data), to(m), 0.3)),
-            (space.field_bracket(data, flip), other.field_bracket(to(data), to(flip))),
+            (space._act(g[None], m), other._act(g[None], m)),
+            (space._act(g[None], basis[-1]), other._act(g[None], basis[-1])),
+            (space._generating(xi[None], m), other._generating(xi[None], m)),
+            (space.field_at(data, m), other.field_at(data, m)),
+            (space.field_flow(data, m, 0.3), other.field_flow(data, m, 0.3)),
+            (space.field_bracket(data, flip), other.field_bracket(data, flip)),
         ]
         for flat, nested in pairs:
-            assert same_tree(to(flat), nested)
+            assert np.array_equal(flat, nested)
 
 
 # ---------------------------------------------------------------------------
@@ -1308,7 +1290,8 @@ def test_reduction_rank_at_reflected_pairs():
     for _ in range(5):
         a = random_special_unitary(2, rng)
         b = random_special_unitary(2, rng)
-        assert reduction_rank(g22, (a, b, b, a)) == 3 == fd_reduction_rank(g22, (a, b, b, a))
+        m = np.stack([a, b, b, a])
+        assert reduction_rank(g22, m) == 3 == fd_reduction_rank(g22, m)
 
 
 def test_reduction_rank_at_commuting_and_identity():
@@ -1318,9 +1301,9 @@ def test_reduction_rank_at_commuting_and_identity():
     u = random_special_unitary(2, rng)
     a = u @ scipy.linalg.expm(0.37 * h) @ u.conj().T
     b = u @ scipy.linalg.expm(-0.83 * h) @ u.conj().T
-    assert reduction_rank(g21, (a, b)) == 2 == fd_reduction_rank(g21, (a, b))
+    assert reduction_rank(g21, np.stack([a, b])) == 2 == fd_reduction_rank(g21, np.stack([a, b]))
     e = np.eye(2, dtype=complex)
-    assert reduction_rank(g21, (e, e)) == 0 == fd_reduction_rank(g21, (e, e))
+    assert reduction_rank(g21, np.stack([e, e])) == 0 == fd_reduction_rank(g21, np.stack([e, e]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1334,6 +1317,7 @@ def test_exact_reduction_rank_matches_finite_differences(n):
     cases = [(Genus(n, 2), (a, b, b, a), n * n - 1), (Genus(n, 1), (c, d), n * n - 1 - ((n - 2) ** 2 + 1)),
              (Genus(n, 1), (e, e), 0), (Genus(n, 2), (e, e, e, e), 0)]
     for space, point, expected in cases:
+        point = np.stack(point)
         assert reduction_rank(space, point) == fd_reduction_rank(space, point) == expected
 
 
@@ -1343,10 +1327,10 @@ def test_reduction_rank_rejections():
     a = random_special_unitary(2, rng)
     b = random_special_unitary(2, rng)
     with pytest.raises(InputError) as err:
-        reduction_rank(g21, (a, b))  # commutator is not the identity
+        reduction_rank(g21, np.stack([a, b]))  # commutator is not the identity
     assert err.value.code == "not-identity-level"
     with pytest.raises(InputError):
-        reduction_rank(Double(2), (a, b))
+        reduction_rank(Double(2), np.stack([a, b]))
 
 
 # ---------------------------------------------------------------------------
