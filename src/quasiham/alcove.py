@@ -7,6 +7,9 @@ clear the denominators of a vector once and decide on integers through the
 integer Gram matrix of the root system.  A level-k weight set is born as
 integer numerators over one denominator and stays so through its checks
 (`weight_checks`) and its JSON; its Fractions are built only when read.
+Its enumeration is alcove-exact by construction and filters nothing:
+tests/test_alcove.py pins it against brute-force and Fraction oracles, and
+the `level-weights` verb re-checks every weight once and raises on an escape.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import lcm
-from operator import mul
-from typing import NamedTuple
+from operator import add, mod, mul
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError
 from .rational import (
@@ -100,39 +103,44 @@ def _gram_pairings(z: LatticeData, nums: tuple[int, ...]) -> list[int]:
     return [sum(map(mul, row, nums)) for row in z.gram]
 
 
-def _alcove_test(z: LatticeData, pairings: list[int], nums: tuple[int, ...], den: int,
-                 k) -> AlcoveMembership:
+def _alcove_test(z: LatticeData, pairings: list[int], nums: tuple[int, ...],
+                 top: int) -> AlcoveMembership:
     """Closed level-k alcove test of xi = nums / den with Gram pairings p:
     every p_i = scale * den * (a_i, xi) >= 0 and scale * den * (theta, xi)
-    <= k * scale * den."""
+    <= top = k * scale * den."""
     p = sum(map(mul, z.theta_row, nums))
-    top = k * z.scale * den
     if min(pairings) < 0 or p > top:
         return AlcoveMembership(False, False)
     return AlcoveMembership(True, 0 in pairings or p == top)
 
 
-def _int_membership(z: LatticeData, nums: tuple[int, ...], den: int, k) -> AlcoveMembership:
-    return _alcove_test(z, _gram_pairings(z, nums), nums, den, k)
+def _moduli(z: LatticeData, den: int) -> list[int]:
+    """gram_ii * den for each simple root a_i."""
+    return [row[i] * den for i, row in enumerate(z.gram)]
 
 
-def _is_weight(z: LatticeData, pairings: list[int], den: int) -> bool:
+def _is_weight(pairings: list[int], moduli: list[int]) -> bool:
     """xi = nums / den with Gram pairings p is a weight: (xi, a_i^v) = 2 p_i /
-    (gram_ii den) is an integer for every i."""
-    return all(2 * p % (z.gram[i][i] * den) == 0 for i, p in enumerate(pairings))
+    moduli_i is an integer for every i, with moduli = `_moduli(z, den)`."""
+    return not any(map(mod, map(add, pairings, pairings), moduli))
 
 
-def weight_checks(z: LatticeData, nums: tuple[int, ...], den: int, k: int) -> tuple[bool, bool]:
-    """(is a weight, lies in the closed level-k alcove) for xi = nums / den,
-    both decided from one set of Gram pairings: the predicates of
-    `weight_lattice_contains` and `alcove_contains` with no Fraction made."""
-    pairings = _gram_pairings(z, nums)
-    return _is_weight(z, pairings, den), _alcove_test(z, pairings, nums, den, k).contains
+def weight_checks(z: LatticeData, nums_seq: Iterable[tuple[int, ...]], den: int,
+                  k: int) -> Iterator[tuple[bool, bool]]:
+    """(is a weight, lies in the closed level-k alcove) for each xi = nums /
+    den, both decided from one set of Gram pairings: the predicates of
+    `weight_lattice_contains` and `alcove_contains` with no Fraction made,
+    and their constants computed once for the whole sequence."""
+    moduli, top = _moduli(z, den), k * z.scale * den
+    for nums in nums_seq:
+        pairings = _gram_pairings(z, nums)
+        yield _is_weight(pairings, moduli), _alcove_test(z, pairings, nums, top).contains
 
 
 def _membership(rs: RootSystem, xi: CartanVector, k) -> AlcoveMembership:
     nums, den = common_denominator(xi)
-    return _int_membership(rs.lattice, nums, den, k)
+    z = rs.lattice
+    return _alcove_test(z, _gram_pairings(z, nums), nums, k * z.scale * den)
 
 
 def alcove_contains(rs: RootSystem, xi: CartanVector, k: int) -> AlcoveMembership:
@@ -150,7 +158,7 @@ def weight_lattice_contains(rs: RootSystem, mu: CartanVector) -> bool:
     if len(mu) != rs.rank:
         raise InputError("dimension-mismatch", f"expected length {rs.rank}")
     nums, den = common_denominator(mu)
-    return _is_weight(rs.lattice, _gram_pairings(rs.lattice, nums), den)
+    return _is_weight(_gram_pairings(rs.lattice, nums), _moduli(rs.lattice, den))
 
 
 def fundamental_weight_coords(rs: RootSystem, mu: CartanVector) -> CartanVector:
@@ -165,34 +173,31 @@ def fundamental_weight_coords(rs: RootSystem, mu: CartanVector) -> CartanVector:
 def level_weights(rs: RootSystem, k: int) -> LevelWeightSet:
     """Enumerate the weight lattice inside the closed level-k alcove.
 
-    These are the dominant weights sum m_i w_i with Dynkin labels m_i >= 0
-    and sum m_i comark_i <= k.  The labels are enumerated against that
-    integer budget, the weights accumulated as numerators over the
-    denominator det of the inverse Cartan matrix, and the alcove test
-    through the Gram matrix filters them independently.  The set keeps
-    those numerators over det; no Fraction is made here.
+    These are exactly the dominant weights sum m_i w_i with Dynkin labels
+    m_i >= 0 and sum m_i comark_i <= k, so the enumeration is alcove-exact by
+    construction: the labels are counted up one index at a time under that
+    integer budget, and the weights accumulated as numerators over the
+    denominator det of the inverse Cartan matrix.  No candidate is filtered;
+    tests/test_alcove.py pins the set against brute-force and Fraction
+    oracles, and the `level-weights` verb re-checks every weight once.  The
+    set keeps those numerators over det; no Fraction is made here.
     """
     if k < 0:
         raise InputError("invalid-level", f"level must be >= 0, got {k}")
     z = rs.lattice
-    r = rs.rank
-    found = []
-
-    def descend(i: int, partial: tuple[int, ...], budget: int):
-        if i == r:
-            found.append(partial)
-            return
-        comark, row = z.comarks[i], z.inverse_cartan[i]
-        while budget >= 0:
-            descend(i + 1, partial, budget)
-            partial = tuple(p + w for p, w in zip(partial, row))
-            budget -= comark
-
-    descend(0, (0,) * r, k)
-    kept = [w for w in found if _int_membership(z, w, z.det, k).contains]
-    if len(set(kept)) != len(kept):
+    found = [((0,) * rs.rank, k)]
+    for comark, row in zip(z.comarks, z.inverse_cartan):
+        grown = []
+        for w, budget in found:
+            while budget >= 0:
+                grown.append((w, budget))
+                w = tuple(map(add, w, row))
+                budget -= comark
+        found = grown
+    nums = sorted(w for w, _ in found)
+    if len(set(nums)) != len(nums):
         raise InputError("duplicate-weights", "enumeration produced duplicates")
-    return LevelWeightSet(rs=rs, level=k, nums=tuple(sorted(kept)), den=z.det)
+    return LevelWeightSet(rs=rs, level=k, nums=tuple(nums), den=z.det)
 
 
 @lru_cache(maxsize=None)

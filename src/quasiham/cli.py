@@ -107,11 +107,10 @@ def _run_vertices(args) -> tuple[int, dict]:
 def _run_level_weights(args) -> tuple[int, dict]:
     rs = build_root_system(LieType.parse(args.type))
     lws = level_weights(rs, args.level)
-    for nums in lws.nums:
-        is_weight, in_alcove = weight_checks(rs.lattice, nums, lws.den, args.level)
+    for is_weight, in_alcove in weight_checks(rs.lattice, lws.nums, lws.den, args.level):
         if not is_weight:
             raise ToolkitError("enumerated weight escaped the lattice")
-        if args.level >= 1 and not in_alcove:
+        if not in_alcove:
             raise ToolkitError("enumerated weight escaped the alcove")
     return 0, lws.to_json()
 

@@ -377,7 +377,7 @@ def test_integer_weight_set_matches_fraction_path(name, k):
         for n, d in ((nums, z.det), (nums, 2 * z.det), (tuple(-a for a in nums), z.det),
                      (shifted, z.det), (shifted, 3 * z.det)):
             xi = tuple(Q(a, d) for a in n)
-            is_weight, in_alcove = weight_checks(z, n, d, k)
+            [(is_weight, in_alcove)] = weight_checks(z, [n], d, k)
             assert is_weight == weight_lattice_contains(rs, xi)
             if k >= 1:
                 assert in_alcove == alcove_contains(rs, xi, k).contains

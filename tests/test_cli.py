@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import io
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, currently_in_test_context, event, given, set
 from hypothesis import strategies as st
 
 import quasiham
-from quasiham import cli
+from quasiham import alcove, cli
 from quasiham.alcove import LevelWeightSet
 from quasiham.cli import MAX_GRID, MAX_SAMPLES, _HANDLERS, build_parser, dispatch, main, render
 from quasiham.errors import ToolkitError
@@ -50,6 +51,11 @@ def test_level_weights_verb():
     code, payload = dispatch(["level-weights", "--type", "A1", "--level", "2"])
     assert code == 0
     assert payload["count"] == 3
+    # level 0 is checked like every other level: the origin alone
+    for name in dispatch(["table"])[1]["minimal_levels"]:
+        code, payload = dispatch(["level-weights", "--type", name, "--level", "0"])
+        rank = build_root_system(LieType.parse(name)).rank
+        assert code == 0 and payload["weights"] == [["0"] * rank]
 
 
 def test_check_class_verb():
@@ -217,6 +223,37 @@ def test_level_weights_validation_can_fail(monkeypatch, capsys, factor, message)
         dispatch(argv)
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_level_weights_enumeration_fault_is_visible(monkeypatch, capsys):
+    # with B3's middle comark lowered from 2 to 1 the label budget admits 20
+    # candidates at level 3, 7 of them outside the alcove; nothing filters
+    # them, so the verb's re-check raises instead of printing the true 13
+    rs = build_root_system(LieType("B", 3))
+    assert rs.lattice.comarks == (1, 2, 1)
+    faulty = dataclasses.replace(rs, lattice=rs.lattice._replace(comarks=(1, 1, 1)))
+    monkeypatch.setattr(cli, "build_root_system", lambda lie_type: faulty)
+    argv = ["level-weights", "--type", "B3", "--level", "3"]
+    with pytest.raises(ToolkitError, match="enumerated weight escaped the alcove"):
+        dispatch(argv)
+    assert main(argv) == 2
+    assert "escaped the alcove" in capsys.readouterr().err
+
+
+def test_level_weights_pairs_each_weight_once(monkeypatch):
+    # enumeration and re-check together evaluate each weight's Gram pairings
+    # once
+    calls = []
+    pairings = alcove._gram_pairings
+
+    def counted(z, nums):
+        calls.append(nums)
+        return pairings(z, nums)
+
+    monkeypatch.setattr(alcove, "_gram_pairings", counted)
+    code, payload = dispatch(["level-weights", "--type", "E6", "--level", "8"])
+    assert code == 0 and payload["count"] == 372
+    assert len(calls) == 372
 
 
 def test_reused_parser_keeps_no_state(monkeypatch):
