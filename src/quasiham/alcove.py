@@ -4,12 +4,14 @@ The alcove is the simplex cut out by (a_i, xi) >= 0 for simple roots a_i
 together with (a_0, xi) >= -1 for the lowest root a_0; scaling the last
 inequality by k gives the level-k alcove.  All tests here are exact: they
 clear the denominators of a vector once and decide on integers through the
-integer Gram matrix of the root system.  A level-k weight set is born as
-integer numerators over one denominator and stays so through its checks
-(`weight_checks`) and its JSON; its Fractions are built only when read.
-Its enumeration is alcove-exact by construction and filters nothing:
-tests/test_alcove.py pins it against brute-force and Fraction oracles, and
-the `level-weights` verb re-checks every weight once and raises on an escape.
+integer Gram matrix of the root system, one pass over the pairing columns of
+a whole set of vectors (`weight_checks`).  The alcove vertices, their
+differences (the transition weights) and a level-k weight set are integer
+numerators over one denominator through their checks and JSON; Fractions are
+built only when read.  The weight enumeration is alcove-exact by construction
+and filters nothing: tests/test_alcove.py pins it against brute-force and
+Fraction oracles, and the `level-weights` verb re-checks the set in one
+column pass per simple root and raises on an escape.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, combinations, repeat
 from math import lcm
-from operator import add, mod, mul
-from typing import Iterable, Iterator, NamedTuple
+from operator import add, mod, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .rational import (
@@ -29,23 +31,49 @@ from .rational import (
     denominator_lcm,
     format_vector,
     vsub,
-    zero,
 )
 from .roots import LatticeData, RootSystem
 
 
+def _fractions(self) -> tuple[CartanVector, ...]:
+    """The vectors self.nums / self.den entrywise, one Fraction per distinct
+    numerator."""
+    exact = {n: Fraction(n, self.den) for n in set(chain.from_iterable(self.nums))}
+    return tuple(tuple(map(exact.__getitem__, w)) for w in self.nums)
+
+
+def _formatter(nums: Iterable[tuple[int, ...]], den: int):
+    """format_vector of w / den, one str(Fraction) per distinct numerator."""
+    text = {n: str(Fraction(n, den)) for n in set(chain.from_iterable(nums))}.__getitem__
+    return lambda w: list(map(text, w))
+
+
 @dataclass(frozen=True)
 class AlcoveModel:
-    """Alcove vertices for one root system, vertex 0 always the origin."""
+    """Alcove vertices for one root system, vertex 0 always the origin:
+    vertex j is the integer numerators nums[j] over one denominator den."""
 
     rs: RootSystem
-    vertices: tuple[CartanVector, ...]
+    nums: tuple[tuple[int, ...], ...]
+    den: int
+    vertices = cached_property(_fractions)
 
     def to_json(self) -> dict:
-        return {
+        """The vertices, the transition weights v_j - v_i for i < j and for type
+        A the R^n coordinates (a_i maps to e_i - e_{i+1}), all from integers."""
+        pairs = combinations(enumerate(self.nums), 2)
+        moves = {f"{i},{j}": tuple(map(sub, b, a)) for (i, a), (j, b) in pairs}
+        flat = ([tuple(map(sub, v + (0,), (0,) + v)) for v in self.nums]
+                if self.rs.lie_type.series == "A" else [])
+        fmt = _formatter(chain(self.nums, moves.values(), flat), self.den)
+        out = {
             "lie_type": str(self.rs.lie_type),
-            "vertices": [format_vector(v) for v in self.vertices],
+            "vertices": list(map(fmt, self.nums)),
+            "transition_weights": {key: fmt(w) for key, w in moves.items()},
         }
+        if flat:
+            out["vertices_euclidean"] = list(map(fmt, flat))
+        return out
 
 
 @dataclass(frozen=True)
@@ -59,20 +87,14 @@ class LevelWeightSet:
     level: int
     nums: tuple[tuple[int, ...], ...]
     den: int
-
-    @cached_property
-    def weights(self) -> tuple[CartanVector, ...]:
-        exact = {n: Fraction(n, self.den) for n in set(chain.from_iterable(self.nums))}
-        return tuple(tuple(map(exact.__getitem__, w)) for w in self.nums)
+    weights = cached_property(_fractions)
 
     def to_json(self) -> dict:
-        # each distinct numerator is formatted once: str(Fraction) is format_rational
-        text = {n: str(Fraction(n, self.den)) for n in set(chain.from_iterable(self.nums))}
         return {
             "lie_type": str(self.rs.lie_type),
             "level": self.level,
             "count": len(self.nums),
-            "weights": [list(map(text.__getitem__, w)) for w in self.nums],
+            "weights": list(map(_formatter(self.nums, self.den), self.nums)),
         }
 
 
@@ -86,61 +108,53 @@ def alcove_vertices(rs: RootSystem) -> AlcoveModel:
     """Vertices of the alcove: v_j solves (a_i, v_j) = 0 for i != j and
     (a_0, v_j) = -1, so it is column j of the inverse Gram matrix over the
     mark m_j.  With Gram = Cartan * diag(d) that column has entries
-    (Cartan^-1)_ij / (d_i m_j) = 2 scale N_ij / (det gram_ii m_j)."""
+    (Cartan^-1)_ij / (d_i m_j) = 2 scale N_ij / (det gram_ii m_j), kept as
+    numerators over the one denominator det lcm(gram_ii) lcm(m_j)."""
     z = rs.lattice
-    r = rs.rank
-    verts = [zero(r)]
-    for j in range(r):
-        verts.append(tuple(
-            Fraction(2 * z.scale * z.inverse_cartan[i][j], z.det * z.gram[i][i] * z.marks[j])
-            for i in range(r)
-        ))
-    return AlcoveModel(rs=rs, vertices=tuple(verts))
+    diag = [row[i] for i, row in enumerate(z.gram)]
+    den = z.det * lcm(*diag) * lcm(*z.marks)
+    nums = [(0,) * rs.rank]
+    for j, mark in enumerate(z.marks):
+        nums.append(tuple(2 * z.scale * z.inverse_cartan[i][j] * (den // (z.det * g * mark))
+                          for i, g in enumerate(diag)))
+    return AlcoveModel(rs=rs, nums=tuple(nums), den=den)
 
 
-def _gram_pairings(z: LatticeData, nums: tuple[int, ...]) -> list[int]:
-    """scale * den * (a_i, xi) for xi = nums / den."""
-    return [sum(map(mul, row, nums)) for row in z.gram]
+def _gram_pairings(z: LatticeData, nums_seq: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """Column i holds scale * den * (a_i, xi) for every xi = nums / den of
+    nums_seq, and a last column scale * den * (theta, xi): the transposed
+    numerators times the nonzero entries of each row, one map each."""
+    cols = list(zip(*nums_seq)) or [()] * len(z.gram)
+    out = []
+    for row in (*z.gram, z.theta_row):
+        column = None
+        for g, col in zip(row, cols):
+            if g:
+                term = col if g == 1 else map(g.__mul__, col)
+                column = term if column is None else map(add, column, term)
+        out.append(list(column))
+    return out
 
 
-def _alcove_test(z: LatticeData, pairings: list[int], nums: tuple[int, ...],
-                 top: int) -> AlcoveMembership:
-    """Closed level-k alcove test of xi = nums / den with Gram pairings p:
-    every p_i = scale * den * (a_i, xi) >= 0 and scale * den * (theta, xi)
-    <= top = k * scale * den."""
-    p = sum(map(mul, z.theta_row, nums))
-    if min(pairings) < 0 or p > top:
-        return AlcoveMembership(False, False)
-    return AlcoveMembership(True, 0 in pairings or p == top)
+def _is_weight(z: LatticeData, pairings: list[list[int]], den: int) -> bool:
+    """Every (xi, a_i^v) = 2 p_i / (gram_ii den) over the pairing columns p is an integer."""
+    return not any(any(map(mod, map(add, p, p), repeat(row[i] * den)))
+                   for i, (row, p) in enumerate(zip(z.gram, pairings)))
 
 
-def _moduli(z: LatticeData, den: int) -> list[int]:
-    """gram_ii * den for each simple root a_i."""
-    return [row[i] * den for i, row in enumerate(z.gram)]
+def _in_alcove(pairings: list[list[int]], top: int) -> bool:
+    """Every column p_i >= 0 and the theta column <= top = k * scale * den."""
+    *simple, theta = pairings
+    return min(map(min, simple), default=0) >= 0 and max(theta, default=0) <= top
 
 
-def _is_weight(pairings: list[int], moduli: list[int]) -> bool:
-    """xi = nums / den with Gram pairings p is a weight: (xi, a_i^v) = 2 p_i /
-    moduli_i is an integer for every i, with moduli = `_moduli(z, den)`."""
-    return not any(map(mod, map(add, pairings, pairings), moduli))
-
-
-def weight_checks(z: LatticeData, nums_seq: Iterable[tuple[int, ...]], den: int,
-                  k: int) -> Iterator[tuple[bool, bool]]:
-    """(is a weight, lies in the closed level-k alcove) for each xi = nums /
-    den, both decided from one set of Gram pairings: the predicates of
-    `weight_lattice_contains` and `alcove_contains` with no Fraction made,
-    and their constants computed once for the whole sequence."""
-    moduli, top = _moduli(z, den), k * z.scale * den
-    for nums in nums_seq:
-        pairings = _gram_pairings(z, nums)
-        yield _is_weight(pairings, moduli), _alcove_test(z, pairings, nums, top).contains
-
-
-def _membership(rs: RootSystem, xi: CartanVector, k) -> AlcoveMembership:
-    nums, den = common_denominator(xi)
-    z = rs.lattice
-    return _alcove_test(z, _gram_pairings(z, nums), nums, k * z.scale * den)
+def weight_checks(z: LatticeData, nums_seq: Sequence[tuple[int, ...]], den: int,
+                  k: int) -> tuple[bool, bool]:
+    """(every xi = nums / den of nums_seq is a weight, every one lies in the
+    closed level-k alcove), decided on the Gram pairing columns of the whole
+    set; `weight_lattice_contains` and `alcove_contains` share the tests."""
+    pairings = _gram_pairings(z, nums_seq)
+    return _is_weight(z, pairings, den), _in_alcove(pairings, k * z.scale * den)
 
 
 def alcove_contains(rs: RootSystem, xi: CartanVector, k: int) -> AlcoveMembership:
@@ -150,7 +164,11 @@ def alcove_contains(rs: RootSystem, xi: CartanVector, k: int) -> AlcoveMembershi
         raise InputError("dimension-mismatch", f"expected length {rs.rank}")
     if k <= 0:
         raise InputError("invalid-level", f"level must be positive, got {k}")
-    return _membership(rs, xi, k)
+    nums, den = common_denominator(xi)
+    z = rs.lattice
+    pairings, top = _gram_pairings(z, [nums]), k * z.scale * den
+    inside = _in_alcove(pairings, top)
+    return AlcoveMembership(inside, inside and ([0] in pairings[:-1] or pairings[-1] == [top]))
 
 
 def weight_lattice_contains(rs: RootSystem, mu: CartanVector) -> bool:
@@ -158,7 +176,7 @@ def weight_lattice_contains(rs: RootSystem, mu: CartanVector) -> bool:
     if len(mu) != rs.rank:
         raise InputError("dimension-mismatch", f"expected length {rs.rank}")
     nums, den = common_denominator(mu)
-    return _is_weight(_gram_pairings(rs.lattice, nums), _moduli(rs.lattice, den))
+    return _is_weight(rs.lattice, _gram_pairings(rs.lattice, [nums]), den)
 
 
 def fundamental_weight_coords(rs: RootSystem, mu: CartanVector) -> CartanVector:
@@ -166,7 +184,7 @@ def fundamental_weight_coords(rs: RootSystem, mu: CartanVector) -> CartanVector:
     z = rs.lattice
     nums, den = common_denominator(mu)
     return tuple(
-        Fraction(2 * p, z.gram[i][i] * den) for i, p in enumerate(_gram_pairings(z, nums))
+        Fraction(2 * p, z.gram[i][i] * den) for i, [p] in enumerate(_gram_pairings(z, [nums])[:-1])
     )
 
 
@@ -221,19 +239,20 @@ def barycentric_coords(rs: RootSystem, xi: CartanVector) -> tuple[Fraction, ...]
     z = rs.lattice
     nums, den = common_denominator(xi)
     unit = z.scale * den
-    t = [Fraction(unit - sum(map(mul, z.theta_row, nums)), unit)]
-    for mark, p in zip(z.marks, _gram_pairings(z, nums)):
-        t.append(Fraction(mark * p, unit))
-    return tuple(t)
+    *simple, [theta] = _gram_pairings(z, [nums])
+    return (Fraction(unit - theta, unit),
+            *(Fraction(mark * p, unit) for mark, [p] in zip(z.marks, simple)))
 
 
 def open_face_set(rs: RootSystem, xi: CartanVector) -> frozenset[int]:
     """Indices j of the cover pieces containing xi: the vertices whose
-    barycentric coordinate at xi is strictly positive."""
-    if not _membership(rs, xi, 1).contains:
+    barycentric coordinate at xi is strictly positive.  xi lies in the
+    level-1 alcove iff no coordinate is negative, and on its boundary iff
+    some coordinate is 0, that is iff fewer than rank + 1 faces are open."""
+    bary = barycentric_coords(rs, xi)
+    if min(bary) < 0:
         raise InputError("not-in-alcove",
                          f"{','.join(format_vector(xi))} lies outside the level-1 alcove")
-    bary = barycentric_coords(rs, xi)
     return frozenset(j for j, t in enumerate(bary) if t > 0)
 
 

@@ -17,12 +17,10 @@ import math
 import sys
 
 from .alcove import (
-    alcove_contains,
     alcove_vertices,
     level_weights,
     minimal_integral_level,
     open_face_set,
-    transition_weight,
     weight_checks,
 )
 from .errors import InputError, ToolkitError
@@ -82,36 +80,24 @@ def _run_table(args) -> tuple[int, dict]:
 
 def _run_vertices(args) -> tuple[int, dict]:
     rs = build_root_system(LieType.parse(args.type))
-    model = alcove_vertices(rs)
-    payload = {
+    return 0, {
         "lie_type": str(rs.lie_type),
         "positive_roots": len(rs.positive_roots),
         "highest_root_height": height(rs, rs.highest_root),
         "dual_coxeter": rs.dual_coxeter,
         "minimal_level": minimal_integral_level(rs),
-        "vertices": model.to_json()["vertices"],
-        "transition_weights": {
-            f"{i},{j}": format_vector(transition_weight(rs, i, j))
-            for i in range(rs.rank + 1)
-            for j in range(rs.rank + 1)
-            if i < j
-        },
+        **alcove_vertices(rs).to_json(),
     }
-    if rs.lie_type.series == "A":
-        payload["vertices_euclidean"] = [
-            format_vector(a_series_embedding(rs, v)) for v in model.vertices
-        ]
-    return 0, payload
 
 
 def _run_level_weights(args) -> tuple[int, dict]:
     rs = build_root_system(LieType.parse(args.type))
     lws = level_weights(rs, args.level)
-    for is_weight, in_alcove in weight_checks(rs.lattice, lws.nums, lws.den, args.level):
-        if not is_weight:
-            raise ToolkitError("enumerated weight escaped the lattice")
-        if not in_alcove:
-            raise ToolkitError("enumerated weight escaped the alcove")
+    checks = functools.partial(weight_checks, rs.lattice, den=lws.den, k=args.level)
+    if checks(lws.nums) != (True, True):
+        # the first escaping weight in sorted order names the escape
+        first = next(c for c in map(checks, ([w] for w in lws.nums)) if c != (True, True))
+        raise ToolkitError(f"enumerated weight escaped the {'alcove' if first[0] else 'lattice'}")
     return 0, lws.to_json()
 
 
@@ -121,13 +107,13 @@ def _run_check_class(args) -> tuple[int, dict]:
     verdicts = [class_prequantizable(rs, xi, args.level) for xi in xis]
     entries = []
     for xi, verdict in zip(xis, verdicts):
-        membership = alcove_contains(rs, xi, 1)
+        faces = open_face_set(rs, xi)
         entries.append(
             {
                 "xi": format_vector(xi),
                 "verdict": verdict.to_json(),
-                "boundary": membership.boundary,
-                "open_faces": sorted(open_face_set(rs, xi)),
+                "boundary": len(faces) <= rs.rank,
+                "open_faces": sorted(faces),
             }
         )
     answer = fusion_prequantizable(verdicts)
@@ -455,9 +441,9 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _check_args(args) -> None:
-    """Reject a sample count or tolerance no verb can run with; the checks
-    apply to every verb that takes the option."""
+def _run(args) -> tuple[int, dict]:
+    """Run the parsed verb after rejecting a sample count or tolerance no verb
+    can run with; the checks apply to every verb that takes the option."""
     if getattr(args, "samples", 1) < 1:
         raise InputError("invalid-samples", f"need --samples >= 1, got {args.samples}")
     if getattr(args, "samples", 1) > MAX_SAMPLES:
@@ -465,18 +451,50 @@ def _check_args(args) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise InputError("invalid-tolerance", f"need a finite --tol > 0, got {tol}")
+    return _HANDLERS[args.verb](args)
 
 
 def dispatch(argv: list[str]) -> tuple[int, dict]:
     """Parse arguments and run the verb; returns (exit code, payload)."""
-    args = _shared_parser().parse_args(argv)
-    _check_args(args)
-    return _HANDLERS[args.verb](args)
+    return _run(_shared_parser().parse_args(argv))
+
+
+# json's text of each scalar type by exact type, so a numpy float is refused
+_SCALAR_JSON = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json(value, indent: str) -> str:
+    kind = type(value)
+    if kind in _SCALAR_JSON:
+        return _SCALAR_JSON[kind](value)
+    if kind is not list and kind is not dict:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not value:
+        return "[]" if kind is list else "{}"
+    inner = indent + "  "
+    if kind is dict:
+        items = (f"{_SCALAR_JSON[str](k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    # a list of one scalar type is written by one map of its encoder
+    kinds = set(map(type, value))
+    write = _SCALAR_JSON.get(kinds.pop()) if len(kinds) == 1 else None
+    items = map(write, value) if write else map(_json, value, [inner] * len(value))
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
 def render(payload: dict, as_json: bool) -> str:
+    """The payload as text lines, or as JSON byte for byte equal to
+    json.dumps(payload, sort_keys=True, indent=2) but written by `_json`:
+    json.dumps skips its C encoder whenever indent is set (CPython 3.11) and
+    makes a Python call per value.  A value of any other type raises TypeError."""
     if as_json:
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return _json(payload, "")
     if "minimal_levels" in payload:
         return _render_table(payload["minimal_levels"])
     lines = []
@@ -521,12 +539,12 @@ def _render_table(levels: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        code, payload = dispatch(argv)
+        args = _shared_parser().parse_args(argv)
+        code, payload = _run(args)
     except (ToolkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    as_json = "--json" in argv
-    print(render(payload, as_json))
+    print(render(payload, args.json))
     return code
 
 

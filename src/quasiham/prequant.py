@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .alcove import _membership, weight_lattice_contains
+from .alcove import weight_checks
 from .errors import InputError
-from .rational import CartanVector, format_vector, scale
+from .rational import CartanVector, common_denominator, format_vector, scale
 from .roots import RootSystem
 
 
@@ -44,15 +44,17 @@ def class_prequantizable(rs: RootSystem, xi: CartanVector, k: int) -> PrequantVe
         raise InputError("invalid-level", f"level must be >= 1, got {k}")
     if len(xi) != rs.rank:
         raise InputError("dimension-mismatch", f"expected length {rs.rank}")
-    if not _membership(rs, xi, 1).contains:
+    # xi is in the level-1 alcove iff k*xi is in the level-k one: one check
+    nums, den = common_denominator(xi)
+    is_weight, in_alcove = weight_checks(rs.lattice, [tuple(k * a for a in nums)], den, k)
+    if not in_alcove:
         raise InputError(
             "not-in-alcove",
             f"{','.join(format_vector(xi))} is not a conjugacy-class parameter"
             " (outside the alcove)",
         )
-    candidate = scale(k, xi)
-    if weight_lattice_contains(rs, candidate):
-        return PrequantVerdict(True, k, candidate)
+    if is_weight:
+        return PrequantVerdict(True, k, scale(k, xi))
     return PrequantVerdict(False, k, "not-in-weight-lattice")
 
 

@@ -4,9 +4,9 @@ No floating point enters any membership decision.  Public vectors are plain
 tuples of Fractions so they hash, compare, and serialize cheaply; the
 lattice tests clear denominators first (`common_denominator`) and run on
 integers, and `integer_inverse` inverts an integer matrix without Fractions.
-Vectors born as integers stay so: the level-k weights are enumerated, checked
-and formatted as numerators over one denominator, and never pass through
-`common_denominator`.
+Vectors born as integers stay so: the level-k weights, the alcove vertices
+and the transition weights are computed, checked and formatted as numerators
+over one denominator, and never pass through `common_denominator`.
 """
 
 from __future__ import annotations

@@ -364,7 +364,8 @@ INTEGER_CASES = sorted(
 def test_integer_weight_set_matches_fraction_path(name, k):
     # the numerators over one denominator give the oracle's Fractions, the
     # JSON of format_vector, and the verdicts of the Fraction-taking tests,
-    # on the weights and on non-weights and points off the alcove near them
+    # on the weights and on non-weights and points off the alcove near them;
+    # the column pass over a whole set is the conjunction of its single checks
     rs = rs_of(name)
     z = rs.lattice
     lws = level_weights(rs, k)
@@ -372,17 +373,22 @@ def test_integer_weight_set_matches_fraction_path(name, k):
     assert list(lws.weights) == fraction_level_weights(rs, k)
     assert lws.to_json()["weights"] == [format_vector(w) for w in lws.weights]
     assert lws.to_json()["count"] == len(lws.weights)
-    for nums in lws.nums:
-        shifted = (nums[0] + 1,) + nums[1:]
-        for n, d in ((nums, z.det), (nums, 2 * z.det), (tuple(-a for a in nums), z.det),
-                     (shifted, z.det), (shifted, 3 * z.det)):
+    assert weight_checks(z, lws.nums, lws.den, k) == (True, True)
+    negated = [tuple(-a for a in nums) for nums in lws.nums]
+    shifted = [(nums[0] + 1,) + nums[1:] for nums in lws.nums]
+    for vectors, d in ((lws.nums, z.det), (lws.nums, 2 * z.det), (negated, z.det),
+                       (shifted, z.det), (shifted, 3 * z.det)):
+        singles = []
+        for n in vectors:
             xi = tuple(Q(a, d) for a in n)
-            [(is_weight, in_alcove)] = weight_checks(z, [n], d, k)
+            is_weight, in_alcove = weight_checks(z, [n], d, k)
             assert is_weight == weight_lattice_contains(rs, xi)
             if k >= 1:
                 assert in_alcove == alcove_contains(rs, xi, k).contains
             else:
                 assert in_alcove == all(a == 0 for a in n)
+            singles.append((is_weight, in_alcove))
+        assert weight_checks(z, vectors, d, k) == tuple(map(all, zip(*singles)))
 
 
 def test_level_weights_verb_makes_no_fraction_check(monkeypatch):

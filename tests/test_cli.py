@@ -183,6 +183,44 @@ def test_json_determinism():
     assert render(dispatch(argv2)[1], True) == render(dispatch(argv2)[1], True)
 
 
+@pytest.mark.parametrize("flag", ["--js", "--jso", "--json"])
+def test_abbreviated_json_flag_prints_json(capsys, flag):
+    # argparse accepts a unique prefix of --json; main prints what it parsed
+    assert main(["vertices", "--type", "A1", flag]) == 0
+    out = capsys.readouterr().out
+    assert out == render(dispatch(["vertices", "--type", "A1"])[1], True) + "\n"
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.sampled_from([-0.0, 2**64, -2**63, -10**400]) | st.text())
+# lists of one scalar type take the writer's one-map path
+JSON_LISTS = (st.lists(st.text()) | st.lists(st.integers()) | st.lists(st.floats())
+              | st.lists(st.booleans()))
+JSON_TREES = st.recursive(JSON_SCALARS | JSON_LISTS,
+                          lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+                          max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(payload=st.dictionaries(st.text(), JSON_TREES, max_size=6))
+def test_render_json_is_json_dumps(payload):
+    # non-ASCII and control characters, -0.0, nan, +-inf, ints past 64 bits,
+    # bools beside ints, empty and mixed containers and lists of dicts
+    assert render(payload, True) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.int64(1), np.bool_(True), {1, 2},
+                                   (1, 2), b"x", 1j])
+def test_render_json_refuses_other_types(value):
+    # json.dumps writes some of these, or writes them as other types: the
+    # verbs emit plain types only, so the writer refuses rather than differ
+    for payload in ({"a": value}, {"a": [value]}, {"a": [1, value]}):
+        with pytest.raises(TypeError):
+            render(payload, True)
+    with pytest.raises(TypeError):
+        render({1: "a"}, True)
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["no-such-verb"])
@@ -196,27 +234,39 @@ def test_usage_errors_exit_two(capsys):
     assert main(["check-class", "--type", "A9x", "--xi", "0", "--level", "1"]) == 2
 
 
-# factor * w_1 of A2 (w_1 = (2, 1) / det, det = 3) as numerators over a
-# multiple of det
-FAKE_NUMERATORS = {"1/2": ((2, 1), 2), "2": ((4, 2), 1), "-1": ((-2, -1), 1)}
+# sets of factor * w_1 of A2 (w_1 = (2, 1) / det, det = 3) and the origin, as
+# sorted numerators over a multiple of det
+FAKE_NUMERATORS = {
+    "1/2": (((0, 0), (2, 1)), 2),
+    "2": (((0, 0), (4, 2)), 1),
+    "-1": (((-2, -1), (0, 0)), 1),
+    "-1,1/2": (((-4, -2), (0, 0), (2, 1)), 2),
+}
 
 
 @pytest.mark.parametrize(
     "factor,message",
-    [("1/2", "escaped the lattice"), ("2", "escaped the alcove"), ("-1", "escaped the alcove")],
+    [("1/2", "escaped the lattice"), ("2", "escaped the alcove"), ("-1", "escaped the alcove"),
+     ("-1,1/2", "escaped the alcove")],
 )
 def test_level_weights_validation_can_fail(monkeypatch, capsys, factor, message):
     # half of w_1 lies in the level-1 alcove but is no weight; 2 w_1 is a
     # weight beyond the level bound; -w_1 is a weight within the level bound
-    # with a negative label, so only the p_i >= 0 test catches it
+    # with a negative label, so only the p_i >= 0 test catches it.  A set
+    # with -w_1 and w_1 / 2 escapes both the lattice and the alcove, and its
+    # first escape in sorted order, -w_1, names the message
     rs = build_root_system(LieType("A", 2))
     z = rs.lattice
     nums, times = FAKE_NUMERATORS[factor]
-    fake = LevelWeightSet(rs=rs, level=1, nums=((0, 0), nums), den=times * z.det)
-    bad = tuple(Fraction(factor) * c for c in rs.fundamental_weights[0])
-    assert fake.weights == ((Fraction(0), Fraction(0)), bad)
-    if factor == "-1":
-        assert sum(t * n for t, n in zip(z.theta_row, nums)) <= z.scale * fake.den
+    fake = LevelWeightSet(rs=rs, level=1, nums=nums, den=times * z.det)
+    factors = sorted([Fraction(0)] + [Fraction(f) for f in factor.split(",")])
+    assert fake.weights == tuple(tuple(f * c for c in rs.fundamental_weights[0])
+                                 for f in factors)
+    if factor.startswith("-1"):
+        assert all(sum(t * n for t, n in zip(z.theta_row, w)) <= z.scale * fake.den
+                   for w in nums)
+    if factor == "-1,1/2":
+        assert alcove.weight_checks(z, nums, fake.den, 1) == (False, False)
     monkeypatch.setattr(cli, "level_weights", lambda rs, k: fake)
     argv = ["level-weights", "--type", "A2", "--level", "1"]
     with pytest.raises(ToolkitError, match=message):
@@ -240,20 +290,38 @@ def test_level_weights_enumeration_fault_is_visible(monkeypatch, capsys):
     assert "escaped the alcove" in capsys.readouterr().err
 
 
+def count_paired(monkeypatch) -> list:
+    """The list every vector passed to alcove._gram_pairings is appended to."""
+    paired = []
+    pairings = alcove._gram_pairings
+
+    def counted(z, nums_seq):
+        paired.extend(nums_seq)
+        return pairings(z, nums_seq)
+
+    monkeypatch.setattr(alcove, "_gram_pairings", counted)
+    return paired
+
+
 def test_level_weights_pairs_each_weight_once(monkeypatch):
     # enumeration and re-check together evaluate each weight's Gram pairings
     # once
-    calls = []
-    pairings = alcove._gram_pairings
-
-    def counted(z, nums):
-        calls.append(nums)
-        return pairings(z, nums)
-
-    monkeypatch.setattr(alcove, "_gram_pairings", counted)
+    paired = count_paired(monkeypatch)
     code, payload = dispatch(["level-weights", "--type", "E6", "--level", "8"])
     assert code == 0 and payload["count"] == 372
-    assert len(calls) == 372
+    assert len(paired) == 372
+
+
+def test_check_class_pairs_each_class_twice(monkeypatch):
+    # one check of k xi for the level-1 membership and the lattice, and one
+    # barycentric evaluation for the boundary flag and the open faces
+    paired = count_paired(monkeypatch)
+    code, payload = dispatch(["check-class", "--type", "A2", "--xi", "1/3,0,-1/3",
+                              "--xi", "0,0,0", "--level", "3"])
+    assert code == 0
+    assert [(c["boundary"], c["open_faces"]) for c in payload["classes"]] == \
+        [(False, [0, 1, 2]), (True, [0])]
+    assert len(paired) == 4
 
 
 def test_reused_parser_keeps_no_state(monkeypatch):
@@ -625,6 +693,13 @@ LIBRARY_ONLY = {
     "constant_connection": "the acceptance tests' connection xi dt",
     "inner_product": "the exact side of the exact-numerical bridge",
     "torus_algebra": "the numerical side of the exact-numerical bridge",
+    "alcove_contains": "the Fraction-taking level-k membership test with its boundary flag; "
+                       "check-class decides membership with the lattice test in one "
+                       "weight_checks call and reads the boundary from the open faces",
+    "weight_lattice_contains": "the Fraction-taking lattice test; check-class decides it with "
+                               "the membership in one weight_checks call",
+    "transition_weight": "the Fraction form of one transition weight; the vertices verb writes "
+                         "all of them from the integer numerators of AlcoveModel",
 }
 
 
