@@ -197,7 +197,7 @@ def level_weights(rs: RootSystem, k: int) -> LevelWeightSet:
     integer budget, and the weights accumulated as numerators over the
     denominator det of the inverse Cartan matrix.  No candidate is filtered;
     tests/test_alcove.py pins the set against brute-force and Fraction
-    oracles, and the `level-weights` verb re-checks every weight once.  The
+    oracles, and the `level-weights` verb re-checks it in one column pass.  The
     set keeps those numerators over det; no Fraction is made here.
     """
     if k < 0:
