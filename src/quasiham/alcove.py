@@ -148,6 +148,13 @@ def _in_alcove(pairings: list[list[int]], top: int) -> bool:
     return min(map(min, simple), default=0) >= 0 and max(theta, default=0) <= top
 
 
+def _of_rank(rs: RootSystem, v: CartanVector) -> CartanVector:
+    """v, checked to have one entry per simple root."""
+    if len(v) != rs.rank:
+        raise InputError("dimension-mismatch", f"expected length {rs.rank}")
+    return v
+
+
 def weight_checks(z: LatticeData, nums_seq: Sequence[tuple[int, ...]], den: int,
                   k: int) -> tuple[bool, bool]:
     """(every xi = nums / den of nums_seq is a weight, every one lies in the
@@ -160,8 +167,7 @@ def weight_checks(z: LatticeData, nums_seq: Sequence[tuple[int, ...]], den: int,
 def alcove_contains(rs: RootSystem, xi: CartanVector, k: int) -> AlcoveMembership:
     """Exact membership of xi in the closed level-k alcove, with a flag that
     marks boundary points (some defining inequality tight)."""
-    if len(xi) != rs.rank:
-        raise InputError("dimension-mismatch", f"expected length {rs.rank}")
+    _of_rank(rs, xi)
     if k <= 0:
         raise InputError("invalid-level", f"level must be positive, got {k}")
     nums, den = common_denominator(xi)
@@ -173,16 +179,14 @@ def alcove_contains(rs: RootSystem, xi: CartanVector, k: int) -> AlcoveMembershi
 
 def weight_lattice_contains(rs: RootSystem, mu: CartanVector) -> bool:
     """True iff (mu, a_i^v) is an integer for every simple root."""
-    if len(mu) != rs.rank:
-        raise InputError("dimension-mismatch", f"expected length {rs.rank}")
-    nums, den = common_denominator(mu)
+    nums, den = common_denominator(_of_rank(rs, mu))
     return _is_weight(rs.lattice, _gram_pairings(rs.lattice, [nums]), den)
 
 
 def fundamental_weight_coords(rs: RootSystem, mu: CartanVector) -> CartanVector:
     """Coordinates of mu against the fundamental weights: m_i = (mu, a_i^v)."""
     z = rs.lattice
-    nums, den = common_denominator(mu)
+    nums, den = common_denominator(_of_rank(rs, mu))
     return tuple(
         Fraction(2 * p, z.gram[i][i] * den) for i, [p] in enumerate(_gram_pairings(z, [nums])[:-1])
     )
@@ -237,7 +241,7 @@ def barycentric_coords(rs: RootSystem, xi: CartanVector) -> tuple[Fraction, ...]
     to one and are all nonnegative exactly on the alcove.
     """
     z = rs.lattice
-    nums, den = common_denominator(xi)
+    nums, den = common_denominator(_of_rank(rs, xi))
     unit = z.scale * den
     *simple, [theta] = _gram_pairings(z, [nums])
     return (Fraction(unit - theta, unit),

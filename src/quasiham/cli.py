@@ -3,7 +3,8 @@
 Every verb routes to library operations and renders either human-readable
 text or JSON (--json).  Sampling verbs take --seed (default 0) and identical
 invocations produce byte-identical JSON.  Exit codes: 0 success/pass, 1 a
-verification that ran and failed, 2 usage or input errors.
+verification that ran and failed, 2 usage or input errors (a tagged
+InputError), 3 any other exception, an internal error, without traceback.
 
 Numerical modules import lazily inside handlers so exact verbs stay snappy.
 """
@@ -541,9 +542,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         code, payload = _run(args)
-    except (ToolkitError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     print(render(payload, args.json))
     return code
 

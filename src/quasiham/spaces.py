@@ -36,16 +36,16 @@ import numpy as np
 
 from .errors import InputError
 from .sun import (
-    algebra_coords,
-    algebra_from_coords,
     basic_gram,
     basic_inner,
     check_special_unitary,
     expm_skew,
+    pair_basis,
+    pair_indices,
     project_algebra,
     random_algebra,
-    realified_operator,
     torus_point,
+    unitary_eig,
     _PAULI,
     _basis_stack,
     _three_form_pulled,
@@ -68,8 +68,8 @@ STACK_ROWS = 512
 # disagree.
 DECIDED_GAP = 1e-5
 # Largest tangent dimension (a class's n^2 - 1), checked before any array grows with
-# n or h.  At it the costliest default verify, class(16) cocycle, took 8.1 s; in
-# stacks of 2 samples it peaks at 69 MB, as one stack of 50 it took 655 MB.
+# n or h.  At it cold class(16) cocycle takes 0.3 s and 39 MB, min_degeneracy 1.4 s,
+# genus(4, 8) min_degeneracy about 2 s (min of 5, 2-vCPU KVM guest, BLAS on 1 thread).
 MAX_DIM = 256
 
 # Relative orientation of the canonical 3-form inside the structure equation
@@ -86,8 +86,8 @@ def realvec(x: np.ndarray) -> np.ndarray:
     """The real and imaginary parts of every slot of x, of shape
     (k, *L, n, n), in one real vector per index of L: slot by slot, the real
     part before the imaginary part."""
-    parts = np.stack([x.real, x.imag], axis=1)
-    return np.moveaxis(parts, (0, 1), (-4, -3)).reshape(x.shape[1:-2] + (-1,))
+    return np.moveaxis(np.stack([x.real, x.imag], axis=1), (0, 1), (-4, -3)).reshape(
+        x.shape[1:-2] + (2 * len(x) * x.shape[-1] ** 2,))  # also for an empty L
 
 
 def unrealvec(vector: np.ndarray, n: int) -> np.ndarray:
@@ -200,10 +200,6 @@ class QSpace:
     group_factors: int
     dim: int
 
-    def tangent_basis(self, m) -> list:
-        """Orthonormal basis (round metric) of the tangent space at one point."""
-        return list(np.moveaxis(self._basis(m), -3, 0))
-
     def random_algebra_element(self, rng) -> np.ndarray:
         """A Gaussian su(n) element per group factor, drawn in one call."""
         return random_algebra(self.n, rng, shape=(self.group_factors,))
@@ -279,39 +275,37 @@ class ConjugacyClass(QSpace):
         return (m[0],)
 
     def _potential(self, m, stack):
-        """Least-norm solution xi of (Ad_{m^-1} - 1) xi = m^-1 v for a stack
-        of tangents v at matrices m, from one SVD per point.  The nonzero singular values
-        are those of the generating-field map, |e^{2 pi i (l_i - l_j)} - 1|;
-        the tangent basis keeps the directions above RANK_CUTOFF = 1e-7 of
-        the largest, while the centralizer's n - 1 zeros come out at 5e-16 to
-        1.5e-15 of it.  The relative cutoff 1e-12 sits far from both; numpy's
-        pinv defaults sit on the zeros and gave a false FAIL.  Applying the
-        factors to v, not forming a pseudo-inverse, keeps the accuracy of a
-        class with eigenphases 2e-6 apart."""
-        lm, lminv = _lift(m), _lift(_dag(m))
-        op = realified_operator(self.n, lambda x: lminv @ x @ lm - x)
-        rhs = algebra_coords(project_algebra(lminv @ stack)).swapaxes(-1, -2)
-        u, s, vt = np.linalg.svd(op)
-        inv = 1.0 / np.where(s > 1e-12 * s[..., :1], s, np.inf)
-        sol = vt.swapaxes(-1, -2) @ (inv[..., None] * (u.swapaxes(-1, -2) @ rhs))
-        return algebra_from_coords(self.n, sol.swapaxes(-1, -2))
+        """(d, xi) for tangents v at m = V diag(d) V*: xi is the least-norm
+        solution of (Ad_{m^-1} - 1) xi = P(m^-1 v), P onto su(n), in the
+        eigenbasis, where Ad_{m^-1} - 1 multiplies entry (i, j) by
+        conj(d_i) d_j - 1.  Factors below 1e-12 of the largest give zero."""
+        d, v = unitary_eig(m)
+        factor = d.conj()[..., :, None] * d[..., None, :] - 1.0
+        size = np.abs(factor)
+        keep = size > 1e-12 * size.max(axis=(-2, -1), keepdims=True)
+        inv = np.divide(1.0, factor, out=np.zeros_like(factor), where=keep)
+        lv = _lift(v)
+        return d, _dag(lv) @ project_algebra(_lift(_dag(m)) @ stack) @ lv * _lift(inv)
 
     def structure(self, m, stack):
-        # omega(v, w) = 1/2 B(Ad_m xi - Ad_{m^-1} xi, zeta) for potentials xi of
-        # v and zeta of w
+        # omega(v, w) = 1/2 B(Ad_m xi - Ad_{m^-1} xi, zeta), potentials xi, zeta of v, w, in
+        # the eigenbasis (B is invariant): Ad_m - Ad_{m^-1} is 2i Im d_i conj(d_j) on (i, j)
         m, stack = m[0], stack[0]
-        lm, lminv = _lift(m), _lift(_dag(m))
-        xi = self._potential(m, stack)
-        spread = lm @ xi @ lminv - lminv @ xi @ lm
+        d, xi = self._potential(m, stack)
+        spread = 2j * _lift((d[..., :, None] * d.conj()[..., None, :]).imag) * xi
+        lminv = _lift(_dag(m))
         return Structure(_skew(0.5 * basic_gram(spread, xi)), (m,), (lminv @ stack,),
                          (stack @ lminv,))
 
     def _basis(self, m):
-        # an orthonormal basis (round metric) of the span of the fields x m - m x, one
-        # SVD per point, at the first point's rank: conjugation keeps their spectrum
-        x, lm = _basis_stack(self.n), _lift(m)
-        _, s, vt = np.linalg.svd(realvec(x @ lm - lm @ x), full_matrices=False)
-        return unrealvec(vt[..., : _rank(s, s[..., 0])[0].flat[0], :], self.n)
+        # x m - m x = (x - Ad_m x) m for x = V B V* of pair (i, j) span V B V* m, singular value
+        # |d_i - d_j|: the pairs resolved at the first point, by largest gap at every point
+        d, v = unitary_eig(m[0])
+        i, j = pair_indices(self.n)
+        gap = np.abs(d[..., i] - d[..., j])
+        rank = _rank(gap, gap.max(axis=-1, initial=0.0))[0].flat[0]
+        top = np.argsort(-gap, axis=-1, kind="stable")[..., :rank]
+        return (pair_basis(v, top) @ _lift(m[0]))[None]
 
     def field_at(self, data, m):
         return data @ m - m @ data
@@ -492,18 +486,6 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _stack_tangents(m, basis: list) -> np.ndarray:
-    """A list of d tangents at m as one stack (k, *P, d, n, n), d = 0 for
-    an empty list."""
-    return np.moveaxis(np.array(basis, dtype=complex).reshape((len(basis),) + m.shape), 0, -3)
-
-
-def omega_matrix(space: QSpace, m, basis: list) -> np.ndarray:
-    """Gram matrix omega(b_i, b_j) of a list of tangents, read from the
-    structure record of the stacked list; it is exactly antisymmetric."""
-    return space.structure(m, _stack_tangents(m, basis)).omega
-
-
 def _orthonormal_fields(data: np.ndarray) -> np.ndarray:
     """Three field data per sample, of shape (k, S, 3, n, n), orthonormalized
     sample by sample in the flat round metric, by one stacked QR."""
@@ -555,6 +537,37 @@ def _rank(svals: np.ndarray, ref: np.ndarray) -> tuple:
     return rank, live & np.any(band, axis=-1)
 
 
+def _anti_fixed_rank(space: QSpace, m, psis) -> tuple:
+    """Per point, with moment factors psis (count, f, n, n): the rank of
+    span{xi_M : Ad_Psi xi = -xi}, and whether a relative singular value of
+    Ad_Psi + 1 is in the band.  It multiplies entry (i, j) of the eigenbasis
+    of a factor by d_i conj(d_j) + 1; on su(n) these moduli (i != j) and 2 on
+    the torus are its singular values, 2 its scale, and the null vectors are
+    the V B V* of pairs d_i = -d_j, one factor at a time."""
+    count, f = psis.shape[:2]
+    d = np.linalg.eigvals(psis)
+    s = np.abs(d[..., :, None] * d.conj()[..., None, :] + 1.0).reshape(count, -1)
+    undecided = _rank(s, np.full(count, 2.0))[1]
+    qualifying = np.zeros(count, dtype=int)
+    live = np.flatnonzero(np.any(s < 2.0 * RANK_CUTOFF, axis=-1))
+    if live.size:
+        d, v = unitary_eig(psis[live])
+        i, j = pair_indices(space.n)
+        null = np.abs(d[..., i] * d[..., j].conj() + 1.0) < 2.0 * RANK_CUTOFF
+        # null pairs first, as many per factor as any has (one if eig sees none)
+        most = max(1, null.sum(axis=-1).max())
+        first = np.argsort(~null, axis=-1, kind="stable")[..., :most]
+        kept = np.repeat(np.take_along_axis(null, first, axis=-1), 2, axis=-1)
+        xis = pair_basis(v, first) * kept[..., None, None]
+        rows = (xis[:, :, :, None] * np.eye(f)[:, None, :, None, None]).reshape(
+            (live.size, -1, f) + xis.shape[-2:])
+        gens = space._generating(np.moveaxis(rows, 2, 0), _lift(m[:, live]))
+        gs = np.linalg.svd(realvec(gens), compute_uv=False)
+        qualifying[live], band = _rank(gs, gs[:, 0])
+        undecided[live] |= band
+    return qualifying, undecided
+
+
 def _degeneracy_mismatch(space: QSpace, m, tangents) -> np.ndarray:
     """|dim ker omega - dim span{xi_M : Ad_Psi xi = -xi}| per point of a
     stack with its stacked tangent bases; NaN where the ranks disagree while
@@ -562,31 +575,9 @@ def _degeneracy_mismatch(space: QSpace, m, tangents) -> np.ndarray:
     rec = space.structure(m, tangents)
     svals = np.linalg.svd(rec.omega, compute_uv=False)
     rank, undecided = _rank(svals, svals.max(axis=-1, initial=0.0))
-
-    # Ad_Psi + 1 is block diagonal over the moment factors: its spectrum is
-    # the union of the blocks' spectra, and a null vector of block k is a xi
-    # with only factor k nonzero
-    psis = np.stack(rec.psi, axis=1)
-    blocks = realified_operator(space.n, lambda x: _lift(psis) @ x @ _lift(_dag(psis)) + x)
-    s = np.linalg.svd(blocks, compute_uv=False)
-    count, f, na = s.shape
-    scale = np.maximum(s.max(axis=(-2, -1)), 1.0)
-    undecided |= _rank(s.reshape(count, -1), scale)[1]
-    qualifying = np.zeros(count, dtype=int)
-    live = np.flatnonzero(np.any(s < RANK_CUTOFF * scale[:, None, None], axis=(-2, -1)))
-    if live.size:
-        # the generating fields of the null vectors, other rows zeroed
-        _, s, vt = np.linalg.svd(blocks[live])
-        null = s < RANK_CUTOFF * scale[live, None, None]
-        rows = (vt * null[..., None]).reshape(live.size, f * na, na)
-        xis = algebra_from_coords(space.n, np.einsum("prc,rk->prkc", rows,
-                                                     np.repeat(np.eye(f), na, axis=0)))
-        gens = space._generating(np.moveaxis(xis, 2, 0), _lift(m[:, live]))
-        gs = np.linalg.svd(realvec(gens), compute_uv=False)
-        qualifying[live], band = _rank(gs, gs[:, 0])
-        undecided[live] |= band
+    qualifying, band = _anti_fixed_rank(space, m, np.stack(rec.psi, axis=1))
     mismatch = np.abs(rec.omega.shape[-1] - rank - qualifying).astype(float)
-    return np.where((mismatch > 0) & undecided, np.nan, mismatch)
+    return np.where((mismatch > 0) & (undecided | band), np.nan, mismatch)
 
 
 def _equivariance_residuals(space: QSpace, m, g) -> np.ndarray:
@@ -697,7 +688,8 @@ def reduction_rank(space: QSpace, m) -> int:
     psi = space._moment(m)[0]
     if np.max(np.abs(psi - np.eye(space.n))) >= 1e-8:
         raise InputError("not-identity-level", "moment value is not the identity")
-    jacobian = algebra_coords(space.structure(m, space._basis(m)).left[0])
+    # realvec is an isometry of su(n), so the rank is that of its coordinates
+    jacobian = realvec(space.structure(m, space._basis(m)).left[0][None])
     svals = np.linalg.svd(jacobian, compute_uv=False)
     if svals.size == 0 or svals[0] <= 1e-9:
         return 0

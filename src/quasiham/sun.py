@@ -145,11 +145,7 @@ def alcove_coordinates(a: np.ndarray) -> np.ndarray:
     """
     a = check_special_unitary(a)
     n = a.shape[-1]
-    try:
-        eigvals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise InputError("eigensolver-failure", str(exc)) from exc
-    phases = np.sort((np.angle(eigvals) / (2.0 * np.pi)) % 1.0, axis=-1)
+    phases = np.sort((np.angle(np.linalg.eigvals(a)) / (2.0 * np.pi)) % 1.0, axis=-1)
 
     # Snap: replace each circular cluster of nearly equal phases by its
     # circular mean so wall membership is exact downstream.  A cluster ends
@@ -239,23 +235,27 @@ def _basis_stack(n: int) -> np.ndarray:
     return out
 
 
-def algebra_coords(x: np.ndarray) -> np.ndarray:
-    """Coordinates of an algebra element in the orthonormal real basis,
-    Re tr(B_k* X); leading axes of x are kept."""
-    basis = _basis_stack(x.shape[-1])
-    return np.real(np.einsum("kij,...ij->...k", basis.conj(), x))
+@lru_cache(maxsize=None)
+def pair_indices(n: int) -> tuple:
+    """The pairs i < j of the off-diagonal elements of algebra_basis, in order."""
+    return np.triu_indices(n, 1)
 
 
-def algebra_from_coords(n: int, coords: np.ndarray) -> np.ndarray:
-    """Inverse of algebra_coords; leading axes of coords are kept."""
-    return np.einsum("...k,kij->...ij", coords, _basis_stack(n))
+def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d and a unitary V with u = V diag(d) V* for unitary u, or a stack: V
+    is the QR of eig's eigenvectors, which keeps the vectors of a repeated
+    eigenvalue in its eigenspace, orthogonal to the others (u is normal)."""
+    d, v = np.linalg.eig(u)
+    return d, np.linalg.qr(v)[0]
 
 
-def realified_operator(n: int, fn) -> np.ndarray:
-    """Matrix of a real-linear operator on su(n) in the orthonormal basis;
-    fn is applied once to the stacked basis.  An fn that adds leading axes
-    in front of the basis axis gives a stack of matrices."""
-    return algebra_coords(fn(_basis_stack(n))).swapaxes(-1, -2)
+def pair_basis(v: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """V B V* for the two off-diagonal algebra_basis elements B of each pair,
+    an index into pair_indices: (*P, 2r, n, n) for v (*P, n, n), pairs (*P, r)."""
+    n = v.shape[-1]
+    b = _basis_stack(n)[: n * (n - 1)].reshape(-1, 2, n, n)[pairs]
+    b = b.reshape(b.shape[:-4] + (-1, n, n))
+    return v[..., None, :, :] @ b @ v.conj().swapaxes(-1, -2)[..., None, :, :]
 
 
 def eta_integral_su2(samples: int = 2000, seed: int = 0) -> float:

@@ -299,6 +299,21 @@ def test_json_shapes():
     json.dumps(data), json.dumps(lws)  # serializable
 
 
+@pytest.mark.parametrize("xi", [vec("1/4"), vec("1/4", 0, 0)])
+def test_wrong_length_vectors_are_rejected(xi):
+    # a length-1 vector used to be read as (1/4, 0): barycentric (3/4, 1/2,
+    # -1/4), fundamental weight coordinates (1/2, -1/4), and not-in-alcove
+    a2 = rs_of("A2")
+    for fn in (barycentric_coords, fundamental_weight_coords, open_face_set,
+               weight_lattice_contains):
+        with pytest.raises(InputError) as err:
+            fn(a2, xi)
+        assert err.value.code == "dimension-mismatch", fn
+    with pytest.raises(InputError) as err:
+        alcove_contains(a2, xi, 1)
+    assert err.value.code == "dimension-mismatch"
+
+
 def test_fundamental_weight_coords_integrality_iff_lattice():
     rs = rs_of("G2")
     rng = random.Random(3)

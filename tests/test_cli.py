@@ -271,8 +271,8 @@ def test_level_weights_validation_can_fail(monkeypatch, capsys, factor, message)
     argv = ["level-weights", "--type", "A2", "--level", "1"]
     with pytest.raises(ToolkitError, match=message):
         dispatch(argv)
-    assert main(argv) == 2
-    assert message in capsys.readouterr().err
+    assert main(argv) == 3  # a failed self-check is a fault of the program
+    assert capsys.readouterr().err == f"internal-error: ToolkitError: enumerated weight {message}\n"
 
 
 def test_level_weights_enumeration_fault_is_visible(monkeypatch, capsys):
@@ -286,8 +286,9 @@ def test_level_weights_enumeration_fault_is_visible(monkeypatch, capsys):
     argv = ["level-weights", "--type", "B3", "--level", "3"]
     with pytest.raises(ToolkitError, match="enumerated weight escaped the alcove"):
         dispatch(argv)
-    assert main(argv) == 2
-    assert "escaped the alcove" in capsys.readouterr().err
+    assert main(argv) == 3
+    assert "internal-error: ToolkitError: enumerated weight escaped the alcove" in \
+        capsys.readouterr().err
 
 
 def count_paired(monkeypatch) -> list:
@@ -465,6 +466,27 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv) == 0, argv
         assert capsys.readouterr().out
+
+
+def raise_linalg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("case", ["class", "cocycle"])
+def test_internal_failure_exits_3(case, monkeypatch, capsys):
+    # LinAlgError is a ValueError, yet a failed eigensolver is no input
+    # error: the README's class command and a cocycle, which reads the
+    # alcove coordinates, exit 3 with the exception named and no traceback
+    if case == "class":
+        monkeypatch.setattr(importlib.import_module("quasiham.spaces"), "unitary_eig",
+                            raise_linalg_error)
+        argv = next(argv for argv in readme_commands() if "conjugacy_class" in argv)
+    else:
+        monkeypatch.setattr(np.linalg, "eigvals", raise_linalg_error)
+        argv = ["cocycle", "--n", "3", "--samples", "3"]
+    assert main(argv) == 3, argv
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal-error: LinAlgError: Eigenvalues did not converge\n"
 
 
 @pytest.mark.parametrize("xi,shown", [("3/4", "3/4"), ("3/4,-1/4", "3/4,-1/4"),

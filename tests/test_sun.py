@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import algebra_coords, algebra_from_coords, realified_operator
 from quasiham import sun
 from quasiham.errors import InputError
 from quasiham.sun import (
     _three_form_pulled,
     alcove_coordinates,
     algebra_basis,
-    algebra_coords,
-    algebra_from_coords,
     basic_inner,
     canonical_three_form,
     check_algebra,
@@ -22,9 +21,10 @@ from quasiham.sun import (
     project_algebra,
     random_algebra,
     random_special_unitary,
-    realified_operator,
     torus_algebra,
     torus_point,
+    pair_basis,
+    unitary_eig,
 )
 
 
@@ -369,6 +369,47 @@ def test_realified_operator_matches_column_loop(n):
     op = realified_operator(n, ad_plus_one)
     ref = np.stack([algebra_coords(ad_plus_one(b)) for b in algebra_basis(n)], axis=1)
     assert np.max(np.abs(op - ref)) <= 1e-15
+
+
+def repeated_spectrum_unitary(n, rng):
+    """u diag(e) u* for a random unitary u and phases e with one value
+    repeated three times (n >= 4) or twice, and one pair 2e-6 turns apart."""
+    turns = rng.uniform(size=n)
+    turns[1 : min(3, n - 1)] = turns[0]
+    turns[-1] = turns[-2] + 2e-6
+    u = random_special_unitary(n, rng)
+    return u @ np.diag(np.exp(2j * np.pi * turns)) @ u.conj().T
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_unitary_eig_is_a_unitary_eigenbasis(n):
+    # the QR keeps a repeated eigenvalue's vectors inside its eigenspace, so
+    # V stays an eigenbasis where eig's vectors need not be orthogonal
+    rng = np.random.default_rng(17 + n)
+    for m in (random_special_unitary(n, rng), repeated_spectrum_unitary(n, rng)):
+        d, v = unitary_eig(np.stack([m, m.conj().T]))
+        assert np.max(np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(n))) < 1e-14
+        assert np.max(np.abs((v * d[..., None, :]) @ v.conj().swapaxes(-1, -2)
+                             - np.stack([m, m.conj().T]))) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_pair_basis_conjugates_the_off_diagonal_basis(n):
+    # every pair in order gives the conjugated off-diagonal basis; each point
+    # of a stack takes its own pairs
+    rng = np.random.default_rng(19 + n)
+    v = np.stack([random_special_unitary(n, rng) for _ in range(3)])
+    count = n * (n - 1) // 2
+    every = pair_basis(v, np.broadcast_to(np.arange(count), (3, count)))
+    assert every.shape == (3, 2 * count, n, n)
+    for p in range(3):
+        ref = [v[p] @ b @ v[p].conj().T for b in algebra_basis(n)[: 2 * count]]
+        assert np.max(np.abs(every[p] - np.array(ref))) < 1e-15
+    picks = rng.integers(0, count, size=(3, 2))
+    out = pair_basis(v, picks)
+    for p, pick in enumerate(picks):
+        assert np.array_equal(out[p], every[p].reshape(-1, 2, n, n)[pick].reshape(4, n, n))
+        assert np.array_equal(pair_basis(v[p], pick), out[p])
 
 
 def test_three_form_matches_signed_permutation_sum():
