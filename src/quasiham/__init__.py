@@ -20,6 +20,7 @@ _HOME = {
         "level_weights",
         "minimal_integral_level",
         "open_face_set",
+        "open_faces",
         "transition_weight",
         "weight_lattice_contains",
     ],
@@ -40,6 +41,7 @@ _HOME = {
     ],
     "prequant": [
         "PrequantVerdict",
+        "class_level_test",
         "class_prequantizable",
         "fusion_prequantizable",
         "torsion_level_admissible",
@@ -50,6 +52,7 @@ _HOME = {
         "RootSystem",
         "a_series_embedding",
         "a_series_from_euclidean",
+        "a_series_numerators",
         "build_root_system",
         "height",
         "inner_product",

@@ -11,7 +11,10 @@ numerators over one denominator through their checks and JSON; Fractions are
 built only when read.  The weight enumeration is alcove-exact by construction
 and filters nothing: tests/test_alcove.py pins it against brute-force and
 Fraction oracles, and the `level-weights` verb re-checks the set in one
-column pass per simple root and raises on an escape.
+column pass per simple root and raises on an escape.  The open faces of a
+cleared vector come from integers too (`open_faces`); the Fraction-taking
+`barycentric_coords` and `open_face_set` clear their vector and call the same
+code.
 """
 
 from __future__ import annotations
@@ -22,14 +25,15 @@ from functools import cached_property, lru_cache
 from itertools import chain, combinations, repeat
 from math import lcm
 from operator import add, mod, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 from .rational import (
     CartanVector,
     common_denominator,
     denominator_lcm,
-    format_vector,
+    format_ratio,
+    format_rows,
     vsub,
 )
 from .roots import LatticeData, RootSystem
@@ -40,12 +44,6 @@ def _fractions(self) -> tuple[CartanVector, ...]:
     numerator."""
     exact = {n: Fraction(n, self.den) for n in set(chain.from_iterable(self.nums))}
     return tuple(tuple(map(exact.__getitem__, w)) for w in self.nums)
-
-
-def _formatter(nums: Iterable[tuple[int, ...]], den: int):
-    """format_vector of w / den, one str(Fraction) per distinct numerator."""
-    text = {n: str(Fraction(n, den)) for n in set(chain.from_iterable(nums))}.__getitem__
-    return lambda w: list(map(text, w))
 
 
 @dataclass(frozen=True)
@@ -65,14 +63,15 @@ class AlcoveModel:
         moves = {f"{i},{j}": tuple(map(sub, b, a)) for (i, a), (j, b) in pairs}
         flat = ([tuple(map(sub, v + (0,), (0,) + v)) for v in self.nums]
                 if self.rs.lie_type.series == "A" else [])
-        fmt = _formatter(chain(self.nums, moves.values(), flat), self.den)
+        texts = format_rows([*self.nums, *moves.values(), *flat], self.den)
+        n, m = len(self.nums), len(self.nums) + len(moves)
         out = {
             "lie_type": str(self.rs.lie_type),
-            "vertices": list(map(fmt, self.nums)),
-            "transition_weights": {key: fmt(w) for key, w in moves.items()},
+            "vertices": texts[:n],
+            "transition_weights": dict(zip(moves, texts[n:m])),
         }
         if flat:
-            out["vertices_euclidean"] = list(map(fmt, flat))
+            out["vertices_euclidean"] = texts[m:]
         return out
 
 
@@ -94,7 +93,7 @@ class LevelWeightSet:
             "lie_type": str(self.rs.lie_type),
             "level": self.level,
             "count": len(self.nums),
-            "weights": list(map(_formatter(self.nums, self.den), self.nums)),
+            "weights": format_rows(self.nums, self.den),
         }
 
 
@@ -234,18 +233,32 @@ def minimal_integral_level(rs: RootSystem) -> int:
     return out
 
 
+def _barycentric_nums(z: LatticeData, nums: tuple[int, ...], den: int) -> tuple[int, ...]:
+    """The barycentric coordinates of xi = nums / den times scale * den."""
+    unit = z.scale * den
+    *simple, [theta] = _gram_pairings(z, [nums])
+    return (unit - theta, *(mark * p for mark, [p] in zip(z.marks, simple)))
+
+
 def barycentric_coords(rs: RootSystem, xi: CartanVector) -> tuple[Fraction, ...]:
     """Barycentric coordinates of xi against the alcove vertices.
 
     t_j = mark_j * (a_j, xi) for j >= 1 and t_0 = 1 - (theta, xi); these sum
     to one and are all nonnegative exactly on the alcove.
     """
-    z = rs.lattice
     nums, den = common_denominator(_of_rank(rs, xi))
-    unit = z.scale * den
-    *simple, [theta] = _gram_pairings(z, [nums])
-    return (Fraction(unit - theta, unit),
-            *(Fraction(mark * p, unit) for mark, [p] in zip(z.marks, simple)))
+    unit = rs.lattice.scale * den
+    return tuple(Fraction(t, unit) for t in _barycentric_nums(rs.lattice, nums, den))
+
+
+def open_faces(rs: RootSystem, nums: tuple[int, ...], den: int) -> list[int]:
+    """The open faces of xi = nums / den with nums of length rank, in
+    increasing order; see `open_face_set`."""
+    bary = _barycentric_nums(rs.lattice, nums, den)
+    if min(bary) < 0:
+        raise InputError("not-in-alcove", f"{','.join(format_ratio(n, den) for n in nums)}"
+                         " lies outside the level-1 alcove")
+    return [j for j, t in enumerate(bary) if t > 0]
 
 
 def open_face_set(rs: RootSystem, xi: CartanVector) -> frozenset[int]:
@@ -253,11 +266,7 @@ def open_face_set(rs: RootSystem, xi: CartanVector) -> frozenset[int]:
     barycentric coordinate at xi is strictly positive.  xi lies in the
     level-1 alcove iff no coordinate is negative, and on its boundary iff
     some coordinate is 0, that is iff fewer than rank + 1 faces are open."""
-    bary = barycentric_coords(rs, xi)
-    if min(bary) < 0:
-        raise InputError("not-in-alcove",
-                         f"{','.join(format_vector(xi))} lies outside the level-1 alcove")
-    return frozenset(j for j, t in enumerate(bary) if t > 0)
+    return frozenset(open_faces(rs, *common_denominator(_of_rank(rs, xi))))
 
 
 def transition_weight(rs: RootSystem, i: int, j: int) -> CartanVector:

@@ -16,21 +16,23 @@ import functools
 import json
 import math
 import sys
+from fractions import Fraction
+from itertools import chain
 
 from .alcove import (
     alcove_vertices,
     level_weights,
     minimal_integral_level,
-    open_face_set,
+    open_faces,
     weight_checks,
 )
 from .errors import InputError, ToolkitError
-from .prequant import class_prequantizable, fusion_prequantizable, torsion_level_admissible
-from .rational import format_vector, parse_vector
+from .prequant import NOT_A_WEIGHT, class_level_test, torsion_level_admissible
+from .rational import common_denominator, format_rows, format_vector, parse_vector
 from .roots import (
     LieType,
     a_series_embedding,
-    a_series_from_euclidean,
+    a_series_numerators,
     build_root_system,
     height,
 )
@@ -57,17 +59,19 @@ _TABLE_RANKS = {
 }
 
 
-def _parse_xi(rs, text: str):
-    xi = parse_vector(text)
-    if rs.lie_type.series == "A" and len(xi) == rs.rank + 1:
-        return a_series_from_euclidean(rs, xi)
-    if len(xi) != rs.rank:
+def _parse_xi(rs, text: str) -> tuple[tuple[int, ...], int]:
+    """--xi in simple-root coordinates, as integer numerators over one
+    denominator."""
+    nums, den = common_denominator(parse_vector(text))
+    if rs.lie_type.series == "A" and len(nums) == rs.rank + 1:
+        return a_series_numerators(rs, nums), den
+    if len(nums) != rs.rank:
         raise InputError(
             "dimension-mismatch",
             f"--xi expects {rs.rank} entries "
-            f"(or {rs.rank + 1} eigenvalue coordinates for type A), got {len(xi)}"
+            f"(or {rs.rank + 1} eigenvalue coordinates for type A), got {len(nums)}"
         )
-    return xi
+    return nums, den
 
 
 def _run_table(args) -> tuple[int, dict]:
@@ -103,21 +107,25 @@ def _run_level_weights(args) -> tuple[int, dict]:
 
 
 def _run_check_class(args) -> tuple[int, dict]:
-    rs = build_root_system(LieType.parse(args.type))
+    rs, k = build_root_system(LieType.parse(args.type)), args.level
+    # every --xi is parsed before any is decided; the fusion of the classes
+    # is pre-quantizable iff each class is
     xis = [_parse_xi(rs, text) for text in args.xi]
-    verdicts = [class_prequantizable(rs, xi, args.level) for xi in xis]
+    answers = [class_level_test(rs, nums, den, k) for nums, den in xis]
     entries = []
-    for xi, verdict in zip(xis, verdicts):
-        faces = open_face_set(rs, xi)
+    for (nums, den), answer in zip(xis, answers):
+        faces = open_faces(rs, nums, den)
+        xi, witness = format_rows((nums, tuple(k * a for a in nums)), den)
         entries.append(
             {
-                "xi": format_vector(xi),
-                "verdict": verdict.to_json(),
+                "xi": xi,
+                "verdict": {"answer": answer, "level": k,
+                            "witness": witness if answer else NOT_A_WEIGHT},
                 "boundary": len(faces) <= rs.rank,
-                "open_faces": sorted(faces),
+                "open_faces": faces,
             }
         )
-    answer = fusion_prequantizable(verdicts)
+    answer = all(answers)
     payload = {
         "lie_type": str(rs.lie_type),
         "level": args.level,
@@ -139,7 +147,8 @@ def _build_space(args):
             raise InputError("missing-argument", "--xi is required for conjugacy_class")
         _bounded(args.n**2 - 1)  # before the root system, which grows with n
         rs = build_root_system(LieType("A", args.n - 1))
-        xi = a_series_embedding(rs, _parse_xi(rs, args.xi[0]))
+        nums, den = _parse_xi(rs, args.xi[0])
+        xi = a_series_embedding(rs, tuple(Fraction(a, den) for a in nums))
     return make_space(args.space, n=args.n, xi=xi, h=args.genus)
 
 
@@ -355,6 +364,11 @@ def _run_reduce_rank(args) -> tuple[int, dict]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its verb parsers by name."""
     parser = argparse.ArgumentParser(
         prog="quasiham",
         description="Exact alcove arithmetic and numerical moment-map checks",
@@ -420,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
-    return parser
+    return parser, sub.choices
 
 
 _HANDLERS = {
@@ -436,10 +450,29 @@ _HANDLERS = {
 
 
 @functools.cache
+def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """One set of parsers per process: parsing returns a fresh namespace each
+    call and leaves the parsers as they were, so every call reuses them."""
+    return _build_parsers()
+
+
 def _shared_parser() -> argparse.ArgumentParser:
-    """One parser per process: parse_args returns a fresh namespace each
-    call and leaves the parser as it was, so dispatch reuses it."""
-    return build_parser()
+    return _shared_parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv) in one argparse pass: an argv that
+    starts with a verb goes to that verb's parser alone, which is what the
+    full parser hands it, and what is left over gets the full parser's
+    message.  Any other argv takes the full parser."""
+    parser, verbs = _shared_parsers()
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is None:
+        return parser.parse_args(argv)
+    args, extras = verb.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _run(args) -> tuple[int, dict]:
@@ -457,7 +490,7 @@ def _run(args) -> tuple[int, dict]:
 
 def dispatch(argv: list[str]) -> tuple[int, dict]:
     """Parse arguments and run the verb; returns (exit code, payload)."""
-    return _run(_shared_parser().parse_args(argv))
+    return _run(_parse(argv))
 
 
 # json's text of each scalar type by exact type, so a numpy float is refused
@@ -480,11 +513,24 @@ def _json(value, indent: str) -> str:
         return "[]" if kind is list else "{}"
     inner = indent + "  "
     if kind is dict:
-        items = (f"{_SCALAR_JSON[str](k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
+        scalar, key = _SCALAR_JSON.get, _SCALAR_JSON[str]
+        items = (f"{key(k)}: {enc(v) if (enc := scalar(type(v))) else _json(v, inner)}"
+                 for k, v in sorted(value.items()))
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    # a list of one scalar type is written by one map of its encoder
+    # a list of one scalar type is written by one map of its encoder, and a
+    # list of non-empty rows of one scalar type by one join per row
     kinds = set(map(type, value))
-    write = _SCALAR_JSON.get(kinds.pop()) if len(kinds) == 1 else None
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is list and all(value):
+        cells = set(map(type, chain.from_iterable(value)))
+        write = _SCALAR_JSON.get(cells.pop()) if len(cells) == 1 else None
+        if write:
+            deeper = inner + "  "
+            rows = map((",\n" + deeper).join, map(functools.partial(map, write), value))
+            between = "\n" + inner + "],\n" + inner + "[\n" + deeper
+            return ("[\n" + inner + "[\n" + deeper + between.join(rows)
+                    + "\n" + inner + "]\n" + indent + "]")
+    write = _SCALAR_JSON.get(kind)
     items = map(write, value) if write else map(_json, value, [inner] * len(value))
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
@@ -540,7 +586,7 @@ def _render_table(levels: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(argv)
         code, payload = _run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

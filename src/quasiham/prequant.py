@@ -12,8 +12,11 @@ from typing import Sequence, Union
 
 from .alcove import weight_checks
 from .errors import InputError
-from .rational import CartanVector, common_denominator, format_vector, scale
+from .rational import CartanVector, common_denominator, format_ratio, format_vector, scale
 from .roots import RootSystem
+
+# the witness of a failed level-k test
+NOT_A_WEIGHT = "not-in-weight-lattice"
 
 
 @dataclass(frozen=True)
@@ -37,25 +40,30 @@ class PrequantVerdict:
         return {"answer": self.answer, "level": self.level, "witness": witness}
 
 
-def class_prequantizable(rs: RootSystem, xi: CartanVector, k: int) -> PrequantVerdict:
-    """Decide whether the conjugacy class of exp(xi) is pre-quantizable at
-    level k, i.e. whether k*xi lands in the weight lattice."""
+def class_level_test(rs: RootSystem, nums: tuple[int, ...], den: int, k: int) -> bool:
+    """Whether k*xi is a weight for the alcove parameter xi = nums / den; the
+    integer form of `class_prequantizable`, with the same errors."""
     if k < 1:
         raise InputError("invalid-level", f"level must be >= 1, got {k}")
-    if len(xi) != rs.rank:
+    if len(nums) != rs.rank:
         raise InputError("dimension-mismatch", f"expected length {rs.rank}")
     # xi is in the level-1 alcove iff k*xi is in the level-k one: one check
-    nums, den = common_denominator(xi)
     is_weight, in_alcove = weight_checks(rs.lattice, [tuple(k * a for a in nums)], den, k)
     if not in_alcove:
         raise InputError(
             "not-in-alcove",
-            f"{','.join(format_vector(xi))} is not a conjugacy-class parameter"
-            " (outside the alcove)",
+            f"{','.join(format_ratio(n, den) for n in nums)} is not a conjugacy-class"
+            " parameter (outside the alcove)",
         )
-    if is_weight:
+    return is_weight
+
+
+def class_prequantizable(rs: RootSystem, xi: CartanVector, k: int) -> PrequantVerdict:
+    """Decide whether the conjugacy class of exp(xi) is pre-quantizable at
+    level k, i.e. whether k*xi lands in the weight lattice."""
+    if class_level_test(rs, *common_denominator(xi), k):
         return PrequantVerdict(True, k, scale(k, xi))
-    return PrequantVerdict(False, k, "not-in-weight-lattice")
+    return PrequantVerdict(False, k, NOT_A_WEIGHT)
 
 
 def torsion_level_admissible(r: int, k: int) -> bool:

@@ -6,13 +6,16 @@ lattice tests clear denominators first (`common_denominator`) and run on
 integers, and `integer_inverse` inverts an integer matrix without Fractions.
 Vectors born as integers stay so: the level-k weights, the alcove vertices
 and the transition weights are computed, checked and formatted as numerators
-over one denominator, and never pass through `common_denominator`.
+over one denominator, and never pass through `common_denominator`.  A parsed
+vector is cleared once and stays integer from there (`format_rows` writes it).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import partial
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -119,3 +122,16 @@ def format_rational(x: Fraction) -> str:
 
 def format_vector(x: CartanVector) -> list[str]:
     return [format_rational(a) for a in x]
+
+
+def format_ratio(n: int, den: int) -> str:
+    """str(Fraction(n, den)) for den > 0, without building the Fraction."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+def format_rows(rows: Sequence[tuple[int, ...]], den: int) -> list[list[str]]:
+    """format_vector(w / den) for each numerator vector w of rows, one
+    format_ratio per distinct numerator."""
+    text = {n: format_ratio(n, den) for n in set(chain.from_iterable(rows))}.__getitem__
+    return list(map(list, map(partial(map, text), rows)))

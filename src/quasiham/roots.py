@@ -17,11 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import lcm
 from typing import NamedTuple
 
 from .errors import InputError
-from .rational import CartanVector, RationalMatrix, dot, integer_inverse, matvec
+from .rational import (
+    CartanVector,
+    RationalMatrix,
+    common_denominator,
+    dot,
+    integer_inverse,
+    matvec,
+)
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -304,17 +312,20 @@ def a_series_embedding(rs: RootSystem, v: CartanVector) -> CartanVector:
     return tuple(coeffs[i + 1] - coeffs[i] for i in range(rs.rank + 1))
 
 
-def a_series_from_euclidean(rs: RootSystem, x: CartanVector) -> CartanVector:
-    """Inverse of the R^n embedding; requires coordinates summing to zero."""
+def a_series_numerators(rs: RootSystem, nums: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse of the R^n embedding on numerators: the simple-root
+    coordinates of x = nums / den, over the same den, are the partial sums of
+    nums.  Requires coordinates summing to zero."""
     if rs.lie_type.series != "A":
         raise InputError("not-a-series", "R^n coordinates only defined for type A")
-    if len(x) != rs.rank + 1:
+    if len(nums) != rs.rank + 1:
         raise InputError("dimension-mismatch", f"expected length {rs.rank + 1}")
-    if sum(x) != 0:
+    if sum(nums) != 0:
         raise InputError("nonzero-sum", "eigenvalue coordinates must sum to zero")
-    acc = Fraction(0)
-    out = []
-    for i in range(rs.rank):
-        acc += x[i]
-        out.append(acc)
-    return tuple(out)
+    return tuple(accumulate(nums[:-1]))
+
+
+def a_series_from_euclidean(rs: RootSystem, x: CartanVector) -> CartanVector:
+    """Inverse of the R^n embedding; requires coordinates summing to zero."""
+    nums, den = common_denominator(x)
+    return tuple(Fraction(n, den) for n in a_series_numerators(rs, nums))

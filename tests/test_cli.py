@@ -722,6 +722,13 @@ LIBRARY_ONLY = {
                                "the membership in one weight_checks call",
     "transition_weight": "the Fraction form of one transition weight; the vertices verb writes "
                          "all of them from the integer numerators of AlcoveModel",
+    # check-class clears each --xi to integers once and calls the integer forms
+    "class_prequantizable": "the Fraction form of class_level_test",
+    "fusion_prequantizable": "the verdict-list form of the fusion rule; check-class takes the "
+                             "conjunction of the answers of class_level_test",
+    "open_face_set": "the Fraction form of open_faces",
+    "barycentric_coords": "the Fraction coordinates whose integer form open_faces reads",
+    "a_series_from_euclidean": "the Fraction form of a_series_numerators",
 }
 
 
