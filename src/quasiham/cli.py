@@ -4,9 +4,14 @@ Every verb routes to library operations and renders either human-readable
 text or JSON (--json).  Sampling verbs take --seed (default 0) and identical
 invocations produce byte-identical JSON.  Exit codes: 0 success/pass, 1 a
 verification that ran and failed, 2 usage or input errors (a tagged
-InputError), 3 any other exception, an internal error, without traceback.
+InputError), 3 any other exception, an internal error (a non-finite residual
+among them), without traceback and with nothing on stdout.  A closed stdout
+ends the output quietly and keeps the exit code.
 
 Numerical modules import lazily inside handlers so exact verbs stay snappy.
+The exact verbs keep their per-op cost low: argv is parsed in one argparse
+pass (`_parse`), check-class works on the integer numerators of each --xi,
+and the JSON writer emits a list of rows with one join per row.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -513,9 +519,7 @@ def _json(value, indent: str) -> str:
         return "[]" if kind is list else "{}"
     inner = indent + "  "
     if kind is dict:
-        scalar, key = _SCALAR_JSON.get, _SCALAR_JSON[str]
-        items = (f"{key(k)}: {enc(v) if (enc := scalar(type(v))) else _json(v, inner)}"
-                 for k, v in sorted(value.items()))
+        items = (f"{_SCALAR_JSON[str](k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     # a list of one scalar type is written by one map of its encoder, and a
     # list of non-empty rows of one scalar type by one join per row
@@ -588,13 +592,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(argv)
         code, payload = _run(args)
+        text = render(payload, args.json)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, not of its input
         print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    print(render(payload, args.json))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: what is left goes to the null device, so that
+        # the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

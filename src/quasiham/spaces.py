@@ -34,7 +34,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ToolkitError
 from .sun import (
     basic_gram,
     basic_inner,
@@ -568,16 +568,17 @@ def _anti_fixed_rank(space: QSpace, m, psis) -> tuple:
     return qualifying, undecided
 
 
-def _degeneracy_mismatch(space: QSpace, m, tangents) -> np.ndarray:
+def _degeneracy_mismatch(space: QSpace, m, tangents) -> tuple[np.ndarray, np.ndarray]:
     """|dim ker omega - dim span{xi_M : Ad_Psi xi = -xi}| per point of a
-    stack with its stacked tangent bases; NaN where the ranks disagree while
-    a relative singular value lies in the band, next to the cutoff."""
+    stack with its stacked tangent bases, and the mask of the undecided
+    points: those whose ranks disagree while a relative singular value lies
+    in the band, next to the cutoff."""
     rec = space.structure(m, tangents)
     svals = np.linalg.svd(rec.omega, compute_uv=False)
     rank, undecided = _rank(svals, svals.max(axis=-1, initial=0.0))
     qualifying, band = _anti_fixed_rank(space, m, np.stack(rec.psi, axis=1))
     mismatch = np.abs(rec.omega.shape[-1] - rank - qualifying).astype(float)
-    return np.where((mismatch > 0) & (undecided | band), np.nan, mismatch)
+    return mismatch, (mismatch > 0) & (undecided | band)
 
 
 def _equivariance_residuals(space: QSpace, m, g) -> np.ndarray:
@@ -612,7 +613,8 @@ def _residuals(space: QSpace, axiom: str, fd_step: float, f, *drawn) -> np.ndarr
     """The residuals at a stack of draws, whose matrix work runs once on the
     stack: the points are one flow of the stacked fields f from the base
     point.  A class basis of fewer than dim rows (eigenphases closer than
-    RANK_CUTOFF resolves) takes the first of each sample's coefficients."""
+    RANK_CUTOFF resolves) takes the first of each sample's coefficients.
+    min_degeneracy also returns its mask of undecided samples."""
     m = space.field_flow(f, space.base[:, None], 1.0)
     if axiom == "moment":
         xi, coeffs = drawn
@@ -634,8 +636,7 @@ def _sample_residuals(space: QSpace, axiom: str, samples: int, fd_step: float,
     when dim > STACK_ROWS).  At the first undecided min_degeneracy sample of
     a stack the results before it are kept and the state saved right after
     its draw is restored, so the loop's redraw comes next.  RETRIES undecided
-    draws in a row are an error."""
-    redraws = axiom == "min_degeneracy"
+    draws in a row are an error, and so is a residual that is not finite."""
     step = max(1, STACK_ROWS // max(space.dim, 1))
     out, done, undecided = np.empty(samples), 0, 0
     while done < samples:
@@ -643,12 +644,15 @@ def _sample_residuals(space: QSpace, axiom: str, samples: int, fd_step: float,
         for _ in range(min(step, samples - done)):
             draws.append(_draw(space, axiom, rng))
             states.append(rng.bit_generator.state)
-        part = _residuals(space, axiom, fd_step, *_stack_draws(draws))
-        nan = np.flatnonzero(np.isnan(part)) if redraws else []
-        keep = nan[0] if len(nan) else len(part)
+        part, redo = _residuals(space, axiom, fd_step, *_stack_draws(draws)), []
+        if axiom == "min_degeneracy":
+            part, redo = part[0], np.flatnonzero(part[1])
+        keep = redo[0] if len(redo) else len(part)
+        if not np.all(np.isfinite(part[:keep])):
+            raise ToolkitError(f"non-finite {axiom} residual")
         out[done : done + keep], done = part[:keep], done + keep
         undecided = 0 if keep else undecided
-        if len(nan):
+        if len(redo):
             undecided += 1
             if undecided == RETRIES:
                 raise InputError("undecided-sample", f"no decided sample in {RETRIES} draws")
@@ -740,4 +744,7 @@ def sphere4_equivariance_residual(samples: int = 100, seed: int = 0) -> float:
     g = expm_skew(project_algebra((draws[:, 5:9] + 1j * draws[:, 9:]).reshape(samples, 2, 2)))
     lhs = sphere4_moment(*sphere4_act(g, z, t))
     rhs = g @ sphere4_moment(z, t) @ g.conj().swapaxes(-1, -2)
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+    worst = float(np.max(np.abs(lhs - rhs), initial=0.0))
+    if not np.isfinite(worst):
+        raise ToolkitError("non-finite sphere4 residual")
+    return worst

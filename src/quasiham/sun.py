@@ -19,7 +19,7 @@ import numpy as np
 # so it is loaded here with the layer, not inside the first verb's first draw.
 import numpy.random
 
-from .errors import InputError
+from .errors import InputError, ToolkitError
 
 UNITARY_TOL = 1e-12
 ALGEBRA_TOL = 1e-12
@@ -292,4 +292,7 @@ def eta_integral_su2(samples: int = 2000, seed: int = 0) -> float:
     change = round_inner(np.stack(frame, axis=1)[:, :, None], ref[:, None])
     orient = np.sign(np.linalg.det(change))
     values = canonical_three_form(g, *frame, tol=1e-6)
-    return float(np.sum(orient * values) / samples * 2.0 * np.pi**2)
+    value = float(np.sum(orient * values) / samples * 2.0 * np.pi**2)
+    if not np.isfinite(value):
+        raise ToolkitError("non-finite eta_su2 integral")
+    return value

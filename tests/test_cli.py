@@ -10,6 +10,7 @@ import sys
 import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,8 +23,15 @@ import quasiham
 from quasiham import alcove, cli
 from quasiham.alcove import LevelWeightSet
 from quasiham.cli import MAX_GRID, MAX_SAMPLES, _HANDLERS, build_parser, dispatch, main, render
-from quasiham.errors import ToolkitError
-from quasiham.roots import LieType, build_root_system
+from quasiham.alcove import barycentric_coords
+from quasiham.errors import InputError, ToolkitError
+from quasiham.prequant import (
+    class_prequantizable,
+    fusion_prequantizable,
+    torsion_level_admissible,
+)
+from quasiham.rational import format_vector, parse_vector
+from quasiham.roots import LieType, a_series_embedding, a_series_from_euclidean, build_root_system
 from quasiham.serialize import matrix_from_json
 from quasiham.sun import complex_pairs
 
@@ -214,7 +222,7 @@ def test_render_json_is_json_dumps(payload):
 def test_render_json_refuses_other_types(value):
     # json.dumps writes some of these, or writes them as other types: the
     # verbs emit plain types only, so the writer refuses rather than differ
-    for payload in ({"a": value}, {"a": [value]}, {"a": [1, value]}):
+    for payload in ({"a": value}, {"a": [value]}, {"a": [1, value]}, {"a": [[1], [value]]}):
         with pytest.raises(TypeError):
             render(payload, True)
     with pytest.raises(TypeError):
@@ -336,6 +344,61 @@ def test_reused_parser_keeps_no_state(monkeypatch):
     monkeypatch.setitem(_HANDLERS, "verify", lambda args: (seen.append(args), (0, {}))[1])
     dispatch(["verify", "--space", "double"])
     assert seen[0].xi is None and seen[0].axiom is None
+
+
+# Per verb: valid argv (abbreviated options, a repeated --xi, defaults) and
+# invalid ones (unknown option, missing required option, bad int or choice,
+# an ambiguous prefix, extra arguments); then argv that name no verb.
+PARSE_CASES = {
+    "table": [[], ["--js"], ["--bogus"], ["x"], ["-h"], ["--", "x"], ["--json=1"]],
+    "vertices": [["--type", "A2"], ["--type=A2", "--js"], [], ["--type"], ["--type", "A2", "x"],
+                 ["--type", "A2", "--type", "B3"]],
+    "level-weights": [["--type", "A2", "--lev", "3"], ["--type", "A2", "--level=-1", "--json"],
+                      ["--type", "A2"], ["--type", "A2", "--level", "x"],
+                      ["--type", "A2", "--level", "2", "--bogus", "y"]],
+    "check-class": [["--type", "A1", "--xi", "1/4,-1/4", "--lev", "2"],
+                    ["--type", "A2", "--xi", "1/3,0,-1/3", "--xi=-1/2,0,1/2", "--level", "3",
+                     "--torsion", "2", "--js"],
+                    ["--type", "A1", "--level", "2"], ["--type", "A1", "--xi", "0", "--level", "x"],
+                    ["--type", "A1", "--xi", "0", "--level", "1", "--torsion", "x"],
+                    ["--type", "A1", "--xi", "0", "--level", "1", "--t", "1"]],
+    "verify": [["--space", "double"], ["--space", "genus", "--n", "3", "--genus", "2",
+                                         "--axiom", "min_degeneracy", "--fd", "1e-3", "--se", "4"],
+               ["--space", "conjugacy_class", "--xi", "1/8,-1/8", "--xi", "0,0"],
+               ["--space", "bogus"], ["--space", "double", "--axiom", "bogus"],
+               ["--space", "double", "--n", "x"], ["--space", "double", "--s", "3"], [],
+               ["--space", "double", "--", "--n", "3"]],
+    "cocycle": [[], ["--n", "4", "--samples", "2", "--tol", "1e-3", "--json"], ["--n", "4.5"],
+                ["--samples"]],
+    "holonomy-convergence": [["--grids", "4,8"], ["--file", "x.json", "--js"], ["--n", "x"],
+                             ["-x"]],
+    "reduce-rank": [["--at", "abba"], ["--at", "identity", "--n", "3", "--gen", "2"], [],
+                    ["--at", "bogus"], ["--at"]],
+}
+PARSE_ARGV = ([[verb, *rest] for verb, cases in PARSE_CASES.items() for rest in cases]
+              + [[], ["no-such-verb"], ["-h"], ["--json"], ["--", "table"], ["-1"],
+                 ["TABLE"], ["--json", "table"]])
+
+
+def parse_outcome(parse, argv):
+    """vars of the namespace or the SystemExit code, with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGV, ids=" ".join)
+def test_parse_is_the_full_parser(argv):
+    # dispatch and main parse once, with the verb's parser; the namespace,
+    # the exit code and every byte of help or error text stay those of the
+    # full parser
+    expected = parse_outcome(build_parser().parse_args, argv)
+    assert parse_outcome(cli._parse, argv) == expected
+    assert set(PARSE_CASES) == set(_HANDLERS)
 
 
 @pytest.mark.parametrize(
@@ -489,6 +552,31 @@ def test_internal_failure_exits_3(case, monkeypatch, capsys):
     assert out == "" and err == "internal-error: LinAlgError: Eigenvalues did not converge\n"
 
 
+@pytest.mark.parametrize("axiom", ["moment", "cocycle"])
+@pytest.mark.parametrize("space", [["conjugacy_class", "--xi", "1/8,-1/8"], ["double"]])
+def test_non_finite_residual_exits_3(space, axiom, monkeypatch, capsys):
+    # with omega's pairings NaN the residuals are NaN: a fault of the
+    # program, not a failed verification, so nothing is printed as a verdict
+    spaces = importlib.import_module("quasiham.spaces")
+    gram = spaces.basic_gram
+    monkeypatch.setattr(spaces, "basic_gram", lambda xs, ys: np.full_like(gram(xs, ys), np.nan))
+    argv = ["verify", "--space", *space, "--n", "2", "--axiom", axiom, "--samples", "3", "--json"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"internal-error: ToolkitError: non-finite {axiom} residual\n")
+
+
+@pytest.mark.parametrize("space,module,name,what", [
+    ("sphere4", "quasiham.spaces", "sphere4_moment", "sphere4 residual"),
+    ("eta_su2", "quasiham.sun", "canonical_three_form", "eta_su2 integral"),
+])
+def test_non_finite_value_exits_3(space, module, name, what, monkeypatch, capsys):
+    mod = importlib.import_module(module)
+    fn = getattr(mod, name)
+    monkeypatch.setattr(mod, name, lambda *args, **kw: np.full_like(fn(*args, **kw), np.nan))
+    assert main(["verify", "--space", space, "--samples", "5"]) == 3
+    assert capsys.readouterr() == ("", f"internal-error: ToolkitError: non-finite {what}\n")
+
+
 @pytest.mark.parametrize("xi,shown", [("3/4", "3/4"), ("3/4,-1/4", "3/4,-1/4"),
                                       ("0.75", "3/4")])
 def test_not_in_alcove_shows_xi_as_entered(xi, shown, capsys):
@@ -605,6 +693,106 @@ def test_check_class_fuzz_exits_cleanly(lie_type, level, xis):
         argv = ["check-class", f"--type={lie_type}", f"--level={level}", "--json"]
         argv += [f"--xi={xi}" for xi in xis] + ([] if torsion is None else [f"--torsion={torsion}"])
         assert_clean_exit(argv, *run_main_quietly(argv))
+
+
+# every series, at ranks where a draw stays cheap
+ORACLE_TYPES = ["A1", "A2", "A3", "A4", "B3", "B4", "C2", "C3", "D4", "D5", "E6", "F4", "G2"]
+SPELLINGS = ["plain", "unreduced", "signed", "padded", "decimal", "exponent"]
+
+
+def spell(x: Fraction, style: str) -> str:
+    """x in one of the spellings parse_rational accepts: 2/4, -0 or +1/3,
+    ' 1/3 ', and for a finite decimal 0.25 or 2.5e-1."""
+    if style == "unreduced":
+        return f"{2 * x.numerator}/{2 * x.denominator}"
+    if style == "signed":
+        return "-0" if x == 0 else f"{'+' if x > 0 else ''}{x}"
+    if style == "padded":
+        return f" {x} "
+    if style in ("decimal", "exponent") and 10**6 % x.denominator == 0:
+        dec = Decimal(x.numerator * 10**6 // x.denominator).scaleb(-6).normalize()
+        return format(dec, "f" if style == "decimal" else "e")
+    return str(x)
+
+
+@st.composite
+def check_class_argv(draw):
+    """check-class argv on 1-3 points spelled entry by entry: convex
+    combinations of the alcove vertices with weights 0..4 (inside or on the
+    boundary), for type A half of them in eigenvalue coordinates, a few
+    negated, shifted or cut short."""
+    lie_type = draw(st.sampled_from(ORACLE_TYPES))
+    rs = build_root_system(LieType.parse(lie_type))
+    vertices = alcove.alcove_vertices(rs).vertices
+    argv = ["check-class", "--type", lie_type, "--level", str(draw(st.integers(1, 24)))]
+    for _ in range(draw(st.integers(1, 3))):
+        weights = draw(st.lists(st.integers(0, 4), min_size=len(vertices),
+                                max_size=len(vertices)))
+        weights[0] += not any(weights)
+        xi = [sum(w * v[i] for w, v in zip(weights, vertices)) / sum(weights)
+              for i in range(rs.rank)]
+        if rs.lie_type.series == "A" and draw(st.booleans()):
+            xi = list(a_series_embedding(rs, tuple(xi)))
+        change = draw(st.sampled_from(["none"] * 12 + ["negate", "shift", "cut"]))
+        if change == "negate":
+            xi = [-x for x in xi]
+        elif change == "shift":
+            xi[0] += Fraction(1, 7)
+        elif change == "cut":
+            xi = xi[:-1]
+        styles = draw(st.lists(st.sampled_from(SPELLINGS), min_size=len(xi), max_size=len(xi)))
+        argv.append(f"--xi={','.join(map(spell, xi, styles))}")
+    torsion = draw(st.sampled_from([None, None, None, 0, 1, 2, 3]))
+    return argv + ([] if torsion is None else [f"--torsion={torsion}"])
+
+
+def check_class_oracle(argv):
+    """(exit code, payload) of check-class from the Fraction library path, or
+    (2, tag, message) for an input error."""
+    args = build_parser().parse_args(argv)
+    rs = build_root_system(LieType.parse(args.type))
+    try:
+        xis = []
+        for text in args.xi:
+            xi = parse_vector(text)
+            if rs.lie_type.series == "A" and len(xi) == rs.rank + 1:
+                xi = a_series_from_euclidean(rs, xi)
+            elif len(xi) != rs.rank:
+                raise InputError("dimension-mismatch", "")
+            xis.append(xi)
+        verdicts = [class_prequantizable(rs, xi, args.level) for xi in xis]
+        classes = []
+        for xi, verdict in zip(xis, verdicts):
+            faces = [j for j, t in enumerate(barycentric_coords(rs, xi)) if t > 0]
+            classes.append({"xi": format_vector(xi), "verdict": verdict.to_json(),
+                            "boundary": len(faces) <= rs.rank, "open_faces": faces})
+        answer = fusion_prequantizable(verdicts)
+        payload = {"lie_type": str(rs.lie_type), "level": args.level, "classes": classes,
+                   "prequantizable": answer}
+        if args.torsion is not None:
+            payload["torsion_admissible"] = torsion_level_admissible(args.torsion, args.level)
+            answer = answer and payload["torsion_admissible"]
+    except InputError as exc:
+        return 2, exc.code, str(exc)
+    return (0 if answer else 1), payload
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(argv=check_class_argv(), as_json=st.booleans())
+def test_check_class_matches_fraction_oracle(argv, as_json):
+    # the integer path gives the payload, exit code and error of the
+    # Fraction-taking library functions, on every series and spelling
+    expected = check_class_oracle(argv)
+    event(f"exit {expected[0]}")
+    try:
+        code, payload = dispatch(argv)
+    except InputError as exc:
+        assert expected[0] == 2 and exc.code == expected[1], (argv, expected)
+        # the messages of the library's errors; the dimension check is the verb's own
+        assert exc.code == "dimension-mismatch" or str(exc) == expected[2]
+        return
+    assert (code, payload) == expected, argv
+    assert render(payload, as_json) == render(expected[1], as_json)
 
 
 def test_missing_connection_file_exits_two(tmp_path, capsys):
@@ -730,6 +918,22 @@ LIBRARY_ONLY = {
     "barycentric_coords": "the Fraction coordinates whose integer form open_faces reads",
     "a_series_from_euclidean": "the Fraction form of a_series_numerators",
 }
+
+
+def test_closed_pipe_exits_without_traceback():
+    # the reader closes after one line; 200 kB of JSON outgrow a pipe's
+    # buffer, so the verb is still writing when it does.  The verb's exit
+    # code stays, and nothing is printed on stderr, at exit either
+    import subprocess
+
+    argv = ["level-weights", "--type", "A2", "--level", "100", "--json"]
+    proc = subprocess.Popen([sys.executable, "-m", "quasiham.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0 and err == b""
 
 
 def test_verb_coverage_table(tmp_path):

@@ -564,9 +564,8 @@ def squeezed(cls, *shrinks):
 def point_mismatch(space, m, basis):
     """The degeneracy mismatch at one point, evaluated as a stack of one;
     None where the sample is undecided."""
-    out = spaces._degeneracy_mismatch(space, m[:, None],
-                                      as_stack(m, basis)[:, None])[0]
-    return None if np.isnan(out) else out
+    out, undecided = spaces._degeneracy_mismatch(space, m[:, None], as_stack(m, basis)[:, None])
+    return None if undecided[0] else out[0]
 
 
 def fusions(n):
@@ -1158,9 +1157,9 @@ def test_mid_stack_redraw_restores_the_loop_draws(reason, monkeypatch):
         return drawn[-1]
 
     def spied_mismatch(sp, m, tangents):
-        out = mismatch(sp, m, tangents)
-        evaluated.append((m, out.copy()))
-        return out
+        out, undecided = mismatch(sp, m, tangents)
+        evaluated.append((m, out.copy(), undecided.copy()))
+        return out, undecided
 
     monkeypatch.setattr(space, "random_field", spied_field)
     monkeypatch.setattr(spaces, "_degeneracy_mismatch", spied_mismatch)
@@ -1174,9 +1173,10 @@ def test_mid_stack_redraw_restores_the_loop_draws(reason, monkeypatch):
     # loop draws them, so the third draw is made twice
     assert len(stacked_drawn) == 4 + 1
     assert all(np.array_equal(a, b) for a, b in zip(stacked_drawn, drawn[:3] + drawn[2:]))
-    (points, first), (rest, second) = stacked_evaluated
+    (points, first, undecided), (rest, second, none) = stacked_evaluated
     flows = [space.field_flow(f, space.base, 1.0) for f in drawn]
-    assert np.array_equal(points, stack(flows[:3])) and first[0] == loop[0] and np.isnan(first[1])
+    assert np.array_equal(points, stack(flows[:3])) and first[0] == loop[0]
+    assert undecided.tolist() == [False, True, False] and not none.any()
     assert np.array_equal(rest, stack(flows[2:])) and np.array_equal(second, loop[1:])
 
 
