@@ -600,8 +600,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     try:
-        print(text)
-        sys.stdout.flush()
+        print(text, flush=True)
     except BrokenPipeError:
         # the reader has gone: what is left goes to the null device, so that
         # the flush at exit cannot fail again
