@@ -27,7 +27,7 @@ from math import lcm
 from operator import add, mod, sub
 from typing import NamedTuple, Sequence
 
-from .errors import InputError
+from .errors import InputError, ToolkitError
 from .rational import (
     CartanVector,
     common_denominator,
@@ -217,7 +217,7 @@ def level_weights(rs: RootSystem, k: int) -> LevelWeightSet:
         found = grown
     nums = sorted(w for w, _ in found)
     if len(set(nums)) != len(nums):
-        raise InputError("duplicate-weights", "enumeration produced duplicates")
+        raise ToolkitError("level-weight enumeration produced duplicates")
     return LevelWeightSet(rs=rs, level=k, nums=tuple(nums), den=z.det)
 
 

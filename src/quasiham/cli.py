@@ -4,9 +4,12 @@ Every verb routes to library operations and renders either human-readable
 text or JSON (--json).  Sampling verbs take --seed (default 0) and identical
 invocations produce byte-identical JSON.  Exit codes: 0 success/pass, 1 a
 verification that ran and failed, 2 usage or input errors (a tagged
-InputError), 3 any other exception, an internal error (a non-finite residual
-among them), without traceback and with nothing on stdout.  A closed stdout
-ends the output quietly and keeps the exit code.
+InputError), 3 any other exception, an internal error, without traceback and
+with nothing on stdout.  Internal errors include a non-finite residual, a
+failed eigensolver and every check on data the package built itself: the
+root tables, the level-weight enumeration, the alcove normalization and the
+cocycle verb's draws, when more than 100 per sample miss the full cover.  A
+closed stdout ends the output quietly and keeps the exit code.
 
 Numerical modules import lazily inside handlers so exact verbs stay snappy.
 The exact verbs keep their per-op cost low: argv is parsed in one argparse
@@ -213,13 +216,14 @@ def _run_cocycle(args) -> tuple[int, dict]:
     import numpy as np
 
     from .gerbe import (
+        _ordered_eig,
         _spectral_record,
         _strict_gaps,
         eigenline_weight,
         vertex_weight_consistency,
     )
     from .spaces import _bounded
-    from .sun import alcove_coordinates, expm_skew, random_algebra
+    from .sun import expm_skew, random_algebra
 
     # the cocycle is checked on triples i < j < k of eigenvalue indices
     if args.n < 3:
@@ -227,20 +231,21 @@ def _run_cocycle(args) -> tuple[int, dict]:
     _bounded(args.n**2 - 1)
     rng = np.random.default_rng(args.seed)
     # a loop's draws, which reject a matrix with a gap that is not strict: the
-    # missing samples are drawn as one stack until none is missing
-    mats, phases = np.empty((0, args.n, args.n), dtype=complex), np.empty((0, args.n))
+    # missing samples are drawn as one stack until none is missing, and each
+    # draw is decomposed once
+    phases, vecs = np.empty((0, args.n)), np.empty((0, args.n, args.n), dtype=complex)
     rejected = 0
-    while len(mats) < args.samples:
-        a = expm_skew(random_algebra(args.n, rng, shape=(args.samples - len(mats),)))
-        lam = alcove_coordinates(a)
+    while len(phases) < args.samples:
+        a = expm_skew(random_algebra(args.n, rng, shape=(args.samples - len(phases),)))
+        lam, v = _ordered_eig(a)
         regular = np.all(_strict_gaps(lam), axis=-1)
         rejected += int(np.sum(~regular))
         if rejected > 100 * args.samples:
-            raise InputError("sampling-failed", "no regular matrices among the draws")
-        mats, phases = np.concatenate([mats, a[regular]]), np.concatenate([phases, lam[regular]])
+            raise ToolkitError("sampling failed: over 100 draws per sample missed the full cover")
+        phases, vecs = np.concatenate([phases, lam[regular]]), np.concatenate([vecs, v[regular]])
     # one record of the accepted samples; each triple is one batched pair of
     # determinants over them, and a collapsed coefficient is a defect of one
-    record = _spectral_record(mats, phases)
+    record = _spectral_record(phases, vecs)
     worst = 0.0
     for triple in combinations(range(1, args.n + 1), 3):
         coeff = record.coefficient(*triple)
@@ -460,10 +465,6 @@ def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argum
     """One set of parsers per process: parsing returns a fresh namespace each
     call and leaves the parsers as they were, so every call reuses them."""
     return _build_parsers()
-
-
-def _shared_parser() -> argparse.ArgumentParser:
-    return _shared_parsers()[0]
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

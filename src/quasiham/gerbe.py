@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .rational import CartanVector, vec
-from .sun import alcove_coordinates
+from .sun import alcove_coordinates, alcove_order, check_special_unitary
 
 GAP_TOL = 1e-9
 
@@ -117,32 +117,27 @@ class SpectralRecord:
 
 
 def spectral_record(a: np.ndarray) -> SpectralRecord:
-    """The record of a matrix or a stack of them: one validation and phase
-    computation (both in alcove_coordinates), one batched eigendecomposition
-    and one batched QR per pair of cover pieces, shared by every determinant
-    line and cocycle triple on the stack."""
-    a = np.asarray(a, dtype=complex)
-    return _spectral_record(a, alcove_coordinates(a))
+    """The record of a matrix or a stack of them: one validation, one
+    batched eigendecomposition and one batched QR per pair of cover pieces,
+    shared by every determinant line and cocycle triple on the stack."""
+    return _spectral_record(*_ordered_eig(check_special_unitary(a)))
 
 
-def _spectral_record(a: np.ndarray, lam: np.ndarray) -> SpectralRecord:
-    """The record of a stack of special unitary matrices whose alcove phases
-    lam are already known, one row per matrix."""
-    flat = a.reshape((-1,) + a.shape[-2:])
-    lam = lam.reshape(flat.shape[:-1])
-    vals, vecs = np.linalg.eig(flat)
-    # eigenvectors matched to the sorted phases: position by position, the
-    # nearest eigenvalue not yet taken
-    dist = np.abs(vals[:, None, :] - np.exp(2j * np.pi * lam)[:, :, None])
-    rows = np.arange(len(flat))
-    order = np.empty(lam.shape, dtype=int)
-    for pos in range(lam.shape[1]):
-        best = order[:, pos] = np.argmin(dist[:, pos], axis=-1)
-        if np.any(dist[rows, pos, best] > 1e-6):
-            raise InputError("eigen-matching", "failed to match eigenvalues to phases")
-        dist[rows, :, best] = np.inf
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1).reshape(a.shape)
-    lam = lam.reshape(a.shape[:-1])
+def _ordered_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The alcove phases of special unitary matrices and their eigenvectors
+    in the same order, from one eig: alcove_order's permutation reorders the
+    columns."""
+    d, v = np.linalg.eig(a)
+    lam, order = alcove_order(d)
+    return lam, np.take_along_axis(v, order[..., None, :], axis=-1)
+
+
+def _spectral_record(lam: np.ndarray, vecs: np.ndarray) -> SpectralRecord:
+    """The record of a stack of matrices given by their alcove phases lam
+    (..., n) and their eigenvectors vecs (..., n, n) in that order.  Each
+    block is orthonormalized by its own QR.  Slices of one orthonormal frame
+    would make [Q_ij | Q_jk] equal to Q_ik, and every cocycle coefficient
+    exactly unimodular whatever the blocks span."""
     cover = _cover(lam)
     bases = {(i, j): np.linalg.qr(vecs[..., i:j])[0] for i in cover for j in cover if i < j}
     return SpectralRecord(phases=lam, cover=cover, bases=bases)

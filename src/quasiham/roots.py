@@ -21,7 +21,7 @@ from itertools import accumulate
 from math import lcm
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, ToolkitError
 from .rational import (
     CartanVector,
     RationalMatrix,
@@ -229,12 +229,12 @@ def build_root_system(lie_type: LieType) -> RootSystem:
     for i in range(r):
         for j in range(r):
             if gram[i][j] != gram[j][i]:
-                raise InputError("asymmetric-gram", f"bad symmetrization at {(i, j)}")
+                raise ToolkitError(f"asymmetric Gram matrix at {(i, j)}")
 
     positives = _positive_roots(cartan)
     highest = positives[-1]
     if len(positives) > 1 and sum(positives[-2]) == sum(highest):
-        raise InputError("no-unique-highest", "highest root is not unique")
+        raise ToolkitError("highest root is not unique")
 
     scale = lcm(*(d.denominator for d in halves))
     igram = tuple(tuple(int(g * scale) for g in row) for row in gram)
@@ -242,7 +242,7 @@ def build_root_system(lie_type: LieType) -> RootSystem:
     for mark, d in zip(highest, halves):
         comark = mark * d
         if comark.denominator != 1:
-            raise InputError("bad-comark", f"non-integer comark {comark}")
+            raise ToolkitError(f"non-integer comark {comark}")
         comarks.append(int(comark))
     # (w_i, a_j^v) = sum_m c_m cartan[m][j] = delta_ij: the coefficient rows
     # of the fundamental weights are the rows of the inverse Cartan matrix.

@@ -710,6 +710,8 @@ def sphere4_moment(z, t) -> np.ndarray:
     values."""
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=complex).reshape(t.shape + (2,))
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(t))):
+        raise InputError("off-sphere", "non-finite point")
     r2 = np.einsum("...i,...i->...", z.conj(), z).real
     if np.any(np.abs(r2 + t * t - 1.0) >= 1e-10):
         raise InputError("off-sphere", "|z|^2 + t^2 must equal 1")

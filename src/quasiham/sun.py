@@ -34,6 +34,8 @@ def check_special_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InputError("not-square", f"expected square matrix, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InputError("not-special-unitary", "non-finite entries")
     n = a.shape[-1]
     defect = np.max(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(n)), initial=0.0)
     det_defect = np.max(np.abs(np.linalg.det(a) - 1.0), initial=0.0)
@@ -49,6 +51,8 @@ def check_algebra(x: np.ndarray, tol: float = ALGEBRA_TOL) -> np.ndarray:
     """Validate X* + X = 0 and tr X = 0 on a matrix or a stack of them;
     returns X unchanged."""
     x = np.asarray(x, dtype=complex)
+    if not np.all(np.isfinite(x)):
+        raise InputError("not-algebra", "non-finite entries")
     herm = np.max(np.abs(x + x.conj().swapaxes(-1, -2)))
     tr = np.max(np.abs(np.trace(x, axis1=-2, axis2=-1)))
     if herm >= tol or tr >= tol:
@@ -143,9 +147,20 @@ def alcove_coordinates(a: np.ndarray) -> np.ndarray:
     most one.  Phases within SNAP_TOL of an alcove wall are snapped onto it.
     A stack of matrices gives the stack of their coordinates.
     """
-    a = check_special_unitary(a)
-    n = a.shape[-1]
-    phases = np.sort((np.angle(np.linalg.eigvals(a)) / (2.0 * np.pi)) % 1.0, axis=-1)
+    return alcove_order(np.linalg.eigvals(check_special_unitary(a)))[0]
+
+
+def alcove_order(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The alcove coordinates lam of special unitary matrices with
+    eigenvalues d (..., n), and the permutation that puts d in their order:
+    d[..., order] is exp(2 pi i lam) up to the snapping.  The one place that
+    decides the order of a matrix's eigenvalues; eigenvectors in eig's order
+    take the same permutation of their columns.
+    """
+    n = d.shape[-1]
+    raw = (np.angle(d) / (2.0 * np.pi)) % 1.0
+    up = np.argsort(raw, axis=-1)
+    phases = np.take_along_axis(raw, up, axis=-1)
 
     # Snap: replace each circular cluster of nearly equal phases by its
     # circular mean so wall membership is exact downstream.  A cluster ends
@@ -158,14 +173,18 @@ def alcove_coordinates(a: np.ndarray) -> np.ndarray:
                      label[..., :, None] == np.arange(n))
     snapped = (np.angle(np.take_along_axis(sums, label, axis=-1)) / (2.0 * np.pi)) % 1.0
 
-    # the top m phases move down by one, m the rounded phase sum
-    q = np.sort(snapped, axis=-1)[..., ::-1]
+    # descending, then the top m phases move down by one, m the rounded
+    # phase sum: a roll of the positions by m
+    down = np.argsort(snapped, axis=-1)[..., ::-1]
+    q = np.take_along_axis(snapped, down, axis=-1)
     m = np.rint(np.sum(q, axis=-1, keepdims=True)).astype(int)
-    lam = np.take_along_axis(q, (np.arange(n) + m) % n, axis=-1) - (np.arange(n) >= n - m)
+    roll = (np.arange(n) + m) % n
+    lam = np.take_along_axis(q, roll, axis=-1) - (np.arange(n) >= n - m)
     lam -= np.sum(lam, axis=-1, keepdims=True) / n
     if not (np.all(np.diff(lam) <= 1e-12) and np.all(lam[..., 0] - lam[..., -1] <= 1.0 + 1e-9)):
-        raise InputError("alcove-normalization", f"bad representative {lam}")
-    return lam
+        raise ToolkitError(f"alcove normalization gave a bad representative {lam}")
+    order = np.take_along_axis(np.take_along_axis(up, down, axis=-1), roll, axis=-1)
+    return lam, order
 
 
 def maurer_cartan(g: np.ndarray, v: np.ndarray, side: str, tol: float = 1e-8) -> np.ndarray:
@@ -176,6 +195,8 @@ def maurer_cartan(g: np.ndarray, v: np.ndarray, side: str, tol: float = 1e-8) ->
     v = np.asarray(v, dtype=complex)
     if side not in ("left", "right"):
         raise InputError("invalid-side", f"side must be 'left' or 'right', got {side!r}")
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
+        raise InputError("not-tangent", "non-finite point or vector")
     ginv = g.conj().swapaxes(-1, -2)
     x = ginv @ v
     defect = np.max(np.abs(x + x.conj().swapaxes(-1, -2)))

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -335,7 +336,7 @@ def test_check_class_pairs_each_class_twice(monkeypatch):
 
 def test_reused_parser_keeps_no_state(monkeypatch):
     assert build_parser() is not build_parser()
-    assert cli._shared_parser() is cli._shared_parser()
+    assert cli._shared_parsers() is cli._shared_parsers()
     _, two = dispatch(["check-class", "--type", "A1", "--xi", "1/4,-1/4",
                        "--xi", "1/2,-1/2", "--level", "2"])
     _, one = dispatch(["check-class", "--type", "A1", "--xi", "1/4,-1/4", "--level", "2"])
@@ -538,18 +539,64 @@ def raise_linalg_error(*args, **kwargs):
 @pytest.mark.parametrize("case", ["class", "cocycle"])
 def test_internal_failure_exits_3(case, monkeypatch, capsys):
     # LinAlgError is a ValueError, yet a failed eigensolver is no input
-    # error: the README's class command and a cocycle, which reads the
-    # alcove coordinates, exit 3 with the exception named and no traceback
+    # error: the README's class command and a cocycle, which decomposes
+    # each draw with eig, exit 3 with the exception named and no traceback
     if case == "class":
         monkeypatch.setattr(importlib.import_module("quasiham.spaces"), "unitary_eig",
                             raise_linalg_error)
         argv = next(argv for argv in readme_commands() if "conjugacy_class" in argv)
     else:
-        monkeypatch.setattr(np.linalg, "eigvals", raise_linalg_error)
+        monkeypatch.setattr(np.linalg, "eig", raise_linalg_error)
         argv = ["cocycle", "--n", "3", "--samples", "3"]
     assert main(argv) == 3, argv
     out, err = capsys.readouterr()
     assert out == "" and err == "internal-error: LinAlgError: Eigenvalues did not converge\n"
+
+
+# Every tag an InputError in src/ can carry.  A new tag is a reviewed
+# addition to this set; a failure on data the package built itself is a
+# ToolkitError, exit 3, and carries no tag.
+INPUT_ERROR_TAGS = {
+    "degenerate-fit", "dimension-mismatch", "empty-grid", "empty-vector", "grid-mismatch",
+    "grid-too-large", "group-size-mismatch", "invalid-genus", "invalid-grids", "invalid-index",
+    "invalid-level", "invalid-rank", "invalid-samples", "invalid-series", "invalid-side",
+    "invalid-step", "invalid-tolerance", "invalid-torsion", "invalid-type", "invalid-vertex",
+    "io-error", "malformed-connection", "malformed-json", "malformed-matrix",
+    "malformed-rational", "missing-argument", "mixed-levels", "nonzero-sum", "not-a-pair-space",
+    "not-a-root", "not-a-series", "not-algebra", "not-g-valued", "not-identity-level",
+    "not-in-alcove", "not-special-unitary", "not-square", "not-tangent", "off-sphere",
+    "outside-cover", "space-too-large", "too-many-samples", "undecided-sample", "unknown-axiom",
+    "unknown-space", "unsupported-axiom",
+}
+
+
+def input_error_tags(source: str) -> set:
+    """The first argument of every InputError(...) call in the source, with
+    both branches of a conditional expression; an argument that is not a
+    string literal is collected as None."""
+    tags = set()
+    for node in ast.walk(ast.parse(source)):
+        func = getattr(node, "func", None)
+        if getattr(func, "id", getattr(func, "attr", None)) != "InputError":
+            continue
+        todo = node.args[:1] or [None]
+        while todo:
+            arg = todo.pop()
+            if isinstance(arg, ast.IfExp):
+                todo += [arg.body, arg.orelse]
+            else:
+                tags.add(arg.value if isinstance(arg, ast.Constant)
+                         and isinstance(arg.value, str) else None)
+    return tags
+
+
+def test_input_error_tags_are_the_reviewed_set():
+    src = Path(quasiham.__file__).parent
+    found = set().union(*(input_error_tags(path.read_text()) for path in src.glob("*.py")))
+    assert found == INPUT_ERROR_TAGS
+    # the collector sees both branches, and a computed tag as None
+    assert input_error_tags('InputError("a" if x else "b", m)\nerrors.InputError(code, m)') \
+        == {"a", "b", None}
 
 
 @pytest.mark.parametrize("axiom", ["moment", "cocycle"])
@@ -812,6 +859,9 @@ BAD_FILES = {
     "not-algebra": json.dumps([[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]),
     "no-samples": json.dumps({"samples": []}), "no-key": json.dumps({"steps": 3}),
     "numbers": "[1, 2]",
+    # json reads NaN and Infinity as floats
+    "nan-entry": json.dumps([[[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]),
+    "inf-entry": json.dumps([[[[0.0, 0.0], [0.0, float("inf")]], [[0.0, 0.0], [0.0, 0.0]]]]),
 }
 
 
@@ -834,7 +884,9 @@ def test_holonomy_file_fuzz_exits_with_a_tag(content, tmp_path):
                                       ("not-utf8", "malformed-json"),
                                       ("ragged-rows", "malformed-matrix"),
                                       ("ragged-stack", "malformed-matrix"),
-                                      ("not-algebra", "not-algebra")])
+                                      ("not-algebra", "not-algebra"),
+                                      ("nan-entry", "not-algebra"),
+                                      ("inf-entry", "not-algebra")])
 def test_holonomy_file_errors_carry_tags(name, tag, tmp_path, capsys):
     path = tmp_path / "conn.json"
     content = BAD_FILES[name]
@@ -895,6 +947,8 @@ COVERAGE_ARGV = [
 ]
 # Public functions no verb calls, each with its reason.
 LIBRARY_ONLY = {
+    "alcove_coordinates": "the phases of matrices whose eigenvectors are not needed; the "
+                          "cocycle verb takes its phases and vectors from one eig per draw",
     "cocycle_check": "the acceptance tests' one-matrix form of SpectralRecord.check",
     "cover_index_set": "the acceptance tests' cover of one matrix; the cocycle verb reads "
                        "the gaps of the phases it has already computed",

@@ -19,7 +19,12 @@ from quasiham.gerbe import (
 )
 from quasiham.rational import format_vector
 from quasiham.roots import LieType, a_series_from_euclidean, build_root_system
-from quasiham.sun import alcove_coordinates, random_special_unitary, torus_point
+from quasiham.sun import (
+    alcove_coordinates,
+    alcove_order,
+    random_special_unitary,
+    torus_point,
+)
 
 gerbe = importlib.import_module("quasiham.gerbe")
 sun = importlib.import_module("quasiham.sun")
@@ -287,11 +292,12 @@ def test_record_rejects_non_unitary():
         assert err.value.code == "not-square"
 
 
-def record_per_matrix(a):
-    """The record of one matrix as built before records took stacks: a
-    greedy Python match of eigenvalues to phases and one QR per pair."""
+def greedy_order(a):
+    """The alcove phases of one matrix and the order of eig's eigenvalues
+    matched to them greedily: position by position, the nearest eigenvalue
+    not yet taken."""
     lam = alcove_coordinates(a)
-    vals, vecs = np.linalg.eig(a)
+    vals = np.linalg.eig(a)[0]
     unused = list(range(len(vals)))
     order = []
     for t in np.exp(2j * np.pi * lam):
@@ -299,11 +305,64 @@ def record_per_matrix(a):
         assert abs(vals[best] - t) <= 1e-6
         order.append(best)
         unused.remove(best)
-    vecs = vecs[:, order]
+    return lam, order
+
+
+def record_per_matrix(a):
+    """The record of one matrix as built before records took stacks and
+    before alcove_order: a greedy Python match of eigenvalues to phases and
+    one QR per pair."""
+    lam, order = greedy_order(a)
+    vecs = np.linalg.eig(a)[1][:, order]
     gaps = np.append(lam[:-1] - lam[1:], lam[-1] - (lam[0] - 1.0))
     cover = frozenset(i + 1 for i, g in enumerate(gaps) if g > 1e-9)
     bases = {(i, j): np.linalg.qr(vecs[:, i:j])[0] for i in cover for j in cover if i < j}
     return lam, cover, bases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_alcove_order_is_the_greedy_match_on_regular_matrices(n):
+    # away from the walls the nearest eigenvalue of each phase is its own,
+    # so the permutation is the one the matching loop found, row by row of
+    # a stack too
+    rng = np.random.default_rng(60 + n)
+    mats = np.stack([regular_sample(n, rng) for _ in range(20)])
+    lam, order = alcove_order(np.linalg.eig(mats)[0])
+    assert np.array_equal(lam, alcove_coordinates(mats))
+    for a, row in zip(mats, order):
+        assert row.tolist() == greedy_order(a)[1]
+
+
+# torus points on walls: repeated phases, and phases within 1e-10 of 0 and
+# of 1, which cluster across the wrap
+WALL_POINTS = [
+    [0.25, 0.25, -0.5], [0.4, -0.2, -0.2], [1 / 3, 1 / 3, -2 / 3], [1e-10, 0.0, -1e-10],
+    [0.3, 0.3, -0.3, -0.3], [0.25, 1e-10, -1e-10, -0.25], [0.5, 0.0, 0.0, -0.5],
+    [0.2, 0.2, 1e-10, -1e-10, -0.4], [0.0] * 6, [0.3, 0.1, 0.1, 1e-10, -2e-10, -0.5 + 1e-10],
+]
+
+
+@pytest.mark.parametrize("point", WALL_POINTS)
+def test_alcove_order_on_walls_keeps_the_cover_blocks(point):
+    # inside a snapped cluster the order may differ from the matching loop;
+    # every eigenvalue still sits at its phase, and each cover block spans
+    # the oracle's subspace, which is the true spectral subspace
+    n = len(point)
+    rng = np.random.default_rng(70 + n)
+    us = np.stack([random_special_unitary(n, rng) for _ in range(4)])
+    mats = us @ torus_point(point) @ us.conj().swapaxes(-1, -2)
+    d = np.linalg.eig(mats)[0]
+    lam, order = alcove_order(d)
+    assert np.max(np.abs(np.take_along_axis(d, order, axis=-1)
+                         - np.exp(2j * np.pi * lam))) <= 1e-6
+    record = spectral_record(mats)
+    for p, (a, u) in enumerate(zip(mats, us)):
+        phases, cover, bases = record_per_matrix(a)
+        assert record.cover == cover and len(cover) < n
+        for (i, j), q in bases.items():
+            mine = projector(record.basis(i, j)[p])
+            assert np.max(np.abs(mine - projector(q))) <= 1e-9
+            assert np.max(np.abs(mine - projector(u[:, i:j]))) <= 1e-9
 
 
 def coefficient_per_matrix(bases, i, j, k):
@@ -410,6 +469,15 @@ def scalar_draws(monkeypatch, rows):
     monkeypatch.setattr(sun, "random_algebra", draw)
 
 
+def test_cocycle_sampling_failure_exits_3(monkeypatch, capsys):
+    # every draw is the identity, which lies on a wall: the verb gives up
+    # after 100 draws per sample, a fault of its own sampling, not of argv
+    scalar_draws(monkeypatch, range(10**9))
+    assert main(["cocycle", "--n", "3", "--samples", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal-error: ToolkitError: sampling failed")
+
+
 def loop_draws(n, samples, seed):
     """The accepted matrices and the rejected count of the cocycle verb as a
     loop that draws one matrix at a time."""
@@ -426,28 +494,34 @@ def loop_draws(n, samples, seed):
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("scalar,stacks", [((), 1), ((1,), 2), ((1, 4, 5), 3)])
 def test_cocycle_draws_equal_the_loop(n, scalar, stacks, monkeypatch):
-    # one phase computation per stack of draws, and the record is built
-    # from those phases; the rejected draws are made up in the next stack:
-    # with draws 1, 4 and 5 rejected the stacks are draws 0-4, 5-6 and 7
-    calls, records = [], []
-    phases, record = sun.alcove_coordinates, gerbe._spectral_record
-    monkeypatch.setattr(sun, "alcove_coordinates", lambda a: calls.append(a) or phases(a))
-    monkeypatch.setattr(gerbe, "alcove_coordinates", lambda a: calls.append(a) or phases(a))
+    # one eig per stack of draws and no eigvals, and the record is built
+    # from the phases and ordered vectors of that eig; the rejected draws are
+    # made up in the next stack: with draws 1, 4 and 5 rejected the stacks
+    # are draws 0-4, 5-6 and 7
+    calls, records = {"eig": [], "eigvals": []}, []
+    record = gerbe._spectral_record
     monkeypatch.setattr(gerbe, "_spectral_record",
-                        lambda a, lam: records.append(a) or record(a, lam))
+                        lambda lam, vecs: records.append((lam, vecs)) or record(lam, vecs))
     with monkeypatch.context() as patch:
+        for name, real in [("eig", np.linalg.eig), ("eigvals", np.linalg.eigvals)]:
+            patch.setattr(np.linalg, name,
+                          lambda a, name=name, real=real: calls[name].append(a) or real(a))
         scalar_draws(patch, scalar)
         code, payload = dispatch(["cocycle", "--n", str(n), "--samples", "5", "--seed", "11"])
     assert code == 0 and payload["rejected"] == len(scalar)
-    assert len(calls) == stacks
+    # every draw is decomposed once: the accepted five and the rejected ones
+    assert len(calls["eig"]) == stacks and sum(map(len, calls["eig"])) == 5 + len(scalar)
+    assert calls["eigvals"] == []
     with monkeypatch.context() as patch:
         scalar_draws(patch, scalar)
         accepted, rejected = loop_draws(n, 5, 11)
     with monkeypatch.context() as patch:
         scalar_draws(patch, scalar)
         expected = cocycle_payload_per_sample(n, 5, 11)
-    [stacked] = records
-    assert np.array_equal(stacked, accepted) and rejected == payload["rejected"]
+    [(lam, vecs)] = records
+    assert np.array_equal(lam, alcove_coordinates(accepted)) and rejected == payload["rejected"]
+    greedy = np.stack([np.linalg.eig(a)[1][:, greedy_order(a)[1]] for a in accepted])
+    assert np.array_equal(vecs, greedy)
     assert render(payload, True) == render(expected, True)
 
 
@@ -457,12 +531,12 @@ def wrong_block_record(shift):
     the block of the next sample of the stack (shift="sample")."""
     honest = gerbe._spectral_record
 
-    def tampered(a, lam):
-        record = honest(a, lam)
+    def tampered(lam, vecs):
+        record = honest(lam, vecs)
         bases = dict(record.bases)
         for (j, k), q in record.bases.items():
             if j > 1 and shift == "position":
-                bases[j, k] = honest(a, lam).bases[j - 1, k - 1]
+                bases[j, k] = record.bases[j - 1, k - 1]
             elif j > 1:
                 bases[j, k] = np.roll(q, 1, axis=0)
         return replace(record, bases=bases)

@@ -1564,6 +1564,14 @@ def test_sphere4_rejects_off_sphere():
     assert err.value.code == "off-sphere"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sphere4_rejects_non_finite_points(bad):
+    for z, t in [(np.array([bad, 0.0]), 0.5), (np.array([0.6 + 0j, 0.0]), bad)]:
+        with pytest.raises(InputError) as err:
+            sphere4_moment(z, t)
+        assert err.value.code == "off-sphere"
+
+
 def test_sphere4_action_shape():
     rng = np.random.default_rng(61)
     g = random_special_unitary(2, rng)

@@ -157,6 +157,27 @@ def test_maurer_cartan():
         maurer_cartan(g, v, "middle")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validators_reject_non_finite_entries(bad):
+    # a NaN defect compares False against every tolerance, so finiteness is
+    # tested first, before any arithmetic can warn
+    g = np.stack([np.eye(3, dtype=complex)] * 2)
+    g[1, 0, 2] = bad
+    with pytest.raises(InputError) as err:
+        check_special_unitary(g)
+    assert err.value.code == "not-special-unitary"
+    x = np.zeros((2, 3, 3), dtype=complex)
+    x[1, 2, 2] = 1j * bad
+    with pytest.raises(InputError) as err:
+        check_algebra(x)
+    assert err.value.code == "not-algebra"
+    e = np.eye(3, dtype=complex)
+    for point, vector in [(e, x[1]), (g[1], np.zeros((3, 3)))]:
+        with pytest.raises(InputError) as err:
+            maurer_cartan(point, vector, "left")
+        assert err.value.code == "not-tangent"
+
+
 def test_three_form_alternating_and_identity_value():
     rng = np.random.default_rng(5)
     g = random_special_unitary(2, rng)
