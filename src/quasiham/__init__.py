@@ -10,48 +10,22 @@ from importlib import import_module
 
 _HOME = {
     "alcove": [
-        "AlcoveMembership",
         "AlcoveModel",
         "LevelWeightSet",
-        "alcove_contains",
         "alcove_vertices",
-        "barycentric_coords",
-        "fundamental_weight_coords",
         "level_weights",
         "minimal_integral_level",
-        "open_face_set",
         "open_faces",
-        "transition_weight",
-        "weight_lattice_contains",
     ],
     "errors": ["InputError", "ToolkitError"],
-    "gerbe": [
-        "SpectralRecord",
-        "cocycle_check",
-        "cover_index_set",
-        "eigenline_weight",
-        "spectral_record",
-        "vertex_weight_consistency",
-    ],
-    "holonomy": [
-        "PiecewiseConnection",
-        "constant_connection",
-        "convergence_order",
-        "gauge_transform",
-    ],
-    "prequant": [
-        "PrequantVerdict",
-        "class_level_test",
-        "class_prequantizable",
-        "fusion_prequantizable",
-        "torsion_level_admissible",
-    ],
-    "rational": ["CartanVector", "parse_rational", "parse_vector", "vec"],
+    "gerbe": ["SpectralRecord", "eigenline_weight", "vertex_weight_consistency"],
+    "holonomy": ["PiecewiseConnection", "convergence_order", "gauge_transform"],
+    "prequant": ["class_level_test", "torsion_level_admissible"],
+    "rational": ["CartanVector", "parse_rational", "parse_vector"],
     "roots": [
         "LieType",
         "RootSystem",
         "a_series_embedding",
-        "a_series_from_euclidean",
         "a_series_numerators",
         "build_root_system",
         "height",

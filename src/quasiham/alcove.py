@@ -7,43 +7,33 @@ clear the denominators of a vector once and decide on integers through the
 integer Gram matrix of the root system, one pass over the pairing columns of
 a whole set of vectors (`weight_checks`).  The alcove vertices, their
 differences (the transition weights) and a level-k weight set are integer
-numerators over one denominator through their checks and JSON; Fractions are
-built only when read.  The weight enumeration is alcove-exact by construction
+numerators over one denominator through their checks and JSON, and so are
+the minimal levels.  The weight enumeration is alcove-exact by construction
 and filters nothing: tests/test_alcove.py pins it against brute-force and
 Fraction oracles, and the `level-weights` verb re-checks the set in one
 column pass per simple root and raises on an escape.  The open faces of a
-cleared vector come from integers too (`open_faces`); the Fraction-taking
-`barycentric_coords` and `open_face_set` clear their vector and call the same
-code.
+cleared vector come from integers too (`open_faces`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import chain, combinations, repeat
-from math import lcm
+from functools import lru_cache
+from itertools import accumulate, combinations, repeat
+from math import comb, gcd, lcm
 from operator import add, mod, sub
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import InputError, ToolkitError
-from .rational import (
-    CartanVector,
-    common_denominator,
-    denominator_lcm,
-    format_ratio,
-    format_rows,
-    vsub,
-)
+from .rational import format_ratio, format_rows
 from .roots import LatticeData, RootSystem
 
-
-def _fractions(self) -> tuple[CartanVector, ...]:
-    """The vectors self.nums / self.den entrywise, one Fraction per distinct
-    numerator."""
-    exact = {n: Fraction(n, self.den) for n in set(chain.from_iterable(self.nums))}
-    return tuple(tuple(map(exact.__getitem__, w)) for w in self.nums)
+# Largest level-weight set, as its weights times (rank + 2): enumerating,
+# re-checking and writing a set costs about 1 us per numerator and 2 us more
+# per weight (2-vCPU host: A1 at level 2 * 10**6 took 7.5 s and 620 MB, A8 at
+# 13, 203,490 weights, 1.5 s and 142 MB, A20 at 6, 230,230 weights, 4.7 s).
+# So at most MAX_WEIGHT_COST // (rank + 2) weights, about 2 s.
+MAX_WEIGHT_COST = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -54,7 +44,6 @@ class AlcoveModel:
     rs: RootSystem
     nums: tuple[tuple[int, ...], ...]
     den: int
-    vertices = cached_property(_fractions)
 
     def to_json(self) -> dict:
         """The vertices, the transition weights v_j - v_i for i < j and for type
@@ -86,7 +75,6 @@ class LevelWeightSet:
     level: int
     nums: tuple[tuple[int, ...], ...]
     den: int
-    weights = cached_property(_fractions)
 
     def to_json(self) -> dict:
         return {
@@ -95,11 +83,6 @@ class LevelWeightSet:
             "count": len(self.nums),
             "weights": format_rows(self.nums, self.den),
         }
-
-
-class AlcoveMembership(NamedTuple):
-    contains: bool
-    boundary: bool
 
 
 @lru_cache(maxsize=None)
@@ -147,48 +130,13 @@ def _in_alcove(pairings: list[list[int]], top: int) -> bool:
     return min(map(min, simple), default=0) >= 0 and max(theta, default=0) <= top
 
 
-def _of_rank(rs: RootSystem, v: CartanVector) -> CartanVector:
-    """v, checked to have one entry per simple root."""
-    if len(v) != rs.rank:
-        raise InputError("dimension-mismatch", f"expected length {rs.rank}")
-    return v
-
-
 def weight_checks(z: LatticeData, nums_seq: Sequence[tuple[int, ...]], den: int,
                   k: int) -> tuple[bool, bool]:
     """(every xi = nums / den of nums_seq is a weight, every one lies in the
     closed level-k alcove), decided on the Gram pairing columns of the whole
-    set; `weight_lattice_contains` and `alcove_contains` share the tests."""
+    set."""
     pairings = _gram_pairings(z, nums_seq)
     return _is_weight(z, pairings, den), _in_alcove(pairings, k * z.scale * den)
-
-
-def alcove_contains(rs: RootSystem, xi: CartanVector, k: int) -> AlcoveMembership:
-    """Exact membership of xi in the closed level-k alcove, with a flag that
-    marks boundary points (some defining inequality tight)."""
-    _of_rank(rs, xi)
-    if k <= 0:
-        raise InputError("invalid-level", f"level must be positive, got {k}")
-    nums, den = common_denominator(xi)
-    z = rs.lattice
-    pairings, top = _gram_pairings(z, [nums]), k * z.scale * den
-    inside = _in_alcove(pairings, top)
-    return AlcoveMembership(inside, inside and ([0] in pairings[:-1] or pairings[-1] == [top]))
-
-
-def weight_lattice_contains(rs: RootSystem, mu: CartanVector) -> bool:
-    """True iff (mu, a_i^v) is an integer for every simple root."""
-    nums, den = common_denominator(_of_rank(rs, mu))
-    return _is_weight(rs.lattice, _gram_pairings(rs.lattice, [nums]), den)
-
-
-def fundamental_weight_coords(rs: RootSystem, mu: CartanVector) -> CartanVector:
-    """Coordinates of mu against the fundamental weights: m_i = (mu, a_i^v)."""
-    z = rs.lattice
-    nums, den = common_denominator(_of_rank(rs, mu))
-    return tuple(
-        Fraction(2 * p, z.gram[i][i] * den) for i, [p] in enumerate(_gram_pairings(z, [nums])[:-1])
-    )
 
 
 def level_weights(rs: RootSystem, k: int) -> LevelWeightSet:
@@ -201,11 +149,19 @@ def level_weights(rs: RootSystem, k: int) -> LevelWeightSet:
     denominator det of the inverse Cartan matrix.  No candidate is filtered;
     tests/test_alcove.py pins the set against brute-force and Fraction
     oracles, and the `level-weights` verb re-checks it in one column pass.  The
-    set keeps those numerators over det; no Fraction is made here.
+    set keeps those numerators over det; no Fraction is made here.  A set
+    over the size bound is refused before it is enumerated.
     """
     if k < 0:
         raise InputError("invalid-level", f"level must be >= 0, got {k}")
     z = rs.lattice
+    cap = MAX_WEIGHT_COST // (rs.rank + 2)
+    # the labels of the largest comark alone give C(k // c + r, r) weights: a
+    # level whose count would itself allocate is refused on that bound
+    if (comb(k // max(z.comarks) + rs.rank, rs.rank) > cap
+            or weight_count(z.comarks, k) > cap):
+        raise InputError("too-many-weights", f"{rs.lie_type} at level {k} has over {cap} "
+                         f"weights, the most enumerated at rank {rs.rank}")
     found = [((0,) * rs.rank, k)]
     for comark, row in zip(z.comarks, z.inverse_cartan):
         grown = []
@@ -221,16 +177,28 @@ def level_weights(rs: RootSystem, k: int) -> LevelWeightSet:
     return LevelWeightSet(rs=rs, level=k, nums=tuple(nums), den=z.det)
 
 
+def weight_count(comarks: Sequence[int], k: int) -> int:
+    """The number of Dynkin labels m >= 0 with sum m_i comark_i <= k, the
+    size of the level-k weight set, by coin change: one running sum per
+    residue class of each comark."""
+    ways = [1] + [0] * k  # ways[b]: labels of the comarks so far summing to b
+    for c in comarks:
+        for r in range(c):
+            ways[r::c] = accumulate(ways[r::c])
+    return sum(ways)
+
+
 @lru_cache(maxsize=None)
 def minimal_integral_level(rs: RootSystem) -> int:
     """Smallest k >= 1 with k * v in the weight lattice for every alcove
-    vertex v, computed as the lcm of the denominators of the vertices in
-    fundamental-weight coordinates."""
+    vertex v: the lcm of the denominators of the fundamental-weight
+    coordinates (v, a_i^v) = 2 p / q of the vertices, with p the Gram pairing
+    columns of their numerators and q = gram_ii * den."""
     model = alcove_vertices(rs)
-    out = 1
-    for v in model.vertices:
-        out = lcm(out, denominator_lcm(fundamental_weight_coords(rs, v)))
-    return out
+    z = rs.lattice
+    return lcm(*(q // gcd(2 * p, q)
+                 for i, (row, col) in enumerate(zip(z.gram, _gram_pairings(z, model.nums)))
+                 for q in [row[i] * model.den] for p in col))
 
 
 def _barycentric_nums(z: LatticeData, nums: tuple[int, ...], den: int) -> tuple[int, ...]:
@@ -240,40 +208,16 @@ def _barycentric_nums(z: LatticeData, nums: tuple[int, ...], den: int) -> tuple[
     return (unit - theta, *(mark * p for mark, [p] in zip(z.marks, simple)))
 
 
-def barycentric_coords(rs: RootSystem, xi: CartanVector) -> tuple[Fraction, ...]:
-    """Barycentric coordinates of xi against the alcove vertices.
-
-    t_j = mark_j * (a_j, xi) for j >= 1 and t_0 = 1 - (theta, xi); these sum
-    to one and are all nonnegative exactly on the alcove.
-    """
-    nums, den = common_denominator(_of_rank(rs, xi))
-    unit = rs.lattice.scale * den
-    return tuple(Fraction(t, unit) for t in _barycentric_nums(rs.lattice, nums, den))
-
-
 def open_faces(rs: RootSystem, nums: tuple[int, ...], den: int) -> list[int]:
     """The open faces of xi = nums / den with nums of length rank, in
-    increasing order; see `open_face_set`."""
+    increasing order: the indices j of the cover pieces containing xi, the
+    vertices whose barycentric coordinate at xi is strictly positive.  xi
+    lies in the level-1 alcove iff no coordinate is negative, and on its
+    boundary iff some coordinate is 0, that is iff fewer than rank + 1 faces
+    are open."""
     bary = _barycentric_nums(rs.lattice, nums, den)
     if min(bary) < 0:
         raise InputError("not-in-alcove", f"{','.join(format_ratio(n, den) for n in nums)}"
                          " lies outside the level-1 alcove")
     return [j for j, t in enumerate(bary) if t > 0]
 
-
-def open_face_set(rs: RootSystem, xi: CartanVector) -> frozenset[int]:
-    """Indices j of the cover pieces containing xi: the vertices whose
-    barycentric coordinate at xi is strictly positive.  xi lies in the
-    level-1 alcove iff no coordinate is negative, and on its boundary iff
-    some coordinate is 0, that is iff fewer than rank + 1 faces are open."""
-    return frozenset(open_faces(rs, *common_denominator(_of_rank(rs, xi))))
-
-
-def transition_weight(rs: RootSystem, i: int, j: int) -> CartanVector:
-    """Difference v_j - v_i of alcove vertices; the weight labeling the
-    transition line bundle between cover pieces i and j."""
-    model = alcove_vertices(rs)
-    m = len(model.vertices)
-    if not (0 <= i < m and 0 <= j < m):
-        raise InputError("invalid-vertex", f"vertex indices must be in 0..{m - 1}")
-    return vsub(model.vertices[j], model.vertices[i])

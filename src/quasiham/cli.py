@@ -35,7 +35,7 @@ from .alcove import (
     open_faces,
     weight_checks,
 )
-from .errors import InputError, ToolkitError
+from .errors import InputError, ToolkitError, built_here
 from .prequant import NOT_A_WEIGHT, class_level_test, torsion_level_admissible
 from .rational import common_denominator, format_rows, format_vector, parse_vector
 from .roots import (
@@ -246,10 +246,10 @@ def _run_cocycle(args) -> tuple[int, dict]:
     # one record of the accepted samples; each triple is one batched pair of
     # determinants over them, and a collapsed coefficient is a defect of one
     record = _spectral_record(phases, vecs)
-    worst = 0.0
-    for triple in combinations(range(1, args.n + 1), 3):
-        coeff = record.coefficient(*triple)
-        worst = max(worst, float(np.max(np.abs(np.abs(coeff) - 1.0))))
+    worst = float(np.max([np.max(np.abs(np.abs(record.coefficient(*triple)) - 1.0))
+                          for triple in combinations(range(1, args.n + 1), 3)]))
+    if not math.isfinite(worst):
+        raise ToolkitError("non-finite cocycle defect")
     tol = 1e-8 if args.tol is None else args.tol
     consistent = vertex_weight_consistency(args.n)
     payload = {
@@ -325,10 +325,11 @@ def _run_holonomy(args) -> tuple[int, dict]:
         flow = vecs * np.exp(-1j * np.sin(2 * np.pi * t) * mu)[:, None, :]
         return wound @ flow @ vecs.conj().T
 
-    residuals = {
-        n_steps: gauge_equivariance_residual(conn_fn, loop_fn, n_steps)
-        for n_steps in grids
-    }
+    with built_here():
+        residuals = {
+            n_steps: gauge_equivariance_residual(conn_fn, loop_fn, n_steps)
+            for n_steps in grids
+        }
     order = convergence_order(residuals)
     ok = abs(order - 2.0) <= 0.3
     payload = {

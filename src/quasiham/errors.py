@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class ToolkitError(Exception):
     """Base class for all toolkit rejections."""
@@ -17,3 +19,13 @@ class InputError(ToolkitError, ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
+
+
+@contextmanager
+def built_here():
+    """Run checks on data the package built itself: an InputError they raise
+    is a fault of the program, and is raised again as a ToolkitError."""
+    try:
+        yield
+    except InputError as exc:
+        raise ToolkitError(f"check failed on data the package built: {exc}") from exc

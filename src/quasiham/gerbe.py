@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 
 import numpy as np
 
 from .errors import InputError
-from .rational import CartanVector, vec
-from .sun import alcove_coordinates, alcove_order, check_special_unitary
+from .rational import CartanVector
+from .sun import alcove_order
 
 GAP_TOL = 1e-9
 
@@ -39,12 +40,6 @@ def _cover(lam: np.ndarray) -> frozenset[int]:
     return frozenset(int(i) + 1 for i in np.flatnonzero(strict))
 
 
-def cover_index_set(a: np.ndarray) -> frozenset[int]:
-    """Indices i in 1..n whose eigenvalue gap is strict: the cover pieces
-    containing the matrix."""
-    return _cover(alcove_coordinates(a))
-
-
 def eigenline_weight(n: int, i: int) -> CartanVector:
     """Weight of the i-th eigenline bundle: e_i - (1/n)(1, ..., 1)."""
     if not 1 <= i <= n:
@@ -57,18 +52,20 @@ def eigenline_weight(n: int, i: int) -> CartanVector:
 @lru_cache(maxsize=None)
 def vertex_weight_consistency(n: int) -> bool:
     """Check that partial sums of the eigenline weights reproduce the alcove
-    vertices of the rank n-1 simplex (index n giving the origin)."""
+    vertices of the rank n-1 simplex (index n giving the origin), on
+    numerators: n times the eigenline weight i is n e_i - (1, ..., 1), and a
+    vertex over den embeds in R^n as the differences of its padded
+    numerators."""
     from .alcove import alcove_vertices
-    from .roots import LieType, a_series_embedding, build_root_system
+    from .roots import LieType, build_root_system
 
-    rs = build_root_system(LieType("A", n - 1))
-    model = alcove_vertices(rs)
-    for i in range(1, n + 1):
-        total = vec(*([0] * n))
-        for k in range(1, i + 1):
-            total = tuple(t + w for t, w in zip(total, eigenline_weight(n, k)))
-        vertex = model.vertices[i % n]
-        if a_series_embedding(rs, vertex) != total:
+    model = alcove_vertices(build_root_system(LieType("A", n - 1)))
+    total = [0] * n
+    for i in range(n):
+        total = [t + n * (m == i) - 1 for m, t in enumerate(total)]
+        v = model.nums[(i + 1) % n]
+        flat = map(sub, v + (0,), (0,) + v)
+        if any(a * n != t * model.den for a, t in zip(flat, total)):
             return False
     return True
 
@@ -109,19 +106,6 @@ class SpectralRecord:
         out = np.linalg.det(full @ both) / np.linalg.det(full @ self.bases[i, k])
         return complex(out) if out.ndim == 0 else out
 
-    def check(self, i: int, j: int, k: int) -> tuple:
-        """The coefficient and whether it witnesses an isomorphism (nonzero
-        well above rounding), per matrix of the stack."""
-        coeff = self.coefficient(i, j, k)
-        return coeff, abs(coeff) > 1e-8
-
-
-def spectral_record(a: np.ndarray) -> SpectralRecord:
-    """The record of a matrix or a stack of them: one validation, one
-    batched eigendecomposition and one batched QR per pair of cover pieces,
-    shared by every determinant line and cocycle triple on the stack."""
-    return _spectral_record(*_ordered_eig(check_special_unitary(a)))
-
 
 def _ordered_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The alcove phases of special unitary matrices and their eigenvectors
@@ -142,8 +126,3 @@ def _spectral_record(lam: np.ndarray, vecs: np.ndarray) -> SpectralRecord:
     bases = {(i, j): np.linalg.qr(vecs[..., i:j])[0] for i in cover for j in cover if i < j}
     return SpectralRecord(phases=lam, cover=cover, bases=bases)
 
-
-def cocycle_check(a: np.ndarray, i: int, j: int, k: int) -> tuple[complex, bool]:
-    """The wedge-pairing coefficient and whether it witnesses an isomorphism
-    (nonzero well above rounding)."""
-    return spectral_record(a).check(i, j, k)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ToolkitError
 from .sun import check_algebra, check_special_unitary, complex_pairs, expm_skew, project_algebra
 
 
@@ -58,6 +58,8 @@ def holonomy(conn: PiecewiseConnection) -> np.ndarray:
         if len(steps) % 2:
             steps = np.concatenate([steps, np.eye(steps.shape[-1])[None]])
         steps = steps[0::2] @ steps[1::2]
+    if not np.all(np.isfinite(steps[0])):
+        raise ToolkitError("non-finite holonomy")
     return steps[0]
 
 
@@ -80,11 +82,6 @@ def gauge_transform(loop: np.ndarray, samples: np.ndarray) -> np.ndarray:
     # The discretized derivative term sits O(h^2) off the algebra;
     # projecting it back removes pure discretization noise.
     return gs @ samples @ ginv - project_algebra(dg @ ginv)
-
-
-def constant_connection(xi: np.ndarray, steps: int) -> PiecewiseConnection:
-    check_algebra(xi)
-    return PiecewiseConnection(samples=np.broadcast_to(xi, (steps,) + np.shape(xi)))
 
 
 def midpoint_grid(steps: int) -> np.ndarray:

@@ -1,13 +1,13 @@
-"""Exact rational vectors and small exact linear algebra.
+"""Exact rationals: parsing, clearing denominators, formatting, and an
+integer matrix inverse.
 
-No floating point enters any membership decision.  Public vectors are plain
-tuples of Fractions so they hash, compare, and serialize cheaply; the
-lattice tests clear denominators first (`common_denominator`) and run on
-integers, and `integer_inverse` inverts an integer matrix without Fractions.
-Vectors born as integers stay so: the level-k weights, the alcove vertices
-and the transition weights are computed, checked and formatted as numerators
-over one denominator, and never pass through `common_denominator`.  A parsed
-vector is cleared once and stays integer from there (`format_rows` writes it).
+No floating point enters any membership decision.  A parsed vector is a
+tuple of Fractions; it is cleared to integer numerators over one denominator
+once (`common_denominator`) and stays integer from there.  Vectors born as
+integers, the level-k weights, the alcove vertices and the transition
+weights, are computed, checked and written (`format_rows`) as numerators over
+one denominator, and `integer_inverse` inverts an integer matrix without
+Fractions.
 """
 
 from __future__ import annotations
@@ -16,42 +16,12 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError
 
 CartanVector = tuple[Fraction, ...]
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
-
-
-def vec(*entries) -> CartanVector:
-    """Build a CartanVector from ints, Fractions, or 'p/q' strings."""
-    return tuple(Fraction(e) for e in entries)
-
-
-def zero(n: int) -> CartanVector:
-    return (Fraction(0),) * n
-
-
-def vadd(x: CartanVector, y: CartanVector) -> CartanVector:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def vsub(x: CartanVector, y: CartanVector) -> CartanVector:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
-def scale(r, x: CartanVector) -> CartanVector:
-    r = Fraction(r)
-    return tuple(r * a for a in x)
-
-
-def dot(x: CartanVector, y: CartanVector) -> Fraction:
-    return sum((a * b for a, b in zip(x, y, strict=True)), Fraction(0))
-
-
-def matvec(m: Sequence[Sequence[Fraction]], x: CartanVector) -> CartanVector:
-    return tuple(dot(tuple(row), x) for row in m)
 
 
 def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -93,13 +63,6 @@ def common_denominator(x: CartanVector) -> tuple[tuple[int, ...], int]:
     return tuple(a.numerator * (den // a.denominator) for a in x), den
 
 
-def denominator_lcm(xs: Iterable[Fraction]) -> int:
-    out = 1
-    for x in xs:
-        out = lcm(out, Fraction(x).denominator)
-    return out
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or plain integer strings; reject anything else."""
     try:
@@ -116,12 +79,8 @@ def parse_vector(text: str) -> CartanVector:
     return tuple(parse_rational(p) for p in parts)
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x if type(x) is Fraction else Fraction(x))
-
-
 def format_vector(x: CartanVector) -> list[str]:
-    return [format_rational(a) for a in x]
+    return [str(Fraction(a)) for a in x]
 
 
 def format_ratio(n: int, den: int) -> str:

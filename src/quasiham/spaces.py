@@ -34,7 +34,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InputError, ToolkitError
+from .errors import InputError, ToolkitError, built_here
 from .sun import (
     basic_gram,
     basic_inner,
@@ -530,7 +530,11 @@ def _cocycle_residuals(space: QSpace, m, f, fd_step: float) -> np.ndarray:
 
 def _rank(svals: np.ndarray, ref: np.ndarray) -> tuple:
     """Per row of svals, relative to its reference value ref: how many exceed
-    RANK_CUTOFF (none if ref <= KERNEL_FLOOR), and whether one is in the band."""
+    RANK_CUTOFF (none if ref <= KERNEL_FLOOR), and whether one is in the band.
+    A NaN would count as neither, so a value that is not finite, which only a
+    failed primitive gives, is an error."""
+    if not np.all(np.isfinite(svals)):
+        raise ToolkitError("non-finite singular values")
     live, ref = ref > KERNEL_FLOOR, ref[..., None]
     rank = np.where(live, np.sum(svals > RANK_CUTOFF * ref, axis=-1), 0)
     band = (svals >= RANK_CUTOFF * ref) & (svals < DECIDED_GAP * ref)
@@ -693,8 +697,11 @@ def reduction_rank(space: QSpace, m) -> int:
     if np.max(np.abs(psi - np.eye(space.n))) >= 1e-8:
         raise InputError("not-identity-level", "moment value is not the identity")
     # realvec is an isometry of su(n), so the rank is that of its coordinates
-    jacobian = realvec(space.structure(m, space._basis(m)).left[0][None])
-    svals = np.linalg.svd(jacobian, compute_uv=False)
+    rec = space.structure(m, space._basis(m))
+    svals = np.linalg.svd(realvec(rec.left[0][None]), compute_uv=False)
+    # the record is one computation: a NaN anywhere in it is a failed primitive
+    if not (np.all(np.isfinite(svals)) and np.all(np.isfinite(rec.omega))):
+        raise ToolkitError("non-finite moment differential")
     if svals.size == 0 or svals[0] <= 1e-9:
         return 0
     return int(np.sum(svals > RANK_CUTOFF * svals[0]))
@@ -744,8 +751,9 @@ def sphere4_equivariance_residual(samples: int = 100, seed: int = 0) -> float:
     p = draws[:, :5] / np.linalg.norm(draws[:, :5], axis=1, keepdims=True)
     z, t = p[:, 0:4:2] + 1j * p[:, 1:4:2], p[:, 4]
     g = expm_skew(project_algebra((draws[:, 5:9] + 1j * draws[:, 9:]).reshape(samples, 2, 2)))
-    lhs = sphere4_moment(*sphere4_act(g, z, t))
-    rhs = g @ sphere4_moment(z, t) @ g.conj().swapaxes(-1, -2)
+    with built_here():
+        lhs = sphere4_moment(*sphere4_act(g, z, t))
+        rhs = g @ sphere4_moment(z, t) @ g.conj().swapaxes(-1, -2)
     worst = float(np.max(np.abs(lhs - rhs), initial=0.0))
     if not np.isfinite(worst):
         raise ToolkitError("non-finite sphere4 residual")

@@ -39,7 +39,7 @@ def check_special_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray
     n = a.shape[-1]
     defect = np.max(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(n)), initial=0.0)
     det_defect = np.max(np.abs(np.linalg.det(a) - 1.0), initial=0.0)
-    if defect >= tol or det_defect >= tol:
+    if not (defect < tol and det_defect < tol):  # NaN fails
         raise InputError(
             "not-special-unitary",
             f"unitarity defect {defect:.2e}, det defect {det_defect:.2e}",

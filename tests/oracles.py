@@ -1,13 +1,187 @@
 """Reference implementations the tests check the package against: exact
-linear algebra over Fractions, and the realified su(n) operators that the
-eigenbasis formulas of the spaces replaced."""
+linear algebra and the alcove, lattice and pre-quantization tests over
+Fractions, the one-matrix gerbe helpers and the constant connection of the
+acceptance tests, and the realified su(n) operators that the eigenbasis
+formulas of the spaces replaced."""
 
 from fractions import Fraction
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
+from quasiham.errors import InputError
+from quasiham.gerbe import _cover, _ordered_eig, _spectral_record
+from quasiham.holonomy import PiecewiseConnection
+from quasiham.prequant import NOT_A_WEIGHT
+from quasiham.rational import format_vector
 from quasiham.spaces import RANK_CUTOFF, _lift, _rank, realvec, unrealvec
-from quasiham.sun import _basis_stack
+from quasiham.sun import _basis_stack, alcove_coordinates, check_algebra, check_special_unitary
+
+
+def vec(*entries):
+    """A vector of Fractions from ints, Fractions or 'p/q' strings."""
+    return tuple(Fraction(e) for e in entries)
+
+
+def zero(n):
+    return (Fraction(0),) * n
+
+
+def vadd(x, y):
+    return tuple(a + b for a, b in zip(x, y, strict=True))
+
+
+def vsub(x, y):
+    return tuple(a - b for a, b in zip(x, y, strict=True))
+
+
+def scale(r, x):
+    return tuple(Fraction(r) * a for a in x)
+
+
+def dot(x, y):
+    return sum((a * b for a, b in zip(x, y, strict=True)), Fraction(0))
+
+
+def matvec(m, x):
+    return tuple(sum((a * b for a, b in zip(row, x, strict=True) if a), Fraction(0)) for row in m)
+
+
+def fractions(record):
+    """The vectors of an AlcoveModel or a LevelWeightSet, nums / den
+    entrywise."""
+    exact = {a: Fraction(a, record.den) for v in record.nums for a in v}
+    return tuple(tuple(map(exact.__getitem__, v)) for v in record.nums)
+
+
+def fundamental_weights(rs):
+    """Row i of the inverse Cartan matrix: the simple-root coordinates of w_i."""
+    z = rs.lattice
+    return tuple(tuple(Fraction(c, z.det) for c in row) for row in z.inverse_cartan)
+
+
+def root_pairings(rs, x):
+    """(a_i, x) for every simple root: the Gram matrix times x."""
+    if len(x) != rs.rank:
+        raise InputError("dimension-mismatch", f"expected length {rs.rank}")
+    return matvec(rs.gram, x)
+
+
+def coroot_pairing(rs, x, i):
+    """(x, a_i^v) = 2(x, a_i)/(a_i, a_i) for the i-th simple root."""
+    return 2 * root_pairings(rs, x)[i] / rs.gram[i][i]
+
+
+def fundamental_weight_coords(rs, mu):
+    """Coordinates of mu against the fundamental weights: m_i = (mu, a_i^v)."""
+    return tuple(2 * p / rs.gram[i][i] for i, p in enumerate(root_pairings(rs, mu)))
+
+
+def reflect(rs, v, i):
+    """Simple reflection s_i(v) = v - (v, a_i^v) a_i."""
+    c = coroot_pairing(rs, v, i)
+    return tuple(a - (c if m == i else 0) for m, a in enumerate(v))
+
+
+def weight_lattice_contains(rs, mu):
+    """True iff (mu, a_i^v) is an integer for every simple root."""
+    return all(c.denominator == 1 for c in fundamental_weight_coords(rs, mu))
+
+
+def alcove_contains(rs, xi, k):
+    """Membership of xi in the closed level-k alcove: (a_i, xi) >= 0 for
+    every simple root and (theta, xi) <= k."""
+    if k <= 0:
+        raise InputError("invalid-level", f"level must be positive, got {k}")
+    pairings = root_pairings(rs, xi)
+    return min(pairings) >= 0 and dot(rs.highest_root, pairings) <= k
+
+
+def barycentric_coords(rs, xi):
+    """t_0 = 1 - (theta, xi) and t_j = mark_j (a_j, xi): the barycentric
+    coordinates of xi against the alcove vertices."""
+    pairings = root_pairings(rs, xi)
+    return (1 - dot(rs.highest_root, pairings), *(m * p for m, p in zip(rs.marks, pairings)))
+
+
+def open_face_set(rs, xi):
+    """The vertices whose barycentric coordinate at xi is positive, for xi
+    in the level-1 alcove."""
+    bary = barycentric_coords(rs, xi)
+    if min(bary) < 0:
+        raise InputError("not-in-alcove",
+                         f"{','.join(format_vector(xi))} lies outside the level-1 alcove")
+    return frozenset(j for j, t in enumerate(bary) if t > 0)
+
+
+def transition_weight(rs, i, j):
+    """The difference v_j - v_i of alcove vertices."""
+    from quasiham.alcove import alcove_vertices
+
+    vertices = fractions(alcove_vertices(rs))
+    return vsub(vertices[j], vertices[i])
+
+
+class Verdict(NamedTuple):
+    answer: bool
+    witness: object  # the weight k*xi, or NOT_A_WEIGHT
+
+
+def class_prequantizable(rs, xi, k):
+    """The level-k test in Fractions: xi must lie in the alcove, and the
+    class passes iff k*xi is a weight; errors as class_level_test's."""
+    if k < 1:
+        raise InputError("invalid-level", f"level must be >= 1, got {k}")
+    if not alcove_contains(rs, xi, 1):
+        raise InputError("not-in-alcove", f"{','.join(format_vector(xi))} is not a "
+                         "conjugacy-class parameter (outside the alcove)")
+    weight = scale(k, xi)
+    if weight_lattice_contains(rs, weight):
+        return Verdict(True, weight)
+    return Verdict(False, NOT_A_WEIGHT)
+
+
+def fusion_prequantizable(verdicts):
+    """A fusion product is pre-quantizable iff every factor is; the empty
+    product of doubles passes."""
+    return all(v.answer for v in verdicts)
+
+
+def a_series_from_euclidean(rs, x):
+    """Inverse of a_series_embedding: the partial sums of x."""
+    if sum(x) != 0:
+        raise InputError("nonzero-sum", "eigenvalue coordinates must sum to zero")
+    return tuple(accumulate(x[:-1]))
+
+
+def spectral_record(a):
+    """The record of a matrix or a stack of them from one validation and
+    one eig."""
+    return _spectral_record(*_ordered_eig(check_special_unitary(a)))
+
+
+def record_check(record, i, j, k):
+    """The coefficient and whether it witnesses an isomorphism (nonzero
+    well above rounding), per matrix of the stack."""
+    coeff = record.coefficient(i, j, k)
+    return coeff, abs(coeff) > 1e-8
+
+
+def cocycle_check(a, i, j, k):
+    return record_check(spectral_record(a), i, j, k)
+
+
+def cover_index_set(a):
+    """Indices i in 1..n whose eigenvalue gap is strict: the cover pieces
+    containing the matrix."""
+    return _cover(alcove_coordinates(a))
+
+
+def constant_connection(xi, steps):
+    """The connection xi dt on a grid of the given number of steps."""
+    check_algebra(xi)
+    return PiecewiseConnection(samples=np.broadcast_to(xi, (steps,) + np.shape(xi)))
 
 
 def solve(m, rhs):

@@ -8,21 +8,18 @@ from pathlib import Path
 
 import pytest
 
+from quasiham import alcove
 from quasiham.alcove import (
-    alcove_contains,
     alcove_vertices,
-    barycentric_coords,
-    fundamental_weight_coords,
     level_weights,
     minimal_integral_level,
-    open_face_set,
-    transition_weight,
+    open_faces,
     weight_checks,
-    weight_lattice_contains,
+    weight_count,
 )
 from quasiham.cli import dispatch, render
 from quasiham.errors import InputError
-from quasiham.rational import format_vector, matvec, vadd, vec, vsub, zero
+from quasiham.rational import format_vector
 from quasiham.roots import (
     LieType,
     a_series_embedding,
@@ -36,7 +33,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from check import digest, load_snapshot  # noqa: E402
 from workloads import LEVELS, TABLE_TYPES  # noqa: E402
 
-from oracles import solve  # noqa: E402
+from oracles import (  # noqa: E402
+    alcove_contains,
+    barycentric_coords,
+    fractions,
+    fundamental_weight_coords,
+    fundamental_weights,
+    matvec,
+    open_face_set,
+    solve,
+    transition_weight,
+    vadd,
+    vec,
+    vsub,
+    weight_lattice_contains,
+    zero,
+)
 
 ALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "D4", "E6", "E7", "F4", "G2"]
 
@@ -49,9 +61,9 @@ def rs_of(name):
 def test_vertex_defining_equations(name):
     rs = rs_of(name)
     model = alcove_vertices(rs)
-    assert len(model.vertices) == rs.rank + 1
-    assert model.vertices[0] == zero(rs.rank)
-    for j, v in enumerate(model.vertices[1:], start=1):
+    assert len(fractions(model)) == rs.rank + 1
+    assert fractions(model)[0] == zero(rs.rank)
+    for j, v in enumerate(fractions(model)[1:], start=1):
         for i in range(rs.rank):
             pairing = inner_product(rs, rs.simple_roots[i], v)
             if i != j - 1:
@@ -69,18 +81,18 @@ def test_su_n_vertex_formula(n):
         expected = tuple(
             (Q(1) if k < i else Q(0)) - Q(i, n) for k in range(n)
         )
-        assert a_series_embedding(rs, model.vertices[i]) == expected
+        assert a_series_embedding(rs, fractions(model)[i]) == expected
 
 
 def test_alcove_contains_examples():
+    # membership of the Fraction oracle, and the boundary flag of the
+    # integer open faces: a point is on the boundary iff a face is closed
     a1 = rs_of("A1")
-    inside = alcove_contains(a1, vec("1/4"), 1)
-    assert inside.contains and not inside.boundary
-    out = alcove_contains(a1, vec("3/4"), 1)
-    assert not out.contains
-    assert alcove_contains(a1, vec("3/4"), 2).contains
-    origin = alcove_contains(rs_of("G2"), vec(0, 0), 1)
-    assert origin.contains and origin.boundary
+    assert alcove_contains(a1, vec("1/4"), 1) and open_faces(a1, (1,), 4) == [0, 1]
+    assert not alcove_contains(a1, vec("3/4"), 1)
+    assert alcove_contains(a1, vec("3/4"), 2)
+    g2 = rs_of("G2")
+    assert alcove_contains(g2, vec(0, 0), 1) and open_faces(g2, (0, 0), 1) == [0]
     with pytest.raises(InputError) as err:
         alcove_contains(a1, vec("1/4"), 0)
     assert err.value.code == "invalid-level"
@@ -100,7 +112,7 @@ def brute_force_level_weights(rs, k):
     span = range(-k - 2, k + 3)
     for coeffs in itertools.product(span, repeat=rs.rank):
         w = zero(rs.rank)
-        for c, fw in zip(coeffs, rs.fundamental_weights):
+        for c, fw in zip(coeffs, fundamental_weights(rs)):
             w = vadd(w, tuple(Q(c) * f for f in fw))
         if not weight_lattice_contains(rs, w):
             continue
@@ -108,7 +120,7 @@ def brute_force_level_weights(rs, k):
             if all(x == 0 for x in w):
                 out.add(w)
             continue
-        if alcove_contains(rs, w, k).contains:
+        if alcove_contains(rs, w, k):
             out.add(w)
     return out
 
@@ -116,8 +128,8 @@ def brute_force_level_weights(rs, k):
 @pytest.mark.parametrize("k", range(0, 11))
 def test_a1_level_weight_counts(k):
     lws = level_weights(rs_of("A1"), k)
-    assert len(lws.weights) == k + 1
-    assert set(lws.weights) == brute_force_level_weights(rs_of("A1"), k)
+    assert len(fractions(lws)) == k + 1
+    assert set(fractions(lws)) == brute_force_level_weights(rs_of("A1"), k)
 
 
 @pytest.mark.parametrize(
@@ -127,32 +139,54 @@ def test_a1_level_weight_counts(k):
 def test_level_weights_match_brute_force(name, k):
     rs = rs_of(name)
     lws = level_weights(rs, k)
-    assert set(lws.weights) == brute_force_level_weights(rs, k)
-    assert list(lws.weights) == sorted(lws.weights)
+    assert set(fractions(lws)) == brute_force_level_weights(rs, k)
+    assert list(fractions(lws)) == sorted(fractions(lws))
 
 
 def test_a2_level_one_count():
-    assert len(level_weights(rs_of("A2"), 1).weights) == 3
+    assert len(fractions(level_weights(rs_of("A2"), 1))) == 3
 
 
 def test_a2_level_counts_closed_form():
     # dominant weights with m1 + m2 <= k form a triangle
     for k in range(0, 7):
-        assert len(level_weights(rs_of("A2"), k).weights) == (k + 1) * (k + 2) // 2
+        assert len(fractions(level_weights(rs_of("A2"), k))) == (k + 1) * (k + 2) // 2
+
+
+def test_weight_count_is_the_enumerated_count():
+    for name, ks in LEVELS.items():
+        rs = rs_of(name)
+        for k in (0,) + ks[:4]:
+            assert weight_count(rs.comarks, k) == len(level_weights(rs, k).nums), (name, k)
+
+
+def test_weight_bound_refuses_only_what_is_above_it(monkeypatch):
+    # a cost of 40 leaves 10 weights at rank 2: A2 has 10 at level 3 and 15
+    # at level 4, and G2 9 at level 4.  Counting the weights of A2 at level
+    # 10**40 would allocate a list of that length: the bound refuses it first
+    monkeypatch.setattr(alcove, "MAX_WEIGHT_COST", 40)
+    assert len(level_weights(rs_of("A2"), 3).nums) == 10
+    for name, k, cap in (("A2", 4, 10), ("G2", 4, 5), ("A2", 10**40, 10)):
+        monkeypatch.setattr(alcove, "MAX_WEIGHT_COST", 4 * cap)
+        with pytest.raises(InputError) as err:
+            level_weights(rs_of(name), k)
+        assert err.value.code == "too-many-weights"
+        assert str(err.value) == (f"too-many-weights: {name} at level {k} has over {cap} "
+                                  "weights, the most enumerated at rank 2")
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_level_zero_is_origin_only(name):
     rs = rs_of(name)
-    assert level_weights(rs, 0).weights == (zero(rs.rank),)
+    assert fractions(level_weights(rs, 0)) == (zero(rs.rank),)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_level_weights_monotone_inclusion(name):
     rs = rs_of(name)
     for k in range(0, 4):
-        smaller = set(level_weights(rs, k).weights)
-        larger = set(level_weights(rs, k + 1).weights)
+        smaller = set(fractions(level_weights(rs, k)))
+        larger = set(fractions(level_weights(rs, k + 1)))
         assert smaller <= larger
 
 
@@ -172,7 +206,7 @@ def test_minimal_integral_level(name, expected):
     for k in range(1, 200):
         if all(
             weight_lattice_contains(rs, tuple(Q(k) * c for c in v))
-            for v in model.vertices
+            for v in fractions(model)
         ):
             found = k
             break
@@ -190,7 +224,7 @@ def test_open_face_set_examples():
     assert open_face_set(a2, vec(0, 0)) == frozenset({0})
     model = alcove_vertices(a2)
     bary = zero(2)
-    for v in model.vertices:
+    for v in fractions(model):
         bary = vadd(bary, tuple(c / 3 for c in v))
     assert open_face_set(a2, bary) == frozenset({0, 1, 2})
     a1 = rs_of("A1")
@@ -205,7 +239,7 @@ def test_facet_point_misses_opposite_vertex():
     model = alcove_vertices(a2)
     # midpoint of the edge from vertex 0 to vertex 1 sits on the facet
     # opposite vertex 2
-    mid = tuple(c / 2 for c in model.vertices[1])
+    mid = tuple(c / 2 for c in fractions(model)[1])
     faces = open_face_set(a2, mid)
     assert faces == frozenset({0, 1})
 
@@ -218,10 +252,10 @@ def test_interior_points_lie_in_every_face_set(name):
     all_faces = frozenset(range(rs.rank + 1))
     for _ in range(20):
         # strictly positive rational barycentric weights give interior points
-        weights = [Q(rng.randint(1, 5), rng.choice([1, 2, 3])) for _ in model.vertices]
+        weights = [Q(rng.randint(1, 5), rng.choice([1, 2, 3])) for _ in fractions(model)]
         total = sum(weights)
         point = zero(rs.rank)
-        for t, v in zip(weights, model.vertices):
+        for t, v in zip(weights, fractions(model)):
             point = vadd(point, tuple(t / total * c for c in v))
         assert open_face_set(rs, point) == all_faces
 
@@ -233,7 +267,7 @@ def test_single_facet_point_misses_exactly_one(name):
     for off in range(rs.rank + 1):
         # equal-weight combination of all vertices except one lands in the
         # relative interior of the facet opposite that vertex
-        others = [v for j, v in enumerate(model.vertices) if j != off]
+        others = [v for j, v in enumerate(fractions(model)) if j != off]
         point = zero(rs.rank)
         for v in others:
             point = vadd(point, tuple(Q(1, len(others)) * c for c in v))
@@ -247,7 +281,7 @@ def _random_rational_vector(rng, rank):
 
 def _barycentric_by_solving(rs, xi):
     model = alcove_vertices(rs)
-    cols = [model.vertices[j] for j in range(1, rs.rank + 1)]
+    cols = [fractions(model)[j] for j in range(1, rs.rank + 1)]
     matrix = [[cols[j][i] for j in range(rs.rank)] for i in range(rs.rank)]
     t = solve(matrix, xi)
     return (Q(1) - sum(t),) + tuple(t)
@@ -268,14 +302,17 @@ def test_alcove_contains_agrees_with_barycentric_signs():
     for _ in range(1000):
         xi = _random_rational_vector(rng, 2)
         bary = _barycentric_by_solving(rs, xi)
-        assert alcove_contains(rs, xi, 1).contains == all(t >= 0 for t in bary)
+        assert alcove_contains(rs, xi, 1) == all(t >= 0 for t in bary)
 
 
 def test_transition_weights():
+    # the integer numerators of the vertices verb against Fraction differences
     a2 = rs_of("A2")
-    assert transition_weight(a2, 1, 2) == vsub(
-        alcove_vertices(a2).vertices[2], alcove_vertices(a2).vertices[1]
-    )
+    moves = alcove_vertices(a2).to_json()["transition_weights"]
+    vertices = fractions(alcove_vertices(a2))
+    assert moves == {f"{i},{j}": format_vector(vsub(vertices[j], vertices[i]))
+                     for i, j in itertools.combinations(range(3), 2)}
+    assert moves["1,2"] == format_vector(transition_weight(a2, 1, 2))
     assert a_series_embedding(a2, transition_weight(a2, 1, 2)) == vec("-1/3", "2/3", "-1/3")
     assert transition_weight(a2, 1, 1) == zero(2)
     for i, j in itertools.product(range(3), repeat=2):
@@ -285,8 +322,6 @@ def test_transition_weights():
     for i, j, k in itertools.product(range(3), repeat=3):
         assert vadd(transition_weight(a2, i, j), transition_weight(a2, j, k)) == \
             transition_weight(a2, i, k)
-    with pytest.raises(InputError):
-        transition_weight(a2, 0, 5)
 
 
 def test_json_shapes():
@@ -345,7 +380,7 @@ def fraction_level_weights(rs, k):
     r = rs.rank
     ct = [[Q(rs.cartan_matrix[m][j]) for m in range(r)] for j in range(r)]
     fundamental = [solve(ct, tuple(Q(int(j == i)) for j in range(r))) for i in range(r)]
-    comarks = [a * d for a, d in zip(rs.highest_root, rs.root_halves)]
+    comarks = [a * rs.gram[i][i] / 2 for i, a in enumerate(rs.highest_root)]
     weights = []
 
     def descend(i, partial, budget):
@@ -365,7 +400,7 @@ def fraction_level_weights(rs, k):
 @pytest.mark.parametrize("name,k", ORACLE_CASES)
 def test_level_weights_match_fraction_oracle(name, k):
     rs = rs_of(name)
-    assert list(level_weights(rs, k).weights) == fraction_level_weights(rs, k)
+    assert list(fractions(level_weights(rs, k))) == fraction_level_weights(rs, k)
 
 
 # Every level of the benchmark's pool, plus small levels of A1 and A2.
@@ -385,9 +420,9 @@ def test_integer_weight_set_matches_fraction_path(name, k):
     z = rs.lattice
     lws = level_weights(rs, k)
     assert lws.den == z.det and lws.nums == tuple(sorted(lws.nums))
-    assert list(lws.weights) == fraction_level_weights(rs, k)
-    assert lws.to_json()["weights"] == [format_vector(w) for w in lws.weights]
-    assert lws.to_json()["count"] == len(lws.weights)
+    assert list(fractions(lws)) == fraction_level_weights(rs, k)
+    assert lws.to_json()["weights"] == [format_vector(w) for w in fractions(lws)]
+    assert lws.to_json()["count"] == len(fractions(lws))
     assert weight_checks(z, lws.nums, lws.den, k) == (True, True)
     negated = [tuple(-a for a in nums) for nums in lws.nums]
     shifted = [(nums[0] + 1,) + nums[1:] for nums in lws.nums]
@@ -399,7 +434,7 @@ def test_integer_weight_set_matches_fraction_path(name, k):
             is_weight, in_alcove = weight_checks(z, [n], d, k)
             assert is_weight == weight_lattice_contains(rs, xi)
             if k >= 1:
-                assert in_alcove == alcove_contains(rs, xi, k).contains
+                assert in_alcove == alcove_contains(rs, xi, k)
             else:
                 assert in_alcove == all(a == 0 for a in n)
             singles.append((is_weight, in_alcove))
@@ -430,7 +465,7 @@ def test_level_weights_verb_makes_no_fraction_check(monkeypatch):
 def test_minimal_level_is_lcm_of_comarks(name):
     rs = rs_of(name)
     comarks = [int(c) for c in rs.comarks]
-    assert comarks == [a * d for a, d in zip(rs.highest_root, rs.root_halves)]
+    assert comarks == [a * rs.gram[i][i] / 2 for i, a in enumerate(rs.highest_root)]
     assert minimal_integral_level(rs) == math.lcm(*comarks)
 
 
@@ -438,7 +473,7 @@ def test_minimal_level_is_lcm_of_comarks(name):
 def test_vertices_solve_their_defining_systems(name):
     rs = rs_of(name)
     theta_row = matvec(rs.gram, rs.highest_root)
-    vertices = alcove_vertices(rs).vertices
+    vertices = fractions(alcove_vertices(rs))
     for j in range(rs.rank):
         rows = [theta_row if i == j else rs.gram[i] for i in range(rs.rank)]
         rhs = tuple(Q(int(i == j)) for i in range(rs.rank))

@@ -24,17 +24,21 @@ import quasiham
 from quasiham import alcove, cli
 from quasiham.alcove import LevelWeightSet
 from quasiham.cli import MAX_GRID, MAX_SAMPLES, _HANDLERS, build_parser, dispatch, main, render
-from quasiham.alcove import barycentric_coords
 from quasiham.errors import InputError, ToolkitError
-from quasiham.prequant import (
-    class_prequantizable,
-    fusion_prequantizable,
-    torsion_level_admissible,
-)
+from quasiham.prequant import torsion_level_admissible
 from quasiham.rational import format_vector, parse_vector
-from quasiham.roots import LieType, a_series_embedding, a_series_from_euclidean, build_root_system
+from quasiham.roots import MAX_RANK, LieType, a_series_embedding, build_root_system
 from quasiham.serialize import matrix_from_json
 from quasiham.sun import complex_pairs
+
+from oracles import (
+    a_series_from_euclidean,
+    barycentric_coords,
+    class_prequantizable,
+    fractions,
+    fundamental_weights,
+    fusion_prequantizable,
+)
 
 
 def test_table_verb():
@@ -269,8 +273,8 @@ def test_level_weights_validation_can_fail(monkeypatch, capsys, factor, message)
     nums, times = FAKE_NUMERATORS[factor]
     fake = LevelWeightSet(rs=rs, level=1, nums=nums, den=times * z.det)
     factors = sorted([Fraction(0)] + [Fraction(f) for f in factor.split(",")])
-    assert fake.weights == tuple(tuple(f * c for c in rs.fundamental_weights[0])
-                                 for f in factors)
+    assert fractions(fake) == tuple(tuple(f * c for c in fundamental_weights(rs)[0])
+                                    for f in factors)
     if factor.startswith("-1"):
         assert all(sum(t * n for t, n in zip(z.theta_row, w)) <= z.scale * fake.den
                    for w in nums)
@@ -492,6 +496,12 @@ TOO_LARGE = [
     (["verify", "--space", "eta_su2", "--samples", HUGE], "too-many-samples"),
     (["verify", "--space", "double", "--n", "2", "--axiom", "moment", "--samples", HUGE],
      "too-many-samples"),
+    # 48,903,492 weights, a MemoryError under a 1.5 GB address-space limit
+    (["level-weights", "--type", "A8", "--level", "30"], "too-many-weights"),
+    (["level-weights", "--type", "E8", "--level", HUGE], "too-many-weights"),
+    # the root closure grows as rank^3: A160 took 8 s
+    (["vertices", "--type", "A160"], "rank-too-large"),
+    (["check-class", "--type", "A100000", "--xi", "0", "--level", "1"], "rank-too-large"),
 ]
 
 
@@ -508,7 +518,8 @@ def test_largest_accepted_sizes_run():
     # the bounds reject only what is above them
     for argv in (["cocycle", "--n", "16", "--samples", "2"],
                  ["holonomy-convergence", "--n", "2", "--grids", f"8,{MAX_GRID}"],
-                 ["verify", "--space", "sphere4", "--samples", str(MAX_SAMPLES)]):
+                 ["verify", "--space", "sphere4", "--samples", str(MAX_SAMPLES)],
+                 ["vertices", "--type", f"A{MAX_RANK}"]):
         assert dispatch(argv)[0] in (0, 1), argv
 
 
@@ -560,13 +571,13 @@ INPUT_ERROR_TAGS = {
     "degenerate-fit", "dimension-mismatch", "empty-grid", "empty-vector", "grid-mismatch",
     "grid-too-large", "group-size-mismatch", "invalid-genus", "invalid-grids", "invalid-index",
     "invalid-level", "invalid-rank", "invalid-samples", "invalid-series", "invalid-side",
-    "invalid-step", "invalid-tolerance", "invalid-torsion", "invalid-type", "invalid-vertex",
-    "io-error", "malformed-connection", "malformed-json", "malformed-matrix",
-    "malformed-rational", "missing-argument", "mixed-levels", "nonzero-sum", "not-a-pair-space",
-    "not-a-root", "not-a-series", "not-algebra", "not-g-valued", "not-identity-level",
-    "not-in-alcove", "not-special-unitary", "not-square", "not-tangent", "off-sphere",
-    "outside-cover", "space-too-large", "too-many-samples", "undecided-sample", "unknown-axiom",
-    "unknown-space", "unsupported-axiom",
+    "invalid-step", "invalid-tolerance", "invalid-torsion", "invalid-type", "io-error",
+    "malformed-connection", "malformed-json", "malformed-matrix", "malformed-rational",
+    "missing-argument", "nonzero-sum", "not-a-pair-space", "not-a-root", "not-a-series",
+    "not-algebra", "not-g-valued", "not-identity-level", "not-in-alcove", "not-special-unitary",
+    "not-square", "not-tangent", "off-sphere", "outside-cover", "rank-too-large",
+    "space-too-large", "too-many-samples", "too-many-weights", "undecided-sample",
+    "unknown-axiom", "unknown-space", "unsupported-axiom",
 }
 
 
@@ -718,15 +729,18 @@ def test_reduce_rank_fuzz_exits_cleanly(seed):
 
 
 # spellings LieType.parse accepts, then unknown series, out-of-range ranks and
-# malformed labels
+# malformed labels, and ranks past the rank bound
 TYPE_POOL = ["A1", "a2", "A_3", "b3", "C_2", "g2", "D3", "d4", "F4", "e6", " a_1 ",
-             "A0", "B1", "C1", "E9", "G3", "X2", "A", "2A", "", "A-1", "-1", "A1.5"]
+             "A0", "B1", "C1", "E9", "G3", "X2", "A", "2A", "", "A-1", "-1", "A1.5",
+             "A65", "d1000000"]
 EXACT_XI_POOL = XI_POOL + ["0", "1/4", "3/4", "1/4,-1/4", "1/3,0,-1/3", "-1/2,1/2", "1"]
 
 
 @pytest.mark.parametrize("lie_type", TYPE_POOL)
 def test_level_weights_and_vertices_exit_cleanly(lie_type):
-    for argv in [["vertices"]] + [["level-weights", f"--level={k}"] for k in range(-1, 9)]:
+    # levels past the weight bound of every type, one of them too large for the count
+    levels = [*range(-1, 9), 10**6, 10**40]
+    for argv in [["vertices"]] + [["level-weights", f"--level={k}"] for k in levels]:
         argv += [f"--type={lie_type}", "--json"]
         assert_clean_exit(argv, *run_main_quietly(argv))
 
@@ -770,7 +784,7 @@ def check_class_argv(draw):
     negated, shifted or cut short."""
     lie_type = draw(st.sampled_from(ORACLE_TYPES))
     rs = build_root_system(LieType.parse(lie_type))
-    vertices = alcove.alcove_vertices(rs).vertices
+    vertices = fractions(alcove.alcove_vertices(rs))
     argv = ["check-class", "--type", lie_type, "--level", str(draw(st.integers(1, 24)))]
     for _ in range(draw(st.integers(1, 3))):
         weights = draw(st.lists(st.integers(0, 4), min_size=len(vertices),
@@ -794,7 +808,7 @@ def check_class_argv(draw):
 
 
 def check_class_oracle(argv):
-    """(exit code, payload) of check-class from the Fraction library path, or
+    """(exit code, payload) of check-class from the Fraction oracles, or
     (2, tag, message) for an input error."""
     args = build_parser().parse_args(argv)
     rs = build_root_system(LieType.parse(args.type))
@@ -809,9 +823,11 @@ def check_class_oracle(argv):
             xis.append(xi)
         verdicts = [class_prequantizable(rs, xi, args.level) for xi in xis]
         classes = []
-        for xi, verdict in zip(xis, verdicts):
+        for xi, (answer, witness) in zip(xis, verdicts):
             faces = [j for j, t in enumerate(barycentric_coords(rs, xi)) if t > 0]
-            classes.append({"xi": format_vector(xi), "verdict": verdict.to_json(),
+            verdict = {"answer": answer, "level": args.level,
+                       "witness": format_vector(witness) if answer else witness}
+            classes.append({"xi": format_vector(xi), "verdict": verdict,
                             "boundary": len(faces) <= rs.rank, "open_faces": faces})
         answer = fusion_prequantizable(verdicts)
         payload = {"lie_type": str(rs.lie_type), "level": args.level, "classes": classes,
@@ -828,14 +844,14 @@ def check_class_oracle(argv):
 @given(argv=check_class_argv(), as_json=st.booleans())
 def test_check_class_matches_fraction_oracle(argv, as_json):
     # the integer path gives the payload, exit code and error of the
-    # Fraction-taking library functions, on every series and spelling
+    # Fraction oracles, on every series and spelling
     expected = check_class_oracle(argv)
     event(f"exit {expected[0]}")
     try:
         code, payload = dispatch(argv)
     except InputError as exc:
         assert expected[0] == 2 and exc.code == expected[1], (argv, expected)
-        # the messages of the library's errors; the dimension check is the verb's own
+        # the messages of the oracles' errors; the dimension check is the verb's own
         assert exc.code == "dimension-mismatch" or str(exc) == expected[2]
         return
     assert (code, payload) == expected, argv
@@ -945,32 +961,13 @@ COVERAGE_ARGV = [
     ["holonomy-convergence", "--grids", "4,8"],
     ["reduce-rank", "--n", "2", "--at", "commuting"],
 ]
-# Public functions no verb calls, each with its reason.
+# Public functions no verb calls, each with its reason.  Test-only forms of
+# what the verbs run live in tests/oracles.py instead.
 LIBRARY_ONLY = {
     "alcove_coordinates": "the phases of matrices whose eigenvectors are not needed; the "
                           "cocycle verb takes its phases and vectors from one eig per draw",
-    "cocycle_check": "the acceptance tests' one-matrix form of SpectralRecord.check",
-    "cover_index_set": "the acceptance tests' cover of one matrix; the cocycle verb reads "
-                       "the gaps of the phases it has already computed",
-    "spectral_record": "the record of matrices whose phases are not yet computed; the "
-                       "cocycle verb builds its record from the phases of its draws",
-    "constant_connection": "the acceptance tests' connection xi dt",
     "inner_product": "the exact side of the exact-numerical bridge",
     "torus_algebra": "the numerical side of the exact-numerical bridge",
-    "alcove_contains": "the Fraction-taking level-k membership test with its boundary flag; "
-                       "check-class decides membership with the lattice test in one "
-                       "weight_checks call and reads the boundary from the open faces",
-    "weight_lattice_contains": "the Fraction-taking lattice test; check-class decides it with "
-                               "the membership in one weight_checks call",
-    "transition_weight": "the Fraction form of one transition weight; the vertices verb writes "
-                         "all of them from the integer numerators of AlcoveModel",
-    # check-class clears each --xi to integers once and calls the integer forms
-    "class_prequantizable": "the Fraction form of class_level_test",
-    "fusion_prequantizable": "the verdict-list form of the fusion rule; check-class takes the "
-                             "conjunction of the answers of class_level_test",
-    "open_face_set": "the Fraction form of open_faces",
-    "barycentric_coords": "the Fraction coordinates whose integer form open_faces reads",
-    "a_series_from_euclidean": "the Fraction form of a_series_numerators",
 }
 
 
@@ -1018,6 +1015,30 @@ def test_verb_coverage_table(tmp_path):
     finally:
         sys.setprofile(None)
     assert set(codes.values()) - reached == set(LIBRARY_ONLY)
+    assert len(LIBRARY_ONLY) <= 3
+
+
+# Every name of quasiham.__all__.  A new public name is a reviewed addition to
+# this set: a test-only form of what the verbs run belongs in tests/oracles.py.
+PUBLIC_NAMES = {
+    "AlcoveModel", "CartanVector", "ConjugacyClass", "Double", "Fusion", "Genus", "InputError",
+    "InternalFusion", "LevelWeightSet", "LieType", "PiecewiseConnection", "QSpace",
+    "RootSystem", "SpectralRecord", "ToolkitError", "VerificationReport", "a_series_embedding",
+    "a_series_numerators", "alcove_coordinates", "alcove_vertices", "algebra_basis",
+    "basic_inner", "build_root_system", "canonical_three_form", "check_algebra",
+    "check_special_unitary", "class_level_test", "convergence_order", "eigenline_weight",
+    "eta_integral_su2", "expm_skew", "gauge_transform", "height", "inner_product",
+    "level_weights", "make_space", "maurer_cartan", "minimal_integral_level", "open_faces",
+    "parse_rational", "parse_vector", "project_algebra", "random_algebra",
+    "random_special_unitary", "reduction_rank", "sphere4_act", "sphere4_equivariance_residual",
+    "sphere4_moment", "torsion_level_admissible", "torus_algebra", "torus_point",
+    "verify_axiom", "vertex_weight_consistency",
+}
+
+
+def test_public_names_are_the_reviewed_set():
+    assert set(quasiham.__all__) == PUBLIC_NAMES
+    assert all(hasattr(quasiham, name) for name in PUBLIC_NAMES)
 
 
 def test_all_payloads_json_clean():

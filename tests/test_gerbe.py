@@ -7,23 +7,25 @@ from math import comb
 import numpy as np
 import pytest
 
-from quasiham.alcove import open_face_set
+from quasiham.alcove import open_faces
 from quasiham.cli import dispatch, main, render
 from quasiham.errors import InputError
-from quasiham.gerbe import (
-    cocycle_check,
-    cover_index_set,
-    eigenline_weight,
-    spectral_record,
-    vertex_weight_consistency,
-)
-from quasiham.rational import format_vector
-from quasiham.roots import LieType, a_series_from_euclidean, build_root_system
+from quasiham.gerbe import eigenline_weight, vertex_weight_consistency
+from quasiham.rational import common_denominator, format_vector
+from quasiham.roots import LieType, a_series_numerators, build_root_system
 from quasiham.sun import (
     alcove_coordinates,
     alcove_order,
     random_special_unitary,
     torus_point,
+)
+
+from oracles import (
+    cocycle_check,
+    cover_index_set,
+    record_check,
+    spectral_record,
+    transition_weight,
 )
 
 gerbe = importlib.import_module("quasiham.gerbe")
@@ -100,10 +102,19 @@ def test_vertex_weight_consistency(n):
     assert vertex_weight_consistency(n)
 
 
+def test_vertex_weight_consistency_can_fail(monkeypatch):
+    # vertex 1 of A2 moved off e_1 - (1, 1, 1)/3 breaks the check
+    alcove = importlib.import_module("quasiham.alcove")
+    model = alcove.alcove_vertices(build_root_system(LieType("A", 2)))
+    moved = replace(model, nums=(model.nums[0], (model.nums[1][0] + 1,) + model.nums[1][1:],
+                                 model.nums[2]))
+    monkeypatch.setattr(alcove, "alcove_vertices", lambda rs: moved)
+    assert not vertex_weight_consistency.__wrapped__(3)
+
+
 def test_transition_weights_are_eigenline_sums():
     for n in (2, 3, 4):
         rs = build_root_system(LieType("A", n - 1))
-        from quasiham.alcove import transition_weight
         from quasiham.roots import a_series_embedding
 
         for i in range(n):
@@ -212,10 +223,9 @@ def test_cover_matches_open_faces(n, samples):
         mats.append(torus_point([0.5, -0.25, -0.25]))
         mats.append(torus_point([Q(1, 3), Q(1, 3), Q(-2, 3)]))
     for a in mats:
-        lam = alcove_coordinates(a)
-        xi = a_series_from_euclidean(rs, _rationalized(lam))
-        faces = open_face_set(rs, xi)
-        assert cover_to_faces(n, cover_index_set(a)) == faces
+        nums, den = common_denominator(_rationalized(alcove_coordinates(a)))
+        faces = open_faces(rs, a_series_numerators(rs, nums), den)
+        assert cover_to_faces(n, cover_index_set(a)) == frozenset(faces)
 
 
 def test_wedge_algebra():
@@ -392,7 +402,7 @@ def test_stacked_record_equals_per_matrix_records(n, seed):
     assert np.array_equal(one.phases, record.phases[2])
     assert all(np.array_equal(one.bases[key], q[2]) for key, q in record.bases.items())
     assert one.coefficient(1, 2, 3) == record.coefficient(1, 2, 3)[2]
-    assert one.check(1, 2, 3) == (one.coefficient(1, 2, 3), True)
+    assert record_check(one, 1, 2, 3) == (one.coefficient(1, 2, 3), True)
 
 
 def test_stacked_record_cover_is_the_pieces_containing_every_matrix():
@@ -404,7 +414,7 @@ def test_stacked_record_cover_is_the_pieces_containing_every_matrix():
     with pytest.raises(InputError) as err:
         record.coefficient(1, 2, 3)
     assert err.value.code == "outside-cover"
-    coeff, ok = spectral_record(np.stack([generic, generic])).check(1, 2, 3)
+    coeff, ok = record_check(spectral_record(np.stack([generic, generic])), 1, 2, 3)
     assert coeff.shape == (2,) and ok.tolist() == [True, True]
 
 

@@ -10,7 +10,6 @@ from quasiham.cli import dispatch
 from quasiham.errors import InputError
 from quasiham.holonomy import (
     PiecewiseConnection,
-    constant_connection,
     convergence_order,
     gauge_equivariance_residual,
     gauge_transform,
@@ -27,6 +26,8 @@ from quasiham.sun import (
     random_algebra,
     random_special_unitary,
 )
+
+from oracles import constant_connection
 
 
 def smooth_data(n, seed):
