@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .errors import InputError, ToolkitError
 from .rational import format_ratio, format_rows
-from .roots import LatticeData, RootSystem
+from .roots import RootSystem, a_series_embedding
 
 # Largest level-weight set, as its weights times (rank + 2): enumerating,
 # re-checking and writing a set costs about 1 us per numerator and 2 us more
@@ -50,7 +50,7 @@ class AlcoveModel:
         A the R^n coordinates (a_i maps to e_i - e_{i+1}), all from integers."""
         pairs = combinations(enumerate(self.nums), 2)
         moves = {f"{i},{j}": tuple(map(sub, b, a)) for (i, a), (j, b) in pairs}
-        flat = ([tuple(map(sub, v + (0,), (0,) + v)) for v in self.nums]
+        flat = ([a_series_embedding(self.rs, v) for v in self.nums]
                 if self.rs.lie_type.series == "A" else [])
         texts = format_rows([*self.nums, *moves.values(), *flat], self.den)
         n, m = len(self.nums), len(self.nums) + len(moves)
@@ -92,23 +92,22 @@ def alcove_vertices(rs: RootSystem) -> AlcoveModel:
     mark m_j.  With Gram = Cartan * diag(d) that column has entries
     (Cartan^-1)_ij / (d_i m_j) = 2 scale N_ij / (det gram_ii m_j), kept as
     numerators over the one denominator det lcm(gram_ii) lcm(m_j)."""
-    z = rs.lattice
-    diag = [row[i] for i, row in enumerate(z.gram)]
-    den = z.det * lcm(*diag) * lcm(*z.marks)
+    diag = [row[i] for i, row in enumerate(rs.int_gram)]
+    den = rs.det * lcm(*diag) * lcm(*rs.marks)
     nums = [(0,) * rs.rank]
-    for j, mark in enumerate(z.marks):
-        nums.append(tuple(2 * z.scale * z.inverse_cartan[i][j] * (den // (z.det * g * mark))
+    for j, mark in enumerate(rs.marks):
+        nums.append(tuple(2 * rs.scale * rs.inverse_cartan[i][j] * (den // (rs.det * g * mark))
                           for i, g in enumerate(diag)))
     return AlcoveModel(rs=rs, nums=tuple(nums), den=den)
 
 
-def _gram_pairings(z: LatticeData, nums_seq: Sequence[tuple[int, ...]]) -> list[list[int]]:
+def _gram_pairings(rs: RootSystem, nums_seq: Sequence[tuple[int, ...]]) -> list[list[int]]:
     """Column i holds scale * den * (a_i, xi) for every xi = nums / den of
     nums_seq, and a last column scale * den * (theta, xi): the transposed
     numerators times the nonzero entries of each row, one map each."""
-    cols = list(zip(*nums_seq)) or [()] * len(z.gram)
+    cols = list(zip(*nums_seq)) or [()] * rs.rank
     out = []
-    for row in (*z.gram, z.theta_row):
+    for row in (*rs.int_gram, rs.theta_row):
         column = None
         for g, col in zip(row, cols):
             if g:
@@ -118,10 +117,10 @@ def _gram_pairings(z: LatticeData, nums_seq: Sequence[tuple[int, ...]]) -> list[
     return out
 
 
-def _is_weight(z: LatticeData, pairings: list[list[int]], den: int) -> bool:
+def _is_weight(rs: RootSystem, pairings: list[list[int]], den: int) -> bool:
     """Every (xi, a_i^v) = 2 p_i / (gram_ii den) over the pairing columns p is an integer."""
     return not any(any(map(mod, map(add, p, p), repeat(row[i] * den)))
-                   for i, (row, p) in enumerate(zip(z.gram, pairings)))
+                   for i, (row, p) in enumerate(zip(rs.int_gram, pairings)))
 
 
 def _in_alcove(pairings: list[list[int]], top: int) -> bool:
@@ -130,13 +129,13 @@ def _in_alcove(pairings: list[list[int]], top: int) -> bool:
     return min(map(min, simple), default=0) >= 0 and max(theta, default=0) <= top
 
 
-def weight_checks(z: LatticeData, nums_seq: Sequence[tuple[int, ...]], den: int,
+def weight_checks(rs: RootSystem, nums_seq: Sequence[tuple[int, ...]], den: int,
                   k: int) -> tuple[bool, bool]:
     """(every xi = nums / den of nums_seq is a weight, every one lies in the
     closed level-k alcove), decided on the Gram pairing columns of the whole
     set."""
-    pairings = _gram_pairings(z, nums_seq)
-    return _is_weight(z, pairings, den), _in_alcove(pairings, k * z.scale * den)
+    pairings = _gram_pairings(rs, nums_seq)
+    return _is_weight(rs, pairings, den), _in_alcove(pairings, k * rs.scale * den)
 
 
 def level_weights(rs: RootSystem, k: int) -> LevelWeightSet:
@@ -154,16 +153,15 @@ def level_weights(rs: RootSystem, k: int) -> LevelWeightSet:
     """
     if k < 0:
         raise InputError("invalid-level", f"level must be >= 0, got {k}")
-    z = rs.lattice
     cap = MAX_WEIGHT_COST // (rs.rank + 2)
     # the labels of the largest comark alone give C(k // c + r, r) weights: a
     # level whose count would itself allocate is refused on that bound
-    if (comb(k // max(z.comarks) + rs.rank, rs.rank) > cap
-            or weight_count(z.comarks, k) > cap):
+    if (comb(k // max(rs.comarks) + rs.rank, rs.rank) > cap
+            or weight_count(rs.comarks, k) > cap):
         raise InputError("too-many-weights", f"{rs.lie_type} at level {k} has over {cap} "
                          f"weights, the most enumerated at rank {rs.rank}")
     found = [((0,) * rs.rank, k)]
-    for comark, row in zip(z.comarks, z.inverse_cartan):
+    for comark, row in zip(rs.comarks, rs.inverse_cartan):
         grown = []
         for w, budget in found:
             while budget >= 0:
@@ -174,7 +172,7 @@ def level_weights(rs: RootSystem, k: int) -> LevelWeightSet:
     nums = sorted(w for w, _ in found)
     if len(set(nums)) != len(nums):
         raise ToolkitError("level-weight enumeration produced duplicates")
-    return LevelWeightSet(rs=rs, level=k, nums=tuple(nums), den=z.det)
+    return LevelWeightSet(rs=rs, level=k, nums=tuple(nums), den=rs.det)
 
 
 def weight_count(comarks: Sequence[int], k: int) -> int:
@@ -195,17 +193,16 @@ def minimal_integral_level(rs: RootSystem) -> int:
     coordinates (v, a_i^v) = 2 p / q of the vertices, with p the Gram pairing
     columns of their numerators and q = gram_ii * den."""
     model = alcove_vertices(rs)
-    z = rs.lattice
     return lcm(*(q // gcd(2 * p, q)
-                 for i, (row, col) in enumerate(zip(z.gram, _gram_pairings(z, model.nums)))
+                 for i, (row, col) in enumerate(zip(rs.int_gram, _gram_pairings(rs, model.nums)))
                  for q in [row[i] * model.den] for p in col))
 
 
-def _barycentric_nums(z: LatticeData, nums: tuple[int, ...], den: int) -> tuple[int, ...]:
+def _barycentric_nums(rs: RootSystem, nums: tuple[int, ...], den: int) -> tuple[int, ...]:
     """The barycentric coordinates of xi = nums / den times scale * den."""
-    unit = z.scale * den
-    *simple, [theta] = _gram_pairings(z, [nums])
-    return (unit - theta, *(mark * p for mark, [p] in zip(z.marks, simple)))
+    unit = rs.scale * den
+    *simple, [theta] = _gram_pairings(rs, [nums])
+    return (unit - theta, *(mark * p for mark, [p] in zip(rs.marks, simple)))
 
 
 def open_faces(rs: RootSystem, nums: tuple[int, ...], den: int) -> list[int]:
@@ -215,7 +212,7 @@ def open_faces(rs: RootSystem, nums: tuple[int, ...], den: int) -> list[int]:
     lies in the level-1 alcove iff no coordinate is negative, and on its
     boundary iff some coordinate is 0, that is iff fewer than rank + 1 faces
     are open."""
-    bary = _barycentric_nums(rs.lattice, nums, den)
+    bary = _barycentric_nums(rs, nums, den)
     if min(bary) < 0:
         raise InputError("not-in-alcove", f"{','.join(format_ratio(n, den) for n in nums)}"
                          " lies outside the level-1 alcove")

@@ -97,7 +97,7 @@ def _run_vertices(args) -> tuple[int, dict]:
     return 0, {
         "lie_type": str(rs.lie_type),
         "positive_roots": len(rs.positive_roots),
-        "highest_root_height": height(rs, rs.highest_root),
+        "highest_root_height": height(rs, rs.marks),
         "dual_coxeter": rs.dual_coxeter,
         "minimal_level": minimal_integral_level(rs),
         **alcove_vertices(rs).to_json(),
@@ -107,7 +107,7 @@ def _run_vertices(args) -> tuple[int, dict]:
 def _run_level_weights(args) -> tuple[int, dict]:
     rs = build_root_system(LieType.parse(args.type))
     lws = level_weights(rs, args.level)
-    checks = functools.partial(weight_checks, rs.lattice, den=lws.den, k=args.level)
+    checks = functools.partial(weight_checks, rs, den=lws.den, k=args.level)
     if checks(lws.nums) != (True, True):
         # the first escaping weight in sorted order names the escape
         first = next(c for c in map(checks, ([w] for w in lws.nums)) if c != (True, True))
@@ -162,6 +162,10 @@ def _build_space(args):
 
 
 def _run_verify(args) -> tuple[int, dict]:
+    # only a conjugacy class reads --xi, and only one
+    takes = int(args.space == "conjugacy_class")
+    if len(args.xi or ()) > takes:
+        raise InputError("unused-argument", f"{args.space} takes {takes} --xi, got {len(args.xi)}")
     if args.space == "eta_su2":
         if args.axiom is not None:
             raise InputError("unsupported-axiom", "eta_su2 checks only the 3-form normalization")
@@ -375,10 +379,6 @@ def _run_reduce_rank(args) -> tuple[int, dict]:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The command-line parser and its verb parsers by name."""
     parser = argparse.ArgumentParser(
@@ -469,7 +469,7 @@ def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argum
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv) in one argparse pass: an argv that
+    """The full parser's parse_args(argv) in one argparse pass: an argv that
     starts with a verb goes to that verb's parser alone, which is what the
     full parser hands it, and what is left over gets the full parser's
     message.  Any other argv takes the full parser."""
@@ -484,8 +484,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def _run(args) -> tuple[int, dict]:
-    """Run the parsed verb after rejecting a sample count or tolerance no verb
-    can run with; the checks apply to every verb that takes the option."""
+    """Run the parsed verb after rejecting a sample count, tolerance or seed
+    no verb can run with; the checks apply to every verb that takes the
+    option."""
     if getattr(args, "samples", 1) < 1:
         raise InputError("invalid-samples", f"need --samples >= 1, got {args.samples}")
     if getattr(args, "samples", 1) > MAX_SAMPLES:
@@ -493,6 +494,8 @@ def _run(args) -> tuple[int, dict]:
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise InputError("invalid-tolerance", f"need a finite --tol > 0, got {tol}")
+    if getattr(args, "seed", 0) < 0:
+        raise InputError("invalid-seed", f"need --seed >= 0, got {args.seed}")
     return _HANDLERS[args.verb](args)
 
 

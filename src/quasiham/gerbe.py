@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import sub
 
 import numpy as np
 
@@ -54,17 +53,17 @@ def vertex_weight_consistency(n: int) -> bool:
     """Check that partial sums of the eigenline weights reproduce the alcove
     vertices of the rank n-1 simplex (index n giving the origin), on
     numerators: n times the eigenline weight i is n e_i - (1, ..., 1), and a
-    vertex over den embeds in R^n as the differences of its padded
+    vertex over den embeds in R^n by the A-series embedding of its
     numerators."""
     from .alcove import alcove_vertices
-    from .roots import LieType, build_root_system
+    from .roots import LieType, a_series_embedding, build_root_system
 
-    model = alcove_vertices(build_root_system(LieType("A", n - 1)))
+    rs = build_root_system(LieType("A", n - 1))
+    model = alcove_vertices(rs)
     total = [0] * n
     for i in range(n):
         total = [t + n * (m == i) - 1 for m, t in enumerate(total)]
-        v = model.nums[(i + 1) % n]
-        flat = map(sub, v + (0,), (0,) + v)
+        flat = a_series_embedding(rs, model.nums[(i + 1) % n])
         if any(a * n != t * model.den for a, t in zip(flat, total)):
             return False
     return True
@@ -81,17 +80,6 @@ class SpectralRecord:
     phases: np.ndarray
     cover: frozenset[int]
     bases: dict[tuple[int, int], np.ndarray]
-
-    def basis(self, i: int, j: int) -> np.ndarray:
-        n = self.phases.shape[-1]
-        if not (1 <= i < j <= n):
-            raise InputError("invalid-index", f"need 1 <= i < j <= {n}, got ({i}, {j})")
-        if i not in self.cover or j not in self.cover:
-            raise InputError(
-                "outside-cover",
-                f"matrix is not in the double intersection V_{i} * V_{j}",
-            )
-        return self.bases[i, j]
 
     def coefficient(self, i: int, j: int, k: int) -> complex | np.ndarray:
         """<rep(i,k), rep(i,j) ^ rep(j,k)> / <rep(i,k), rep(i,k)>; by

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ToolkitError
-from .sun import check_algebra, check_special_unitary, complex_pairs, expm_skew, project_algebra
+from .sun import check_algebra, check_special_unitary, expm_skew, project_algebra
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,6 @@ class PiecewiseConnection:
     @property
     def steps(self) -> int:
         return len(self.samples)
-
-    def to_json(self) -> dict:
-        return {"steps": self.steps, "samples": complex_pairs(self.samples)}
 
 
 def holonomy(conn: PiecewiseConnection) -> np.ndarray:

@@ -25,7 +25,7 @@ def class_level_test(rs: RootSystem, nums: tuple[int, ...], den: int, k: int) ->
     if len(nums) != rs.rank:
         raise InputError("dimension-mismatch", f"expected length {rs.rank}")
     # xi is in the level-1 alcove iff k*xi is in the level-k one: one check
-    is_weight, in_alcove = weight_checks(rs.lattice, [tuple(k * a for a in nums)], den, k)
+    is_weight, in_alcove = weight_checks(rs, [tuple(k * a for a in nums)], den, k)
     if not in_alcove:
         raise InputError(
             "not-in-alcove",

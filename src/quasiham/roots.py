@@ -6,21 +6,20 @@ of the basic inner product (long roots of squared length 2) turns those
 coefficients into geometry.  Positive roots come from height-by-height
 closure using root strings, so everything stays in exact integers.
 
-Roots, marks and comarks are integer tuples.  Each record also carries its
-integer lattice data (`LatticeData`): the Gram matrix scaled to integers,
-the marks and comarks, and the inverse Cartan matrix over one denominator.
-The lattice and alcove tests run on those; only the Gram matrix of the
-record is kept in Fractions, for `inner_product`.
+Roots, marks and comarks are integer tuples, and one record holds them with
+the rest of the integer lattice data: the Gram matrix scaled to integers and
+the inverse Cartan matrix over one denominator.  The lattice and alcove
+tests run on those; only the Gram matrix `gram` is kept in Fractions, for
+`inner_product`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import lcm
-from typing import NamedTuple
 
 from .errors import InputError, ToolkitError
 from .rational import CartanVector, RationalMatrix, integer_inverse
@@ -76,35 +75,20 @@ class LieType:
         return f"{self.series}{self.rank}"
 
 
-class LatticeData(NamedTuple):
-    """Integer form of one root system's data.
-
-    gram is scale * (a_i, a_j) with the least scale that clears the
-    denominators, so (x, a_i^v) = 2 (gram x)_i / gram[i][i];  theta_row is
-    scale * (theta, a_j); the inverse Cartan matrix is inverse_cartan / det,
-    and its row i is det times the fundamental weight w_i.
-    """
-
-    scale: int
-    gram: IntMatrix
-    theta_row: tuple[int, ...]
-    marks: tuple[int, ...]
-    comarks: tuple[int, ...]
-    inverse_cartan: IntMatrix
-    det: int
-
-
 @dataclass(frozen=True)
 class RootSystem:
-    """Immutable root-system data.
+    """Immutable root-system data, in integers except `gram`.
 
-    cartan[i][j] is 2(a_i, a_j)/(a_j, a_j); gram[i][j] = (a_i, a_j) under
-    the basic inner product, in Fractions.  Roots are integer coefficient
-    tuples, which compare and hash equal to tuples of the same Fractions:
-    positive_roots are ordered by height then lexicographically, and the
-    highest root's coefficients are the marks.  lattice holds the integer
-    data; it takes no part in equality, and the hash is that of the type,
-    which equal records share.
+    cartan_matrix[i][j] is 2(a_i, a_j)/(a_j, a_j); gram[i][j] = (a_i, a_j)
+    under the basic inner product, in Fractions.  Roots are integer
+    coefficient tuples, which compare and hash equal to tuples of the same
+    Fractions: positive_roots are ordered by height then lexicographically,
+    and the highest root's coefficients are the marks.  int_gram is
+    scale * gram with the least scale that clears the denominators, so
+    (x, a_i^v) = 2 (int_gram x)_i / int_gram[i][i];  theta_row is
+    scale * (theta, a_j); the inverse Cartan matrix is inverse_cartan / det,
+    and its row i is det times the fundamental weight w_i.  Every field
+    takes part in equality; the hash is that of the type.
     """
 
     lie_type: LieType
@@ -112,7 +96,13 @@ class RootSystem:
     gram: RationalMatrix
     positive_roots: tuple[tuple[int, ...], ...]
     dual_coxeter: int
-    lattice: LatticeData = field(compare=False, repr=False)
+    scale: int
+    int_gram: IntMatrix
+    theta_row: tuple[int, ...]
+    marks: tuple[int, ...]
+    comarks: tuple[int, ...]  # a_i * d_i; integers for every simple type
+    inverse_cartan: IntMatrix
+    det: int
 
     def __hash__(self) -> int:
         return hash(self.lie_type)
@@ -120,28 +110,6 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return self.lie_type.rank
-
-    @cached_property
-    def simple_roots(self) -> tuple[tuple[int, ...], ...]:
-        r = self.rank
-        return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-
-    @property
-    def highest_root(self) -> tuple[int, ...]:
-        return self.lattice.marks
-
-    @property
-    def lowest_root(self) -> tuple[int, ...]:
-        return tuple(-c for c in self.lattice.marks)
-
-    @property
-    def marks(self) -> tuple[int, ...]:
-        return self.lattice.marks
-
-    @property
-    def comarks(self) -> tuple[int, ...]:
-        """Coefficients a_i * d_i; integers for every simple type."""
-        return self.lattice.comarks
 
     def is_root(self, v: CartanVector) -> bool:
         neg = tuple(-c for c in v)
@@ -250,16 +218,6 @@ def build_root_system(lie_type: LieType) -> RootSystem:
     # (w_i, a_j^v) = sum_m c_m cartan[m][j] = delta_ij: the coefficient rows
     # of the fundamental weights are the rows of the inverse Cartan matrix.
     inverse, det = integer_inverse(cartan)
-    lattice = LatticeData(
-        scale=scale,
-        gram=igram,
-        theta_row=tuple(sum(t * g for t, g in zip(highest, col)) for col in zip(*igram)),
-        marks=highest,
-        comarks=tuple(comarks),
-        inverse_cartan=inverse,
-        det=det,
-    )
-
     return RootSystem(
         lie_type=lie_type,
         cartan_matrix=tuple(tuple(row) for row in cartan),
@@ -267,7 +225,13 @@ def build_root_system(lie_type: LieType) -> RootSystem:
         positive_roots=tuple(positives),
         # 1 + height of the highest root in the simple-coroot basis
         dual_coxeter=1 + sum(comarks),
-        lattice=lattice,
+        scale=scale,
+        int_gram=igram,
+        theta_row=tuple(sum(t * g for t, g in zip(highest, col)) for col in zip(*igram)),
+        marks=highest,
+        comarks=tuple(comarks),
+        inverse_cartan=inverse,
+        det=det,
     )
 
 

@@ -190,10 +190,11 @@ class QSpace:
     of points.  Field data has the shape of a point, and a stack of d
     tangents at it has shape (k, *P, d, n, n).  An element of G, or of its
     algebra, has one slot per group factor.  Subclasses set the `base` point
-    and fill in the hooks `_moment`, `structure`, `_basis`, `field_at` and
-    `field_flow`.  `sample`, `random_field` and the action of G-valued
-    spaces, conjugation of every slot of a point, are written here.
-    `group_factors` is 1 for G-valued moment maps and 2 for the double.
+    and fill in the hooks `_moment`, `structure`, `_basis` and `field_flow`.
+    `random_field`, the action of G-valued spaces, conjugation of every slot
+    of a point, and its generating field, the default `field_at`, are
+    written here.  `group_factors` is 1 for G-valued moment maps and 2 for
+    the double.
     """
 
     n: int
@@ -203,10 +204,6 @@ class QSpace:
     def random_algebra_element(self, rng) -> np.ndarray:
         """A Gaussian su(n) element per group factor, drawn in one call."""
         return random_algebra(self.n, rng, shape=(self.group_factors,))
-
-    def sample(self, rng) -> np.ndarray:
-        """The time-one flow of a random field from the base point."""
-        return self.field_flow(self.random_field(rng), self.base, 1.0)
 
     def random_field(self, rng) -> np.ndarray:
         """A Gaussian su(n) element on every slot, drawn in one call."""
@@ -232,9 +229,10 @@ class QSpace:
     def _generating(self, xi, m):
         return xi @ m - m @ xi
 
-    # extension fields for the invariant-extension derivative formula
+    # extension fields for the invariant-extension derivative formula: the
+    # generating field unless a space overrides it
     def field_at(self, data, m):
-        raise NotImplementedError
+        return self._generating(data, m)
 
     def field_flow(self, data, m, t):
         """The flow of the field for time t, a float or an array whose axes
@@ -306,9 +304,6 @@ class ConjugacyClass(QSpace):
         rank = _rank(gap, gap.max(axis=-1, initial=0.0))[0].flat[0]
         top = np.argsort(-gap, axis=-1, kind="stable")[..., :rank]
         return (pair_basis(v, top) @ _lift(m[0]))[None]
-
-    def field_at(self, data, m):
-        return data @ m - m @ data
 
     def field_flow(self, data, m, t):
         u = expm_skew(_times(t) * data)

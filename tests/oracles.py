@@ -1,8 +1,9 @@
 """Reference implementations the tests check the package against: exact
-linear algebra and the alcove, lattice and pre-quantization tests over
-Fractions, the one-matrix gerbe helpers and the constant connection of the
-acceptance tests, and the realified su(n) operators that the eigenbasis
-formulas of the spaces replaced."""
+linear algebra, the simple and lowest roots and the alcove, lattice and
+pre-quantization tests over Fractions, the one-matrix gerbe helpers, the
+constant connection of the acceptance tests and its JSON, one random point
+of a space, and the realified su(n) operators that the eigenbasis formulas
+of the spaces replaced."""
 
 from fractions import Fraction
 from itertools import accumulate
@@ -16,7 +17,13 @@ from quasiham.holonomy import PiecewiseConnection
 from quasiham.prequant import NOT_A_WEIGHT
 from quasiham.rational import format_vector
 from quasiham.spaces import RANK_CUTOFF, _lift, _rank, realvec, unrealvec
-from quasiham.sun import _basis_stack, alcove_coordinates, check_algebra, check_special_unitary
+from quasiham.sun import (
+    _basis_stack,
+    alcove_coordinates,
+    check_algebra,
+    check_special_unitary,
+    complex_pairs,
+)
 
 
 def vec(*entries):
@@ -55,10 +62,20 @@ def fractions(record):
     return tuple(tuple(map(exact.__getitem__, v)) for v in record.nums)
 
 
+def simple_roots(rs):
+    """The unit coordinate vectors: the simple roots in their own basis."""
+    r = rs.rank
+    return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+
+
+def lowest_root(rs):
+    """The negated highest root, whose coefficients are the marks."""
+    return tuple(-c for c in rs.marks)
+
+
 def fundamental_weights(rs):
     """Row i of the inverse Cartan matrix: the simple-root coordinates of w_i."""
-    z = rs.lattice
-    return tuple(tuple(Fraction(c, z.det) for c in row) for row in z.inverse_cartan)
+    return tuple(tuple(Fraction(c, rs.det) for c in row) for row in rs.inverse_cartan)
 
 
 def root_pairings(rs, x):
@@ -95,14 +112,14 @@ def alcove_contains(rs, xi, k):
     if k <= 0:
         raise InputError("invalid-level", f"level must be positive, got {k}")
     pairings = root_pairings(rs, xi)
-    return min(pairings) >= 0 and dot(rs.highest_root, pairings) <= k
+    return min(pairings) >= 0 and dot(rs.marks, pairings) <= k
 
 
 def barycentric_coords(rs, xi):
     """t_0 = 1 - (theta, xi) and t_j = mark_j (a_j, xi): the barycentric
     coordinates of xi against the alcove vertices."""
     pairings = root_pairings(rs, xi)
-    return (1 - dot(rs.highest_root, pairings), *(m * p for m, p in zip(rs.marks, pairings)))
+    return (1 - dot(rs.marks, pairings), *(m * p for m, p in zip(rs.marks, pairings)))
 
 
 def open_face_set(rs, xi):
@@ -182,6 +199,17 @@ def constant_connection(xi, steps):
     """The connection xi dt on a grid of the given number of steps."""
     check_algebra(xi)
     return PiecewiseConnection(samples=np.broadcast_to(xi, (steps,) + np.shape(xi)))
+
+
+def connection_json(conn):
+    """A connection as the JSON that `holonomy-convergence --file` reads."""
+    return {"steps": conn.steps, "samples": complex_pairs(conn.samples)}
+
+
+def sample(space, rng):
+    """A random point of a space: the time-one flow of a random field from
+    its base point, as the verifier draws its points."""
+    return space.field_flow(space.random_field(rng), space.base, 1.0)
 
 
 def solve(m, rhs):

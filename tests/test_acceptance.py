@@ -43,6 +43,7 @@ from oracles import (
     fractions,
     fundamental_weights,
     fusion_prequantizable,
+    sample,
     scale,
     vadd,
     vec,
@@ -191,7 +192,7 @@ def test_criterion_07_minimal_degeneracy():
     # kernel dimension equal to the full tangent dimension 2
     special = ConjugacyClass(2, (Q(1, 4), Q(-1, 4)))
     rng = np.random.default_rng(0)
-    m = special.sample(rng)
+    m = sample(special, rng)
     basis = special._basis(m)
     flat = np.max(np.abs(special.structure(m, basis).omega))
     rep = verify_axiom(special, "min_degeneracy", samples=20, seed=0)

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -39,8 +40,10 @@ from oracles import (  # noqa: E402
     fractions,
     fundamental_weight_coords,
     fundamental_weights,
+    lowest_root,
     matvec,
     open_face_set,
+    simple_roots,
     solve,
     transition_weight,
     vadd,
@@ -65,12 +68,12 @@ def test_vertex_defining_equations(name):
     assert fractions(model)[0] == zero(rs.rank)
     for j, v in enumerate(fractions(model)[1:], start=1):
         for i in range(rs.rank):
-            pairing = inner_product(rs, rs.simple_roots[i], v)
+            pairing = inner_product(rs, simple_roots(rs)[i], v)
             if i != j - 1:
                 assert pairing == 0
             else:
                 assert pairing > 0  # strictly inside the chamber wall
-        assert inner_product(rs, rs.lowest_root, v) == -1
+        assert inner_product(rs, lowest_root(rs), v) == -1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -211,6 +214,30 @@ def test_minimal_integral_level(name, expected):
             found = k
             break
     assert found == expected
+
+
+def bumped(value):
+    """An integer, or a nested tuple of them, with its first integer one larger."""
+    return value + 1 if isinstance(value, int) else (bumped(value[0]), *value[1:])
+
+
+def test_record_equality_reaches_the_caches():
+    # every datum of a record takes part in equality, so a record with one
+    # integer datum replaced is another key of the alcove caches: B3 with
+    # marks (1, 1, 1) and a doubled inverse Cartan matrix has its vertices
+    # at the simplex's own lattice points, level 1, not B3's cached 2
+    rs = rs_of("B3")
+    assert minimal_integral_level(rs) == 2 and alcove_vertices(rs).den == 16
+    for field in ("scale", "int_gram", "theta_row", "marks", "comarks", "inverse_cartan", "det"):
+        assert replace(rs, **{field: bumped(getattr(rs, field))}) != rs, field
+    doubled = tuple(tuple(2 * c for c in row) for row in rs.inverse_cartan)
+    faulty = replace(rs, marks=(1, 1, 1), inverse_cartan=doubled)
+    assert faulty != rs and hash(faulty) == hash(rs)
+    assert minimal_integral_level(faulty) == minimal_integral_level.__wrapped__(faulty) == 1
+    model = alcove_vertices(faulty)
+    assert model == alcove_vertices.__wrapped__(faulty) and model.rs is faulty
+    assert (model.nums, model.den) != (alcove_vertices(rs).nums, alcove_vertices(rs).den)
+    assert minimal_integral_level(rs) == 2
 
 
 def test_low_rank_coincidences():
@@ -368,9 +395,9 @@ ORACLE_CASES = [
 def _fraction_in_alcove(rs, xi, k):
     """Closed level-k alcove test in Fraction arithmetic through the Gram
     matrix, independent of the integer test of the library."""
-    if any(inner_product(rs, a, xi) < 0 for a in rs.simple_roots):
+    if any(inner_product(rs, a, xi) < 0 for a in simple_roots(rs)):
         return False
-    return inner_product(rs, rs.highest_root, xi) <= k
+    return inner_product(rs, rs.marks, xi) <= k
 
 
 def fraction_level_weights(rs, k):
@@ -380,7 +407,7 @@ def fraction_level_weights(rs, k):
     r = rs.rank
     ct = [[Q(rs.cartan_matrix[m][j]) for m in range(r)] for j in range(r)]
     fundamental = [solve(ct, tuple(Q(int(j == i)) for j in range(r))) for i in range(r)]
-    comarks = [a * rs.gram[i][i] / 2 for i, a in enumerate(rs.highest_root)]
+    comarks = [a * rs.gram[i][i] / 2 for i, a in enumerate(rs.marks)]
     weights = []
 
     def descend(i, partial, budget):
@@ -417,28 +444,27 @@ def test_integer_weight_set_matches_fraction_path(name, k):
     # on the weights and on non-weights and points off the alcove near them;
     # the column pass over a whole set is the conjunction of its single checks
     rs = rs_of(name)
-    z = rs.lattice
     lws = level_weights(rs, k)
-    assert lws.den == z.det and lws.nums == tuple(sorted(lws.nums))
+    assert lws.den == rs.det and lws.nums == tuple(sorted(lws.nums))
     assert list(fractions(lws)) == fraction_level_weights(rs, k)
     assert lws.to_json()["weights"] == [format_vector(w) for w in fractions(lws)]
     assert lws.to_json()["count"] == len(fractions(lws))
-    assert weight_checks(z, lws.nums, lws.den, k) == (True, True)
+    assert weight_checks(rs, lws.nums, lws.den, k) == (True, True)
     negated = [tuple(-a for a in nums) for nums in lws.nums]
     shifted = [(nums[0] + 1,) + nums[1:] for nums in lws.nums]
-    for vectors, d in ((lws.nums, z.det), (lws.nums, 2 * z.det), (negated, z.det),
-                       (shifted, z.det), (shifted, 3 * z.det)):
+    for vectors, d in ((lws.nums, rs.det), (lws.nums, 2 * rs.det), (negated, rs.det),
+                       (shifted, rs.det), (shifted, 3 * rs.det)):
         singles = []
         for n in vectors:
             xi = tuple(Q(a, d) for a in n)
-            is_weight, in_alcove = weight_checks(z, [n], d, k)
+            is_weight, in_alcove = weight_checks(rs, [n], d, k)
             assert is_weight == weight_lattice_contains(rs, xi)
             if k >= 1:
                 assert in_alcove == alcove_contains(rs, xi, k)
             else:
                 assert in_alcove == all(a == 0 for a in n)
             singles.append((is_weight, in_alcove))
-        assert weight_checks(z, vectors, d, k) == tuple(map(all, zip(*singles)))
+        assert weight_checks(rs, vectors, d, k) == tuple(map(all, zip(*singles)))
 
 
 def test_level_weights_verb_makes_no_fraction_check(monkeypatch):
@@ -465,14 +491,14 @@ def test_level_weights_verb_makes_no_fraction_check(monkeypatch):
 def test_minimal_level_is_lcm_of_comarks(name):
     rs = rs_of(name)
     comarks = [int(c) for c in rs.comarks]
-    assert comarks == [a * rs.gram[i][i] / 2 for i, a in enumerate(rs.highest_root)]
+    assert comarks == [a * rs.gram[i][i] / 2 for i, a in enumerate(rs.marks)]
     assert minimal_integral_level(rs) == math.lcm(*comarks)
 
 
 @pytest.mark.parametrize("name", TABLE_TYPES)
 def test_vertices_solve_their_defining_systems(name):
     rs = rs_of(name)
-    theta_row = matvec(rs.gram, rs.highest_root)
+    theta_row = matvec(rs.gram, rs.marks)
     vertices = fractions(alcove_vertices(rs))
     for j in range(rs.rank):
         rows = [theta_row if i == j else rs.gram[i] for i in range(rs.rank)]

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import quasiham
 from quasiham import alcove, cli
 from quasiham.alcove import LevelWeightSet
-from quasiham.cli import MAX_GRID, MAX_SAMPLES, _HANDLERS, build_parser, dispatch, main, render
+from quasiham.cli import MAX_GRID, MAX_SAMPLES, _HANDLERS, dispatch, main, render
 from quasiham.errors import InputError, ToolkitError
 from quasiham.prequant import torsion_level_admissible
 from quasiham.rational import format_vector, parse_vector
@@ -269,17 +269,16 @@ def test_level_weights_validation_can_fail(monkeypatch, capsys, factor, message)
     # with -w_1 and w_1 / 2 escapes both the lattice and the alcove, and its
     # first escape in sorted order, -w_1, names the message
     rs = build_root_system(LieType("A", 2))
-    z = rs.lattice
     nums, times = FAKE_NUMERATORS[factor]
-    fake = LevelWeightSet(rs=rs, level=1, nums=nums, den=times * z.det)
+    fake = LevelWeightSet(rs=rs, level=1, nums=nums, den=times * rs.det)
     factors = sorted([Fraction(0)] + [Fraction(f) for f in factor.split(",")])
     assert fractions(fake) == tuple(tuple(f * c for c in fundamental_weights(rs)[0])
                                     for f in factors)
     if factor.startswith("-1"):
-        assert all(sum(t * n for t, n in zip(z.theta_row, w)) <= z.scale * fake.den
+        assert all(sum(t * n for t, n in zip(rs.theta_row, w)) <= rs.scale * fake.den
                    for w in nums)
     if factor == "-1,1/2":
-        assert alcove.weight_checks(z, nums, fake.den, 1) == (False, False)
+        assert alcove.weight_checks(rs, nums, fake.den, 1) == (False, False)
     monkeypatch.setattr(cli, "level_weights", lambda rs, k: fake)
     argv = ["level-weights", "--type", "A2", "--level", "1"]
     with pytest.raises(ToolkitError, match=message):
@@ -293,8 +292,8 @@ def test_level_weights_enumeration_fault_is_visible(monkeypatch, capsys):
     # candidates at level 3, 7 of them outside the alcove; nothing filters
     # them, so the verb's re-check raises instead of printing the true 13
     rs = build_root_system(LieType("B", 3))
-    assert rs.lattice.comarks == (1, 2, 1)
-    faulty = dataclasses.replace(rs, lattice=rs.lattice._replace(comarks=(1, 1, 1)))
+    assert rs.comarks == (1, 2, 1)
+    faulty = dataclasses.replace(rs, comarks=(1, 1, 1))
     monkeypatch.setattr(cli, "build_root_system", lambda lie_type: faulty)
     argv = ["level-weights", "--type", "B3", "--level", "3"]
     with pytest.raises(ToolkitError, match="enumerated weight escaped the alcove"):
@@ -339,7 +338,7 @@ def test_check_class_pairs_each_class_twice(monkeypatch):
 
 
 def test_reused_parser_keeps_no_state(monkeypatch):
-    assert build_parser() is not build_parser()
+    assert cli._build_parsers()[0] is not cli._build_parsers()[0]
     assert cli._shared_parsers() is cli._shared_parsers()
     _, two = dispatch(["check-class", "--type", "A1", "--xi", "1/4,-1/4",
                        "--xi", "1/2,-1/2", "--level", "2"])
@@ -401,7 +400,7 @@ def test_parse_is_the_full_parser(argv):
     # dispatch and main parse once, with the verb's parser; the namespace,
     # the exit code and every byte of help or error text stay those of the
     # full parser
-    expected = parse_outcome(build_parser().parse_args, argv)
+    expected = parse_outcome(cli._build_parsers()[0].parse_args, argv)
     assert parse_outcome(cli._parse, argv) == expected
     assert set(PARSE_CASES) == set(_HANDLERS)
 
@@ -475,6 +474,39 @@ def test_invalid_input_exits_two_with_tag(argv, tag, capsys):
         assert main(argv + ["--json"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {tag}:") and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    CLASS + ["--xi", "1/8,-1/8"],
+    ["verify", "--space", "double", "--axiom", "moment"],
+    ["verify", "--space", "fused_double", "--axiom", "cocycle"],
+    ["verify", "--space", "genus", "--axiom", "min_degeneracy"],
+    ["verify", "--space", "sphere4"],
+    ["verify", "--space", "eta_su2"],
+    ["cocycle"],
+    ["holonomy-convergence"],
+    ["reduce-rank", "--at", "abba"],
+], ids=" ".join)
+def test_negative_seed_exits_two(argv, capsys):
+    # every verb that draws refuses a negative seed before it draws; the
+    # generator's ValueError made it an internal error, exit 3
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: invalid-seed: need --seed >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (CLASS + ["--xi", "1/4,-1/4", "--xi", "1/8,-1/8"], "conjugacy_class takes 1 --xi, got 2"),
+    (["verify", "--space", "double", "--xi", "1/4,-1/4", "--axiom", "moment"],
+     "double takes 0 --xi, got 1"),
+    (["verify", "--space", "genus", "--xi", "1/4,-1/4", "--xi", "0,0", "--axiom", "moment"],
+     "genus takes 0 --xi, got 2"),
+    (["verify", "--space", "sphere4", "--xi", "1/4,-1/4"], "sphere4 takes 0 --xi, got 1"),
+], ids=["class", "double", "genus", "sphere4"])
+def test_unused_xi_exits_two(argv, message, capsys):
+    # a --xi the space does not read is refused, not dropped: a second class
+    # ran no check, and a double ignored its --xi
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: unused-argument: {message}\n")
 
 
 # Spaces past spaces.MAX_DIM: memory for su(300) bases or a list of 10^9
@@ -570,14 +602,15 @@ def test_internal_failure_exits_3(case, monkeypatch, capsys):
 INPUT_ERROR_TAGS = {
     "degenerate-fit", "dimension-mismatch", "empty-grid", "empty-vector", "grid-mismatch",
     "grid-too-large", "group-size-mismatch", "invalid-genus", "invalid-grids", "invalid-index",
-    "invalid-level", "invalid-rank", "invalid-samples", "invalid-series", "invalid-side",
-    "invalid-step", "invalid-tolerance", "invalid-torsion", "invalid-type", "io-error",
+    "invalid-level", "invalid-rank", "invalid-samples", "invalid-seed", "invalid-series",
+    "invalid-side", "invalid-step", "invalid-tolerance", "invalid-torsion", "invalid-type",
+    "io-error",
     "malformed-connection", "malformed-json", "malformed-matrix", "malformed-rational",
     "missing-argument", "nonzero-sum", "not-a-pair-space", "not-a-root", "not-a-series",
     "not-algebra", "not-g-valued", "not-identity-level", "not-in-alcove", "not-special-unitary",
     "not-square", "not-tangent", "off-sphere", "outside-cover", "rank-too-large",
     "space-too-large", "too-many-samples", "too-many-weights", "undecided-sample",
-    "unknown-axiom", "unknown-space", "unsupported-axiom",
+    "unknown-axiom", "unknown-space", "unsupported-axiom", "unused-argument",
 }
 
 
@@ -665,6 +698,8 @@ def assert_clean_exit(argv, code, out, err, caught):
         assert re.match(r"error: [a-z]+(-[a-z]+)*: ", err), (argv, err)
 
 
+# the generator's seeds and as many negative ones, which are refused
+SEEDS = st.integers(-2**32, 2**32 - 1)
 VERIFY_SPACES = ["conjugacy_class", "double", "fused_double", "genus", "sphere4", "eta_su2"]
 # valid, valid for other n, unsorted, nonzero-sum and malformed alcove points
 XI_POOL = ["1/8,-1/8", "1/4,1/12,-1/3", "3/8,1/8,-1/8,-3/8", "1/2,-1/2", "-1/8,1/8",
@@ -680,7 +715,7 @@ FLOAT_POOL = ["0", "nan", "inf", "-inf", "-1", "1e-7", "1e-4", "1e-3", "0.5"]
        samples=st.integers(-1, 4),
        # an option is left out half of the time, so that most argv reach a verifier
        xi=st.none() | st.sampled_from(XI_POOL), fd_step=st.none() | st.sampled_from(FLOAT_POOL),
-       tol=st.none() | st.sampled_from(FLOAT_POOL), seed=st.integers(0, 2**32 - 1))
+       tol=st.none() | st.sampled_from(FLOAT_POOL), seed=SEEDS)
 def test_verify_fuzz_exits_cleanly(space, axiom, n, genus, samples, xi, fd_step, tol, seed):
     argv = ["verify", f"--space={space}", f"--n={n}", f"--genus={genus}",
             f"--samples={samples}", f"--seed={seed}", "--json"]
@@ -693,7 +728,7 @@ def test_verify_fuzz_exits_cleanly(space, axiom, n, genus, samples, xi, fd_step,
 @settings(max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(n=st.integers(-1, 6), samples=st.integers(-1, 5),
-       tol=st.none() | st.sampled_from(FLOAT_POOL), seed=st.integers(0, 2**32 - 1))
+       tol=st.none() | st.sampled_from(FLOAT_POOL), seed=SEEDS)
 def test_cocycle_fuzz_exits_cleanly(n, samples, tol, seed):
     argv = ["cocycle", f"--n={n}", f"--samples={samples}", f"--seed={seed}", "--json"]
     if tol is not None:
@@ -708,7 +743,7 @@ GRID_ITEMS = st.integers(-2, 256).map(str) | st.sampled_from(["", "x", "1.5", " 
 @settings(max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(n=st.integers(-1, 6), grids=st.none() | st.lists(GRID_ITEMS, min_size=1, max_size=4),
-       seed=st.integers(0, 2**32 - 1))
+       seed=SEEDS)
 def test_holonomy_convergence_fuzz_exits_cleanly(n, grids, seed):
     argv = ["holonomy-convergence", f"--n={n}", f"--seed={seed}", "--json"]
     if grids is not None:
@@ -716,11 +751,12 @@ def test_holonomy_convergence_fuzz_exits_cleanly(n, grids, seed):
     assert_clean_exit(argv, *run_main_quietly(argv))
 
 
-@settings(max_examples=3, deadline=None, database=None)
-@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=5, deadline=None, database=None)
+@given(seed=SEEDS)
 def test_reduce_rank_fuzz_exits_cleanly(seed):
     # every point kind, n and genus of the range and past the size bound; the
-    # seed draws the points
+    # seed draws the points.  About half the seeds are refused, so five
+    # examples draw about as many points as three did on seeds >= 0
     for at, n, genus in itertools.product(["abba", "commuting", "identity"], [*range(-1, 6), 300],
                                           [*range(-1, 4), 10**9]):
         argv = ["reduce-rank", f"--at={at}", f"--n={n}", f"--genus={genus}", f"--seed={seed}",
@@ -810,7 +846,7 @@ def check_class_argv(draw):
 def check_class_oracle(argv):
     """(exit code, payload) of check-class from the Fraction oracles, or
     (2, tag, message) for an input error."""
-    args = build_parser().parse_args(argv)
+    args = cli._build_parsers()[0].parse_args(argv)
     rs = build_root_system(LieType.parse(args.type))
     try:
         xis = []
@@ -946,29 +982,68 @@ def test_console_entry_point_prints(capsys):
     assert "G2" in out and "60" in out
 
 
-# One light argv per verb, verify once per kind of check; the test adds the
-# file mode of holonomy-convergence.
+# Light argv that run every verb: every verify space with each of its axioms,
+# every reduce-rank point, the text and the JSON renderer and an input error;
+# the test adds the file mode of holonomy-convergence.
 COVERAGE_ARGV = [
     ["table"],
-    ["vertices", "--type", "A2"],
+    ["vertices", "--type", "A2", "--json"],
     ["level-weights", "--type", "A2", "--level", "2"],
     ["check-class", "--type", "A1", "--xi", "1/4,-1/4", "--level", "2", "--torsion", "2"],
-    ["verify", "--space", "conjugacy_class", "--n", "2", "--xi", "1/8,-1/8",
-     "--axiom", "cocycle", "--samples", "2"],
-    ["verify", "--space", "sphere4", "--samples", "2"],
+    *(["verify", "--space", space, "--n", "2", "--axiom", axiom, "--samples", "2", *xi]
+      for space, xi in [("conjugacy_class", ["--xi", "1/8,-1/8"]), ("double", []),
+                        ("fused_double", []), ("genus", [])]
+      for axiom in ["cocycle", "moment", "min_degeneracy", "equivariance"]),
+    ["verify", "--space", "sphere4", "--axiom", "equivariance", "--samples", "2"],
     ["verify", "--space", "eta_su2", "--samples", "2"],
     ["cocycle", "--n", "3", "--samples", "2"],
     ["holonomy-convergence", "--grids", "4,8"],
-    ["reduce-rank", "--n", "2", "--at", "commuting"],
+    *(["reduce-rank", "--n", "2", "--at", at] for at in ["abba", "commuting", "identity"]),
+    ["verify", "--space", "double", "--xi", "1/4,-1/4", "--axiom", "moment"],
 ]
-# Public functions no verb calls, each with its reason.  Test-only forms of
-# what the verbs run live in tests/oracles.py instead.
-LIBRARY_ONLY = {
-    "alcove_coordinates": "the phases of matrices whose eigenvectors are not needed; the "
-                          "cocycle verb takes its phases and vectors from one eig per draw",
-    "inner_product": "the exact side of the exact-numerical bridge",
-    "torus_algebra": "the numerical side of the exact-numerical bridge",
+# Every function and method in src/ that no verb reaches, by module and
+# qualified name, with its reason.  Test-only forms of what the verbs run
+# live in tests/oracles.py instead.
+UNREACHED = {
+    "quasiham.sun.alcove_coordinates": "the phases of matrices whose eigenvectors are not "
+                                       "needed; the cocycle verb takes its phases and vectors "
+                                       "from one eig per draw",
+    "quasiham.roots.inner_product": "the exact side of the exact-numerical bridge",
+    "quasiham.sun.torus_algebra": "the numerical side of the exact-numerical bridge",
+    "quasiham.spaces.Fusion.__init__": "no verb takes two spaces; the acceptance tests verify "
+                                       "fusion products",
+    "quasiham.__getattr__": "the module protocol: the verbs import from the modules",
+    "quasiham.__dir__": "the module protocol",
 }
+# the public functions among them
+LIBRARY_ONLY = {name for name in UNREACHED if name.rpartition(".")[2] in quasiham.__all__}
+
+
+def is_stub(node) -> bool:
+    """A def whose body, after its docstring, only raises NotImplementedError:
+    an interface declaration."""
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    exc = getattr(body[0], "exc", None) if len(body) == 1 else None
+    return getattr(getattr(exc, "func", exc), "id", None) == "NotImplementedError"
+
+
+def defined_functions(source: str, filename: str, module: str) -> dict:
+    """The code object of every def in the source, nested ones included, by
+    (filename, first line, qualified name), mapped to module.qualname.
+    Comprehensions, lambdas, class bodies and stubs are left out."""
+    tree = ast.parse(source)
+    stubs = {min([node.lineno] + [d.lineno for d in node.decorator_list])
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and is_stub(node)}
+    out, todo = {}, [compile(tree, filename, "exec")]
+    while todo:
+        code = todo.pop()
+        todo += [c for c in code.co_consts if inspect.iscode(c)]
+        # a class body runs in its own namespace, not in new locals
+        if (code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<")
+                and code.co_firstlineno not in stubs):
+            out[filename, code.co_firstlineno, code.co_qualname] = f"{module}.{code.co_qualname}"
+    return out
 
 
 def test_closed_pipe_exits_without_traceback():
@@ -987,16 +1062,19 @@ def test_closed_pipe_exits_without_traceback():
     assert proc.wait() == 0 and err == b""
 
 
-def test_verb_coverage_table(tmp_path):
-    # every public function is reached by some verb, or is library-only
+def test_verbs_reach_every_function(tmp_path, capsys):
+    # every function and method in src/ runs in some verb, or is in the
+    # reviewed UNREACHED table; main runs the argv, as the command line
+    # does, and dispatch one more, as the benchmark does
     conn = tmp_path / "conn.json"
     conn.write_text(json.dumps({"samples": [[[[0, 0.3], [0, 0]], [[0, 0], [0, -0.3]]]]}))
     argvs = COVERAGE_ARGV + [["holonomy-convergence", "--file", str(conn)]]
     assert {argv[0] for argv in argvs} == set(_HANDLERS)
-    functions = {name: getattr(importlib.import_module(f"quasiham.{module}"), name)
-                 for name, module in quasiham._LOOKUP.items()}
-    codes = {inspect.unwrap(fn).__code__: name for name, fn in functions.items()
-             if inspect.isfunction(inspect.unwrap(fn))}
+    package = Path(quasiham.__file__).parent
+    functions = {}
+    for path in package.glob("*.py"):
+        module = "quasiham" if path.stem == "__init__" else f"quasiham.{path.stem}"
+        functions.update(defined_functions(path.read_text(), str(path), module))
     # a cached call that hits runs no frame
     for module in [m for key, m in sys.modules.items() if key.startswith("quasiham.")]:
         for value in vars(module).values():
@@ -1005,17 +1083,44 @@ def test_verb_coverage_table(tmp_path):
     reached = set()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in codes:
-            reached.add(codes[frame.f_code])
+        if event == "call":
+            code = frame.f_code
+            reached.add((code.co_filename, code.co_firstlineno, code.co_qualname))
 
     sys.setprofile(profile)
     try:
-        for argv in argvs:
-            dispatch(argv)
+        codes = [main(argv) for argv in argvs]
+        dispatch(["table"])
     finally:
         sys.setprofile(None)
-    assert set(codes.values()) - reached == set(LIBRARY_ONLY)
-    assert len(LIBRARY_ONLY) <= 3
+    capsys.readouterr()
+    assert codes.count(2) == 1 and set(codes) <= {0, 1, 2}
+    assert {functions[key] for key in functions.keys() - reached} == set(UNREACHED)
+    assert len(UNREACHED) <= 6 and len(LIBRARY_ONLY) <= 3
+
+
+def test_defined_functions_sees_every_def():
+    # nested defs and methods count; lambdas, comprehensions, class bodies
+    # and stubs do not
+    source = (
+        "class A:\n"
+        "    x = [i for i in range(2)]\n"
+        "    def f(self):\n"
+        "        def g():\n"
+        "            return lambda: 1\n"
+        "        return g\n"
+        "    def stub(self):\n"
+        "        \"\"\"An interface declaration.\"\"\"\n"
+        "        raise NotImplementedError\n"
+        "    def message_stub(self):\n"
+        "        raise NotImplementedError('declared only')\n"
+        "    @staticmethod\n"
+        "    def h():\n"
+        "        return A.stub\n"
+    )
+    found = defined_functions(source, "m.py", "m")
+    assert sorted(found.values()) == ["m.A.f", "m.A.f.<locals>.g", "m.A.h"]
+    assert ("m.py", 3, "A.f") in found and ("m.py", 12, "A.h") in found
 
 
 # Every name of quasiham.__all__.  A new public name is a reviewed addition to
@@ -1067,7 +1172,7 @@ def test_matrix_json_roundtrip():
 
 
 def test_parser_help_lists_all_verbs():
-    parser = build_parser()
+    parser = cli._build_parsers()[0]
     text = parser.format_help()
     for verb in _HANDLERS:
         assert verb in text

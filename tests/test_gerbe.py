@@ -129,11 +129,11 @@ def test_transition_weights_are_eigenline_sums():
 def test_diagonal_det_line():
     a = torus_point([0.3, 0.1, -0.4])
     record = spectral_record(a)
-    assert record.basis(1, 2).shape[1] == 1
+    assert record.bases[1, 2].shape[1] == 1
     # eigenposition 2 is the phase-0.1 coordinate axis: e_2 up to phase
-    mods = np.abs(wedge_coordinates(record.basis(1, 2)))
+    mods = np.abs(wedge_coordinates(record.bases[1, 2]))
     assert mods == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
-    assert record.basis(1, 3).shape[1] == 2
+    assert record.bases[1, 3].shape[1] == 2
 
 
 def test_det_line_dim_and_equivariance():
@@ -142,10 +142,10 @@ def test_det_line_dim_and_equivariance():
         a = regular_sample(3, rng)
         g = random_special_unitary(3, rng)
         for i, j in [(1, 2), (1, 3), (2, 3)]:
-            q = spectral_record(a).basis(i, j)
+            q = spectral_record(a).bases[i, j]
             assert q.shape[1] == j - i
             p = projector(q)
-            pg = projector(spectral_record(g @ a @ g.conj().T).basis(i, j))
+            pg = projector(spectral_record(g @ a @ g.conj().T).bases[i, j])
             assert np.max(np.abs(pg - g @ p @ g.conj().T)) < 1e-9
 
 
@@ -154,9 +154,9 @@ def test_flag_orthogonal_sums():
     for _ in range(10):
         a = regular_sample(3, rng)
         record = spectral_record(a)
-        p12 = projector(record.basis(1, 2))
-        p23 = projector(record.basis(2, 3))
-        p13 = projector(record.basis(1, 3))
+        p12 = projector(record.bases[1, 2])
+        p23 = projector(record.bases[2, 3])
+        p13 = projector(record.bases[1, 3])
         assert np.max(np.abs(p12 + p23 - p13)) < 1e-9
 
 
@@ -181,21 +181,20 @@ def test_diagonal_cocycle_is_one():
 
 def test_collapsed_gap_rejected():
     a = torus_point([0.25, 0.25, -0.5])
+    assert (1, 2) not in spectral_record(a).bases
     with pytest.raises(InputError) as err:
-        spectral_record(a).basis(1, 2)
-    assert err.value.code == "outside-cover"
-    with pytest.raises(InputError):
         cocycle_check(a, 1, 2, 3)
+    assert err.value.code == "outside-cover"
     with pytest.raises(InputError):
         cocycle_check(torus_point([0.2, 0.2, -0.4]), 1, 2, 3)
 
 
 def test_index_validation():
     a = torus_point([0.3, 0.1, -0.4])
-    with pytest.raises(InputError):
-        spectral_record(a).basis(2, 2)
-    with pytest.raises(InputError):
-        cocycle_check(a, 2, 1, 3)
+    for triple in [(2, 2, 3), (2, 1, 3)]:
+        with pytest.raises(InputError) as err:
+            cocycle_check(a, *triple)
+        assert err.value.code == "invalid-index"
 
 
 def cover_to_faces(n, cover):
@@ -249,10 +248,10 @@ def test_determinant_coefficient_matches_wedge_pairing(n, seed):
     record = spectral_record(a)
     assert record.cover == frozenset(range(1, n + 1))
     for i, j, k in combinations(range(1, n + 1), 3):
-        full = wedge_coordinates(record.basis(i, k))
+        full = wedge_coordinates(record.bases[i, k])
         product = wedge_product(
-            wedge_coordinates(record.basis(i, j)), j - i,
-            wedge_coordinates(record.basis(j, k)), k - j, n,
+            wedge_coordinates(record.bases[i, j]), j - i,
+            wedge_coordinates(record.bases[j, k]), k - j, n,
         )
         oracle = np.vdot(full, product) / np.vdot(full, full)
         assert abs(record.coefficient(i, j, k) - oracle) < 1e-13
@@ -266,8 +265,8 @@ def test_record_bases_are_the_det_line_bases():
     a = regular_sample(4, rng)
     record = spectral_record(a)
     for i, j in combinations(range(1, 5), 2):
-        q = record.basis(i, j)
-        assert q is record.bases[i, j] and q.shape == (4, j - i)
+        q = record.bases[i, j]
+        assert q.shape == (4, j - i)
         assert np.max(np.abs(q.conj().T @ q - np.eye(j - i))) < 1e-12
         assert np.max(np.abs(a @ projector(q) - projector(q) @ a)) < 1e-12
         eigenvalues = np.exp(2j * np.pi * record.phases[i:j])
@@ -277,15 +276,14 @@ def test_record_bases_are_the_det_line_bases():
 
 def test_record_outside_cover_and_index_errors():
     record = spectral_record(torus_point([0.25, 0.25, -0.5]))
-    assert record.cover == frozenset({2, 3})
-    for call, args in [(record.basis, (1, 2)), (record.coefficient, (1, 2, 3))]:
+    assert record.cover == frozenset({2, 3}) and set(record.bases) == {(2, 3)}
+    for triple in [(1, 2, 3), (0, 2, 3), (2, 3, 4)]:
         with pytest.raises(InputError) as err:
-            call(*args)
+            record.coefficient(*triple)
         assert err.value.code == "outside-cover"
-    for call, args in [(record.basis, (2, 2)), (record.basis, (0, 4)),
-                       (record.coefficient, (2, 1, 3))]:
+    for triple in [(2, 2, 3), (2, 1, 3), (3, 2, 2)]:
         with pytest.raises(InputError) as err:
-            call(*args)
+            record.coefficient(*triple)
         assert err.value.code == "invalid-index"
 
 
@@ -370,7 +368,7 @@ def test_alcove_order_on_walls_keeps_the_cover_blocks(point):
         phases, cover, bases = record_per_matrix(a)
         assert record.cover == cover and len(cover) < n
         for (i, j), q in bases.items():
-            mine = projector(record.basis(i, j)[p])
+            mine = projector(record.bases[i, j][p])
             assert np.max(np.abs(mine - projector(q))) <= 1e-9
             assert np.max(np.abs(mine - projector(u[:, i:j]))) <= 1e-9
 
@@ -410,7 +408,7 @@ def test_stacked_record_cover_is_the_pieces_containing_every_matrix():
     generic = regular_sample(3, np.random.default_rng(9))
     record = spectral_record(np.stack([generic, wall, generic]))
     assert record.cover == frozenset({2, 3}) and set(record.bases) == {(2, 3)}
-    assert np.array_equal(record.basis(2, 3)[1], record_per_matrix(wall)[2][2, 3])
+    assert np.array_equal(record.bases[2, 3][1], record_per_matrix(wall)[2][2, 3])
     with pytest.raises(InputError) as err:
         record.coefficient(1, 2, 3)
     assert err.value.code == "outside-cover"
@@ -425,7 +423,7 @@ def test_stacked_record_spans_degenerate_eigenspaces():
     mats = us @ torus_point([0.4, -0.2, -0.2]) @ us.conj().swapaxes(-1, -2)
     record = spectral_record(mats)
     assert record.cover == frozenset({1, 3})
-    q = record.basis(1, 3)
+    q = record.bases[1, 3]
     assert np.max(np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(2))) < 1e-12
     eigenspace = us[:, :, 1:] @ us[:, :, 1:].conj().swapaxes(-1, -2)
     assert np.max(np.abs(q @ q.conj().swapaxes(-1, -2) - eigenspace)) < 1e-9

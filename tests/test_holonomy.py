@@ -27,7 +27,7 @@ from quasiham.sun import (
     random_special_unitary,
 )
 
-from oracles import constant_connection
+from oracles import connection_json, constant_connection
 
 
 def smooth_data(n, seed):
@@ -176,7 +176,7 @@ def test_malformed_connection_rejected(samples):
 
 def test_connection_json_shape():
     conn = constant_connection(1j * np.diag([1.0, -1.0]) * 0.1, 2)
-    data = conn.to_json()
+    data = connection_json(conn)
     assert data["steps"] == 2 and len(data["samples"]) == 2
     assert data["samples"][0][0][0] == [0.0, 0.1]
 

@@ -67,8 +67,7 @@ def s_matrix(rs, weights, k, dual_coxeter):
     """The level-k S-matrix over weights, given as simple-root coordinate
     rows."""
     w_elems, signs = weyl_group(rs.cartan_matrix)
-    z = rs.lattice
-    rho = np.array(z.inverse_cartan, dtype=float).sum(axis=0) / z.det
+    rho = np.array(rs.inverse_cartan, dtype=float).sum(axis=0) / rs.det
     gram = np.array(rs.gram, dtype=float)
     shifted = np.asarray(weights, dtype=float) + rho
     moved = np.einsum("wij,lj->wli", w_elems, shifted)
@@ -130,7 +129,7 @@ def test_s_matrix_fails_on_a_wrong_comark(name, k, wrong):
     # together (B3 at level 3 gives 20 weights instead of 13, G2 at 4 15
     # instead of 9); the S-matrix, which reads neither, is not unitary
     rs = build_root_system(LieType.parse(name))
-    faulty = replace(rs, lattice=rs.lattice._replace(comarks=wrong))
+    faulty = replace(rs, comarks=wrong)
     lws = level_weights(faulty, k)
     assert len(lws.nums) > len(level_weights(rs, k).nums)
     s = s_matrix(rs, np.array(lws.nums, dtype=float) / lws.den, k, 1 + sum(wrong))
