@@ -34,9 +34,8 @@ _HOME = {
     "spaces": [
         "ConjugacyClass",
         "Double",
-        "Fusion",
+        "Fused",
         "Genus",
-        "InternalFusion",
         "QSpace",
         "VerificationReport",
         "make_space",

@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Every verb routes to library operations and renders either human-readable
-text or JSON (--json).  Sampling verbs take --seed (default 0) and identical
-invocations produce byte-identical JSON.  Exit codes: 0 success/pass, 1 a
-verification that ran and failed, 2 usage or input errors (a tagged
-InputError), 3 any other exception, an internal error, without traceback and
-with nothing on stdout.  Internal errors include a non-finite residual, a
-failed eigensolver and every check on data the package built itself: the
-root tables, the level-weight enumeration, the alcove normalization and the
-cocycle verb's draws, when more than 100 per sample miss the full cover.  A
-closed stdout ends the output quietly and keeps the exit code.
+text or JSON (--json).  Every option is read or refused: `_ROWS` gives each
+row of a verb the options it reads, with their defaults, and any other given
+option exits 2.  Identical invocations produce byte-identical JSON.  Exit
+codes: 0 success/pass, 1 a verification that ran and failed, 2 usage or
+input errors (a tagged InputError), 3 any other exception, an internal
+error, without traceback and with nothing on stdout.  Internal errors
+include a non-finite residual, a failed eigensolver and every check on data
+the package built itself: the root tables, the level-weight enumeration, the
+alcove normalization and the cocycle verb's draws, when more than 100 per
+sample miss the full cover.  A closed stdout ends the output quietly and
+keeps the exit code.
 
 Numerical modules import lazily inside handlers so exact verbs stay snappy.
 The exact verbs keep their per-op cost low: argv is parsed in one argparse
@@ -27,6 +29,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 from .alcove import (
     alcove_vertices,
@@ -147,61 +150,18 @@ def _run_check_class(args) -> tuple[int, dict]:
     return (0 if answer else 1), payload
 
 
-def _build_space(args):
-    from .spaces import _bounded, make_space
+def _run_axiom(args) -> tuple[int, dict]:
+    from .spaces import _bounded, make_space, verify_axiom
 
     xi = None
-    if args.space == "conjugacy_class":
-        if not args.xi:
-            raise InputError("missing-argument", "--xi is required for conjugacy_class")
+    if args.xi is not None:  # a class, the one space that reads --xi
+        if len(args.xi) > 1:
+            raise InputError("unused-argument", f"conjugacy_class takes 1 --xi, got {len(args.xi)}")
         _bounded(args.n**2 - 1)  # before the root system, which grows with n
         rs = build_root_system(LieType("A", args.n - 1))
         nums, den = _parse_xi(rs, args.xi[0])
         xi = a_series_embedding(rs, tuple(Fraction(a, den) for a in nums))
-    return make_space(args.space, n=args.n, xi=xi, h=args.genus)
-
-
-def _run_verify(args) -> tuple[int, dict]:
-    # only a conjugacy class reads --xi, and only one
-    takes = int(args.space == "conjugacy_class")
-    if len(args.xi or ()) > takes:
-        raise InputError("unused-argument", f"{args.space} takes {takes} --xi, got {len(args.xi)}")
-    if args.space == "eta_su2":
-        if args.axiom is not None:
-            raise InputError("unsupported-axiom", "eta_su2 checks only the 3-form normalization")
-        from .sun import eta_integral_su2
-
-        tol = 1e-2 if args.tol is None else args.tol
-        value = eta_integral_su2(samples=args.samples, seed=args.seed)
-        ok = bool(abs(value - 1.0) < tol)
-        return (0 if ok else 1), {
-            "check": "eta_normalization",
-            "samples": args.samples,
-            "value": value,
-            "tolerance": tol,
-            "pass": ok,
-        }
-    if args.space == "sphere4":
-        if args.axiom not in (None, "equivariance"):
-            raise InputError("unsupported-axiom", "sphere4 only supports the equivariance check")
-        from .spaces import sphere4_equivariance_residual
-
-        tol = 1e-10 if args.tol is None else args.tol
-        worst = sphere4_equivariance_residual(samples=args.samples, seed=args.seed)
-        ok = worst < tol
-        return (0 if ok else 1), {
-            "axiom": "equivariance",
-            "space": "sphere4",
-            "samples": args.samples,
-            "max_residual": worst,
-            "tolerance": tol,
-            "pass": ok,
-        }
-    if args.axiom is None:
-        raise InputError("missing-argument", "--axiom is required for this space")
-    from .spaces import verify_axiom
-
-    space = _build_space(args)
+    space = make_space(args.space, n=args.n, xi=xi, h=args.genus)
     report = verify_axiom(
         space,
         args.axiom,
@@ -212,6 +172,30 @@ def _run_verify(args) -> tuple[int, dict]:
     )
     payload = {"space": args.space, "n": args.n, **report.to_json()}
     return (0 if report.passed else 1), payload
+
+
+def _run_sphere4(args) -> tuple[int, dict]:
+    from .spaces import VerificationReport, sphere4_equivariance_residual
+
+    worst = sphere4_equivariance_residual(samples=args.samples, seed=args.seed)
+    report = VerificationReport("equivariance", args.samples, worst, args.tol, worst < args.tol)
+    # the text lists the axiom first, then the space, then the rest of the report
+    payload = {"axiom": report.axiom, "space": "sphere4", **report.to_json()}
+    return (0 if report.passed else 1), payload
+
+
+def _run_eta(args) -> tuple[int, dict]:
+    from .sun import eta_integral_su2
+
+    value = eta_integral_su2(samples=args.samples, seed=args.seed)
+    ok = bool(abs(value - 1.0) < args.tol)
+    return (0 if ok else 1), {
+        "check": "eta_normalization",
+        "samples": args.samples,
+        "value": value,
+        "tolerance": args.tol,
+        "pass": ok,
+    }
 
 
 def _run_cocycle(args) -> tuple[int, dict]:
@@ -254,46 +238,44 @@ def _run_cocycle(args) -> tuple[int, dict]:
                           for triple in combinations(range(1, args.n + 1), 3)]))
     if not math.isfinite(worst):
         raise ToolkitError("non-finite cocycle defect")
-    tol = 1e-8 if args.tol is None else args.tol
     consistent = vertex_weight_consistency(args.n)
     payload = {
         "n": args.n,
         "samples": args.samples,
         "rejected": rejected,
         "max_unimodularity_defect": worst,
-        "tolerance": tol,
+        "tolerance": args.tol,
         "eigenline_weights": [
             format_vector(eigenline_weight(args.n, i)) for i in range(1, args.n + 1)
         ],
         "vertex_weight_consistency": consistent,
-        "pass": worst < tol and consistent,
+        "pass": worst < args.tol and consistent,
     }
     return (0 if payload["pass"] else 1), payload
+
+
+def _run_holonomy_file(args) -> tuple[int, dict]:
+    from .holonomy import holonomy
+    from .serialize import connection_from_json
+    from .sun import complex_pairs
+
+    try:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InputError("io-error", f"cannot read {args.file}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise InputError("malformed-json", f"{args.file} is not JSON: {exc}") from exc
+    conn = connection_from_json(data)
+    return 0, {"steps": conn.steps, "holonomy": complex_pairs(holonomy(conn))}
 
 
 def _run_holonomy(args) -> tuple[int, dict]:
     import numpy as np
 
-    from .holonomy import (
-        convergence_order,
-        gauge_equivariance_residual,
-        holonomy,
-    )
-    from .serialize import connection_from_json
+    from .holonomy import convergence_order, gauge_equivariance_residual
     from .spaces import _bounded
-    from .sun import complex_pairs, random_algebra, random_special_unitary
-
-    if args.file is not None:
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InputError("io-error", f"cannot read {args.file}: {exc.strerror}") from exc
-        except ValueError as exc:
-            raise InputError("malformed-json", f"{args.file} is not JSON: {exc}") from exc
-        conn = connection_from_json(data)
-        hol = holonomy(conn)
-        return 0, {"steps": conn.steps, "holonomy": complex_pairs(hol)}
+    from .sun import random_algebra, random_special_unitary
 
     try:
         grids = [int(s) for s in args.grids.split(",")]
@@ -345,7 +327,8 @@ def _run_holonomy(args) -> tuple[int, dict]:
     return (0 if ok else 1), payload
 
 
-def _run_reduce_rank(args) -> tuple[int, dict]:
+def _reduce_rank(args, h: int) -> tuple[int, dict]:
+    """The moment map's rank on genus(n, h) at the point --at names."""
     import numpy as np
 
     from .spaces import make_space, reduction_rank
@@ -353,8 +336,8 @@ def _run_reduce_rank(args) -> tuple[int, dict]:
 
     rng = np.random.default_rng(args.seed)
     # The space is built first: it rejects an n the points cannot be drawn for.
-    h = {"abba": 2, "commuting": 1}.get(args.at, args.genus)
     space = make_space("genus", n=args.n, h=h)
+    point = space.base  # the identity
     if args.at == "abba":
         a = random_special_unitary(args.n, rng)
         b = random_special_unitary(args.n, rng)
@@ -365,10 +348,6 @@ def _run_reduce_rank(args) -> tuple[int, dict]:
         a = u @ expm_skew(rng.normal() * diag) @ u.conj().T
         b = u @ expm_skew(rng.normal() * diag) @ u.conj().T
         point = np.stack([a, b])
-    elif args.at == "identity":
-        point = space.base
-    else:
-        raise ToolkitError(f"unknown point kind {args.at!r}")
     rank = reduction_rank(space, point)
     return 0, {
         "space": f"genus({args.n},{h})",
@@ -380,85 +359,64 @@ def _run_reduce_rank(args) -> tuple[int, dict]:
 
 
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command-line parser and its verb parsers by name."""
+    """The command-line parser and its verb parsers by name.  A verb parser
+    has no defaults: its namespace holds only the options the argv gives."""
     parser = argparse.ArgumentParser(
         prog="quasiham",
         description="Exact alcove arithmetic and numerical moment-map checks",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    verb = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("table", help="minimal integral levels per simple type")
-    p.add_argument("--json", action="store_true")
+    verb("table", help="minimal integral levels per simple type")
 
-    p = sub.add_parser("vertices", help="alcove vertices and transition weights")
+    p = verb("vertices", help="alcove vertices and transition weights")
     p.add_argument("--type", required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("level-weights", help="weights inside the level-k alcove")
+    p = verb("level-weights", help="weights inside the level-k alcove")
     p.add_argument("--type", required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("check-class", help="level-k pre-quantization of classes")
+    p = verb("check-class", help="level-k pre-quantization of classes")
     p.add_argument("--type", required=True)
     p.add_argument("--xi", action="append", required=True,
                    help="alcove parameter as comma-separated rationals; repeatable")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--torsion", type=int, default=None,
+    p.add_argument("--torsion", type=int,
                    help="torsion exponent of second homology, if known")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("verify", help="residual checks of the space axioms")
-    p.add_argument("--space", required=True,
-                   choices=["conjugacy_class", "double", "fused_double", "genus",
-                            "sphere4", "eta_su2"])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--xi", action="append", default=None)
-    p.add_argument("--genus", type=int, default=1)
-    p.add_argument("--axiom", default=None,
-                   choices=["cocycle", "moment", "min_degeneracy", "equivariance"])
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--fd-step", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    p = verb("verify", help="residual checks of the space axioms")
+    p.add_argument("--space", required=True, choices=[*_SPACE_READS, "sphere4", "eta_su2"])
+    p.add_argument("--n", type=int)
+    p.add_argument("--xi", action="append")
+    p.add_argument("--genus", type=int)
+    p.add_argument("--axiom", choices=[*_AXIOM_READS])
+    p.add_argument("--samples", type=int)
+    p.add_argument("--fd-step", type=float)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("cocycle", help="determinant-line cocycle over random matrices")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    p = verb("cocycle", help="determinant-line cocycle over random matrices")
+    p.add_argument("--n", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("holonomy-convergence",
-                       help="gauge equivariance residual against grid size")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--grids", default="8,16,32,64,128")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--file", default=None,
-                   help="JSON connection file; compute a single holonomy instead")
-    p.add_argument("--json", action="store_true")
+    p = verb("holonomy-convergence", help="gauge equivariance residual against grid size")
+    p.add_argument("--n", type=int)
+    p.add_argument("--grids")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--file", help="JSON connection file; compute a single holonomy instead")
 
-    p = sub.add_parser("reduce-rank", help="moment-map rank on the identity level set")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--genus", type=int, default=1)
+    p = verb("reduce-rank", help="moment-map rank on the identity level set")
+    p.add_argument("--n", type=int)
+    p.add_argument("--genus", type=int)
     p.add_argument("--at", required=True, choices=["abba", "commuting", "identity"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--seed", type=int)
 
+    for p in sub.choices.values():  # every row reads --json
+        p.add_argument("--json", action="store_true")
     return parser, sub.choices
-
-
-_HANDLERS = {
-    "table": _run_table,
-    "vertices": _run_vertices,
-    "level-weights": _run_level_weights,
-    "check-class": _run_check_class,
-    "verify": _run_verify,
-    "cocycle": _run_cocycle,
-    "holonomy-convergence": _run_holonomy,
-    "reduce-rank": _run_reduce_rank,
-}
 
 
 @functools.cache
@@ -483,20 +441,81 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return args
 
 
+# The default of a read option that the argv must give.
+_REQUIRED = object()
+# The options of each verify space beyond --n, and of each axiom.  A tol of
+# None takes the axiom's default tolerance.
+_SPACE_READS = {"conjugacy_class": {"xi": _REQUIRED}, "double": {}, "fused_double": {},
+                "genus": {"genus": 1}}
+_AXIOM_READS = {"cocycle": {"fd_step": 1e-4}, "moment": {}, "min_degeneracy": {},
+                "equivariance": {}}
+
+# Every row a parsed argv can pick, by name, with its handler and the options
+# it reads, by their defaults.  The name is the verb, then the value of each
+# option in _PICKS that the argv gives, then --file if it gives one.  Every
+# row reads --json, and every row of a verb that draws reads --seed.
+_ROWS = {
+    "table": (_run_table, {}),
+    "vertices": (_run_vertices, {"type": _REQUIRED}),
+    "level-weights": (_run_level_weights, {"type": _REQUIRED, "level": _REQUIRED}),
+    "check-class": (_run_check_class,
+                    {"type": _REQUIRED, "xi": _REQUIRED, "level": _REQUIRED, "torsion": None}),
+    **{f"verify --space {space} --axiom {axiom}":
+       (_run_axiom, {"n": 2, **reads, "samples": 50, **steps, "tol": None, "seed": 0})
+       for space, reads in _SPACE_READS.items() for axiom, steps in _AXIOM_READS.items()},
+    **{name: (_run_sphere4, {"samples": 50, "tol": 1e-10, "seed": 0})
+       for name in ("verify --space sphere4", "verify --space sphere4 --axiom equivariance")},
+    "verify --space eta_su2": (_run_eta, {"samples": 50, "tol": 1e-2, "seed": 0}),
+    "cocycle": (_run_cocycle, {"n": 3, "samples": 100, "tol": 1e-8, "seed": 0}),
+    "holonomy-convergence": (_run_holonomy, {"n": 2, "grids": "8,16,32,64,128", "seed": 0}),
+    "holonomy-convergence --file": (_run_holonomy_file, {"seed": 0}),
+    "reduce-rank --at abba": (lambda args: _reduce_rank(args, 2), {"n": 2, "seed": 0}),
+    "reduce-rank --at commuting": (lambda args: _reduce_rank(args, 1), {"n": 2, "seed": 0}),
+    "reduce-rank --at identity":
+        (lambda args: _reduce_rank(args, args.genus), {"n": 2, "genus": 1, "seed": 0}),
+}
+_PICKS = ("space", "axiom", "at")
+# A handler's namespace holds every option of every row: the given value,
+# else its row's default, else None for an option its row does not read.
+_UNREAD = dict.fromkeys(option for _, reads in _ROWS.values() for option in reads)
+
+
+def _flag(option: str) -> str:
+    return "--" + option.replace("_", "-")
+
+
 def _run(args) -> tuple[int, dict]:
-    """Run the parsed verb after rejecting a sample count, tolerance or seed
-    no verb can run with; the checks apply to every verb that takes the
-    option."""
-    if getattr(args, "samples", 1) < 1:
+    """Run the row of the parsed argv after refusing a sample count,
+    tolerance or seed that no row can run with (every row of a verb with the
+    option reads it), a given option the row does not read and a missing
+    required one; the row's defaults fill in the rest."""
+    given = vars(args)
+    if "samples" in given and given["samples"] < 1:
         raise InputError("invalid-samples", f"need --samples >= 1, got {args.samples}")
-    if getattr(args, "samples", 1) > MAX_SAMPLES:
+    if "samples" in given and given["samples"] > MAX_SAMPLES:
         raise InputError("too-many-samples", f"--samples {args.samples} exceeds {MAX_SAMPLES}")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise InputError("invalid-tolerance", f"need a finite --tol > 0, got {tol}")
-    if getattr(args, "seed", 0) < 0:
+    if "tol" in given and not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError("invalid-tolerance", f"need a finite --tol > 0, got {args.tol}")
+    if "seed" in given and args.seed < 0:
         raise InputError("invalid-seed", f"need --seed >= 0, got {args.seed}")
-    return _HANDLERS[args.verb](args)
+    words = [args.verb] + [f"--{o} {given[o]}" for o in _PICKS if o in given]
+    if "file" in given:  # one row, whatever the file
+        words.append("--file")
+    name = " ".join(words)
+    if name not in _ROWS:
+        # only a verify space without an --axiom, or with one it cannot check
+        if "axiom" not in given:
+            raise InputError("missing-argument", f"--axiom is required for {args.space}")
+        raise InputError("unsupported-axiom", f"{args.space} does not check {args.axiom}")
+    handler, reads = _ROWS[name]
+    unread = [_flag(o) for o in given
+              if o not in reads and o not in ("verb", "json", "file", *_PICKS)]
+    if unread:
+        raise InputError("unused-argument", f"{name} does not read {', '.join(unread)}")
+    missing = [_flag(o) for o, value in reads.items() if value is _REQUIRED and o not in given]
+    if missing:
+        raise InputError("missing-argument", f"{', '.join(missing)} is required for {name}")
+    return handler(SimpleNamespace(**{**_UNREAD, **reads, **given}))
 
 
 def dispatch(argv: list[str]) -> tuple[int, dict]:
@@ -597,7 +616,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(argv)
         code, payload = _run(args)
-        text = render(payload, args.json)
+        text = render(payload, "json" in args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,12 @@
 """Quasi-Hamiltonian SU(n)-spaces and numerical verification of their axioms.
 
 Built-in spaces: conjugacy classes, the double (a G x G space), and `Fused`,
-one left fold of fusion over a list of parts.  Its constructors are the
-internal fusion of a double (commutator moment map), the fusion product of
-two G-valued spaces, and the genus-h product of h fused doubles.  A point
-is one complex array of shape (k, n, n): one SU(n) matrix per slot, one
-slot for a class and two for a double, and a fused space has the slots of
-its parts in a row.  Field data has the shape of a point, and a stack of d
+the one fusion constructor, a left fold of fusion over a list of parts:
+Fused([Double(n)]) is the fused double and Fused([a, b]) the fusion product
+of a and b.  `Genus` is h fused doubles with group-slot fast paths.  A point
+is one complex array of shape (k, n, n): one SU(n) matrix per slot, one slot
+for a class and two for a double, and a fused space has the slots of its
+parts in a row.  Field data has the shape of a point, and a stack of d
 tangents at it has shape (k, d, n, n).  A random point is the time-one flow
 from the space's base point of a field drawn as one Gaussian su(n) element
 per slot.  Every space gives one structure record for a stack of tangents:
@@ -372,6 +372,8 @@ class Fused(QSpace):
     def __init__(self, parts: list):
         self.parts = tuple(parts)
         self.n = parts[0].n
+        if any(p.n != self.n for p in parts):
+            raise InputError("group-size-mismatch", f"parts over SU(n), n = {[p.n for p in parts]}")
         self.dim = _bounded(sum(p.dim for p in parts))
         ends = list(accumulate((len(p.base) for p in parts), initial=0))
         self._keys = [slice(i, j) for i, j in zip(ends, ends[1:])]
@@ -403,26 +405,6 @@ class Fused(QSpace):
         return self._each(lambda p, d, x: p.field_flow(d, x, t), data, m)
 
 
-class InternalFusion(Fused):
-    """Fuse the two group factors of a G x G space."""
-
-    def __init__(self, inner: QSpace):
-        if inner.group_factors != 2:
-            raise InputError("not-a-pair-space", "internal fusion needs a G x G space")
-        Fused.__init__(self, [inner])
-
-
-class Fusion(Fused):
-    """Fusion product of two G-valued spaces over the same SU(n)."""
-
-    def __init__(self, s1: QSpace, s2: QSpace):
-        if s1.group_factors != 1 or s2.group_factors != 1:
-            raise InputError("not-g-valued", "fusion factors must carry G-valued moments")
-        if s1.n != s2.n:
-            raise InputError("group-size-mismatch", f"SU({s1.n}) vs SU({s2.n})")
-        Fused.__init__(self, [s1, s2])
-
-
 class Genus(_Slots, Fused):
     """h doubles fused in a row, with the commutator-product moment map
     prod_j [a_j, b_j]; points have the 2h slots (a_1, b_1, ..., a_h, b_h),
@@ -435,17 +417,13 @@ class Genus(_Slots, Fused):
         Fused.__init__(self, [Double(n)] * int(h))
 
 
-def make_space(kind: str, *, n: int | None = None, xi=None, h: int | None = None,
-               s1: QSpace | None = None, s2: QSpace | None = None,
-               s: QSpace | None = None) -> QSpace:
+def make_space(kind: str, *, n: int | None = None, xi=None, h: int | None = None) -> QSpace:
     """Build one of the built-in spaces by name."""
     table = {
         "conjugacy_class": ((n, xi), "n and xi", lambda: ConjugacyClass(n, xi)),
         "double": ((n,), "n", lambda: Double(n)),
-        "fused_double": ((n,), "n", lambda: InternalFusion(Double(n))),
+        "fused_double": ((n,), "n", lambda: Fused([Double(n)])),
         "genus": ((n, h), "n and h", lambda: Genus(n, h)),
-        "fusion": ((s1, s2), "s1 and s2", lambda: Fusion(s1, s2)),
-        "internal_fusion": ((s,), "a space", lambda: InternalFusion(s)),
     }
     if kind not in table:
         raise InputError("unknown-space", f"no space kind {kind!r}")
@@ -663,17 +641,19 @@ def verify_axiom(
     space: QSpace,
     axiom: str,
     samples: int = 50,
-    fd_step: float = 1e-4,
+    fd_step: float | None = None,
     tol: float | None = None,
     seed: int = 0,
 ) -> VerificationReport:
     """Check one defining condition on random samples and report the worst
     residual.  Sampling is driven by a single seeded generator, so reports
-    are reproducible."""
+    are reproducible.  fd_step, the cocycle's central-difference step, and tol
+    default to 1e-4 and to the axiom's DEFAULT_TOLERANCES entry."""
     if axiom not in AXIOMS:
         raise InputError("unknown-axiom", f"axiom must be one of {AXIOMS}, got {axiom!r}")
     if samples < 1:
         raise InputError("invalid-samples", f"need samples >= 1, got {samples}")
+    fd_step = 1e-4 if fd_step is None else fd_step
     if not (1e-6 < fd_step < 1e-2):
         raise InputError("invalid-step", f"fd_step must lie in (1e-6, 1e-2), got {fd_step}")
     tolerance = DEFAULT_TOLERANCES[axiom] if tol is None else float(tol)

@@ -23,8 +23,8 @@ from quasiham.roots import (
 from quasiham.spaces import (
     ConjugacyClass,
     Double,
+    Fused,
     Genus,
-    InternalFusion,
     reduction_rank,
     verify_axiom,
 )
@@ -59,7 +59,7 @@ def axiom_space_list():
         ("conjugacy_class(2,(1/8,-1/8))", ConjugacyClass(2, (Q(1, 8), Q(-1, 8)))),
         ("conjugacy_class(3,generic)", ConjugacyClass(3, GENERIC_XI3)),
         ("double(2)", Double(2)),
-        ("fused_double(2)", InternalFusion(Double(2))),
+        ("fused_double(2)", Fused([Double(2)])),
         ("genus(2,2)", Genus(2, 2)),
     ]
 

@@ -13,10 +13,17 @@ Fraction oracles of tests/test_alcove.py together, fails them.
 
 with W the closure of the simple reflections acting on simple-root
 coordinates, and |P / (k + h) Q^v| = (k + h)^r det(Cartan) / prod d_i from
-the lattice volumes, d_i = (a_i, a_i) / 2.
+the lattice volumes, d_i = (a_i, a_i) / 2.  With the T-matrix of the
+conformal weights and the central charge,
+
+    T = diag exp(2 pi i (h_l - c / 24)),  h_l = (l, l + 2 rho) / (2 (k + h)),
+    c = k dim G / (k + h),
+
+(ST)^3 = S^2: a check of h that does not go through S.
 """
 
 from dataclasses import replace
+from functools import cache
 from math import comb, prod
 
 import numpy as np
@@ -85,6 +92,24 @@ def weight_rows(rs, k):
     return np.array(lws.nums, dtype=float) / lws.den
 
 
+def t_phases(rs, weights, k, dual_coxeter):
+    """The diagonal of the level-k T-matrix over weights."""
+    rho = np.array(rs.inverse_cartan, dtype=float).sum(axis=0) / rs.det
+    gram = np.array(rs.gram, dtype=float)
+    k_h = k + dual_coxeter
+    conformal = np.einsum("li,ij,lj->l", weights, gram, weights + 2 * rho) / (2 * k_h)
+    charge = k * (rs.rank + 2 * len(rs.positive_roots)) / k_h
+    return np.exp(2j * np.pi * (conformal - charge / 24))
+
+
+@cache
+def case(name, k):
+    """The root system, the level-k weights and their S-matrix, once per case."""
+    rs = build_root_system(LieType.parse(name))
+    weights = weight_rows(rs, k)
+    return rs, weights, s_matrix(rs, weights, k, rs.dual_coxeter)
+
+
 def defects(s):
     """max |S S* - 1|, max |S - S^T| and the distance of S^2 from the
     nearest permutation matrix."""
@@ -103,8 +128,7 @@ def verlinde(s, genus):
 
 @pytest.mark.parametrize("name,k", CASES)
 def test_s_matrix_is_unitary_symmetric_and_squares_to_a_permutation(name, k):
-    rs = build_root_system(LieType.parse(name))
-    s = s_matrix(rs, weight_rows(rs, k), k, rs.dual_coxeter)
+    s = case(name, k)[2]
     assert max(defects(s)) < 1e-9
     for genus in (2, 3):
         number = verlinde(s, genus)
@@ -134,3 +158,21 @@ def test_s_matrix_fails_on_a_wrong_comark(name, k, wrong):
     assert len(lws.nums) > len(level_weights(rs, k).nums)
     s = s_matrix(rs, np.array(lws.nums, dtype=float) / lws.den, k, 1 + sum(wrong))
     assert defects(s)[0] > 0.05
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_st_cubed_is_s_squared(name, k):
+    rs, weights, s = case(name, k)
+
+    def defect(t):
+        st = s * t
+        return np.max(np.abs(st @ st @ st - s @ s))
+
+    t = t_phases(rs, weights, k, rs.dual_coxeter)
+    assert defect(t) < 1e-10
+    # the opposite sign of T fails wherever the charge conjugation S^2 is
+    # not the identity, which pins the sign; h^v + 1 in T alone fails on
+    # every case (at 0.149 or more)
+    if np.max(np.abs(s @ s - np.eye(len(s)))) > 0.5:
+        assert defect(t.conj()) > 0.5
+    assert defect(t_phases(rs, weights, k, rs.dual_coxeter + 1)) > 0.1

@@ -20,9 +20,7 @@ from quasiham.spaces import (
     ConjugacyClass,
     Double,
     Fused,
-    Fusion,
     Genus,
-    InternalFusion,
     make_space,
     reduction_rank,
     sphere4_act,
@@ -49,7 +47,7 @@ def builtin_spaces():
         ("class2", ConjugacyClass(2, (Q(1, 8), Q(-1, 8)))),
         ("class3", ConjugacyClass(3, GENERIC_XI3)),
         ("double2", Double(2)),
-        ("fused2", InternalFusion(Double(2))),
+        ("fused2", Fused([Double(2)])),
         ("genus22", Genus(2, 2)),
     ]
 
@@ -88,9 +86,9 @@ def pair_omega(space, m, v, w):
 def genus_chain(n, h):
     """Genus(n, h) written out as nested fusions; its points have the same
     2h slots."""
-    chain = InternalFusion(Double(n))
+    chain = Fused([Double(n)])
     for _ in range(h - 1):
-        chain = Fusion(chain, InternalFusion(Double(n)))
+        chain = Fused([chain, Fused([Double(n)])])
     return chain
 
 
@@ -181,13 +179,13 @@ def fd_reduction_rank(space, m, fd_step=1e-5):
 def test_make_space_dispatch():
     assert isinstance(make_space("conjugacy_class", n=2, xi=(Q(1, 4), Q(-1, 4))), ConjugacyClass)
     assert isinstance(make_space("double", n=2), Double)
-    assert isinstance(make_space("fused_double", n=3), InternalFusion)
+    fused = make_space("fused_double", n=3)
+    assert type(fused) is Fused and [type(p) for p in fused.parts] == [Double]
     assert isinstance(make_space("genus", n=2, h=2), Genus)
-    d = make_space("fused_double", n=2)
-    assert isinstance(make_space("fusion", s1=d, s2=d), Fusion)
-    assert isinstance(make_space("internal_fusion", s=Double(2)), InternalFusion)
-    with pytest.raises(InputError):
-        make_space("nonsense")
+    for kind in ("nonsense", "fusion", "internal_fusion"):
+        with pytest.raises(InputError) as err:
+            make_space(kind, n=2)
+        assert err.value.code == "unknown-space"
     with pytest.raises(InputError):
         make_space("conjugacy_class", n=2)
 
@@ -198,16 +196,13 @@ def test_space_validation_errors():
     assert err.value.code == "not-in-alcove"
     with pytest.raises(InputError):
         ConjugacyClass(2, (Q(1, 4), Q(1, 4)))  # nonzero sum
-    with pytest.raises(InputError):
-        Fusion(InternalFusion(Double(2)), InternalFusion(Double(3)))
-    with pytest.raises(InputError):
-        Fusion(Double(2), Double(2))  # pair-valued factors
-    with pytest.raises(InputError):
-        InternalFusion(InternalFusion(Double(2)))
+    with pytest.raises(InputError) as err:
+        Fused([Fused([Double(2)]), Fused([Double(3)])])
+    assert err.value.code == "group-size-mismatch"
     with pytest.raises(InputError):
         Genus(2, 0)
     for n in (0, 1):
-        for build in (lambda: Double(n), lambda: Genus(n, 1), lambda: InternalFusion(Double(n))):
+        for build in (lambda: Double(n), lambda: Genus(n, 1), lambda: Fused([Double(n)])):
             with pytest.raises(InputError) as err:
                 build()
             assert err.value.code == "invalid-rank"
@@ -225,10 +220,10 @@ def test_space_size_is_bounded_before_allocation():
     bound = spaces.MAX_DIM
     assert Genus(4, 8).dim <= bound and Double(11).dim <= bound
     assert ConjugacyClass(16, generic_xi(16)).dim <= bound
-    too_large = [lambda: Double(12), lambda: InternalFusion(Double(300)), lambda: Genus(4, 9),
+    too_large = [lambda: Double(12), lambda: Fused([Double(300)]), lambda: Genus(4, 9),
                  lambda: Genus(2, 10**9), lambda: ConjugacyClass(300, (Q(0),) * 300),
                  lambda: ConjugacyClass(17, generic_xi(17)),
-                 lambda: Fusion(*[ConjugacyClass(16, generic_xi(16))] * 2)]
+                 lambda: Fused([ConjugacyClass(16, generic_xi(16))] * 2)]
     for build in too_large:
         with pytest.raises(InputError) as err:
             build()
@@ -239,7 +234,7 @@ def test_dimensions():
     assert ConjugacyClass(2, (Q(1, 8), Q(-1, 8))).dim == 2
     assert ConjugacyClass(3, GENERIC_XI3).dim == 6
     assert Double(2).dim == 6
-    assert InternalFusion(Double(2)).dim == 6
+    assert Fused([Double(2)]).dim == 6
     assert Genus(2, 2).dim == 12
     # a central class is a single point
     assert ConjugacyClass(2, (Q(1, 2), Q(-1, 2))).dim == 0
@@ -337,7 +332,7 @@ def test_class_dim_is_exact_and_matches_tangent_basis():
 
 
 def test_fused_double_moment_at_commuting_pair():
-    f = InternalFusion(Double(2))
+    f = Fused([Double(2)])
     h = 1j * np.diag([1.0, -1.0])
     a = scipy.linalg.expm(0.4 * h)
     b = scipy.linalg.expm(-1.1 * h)
@@ -376,7 +371,7 @@ def gram_spaces():
         ("class(3)", ConjugacyClass(3, GENERIC_XI3), 6),
         ("class(4)", ConjugacyClass(4, (Q(3, 8), Q(1, 8), Q(-1, 8), Q(-3, 8))), 12),
         ("double(3)", Double(3), 16),
-        ("fused_double(3)", InternalFusion(Double(3)), 16),
+        ("fused_double(3)", Fused([Double(3)]), 16),
         ("genus(2,2)", Genus(2, 2), 12),
         ("genus(3,3)", Genus(3, 3), 48),
     ]
@@ -495,10 +490,10 @@ def orientation_spaces():
         ConjugacyClass(4, (Q(3, 8), Q(1, 8), Q(-1, 8), Q(-3, 8))),
         Double(2),
         Double(3),
-        InternalFusion(Double(2)),
+        Fused([Double(2)]),
         Genus(2, 2),
         Genus(3, 2),
-        Fusion(ConjugacyClass(2, (Q(1, 8), Q(-1, 8))), ConjugacyClass(2, (Q(1, 4), Q(-1, 4)))),
+        Fused([ConjugacyClass(2, (Q(1, 8), Q(-1, 8))), ConjugacyClass(2, (Q(1, 4), Q(-1, 4)))]),
     ]
 
 
@@ -573,7 +568,7 @@ def point_mismatch(space, m, basis):
 def fusions(n):
     """An internal fusion and a fusion product of two classes over SU(n)."""
     xi = (Q(1, 8), Q(-1, 8)) if n == 2 else GENERIC_XI3
-    return [InternalFusion(Double(n)), Fusion(ConjugacyClass(n, xi), ConjugacyClass(n, xi))]
+    return [Fused([Double(n)]), Fused([ConjugacyClass(n, xi), ConjugacyClass(n, xi)])]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -784,7 +779,7 @@ def test_report_json():
 
 
 def test_reports_are_seed_deterministic():
-    space = InternalFusion(Double(2))
+    space = Fused([Double(2)])
     for axiom in ("moment", "cocycle", "equivariance"):
         first = verify_axiom(space, axiom, samples=4, seed=5)
         second = verify_axiom(space, axiom, samples=4, seed=5)
@@ -798,13 +793,13 @@ def test_reports_are_seed_deterministic():
 # records and residuals over stacks of points
 
 def nested_fusion():
-    """Fusion(Fusion(c1, c2), c3): three slots, one per class."""
+    """Fused([Fused([c1, c2]), c3]): three slots, one per class."""
     c1, c2 = ConjugacyClass(2, (Q(1, 8), Q(-1, 8))), ConjugacyClass(2, (Q(1, 4), Q(-1, 4)))
-    return Fusion(Fusion(c1, c2), ConjugacyClass(2, (Q(3, 8), Q(-3, 8))))
+    return Fused([Fused([c1, c2]), ConjugacyClass(2, (Q(3, 8), Q(-3, 8)))])
 
 
 def stack_spaces():
-    pair = Fusion(ConjugacyClass(2, (Q(1, 8), Q(-1, 8))), ConjugacyClass(2, (Q(1, 4), Q(-1, 4))))
+    pair = Fused([ConjugacyClass(2, (Q(1, 8), Q(-1, 8))), ConjugacyClass(2, (Q(1, 4), Q(-1, 4)))])
     return builtin_spaces() + [("fusion", pair), ("nested_fusion", nested_fusion())]
 
 
@@ -1019,7 +1014,7 @@ def spy_draws(space, monkeypatch):
 
 @pytest.mark.parametrize("axiom", ["moment", "cocycle", "equivariance"])
 def test_verify_axiom_draws_what_the_loop_draws(axiom, monkeypatch):
-    for space in (ConjugacyClass(3, GENERIC_XI3), InternalFusion(Double(2)), Genus(2, 2)):
+    for space in (ConjugacyClass(3, GENERIC_XI3), Fused([Double(2)]), Genus(2, 2)):
         with monkeypatch.context() as patch:
             log, stacked = spy_draws(space, patch)
             verify_axiom(space, axiom, samples=4, seed=157)
@@ -1054,7 +1049,7 @@ def test_stacked_draw_work_equals_per_sample_work(n):
     xs = random_algebra(n, rng, shape=(6,))
     assert np.array_equal(expm_skew(xs), np.stack([expm_skew(x) for x in xs]))
     c = ConjugacyClass(n, generic_xi(n))
-    for space in (c, Double(n), Genus(n, 2), Fusion(Fusion(c, c), c)):
+    for space in (c, Double(n), Genus(n, 2), Fused([Fused([c, c]), c])):
         points = [sample(space, rng) for _ in range(4)]
         bases = space._basis(stack(points))
         assert all(np.array_equal(bases[:, p], space._basis(m)) for p, m in enumerate(points))
@@ -1065,8 +1060,8 @@ def test_stacked_draw_work_equals_per_sample_work(n):
 
 
 def contract_spaces(n):
-    return [ConjugacyClass(n, generic_xi(n)), Double(n), InternalFusion(Double(n)), Genus(n, 1),
-            Genus(n, 3), Fusion(ConjugacyClass(n, generic_xi(n)), InternalFusion(Double(n)))]
+    return [ConjugacyClass(n, generic_xi(n)), Double(n), Fused([Double(n)]), Genus(n, 1),
+            Genus(n, 3), Fused([ConjugacyClass(n, generic_xi(n)), Fused([Double(n)])])]
 
 
 def draw_by_parts(space, rng, kind):
@@ -1302,9 +1297,9 @@ def test_fusion_moment_associativity():
     # slots of a, c and b in a row): form, moment and both logarithmic
     # derivatives
     rng = np.random.default_rng(37)
-    a, b = InternalFusion(Double(2)), InternalFusion(Double(2))
+    a, b = Fused([Double(2)]), Fused([Double(2)])
     c = ConjugacyClass(2, (Q(1, 8), Q(-1, 8)))
-    left, right = Fusion(Fusion(a, c), b), Fusion(a, Fusion(c, b))
+    left, right = Fused([Fused([a, c]), b]), Fused([a, Fused([c, b])])
 
     m = sample(left, rng)
     basis = basis_list(left, m)
@@ -1319,7 +1314,7 @@ def test_fusion_moment_associativity():
 def test_fusion_of_classes_is_quasi_hamiltonian():
     c1 = ConjugacyClass(2, (Q(1, 8), Q(-1, 8)))
     c2 = ConjugacyClass(2, (Q(1, 4), Q(-1, 4)))
-    fused = Fusion(c1, c2)
+    fused = Fused([c1, c2])
     assert fused.dim == c1.dim + c2.dim
     for axiom in ("moment", "cocycle", "equivariance", "min_degeneracy"):
         rep = verify_axiom(fused, axiom, samples=6, seed=41)
@@ -1328,7 +1323,7 @@ def test_fusion_of_classes_is_quasi_hamiltonian():
 
 def test_marked_genus_shape_is_quasi_hamiltonian():
     # one handle fused with a marking class, the moduli-space building block
-    space = Fusion(InternalFusion(Double(2)), ConjugacyClass(2, (Q(1, 8), Q(-1, 8))))
+    space = Fused([Fused([Double(2)]), ConjugacyClass(2, (Q(1, 8), Q(-1, 8)))])
     assert space.dim == 6 + 2
     for axiom in ("moment", "cocycle", "min_degeneracy", "equivariance"):
         rep = verify_axiom(space, axiom, samples=5, seed=67)
