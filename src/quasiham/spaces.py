@@ -3,13 +3,14 @@
 Built-in spaces: conjugacy classes, the double (a G x G space), and `Fused`,
 the one fusion constructor, a left fold of fusion over a list of parts:
 Fused([Double(n)]) is the fused double and Fused([a, b]) the fusion product
-of a and b.  `Genus` is h fused doubles with group-slot fast paths.  A point
-is one complex array of shape (k, n, n): one SU(n) matrix per slot, one slot
-for a class and two for a double, and a fused space has the slots of its
-parts in a row.  Field data has the shape of a point, and a stack of d
-tangents at it has shape (k, d, n, n).  A random point is the time-one flow
-from the space's base point of a field drawn as one Gaussian su(n) element
-per slot.  Every space gives one structure record for a stack of tangents:
+of a and b, and `Genus` is Fused([Double(n)] * h).  A point is one complex
+array of shape (k, n, n): one SU(n) matrix per slot, one slot for a class
+and two for a double, and a fused space has the slots of its parts in a
+row; a slot's kind, group or class, gives its tangents, fields and flows.
+Field data has the shape of a point, and a stack of d tangents at it has
+shape (k, d, n, n).  A random point is the time-one flow from the base
+point of a field drawn as one Gaussian su(n) element per slot.  Every space
+gives one structure record for a stack of tangents:
 the Gram matrix of its 2-form, its moment factors and their left and right
 logarithmic derivatives.  Fusion is one rule on records; the verifier only
 reads records and the common interface, so every axiom check runs uniformly
@@ -108,15 +109,16 @@ def _lift(p: np.ndarray) -> np.ndarray:
 
 
 def _block_rows(parts: list) -> np.ndarray:
-    """Stacked tangents of a product from those of its factors, each of shape
-    (k_j, *P, d_j, n, n): factor j's tangents fill its own slots and rows,
-    zeros the others."""
+    """Stacked tangents of a point from those of each of its slots, of shape
+    (*P, d_j, n, n): slot j's tangents fill its own slot and rows, zeros the
+    others.  A lone slot's tangents are returned as they are."""
+    if len(parts) == 1:
+        return parts[0][None]
     rows = list(accumulate((p.shape[-3] for p in parts), initial=0))
-    slots = list(accumulate((len(p) for p in parts), initial=0))
     x = parts[0]
-    out = np.zeros((slots[-1],) + x.shape[1:-3] + (rows[-1],) + x.shape[-2:], dtype=complex)
+    out = np.zeros((len(parts),) + x.shape[:-3] + (rows[-1],) + x.shape[-2:], dtype=complex)
     for j, p in enumerate(parts):
-        out[slots[j] : slots[j + 1], ..., rows[j] : rows[j + 1], :, :] = p
+        out[j, ..., rows[j] : rows[j + 1], :, :] = p
     return out
 
 
@@ -189,17 +191,18 @@ class QSpace:
     (k, *P, n, n): one SU(n) matrix per slot, over leading axes P of a stack
     of points.  Field data has the shape of a point, and a stack of d
     tangents at it has shape (k, *P, d, n, n).  An element of G, or of its
-    algebra, has one slot per group factor.  Subclasses set the `base` point
-    and fill in the hooks `_moment`, `structure`, `_basis` and `field_flow`.
-    `random_field`, the action of G-valued spaces, conjugation of every slot
-    of a point, and its generating field, the default `field_at`, are
-    written here.  `group_factors` is 1 for G-valued moment maps and 2 for
-    the double.
+    algebra, has one slot per group factor.  Subclasses set `base`, `dim`,
+    `class_slots`, the slots of a class point m (the others hold a group
+    point p), and the hooks `_moment` and `structure`.  Written here are
+    `random_field`, the G-valued action by conjugation of every slot, its
+    generating field, and the bases, fields and flows of both slot kinds.
+    `group_factors` is 1 for G-valued moment maps and 2 for the double.
     """
 
     n: int
     group_factors: int
     dim: int
+    class_slots: tuple = ()
 
     def random_algebra_element(self, rng) -> np.ndarray:
         """A Gaussian su(n) element per group factor, drawn in one call."""
@@ -221,23 +224,36 @@ class QSpace:
     def _act(self, g, m):
         return g @ m @ _dag(g)
 
-    def _basis(self, m):
-        """Orthonormal tangent bases at a stack of points, of shape
-        (k, *P, d, n, n)."""
-        raise NotImplementedError
-
     def _generating(self, xi, m):
         return xi @ m - m @ xi
 
-    # extension fields for the invariant-extension derivative formula: the
-    # generating field unless a space overrides it
+    def _basis(self, m):
+        """Orthonormal tangent bases at a stack of points, of shape
+        (k, *P, d, n, n): x_k p on a group slot p for every su(n) basis
+        element x_k, in one product over all group slots, and the class
+        basis on a class slot."""
+        group = [j for j in range(len(m)) if j not in self.class_slots]
+        rows = iter(_basis_stack(self.n) @ _lift(m[group]))
+        return _block_rows([_class_basis(p) if j in self.class_slots else next(rows)
+                            for j, p in enumerate(m)])
+
+    # extension fields for the invariant-extension derivative formula
     def field_at(self, data, m):
-        return self._generating(data, m)
+        """X p on a group slot p, X m - m X on a class slot m."""
+        out = data @ m
+        for j in self.class_slots:
+            out[j] -= m[j] @ data[j]
+        return out
 
     def field_flow(self, data, m, t):
         """The flow of the field for time t, a float or an array whose axes
-        broadcast against the leading axes of data and m after the slot axis."""
-        raise NotImplementedError
+        broadcast against the leading axes of data and m after the slot axis:
+        exp(tX) p on a group slot, exp(tX) m exp(-tX) on a class slot."""
+        u = expm_skew(_times(t) * data)
+        out = u @ m
+        for j in self.class_slots:
+            out[j] = out[j] @ _dag(u[j])
+        return out
 
     def field_bracket(self, d1, d2):
         """Data of the commutator field; the minus sign is the left-action
@@ -251,6 +267,7 @@ class ConjugacyClass(QSpace):
     conjugation, moment map the inclusion; a point has one slot."""
 
     group_factors = 1
+    class_slots = (0,)
 
     def __init__(self, n: int, xi):
         self.n = int(n)
@@ -295,38 +312,21 @@ class ConjugacyClass(QSpace):
         return Structure(_skew(0.5 * basic_gram(spread, xi)), (m,), (lminv @ stack,),
                          (stack @ lminv,))
 
-    def _basis(self, m):
-        # x m - m x = (x - Ad_m x) m for x = V B V* of pair (i, j) span V B V* m, singular value
-        # |d_i - d_j|: the pairs resolved at the first point, by largest gap at every point
-        d, v = unitary_eig(m[0])
-        i, j = pair_indices(self.n)
-        gap = np.abs(d[..., i] - d[..., j])
-        rank = _rank(gap, gap.max(axis=-1, initial=0.0))[0].flat[0]
-        top = np.argsort(-gap, axis=-1, kind="stable")[..., :rank]
-        return (pair_basis(v, top) @ _lift(m[0]))[None]
 
-    def field_flow(self, data, m, t):
-        u = expm_skew(_times(t) * data)
-        return u @ m @ _dag(u)
-
-
-class _Slots(QSpace):
-    """A space whose slots are all SU(n) matrices p_j (2 for a double, 2h
-    for genus h); a tangent or field value is X_j p_j, a field flows by
-    exp(t X_j) p_j, and both run once over all slots."""
-
-    def _basis(self, m):
-        # x_k p_j in slot j, for every su(n) basis element x_k
-        return _block_rows(list((_basis_stack(self.n) @ _lift(m))[:, None]))
-
-    def field_at(self, data, m):
-        return data @ m
-
-    def field_flow(self, data, m, t):
-        return expm_skew(_times(t) * data) @ m
+def _class_basis(m):
+    """Orthonormal tangents at class points m of shape (*P, n, n), of shape
+    (*P, r, n, n)."""
+    # x m - m x = (x - Ad_m x) m for x = V B V* of pair (i, j) span V B V* m, singular value
+    # |d_i - d_j|: the pairs resolved at the first point, by largest gap at every point
+    d, v = unitary_eig(m)
+    i, j = pair_indices(m.shape[-1])
+    gap = np.abs(d[..., i] - d[..., j])
+    rank = _rank(gap, gap.max(axis=-1, initial=0.0))[0].flat[0]
+    top = np.argsort(-gap, axis=-1, kind="stable")[..., :rank]
+    return pair_basis(v, top) @ _lift(m)
 
 
-class Double(_Slots):
+class Double(QSpace):
     """G x G with the two-sided action and pair moment map (ab, a^-1 b^-1)."""
 
     group_factors = 2
@@ -365,7 +365,8 @@ class Fused(QSpace):
     """The fusion product of its parts in a left fold: diagonal action,
     product moment map, corrected 2-form (Alekseev-Malkin-Meinrenken 1998).
     A part is G-valued, or a pair space whose two factors fuse first; a
-    point is the parts' points concatenated along the slot axis."""
+    point is the parts' points concatenated along the slot axis, and the
+    class slots are the parts' class slots shifted by their offsets."""
 
     group_factors = 1
 
@@ -378,10 +379,7 @@ class Fused(QSpace):
         ends = list(accumulate((len(p.base) for p in parts), initial=0))
         self._keys = [slice(i, j) for i, j in zip(ends, ends[1:])]
         self.base = np.concatenate([p.base for p in parts])
-
-    def _each(self, fn, *arrays) -> np.ndarray:
-        """fn(part, its slots of the arrays) for every part, concatenated."""
-        return np.concatenate([fn(p, *[x[k] for x in arrays]) for p, k in zip(self.parts, self._keys)])
+        self.class_slots = tuple(e + j for p, e in zip(parts, ends) for j in p.class_slots)
 
     def _moment(self, m):
         return (reduce(np.matmul, (reduce(np.matmul, p._moment(m[k]))
@@ -395,26 +393,17 @@ class Fused(QSpace):
         return reduce(lambda r1, r2: _fuse(r1.omega + r2.omega, r1.factor(0), r2.factor(0)),
                       map(record, self.parts, self._keys))
 
-    def _basis(self, m):
-        return _block_rows([p._basis(m[k]) for p, k in zip(self.parts, self._keys)])
 
-    def field_at(self, data, m):
-        return self._each(lambda p, d, x: p.field_at(d, x), data, m)
-
-    def field_flow(self, data, m, t):
-        return self._each(lambda p, d, x: p.field_flow(d, x, t), data, m)
-
-
-class Genus(_Slots, Fused):
-    """h doubles fused in a row, with the commutator-product moment map
-    prod_j [a_j, b_j]; points have the 2h slots (a_1, b_1, ..., a_h, b_h),
-    and the group-slot methods run once over all of them."""
+class Genus(Fused):
+    """Fused([Double(n)] * h), h doubles fused in a row, with the
+    commutator-product moment map prod_j [a_j, b_j]; points have the 2h
+    slots (a_1, b_1, ..., a_h, b_h), all group slots."""
 
     def __init__(self, n: int, h: int):
         if h < 1:
             raise InputError("invalid-genus", f"genus must be >= 1, got {h}")
         _bounded(2 * int(h) * (_group_rank(n) ** 2 - 1))
-        Fused.__init__(self, [Double(n)] * int(h))
+        super().__init__([Double(n)] * int(h))
 
 
 def make_space(kind: str, *, n: int | None = None, xi=None, h: int | None = None) -> QSpace:

@@ -112,6 +112,19 @@ def test_verify_verb_conjugacy_class_xi():
     assert code == 0 and payload["pass"] is True
 
 
+@pytest.mark.parametrize("axiom", ["cocycle", "moment", "min_degeneracy", "equivariance"])
+def test_fused_double_is_the_genus_one_space(axiom):
+    # both are Fused([Double(n)]): their --json reports differ only in the
+    # space's name
+    common = ["--n", "3", "--axiom", axiom, "--samples", "3", "--seed", "0", "--json"]
+    fused, genus = (run_main_quietly(["verify", "--space", space] + extra + common)
+                    for space, extra in (("fused_double", []), ("genus", ["--genus", "1"])))
+    assert fused[0] == genus[0] == 0 and fused[2:] == genus[2:] == ("", [])
+    first, second = json.loads(fused[1]), json.loads(genus[1])
+    assert (first.pop("space"), second.pop("space")) == ("fused_double", "genus")
+    assert first == second
+
+
 def test_verify_verb_sphere4_and_eta():
     code, payload = dispatch(
         ["verify", "--space", "sphere4", "--samples", "50", "--seed", "2"]
@@ -806,17 +819,22 @@ VERIFY_SPACES = ["conjugacy_class", "double", "fused_double", "genus", "sphere4"
 XI_POOL = ["1/8,-1/8", "1/4,1/12,-1/3", "3/8,1/8,-1/8,-3/8", "1/2,-1/2", "-1/8,1/8",
            "1/4,1/4", "1/3,1/3,1/3", "1/0,0", "a,b", "", "nan,nan"]
 FLOAT_POOL = ["0", "nan", "inf", "-inf", "-1", "1e-7", "1e-4", "1e-3", "0.5"]
+# tolerances, mostly valid; 1e-300 fails every residual that is not 0
+TOL_POOL = ["1e-300", "1e-12", "1e-8", "1e-4", "0.5", "1", "10", "0", "nan"]
 
 
 @settings(max_examples=400, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(space=st.sampled_from(VERIFY_SPACES),
-       axiom=st.sampled_from([None, "cocycle", "moment", "min_degeneracy", "equivariance"]),
-       n=st.integers(-1, 4) | st.just(300), genus=st.integers(-1, 3) | st.just(10**9),
-       samples=st.integers(-1, 4),
+       # an absent --axiom and an invalid --n, --genus, --samples or --seed in a minority
+       axiom=st.sampled_from(["cocycle", "moment", "min_degeneracy", "equivariance"] * 2 + [None]),
+       n=st.sampled_from([2, 3, 4] * 3 + [-1, 0, 1, 300]),
+       genus=st.sampled_from([1, 2, 3] * 3 + [-1, 0, 10**9]),
+       samples=st.sampled_from([1, 2, 3, 4] * 3 + [0, -1]),
        # an option is left out half of the time, so that most argv reach a verifier
        xi=st.none() | st.sampled_from(XI_POOL), fd_step=st.none() | st.sampled_from(FLOAT_POOL),
-       tol=st.none() | st.sampled_from(FLOAT_POOL), seed=SEEDS, data=st.data())
+       tol=st.none() | st.sampled_from(TOL_POOL), seed=st.integers(0, 2**32 - 1) | SEEDS,
+       data=st.data())
 def test_verify_fuzz_exits_cleanly(space, axiom, n, genus, samples, xi, fd_step, tol, seed, data):
     argv = ["verify", f"--space={space}", "--json"] + ([f"--axiom={axiom}"] if axiom else [])
     name = f"verify --space {space}" + (f" --axiom {axiom}" if axiom else "")
@@ -849,7 +867,7 @@ def test_holonomy_convergence_fuzz_exits_cleanly(n, grids, seed, data):
         data, "holonomy-convergence",
         {"n": n, "grids": None if grids is None else ",".join(grids), "seed": seed})
     # the grid row reads every option but --file, which picks the file row:
-    # that row reads no --n
+    # that row reads no --n, --grids or --seed
     if data.draw(st.integers(0, 3)) == 0:
         argv.append("--file=conn.json")
     assert_clean_exit(argv, *run_main_quietly(argv))

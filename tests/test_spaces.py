@@ -1373,10 +1373,8 @@ def test_point_and_basis_shapes(name, space):
 
 @pytest.mark.parametrize("n,h", [(2, 1), (2, 3), (3, 2)])
 def test_genus_matches_explicit_fusion_chain(n, h):
-    # the flat genus space agrees bit for bit with the nested fusion chain and
-    # with Fused([Double(n)] * h), which runs the group-slot methods once per
-    # double instead of once over all 2h slots: record, moment, basis,
-    # action, fields, draws and flows at the same point
+    # the flat genus space agrees bit for bit with the nested fusion chain:
+    # record, moment, basis, action, fields, draws and flows at the same point
     space = Genus(n, h)
     rng = np.random.default_rng(113)
     m = sample(space, rng)
@@ -1385,28 +1383,61 @@ def test_genus_matches_explicit_fusion_chain(n, h):
     xi = random_algebra(n, rng)
     data = space.random_field(np.random.default_rng(5))
     flip = data[::-1]
-    for other in (genus_chain(n, h), Fused([Double(n)] * h)):
-        assert other.dim == space.dim
-        assert np.array_equal(np.stack(basis), np.stack(basis_list(other, m)))
-        rec = _record(space, m, basis)
-        ref = _record(other, m, basis)
-        assert np.array_equal(rec.omega, ref.omega)
-        for x, y in zip(rec.psi + rec.left + rec.right, ref.psi + ref.left + ref.right):
-            assert np.array_equal(x, y)
-        assert np.array_equal(space._moment(m)[0], other._moment(m)[0])
-        assert np.array_equal(data, other.random_field(np.random.default_rng(5)))
-        assert np.array_equal(sample(space, np.random.default_rng(7)),
-                              sample(other, np.random.default_rng(7)))
-        pairs = [
-            (space._act(g[None], m), other._act(g[None], m)),
-            (space._act(g[None], basis[-1]), other._act(g[None], basis[-1])),
-            (space._generating(xi[None], m), other._generating(xi[None], m)),
-            (space.field_at(data, m), other.field_at(data, m)),
-            (space.field_flow(data, m, 0.3), other.field_flow(data, m, 0.3)),
-            (space.field_bracket(data, flip), other.field_bracket(data, flip)),
-        ]
-        for flat, nested in pairs:
-            assert np.array_equal(flat, nested)
+    other = genus_chain(n, h)
+    assert other.dim == space.dim
+    assert np.array_equal(np.stack(basis), np.stack(basis_list(other, m)))
+    rec = _record(space, m, basis)
+    ref = _record(other, m, basis)
+    assert np.array_equal(rec.omega, ref.omega)
+    for x, y in zip(rec.psi + rec.left + rec.right, ref.psi + ref.left + ref.right):
+        assert np.array_equal(x, y)
+    assert np.array_equal(space._moment(m)[0], other._moment(m)[0])
+    assert np.array_equal(data, other.random_field(np.random.default_rng(5)))
+    assert np.array_equal(sample(space, np.random.default_rng(7)),
+                          sample(other, np.random.default_rng(7)))
+    pairs = [
+        (space._act(g[None], m), other._act(g[None], m)),
+        (space._act(g[None], basis[-1]), other._act(g[None], basis[-1])),
+        (space._generating(xi[None], m), other._generating(xi[None], m)),
+        (space.field_at(data, m), other.field_at(data, m)),
+        (space.field_flow(data, m, 0.3), other.field_flow(data, m, 0.3)),
+        (space.field_bracket(data, flip), other.field_bracket(data, flip)),
+    ]
+    for flat, nested in pairs:
+        assert np.array_equal(flat, nested)
+
+
+def test_slot_kinds_match_closed_forms():
+    # class slots 0 and 3 around the double's group slots 1 and 2: at one
+    # point and at a stack of three, each slot's field and flow is its kind's
+    # closed form, and each part's rows of the basis are its own basis, bit
+    # for bit
+    other = ConjugacyClass(3, (Q(3, 8), Q(-1, 8), Q(-1, 4)))
+    parts = [ConjugacyClass(3, GENERIC_XI3), Double(3), other]
+    space = Fused(parts)
+    assert space.class_slots == (0, 3)
+    rng = np.random.default_rng(131)
+    points = [sample(space, rng) for _ in range(3)]
+    datas = [space.random_field(rng) for _ in range(3)]
+    times = np.array([0.3, -0.7, 1.1])
+    for m, data, t in ((points[0], datas[0], times[0]), (stack(points), stack(datas), times)):
+        at, flow = space.field_at(data, m), space.field_flow(data, m, t)
+        for j, (x, p) in enumerate(zip(data, m)):
+            u = expm_skew(np.asarray(t)[..., None, None] * x)
+            if j in (0, 3):
+                assert same_bits(at[j], x @ p - p @ x)
+                assert same_bits(flow[j], u @ p @ u.conj().swapaxes(-1, -2))
+            else:
+                assert same_bits(at[j], x @ p)
+                assert same_bits(flow[j], u @ p)
+        basis, rows = space._basis(m), 0
+        for part, slots in zip(parts, ([0], [1, 2], [3])):
+            own = part._basis(m[slots])
+            block = basis[..., rows : rows + own.shape[-3], :, :]
+            assert same_bits(block[slots], own)
+            assert not np.delete(block, slots, axis=0).any()
+            rows += own.shape[-3]
+        assert rows == space.dim == 6 + 16 + 6
 
 
 # ---------------------------------------------------------------------------
