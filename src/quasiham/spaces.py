@@ -7,16 +7,16 @@ of a and b, and `Genus` is Fused([Double(n)] * h).  A point is one complex
 array of shape (k, n, n): one SU(n) matrix per slot, one slot for a class
 and two for a double, and a fused space has the slots of its parts in a
 row; a slot's kind, group or class, gives its tangents, fields and flows.
-Field data has the shape of a point, and a stack of d tangents at it has
-shape (k, d, n, n).  A random point is the time-one flow from the base
-point of a field drawn as one Gaussian su(n) element per slot.  Every space
-gives one structure record for a stack of tangents:
-the Gram matrix of its 2-form, its moment factors and their left and right
-logarithmic derivatives.  Fusion is one rule on records; the verifier only
-reads records and the common interface, so every axiom check runs uniformly
-across spaces.  A stack of points carries leading axes P after the slot
-axis, (k, *P, n, n); records, moments, actions and fields then carry the
-same axes, and a single point is the case without them.
+A tangent is given by its field data, one su(n) element X per slot: X p on
+a group slot p, X m - m X on a class slot m; d of them stack to (k, d, n, n).
+A random point is the time-one flow from the base point of a field drawn as
+one Gaussian su(n) element per slot.  Every space gives one structure record
+for a stack of field data: the Gram matrix of its 2-form, its moment factors
+and their left and right logarithmic derivatives.  Fusion is one rule on
+records; the verifier only reads records and the common interface, so every
+axiom check runs uniformly across spaces.  A stack of points carries leading
+axes P after the slot axis, (k, *P, n, n); records, moments, actions and
+fields then carry the same axes, and a single point is the case without them.
 
 Conventions: actions are left actions, generating vector fields satisfy
 [xi_M, zeta_M] = -[xi, zeta]_M, and the double pairs g-valued 1-forms by
@@ -69,7 +69,7 @@ STACK_ROWS = 512
 # disagree.
 DECIDED_GAP = 1e-5
 # Largest tangent dimension (a class's n^2 - 1), checked before any array grows with
-# n or h.  At it cold class(16) cocycle takes 0.3 s and 39 MB, min_degeneracy 1.4 s,
+# n or h.  At it cold class(16) cocycle takes 0.2 s and 38 MB, min_degeneracy 0.8 s,
 # genus(4, 8) min_degeneracy about 2 s (min of 5, 2-vCPU KVM guest, BLAS on 1 thread).
 MAX_DIM = 256
 
@@ -109,9 +109,9 @@ def _lift(p: np.ndarray) -> np.ndarray:
 
 
 def _block_rows(parts: list) -> np.ndarray:
-    """Stacked tangents of a point from those of each of its slots, of shape
-    (*P, d_j, n, n): slot j's tangents fill its own slot and rows, zeros the
-    others.  A lone slot's tangents are returned as they are."""
+    """Stacked field data of a point from those of each of its slots, of
+    shape (*P, d_j, n, n): slot j's data fill its own slot and rows, zeros
+    the others.  A lone slot's data are returned as they are."""
     if len(parts) == 1:
         return parts[0][None]
     rows = list(accumulate((p.shape[-3] for p in parts), initial=0))
@@ -145,7 +145,7 @@ def _group_rank(n) -> int:
 
 @dataclass(frozen=True)
 class Structure:
-    """A space's structure on a stack of d tangents v_1..v_d at one point.
+    """A space's structure on the tangents v_1..v_d of d field data at a point.
 
     omega is the d x d matrix omega(v_i, v_j).  Per moment factor, psi holds
     its value, left the (d, n, n) stack Psi^-1 dPsi(v_i) and right the stack
@@ -189,13 +189,14 @@ class QSpace:
 
     A point of a space with k slots is one complex array of shape
     (k, *P, n, n): one SU(n) matrix per slot, over leading axes P of a stack
-    of points.  Field data has the shape of a point, and a stack of d
-    tangents at it has shape (k, *P, d, n, n).  An element of G, or of its
-    algebra, has one slot per group factor.  Subclasses set `base`, `dim`,
-    `class_slots`, the slots of a class point m (the others hold a group
-    point p), and the hooks `_moment` and `structure`.  Written here are
-    `random_field`, the G-valued action by conjugation of every slot, its
-    generating field, and the bases, fields and flows of both slot kinds.
+    of points.  Every hook takes tangents as field data, of the shape of a
+    point; a stack of d of them has shape (k, *P, d, n, n).  An element of
+    G, or of its algebra, has one slot per group factor.  Subclasses set
+    `base`, `dim`, `class_slots`, the slots of a class point m (the others
+    hold a group point p), and the hooks `_moment` and `structure`.  Written
+    here are `random_field`, the G-valued action by conjugation of every
+    slot, its generating field, and the bases, fields and flows of both
+    slot kinds.
     `group_factors` is 1 for G-valued moment maps and 2 for the double.
     """
 
@@ -217,29 +218,33 @@ class QSpace:
         raise NotImplementedError
 
     def structure(self, m, stack) -> Structure:
-        """The record of a stack of tangents of shape (k, *P, d, n, n) at
-        points m of shape (k, *P, n, n)."""
+        """The record of a stack of field data of shape (k, *P, d, n, n) at
+        points m of shape (k, *P, n, n); it may broadcast against m."""
         raise NotImplementedError
 
     def _act(self, g, m):
         return g @ m @ _dag(g)
 
     def _generating(self, xi, m):
-        return xi @ m - m @ xi
+        """Data of xi's generating field: xi - Ad_p xi on a group slot p, xi on a class slot."""
+        out = xi - m @ xi @ _dag(m)
+        out[list(self.class_slots)] = xi
+        return out
 
     def _basis(self, m):
-        """Orthonormal tangent bases at a stack of points, of shape
-        (k, *P, d, n, n): x_k p on a group slot p for every su(n) basis
-        element x_k, in one product over all group slots, and the class
-        basis on a class slot."""
-        group = [j for j in range(len(m)) if j not in self.class_slots]
-        rows = iter(_basis_stack(self.n) @ _lift(m[group]))
-        return _block_rows([_class_basis(p) if j in self.class_slots else next(rows)
+        """Field data of orthonormal tangent bases at a stack of points, of
+        shape (k, *P, d, n, n): the su(n) basis x_k itself on a group slot p,
+        whose tangents x_k p are orthonormal, and the class basis on a class
+        slot."""
+        x = _basis_stack(self.n)
+        x = np.broadcast_to(x, m.shape[1:-2] + x.shape)
+        return _block_rows([_class_basis(p) if j in self.class_slots else x
                             for j, p in enumerate(m)])
 
     # extension fields for the invariant-extension derivative formula
     def field_at(self, data, m):
-        """X p on a group slot p, X m - m X on a class slot m."""
+        """The tangents of field data: X p on a group slot p, X m - m X on a
+        class slot m.  Only the rank of generating fields reads tangents."""
         out = data @ m
         for j in self.class_slots:
             out[j] -= m[j] @ data[j]
@@ -289,41 +294,31 @@ class ConjugacyClass(QSpace):
     def _moment(self, m):
         return (m[0],)
 
-    def _potential(self, m, stack):
-        """(d, xi) for tangents v at m = V diag(d) V*: xi is the least-norm
-        solution of (Ad_{m^-1} - 1) xi = P(m^-1 v), P onto su(n), in the
-        eigenbasis, where Ad_{m^-1} - 1 multiplies entry (i, j) by
-        conj(d_i) d_j - 1.  Factors below 1e-12 of the largest give zero."""
-        d, v = unitary_eig(m)
-        factor = d.conj()[..., :, None] * d[..., None, :] - 1.0
-        size = np.abs(factor)
-        keep = size > 1e-12 * size.max(axis=(-2, -1), keepdims=True)
-        inv = np.divide(1.0, factor, out=np.zeros_like(factor), where=keep)
-        lv = _lift(v)
-        return d, _dag(lv) @ project_algebra(_lift(_dag(m)) @ stack) @ lv * _lift(inv)
-
     def structure(self, m, stack):
-        # omega(v, w) = 1/2 B(Ad_m xi - Ad_{m^-1} xi, zeta), potentials xi, zeta of v, w, in
-        # the eigenbasis (B is invariant): Ad_m - Ad_{m^-1} is 2i Im d_i conj(d_j) on (i, j)
-        m, stack = m[0], stack[0]
-        d, xi = self._potential(m, stack)
-        spread = 2j * _lift((d[..., :, None] * d.conj()[..., None, :]).imag) * xi
-        lminv = _lift(_dag(m))
-        return Structure(_skew(0.5 * basic_gram(spread, xi)), (m,), (lminv @ stack,),
-                         (stack @ lminv,))
+        # data X are potentials of tangents X m - m X: m^-1 dm = Ad_{m^-1} X - X, dm m^-1 =
+        # X - Ad_m X and omega(X, Y) = 1/2 B(Ad_m X - Ad_{m^-1} X, Y) (AMM 1998), -1/2 B(sum, Y)
+        lm, x = _lift(m[0]), stack[0]
+        left, right = _dag(lm) @ x @ lm - x, x - lm @ x @ _dag(lm)
+        return Structure(_skew(-0.5 * basic_gram(left + right, x)), (m[0],), (left,), (right,))
 
 
 def _class_basis(m):
-    """Orthonormal tangents at class points m of shape (*P, n, n), of shape
-    (*P, r, n, n)."""
+    """Field data of orthonormal tangents at class points m of shape
+    (*P, n, n), of shape (*P, r, n, n)."""
     # x m - m x = (x - Ad_m x) m for x = V B V* of pair (i, j) span V B V* m, singular value
-    # |d_i - d_j|: the pairs resolved at the first point, by largest gap at every point
+    # |d_i - d_j|: the pairs resolved at the first point, by largest gap at every point.  In
+    # the eigenbasis the data of V B V* m is B times f = d_j / (d_j - d_i) = 1/2 + i Im f at
+    # (i, j): the pair's (B_re, B_im) give (B_re / 2 + Im f B_im, B_im / 2 - Im f B_re)
     d, v = unitary_eig(m)
-    i, j = pair_indices(m.shape[-1])
+    n = m.shape[-1]
+    i, j = pair_indices(n)
     gap = np.abs(d[..., i] - d[..., j])
     rank = _rank(gap, gap.max(axis=-1, initial=0.0))[0].flat[0]
     top = np.argsort(-gap, axis=-1, kind="stable")[..., :rank]
-    return pair_basis(v, top) @ _lift(m)
+    di, dj = (np.take_along_axis(d[..., k], top, axis=-1) for k in (i, j))
+    turn = (dj / (dj - di)).imag[..., None, None, None] * np.array([1.0, -1.0])[:, None, None]
+    b = pair_basis(v, top).reshape(top.shape + (2, n, n))
+    return (0.5 * b + turn * b[..., ::-1, :, :]).reshape(top.shape[:-1] + (-1, n, n))
 
 
 class Double(QSpace):
@@ -345,14 +340,13 @@ class Double(QSpace):
         return g @ m @ _dag(g[::-1])
 
     def _generating(self, xi, m):
-        return xi @ m - m @ xi[::-1]
+        return xi - m @ xi[::-1] @ _dag(m)
 
     def structure(self, m, stack):
         a, b = map(_lift, m)
-        va, vb = stack
+        ar, br = stack  # the field data are theta^R of the a and b slots
         ainv, binv = _dag(a), _dag(b)
-        al, ar = ainv @ va, va @ ainv  # theta^L and theta^R of the a slot
-        bl, br = binv @ vb, vb @ binv
+        al, bl = ainv @ ar @ a, binv @ br @ b  # theta^L
         return Structure(
             _skew(basic_gram(al, br) + basic_gram(ar, bl)),
             self._moment(m),
@@ -472,11 +466,9 @@ def _cocycle_residuals(space: QSpace, m, f, fd_step: float) -> np.ndarray:
     gives the differences of the moment) and one record at m of [f1, f2],
     [f1, f3], [f2, f3], f3, f2, f1."""
     flows = space.field_flow(f[:, :, :, None], m[:, :, None, None], [fd_step, -fd_step])
-    pairs = f[:, :, [[1, 2], [0, 2], [0, 1]]][:, :, :, None]
-    moved = space.structure(flows, space.field_at(pairs, _lift(flows)))
+    moved = space.structure(flows, f[:, :, [[1, 2], [0, 2], [0, 1]]][:, :, :, None])
     brackets = space.field_bracket(f[:, :, [0, 0, 1]], f[:, :, [1, 2, 2]])
-    six = np.concatenate([brackets, f[:, :, ::-1]], axis=2)
-    base = space.structure(m, space.field_at(six, _lift(m)))
+    base = space.structure(m, np.concatenate([brackets, f[:, :, ::-1]], axis=2))
     deriv = (moved.omega[:, :, 0, 0, 1] - moved.omega[:, :, 1, 0, 1]) / (2.0 * fd_step)
     om = base.omega
     d_omega = (deriv[:, 0] - deriv[:, 1] + deriv[:, 2]
@@ -527,19 +519,20 @@ def _anti_fixed_rank(space: QSpace, m, psis) -> tuple:
         xis = pair_basis(v, first) * kept[..., None, None]
         rows = (xis[:, :, :, None] * np.eye(f)[:, None, :, None, None]).reshape(
             (live.size, -1, f) + xis.shape[-2:])
-        gens = space._generating(np.moveaxis(rows, 2, 0), _lift(m[:, live]))
+        lm = _lift(m[:, live])
+        gens = space.field_at(space._generating(np.moveaxis(rows, 2, 0), lm), lm)
         gs = np.linalg.svd(realvec(gens), compute_uv=False)
         qualifying[live], band = _rank(gs, gs[:, 0])
         undecided[live] |= band
     return qualifying, undecided
 
 
-def _degeneracy_mismatch(space: QSpace, m, tangents) -> tuple[np.ndarray, np.ndarray]:
+def _degeneracy_mismatch(space: QSpace, m, data) -> tuple[np.ndarray, np.ndarray]:
     """|dim ker omega - dim span{xi_M : Ad_Psi xi = -xi}| per point of a
-    stack with its stacked tangent bases, and the mask of the undecided
-    points: those whose ranks disagree while a relative singular value lies
-    in the band, next to the cutoff."""
-    rec = space.structure(m, tangents)
+    stack with the field data of its stacked tangent bases, and the mask of
+    the undecided points: those whose ranks disagree while a relative
+    singular value lies in the band, next to the cutoff."""
+    rec = space.structure(m, data)
     svals = np.linalg.svd(rec.omega, compute_uv=False)
     rank, undecided = _rank(svals, svals.max(axis=-1, initial=0.0))
     qualifying, band = _anti_fixed_rank(space, m, np.stack(rec.psi, axis=1))
@@ -666,9 +659,7 @@ def reduction_rank(space: QSpace, m) -> int:
     # the record is one computation: a NaN anywhere in it is a failed primitive
     if not (np.all(np.isfinite(svals)) and np.all(np.isfinite(rec.omega))):
         raise ToolkitError("non-finite moment differential")
-    if svals.size == 0 or svals[0] <= 1e-9:
-        return 0
-    return int(np.sum(svals > RANK_CUTOFF * svals[0]))
+    return int(_rank(svals, svals.max(initial=0.0))[0])
 
 
 # ---------------------------------------------------------------------------

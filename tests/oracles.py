@@ -277,7 +277,8 @@ def anti_fixed_rank_svd(space, m, psis):
         rows = (vt * null[..., None]).reshape(live.size, f * na, na)
         xis = algebra_from_coords(space.n, np.einsum("prc,rk->prkc", rows,
                                                      np.repeat(np.eye(f), na, axis=0)))
-        gens = space._generating(np.moveaxis(xis, 2, 0), _lift(m[:, live]))
+        lm = _lift(m[:, live])
+        gens = space.field_at(space._generating(np.moveaxis(xis, 2, 0), lm), lm)
         gs = np.linalg.svd(realvec(gens), compute_uv=False)
         qualifying[live], band = _rank(gs, gs[:, 0])
         undecided[live] |= band

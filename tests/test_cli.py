@@ -845,8 +845,12 @@ def test_verify_fuzz_exits_cleanly(space, axiom, n, genus, samples, xi, fd_step,
 
 @settings(max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(n=st.integers(-1, 6), samples=st.integers(-1, 5),
-       tol=st.none() | st.sampled_from(FLOAT_POOL), seed=SEEDS, data=st.data())
+# an invalid --n, --samples or --seed in a minority, and TOL_POOL's 1e-300,
+# so that most argv reach the verifier and some of them fail it
+@given(n=st.sampled_from([3, 4, 5, 6] * 3 + [-1, 0, 1, 2]),
+       samples=st.sampled_from([1, 2, 3, 4, 5] * 3 + [0, -1]),
+       tol=st.none() | st.sampled_from(TOL_POOL), seed=st.integers(0, 2**32 - 1) | SEEDS,
+       data=st.data())
 def test_cocycle_fuzz_exits_cleanly(n, samples, tol, seed, data):
     # the one cocycle row reads every option of the verb, so none is unread
     argv = ["cocycle", "--json"] + row_options(
@@ -1127,6 +1131,10 @@ COVERAGE_ARGV = [
     ["holonomy-convergence", "--grids", "4,8"],
     *(["reduce-rank", "--n", "2", "--at", at] for at in ["abba", "commuting", "identity"]),
     ["verify", "--space", "double", "--xi", "1/4,-1/4", "--axiom", "moment"],
+    # every point of this class has a pair d_i = -d_j, so its check runs the
+    # null-vector branch of _anti_fixed_rank, the one caller of field_at
+    ["verify", "--space", "conjugacy_class", "--n", "2", "--xi", "1/4,-1/4",
+     "--axiom", "min_degeneracy", "--samples", "2"],
 ]
 # Every function and method in src/ that no verb reaches, by module and
 # qualified name, with its reason.  Test-only forms of what the verbs run

@@ -36,7 +36,6 @@ from quasiham.sun import (
     random_algebra,
     random_special_unitary,
     torus_point,
-    unitary_eig,
 )
 
 GENERIC_XI3 = (Q(1, 4), Q(1, 12), Q(-1, 3))
@@ -52,24 +51,25 @@ def builtin_spaces():
     ]
 
 
-def as_stack(m, tangents):
-    """A list of d tangents at m as one stack (k, *P, d, n, n)."""
-    return np.moveaxis(np.array(tangents, dtype=complex).reshape((len(tangents),) + m.shape), 0, -3)
+def as_stack(m, data):
+    """A list of d field data at m as one stack (k, *P, d, n, n)."""
+    return np.moveaxis(np.array(data, dtype=complex).reshape((len(data),) + m.shape), 0, -3)
 
 
 def basis_list(space, m):
-    """The tangent basis at one point as a list of tangents."""
+    """The field data of the tangent basis at one point as a list."""
     return list(np.moveaxis(space._basis(m), -3, 0))
 
 
-def _record(space, m, tangents):
-    """The structure record of a list of tangents at one point."""
-    return space.structure(m, as_stack(m, tangents))
+def _record(space, m, data):
+    """The structure record of a list of field data at one point."""
+    return space.structure(m, as_stack(m, data))
 
 
-def gram_of(space, m, tangents):
-    """The Gram matrix omega(t_i, t_j) of a list of tangents at one point."""
-    return _record(space, m, tangents).omega
+def gram_of(space, m, data):
+    """The Gram matrix omega(t_i, t_j) of the tangents of a list of field
+    data at one point."""
+    return _record(space, m, data).omega
 
 
 def random_group(space, rng):
@@ -79,7 +79,8 @@ def random_group(space, rng):
 
 
 def pair_omega(space, m, v, w):
-    """omega(v, w), read from the record of the stack [v, w]."""
+    """omega of the tangents of field data v and w, read from the record of
+    the stack [v, w]."""
     return gram_of(space, m, [v, w])[0, 1]
 
 
@@ -104,6 +105,7 @@ def ref_shares(space, x):
 # written independently of the structure records
 
 def ref_dmoment(space, m, v):
+    """dPsi(v) of every moment factor on a tangent vector v."""
     if isinstance(space, ConjugacyClass):
         return (v[0],)
     if isinstance(space, Double):
@@ -158,9 +160,10 @@ def ref_omega(space, m, v, w):
 
 def fd_reduction_rank(space, m, fd_step=1e-5):
     """Rank of the moment differential by central differences along the
-    tangent basis, each slot p moved to exp(t v p^-1) p."""
+    tangent basis of a space of group slots, each slot p moved along its
+    field data x to exp(t x) p."""
     def move(t, v):
-        return np.array([scipy.linalg.expm(t * x @ p.conj().T) @ p for p, x in zip(m, v)])
+        return np.array([scipy.linalg.expm(t * x) @ p for p, x in zip(m, v)])
 
     cols = []
     for v in basis_list(space, m):
@@ -271,7 +274,12 @@ def test_omega_invariant_under_action(name, space):
         w = sum_basis(space, m, basis, rng)
         g = random_group(space, rng)
         moved = space._act(g, m)
-        lhs = pair_omega(space, moved, space._act(g, v), space._act(g, w))
+        # field data move by Ad of each slot's factor of g, as _act pushes
+        # their tangents forward
+        gv, gw = (g @ x @ g.conj().swapaxes(-1, -2) for x in (v, w))
+        pushed = space._act(g, space.field_at(v, m))
+        assert np.max(np.abs(space.field_at(gv, moved) - pushed)) < 1e-13
+        lhs = pair_omega(space, moved, gv, gw)
         assert lhs == pytest.approx(pair_omega(space, m, v, w), abs=1e-9)
 
 
@@ -288,7 +296,7 @@ def test_central_class_omega_vanishes():
     c = ConjugacyClass(2, (Q(1, 2), Q(-1, 2)))  # class of -identity, a point
     m = c.base
     xi = random_algebra(2, np.random.default_rng(4))
-    assert np.max(np.abs(c._generating(xi[None], m))) < 1e-14
+    assert np.max(np.abs(c.field_at(c._generating(xi[None], m), m))) < 1e-14
     z = np.zeros_like(m)
     assert pair_omega(c, m, z, z) == pytest.approx(0.0, abs=1e-14)
 
@@ -352,12 +360,14 @@ def test_double_moment_values():
 # the batched Gram matrix
 
 def pairwise_omega_matrix(space, m, basis):
-    """Reference: one reference omega per pair i < j, mirrored."""
+    """Reference: one reference omega per pair i < j of the tangents of the
+    basis data, mirrored."""
     d = len(basis)
+    tangents = [space.field_at(x, m) for x in basis]
     out = np.zeros((d, d))
     for i in range(d):
         for j in range(i + 1, d):
-            val = ref_omega(space, m, basis[i], basis[j])
+            val = ref_omega(space, m, tangents[i], tangents[j])
             out[i, j] = val
             out[j, i] = -val
     return out
@@ -399,7 +409,8 @@ def test_record_matches_reference_moment_derivative(name, space, d):
     for psi, ref in zip(rec.psi, space._moment(m)):
         assert np.max(np.abs(psi - ref)) <= 1e-15
     for i, t in enumerate(tangents):
-        for psi, left, right, dpsi in zip(rec.psi, rec.left, rec.right, ref_dmoment(space, m, t)):
+        dpsis = ref_dmoment(space, m, space.field_at(t, m))
+        for psi, left, right, dpsi in zip(rec.psi, rec.left, rec.right, dpsis):
             assert np.max(np.abs(psi @ left[i] - dpsi)) <= 1e-14
             assert np.max(np.abs(right[i] @ psi - dpsi)) <= 1e-14
 
@@ -539,18 +550,20 @@ def test_doubled_class_omega_fails_moment(n, xi):
 
 def squeezed(cls, *shrinks):
     """cls with its structure pulled back along the map that scales the
-    leading tangent basis directions by shrinks (0 projects one out); the
-    points may carry leading axes, as for every structure."""
+    leading tangent basis directions by shrinks (0 projects one out), with
+    coefficients from the tangents of the field data; the points may carry
+    leading axes, as for every structure."""
 
     class Squeezed(cls):
         def structure(self, m, stack):
             basis = self._basis(m)
             out = stack
+            tangents = self.field_at(stack, spaces._lift(m))
             for i, shrink in enumerate(shrinks):
                 first = basis[..., i, :, :]
                 c = sum(
                     np.real(np.einsum("...ij,...kij->...k", x.conj(), y))
-                    for x, y in zip(first, stack)
+                    for x, y in zip(self.field_at(first, m), tangents)
                 )[..., None, None]
                 out = out - (1.0 - shrink) * c * spaces._lift(first)
             return super().structure(m, out)
@@ -715,18 +728,20 @@ def class_cases(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
 def test_class_basis_is_orthonormal_and_spans_the_svd_basis(n):
-    # the eigenvectors of a pair 2e-6 apart, and so both bases, are exact
-    # to about eps / |d_i - d_j| = 1e-11
+    # the tangents of the basis data: the eigenvectors of a pair 2e-6 apart,
+    # and so both bases, are exact to about eps / |d_i - d_j| = 1e-11, and
+    # so are the tangents X m - m X of data X of size 1 / |d_i - d_j|
     for name, xi in class_cases(n):
         space = ConjugacyClass(n, xi)
         m = stack([sample(space, np.random.default_rng(n)) for _ in range(3)])
-        basis, ref = space._basis(m), class_basis_svd(space, m)
+        basis, ref = space.field_at(space._basis(m), spaces._lift(m)), class_basis_svd(space, m)
         assert basis.shape == ref.shape == (1, 3, basis.shape[-3], n, n), name
         assert basis.shape[-3] == space.dim - 2 * (name == "unresolved"), name
         b, r = spaces.realvec(basis), spaces.realvec(ref)
-        assert np.max(np.abs(b @ b.swapaxes(-1, -2) - np.eye(b.shape[-2])), initial=0.0) < 1e-13
+        tol = 1e-9 if name == "gap" else 1e-13
+        assert np.max(np.abs(b @ b.swapaxes(-1, -2) - np.eye(b.shape[-2])), initial=0.0) < tol
         span = np.max(np.abs(r - r @ b.swapaxes(-1, -2) @ b), initial=0.0)
-        assert span < (1e-9 if name == "gap" else 1e-13), name
+        assert span < tol, name
 
 
 def refuse_svd(*args, **kwargs):
@@ -740,6 +755,23 @@ def test_class_cocycle_and_moment_take_no_svd(monkeypatch):
         assert verify_axiom(space, axiom, samples=3, seed=7).passed
     with pytest.raises(AssertionError):  # the patch bites
         verify_axiom(space, "min_degeneracy", samples=1, seed=7)
+
+
+def test_class_point_is_decomposed_once_per_stack(monkeypatch):
+    # the records read field data, so no record decomposes a class point:
+    # cocycle takes no eig at all, and moment one per stack, for its basis
+    space = ConjugacyClass(8, generic_xi(8))
+    calls, eig, unitary = [], np.linalg.eig, spaces.unitary_eig
+    monkeypatch.setattr(spaces.np.linalg, "eig", lambda a: calls.append("eig") or eig(a))
+    monkeypatch.setattr(spaces, "unitary_eig", lambda a: calls.append("unitary") or unitary(a))
+    samples = 20
+    stacks = -(-samples // (spaces.STACK_ROWS // space.dim))
+    assert stacks == 3
+    for axiom, count in (("cocycle", 0), ("moment", stacks)):
+        calls.clear()
+        assert verify_axiom(space, axiom, samples=samples, seed=7).passed
+        # unitary_eig takes its one eig inside
+        assert calls == ["unitary", "eig"] * count, axiom
 
 
 def test_persistently_undecided_sampling_is_an_input_error():
@@ -854,7 +886,8 @@ def sample_with_basis(space, rng):
 
 
 def random_tangent(m, basis, rng):
-    """A combination of the basis with one normal coefficient each."""
+    """The field data of a combination of the basis with one normal
+    coefficient each."""
     coeffs = rng.normal(size=len(basis))
     return np.array([np.tensordot(coeffs, x, axes=1) for x in as_stack(m, basis)])
 
@@ -885,8 +918,7 @@ def cocycle_residual(space, m, rng, fd_step):
     f1, f2, f3 = orthonormal_fields(space, rng)
 
     def omega_of(da, db, point):
-        pair = [space.field_at(da, point), space.field_at(db, point)]
-        return gram_of(space, point, pair)[0, 1]
+        return gram_of(space, point, [da, db])[0, 1]
 
     def derivative(d, da, db):
         plus = space.field_flow(d, m, fd_step)
@@ -1243,18 +1275,13 @@ def test_undecided_samples_are_counted_per_sample():
         assert err.value.code == "undecided-sample"
 
 
-# The class potential's cutoff.  The moduli of its factors
-# conj(d_i) d_j - 1 are the singular values of Ad_{m^-1} - 1: those of the
-# generating-field map, |e^{2 pi i (l_i - l_j)} - 1|, and the centralizer's
-# zeros, which the SVD of the realified operator put at 5e-16 to 1.5e-15 of
-# the largest.  The tangent basis keeps the directions above RANK_CUTOFF =
-# 1e-7 of the largest, and the relative cutoff 1e-12 sits far from both;
-# numpy's pinv defaults sit on the zeros.  Dividing entry by entry, not
-# forming a pseudo-inverse, keeps the accuracy of a class with eigenphases
-# 2e-6 apart (test_near_degenerate_class_passes).
+# Ops that a solve for the class potentials once failed or blurred.  The
+# records now read the potentials as the field data, with no solve and no
+# cutoff; these ops keep the verdicts and residuals the solve reached.
 
-def test_class_potential_cutoff_keeps_seed_875134980_passing():
-    # a stacked solve with numpy's pinv cutoffs failed this op, residual 0.25
+def test_class_cocycle_seed_875134980_passes():
+    # a stacked potential solve with numpy's pinv cutoffs failed this op,
+    # residual 0.25; the per-point lstsq gave 1.4e-14, the field data 2.2e-14
     rep = verify_axiom(ConjugacyClass(2, (Q(1, 8), Q(-1, 8))), "cocycle", samples=2,
                        seed=875134980)
     assert rep.passed and rep.max_residual < 1e-9
@@ -1267,25 +1294,11 @@ NEAR_DEGENERATE_XI3 = (Q(250001, 1000000), Q(249999, 1000000), Q(-1, 2))
                                          ("min_degeneracy", 0.0)])
 def test_near_degenerate_class_passes(axiom, bound):
     # eigenphases 2e-6 apart: |e^{2 pi i 2e-6} - 1| = 1.3e-5 is a kept
-    # singular value; a solve through an explicit pseudo-inverse put the
-    # cocycle residual at 3.7e-10 where the per-point lstsq gave 1.8e-11
+    # singular value; a potential solve through an explicit pseudo-inverse
+    # put the cocycle residual at 3.7e-10 where the per-point lstsq and the
+    # field data give 1.8e-11
     rep = verify_axiom(ConjugacyClass(3, NEAR_DEGENERATE_XI3), axiom, samples=20, seed=3)
     assert rep.passed and rep.max_residual <= bound
-
-
-@pytest.mark.parametrize("n,xi", [(2, (Q(1, 8), Q(-1, 8))), (3, GENERIC_XI3),
-                                  (4, (Q(3, 8), Q(1, 8), Q(-1, 8), Q(-3, 8)))])
-def test_stacked_potential_matches_lstsq_per_point(n, xi):
-    space = ConjugacyClass(n, xi)
-    rng = np.random.default_rng(151)
-    draws = [sample_with_basis(space, rng) for _ in range(3)]
-    points = np.stack([m[0] for m, _ in draws])
-    _, xi = space._potential(points, np.stack([as_stack(m, b)[0] for m, b in draws]))
-    v = unitary_eig(points)[1][:, None]
-    potentials = v @ xi @ v.conj().swapaxes(-1, -2)  # out of the eigenbasis
-    for p, (m, basis) in enumerate(draws):
-        for i, v in enumerate(basis):
-            assert np.max(np.abs(potentials[p, i] - ref_potential(space, m[0], v[0]))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
