@@ -11,8 +11,9 @@ A tangent is given by its field data, one su(n) element X per slot: X p on
 a group slot p, X m - m X on a class slot m; d of them stack to (k, d, n, n).
 A random point is the time-one flow from the base point of a field drawn as
 one Gaussian su(n) element per slot.  Every space gives one structure record
-for a stack of field data: the Gram matrix of its 2-form, its moment factors
-and their left and right logarithmic derivatives.  Fusion is one rule on
+(Omega, Psi, L) for a stack of field data: the Gram matrix of its 2-form, its
+moment factors and their left logarithmic derivatives L = Psi^-1 dPsi; the
+right one is Ad_Psi L and is not stored.  Fusion is one rule on
 records; the verifier only reads records and the common interface, so every
 axiom check runs uniformly across spaces.  A stack of points carries leading
 axes P after the slot axis, (k, *P, n, n); records, moments, actions and
@@ -148,18 +149,17 @@ class Structure:
     """A space's structure on the tangents v_1..v_d of d field data at a point.
 
     omega is the d x d matrix omega(v_i, v_j).  Per moment factor, psi holds
-    its value, left the (d, n, n) stack Psi^-1 dPsi(v_i) and right the stack
-    dPsi(v_i) Psi^-1.  Over a stack of points every field carries the
-    points' leading axes P in front.
+    its value and left the (d, n, n) stack Psi^-1 dPsi(v_i); dPsi(v_i) Psi^-1
+    is Ad_Psi of it.  Over a stack of points every field carries the points'
+    leading axes P in front.
     """
 
     omega: np.ndarray
     psi: tuple
     left: tuple
-    right: tuple
 
     def factor(self, i: int) -> tuple:
-        return self.psi[i], self.left[i], self.right[i]
+        return self.psi[i], self.left[i]
 
 
 def _skew(p: np.ndarray) -> np.ndarray:
@@ -167,18 +167,14 @@ def _skew(p: np.ndarray) -> np.ndarray:
 
 
 def _fuse(omega: np.ndarray, first: tuple, second: tuple) -> Structure:
-    """Fuse two moment factors (psi, left, right) (Alekseev-Malkin-Meinrenken
-    1998): omega gains 1/2 B(Psi_1* theta^L, Psi_2* theta^R), antisymmetrised,
-    the moment is Psi_1 Psi_2, and by the product rule
-    left = Ad_{Psi_2^-1} left_1 + left_2, right = right_1 + Ad_{Psi_1} right_2.
+    """Fuse two moment factors (psi, left) (Alekseev-Malkin-Meinrenken 1998):
+    omega gains 1/2 B(Psi_1* theta^L, Psi_2* theta^R) = 1/2 B(t, left_2),
+    antisymmetrised, with t = Ad_{Psi_2^-1} left_1 and theta^R = Ad_Psi theta^L;
+    the moment is Psi_1 Psi_2 and by the product rule its left = t + left_2.
     The pairing's orientation is pinned by the moment axiom check."""
-    (p1, l1, r1), (p2, l2, r2) = first, second
-    return Structure(
-        omega + _skew(basic_gram(l1, r2)),
-        (p1 @ p2,),
-        (_lift(_dag(p2)) @ l1 @ _lift(p2) + l2,),
-        (r1 + _lift(p1) @ r2 @ _lift(_dag(p1)),),
-    )
+    (p1, l1), (p2, l2) = first, second
+    t = _lift(_dag(p2)) @ l1 @ _lift(p2)
+    return Structure(omega + _skew(basic_gram(t, l2)), (p1 @ p2,), (t + l2,))
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +291,11 @@ class ConjugacyClass(QSpace):
         return (m[0],)
 
     def structure(self, m, stack):
-        # data X are potentials of tangents X m - m X: m^-1 dm = Ad_{m^-1} X - X, dm m^-1 =
-        # X - Ad_m X and omega(X, Y) = 1/2 B(Ad_m X - Ad_{m^-1} X, Y) (AMM 1998), -1/2 B(sum, Y)
+        # data X are potentials of tangents X m - m X: m^-1 dm = Ad_{m^-1} X - X, and by Ad-
+        # invariance omega(X, Y) = 1/2 B(Ad_m X - Ad_{m^-1} X, Y) (AMM 1998) = -skew B(m^-1 dm, Y)
         lm, x = _lift(m[0]), stack[0]
-        left, right = _dag(lm) @ x @ lm - x, x - lm @ x @ _dag(lm)
-        return Structure(_skew(-0.5 * basic_gram(left + right, x)), (m[0],), (left,), (right,))
+        left = _dag(lm) @ x @ lm - x
+        return Structure(-_skew(basic_gram(left, x)), (m[0],), (left,))
 
 
 def _class_basis(m):
@@ -351,7 +347,6 @@ class Double(QSpace):
             _skew(basic_gram(al, br) + basic_gram(ar, bl)),
             self._moment(m),
             (binv @ al @ b + bl, -(b @ ar @ binv) - br),
-            (ar + a @ br @ ainv, -al - ainv @ bl @ a),
         )
 
 
@@ -450,11 +445,12 @@ def _orthonormal_fields(data: np.ndarray) -> np.ndarray:
 
 
 def _moment_residuals(space: QSpace, m, xi, w) -> np.ndarray:
-    """|omega(xi_M, w) - 1/2 B(Psi^-1 dPsi(w) + dPsi(w) Psi^-1, xi)| per
-    point of a stack, read from one record of the stacked pairs [xi_M, w]."""
+    """|omega(xi_M, w) - 1/2 B(L(w), xi + Ad_{Psi^-1} xi)| per point of a stack,
+    AMM 1998's moment condition with dPsi Psi^-1 = Ad_Psi L, read from one
+    record of the stacked pairs [xi_M, w]."""
     rec = space.structure(m, np.stack([space._generating(xi, m), w], axis=-3))
-    rhs = sum(0.5 * basic_inner(left[..., 1, :, :] + right[..., 1, :, :], x)
-              for left, right, x in zip(rec.left, rec.right, xi))
+    rhs = sum(0.5 * basic_inner(left[..., 1, :, :], x + _dag(psi) @ x @ psi)
+              for psi, left, x in zip(rec.psi, rec.left, xi))
     return np.abs(rec.omega[..., 0, 1] - rhs)
 
 

@@ -410,9 +410,8 @@ def test_record_matches_reference_moment_derivative(name, space, d):
         assert np.max(np.abs(psi - ref)) <= 1e-15
     for i, t in enumerate(tangents):
         dpsis = ref_dmoment(space, m, space.field_at(t, m))
-        for psi, left, right, dpsi in zip(rec.psi, rec.left, rec.right, dpsis):
+        for psi, left, dpsi in zip(rec.psi, rec.left, dpsis):
             assert np.max(np.abs(psi @ left[i] - dpsi)) <= 1e-14
-            assert np.max(np.abs(right[i] @ psi - dpsi)) <= 1e-14
 
 
 @pytest.mark.parametrize("name,space,d", gram_spaces())
@@ -597,6 +596,36 @@ def test_dropped_fusion_correction_fails_moment(n, monkeypatch):
         rep = verify_axiom(space, "moment", samples=4, seed=97)
         assert not rep.passed and rep.max_residual > 1e-3
         assert np.max(np.abs(gram_of(space, *point) - good)) > 1e-3
+
+
+def log_liouville_density(space, m):
+    """The log of Pf(Omega) / det^1/2((1 + Ad_Psi) / 2) on the tangent basis
+    at m (Alekseev-Meinrenken-Woodward 2002): 1/2 sum log sigma_i(Omega) less
+    1/2 sum over i != j of log(|d_i conj(d_j) + 1| / 2) per moment factor with
+    eigenvalues d, the singular values of (1 + Ad_Psi) / 2 off the torus."""
+    rec = space.structure(m, space._basis(m))
+    d = np.linalg.eigvals(np.stack(rec.psi))
+    pairs = np.abs(d[:, :, None] * d.conj()[:, None, :] + 1.0)[:, ~np.eye(space.n, dtype=bool)]
+    return 0.5 * (np.sum(np.log(np.linalg.svd(rec.omega, compute_uv=False)))
+                  - np.sum(np.log(pairs / 2.0)))
+
+
+def test_liouville_density_is_constant(monkeypatch):
+    # the Liouville form of a double and of its fusions is Haar measure: on
+    # the basis, orthonormal for Re tr(X* Y), its log density is
+    # -(dim / 2) log 4 pi^2 at every point, which pins omega pointwise
+    def spread(space):
+        logs = [log_liouville_density(space, sample(space, np.random.default_rng(seed)))
+                for seed in range(8)]
+        return np.max(np.abs(np.array(logs) + space.dim / 2 * np.log(4 * np.pi**2)))
+
+    for space in (Double(2), Double(3), Fused([Double(2)]), Genus(2, 2), Genus(3, 2)):
+        assert spread(space) <= 1e-12, space
+    fuse = spaces._fuse
+    for scale in (-1.0, 0.5):  # the fusion correction with its sign flipped, and halved
+        monkeypatch.setattr(spaces, "_fuse", lambda omega, a, b, s=scale: replace(
+            fuse(omega, a, b), omega=omega + s * (fuse(omega, a, b).omega - omega)))
+        assert spread(Genus(2, 2)) > 0.1, scale
 
 
 @pytest.mark.parametrize(
@@ -852,7 +881,7 @@ def test_record_over_points_matches_single_points(name, space):
     for p, (m, t) in enumerate(zip(points, tangents)):
         one = space.structure(m, t)
         assert np.max(np.abs(rec.omega[p] - one.omega)) <= 1e-15
-        for stacked, single in zip(rec.psi + rec.left + rec.right, one.psi + one.left + one.right):
+        for stacked, single in zip(rec.psi + rec.left, one.psi + one.left):
             assert np.max(np.abs(stacked[p] - single)) <= 1e-15
 
 
@@ -898,8 +927,9 @@ def moment_residual(space, m, basis, rng):
     w = random_tangent(m, basis, rng)
     rec = _record(space, m, [v, w])
     rhs = 0.0
-    for left, right, x in zip(rec.left, rec.right, xi):
-        rhs += 0.5 * basic_inner(left[1] + right[1], x)
+    for psi, left, x in zip(rec.psi, rec.left, xi):
+        # dPsi Psi^-1 = Ad_Psi (Psi^-1 dPsi)
+        rhs += 0.5 * basic_inner(left[1] + psi @ left[1] @ psi.conj().T, x)
     return float(abs(rec.omega[0, 1] - rhs))
 
 
@@ -1307,8 +1337,8 @@ def test_near_degenerate_class_passes(axiom, bound):
 def test_fusion_moment_associativity():
     # (a * c) * b and a * (c * b), with a class c between two fused doubles,
     # give the same record on the same tangents (both groupings have the
-    # slots of a, c and b in a row): form, moment and both logarithmic
-    # derivatives
+    # slots of a, c and b in a row): form, moment and its left logarithmic
+    # derivative
     rng = np.random.default_rng(37)
     a, b = Fused([Double(2)]), Fused([Double(2)])
     c = ConjugacyClass(2, (Q(1, 8), Q(-1, 8)))
@@ -1319,8 +1349,7 @@ def test_fusion_moment_associativity():
     rec_left = _record(left, m, basis)
     rec_right = _record(right, m, basis)
     assert np.max(np.abs(rec_left.omega - rec_right.omega)) < 1e-12
-    for x, y in zip(rec_left.psi + rec_left.left + rec_left.right,
-                    rec_right.psi + rec_right.left + rec_right.right):
+    for x, y in zip(rec_left.psi + rec_left.left, rec_right.psi + rec_right.left):
         assert np.max(np.abs(x - y)) < 1e-12
 
 
@@ -1402,7 +1431,7 @@ def test_genus_matches_explicit_fusion_chain(n, h):
     rec = _record(space, m, basis)
     ref = _record(other, m, basis)
     assert np.array_equal(rec.omega, ref.omega)
-    for x, y in zip(rec.psi + rec.left + rec.right, ref.psi + ref.left + ref.right):
+    for x, y in zip(rec.psi + rec.left, ref.psi + ref.left):
         assert np.array_equal(x, y)
     assert np.array_equal(space._moment(m)[0], other._moment(m)[0])
     assert np.array_equal(data, other.random_field(np.random.default_rng(5)))
