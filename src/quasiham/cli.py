@@ -14,9 +14,15 @@ sample miss the full cover.  A closed stdout ends the output quietly and
 keeps the exit code.
 
 Numerical modules import lazily inside handlers so exact verbs stay snappy.
-The exact verbs keep their per-op cost low: argv is parsed in one argparse
-pass (`_parse`), check-class works on the integer numerators of each --xi,
-and the JSON writer emits a list of rows with one join per row.
+The exact verbs keep their per-op cost low: check-class works on the integer
+numerators of each --xi, the JSON writer emits a list of rows with one join
+per row, and argv is parsed without argparse when it can be (`_parse`).  An
+argv of a verb's exact flags, each value after its flag, not starting with
+'-', valid for the flag's type and choices, and every required flag given,
+is read in one pass over a table of the verb parser's own actions; any
+other argv (abbreviations, --flag=value, -h, --, a value starting with '-',
+an unknown token, a bad value, a missing flag) takes one argparse pass, so
+every help and error text is argparse's.
 """
 
 from __future__ import annotations
@@ -231,8 +237,9 @@ def _run_cocycle(args) -> tuple[int, dict]:
         if rejected > 100 * args.samples:
             raise ToolkitError("sampling failed: over 100 draws per sample missed the full cover")
         phases, vecs = np.concatenate([phases, lam[regular]]), np.concatenate([vecs, v[regular]])
-    # one record of the accepted samples; each triple is one batched pair of
-    # determinants over them, and a collapsed coefficient is a defect of one
+    # one record of the accepted samples; each triple is one batched
+    # determinant over them, each pair's denominator is taken once, and a
+    # collapsed coefficient is a defect of one
     record = _spectral_record(phases, vecs)
     worst = float(np.max([np.max(np.abs(np.abs(record.coefficient(*triple)) - 1.0))
                           for triple in combinations(range(1, args.n + 1), 3)]))
@@ -426,15 +433,75 @@ def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argum
     return _build_parsers()
 
 
+# The action kinds a verb's table parses: a flag that takes one value
+# (store, append; nargs None) or none (store_true; nargs 0).
+_TABLE_KINDS = (argparse._StoreAction, argparse._AppendAction, argparse._StoreTrueAction)
+
+
+@functools.cache
+def _verb_table(verb: str) -> tuple[dict[str, argparse.Action], set[str]] | None:
+    """The verb parser's own actions of the kinds in _TABLE_KINDS by exact
+    flag, and the dests of all its required actions; None when it has a
+    positional argument, which only argparse places."""
+    actions = _shared_parsers()[1][verb]._actions
+    if not all(action.option_strings for action in actions):
+        return None
+    flags = {flag: action for action in actions
+             if type(action) in _TABLE_KINDS and action.nargs in (None, 0)
+             for flag in action.option_strings}
+    return flags, {action.dest for action in actions if action.required}
+
+
+def _table_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the verb parser builds for argv[1:], attributes in the
+    same order, when every token is an exact flag of the verb's table, each
+    flag that takes a value is followed by a token that does not start with
+    '-' and converts by its type into its choices, and every required flag
+    is given; otherwise None."""
+    table = _verb_table(argv[0])
+    if table is None:
+        return None
+    flags, required = table
+    args = argparse.Namespace(verb=argv[0])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = flags.get(token)
+        if action is None:
+            return None
+        value = action.const
+        if action.nargs is None:
+            text = next(tokens, None)
+            if text is None or text.startswith("-"):
+                return None
+            try:
+                value = text if action.type is None else action.type(text)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            if type(action) is argparse._AppendAction:
+                value = [*getattr(args, action.dest, ()), value]
+        setattr(args, action.dest, value)
+    return args if required <= vars(args).keys() else None
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The full parser's parse_args(argv) in one argparse pass: an argv that
-    starts with a verb goes to that verb's parser alone, which is what the
-    full parser hands it, and what is left over gets the full parser's
-    message.  Any other argv takes the full parser."""
+    """The full parser's parse_args(argv).  An argv that starts with a verb
+    is first read against the verb's table (`_table_parse`), built once from
+    the verb parser's own actions: exact flags, each value converted and
+    checked as argparse would.  Any argv the table refuses (an abbreviation,
+    --flag=value, -h, --, a value starting with '-', an unknown token, a bad
+    value, a missing required flag) goes to the verb's parser alone in one
+    argparse pass, which is what the full parser hands it, and what is left
+    over gets the full parser's message.  Any other argv takes the full
+    parser.  Every help and error text is argparse's own."""
     parser, verbs = _shared_parsers()
     verb = verbs.get(argv[0]) if argv else None
     if verb is None:
         return parser.parse_args(argv)
+    args = _table_parse(argv)
+    if args is not None:
+        return args
     args, extras = verb.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")

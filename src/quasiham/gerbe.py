@@ -11,7 +11,7 @@ one determinant of orthonormal bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -80,6 +80,10 @@ class SpectralRecord:
     phases: np.ndarray
     cover: frozenset[int]
     bases: dict[tuple[int, int], np.ndarray]
+    # det(Q_ik* Q_ik) by pair (i, k), taken at the first coefficient that
+    # divides by it: it does not depend on j
+    _norms: dict[tuple[int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def coefficient(self, i: int, j: int, k: int) -> complex | np.ndarray:
         """<rep(i,k), rep(i,j) ^ rep(j,k)> / <rep(i,k), rep(i,k)>; by
@@ -90,8 +94,10 @@ class SpectralRecord:
         if not {i, j, k} <= self.cover:
             raise InputError("outside-cover", f"matrix is not in V_{i} * V_{j} * V_{k}")
         full = self.bases[i, k].conj().swapaxes(-1, -2)
+        if (i, k) not in self._norms:
+            self._norms[i, k] = np.linalg.det(full @ self.bases[i, k])
         both = np.concatenate([self.bases[i, j], self.bases[j, k]], axis=-1)
-        out = np.linalg.det(full @ both) / np.linalg.det(full @ self.bases[i, k])
+        out = np.linalg.det(full @ both) / self._norms[i, k]
         return complex(out) if out.ndim == 0 else out
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import InputError
@@ -49,10 +50,11 @@ def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], 
     sign = 1 if prev > 0 else -1
     inv = tuple(tuple(sign * v for v in row[n:]) for row in a)
     det = sign * prev
-    for i in range(n):
-        for j in range(n):
-            if sum(m[i][t] * inv[t][j] for t in range(n)) != (det if i == j else 0):
-                raise ValueError("integer inverse failed its check")
+    # m N = d I, each entry a row of m times a column of N
+    columns = list(zip(*inv))
+    for i, row in enumerate(m):
+        if [sum(map(mul, row, col)) for col in columns] != [det * (i == j) for j in range(n)]:
+            raise ValueError("integer inverse failed its check")
     return inv, det
 
 

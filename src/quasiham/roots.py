@@ -158,6 +158,9 @@ def _cartan_and_halves(lt: LieType) -> tuple[list[list[int]], list[Fraction]]:
     return cartan, halves
 
 
+_OCTAL_DIGITS = bytes.maketrans(b"01234567", bytes(range(8)))
+
+
 def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
     """Height-by-height closure: alpha + a_i is a root iff its root string
     through a_i still ascends (q - <alpha, a_i^v> > 0).
@@ -184,7 +187,11 @@ def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
                     pairings[alpha + s] = [p + c for p, c in zip(pa, cartan[i])]
                     nxt.append(alpha + s)
         layer = nxt
-    roots = [tuple(code // s % 8 for s in steps) for code in pairings]
+    # the octal digits of a code, lowest first, are its coefficients: one
+    # translate maps each digit's character to its value
+    octal = f"0{len(steps)}o"
+    roots = [tuple(format(code, octal)[::-1].encode().translate(_OCTAL_DIGITS))
+             for code in pairings]
     roots.sort(key=lambda v: (sum(v), v))
     return roots
 

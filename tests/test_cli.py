@@ -375,32 +375,51 @@ def test_reused_parser_keeps_no_state(monkeypatch):
 
 # Per verb: valid argv (abbreviated options, a repeated --xi, defaults) and
 # invalid ones (unknown option, missing required option, bad int or choice,
-# an ambiguous prefix, extra arguments); then argv that name no verb.
+# an ambiguous prefix, extra arguments); then argv that name no verb.  The
+# later cases of each verb are edges of its table (`cli._table_parse`): argv
+# it takes, with repeated flags, empty values and flags in any order, and
+# argv it leaves to argparse, with a value that starts with '-' or equals a
+# flag, a flag without its value, a bad value on a repeat or a stray token.
 PARSE_CASES = {
-    "table": [[], ["--js"], ["--bogus"], ["x"], ["-h"], ["--", "x"], ["--json=1"]],
+    "table": [[], ["--js"], ["--bogus"], ["x"], ["-h"], ["--", "x"], ["--json=1"],
+              ["--json", "--json"], ["--json", "x"], ["-h", "--json"]],
     "vertices": [["--type", "A2"], ["--type=A2", "--js"], [], ["--type"], ["--type", "A2", "x"],
-                 ["--type", "A2", "--type", "B3"]],
+                 ["--type", "A2", "--type", "B3"],
+                 ["--type", ""], ["--type", "--json"], ["--json", "--type", "A2"]],
     "level-weights": [["--type", "A2", "--lev", "3"], ["--type", "A2", "--level=-1", "--json"],
                       ["--type", "A2"], ["--type", "A2", "--level", "x"],
-                      ["--type", "A2", "--level", "2", "--bogus", "y"]],
+                      ["--type", "A2", "--level", "2", "--bogus", "y"],
+                      ["--level", "2", "--type", "A2"], ["--type", "A2", "--level", ""],
+                      ["--type", "A2", "--level", " 3 "], ["--type", "A2", "--level"]],
     "check-class": [["--type", "A1", "--xi", "1/4,-1/4", "--lev", "2"],
                     ["--type", "A2", "--xi", "1/3,0,-1/3", "--xi=-1/2,0,1/2", "--level", "3",
                      "--torsion", "2", "--js"],
                     ["--type", "A1", "--level", "2"], ["--type", "A1", "--xi", "0", "--level", "x"],
                     ["--type", "A1", "--xi", "0", "--level", "1", "--torsion", "x"],
-                    ["--type", "A1", "--xi", "0", "--level", "1", "--t", "1"]],
+                    ["--type", "A1", "--xi", "0", "--level", "1", "--t", "1"],
+                    ["--type", "A1", "--xi", "0", "--xi", "1/2,-1/2", "--level", "1", "--xi", ""],
+                    ["--type", "A1", "--xi", "-1/4,1/4", "--level", "1"],
+                    ["--type", "A1", "--xi", "--level", "--level", "1"],
+                    ["--type", "A1", "--xi", "0", "--level", "1", "--level", "x"]],
     "verify": [["--space", "double"], ["--space", "genus", "--n", "3", "--genus", "2",
                                          "--axiom", "min_degeneracy", "--fd", "1e-3", "--se", "4"],
                ["--space", "conjugacy_class", "--xi", "1/8,-1/8", "--xi", "0,0"],
                ["--space", "bogus"], ["--space", "double", "--axiom", "bogus"],
                ["--space", "double", "--n", "x"], ["--space", "double", "--s", "3"], [],
-               ["--space", "double", "--", "--n", "3"]],
+               ["--space", "double", "--", "--n", "3"],
+               ["--space", "double", "--seed", "-1"], ["--space", "double", "--n", ""],
+               ["--space", "double", "--space", "genus", "--tol", "1e-3"],
+               ["--space", "genus", "--axiom", "moment", "--axiom", "bogus"],
+               ["--space", "double", "--json", "--", "--json"]],
     "cocycle": [[], ["--n", "4", "--samples", "2", "--tol", "1e-3", "--json"], ["--n", "4.5"],
-                ["--samples"]],
+                ["--samples"], ["--n", "3", "--n"], ["--samples", "2", "--samples", "-2"],
+                ["--seed", "1", "-h"]],
     "holonomy-convergence": [["--grids", "4,8"], ["--file", "x.json", "--js"], ["--n", "x"],
-                             ["-x"]],
+                             ["-x"], ["--file", "-"], ["--file", "x.json", "--grids", ""]],
     "reduce-rank": [["--at", "abba"], ["--at", "identity", "--n", "3", "--gen", "2"], [],
-                    ["--at", "bogus"], ["--at"]],
+                    ["--at", "bogus"], ["--at"],
+                    ["--seed", "1", "--at", "abba", "--at", "commuting"],
+                    ["--at", "abba", "--at", "bogus"], ["--at", "abba", "--n=3"]],
 }
 PARSE_ARGV = ([[verb, *rest] for verb, cases in PARSE_CASES.items() for rest in cases]
               + [[], ["no-such-verb"], ["-h"], ["--json"], ["--", "table"], ["-1"],
@@ -426,6 +445,80 @@ def test_parse_is_the_full_parser(argv):
     expected = parse_outcome(cli._build_parsers()[0].parse_args, argv)
     assert parse_outcome(cli._parse, argv) == expected
     assert set(PARSE_CASES) == VERBS
+
+
+FULL_PARSER = cli._build_parsers()[0]
+
+
+def verb_argv(verb):
+    """Argv of the verb: its required flags with valid values and up to five
+    more parts in any order.  In half of them each part is a flag with a
+    valid value; in the other half a part may also be a flag with an odd
+    value, a flag alone, --flag=value, an abbreviation or a bare value.  Odd
+    values are negative numbers, empty strings, flags, '--', '-h' and short
+    random text."""
+    actions = [a for a in cli._shared_parsers()[1][verb]._actions if a.dest != "help"]
+    valid = {action.option_strings[0]: [OPTION_TEXT[action.dest]] if action.dest in OPTION_TEXT
+             else action.choices or [] for action in actions}
+    flags = [*valid, "-h"]
+    good = st.sampled_from([(flag, *value) for flag, values in valid.items()
+                            for value in [(v,) for v in values] or [()]])
+    odd = (st.sampled_from([*flags, "-1", "-1/4,1/4", "-0.5", "", " 2", "-", "--", "x", "1.5"])
+           | st.text(max_size=3))
+    flag = st.sampled_from(flags)
+    part = st.one_of(good, st.tuples(flag, odd), st.tuples(flag),
+                     st.tuples(st.builds("{}={}".format, flag, odd | good.map(lambda g: g[-1]))),
+                     st.tuples(st.builds(lambda f, k: f[:k], flag, st.integers(3, 5))),
+                     st.tuples(odd))
+    required = [(action.option_strings[0], valid[action.option_strings[0]][0])
+                for action in actions if action.required]
+    parts = (st.lists(good, max_size=5) | st.lists(part, max_size=5)).flatmap(
+        lambda more: st.permutations(required + more))
+    return parts.map(lambda p: [verb, *itertools.chain.from_iterable(p)])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(argv=st.deferred(lambda: st.one_of(*map(verb_argv, sorted(VERBS)))))
+def test_table_parse_is_argparse(argv):
+    # the table's namespace, attributes in argparse's order, or argparse's own
+    # exit code, help and error text; repr compares the attribute order, and
+    # a nan value equal to a nan
+    event("table" if cli._table_parse(argv) else "argparse")
+    expected = parse_outcome(FULL_PARSER.parse_args, argv)
+    assert repr(parse_outcome(cli._parse, argv)) == repr(expected)
+
+
+def test_a_verb_with_a_positional_has_no_table(monkeypatch):
+    # only argparse places a positional and fills in its default
+    parser, verbs = cli._build_parsers()
+    verbs["table"].add_argument("extra", nargs="?", default="x")
+    monkeypatch.setattr(cli, "_shared_parsers", lambda: (parser, verbs))
+    cli._verb_table.cache_clear()
+    try:
+        assert cli._verb_table("table") is None
+        assert vars(cli._parse(["table", "--json"])) == {"verb": "table", "extra": "x",
+                                                         "json": True}
+    finally:
+        cli._verb_table.cache_clear()
+
+
+def test_bench_streams_take_the_table(monkeypatch):
+    # every argv of the benchmark's first rounds is read by the verb's table:
+    # with the verb parsers made to raise, each parses as the full parser does
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import Stream
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a benchmark argv")
+
+    for parser in cli._shared_parsers()[1].values():
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+    streams = [Stream(w, s) for w in ("exact", "degeneracy", "pointwise") for s in (1, 2, 3, 4)]
+    ops = [op for stream in streams for op in stream.prelude + stream.round()]
+    assert len(ops) == 1144
+    for op in ops:
+        expected = list(vars(FULL_PARSER.parse_args(op.argv)).items())
+        assert list(vars(cli._parse(op.argv)).items()) == expected, op.argv
 
 
 @pytest.mark.parametrize(

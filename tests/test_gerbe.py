@@ -566,3 +566,14 @@ def test_cocycle_fails_on_a_record_with_a_wrong_block(monkeypatch):
     assert code == 1 and payload["pass"] is False
     assert payload["max_unimodularity_defect"] > 0.99
     assert main(["cocycle", "--n", "4", "--samples", "5"]) == 1
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_cocycle_takes_each_denominator_once(n, monkeypatch):
+    # det(Q_ik* Q_ik) depends on the pair alone: one det per triple, and one
+    # per pair i < k that has a j between them
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
+    code, _ = dispatch(["cocycle", "--n", str(n), "--samples", "3"])
+    assert code == 0 and len(calls) == comb(n, 3) + comb(n - 1, 2)
