@@ -15,12 +15,11 @@ _HOME = {
         "alcove_vertices",
         "level_weights",
         "minimal_integral_level",
-        "open_faces",
     ],
     "errors": ["InputError", "ToolkitError"],
     "gerbe": ["SpectralRecord", "eigenline_weight", "vertex_weight_consistency"],
     "holonomy": ["PiecewiseConnection", "convergence_order", "gauge_transform"],
-    "prequant": ["class_level_test", "torsion_level_admissible"],
+    "prequant": ["class_decision", "torsion_level_admissible"],
     "rational": ["CartanVector", "parse_rational", "parse_vector"],
     "roots": [
         "LieType",

@@ -11,21 +11,22 @@ numerators over one denominator through their checks and JSON, and so are
 the minimal levels.  The weight enumeration is alcove-exact by construction
 and filters nothing: tests/test_alcove.py pins it against brute-force and
 Fraction oracles, and the `level-weights` verb re-checks the set in one
-column pass per simple root and raises on an escape.  The open faces of a
-cleared vector come from integers too (`open_faces`).
+column pass per simple root and raises on an escape.  A single cleared
+vector, a class parameter, is paired by `gram_pairing`, one dot product per
+row, from which prequant.class_decision reads its verdict and open faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations
 from math import comb, gcd, lcm
-from operator import add, mod, sub
+from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import InputError, ToolkitError
-from .rational import format_ratio, format_rows
+from .rational import format_rows
 from .roots import RootSystem, a_series_embedding
 
 # Largest level-weight set, as its weights times (rank + 2): enumerating,
@@ -118,8 +119,10 @@ def _gram_pairings(rs: RootSystem, nums_seq: Sequence[tuple[int, ...]]) -> list[
 
 
 def _is_weight(rs: RootSystem, pairings: list[list[int]], den: int) -> bool:
-    """Every (xi, a_i^v) = 2 p_i / (gram_ii den) over the pairing columns p is an integer."""
-    return not any(any(map(mod, map(add, p, p), repeat(row[i] * den)))
+    """Every (xi, a_i^v) = 2 p_i / (gram_ii den) over the pairing columns p is
+    an integer: gram_ii den divides 2 p for every p of column i exactly when
+    it divides 2 gcd(column i)."""
+    return not any(2 * gcd(*p) % (row[i] * den)
                    for i, (row, p) in enumerate(zip(rs.int_gram, pairings)))
 
 
@@ -198,23 +201,8 @@ def minimal_integral_level(rs: RootSystem) -> int:
                  for q in [row[i] * model.den] for p in col))
 
 
-def _barycentric_nums(rs: RootSystem, nums: tuple[int, ...], den: int) -> tuple[int, ...]:
-    """The barycentric coordinates of xi = nums / den times scale * den."""
-    unit = rs.scale * den
-    *simple, [theta] = _gram_pairings(rs, [nums])
-    return (unit - theta, *(mark * p for mark, [p] in zip(rs.marks, simple)))
-
-
-def open_faces(rs: RootSystem, nums: tuple[int, ...], den: int) -> list[int]:
-    """The open faces of xi = nums / den with nums of length rank, in
-    increasing order: the indices j of the cover pieces containing xi, the
-    vertices whose barycentric coordinate at xi is strictly positive.  xi
-    lies in the level-1 alcove iff no coordinate is negative, and on its
-    boundary iff some coordinate is 0, that is iff fewer than rank + 1 faces
-    are open."""
-    bary = _barycentric_nums(rs, nums, den)
-    if min(bary) < 0:
-        raise InputError("not-in-alcove", f"{','.join(format_ratio(n, den) for n in nums)}"
-                         " lies outside the level-1 alcove")
-    return [j for j, t in enumerate(bary) if t > 0]
-
+def gram_pairing(rs: RootSystem, nums: tuple[int, ...]) -> list[int]:
+    """scale * den * (a_i, xi) for each simple root a_i, then
+    scale * den * (theta, xi), for one xi = nums / den: one dot product per
+    row of the integer Gram matrix and of theta_row."""
+    return [sum(map(mul, row, nums)) for row in (*rs.int_gram, rs.theta_row)]

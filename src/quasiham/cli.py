@@ -14,8 +14,10 @@ sample miss the full cover.  A closed stdout ends the output quietly and
 keeps the exit code.
 
 Numerical modules import lazily inside handlers so exact verbs stay snappy.
-The exact verbs keep their per-op cost low: check-class works on the integer
-numerators of each --xi, the JSON writer emits a list of rows with one join
+The exact verbs keep their per-op cost low: check-class reads each --xi
+straight into integer numerators over one denominator (plain 'p/q' entries
+without Fractions) and decides each class, verdict and open faces, from one
+integer Gram pairing, the JSON writer emits a list of rows with one join
 per row, and argv is parsed without argparse when it can be (`_parse`).  An
 argv of a verb's exact flags, each value after its flag, not starting with
 '-', valid for the flag's type and choices, and every required flag given,
@@ -41,12 +43,11 @@ from .alcove import (
     alcove_vertices,
     level_weights,
     minimal_integral_level,
-    open_faces,
     weight_checks,
 )
 from .errors import InputError, ToolkitError, built_here
-from .prequant import NOT_A_WEIGHT, class_level_test, torsion_level_admissible
-from .rational import common_denominator, format_rows, format_vector, parse_vector
+from .prequant import NOT_A_WEIGHT, class_decision, torsion_level_admissible
+from .rational import format_rows, format_vector, parse_numerators
 from .roots import (
     LieType,
     a_series_embedding,
@@ -80,7 +81,7 @@ _TABLE_RANKS = {
 def _parse_xi(rs, text: str) -> tuple[tuple[int, ...], int]:
     """--xi in simple-root coordinates, as integer numerators over one
     denominator."""
-    nums, den = common_denominator(parse_vector(text))
+    nums, den = parse_numerators(text)
     if rs.lie_type.series == "A" and len(nums) == rs.rank + 1:
         return a_series_numerators(rs, nums), den
     if len(nums) != rs.rank:
@@ -129,10 +130,9 @@ def _run_check_class(args) -> tuple[int, dict]:
     # every --xi is parsed before any is decided; the fusion of the classes
     # is pre-quantizable iff each class is
     xis = [_parse_xi(rs, text) for text in args.xi]
-    answers = [class_level_test(rs, nums, den, k) for nums, den in xis]
+    decisions = [class_decision(rs, nums, den, k) for nums, den in xis]
     entries = []
-    for (nums, den), answer in zip(xis, answers):
-        faces = open_faces(rs, nums, den)
+    for (nums, den), (answer, faces) in zip(xis, decisions):
         xi, witness = format_rows((nums, tuple(k * a for a in nums)), den)
         entries.append(
             {
@@ -143,7 +143,7 @@ def _run_check_class(args) -> tuple[int, dict]:
                 "open_faces": faces,
             }
         )
-    answer = all(answers)
+    answer = all(passed for passed, _ in decisions)
     payload = {
         "lie_type": str(rs.lie_type),
         "level": args.level,

@@ -3,7 +3,9 @@ integer matrix inverse.
 
 No floating point enters any membership decision.  A parsed vector is a
 tuple of Fractions; it is cleared to integer numerators over one denominator
-once (`common_denominator`) and stays integer from there.  Vectors born as
+once (`common_denominator`) and stays integer from there.  `parse_numerators`
+reads a vector straight into that cleared form, plain ASCII 'p' and 'p/q'
+entries with int and any other text through the Fractions.  Vectors born as
 integers, the level-k weights, the alcove vertices and the transition
 weights, are computed, checked and written (`format_rows`) as numerators over
 one denominator, and `integer_inverse` inverts an integer matrix without
@@ -12,6 +14,7 @@ Fractions.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -23,6 +26,10 @@ from .errors import InputError
 
 CartanVector = tuple[Fraction, ...]
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
+
+# an entry that int reads as the Fraction reads it: sign, ASCII digits, and
+# an optional ASCII denominator
+_PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -45,7 +52,10 @@ def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], 
         for r in range(n):
             if r != col:
                 f = a[r][col]
-                a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], top)]
+                if f:
+                    a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], top)]
+                elif p != prev:  # nothing to subtract: only the rescale
+                    a[r] = [p * v // prev for v in a[r]]
         prev = p
     sign = 1 if prev > 0 else -1
     inv = tuple(tuple(sign * v for v in row[n:]) for row in a)
@@ -79,6 +89,33 @@ def parse_vector(text: str) -> CartanVector:
     if not parts:
         raise InputError("empty-vector", "expected comma-separated rationals, got none")
     return tuple(parse_rational(p) for p in parts)
+
+
+def parse_numerators(text: str) -> tuple[tuple[int, ...], int]:
+    """common_denominator(parse_vector(text)), with each plain entry, 'p' or
+    'p/q' in ASCII digits with q != 0, read by int and reduced by gcd.  Text
+    with any other entry goes through parse_vector, so every spelling, value
+    and error is parse_vector's."""
+    nums, dens = [], []
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            match = _PLAIN.fullmatch(part)
+            q = int(match[2] or 1) if match else 0
+            if not q:
+                raise ValueError(f"{part!r} is not a plain 'p/q'")
+            p = int(match[1])
+            g = gcd(p, q)
+            nums.append(p // g)
+            dens.append(q // g)
+        if not nums:
+            raise ValueError("no entry")
+    except ValueError:  # also more digits than int converts: Fraction decides
+        return common_denominator(parse_vector(text))
+    den = lcm(*dens)
+    return tuple(p * (den // q) for p, q in zip(nums, dens)), den
 
 
 def format_vector(x: CartanVector) -> list[str]:

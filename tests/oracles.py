@@ -147,7 +147,7 @@ class Verdict(NamedTuple):
 
 def class_prequantizable(rs, xi, k):
     """The level-k test in Fractions: xi must lie in the alcove, and the
-    class passes iff k*xi is a weight; errors as class_level_test's."""
+    class passes iff k*xi is a weight; errors as class_decision's."""
     if k < 1:
         raise InputError("invalid-level", f"level must be >= 1, got {k}")
     if not alcove_contains(rs, xi, 1):

@@ -14,12 +14,12 @@ from quasiham.alcove import (
     alcove_vertices,
     level_weights,
     minimal_integral_level,
-    open_faces,
     weight_checks,
     weight_count,
 )
 from quasiham.cli import dispatch, render
 from quasiham.errors import InputError
+from quasiham.prequant import class_decision
 from quasiham.rational import format_vector
 from quasiham.roots import (
     LieType,
@@ -91,11 +91,11 @@ def test_alcove_contains_examples():
     # membership of the Fraction oracle, and the boundary flag of the
     # integer open faces: a point is on the boundary iff a face is closed
     a1 = rs_of("A1")
-    assert alcove_contains(a1, vec("1/4"), 1) and open_faces(a1, (1,), 4) == [0, 1]
+    assert alcove_contains(a1, vec("1/4"), 1) and class_decision(a1, (1,), 4, 1)[1] == [0, 1]
     assert not alcove_contains(a1, vec("3/4"), 1)
     assert alcove_contains(a1, vec("3/4"), 2)
     g2 = rs_of("G2")
-    assert alcove_contains(g2, vec(0, 0), 1) and open_faces(g2, (0, 0), 1) == [0]
+    assert alcove_contains(g2, vec(0, 0), 1) and class_decision(g2, (0, 0), 1, 1)[1] == [0]
     with pytest.raises(InputError) as err:
         alcove_contains(a1, vec("1/4"), 0)
     assert err.value.code == "invalid-level"
@@ -479,8 +479,9 @@ def test_level_weights_verb_makes_no_fraction_check(monkeypatch):
         for name in names:
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, refuse)
-    with pytest.raises(AssertionError):  # the patches bite
-        dispatch(["check-class", "--type", "E6", "--xi", "0,0,0,0,0,0", "--level", "1"])
+    # the patches bite: a decimal --xi is cleared by common_denominator
+    with pytest.raises(AssertionError):
+        dispatch(["check-class", "--type", "E6", "--xi", "0.0,0,0,0,0,0", "--level", "1"])
     code, payload = dispatch(["level-weights", "--type", "E6", "--level", "8", "--json"])
     assert code == 0 and payload["count"] == 372
     text = render(payload, as_json=True)

@@ -22,12 +22,12 @@ from hypothesis import HealthCheck, currently_in_test_context, event, given, set
 from hypothesis import strategies as st
 
 import quasiham
-from quasiham import alcove, cli
+from quasiham import alcove, cli, prequant
 from quasiham.alcove import LevelWeightSet
 from quasiham.cli import MAX_GRID, MAX_SAMPLES, dispatch, main, render
 from quasiham.errors import InputError, ToolkitError
 from quasiham.prequant import torsion_level_admissible
-from quasiham.rational import format_vector, parse_vector
+from quasiham.rational import common_denominator, format_vector, parse_numerators, parse_vector
 from quasiham.roots import MAX_RANK, LieType, a_series_embedding, build_root_system
 from quasiham.serialize import matrix_from_json
 from quasiham.sun import complex_pairs
@@ -342,16 +342,25 @@ def test_level_weights_pairs_each_weight_once(monkeypatch):
     assert len(paired) == 372
 
 
-def test_check_class_pairs_each_class_twice(monkeypatch):
-    # one check of k xi for the level-1 membership and the lattice, and one
-    # barycentric evaluation for the boundary flag and the open faces
+def test_check_class_pairs_each_class_once(monkeypatch):
+    # one integer pairing of xi gives the level-1 membership, the lattice
+    # verdict of k xi, the boundary flag and the open faces; the column pass
+    # of weight sets is not used
     paired = count_paired(monkeypatch)
+    single = []
+    pairing = prequant.gram_pairing
+
+    def counted(rs, nums):
+        single.append(nums)
+        return pairing(rs, nums)
+
+    monkeypatch.setattr(prequant, "gram_pairing", counted)
     code, payload = dispatch(["check-class", "--type", "A2", "--xi", "1/3,0,-1/3",
                               "--xi", "0,0,0", "--level", "3"])
     assert code == 0
     assert [(c["boundary"], c["open_faces"]) for c in payload["classes"]] == \
         [(False, [0, 1, 2]), (True, [0])]
-    assert len(paired) == 4
+    assert len(single) == 2 and paired == []
 
 
 def test_reused_parser_keeps_no_state(monkeypatch):
@@ -1118,6 +1127,66 @@ def test_check_class_matches_fraction_oracle(argv, as_json):
     assert render(payload, as_json) == render(expected[1], as_json)
 
 
+def read_xi(reader, text):
+    """reader(text), or the tag and message of the InputError it raises."""
+    try:
+        return reader(text)
+    except InputError as exc:
+        return exc.code, str(exc)
+
+
+def fraction_reader(text):
+    return common_denominator(parse_vector(text))
+
+
+# plain text that int reads, and text left to the Fraction path: a zero or
+# signed denominator, underscores, non-ASCII digits, spaces around '/',
+# decimals, exponents and no entry at all
+READER_CASES = {
+    "1/0": ("malformed-rational", "malformed-rational: expected 'p/q', got '1/0'"),
+    "1/-2": ("malformed-rational", "malformed-rational: expected 'p/q', got '1/-2'"),
+    "+0": ((0,), 1),
+    "-0": ((0,), 1),
+    "007/014": ((1,), 2),
+    "1_000/3": ((1000,), 3),
+    "\u0663/\u0664": ((3,), 4),
+    "1 / 2": ("malformed-rational", "malformed-rational: expected 'p/q', got '1 / 2'"),
+    "0.25": ((1,), 4),
+    "2.5e-1": ((1,), 4),
+    ",,1/2,": ((1,), 2),
+    "": ("empty-vector", "empty-vector: expected comma-separated rationals, got none"),
+}
+
+
+@pytest.mark.parametrize("text,expected", list(READER_CASES.items()))
+def test_parse_numerators_cases(text, expected):
+    assert read_xi(parse_numerators, text) == read_xi(fraction_reader, text) == expected
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "1/" + "3" * 5000, "1/2," + "7" * 5000])
+def test_parse_numerators_past_the_int_digit_limit(text):
+    # int refuses more than sys.get_int_max_str_digits() digits, and so does
+    # Fraction: the entry is malformed, an exit 2, not an internal error
+    assert read_xi(parse_numerators, text) == read_xi(fraction_reader, text)
+    assert read_xi(parse_numerators, text)[0] == "malformed-rational"
+    assert run_main_quietly(["check-class", "--type", "A1", "--xi", text, "--level", "1"])[0] == 2
+
+
+# ASCII digits three times as likely as each other character
+XI_CHARS = st.sampled_from("0123456789" * 3 + "\u0663\u0664\uff17+-//._eE ,,")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=st.text(XI_CHARS, max_size=12))
+def test_parse_numerators_is_the_fraction_reader(text):
+    # the integer reader gives common_denominator(parse_vector(text)), or the
+    # same tagged error, on ASCII and non-ASCII digits, signs, slashes,
+    # decimal points, underscores, exponents, spaces and commas; exponents
+    # of 4 digits or more are left out, since 10**9999 is slow to build
+    if re.search(r"[eE][+-]?[\d_]{4,}", text) is None:
+        assert read_xi(parse_numerators, text) == read_xi(fraction_reader, text)
+
+
 def test_missing_connection_file_exits_two(tmp_path, capsys):
     assert main(["holonomy-convergence", "--file", str(tmp_path / "missing.json")]) == 2
     captured = capsys.readouterr()
@@ -1214,6 +1283,8 @@ COVERAGE_ARGV = [
     ["vertices", "--type", "A2", "--json"],
     ["level-weights", "--type", "A2", "--level", "2"],
     ["check-class", "--type", "A1", "--xi", "1/4,-1/4", "--level", "2", "--torsion", "2"],
+    # a decimal entry is read through parse_vector and common_denominator
+    ["check-class", "--type", "A1", "--xi", "0.25,-0.25", "--level", "2"],
     *(["verify", "--space", space, "--n", "2", "--axiom", axiom, "--samples", "2", *xi]
       for space, xi in [("conjugacy_class", ["--xi", "1/8,-1/8"]), ("double", []),
                         ("fused_double", []), ("genus", [])]
@@ -1357,9 +1428,9 @@ PUBLIC_NAMES = {
     "RootSystem", "SpectralRecord", "ToolkitError", "VerificationReport", "a_series_embedding",
     "a_series_numerators", "alcove_coordinates", "alcove_vertices", "algebra_basis",
     "basic_inner", "build_root_system", "canonical_three_form", "check_algebra",
-    "check_special_unitary", "class_level_test", "convergence_order", "eigenline_weight",
+    "check_special_unitary", "class_decision", "convergence_order", "eigenline_weight",
     "eta_integral_su2", "expm_skew", "gauge_transform", "height", "inner_product",
-    "level_weights", "make_space", "maurer_cartan", "minimal_integral_level", "open_faces",
+    "level_weights", "make_space", "maurer_cartan", "minimal_integral_level",
     "parse_rational", "parse_vector", "project_algebra", "random_algebra",
     "random_special_unitary", "reduction_rank", "sphere4_act", "sphere4_equivariance_residual",
     "sphere4_moment", "torsion_level_admissible", "torus_algebra", "torus_point",

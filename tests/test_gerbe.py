@@ -7,10 +7,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from quasiham.alcove import open_faces
 from quasiham.cli import dispatch, main, render
 from quasiham.errors import InputError
 from quasiham.gerbe import eigenline_weight, vertex_weight_consistency
+from quasiham.prequant import class_decision
 from quasiham.rational import common_denominator, format_vector
 from quasiham.roots import LieType, a_series_numerators, build_root_system
 from quasiham.sun import (
@@ -223,7 +223,7 @@ def test_cover_matches_open_faces(n, samples):
         mats.append(torus_point([Q(1, 3), Q(1, 3), Q(-2, 3)]))
     for a in mats:
         nums, den = common_denominator(_rationalized(alcove_coordinates(a)))
-        faces = open_faces(rs, a_series_numerators(rs, nums), den)
+        _, faces = class_decision(rs, a_series_numerators(rs, nums), den, 1)
         assert cover_to_faces(n, cover_index_set(a)) == frozenset(faces)
 
 

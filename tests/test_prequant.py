@@ -6,13 +6,15 @@ import pytest
 from quasiham.alcove import alcove_vertices, level_weights
 from quasiham.cli import dispatch
 from quasiham.errors import InputError
-from quasiham.prequant import torsion_level_admissible
+from quasiham.prequant import class_decision, torsion_level_admissible
+from quasiham.rational import common_denominator
 from quasiham.roots import LieType, build_root_system
 
 from oracles import (
     class_prequantizable,
     fractions,
     fusion_prequantizable,
+    open_face_set,
     scale,
     vadd,
     vec,
@@ -96,6 +98,32 @@ def test_prequantizable_set_is_scaled_weight_set(name, k):
     for _ in range(200):
         xi = _random_alcove_point(rng, rs)
         assert class_prequantizable(rs, xi, k).answer == (xi in expected)
+
+
+@pytest.mark.parametrize("name", ["A1", "A3", "B3", "C2", "D4", "F4", "G2"])
+def test_class_decision_matches_fraction_oracles(name):
+    # the verdict of k xi and the open faces of xi from one integer pairing
+    # are the Fraction oracles' at every level; the level is checked before
+    # the alcove, and a point outside gets the oracle's message
+    rs = rs_of(name)
+    rng = random.Random(11)
+    for _ in range(30):
+        xi = _random_alcove_point(rng, rs)
+        nums, den = common_denominator(xi)
+        for k in (1, 2, 3, 4, 6, 12):
+            answer, faces = class_decision(rs, nums, den, k)
+            assert answer == class_prequantizable(rs, xi, k).answer
+            assert faces == sorted(open_face_set(rs, xi))
+    vertex = fractions(alcove_vertices(rs))[1]
+    outside = tuple(-a for a in vertex)
+    nums, den = common_denominator(outside)
+    with pytest.raises(InputError, match="invalid-level"):
+        class_decision(rs, nums, den, 0)
+    with pytest.raises(InputError) as err:
+        class_decision(rs, nums, den, 1)
+    with pytest.raises(InputError) as expected:
+        class_prequantizable(rs, outside, 1)
+    assert (err.value.code, str(err.value)) == (expected.value.code, str(expected.value))
 
 
 def test_torsion_rule():
