@@ -35,7 +35,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from itertools import chain
 from types import SimpleNamespace
 
@@ -81,7 +80,12 @@ _TABLE_RANKS = {
 def _parse_xi(rs, text: str) -> tuple[tuple[int, ...], int]:
     """--xi in simple-root coordinates, as integer numerators over one
     denominator."""
-    nums, den = parse_numerators(text)
+    return _root_numerators(rs, *parse_numerators(text))
+
+
+def _root_numerators(rs, nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """Numerators of --xi entries in simple-root coordinates: rank-many as
+    they are, or for type A rank+1 eigenvalue coordinates converted."""
     if rs.lie_type.series == "A" and len(nums) == rs.rank + 1:
         return a_series_numerators(rs, nums), den
     if len(nums) != rs.rank:
@@ -157,17 +161,19 @@ def _run_check_class(args) -> tuple[int, dict]:
 
 
 def _run_axiom(args) -> tuple[int, dict]:
-    from .spaces import _bounded, make_space, verify_axiom
+    from .spaces import ConjugacyClass, _bounded, make_space, verify_axiom
 
-    xi = None
-    if args.xi is not None:  # a class, the one space that reads --xi
+    if args.xi is None:
+        space = make_space(args.space, n=args.n, h=args.genus)
+    else:  # a class, the one space that reads --xi; without --n, n counts its entries
         if len(args.xi) > 1:
             raise InputError("unused-argument", f"conjugacy_class takes 1 --xi, got {len(args.xi)}")
-        _bounded(args.n**2 - 1)  # before the root system, which grows with n
-        rs = build_root_system(LieType("A", args.n - 1))
-        nums, den = _parse_xi(rs, args.xi[0])
-        xi = a_series_embedding(rs, tuple(Fraction(a, den) for a in nums))
-    space = make_space(args.space, n=args.n, xi=xi, h=args.genus)
+        nums, den = parse_numerators(args.xi[0])
+        n = len(nums) if args.n is None else args.n
+        _bounded(n**2 - 1)  # before the root system, which grows with n
+        rs = build_root_system(LieType("A", n - 1))
+        # the eigenvalue coordinates' numerators over the same denominator
+        space = ConjugacyClass(n, a_series_embedding(rs, _root_numerators(rs, nums, den)[0]), den)
     report = verify_axiom(
         space,
         args.axiom,
@@ -176,7 +182,7 @@ def _run_axiom(args) -> tuple[int, dict]:
         tol=args.tol,
         seed=args.seed,
     )
-    payload = {"space": args.space, "n": args.n, **report.to_json()}
+    payload = {"space": args.space, "n": space.n, **report.to_json()}
     return (0 if report.passed else 1), payload
 
 
@@ -510,10 +516,11 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 # The default of a read option that the argv must give.
 _REQUIRED = object()
-# The options of each verify space beyond --n, and of each axiom.  A tol of
-# None takes the axiom's default tolerance.
-_SPACE_READS = {"conjugacy_class": {"xi": _REQUIRED}, "double": {}, "fused_double": {},
-                "genus": {"genus": 1}}
+# The options of each verify space beyond --n 2, and of each axiom.  A class
+# reads --n without a default: its --xi entries, eigenvalue coordinates,
+# count n.  A tol of None takes the axiom's default tolerance.
+_SPACE_READS = {"conjugacy_class": {"n": None, "xi": _REQUIRED}, "double": {},
+                "fused_double": {}, "genus": {"genus": 1}}
 _AXIOM_READS = {"cocycle": {"fd_step": 1e-4}, "moment": {}, "min_degeneracy": {},
                 "equivariance": {}}
 

@@ -19,6 +19,16 @@ axiom check runs uniformly across spaces.  A stack of points carries leading
 axes P after the slot axis, (k, *P, n, n); records, moments, actions and
 fields then carry the same axes, and a single point is the case without them.
 
+The tangent basis is a block stack: slot j's basis data on its own d_j rows,
+the rows in slot order, a double's a rows then its b rows.  Its record is
+built block by block: a double pairs only its a rows with its b rows, and
+each fusion step adds the one block between the rows before it and the next
+part's, and stacks the lefts; min_degeneracy and reduction_rank read it.  A
+class point drawn as the flow u m_0 u* of the diagonal base point m_0 has
+the eigenframe (diag m_0, u), so min_degeneracy decomposes no lone class
+point; a product moment takes one eigvals per stack.  The moment and
+cocycle checks read records over stacks whose every slot spans all rows.
+
 Conventions: actions are left actions, generating vector fields satisfy
 [xi_M, zeta_M] = -[xi, zeta]_M, and the double pairs g-valued 1-forms by
 B(alpha, beta)(V, W) = B(alpha(V), beta(W)) - B(alpha(W), beta(V)).  The
@@ -33,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
+from math import lcm
 
 import numpy as np
 
@@ -57,9 +68,9 @@ RANK_CUTOFF = 1e-7
 KERNEL_FLOOR = 1e-12
 RETRIES = 8  # draws per sample before undecided ranks are an error
 # Tangents per stacked evaluation, STACK_ROWS // dim samples of any axiom.  More
-# gain no speed and cost memory: genus(4, 8) min_degeneracy with 50 samples took
-# 42-46 ms a sample at 512 and 45-55 ms with 250 MB more peak memory in one
-# stack (2-vCPU KVM guest, BLAS on 1 thread).
+# gain little speed and cost memory: genus(4, 8) min_degeneracy with 50 samples
+# took 8.7-8.9 ms a sample at 512 (41 MB peak) and 8.1 ms in one stack (93 MB),
+# min of 3 (2-vCPU KVM guest, BLAS on 1 thread).
 STACK_ROWS = 512
 # A relative singular value in [RANK_CUTOFF, DECIDED_GAP) leaves a rank
 # undecided; min_degeneracy redraws a sample whose ranks disagree while such
@@ -70,8 +81,9 @@ STACK_ROWS = 512
 # disagree.
 DECIDED_GAP = 1e-5
 # Largest tangent dimension (a class's n^2 - 1), checked before any array grows with
-# n or h.  At it cold class(16) cocycle takes 0.2 s and 38 MB, min_degeneracy 0.8 s,
-# genus(4, 8) min_degeneracy about 2 s (min of 5, 2-vCPU KVM guest, BLAS on 1 thread).
+# n or h.  At it cold class(16) cocycle takes 0.23 s and 38 MB, min_degeneracy
+# 0.68-0.94 s and 50 MB, genus(4, 8) min_degeneracy 0.52-0.67 s and 42 MB (5 runs
+# each, 2-vCPU KVM guest, BLAS on 1 thread).
 MAX_DIM = 256
 
 # Relative orientation of the canonical 3-form inside the structure equation
@@ -107,20 +119,6 @@ def _dag(p: np.ndarray) -> np.ndarray:
 def _lift(p: np.ndarray) -> np.ndarray:
     """A point's matrix broadcast against the stack axis of its tangents."""
     return p[..., None, :, :]
-
-
-def _block_rows(parts: list) -> np.ndarray:
-    """Stacked field data of a point from those of each of its slots, of
-    shape (*P, d_j, n, n): slot j's data fill its own slot and rows, zeros
-    the others.  A lone slot's data are returned as they are."""
-    if len(parts) == 1:
-        return parts[0][None]
-    rows = list(accumulate((p.shape[-3] for p in parts), initial=0))
-    x = parts[0]
-    out = np.zeros((len(parts),) + x.shape[:-3] + (rows[-1],) + x.shape[-2:], dtype=complex)
-    for j, p in enumerate(parts):
-        out[j, ..., rows[j] : rows[j + 1], :, :] = p
-    return out
 
 
 def _times(t) -> np.ndarray:
@@ -166,14 +164,36 @@ def _skew(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p - p.swapaxes(-1, -2))
 
 
-def _fuse(omega: np.ndarray, first: tuple, second: tuple) -> Structure:
+def _joined(g: np.ndarray, first=0.0, second=0.0) -> np.ndarray:
+    """The 2-form on two blocks of rows that are pairwise apart, the first's
+    then the second's: the forms first and second on the diagonal, and the
+    antisymmetrisation of the pairing g between them off it."""
+    e, f = g.shape[-2:]
+    out = np.zeros(g.shape[:-2] + (e + f, e + f))
+    out[..., :e, :e], out[..., e:, e:] = first, second
+    out[..., :e, e:] = 0.5 * g
+    out[..., e:, :e] = -0.5 * g.swapaxes(-1, -2)
+    return out
+
+
+def _rows(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Field data of two blocks of rows, the first's then the second's."""
+    return np.concatenate([first, second], axis=-3)
+
+
+def _fuse(omega, first: tuple, second: tuple, blocks: bool = False) -> Structure:
     """Fuse two moment factors (psi, left) (Alekseev-Malkin-Meinrenken 1998):
     omega gains 1/2 B(Psi_1* theta^L, Psi_2* theta^R) = 1/2 B(t, left_2),
     antisymmetrised, with t = Ad_{Psi_2^-1} left_1 and theta^R = Ad_Psi theta^L;
     the moment is Psi_1 Psi_2 and by the product rule its left = t + left_2.
-    The pairing's orientation is pinned by the moment axiom check."""
+    With blocks the factors live on rows apart, the first's then the second's,
+    omega is the pair of their forms, the pairing is the one block between
+    them and the lefts are stacked.  The pairing's orientation is pinned by
+    the moment axiom check."""
     (p1, l1), (p2, l2) = first, second
     t = _lift(_dag(p2)) @ l1 @ _lift(p2)
+    if blocks:
+        return Structure(_joined(basic_gram(t, l2), *omega), (p1 @ p2,), (_rows(t, l2),))
     return Structure(omega + _skew(basic_gram(t, l2)), (p1 @ p2,), (t + l2,))
 
 
@@ -213,10 +233,19 @@ class QSpace:
     def _moment(self, m) -> tuple:
         raise NotImplementedError
 
-    def structure(self, m, stack) -> Structure:
-        """The record of a stack of field data of shape (k, *P, d, n, n) at
-        points m of shape (k, *P, n, n); it may broadcast against m."""
+    def structure(self, m, stack, blocks: bool = False) -> Structure:
+        """The record of a stack of field data at points m of shape
+        (k, *P, n, n); it may broadcast against m.  A stack is indexed by
+        slot: every slot's data span all d rows, (k, *P, d, n, n), or with
+        blocks slot j's data are its own rows alone, (*P, d_j, n, n), the
+        rows in slot order and zero on every other slot."""
         raise NotImplementedError
+
+    def _moment_frame(self, flows):
+        """The eigenframes (d, V) of the moment factors, of shapes (S, f, n)
+        and (S, f, n, n), at the S points that the slot flows carry the base
+        point to, where the flows give them; else None."""
+        return None
 
     def _act(self, g, m):
         return g @ m @ _dag(g)
@@ -227,15 +256,21 @@ class QSpace:
         out[list(self.class_slots)] = xi
         return out
 
-    def _basis(self, m):
-        """Field data of orthonormal tangent bases at a stack of points, of
-        shape (k, *P, d, n, n): the su(n) basis x_k itself on a group slot p,
-        whose tangents x_k p are orthonormal, and the class basis on a class
-        slot."""
+    def _basis(self, m, flows=None):
+        """Field data of orthonormal tangent bases at a stack of points, as a
+        block stack, one (*P, d_j, n, n) block per slot: the su(n) basis x_k
+        itself on a group slot p, whose tangents x_k p are orthonormal, and
+        the class basis on a class slot.  Given the flows u that carry the
+        base point to m, a class slot's point is u m_0 u* for its diagonal
+        base point m_0, with eigenframe (diag m_0, u); else unitary_eig
+        decomposes it."""
         x = _basis_stack(self.n)
         x = np.broadcast_to(x, m.shape[1:-2] + x.shape)
-        return _block_rows([_class_basis(p) if j in self.class_slots else x
-                            for j, p in enumerate(m)])
+
+        def frame(j):
+            return unitary_eig(m[j]) if flows is None else _frame(self.base[j], flows[j])
+
+        return [_class_basis(*frame(j)) if j in self.class_slots else x for j in range(len(m))]
 
     # extension fields for the invariant-extension derivative formula
     def field_at(self, data, m):
@@ -250,7 +285,11 @@ class QSpace:
         """The flow of the field for time t, a float or an array whose axes
         broadcast against the leading axes of data and m after the slot axis:
         exp(tX) p on a group slot, exp(tX) m exp(-tX) on a class slot."""
-        u = expm_skew(_times(t) * data)
+        return self._carry(expm_skew(_times(t) * data), m)
+
+    def _carry(self, u, m):
+        """The points m moved by the slot flows u: u p on a group slot, u m u*
+        on a class slot."""
         out = u @ m
         for j in self.class_slots:
             out[j] = out[j] @ _dag(u[j])
@@ -270,9 +309,16 @@ class ConjugacyClass(QSpace):
     group_factors = 1
     class_slots = (0,)
 
-    def __init__(self, n: int, xi):
+    def __init__(self, n: int, xi, den: int | None = None):
+        """xi are the eigenvalue coordinates: rationals or floats, or with den
+        integer numerators over den.  The checks and the dimension are exact,
+        on integer numerators over one denominator."""
         self.n = int(n)
-        xi = [Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**9) for x in xi]
+        if den is None:
+            xi = [Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**9)
+                  for x in xi]
+            den = lcm(*(x.denominator for x in xi))
+            xi = [x.numerator * (den // x.denominator) for x in xi]
         if len(xi) != self.n:
             raise InputError("dimension-mismatch", f"xi must have length {self.n}")
         _bounded(self.n**2 - 1)
@@ -280,17 +326,19 @@ class ConjugacyClass(QSpace):
             raise InputError("nonzero-sum", "alcove coordinates must sum to zero")
         if any(a < b for a, b in zip(xi, xi[1:])):
             raise InputError("not-in-alcove", "coordinates must be non-increasing")
-        if xi[0] - xi[-1] > 1:
+        if xi[0] - xi[-1] > den:
             raise InputError("not-in-alcove", "top-bottom eigenvalue gap exceeds one")
-        self.xi = tuple(xi)
-        self.base = torus_point([float(x) for x in xi])[None]
+        self.base = torus_point([a / den for a in xi])[None]
         # n^2 - 1 less the centralizer's sum m_i^2 - 1; m_i counts entries equal mod 1
-        self.dim = self.n**2 - sum(m * m for m in Counter(x % 1 for x in xi).values())
+        self.dim = self.n**2 - sum(m * m for m in Counter(a % den for a in xi).values())
 
     def _moment(self, m):
         return (m[0],)
 
-    def structure(self, m, stack):
+    def _moment_frame(self, flows):  # with the one factor's axis
+        return tuple(x[:, None] for x in _frame(self.base[0], flows[0]))
+
+    def structure(self, m, stack, blocks=False):
         # data X are potentials of tangents X m - m X: m^-1 dm = Ad_{m^-1} X - X, and by Ad-
         # invariance omega(X, Y) = 1/2 B(Ad_m X - Ad_{m^-1} X, Y) (AMM 1998) = -skew B(m^-1 dm, Y)
         lm, x = _lift(m[0]), stack[0]
@@ -298,15 +346,19 @@ class ConjugacyClass(QSpace):
         return Structure(-_skew(basic_gram(left, x)), (m[0],), (left,))
 
 
-def _class_basis(m):
-    """Field data of orthonormal tangents at class points m of shape
-    (*P, n, n), of shape (*P, r, n, n)."""
+def _frame(m0, u) -> tuple:
+    """The eigenframe (d, V) of the points u m0 u* for a diagonal m0."""
+    return np.broadcast_to(np.diagonal(m0), u.shape[:-1]), u
+
+
+def _class_basis(d, v):
+    """Field data of orthonormal tangents at class points V diag(d) V* of
+    shape (*P, n, n), from their eigenframes, of shape (*P, r, n, n)."""
     # x m - m x = (x - Ad_m x) m for x = V B V* of pair (i, j) span V B V* m, singular value
     # |d_i - d_j|: the pairs resolved at the first point, by largest gap at every point.  In
     # the eigenbasis the data of V B V* m is B times f = d_j / (d_j - d_i) = 1/2 + i Im f at
     # (i, j): the pair's (B_re, B_im) give (B_re / 2 + Im f B_im, B_im / 2 - Im f B_re)
-    d, v = unitary_eig(m)
-    n = m.shape[-1]
+    n = v.shape[-1]
     i, j = pair_indices(n)
     gap = np.abs(d[..., i] - d[..., j])
     rank = _rank(gap, gap.max(axis=-1, initial=0.0))[0].flat[0]
@@ -338,15 +390,19 @@ class Double(QSpace):
     def _generating(self, xi, m):
         return xi - m @ xi[::-1] @ _dag(m)
 
-    def structure(self, m, stack):
+    def structure(self, m, stack, blocks=False):
         a, b = map(_lift, m)
         ar, br = stack  # the field data are theta^R of the a and b slots
         ainv, binv = _dag(a), _dag(b)
         al, bl = ainv @ ar @ a, binv @ br @ b  # theta^L
+        pairing = basic_gram(al, br) + basic_gram(ar, bl)
+        # on blocks the a rows pair only with the b rows, and each left stacks the two slots'
+        # terms where over all rows it sums them
+        join = _rows if blocks else np.add
         return Structure(
-            _skew(basic_gram(al, br) + basic_gram(ar, bl)),
+            _joined(pairing) if blocks else _skew(pairing),
             self._moment(m),
-            (binv @ al @ b + bl, -(b @ ar @ binv) - br),
+            (join(binv @ al @ b, bl), join(-(b @ ar @ binv), -br)),
         )
 
 
@@ -374,13 +430,16 @@ class Fused(QSpace):
         return (reduce(np.matmul, (reduce(np.matmul, p._moment(m[k]))
                                    for p, k in zip(self.parts, self._keys))),)
 
-    def structure(self, m, stack):
-        def record(p, k):  # a pair part's two factors fuse first
-            r = p.structure(m[k], stack[k])
+    def structure(self, m, stack, blocks=False):
+        def record(p, k):  # a pair part's two factors fuse first, on the part's rows
+            r = p.structure(m[k], stack[k], blocks)
             return _fuse(r.omega, r.factor(0), r.factor(1)) if p.group_factors == 2 else r
 
-        return reduce(lambda r1, r2: _fuse(r1.omega + r2.omega, r1.factor(0), r2.factor(0)),
-                      map(record, self.parts, self._keys))
+        def fold(r1, r2):  # on blocks the parts' rows are apart
+            omega = (r1.omega, r2.omega) if blocks else r1.omega + r2.omega
+            return _fuse(omega, r1.factor(0), r2.factor(0), blocks)
+
+        return reduce(fold, map(record, self.parts, self._keys))
 
 
 class Genus(Fused):
@@ -491,21 +550,23 @@ def _rank(svals: np.ndarray, ref: np.ndarray) -> tuple:
     return rank, live & np.any(band, axis=-1)
 
 
-def _anti_fixed_rank(space: QSpace, m, psis) -> tuple:
+def _anti_fixed_rank(space: QSpace, m, psis, frame=None) -> tuple:
     """Per point, with moment factors psis (count, f, n, n): the rank of
     span{xi_M : Ad_Psi xi = -xi}, and whether a relative singular value of
     Ad_Psi + 1 is in the band.  It multiplies entry (i, j) of the eigenbasis
     of a factor by d_i conj(d_j) + 1; on su(n) these moduli (i != j) and 2 on
     the torus are its singular values, 2 its scale, and the null vectors are
-    the V B V* of pairs d_i = -d_j, one factor at a time."""
+    the V B V* of pairs d_i = -d_j, one factor at a time.  A frame (d, V) of
+    shapes (count, f, n) and (count, f, n, n) gives the eigenframes, which
+    are otherwise decomposed: eigvals, and unitary_eig where a pair is null."""
     count, f = psis.shape[:2]
-    d = np.linalg.eigvals(psis)
+    d = np.linalg.eigvals(psis) if frame is None else frame[0]
     s = np.abs(d[..., :, None] * d.conj()[..., None, :] + 1.0).reshape(count, -1)
     undecided = _rank(s, np.full(count, 2.0))[1]
     qualifying = np.zeros(count, dtype=int)
     live = np.flatnonzero(np.any(s < 2.0 * RANK_CUTOFF, axis=-1))
     if live.size:
-        d, v = unitary_eig(psis[live])
+        d, v = unitary_eig(psis[live]) if frame is None else (d[live], frame[1][live])
         i, j = pair_indices(space.n)
         null = np.abs(d[..., i] * d[..., j].conj() + 1.0) < 2.0 * RANK_CUTOFF
         # null pairs first, as many per factor as any has (one if eig sees none)
@@ -523,15 +584,18 @@ def _anti_fixed_rank(space: QSpace, m, psis) -> tuple:
     return qualifying, undecided
 
 
-def _degeneracy_mismatch(space: QSpace, m, data) -> tuple[np.ndarray, np.ndarray]:
+def _degeneracy_mismatch(space: QSpace, m, flows=None) -> tuple[np.ndarray, np.ndarray]:
     """|dim ker omega - dim span{xi_M : Ad_Psi xi = -xi}| per point of a
-    stack with the field data of its stacked tangent bases, and the mask of
-    the undecided points: those whose ranks disagree while a relative
-    singular value lies in the band, next to the cutoff."""
-    rec = space.structure(m, data)
+    stack, from the record of its tangent bases block by block, and the
+    mask of the undecided points: those whose ranks disagree while a
+    relative singular value lies in the band, next to the cutoff.  Given the
+    slot flows that carry the base point to m, the eigenframes they give
+    take the place of decompositions."""
+    rec = space.structure(m, space._basis(m, flows), blocks=True)
     svals = np.linalg.svd(rec.omega, compute_uv=False)
     rank, undecided = _rank(svals, svals.max(axis=-1, initial=0.0))
-    qualifying, band = _anti_fixed_rank(space, m, np.stack(rec.psi, axis=1))
+    frame = None if flows is None else space._moment_frame(flows)
+    qualifying, band = _anti_fixed_rank(space, m, np.stack(rec.psi, axis=1), frame)
     mismatch = np.abs(rec.omega.shape[-1] - rank - qualifying).astype(float)
     return mismatch, (mismatch > 0) & (undecided | band)
 
@@ -570,18 +634,23 @@ def _residuals(space: QSpace, axiom: str, fd_step: float, f, *drawn) -> np.ndarr
     point.  A class basis of fewer than dim rows (eigenphases closer than
     RANK_CUTOFF resolves) takes the first of each sample's coefficients.
     min_degeneracy also returns its mask of undecided samples."""
-    m = space.field_flow(f, space.base[:, None], 1.0)
+    flows = expm_skew(f)
+    m = space._carry(flows, space.base[:, None])
     if axiom == "moment":
         xi, coeffs = drawn
-        # one product per slot and sample, as the loop combines its basis
-        w = np.array([[np.tensordot(c[: len(xp)], xp, axes=1) for c, xp in zip(coeffs, x)]
-                      for x in space._basis(m)])
+        blocks = space._basis(m)
+        ends = list(accumulate((x.shape[-3] for x in blocks), initial=0))
+        # one product per slot and sample over all rows, the block padded with zeros, as the
+        # loop combines its basis: over the block's rows alone BLAS rounds otherwise
+        pads = [[(0, 0), (a, ends[-1] - b), (0, 0), (0, 0)] for a, b in zip(ends, ends[1:])]
+        w = np.array([[np.tensordot(c[: ends[-1]], xp, axes=1)
+                       for c, xp in zip(coeffs, np.pad(x, pad))] for x, pad in zip(blocks, pads)])
         return _moment_residuals(space, m, xi, w)
     if axiom == "cocycle":
         return _cocycle_residuals(space, m, _orthonormal_fields(drawn[0]), fd_step)
     if axiom == "equivariance":
         return _equivariance_residuals(space, m, expm_skew(drawn[0]))
-    return _degeneracy_mismatch(space, m, space._basis(m))
+    return _degeneracy_mismatch(space, m, flows)
 
 
 def _sample_residuals(space: QSpace, axiom: str, samples: int, fd_step: float,
@@ -650,7 +719,7 @@ def reduction_rank(space: QSpace, m) -> int:
     if np.max(np.abs(psi - np.eye(space.n))) >= 1e-8:
         raise InputError("not-identity-level", "moment value is not the identity")
     # realvec is an isometry of su(n), so the rank is that of its coordinates
-    rec = space.structure(m, space._basis(m))
+    rec = space.structure(m, space._basis(m), blocks=True)
     svals = np.linalg.svd(realvec(rec.left[0][None]), compute_uv=False)
     # the record is one computation: a NaN anywhere in it is a failed primitive
     if not (np.all(np.isfinite(svals)) and np.all(np.isfinite(rec.omega))):

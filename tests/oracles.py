@@ -2,8 +2,9 @@
 linear algebra, the simple and lowest roots and the alcove, lattice and
 pre-quantization tests over Fractions, the one-matrix gerbe helpers, the
 constant connection of the acceptance tests and its JSON, one random point
-of a space, and the realified su(n) operators that the eigenbasis formulas
-of the spaces replaced."""
+of a space, the zero-filled records that the block records of the spaces
+replaced, and the realified su(n) operators that their eigenbasis formulas
+replaced."""
 
 from fractions import Fraction
 from itertools import accumulate
@@ -210,6 +211,25 @@ def sample(space, rng):
     """A random point of a space: the time-one flow of a random field from
     its base point, as the verifier draws its points."""
     return space.field_flow(space.random_field(rng), space.base, 1.0)
+
+
+def block_rows(blocks):
+    """The stack of a block stack in which every slot spans all rows, of
+    shape (k, *P, d, n, n): slot j's block fills its own slot and rows, and
+    zeros fill the rest."""
+    ends = list(accumulate((x.shape[-3] for x in blocks), initial=0))
+    lead, tail = blocks[0].shape[:-3], blocks[0].shape[-2:]
+    out = np.zeros((len(blocks),) + lead + (ends[-1],) + tail, dtype=complex)
+    for j, x in enumerate(blocks):
+        out[j, ..., ends[j] : ends[j + 1], :, :] = x
+    return out
+
+
+def zero_filled_record(space, m, flows=None):
+    """The record of the tangent basis at m, as every record was built
+    before the block records: each part on all d rows of the zero-filled
+    basis, and each fusion over all of them."""
+    return space.structure(m, block_rows(space._basis(m, flows)))
 
 
 def solve(m, rhs):

@@ -193,8 +193,8 @@ def test_criterion_07_minimal_degeneracy():
     special = ConjugacyClass(2, (Q(1, 4), Q(-1, 4)))
     rng = np.random.default_rng(0)
     m = sample(special, rng)
-    basis = special._basis(m)
-    flat = np.max(np.abs(special.structure(m, basis).omega))
+    [basis] = special._basis(m)
+    flat = np.max(np.abs(special.structure(m, [basis], blocks=True).omega))
     rep = verify_axiom(special, "min_degeneracy", samples=20, seed=0)
     ok = (
         max(mismatch.values()) == 0.0

@@ -112,6 +112,31 @@ def test_verify_verb_conjugacy_class_xi():
     assert code == 0 and payload["pass"] is True
 
 
+@pytest.mark.parametrize("xi,n", [("1/8,-1/8", 2), ("1/4,1/12,-1/3", 3),
+                                  ("3/8,1/8,-1/8,-3/8", 4)])
+def test_class_rows_take_n_from_xi(xi, n):
+    # without --n a class's --xi entries are its eigenvalue coordinates and
+    # count n: the report is that of the argv with --n n, bit for bit
+    argv = ["verify", "--space", "conjugacy_class", "--xi", xi, "--axiom", "moment",
+            "--samples", "3", "--json"]
+    assert run_main_quietly(argv) == run_main_quietly(argv + ["--n", str(n)])
+    code, payload = dispatch(argv)
+    assert code == 0 and payload["n"] == n
+
+
+@pytest.mark.parametrize("argv,tag", [
+    (["--xi", "1/4"], "invalid-rank"),  # one eigenvalue coordinate: n = 1
+    (["--xi", "1/4,1/12,-1/3", "--n", "2"], "dimension-mismatch"),
+    (["--xi", "1/4,1/12,-1/3", "--n", "5"], "dimension-mismatch"),
+    (["--xi", "1/4,1/12,-1/2"], "nonzero-sum"),
+    (["--xi", ",".join(["0"] * 17)], "space-too-large"),
+])
+def test_class_rows_without_n_refuse(argv, tag):
+    with pytest.raises(InputError) as err:
+        dispatch(["verify", "--space", "conjugacy_class", "--axiom", "min_degeneracy"] + argv)
+    assert err.value.code == tag
+
+
 @pytest.mark.parametrize("axiom", ["cocycle", "moment", "min_degeneracy", "equivariance"])
 def test_fused_double_is_the_genus_one_space(axiom):
     # both are Fused([Double(n)]): their --json reports differ only in the
@@ -377,7 +402,7 @@ def test_reused_parser_keeps_no_state(monkeypatch):
     verify = ["verify", "--space", "conjugacy_class", "--axiom", "cocycle"]
     dispatch(verify + ["--xi", "1/4,-1/4", "--n", "3", "--fd-step", "5e-3", "--tol", "1"])
     dispatch(verify + ["--xi", "1/8,-1/8"])
-    assert vars(seen[1]) == {**vars(seen[0]), "xi": ["1/8,-1/8"], "n": 2, "fd_step": 1e-4,
+    assert vars(seen[1]) == {**vars(seen[0]), "xi": ["1/8,-1/8"], "n": None, "fd_step": 1e-4,
                              "tol": None}
     assert seen[1].genus is None and not hasattr(seen[1], "json")
 
@@ -782,11 +807,12 @@ def raise_linalg_error(*args, **kwargs):
 @pytest.mark.parametrize("case", ["class", "cocycle"])
 def test_internal_failure_exits_3(case, monkeypatch, capsys):
     # LinAlgError is a ValueError, yet a failed eigensolver is no input
-    # error: the README's class command and a cocycle, which decomposes
-    # each draw with eig, exit 3 with the exception named and no traceback
+    # error: the README's class command, whose one eigensolver is eigh in
+    # the flow that gives each point and its eigenframe, and a cocycle,
+    # which decomposes each draw with eig, exit 3 with the exception named
+    # and no traceback
     if case == "class":
-        monkeypatch.setattr(importlib.import_module("quasiham.spaces"), "unitary_eig",
-                            raise_linalg_error)
+        monkeypatch.setattr(np.linalg, "eigh", raise_linalg_error)
         argv = next(argv for argv in readme_commands() if "conjugacy_class" in argv)
     else:
         monkeypatch.setattr(np.linalg, "eig", raise_linalg_error)

@@ -10,9 +10,11 @@ from oracles import (
     algebra_coords,
     algebra_from_coords,
     anti_fixed_rank_svd,
+    block_rows,
     class_basis_svd,
     realified_operator,
     sample,
+    zero_filled_record,
 )
 from quasiham import spaces
 from quasiham.errors import InputError
@@ -30,6 +32,7 @@ from quasiham.spaces import (
 )
 from quasiham.sun import (
     _three_form_pulled,
+    basic_gram,
     basic_inner,
     expm_skew,
     project_algebra,
@@ -58,7 +61,7 @@ def as_stack(m, data):
 
 def basis_list(space, m):
     """The field data of the tangent basis at one point as a list."""
-    return list(np.moveaxis(space._basis(m), -3, 0))
+    return list(np.moveaxis(block_rows(space._basis(m)), -3, 0))
 
 
 def _record(space, m, data):
@@ -551,13 +554,15 @@ def squeezed(cls, *shrinks):
     """cls with its structure pulled back along the map that scales the
     leading tangent basis directions by shrinks (0 projects one out), with
     coefficients from the tangents of the field data; the points may carry
-    leading axes, as for every structure."""
+    leading axes, as for every structure.  A block stack is pulled back on
+    its zero-filled rows and cut back into its blocks, which the map keeps:
+    it moves data only along a basis direction of the first slot."""
 
     class Squeezed(cls):
-        def structure(self, m, stack):
-            basis = self._basis(m)
-            out = stack
-            tangents = self.field_at(stack, spaces._lift(m))
+        def structure(self, m, stack, blocks=False):
+            basis = block_rows(self._basis(m))
+            out = block_rows(stack) if blocks else stack
+            tangents = self.field_at(out, spaces._lift(m))
             for i, shrink in enumerate(shrinks):
                 first = basis[..., i, :, :]
                 c = sum(
@@ -565,15 +570,18 @@ def squeezed(cls, *shrinks):
                     for x, y in zip(self.field_at(first, m), tangents)
                 )[..., None, None]
                 out = out - (1.0 - shrink) * c * spaces._lift(first)
-            return super().structure(m, out)
+            if blocks:
+                ends = np.cumsum([0] + [x.shape[-3] for x in stack])
+                out = [x[..., i:j, :, :] for x, i, j in zip(out, ends, ends[1:])]
+            return super().structure(m, out, blocks)
 
     return Squeezed
 
 
-def point_mismatch(space, m, basis):
+def point_mismatch(space, m):
     """The degeneracy mismatch at one point, evaluated as a stack of one;
     None where the sample is undecided."""
-    out, undecided = spaces._degeneracy_mismatch(space, m[:, None], as_stack(m, basis)[:, None])
+    out, undecided = spaces._degeneracy_mismatch(space, m[:, None])
     return None if undecided[0] else out[0]
 
 
@@ -583,6 +591,17 @@ def fusions(n):
     return [Fused([Double(n)]), Fused([ConjugacyClass(n, xi), ConjugacyClass(n, xi)])]
 
 
+def scaled_correction(fuse, scale):
+    """_fuse with its fusion correction scaled, over all rows and on blocks:
+    the correction is what the form gains over the fusion of a zero left."""
+    def mutant(omega, first, second, blocks=False):
+        rec = fuse(omega, first, second, blocks)
+        bare = fuse(omega, (first[0], 0.0 * first[1]), second, blocks).omega
+        return replace(rec, omega=bare + scale * (rec.omega - bare))
+
+    return mutant
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_dropped_fusion_correction_fails_moment(n, monkeypatch):
     points = []
@@ -590,8 +609,7 @@ def test_dropped_fusion_correction_fails_moment(n, monkeypatch):
         assert verify_axiom(space, "moment", samples=4, seed=97).passed
         points.append(sample_with_basis(space, np.random.default_rng(101)))
     corrected = [gram_of(s, *p) for s, p in zip(fusions(n), points)]
-    fuse = spaces._fuse
-    monkeypatch.setattr(spaces, "_fuse", lambda omega, a, b: replace(fuse(omega, a, b), omega=omega))
+    monkeypatch.setattr(spaces, "_fuse", scaled_correction(spaces._fuse, 0.0))
     for space, point, good in zip(fusions(n), points, corrected):
         rep = verify_axiom(space, "moment", samples=4, seed=97)
         assert not rep.passed and rep.max_residual > 1e-3
@@ -602,12 +620,38 @@ def log_liouville_density(space, m):
     """The log of Pf(Omega) / det^1/2((1 + Ad_Psi) / 2) on the tangent basis
     at m (Alekseev-Meinrenken-Woodward 2002): 1/2 sum log sigma_i(Omega) less
     1/2 sum over i != j of log(|d_i conj(d_j) + 1| / 2) per moment factor with
-    eigenvalues d, the singular values of (1 + Ad_Psi) / 2 off the torus."""
-    rec = space.structure(m, space._basis(m))
+    eigenvalues d, the singular values of (1 + Ad_Psi) / 2 off the torus.
+    It reads the block record, which min_degeneracy reads."""
+    rec = space.structure(m, space._basis(m), blocks=True)
     d = np.linalg.eigvals(np.stack(rec.psi))
     pairs = np.abs(d[:, :, None] * d.conj()[:, None, :] + 1.0)[:, ~np.eye(space.n, dtype=bool)]
     return 0.5 * (np.sum(np.log(np.linalg.svd(rec.omega, compute_uv=False)))
                   - np.sum(np.log(pairs / 2.0)))
+
+
+def wrong_side_double(self, m, stack, blocks=False):
+    """Double.structure with theta^L formed by Ad on the wrong side,
+    Ad_a X for Ad_{a^-1} X: a mutant of the double's record."""
+    a, b = map(spaces._lift, m)
+    ar, br = stack
+    ainv, binv = spaces._dag(a), spaces._dag(b)
+    al, bl = a @ ar @ ainv, b @ br @ binv
+    pairing = basic_gram(al, br) + basic_gram(ar, bl)
+    join = spaces._rows if blocks else np.add
+    return spaces.Structure(spaces._joined(pairing) if blocks else spaces._skew(pairing),
+                            self._moment(m),
+                            (join(binv @ al @ b, bl), join(-(b @ ar @ binv), -br)))
+
+
+def shifted_double(structure):
+    """Double.structure with 1e-2 of one fixed skew form added to omega."""
+    def mutant(self, m, stack, blocks=False):
+        rec = structure(self, m, stack, blocks)
+        d = rec.omega.shape[-1]
+        k = np.random.default_rng(0).normal(size=(d, d))
+        return replace(rec, omega=rec.omega + 1e-2 * (k - k.T))
+
+    return mutant
 
 
 def test_liouville_density_is_constant(monkeypatch):
@@ -619,13 +663,21 @@ def test_liouville_density_is_constant(monkeypatch):
                 for seed in range(8)]
         return np.max(np.abs(np.array(logs) + space.dim / 2 * np.log(4 * np.pi**2)))
 
-    for space in (Double(2), Double(3), Fused([Double(2)]), Genus(2, 2), Genus(3, 2)):
+    for space in (Double(2), Double(3), Double(4), Fused([Double(2)]), Genus(2, 2),
+                  Genus(3, 2), Genus(4, 2)):
         assert spread(space) <= 1e-12, space
-    fuse = spaces._fuse
-    for scale in (-1.0, 0.5):  # the fusion correction with its sign flipped, and halved
-        monkeypatch.setattr(spaces, "_fuse", lambda omega, a, b, s=scale: replace(
-            fuse(omega, a, b), omega=omega + s * (fuse(omega, a, b).omega - omega)))
-        assert spread(Genus(2, 2)) > 0.1, scale
+    fused, double = [Genus(2, 2)], [Double(2), Double(3), Genus(2, 2)]
+    mutants = [
+        (spaces, "_fuse", scaled_correction(spaces._fuse, -1.0), fused),  # the sign flipped
+        (spaces, "_fuse", scaled_correction(spaces._fuse, 0.5), fused),  # the correction halved
+        (Double, "structure", shifted_double(Double.structure), double),
+        (Double, "structure", wrong_side_double, fused),
+    ]
+    for target, name, mutant, on in mutants:
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, mutant)
+            for space in on:
+                assert spread(space) > 0.1, (mutant, space)
 
 
 @pytest.mark.parametrize(
@@ -643,9 +695,8 @@ def test_undecided_ranks_are_redrawn():
     # values of 8.6e-8 (kernel) while Ad_Psi + 1 has two of 1.25e-6 (no
     # kernel), so the two cutoffs disagree and gave a false FAIL of 2.0.
     space = Genus(2, 2)
-    rng = np.random.default_rng(1976016887)
-    m, basis = sample_with_basis(space, rng)
-    assert point_mismatch(space, m, basis) is None
+    m = sample(space, np.random.default_rng(1976016887))
+    assert point_mismatch(space, m) is None
     rep = verify_axiom(space, "min_degeneracy", samples=3, seed=1976016887)
     assert rep.passed and rep.max_residual == 0.0
 
@@ -660,7 +711,7 @@ def test_band_value_with_agreeing_ranks_passes():
     svals = np.linalg.svd(gram_of(space, m, basis), compute_uv=False)
     rel = svals / svals[0]
     assert np.any((rel >= spaces.RANK_CUTOFF) & (rel < spaces.DECIDED_GAP))
-    assert point_mismatch(space, m, basis) == 0.0
+    assert point_mismatch(space, m) == 0.0
     assert verify_axiom(space, "min_degeneracy", samples=3, seed=107).passed
 
 
@@ -669,14 +720,13 @@ def test_class_near_half_wall_passes_min_degeneracy():
     # 6e-6 at every point of the class, yet it is invertible and the 2x2
     # omega has full rank
     space = ConjugacyClass(2, (Q(250001, 1000000), Q(-250001, 1000000)))
-    rng = np.random.default_rng(109)
-    m, basis = sample_with_basis(space, rng)
+    m = sample(space, np.random.default_rng(109))
     psi = space._moment(m)[0]
     op = realified_operator(2, lambda x: psi @ x @ psi.conj().T + x)
     s = np.linalg.svd(op, compute_uv=False)
     rel = s / max(s[0], 1.0)
     assert np.any((rel >= spaces.RANK_CUTOFF) & (rel < spaces.DECIDED_GAP))
-    assert point_mismatch(space, m, basis) == 0.0
+    assert point_mismatch(space, m) == 0.0
     rep = verify_axiom(space, "min_degeneracy", samples=5, seed=109)
     assert rep.passed and rep.max_residual == 0.0
 
@@ -741,6 +791,15 @@ def test_anti_fixed_rank_matches_realified_oracle(n, pairs, near):
         assert np.all((qualifying > 0) == (pairs > 0 and near == 0))
         if isinstance(space, ConjugacyClass):  # xi_M = 2 xi m on each null xi
             assert np.all(qualifying == (2 * pairs if near == 0 else 0))
+    # a class point u m_0 u* with the eigenframe its flow u gives: no decomposition
+    space = ConjugacyClass(n, turns)
+    u = np.stack([random_special_unitary(n, rng) for _ in range(3)])[None]
+    m = space._carry(u, space.base[:, None])
+    psis = np.stack(space._moment(m), axis=1)
+    frame = tuple(x[:, None] for x in space._moment_frame(u))
+    qualifying, band = spaces._anti_fixed_rank(space, m, psis, frame)
+    ref_qualifying, ref_band = anti_fixed_rank_svd(space, m, psis)
+    assert np.array_equal(qualifying, ref_qualifying) and np.array_equal(band, ref_band)
 
 
 def class_cases(n):
@@ -759,18 +818,23 @@ def class_cases(n):
 def test_class_basis_is_orthonormal_and_spans_the_svd_basis(n):
     # the tangents of the basis data: the eigenvectors of a pair 2e-6 apart,
     # and so both bases, are exact to about eps / |d_i - d_j| = 1e-11, and
-    # so are the tangents X m - m X of data X of size 1 / |d_i - d_j|
+    # so are the tangents X m - m X of data X of size 1 / |d_i - d_j|; the
+    # same holds with the eigenframes from the flows that drew the points
     for name, xi in class_cases(n):
         space = ConjugacyClass(n, xi)
-        m = stack([sample(space, np.random.default_rng(n)) for _ in range(3)])
-        basis, ref = space.field_at(space._basis(m), spaces._lift(m)), class_basis_svd(space, m)
-        assert basis.shape == ref.shape == (1, 3, basis.shape[-3], n, n), name
-        assert basis.shape[-3] == space.dim - 2 * (name == "unresolved"), name
-        b, r = spaces.realvec(basis), spaces.realvec(ref)
-        tol = 1e-9 if name == "gap" else 1e-13
-        assert np.max(np.abs(b @ b.swapaxes(-1, -2) - np.eye(b.shape[-2])), initial=0.0) < tol
-        span = np.max(np.abs(r - r @ b.swapaxes(-1, -2) @ b), initial=0.0)
-        assert span < tol, name
+        rng = np.random.default_rng(n)
+        flows = expm_skew(stack([space.random_field(rng) for _ in range(3)]))
+        m = space._carry(flows, space.base[:, None])
+        ref = class_basis_svd(space, m)
+        for given in (None, flows):
+            basis = space.field_at(block_rows(space._basis(m, given)), spaces._lift(m))
+            assert basis.shape == ref.shape == (1, 3, basis.shape[-3], n, n), name
+            assert basis.shape[-3] == space.dim - 2 * (name == "unresolved"), name
+            b, r = spaces.realvec(basis), spaces.realvec(ref)
+            tol = 1e-9 if name == "gap" else 1e-13
+            assert np.max(np.abs(b @ b.swapaxes(-1, -2) - np.eye(b.shape[-2])), initial=0.0) < tol
+            span = np.max(np.abs(r - r @ b.swapaxes(-1, -2) @ b), initial=0.0)
+            assert span < tol, name
 
 
 def refuse_svd(*args, **kwargs):
@@ -803,6 +867,24 @@ def test_class_point_is_decomposed_once_per_stack(monkeypatch):
         assert calls == ["unitary", "eig"] * count, axiom
 
 
+def test_min_degeneracy_decompositions_per_stack(monkeypatch):
+    # a lone class point takes its eigenframe from its own flow, so its
+    # stacks decompose nothing, with -1 pairs (class(2, 1/4)) or without; a
+    # product moment takes one eigvals pre-pass per stack
+    calls = []
+    for name in ("eig", "eigvals", "qr"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    cases = [(ConjugacyClass(8, generic_xi(8)), 20, 3), (ConjugacyClass(2, (Q(1, 4), Q(-1, 4))), 3, 1),
+             (Double(3), 40, 2), (Genus(2, 2), 3, 1), (Fused([Double(2)]), 3, 1)]
+    for space, samples, stacks in cases:
+        assert -(-samples // (spaces.STACK_ROWS // space.dim)) == stacks
+        calls.clear()
+        assert verify_axiom(space, "min_degeneracy", samples=samples, seed=7).passed
+        assert calls == ([] if isinstance(space, ConjugacyClass) else ["eigvals"] * stacks), space
+
+
 def test_persistently_undecided_sampling_is_an_input_error():
     # projecting one direction out gives omega a kernel that Ad_Psi + 1 does
     # not have, while scaling a second one by 1e-6 keeps a relative singular
@@ -813,7 +895,7 @@ def test_persistently_undecided_sampling_is_an_input_error():
     svals = np.linalg.svd(gram_of(space, m, basis), compute_uv=False)
     rel = svals / svals[0]
     assert np.any((rel >= spaces.RANK_CUTOFF) & (rel < spaces.DECIDED_GAP))
-    assert point_mismatch(space, m, basis) is None
+    assert point_mismatch(space, m) is None
     with pytest.raises(InputError) as err:
         verify_axiom(space, "min_degeneracy", samples=1, seed=107)
     assert err.value.code == "undecided-sample"
@@ -995,8 +1077,7 @@ def degeneracy_residual(space, rng, retries=8):
     """The mismatch at the first drawn point whose ranks are decided; a point
     whose ranks disagree next to the cutoff is redrawn."""
     for _ in range(retries):
-        m, basis = sample_with_basis(space, rng)
-        r = point_mismatch(space, m, basis)
+        r = point_mismatch(space, sample(space, rng))
         if r is not None:
             return r
     raise InputError("undecided-sample", f"no decided sample in {retries} draws")
@@ -1114,7 +1195,8 @@ def test_stacked_draw_work_equals_per_sample_work(n):
     for space in (c, Double(n), Genus(n, 2), Fused([Fused([c, c]), c])):
         points = [sample(space, rng) for _ in range(4)]
         bases = space._basis(stack(points))
-        assert all(np.array_equal(bases[:, p], space._basis(m)) for p, m in enumerate(points))
+        assert all(np.array_equal(x[p], y) for p, m in enumerate(points)
+                   for x, y in zip(bases, space._basis(m)))
         datas = [[space.random_field(rng) for _ in range(3)] for _ in range(4)]
         fields = spaces._orthonormal_fields(stack([stack(d) for d in datas]))
         assert all(np.array_equal(fields[:, p], stack(orthonormalized(d)))
@@ -1215,8 +1297,8 @@ def test_mid_stack_redraw_restores_the_loop_draws(reason, monkeypatch):
         drawn.append(field(rng))
         return drawn[-1]
 
-    def spied_mismatch(sp, m, tangents):
-        out, undecided = mismatch(sp, m, tangents)
+    def spied_mismatch(sp, m, flows=None):
+        out, undecided = mismatch(sp, m, flows)
         evaluated.append((m, out.copy(), undecided.copy()))
         return out, undecided
 
@@ -1246,7 +1328,7 @@ def test_degeneracy_stacks_hold_at_most_stack_rows(reason, step, monkeypatch):
     monkeypatch.setattr(spaces, "STACK_ROWS", step * space.dim)
     sizes, drawn, mismatch, field = [], [], spaces._degeneracy_mismatch, space.random_field
     monkeypatch.setattr(spaces, "_degeneracy_mismatch",
-                        lambda sp, m, tangents: sizes.append(m.shape[1]) or mismatch(sp, m, tangents))
+                        lambda sp, m, flows=None: sizes.append(m.shape[1]) or mismatch(sp, m, flows))
     monkeypatch.setattr(space, "random_field", lambda rng: drawn.append(rng) or field(rng))
     stacked = spaces._sample_residuals(space, "min_degeneracy", 5, 1e-4, np.random.default_rng(5))
     assert max(sizes) == step
@@ -1401,16 +1483,19 @@ def test_genus_point_shapes():
 @pytest.mark.parametrize("name,space", stack_spaces())
 def test_point_and_basis_shapes(name, space):
     # one slot per class, two per double; a point, a field and the base are
-    # (k, n, n), a basis (k, d, n, n), and a stack of points puts its axis
-    # after the slot axis
+    # (k, n, n), a basis one (d_j, n, n) block per slot with d rows in all,
+    # and a stack of points puts its axis in front of the rows
     k = {"class2": 1, "class3": 1, "double2": 2, "fused2": 2, "genus22": 4, "fusion": 2,
          "nested_fusion": 3}[name]
     n = space.n
     rng = np.random.default_rng(29)
     m = sample(space, rng)
     assert m.shape == space.base.shape == space.random_field(rng).shape == (k, n, n)
-    assert space._basis(m).shape == (k, space.dim, n, n)
-    assert space._basis(stack([m, m])).shape == (k, 2, space.dim, n, n)
+    blocks, two = space._basis(m), space._basis(stack([m, m]))
+    rows = [x.shape[0] for x in blocks]
+    assert len(blocks) == len(two) == k and sum(rows) == space.dim
+    assert [x.shape for x in blocks] == [(r, n, n) for r in rows]
+    assert [x.shape for x in two] == [(2, r, n, n) for r in rows]
 
 
 @pytest.mark.parametrize("n,h", [(2, 1), (2, 3), (3, 2)])
@@ -1452,7 +1537,7 @@ def test_genus_matches_explicit_fusion_chain(n, h):
 def test_slot_kinds_match_closed_forms():
     # class slots 0 and 3 around the double's group slots 1 and 2: at one
     # point and at a stack of three, each slot's field and flow is its kind's
-    # closed form, and each part's rows of the basis are its own basis, bit
+    # closed form, and each part's blocks of the basis are its own basis, bit
     # for bit
     other = ConjugacyClass(3, (Q(3, 8), Q(-1, 8), Q(-1, 4)))
     parts = [ConjugacyClass(3, GENERIC_XI3), Double(3), other]
@@ -1472,14 +1557,11 @@ def test_slot_kinds_match_closed_forms():
             else:
                 assert same_bits(at[j], x @ p)
                 assert same_bits(flow[j], u @ p)
-        basis, rows = space._basis(m), 0
+        basis = space._basis(m)
         for part, slots in zip(parts, ([0], [1, 2], [3])):
             own = part._basis(m[slots])
-            block = basis[..., rows : rows + own.shape[-3], :, :]
-            assert same_bits(block[slots], own)
-            assert not np.delete(block, slots, axis=0).any()
-            rows += own.shape[-3]
-        assert rows == space.dim == 6 + 16 + 6
+            assert all(same_bits(basis[j], x) for j, x in zip(slots, own))
+        assert sum(x.shape[-3] for x in basis) == space.dim == 6 + 16 + 6
 
 
 # ---------------------------------------------------------------------------
@@ -1647,3 +1729,43 @@ def test_sphere4_action_shape():
     g = random_special_unitary(2, rng)
     z, t = sphere4_act(g, np.array([0.6 + 0j, 0.0]), 0.8)
     assert abs(np.vdot(z, z).real + t * t - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the block records against the zero-filled records they replaced
+
+def block_record_spaces():
+    other = ConjugacyClass(3, (Q(3, 8), Q(-1, 8), Q(-1, 4)))
+    return [
+        ("class(2)", ConjugacyClass(2, (Q(1, 8), Q(-1, 8)))),
+        ("class(3)", ConjugacyClass(3, GENERIC_XI3)),
+        ("class(4)", ConjugacyClass(4, generic_xi(4))),
+        ("double(2)", Double(2)),
+        ("double(3)", Double(3)),
+        ("double(4)", Double(4)),
+        ("fused_double(3)", Fused([Double(3)])),
+        ("genus(2,1)", Genus(2, 1)),
+        ("genus(2,2)", Genus(2, 2)),
+        ("genus(2,3)", Genus(2, 3)),
+        ("genus(3,2)", Genus(3, 2)),
+        ("class-double-class", Fused([ConjugacyClass(3, GENERIC_XI3), Double(3), other])),
+    ]
+
+
+@pytest.mark.parametrize("name,space", block_record_spaces())
+def test_block_record_matches_zero_filled_record(name, space):
+    # min_degeneracy and reduction_rank read the record of the basis block by
+    # block; it is the record of the zero-filled basis, at one point and over
+    # a stack, with class frames decomposed or taken from the flows
+    rng = np.random.default_rng(151)
+    fields = [space.random_field(rng) for _ in range(3)]
+    for f, base in ((fields[0], space.base), (stack(fields), space.base[:, None])):
+        flows = expm_skew(f)
+        m = space._carry(flows, base)
+        for given in (None, flows):
+            rec = space.structure(m, space._basis(m, given), blocks=True)
+            ref = zero_filled_record(space, m, given)
+            assert rec.omega.shape == ref.omega.shape == m.shape[1:-2] + (space.dim,) * 2
+            assert np.max(np.abs(rec.omega - ref.omega)) <= 1e-13, name
+            for x, y in zip(rec.psi + rec.left, ref.psi + ref.left):
+                assert x.shape == y.shape and np.max(np.abs(x - y)) <= 1e-13, name
