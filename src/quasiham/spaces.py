@@ -23,11 +23,11 @@ The tangent basis is a block stack: slot j's basis data on its own d_j rows,
 the rows in slot order, a double's a rows then its b rows.  Its record is
 built block by block: a double pairs only its a rows with its b rows, and
 each fusion step adds the one block between the rows before it and the next
-part's, and stacks the lefts; min_degeneracy and reduction_rank read it.  A
-class point drawn as the flow u m_0 u* of the diagonal base point m_0 has
-the eigenframe (diag m_0, u), so min_degeneracy decomposes no lone class
-point; a product moment takes one eigvals per stack.  The moment and
-cocycle checks read records over stacks whose every slot spans all rows.
+part's, and stacks the lefts; min_degeneracy and reduction_rank read it.  In
+the eigenframe (diag m_0, u) of a lone class point u m_0 u*, the flow of its
+base point, Omega is one 2 x 2 block per eigenvalue pair of xi, decided pair
+by pair; a product point is decided by the Liouville identity, or an SVD.  The
+moment and cocycle checks read records over stacks whose every slot spans all rows.
 
 Conventions: actions are left actions, generating vector fields satisfy
 [xi_M, zeta_M] = -[xi, zeta]_M, and the double pairs g-valued 1-forms by
@@ -72,18 +72,21 @@ RETRIES = 8  # draws per sample before undecided ranks are an error
 # took 8.7-8.9 ms a sample at 512 (41 MB peak) and 8.1 ms in one stack (93 MB),
 # min of 3 (2-vCPU KVM guest, BLAS on 1 thread).
 STACK_ROWS = 512
-# A relative singular value in [RANK_CUTOFF, DECIDED_GAP) leaves a rank
-# undecided; min_degeneracy redraws a sample whose ranks disagree while such
-# a value is present, and passes one whose ranks agree.  On the benchmark's
-# degeneracy streams (seeds 1-4) the smallest decided ones were 3.8e-5 for
-# omega and 4.3e-4 for Ad_Psi + 1; a genus(2,2) sample with |tr Psi| = 2.5e-6
-# puts omega at 8.6e-8 and Ad_Psi + 1 at 1.25e-6, where the two cutoffs
-# disagree.
+# A relative singular value in [RANK_CUTOFF, DECIDED_GAP) leaves a rank undecided, and
+# min_degeneracy redraws a sample whose ranks then disagree (genus(2,2) at |tr Psi| =
+# 2.5e-6: omega 8.6e-8, Ad_Psi + 1 1.25e-6).  The Liouville identity reads product points
+# with all |d_i conj(d_j) + 1| / 2 >= DECIDED_GAP: on the streams (seeds 1-4) all, least 4.3e-4.
 DECIDED_GAP = 1e-5
-# Largest tangent dimension (a class's n^2 - 1), checked before any array grows with
-# n or h.  At it cold class(16) cocycle takes 0.23 s and 38 MB, min_degeneracy
-# 0.68-0.94 s and 50 MB, genus(4, 8) min_degeneracy 0.52-0.67 s and 42 MB (5 runs
-# each, 2-vCPU KVM guest, BLAS on 1 thread).
+# Off a lone class's 2 x 2 blocks, omega in units of its bound 2 |X| |Y| / 4 pi^2 on
+# the rows' data (of norm 4 pi^2 / gap) is rounding, at most 1.6e-15 (7 eps) on classes of
+# n = 3..16, near-wall ones too: 64 eps leaves a factor 9.  An entry above fails all rows.
+OFF_BLOCK = 64 * np.finfo(float).eps
+# |log density - the space's constant| on the streams' product points was at
+# most 2.8e-13; the Liouville mutants of omega miss it by more than 0.1.
+LIOUVILLE_MISS = 1e-8
+# Largest tangent dimension (a class's n^2 - 1), checked before arrays grow with n or h.
+# Cold at it (5-7 runs, 2-vCPU KVM guest, BLAS on 1 thread): class(16) cocycle 0.23 s,
+# 38 MB; min_degeneracy 0.42-0.46 s, 49 MB; genus(4, 8) min_degeneracy 0.31-0.34 s, 40 MB.
 MAX_DIM = 256
 
 # Relative orientation of the canonical 3-form inside the structure equation
@@ -209,11 +212,12 @@ class QSpace:
     point; a stack of d of them has shape (k, *P, d, n, n).  An element of
     G, or of its algebra, has one slot per group factor.  Subclasses set
     `base`, `dim`, `class_slots`, the slots of a class point m (the others
-    hold a group point p), and the hooks `_moment` and `structure`.  Written
+    hold a group point p), `_log_liouville`, the constant log of the
+    Liouville density Pf(Omega) / det^1/2((1 + Ad_Psi) / 2) on orthonormal
+    tangents (AMW 2002), and the hooks `_moment` and `structure`.  Written
     here are `random_field`, the G-valued action by conjugation of every
-    slot, its generating field, and the bases, fields and flows of both
-    slot kinds.
-    `group_factors` is 1 for G-valued moment maps and 2 for the double.
+    slot, its generating field, and the bases, fields and flows of both slot
+    kinds.  `group_factors` is 1 for G-valued moment maps and 2 for the double.
     """
 
     n: int
@@ -241,11 +245,8 @@ class QSpace:
         rows in slot order and zero on every other slot."""
         raise NotImplementedError
 
-    def _moment_frame(self, flows):
-        """The eigenframes (d, V) of the moment factors, of shapes (S, f, n)
-        and (S, f, n, n), at the S points that the slot flows carry the base
-        point to, where the flows give them; else None."""
-        return None
+    def _pair_mismatch(self, m, flows):
+        """_degeneracy_mismatch decided by the record's shape at points the flows reach, or None."""
 
     def _act(self, g, m):
         return g @ m @ _dag(g)
@@ -257,30 +258,20 @@ class QSpace:
         return out
 
     def _basis(self, m, flows=None):
-        """Field data of orthonormal tangent bases at a stack of points, as a
-        block stack, one (*P, d_j, n, n) block per slot: the su(n) basis x_k
-        itself on a group slot p, whose tangents x_k p are orthonormal, and
-        the class basis on a class slot.  Given the flows u that carry the
-        base point to m, a class slot's point is u m_0 u* for its diagonal
-        base point m_0, with eigenframe (diag m_0, u); else unitary_eig
-        decomposes it."""
+        """Field data of orthonormal tangent bases at a stack of points, one
+        (*P, d_j, n, n) block per slot: the su(n) basis x_k on a group slot p
+        (the tangents x_k p are orthonormal), the class basis on a class slot,
+        whose eigenframe is (diag m_0, u) given the flows u that carry the
+        base point m_0 to m, else from unitary_eig."""
         x = _basis_stack(self.n)
         x = np.broadcast_to(x, m.shape[1:-2] + x.shape)
 
         def frame(j):
-            return unitary_eig(m[j]) if flows is None else _frame(self.base[j], flows[j])
+            return unitary_eig(m[j]) if flows is None else (np.diagonal(self.base[j]), flows[j])
 
         return [_class_basis(*frame(j)) if j in self.class_slots else x for j in range(len(m))]
 
     # extension fields for the invariant-extension derivative formula
-    def field_at(self, data, m):
-        """The tangents of field data: X p on a group slot p, X m - m X on a
-        class slot m.  Only the rank of generating fields reads tangents."""
-        out = data @ m
-        for j in self.class_slots:
-            out[j] -= m[j] @ data[j]
-        return out
-
     def field_flow(self, data, m, t):
         """The flow of the field for time t, a float or an array whose axes
         broadcast against the leading axes of data and m after the slot axis:
@@ -331,12 +322,32 @@ class ConjugacyClass(QSpace):
         self.base = torus_point([a / den for a in xi])[None]
         # n^2 - 1 less the centralizer's sum m_i^2 - 1; m_i counts entries equal mod 1
         self.dim = self.n**2 - sum(m * m for m in Counter(a % den for a in xi).values())
+        # the pairs i < j with xi_i != xi_j mod 1 (indices into pair_indices), each with
+        # 4 pi^2 |d_i - d_j|, d = diag m_0, and its singular value |d_i conj(d_j) + 1| of Ad_Psi + 1
+        i, j = pair_indices(self.n)
+        self.pairs = np.flatnonzero([(xi[a] - xi[b]) % den != 0 for a, b in zip(i, j)])
+        di, dj = (np.diagonal(self.base[0])[k[self.pairs]] for k in (i, j))
+        self._gaps, self._moduli = 4 * np.pi**2 * np.abs(di - dj), np.abs(di * dj.conj() + 1)
+        self._log_liouville = -float(np.sum(np.log(self._gaps)))
 
     def _moment(self, m):
         return (m[0],)
 
-    def _moment_frame(self, flows):  # with the one factor's axis
-        return tuple(x[:, None] for x in _frame(self.base[0], flows[0]))
+    def _pair_mismatch(self, m, flows):
+        # In the eigenframe (diag m_0, u) Omega on self.pairs is one block [[0, w], [-w, 0]] per
+        # pair, |w| 4 pi^2 |d_i - d_j| = |d_i conj(d_j) + 1| / 2 (AMW 2002): w is null where
+        # Ad_Psi + 1 is.  A pair that disagrees or that the basis lacks counts 2 rows.
+        basis = _class_basis(np.diagonal(self.base[0]), flows[0], self.pairs)
+        omega, gap, r = self.structure(m, [basis], blocks=True).omega, self._gaps, len(self.pairs)
+        if not np.all(np.isfinite(omega)):
+            raise ToolkitError("non-finite class 2-form")
+        w = np.diagonal(omega[..., ::2, 1::2], axis1=-2, axis2=-1)
+        disagree = (np.abs(w) * gap < RANK_CUTOFF) != (self._moduli < 2 * RANK_CUTOFF)
+        mismatch = 2.0 * np.sum(disagree, axis=-1) + abs(self.dim - 2 * r)
+        scale = (np.multiply.outer(gap, gap) * (1 - np.eye(r)) / (8 * np.pi**2))[:, None, :, None]
+        off = np.abs(omega).reshape(omega.shape[:-2] + (r, 2, r, 2)) * scale
+        mismatch[np.max(off, axis=(-4, -3, -2, -1), initial=0.0) > OFF_BLOCK] = self.dim
+        return mismatch, np.zeros(mismatch.shape, dtype=bool)
 
     def structure(self, m, stack, blocks=False):
         # data X are potentials of tangents X m - m X: m^-1 dm = Ad_{m^-1} X - X, and by Ad-
@@ -346,27 +357,25 @@ class ConjugacyClass(QSpace):
         return Structure(-_skew(basic_gram(left, x)), (m[0],), (left,))
 
 
-def _frame(m0, u) -> tuple:
-    """The eigenframe (d, V) of the points u m0 u* for a diagonal m0."""
-    return np.broadcast_to(np.diagonal(m0), u.shape[:-1]), u
-
-
-def _class_basis(d, v):
+def _class_basis(d, v, pairs=None):
     """Field data of orthonormal tangents at class points V diag(d) V* of
-    shape (*P, n, n), from their eigenframes, of shape (*P, r, n, n)."""
+    shape (*P, n, n) from their eigenframes (d may omit P), (*P, r, n, n), on
+    the given pairs (indices into pair_indices) or on those the cutoff resolves."""
     # x m - m x = (x - Ad_m x) m for x = V B V* of pair (i, j) span V B V* m, singular value
-    # |d_i - d_j|: the pairs resolved at the first point, by largest gap at every point.  In
-    # the eigenbasis the data of V B V* m is B times f = d_j / (d_j - d_i) = 1/2 + i Im f at
-    # (i, j): the pair's (B_re, B_im) give (B_re / 2 + Im f B_im, B_im / 2 - Im f B_re)
-    n = v.shape[-1]
-    i, j = pair_indices(n)
-    gap = np.abs(d[..., i] - d[..., j])
-    rank = _rank(gap, gap.max(axis=-1, initial=0.0))[0].flat[0]
-    top = np.argsort(-gap, axis=-1, kind="stable")[..., :rank]
-    di, dj = (np.take_along_axis(d[..., k], top, axis=-1) for k in (i, j))
+    # |d_i - d_j|: without pairs those resolved at the first point, by largest gap at every
+    # point.  In the eigenbasis the data of V B V* m is B times f = d_j / (d_j - d_i) = 1/2 +
+    # i Im f at (i, j): the pair's (B_re, B_im) give (B_re / 2 + Im f B_im, B_im / 2 - Im f B_re)
+    n, (i, j) = v.shape[-1], pair_indices(v.shape[-1])
+    if pairs is None:
+        gap = np.abs(d[..., i] - d[..., j])
+        pairs = np.argsort(-gap, axis=-1, kind="stable")[
+            ..., : _rank(gap, gap.max(axis=-1, initial=0.0))[0].flat[0]]
+    di, dj = (np.take_along_axis(d[..., k], pairs, axis=-1) for k in (i, j))
     turn = (dj / (dj - di)).imag[..., None, None, None] * np.array([1.0, -1.0])[:, None, None]
-    b = pair_basis(v, top).reshape(top.shape + (2, n, n))
-    return (0.5 * b + turn * b[..., ::-1, :, :]).reshape(top.shape[:-1] + (-1, n, n))
+    b = pair_basis(v, pairs).reshape(v.shape[:-2] + (-1, 2, n, n))
+    out = turn * b[..., ::-1, :, :]
+    out += np.multiply(b, 0.5, out=b)  # in place, one temporary fewer
+    return out.reshape(v.shape[:-2] + (-1, n, n))
 
 
 class Double(QSpace):
@@ -378,6 +387,8 @@ class Double(QSpace):
         self.n = _group_rank(n)
         self.dim = _bounded(2 * (self.n**2 - 1))
         self.base = np.stack([np.eye(self.n, dtype=complex)] * 2)
+        # Haar measure, on tangents orthonormal for 4 pi^2 B
+        self._log_liouville = -self.dim / 2 * np.log(4 * np.pi**2)
 
     def _moment(self, m):
         a, b = m
@@ -425,6 +436,7 @@ class Fused(QSpace):
         self._keys = [slice(i, j) for i, j in zip(ends, ends[1:])]
         self.base = np.concatenate([p.base for p in parts])
         self.class_slots = tuple(e + j for p, e in zip(parts, ends) for j in p.class_slots)
+        self._log_liouville = sum(p._log_liouville for p in parts)  # it multiplies under fusion
 
     def _moment(self, m):
         return (reduce(np.matmul, (reduce(np.matmul, p._moment(m[k]))
@@ -550,23 +562,17 @@ def _rank(svals: np.ndarray, ref: np.ndarray) -> tuple:
     return rank, live & np.any(band, axis=-1)
 
 
-def _anti_fixed_rank(space: QSpace, m, psis, frame=None) -> tuple:
+def _anti_fixed_rank(space: QSpace, m, psis, s) -> tuple:
     """Per point, with moment factors psis (count, f, n, n): the rank of
-    span{xi_M : Ad_Psi xi = -xi}, and whether a relative singular value of
-    Ad_Psi + 1 is in the band.  It multiplies entry (i, j) of the eigenbasis
-    of a factor by d_i conj(d_j) + 1; on su(n) these moduli (i != j) and 2 on
-    the torus are its singular values, 2 its scale, and the null vectors are
-    the V B V* of pairs d_i = -d_j, one factor at a time.  A frame (d, V) of
-    shapes (count, f, n) and (count, f, n, n) gives the eigenframes, which
-    are otherwise decomposed: eigvals, and unitary_eig where a pair is null."""
+    span{xi_M : Ad_Psi xi = -xi}, and whether a singular value of Ad_Psi + 1,
+    one of the moduli s = |d_i conj(d_j) + 1| of their eigenvalues, is in the
+    band on its scale 2.  Its null vectors are V B V* of pairs d_i = -d_j."""
     count, f = psis.shape[:2]
-    d = np.linalg.eigvals(psis) if frame is None else frame[0]
-    s = np.abs(d[..., :, None] * d.conj()[..., None, :] + 1.0).reshape(count, -1)
     undecided = _rank(s, np.full(count, 2.0))[1]
     qualifying = np.zeros(count, dtype=int)
     live = np.flatnonzero(np.any(s < 2.0 * RANK_CUTOFF, axis=-1))
     if live.size:
-        d, v = unitary_eig(psis[live]) if frame is None else (d[live], frame[1][live])
+        d, v = unitary_eig(psis[live])
         i, j = pair_indices(space.n)
         null = np.abs(d[..., i] * d[..., j].conj() + 1.0) < 2.0 * RANK_CUTOFF
         # null pairs first, as many per factor as any has (one if eig sees none)
@@ -577,27 +583,41 @@ def _anti_fixed_rank(space: QSpace, m, psis, frame=None) -> tuple:
         rows = (xis[:, :, :, None] * np.eye(f)[:, None, :, None, None]).reshape(
             (live.size, -1, f) + xis.shape[-2:])
         lm = _lift(m[:, live])
-        gens = space.field_at(space._generating(np.moveaxis(rows, 2, 0), lm), lm)
-        gs = np.linalg.svd(realvec(gens), compute_uv=False)
+        gens = space._generating(np.moveaxis(rows, 2, 0), lm)
+        tangents = gens @ lm  # X p on a group slot p, X m - m X on a class slot m
+        for k in space.class_slots:
+            tangents[k] -= lm[k] @ gens[k]
+        gs = np.linalg.svd(realvec(tangents), compute_uv=False)
         qualifying[live], band = _rank(gs, gs[:, 0])
         undecided[live] |= band
     return qualifying, undecided
 
 
 def _degeneracy_mismatch(space: QSpace, m, flows=None) -> tuple[np.ndarray, np.ndarray]:
-    """|dim ker omega - dim span{xi_M : Ad_Psi xi = -xi}| per point of a
-    stack, from the record of its tangent bases block by block, and the
-    mask of the undecided points: those whose ranks disagree while a
-    relative singular value lies in the band, next to the cutoff.  Given the
-    slot flows that carry the base point to m, the eigenframes they give
-    take the place of decompositions."""
+    """|dim ker omega - dim span{xi_M : Ad_Psi xi = -xi}| per point of a stack,
+    and the mask of the undecided points, whose ranks disagree while a relative
+    singular value is in the band.  Given the slot flows, a lone class decides
+    pair by pair; else the Liouville identity (ker omega = 0) or an SVD."""
+    if flows is not None and (decided := space._pair_mismatch(m, flows)) is not None:
+        return decided
     rec = space.structure(m, space._basis(m, flows), blocks=True)
-    svals = np.linalg.svd(rec.omega, compute_uv=False)
-    rank, undecided = _rank(svals, svals.max(axis=-1, initial=0.0))
-    frame = None if flows is None else space._moment_frame(flows)
-    qualifying, band = _anti_fixed_rank(space, m, np.stack(rec.psi, axis=1), frame)
-    mismatch = np.abs(rec.omega.shape[-1] - rank - qualifying).astype(float)
-    return mismatch, (mismatch > 0) & (undecided | band)
+    if not np.all(np.isfinite(rec.omega)):
+        raise ToolkitError("non-finite 2-form")
+    psis = np.stack(rec.psi, axis=1)
+    d = np.linalg.eigvals(psis)
+    s = np.abs(d[..., :, None] * d.conj()[..., None, :] + 1.0).reshape(len(d), -1)
+    # the log density 1/2 log|det Omega| - 1/2 sum log(s / 2) (AMW 2002), read where s is decided
+    miss = np.abs(0.5 * np.linalg.slogdet(rec.omega)[1] - space._log_liouville
+                  - 0.5 * np.sum(np.log(np.maximum(s, 2 * DECIDED_GAP) / 2), axis=-1))
+    rest = np.flatnonzero(np.any(s < 2 * DECIDED_GAP, axis=-1) | ~(miss <= LIOUVILLE_MISS))
+    mismatch, undecided = np.zeros(len(d)), np.zeros(len(d), dtype=bool)
+    if rest.size:
+        svals = np.linalg.svd(rec.omega[rest], compute_uv=False)
+        rank, band = _rank(svals, svals.max(axis=-1, initial=0.0))
+        qualifying, fixed_band = _anti_fixed_rank(space, m[:, rest], psis[rest], s[rest])
+        mismatch[rest] = np.abs(rec.omega.shape[-1] - rank - qualifying)
+        undecided[rest] = (mismatch[rest] > 0) & (band | fixed_band)
+    return mismatch, undecided
 
 
 def _equivariance_residuals(space: QSpace, m, g) -> np.ndarray:

@@ -213,6 +213,15 @@ def sample(space, rng):
     return space.field_flow(space.random_field(rng), space.base, 1.0)
 
 
+def field_at(space, data, m):
+    """The tangents of field data: X p on a group slot p, X m - m X on a
+    class slot m."""
+    out = data @ m
+    for j in space.class_slots:
+        out[j] -= m[j] @ data[j]
+    return out
+
+
 def block_rows(blocks):
     """The stack of a block stack in which every slot spans all rows, of
     shape (k, *P, d, n, n): slot j's block fills its own slot and rows, and
@@ -298,7 +307,7 @@ def anti_fixed_rank_svd(space, m, psis):
         xis = algebra_from_coords(space.n, np.einsum("prc,rk->prkc", rows,
                                                      np.repeat(np.eye(f), na, axis=0)))
         lm = _lift(m[:, live])
-        gens = space.field_at(space._generating(np.moveaxis(xis, 2, 0), lm), lm)
+        gens = field_at(space, space._generating(np.moveaxis(xis, 2, 0), lm), lm)
         gs = np.linalg.svd(realvec(gens), compute_uv=False)
         qualifying[live], band = _rank(gs, gs[:, 0])
         undecided[live] |= band

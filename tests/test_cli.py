@@ -1284,6 +1284,46 @@ def test_class_near_half_wall_passes_min_degeneracy():
     assert main(argv) == 0
 
 
+@pytest.mark.parametrize("xi", ["49999/100000,0,-49999/100000",
+                                "4999999/10000000,0,-4999999/10000000"])
+def test_class_near_the_wall_passes_min_degeneracy(xi):
+    # one pair of xi is 2e-5 (2e-7) turns from equal mod 1 and two are 1e-5
+    # (1e-7) from half a turn apart: omega's blocks are 2e2 (2e4) and 4e-7
+    # (4e-9), and each pair is decided on its own scale, where the small
+    # ones and their |d_i conj(d_j) + 1| = 6.3e-5 (6.3e-7) are not zero.
+    # Decided against the largest block the first exited 1 with residual 4
+    # and the second 2 with undecided-sample
+    argv = ["verify", "--space", "conjugacy_class", "--n", "3", "--xi", xi,
+            "--axiom", "min_degeneracy"]
+    code, payload = dispatch(argv)
+    assert code == 0 and payload["pass"] is True and payload["max_residual"] == 0.0
+    assert main(argv) == 0
+
+
+def near_degenerate_classes():
+    """Classes at distance eps from a degenerate one: near the wall
+    xi_1 - xi_n = 1 at n = 2 and 3, near an antipodal pair and near the
+    centre of SU(2)."""
+    for k in (5, 8, 10, 12):
+        eps = Fraction(1, 10**k)
+        for n in (2, 3):
+            yield [Fraction(1, 2) - eps] + [Fraction(0)] * (n - 2) + [eps - Fraction(1, 2)]
+        yield [Fraction(1, 4) + eps, -Fraction(1, 4) - eps]
+        yield [eps, -eps]
+
+
+def test_near_degenerate_classes_pass_min_degeneracy():
+    # every lone class is quasi-Hamiltonian, and its pairs are taken from xi,
+    # so its basis has dim rows at every eps and each pair is decided on its
+    # own scale; decided on global scales, 5 of these 16 cells exited 1
+    for xi in near_degenerate_classes():
+        argv = ["verify", "--space", "conjugacy_class", "--n", str(len(xi)),
+                "--xi", ",".join(f"{x.numerator}/{x.denominator}" for x in xi),
+                "--axiom", "min_degeneracy", "--samples", "10", "--seed", "0"]
+        code, payload = dispatch(argv)
+        assert code == 0 and payload["max_residual"] == 0.0, argv
+
+
 def test_failed_verification_exits_one():
     assert main(["check-class", "--type", "A1", "--xi", "1/4,-1/4", "--level", "1"]) == 1
 
@@ -1321,10 +1361,13 @@ COVERAGE_ARGV = [
     ["holonomy-convergence", "--grids", "4,8"],
     *(["reduce-rank", "--n", "2", "--at", at] for at in ["abba", "commuting", "identity"]),
     ["verify", "--space", "double", "--xi", "1/4,-1/4", "--axiom", "moment"],
-    # every point of this class has a pair d_i = -d_j, so its check runs the
-    # null-vector branch of _anti_fixed_rank, the one caller of field_at
+    # every point of this class has a pair d_i = -d_j, which its pair rule decides
     ["verify", "--space", "conjugacy_class", "--n", "2", "--xi", "1/4,-1/4",
      "--axiom", "min_degeneracy", "--samples", "2"],
+    # the first draw has |tr Psi| = 2.5e-6, too close to a pair d_i = -d_j for
+    # the Liouville identity to decide it, so it takes the SVD and _anti_fixed_rank
+    ["verify", "--space", "genus", "--n", "2", "--genus", "2", "--axiom", "min_degeneracy",
+     "--samples", "1", "--seed", "1976016887"],
 ]
 # Every function and method in src/ that no verb reaches, by module and
 # qualified name, with its reason.  Test-only forms of what the verbs run

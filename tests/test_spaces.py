@@ -12,6 +12,7 @@ from oracles import (
     anti_fixed_rank_svd,
     block_rows,
     class_basis_svd,
+    field_at,
     realified_operator,
     sample,
     zero_filled_record,
@@ -280,8 +281,8 @@ def test_omega_invariant_under_action(name, space):
         # field data move by Ad of each slot's factor of g, as _act pushes
         # their tangents forward
         gv, gw = (g @ x @ g.conj().swapaxes(-1, -2) for x in (v, w))
-        pushed = space._act(g, space.field_at(v, m))
-        assert np.max(np.abs(space.field_at(gv, moved) - pushed)) < 1e-13
+        pushed = space._act(g, field_at(space, v, m))
+        assert np.max(np.abs(field_at(space, gv, moved) - pushed)) < 1e-13
         lhs = pair_omega(space, moved, gv, gw)
         assert lhs == pytest.approx(pair_omega(space, m, v, w), abs=1e-9)
 
@@ -299,7 +300,7 @@ def test_central_class_omega_vanishes():
     c = ConjugacyClass(2, (Q(1, 2), Q(-1, 2)))  # class of -identity, a point
     m = c.base
     xi = random_algebra(2, np.random.default_rng(4))
-    assert np.max(np.abs(c.field_at(c._generating(xi[None], m), m))) < 1e-14
+    assert np.max(np.abs(field_at(c, c._generating(xi[None], m), m))) < 1e-14
     z = np.zeros_like(m)
     assert pair_omega(c, m, z, z) == pytest.approx(0.0, abs=1e-14)
 
@@ -366,7 +367,7 @@ def pairwise_omega_matrix(space, m, basis):
     """Reference: one reference omega per pair i < j of the tangents of the
     basis data, mirrored."""
     d = len(basis)
-    tangents = [space.field_at(x, m) for x in basis]
+    tangents = [field_at(space, x, m) for x in basis]
     out = np.zeros((d, d))
     for i in range(d):
         for j in range(i + 1, d):
@@ -412,7 +413,7 @@ def test_record_matches_reference_moment_derivative(name, space, d):
     for psi, ref in zip(rec.psi, space._moment(m)):
         assert np.max(np.abs(psi - ref)) <= 1e-15
     for i, t in enumerate(tangents):
-        dpsis = ref_dmoment(space, m, space.field_at(t, m))
+        dpsis = ref_dmoment(space, m, field_at(space, t, m))
         for psi, left, dpsi in zip(rec.psi, rec.left, dpsis):
             assert np.max(np.abs(psi @ left[i] - dpsi)) <= 1e-14
 
@@ -562,12 +563,12 @@ def squeezed(cls, *shrinks):
         def structure(self, m, stack, blocks=False):
             basis = block_rows(self._basis(m))
             out = block_rows(stack) if blocks else stack
-            tangents = self.field_at(out, spaces._lift(m))
+            tangents = field_at(self, out, spaces._lift(m))
             for i, shrink in enumerate(shrinks):
                 first = basis[..., i, :, :]
                 c = sum(
                     np.real(np.einsum("...ij,...kij->...k", x.conj(), y))
-                    for x, y in zip(self.field_at(first, m), tangents)
+                    for x, y in zip(field_at(self, first, m), tangents)
                 )[..., None, None]
                 out = out - (1.0 - shrink) * c * spaces._lift(first)
             if blocks:
@@ -644,7 +645,8 @@ def wrong_side_double(self, m, stack, blocks=False):
 
 
 def shifted_double(structure):
-    """Double.structure with 1e-2 of one fixed skew form added to omega."""
+    """A structure, the double's or a class's, with 1e-2 of one fixed skew
+    form added to omega."""
     def mutant(self, m, stack, blocks=False):
         rec = structure(self, m, stack, blocks)
         d = rec.omega.shape[-1]
@@ -678,6 +680,161 @@ def test_liouville_density_is_constant(monkeypatch):
             patch.setattr(target, name, mutant)
             for space in on:
                 assert spread(space) > 0.1, (mutant, space)
+
+
+# classes of A1-A3 with distinct eigenvalues and no pair d_i = -d_j, where the
+# Liouville density is finite
+REGULAR_XI = [
+    (Q(1, 8), Q(-1, 8)),
+    (Q(3, 10), Q(-3, 10)),
+    GENERIC_XI3,
+    (Q(3, 10), Q(0), Q(-3, 10)),
+    (Q(2, 5), Q(1, 20), Q(-3, 20), Q(-3, 10)),
+    (Q(2, 5), Q(1, 10), Q(-1, 5), Q(-3, 10)),
+]
+
+
+def class_closed_form(xi):
+    """-sum over i < j of log(4 pi^2 |d_i - d_j|), d = exp(2 pi i xi): the log
+    Liouville density of a regular class (AMW 2002)."""
+    d = np.exp(2j * np.pi * np.array([float(x) for x in xi]))
+    i, j = np.triu_indices(len(xi), 1)
+    return -np.sum(np.log(4 * np.pi**2 * np.abs(d[i] - d[j])))
+
+
+def flow_points(space, rng, count=3):
+    """count points of a space with the slot flows that carry its base point there."""
+    flows = expm_skew(stack([space.random_field(rng) for _ in range(count)]))
+    return space._carry(flows, space.base[:, None]), flows
+
+
+def test_class_liouville_density_is_its_closed_form():
+    # on regular A1-A3 classes the log density is the closed form at every
+    # point, and pair by pair: in the flows' eigenframe the block w of each
+    # pair has |w| 4 pi^2 |d_i - d_j| = |d_i conj(d_j) + 1| / 2
+    for xi in REGULAR_XI:
+        space, closed = ConjugacyClass(len(xi), xi), class_closed_form(xi)
+        assert abs(space._log_liouville - closed) <= 1e-10
+        rng = np.random.default_rng(len(xi))
+        for _ in range(3):
+            assert abs(log_liouville_density(space, sample(space, rng)) - closed) <= 1e-10, xi
+        m, flows = flow_points(space, rng)
+        basis = spaces._class_basis(np.diagonal(space.base[0]), flows[0], space.pairs)
+        omega = space.structure(m, [basis], blocks=True).omega
+        w = np.abs(np.diagonal(omega[..., ::2, 1::2], axis1=-2, axis2=-1))
+        d = np.diagonal(space.base[0])
+        i, j = np.triu_indices(len(xi), 1)
+        pair = np.abs(d[i] * d[j].conj() + 1.0) / 2 / (4 * np.pi**2 * np.abs(d[i] - d[j]))
+        assert np.max(np.abs(w / pair - 1.0)) <= 1e-12, xi
+
+
+def liouville_spaces():
+    mixed = Fused([ConjugacyClass(3, GENERIC_XI3), Double(3),
+                   ConjugacyClass(3, (Q(3, 10), Q(0), Q(-3, 10)))])
+    return ([(f"class{k}", ConjugacyClass(len(xi), xi)) for k, xi in enumerate(REGULAR_XI)]
+            + [("double3", Double(3)), ("mixed", mixed), ("genus22", Genus(2, 2)),
+               ("genus32", Genus(3, 2)), ("genus42", Genus(4, 2))])
+
+
+@pytest.mark.parametrize("name,space", liouville_spaces())
+def test_log_liouville_is_the_svd_density(name, space):
+    rng = np.random.default_rng(space.dim)
+    for _ in range(3):
+        assert abs(log_liouville_density(space, sample(space, rng)) - space._log_liouville) <= 1e-10
+
+
+def test_liouville_density_multiplies_under_fusion():
+    # the density of a fusion is the product of its parts' closed forms
+    first, second = GENERIC_XI3, (Q(3, 10), Q(0), Q(-3, 10))
+    space = Fused([ConjugacyClass(3, first), Double(3), ConjugacyClass(3, second)])
+    parts = class_closed_form(first) - 8 * np.log(4 * np.pi**2) + class_closed_form(second)
+    rng = np.random.default_rng(137)
+    for _ in range(4):
+        assert abs(log_liouville_density(space, sample(space, rng)) - parts) <= 1e-10
+
+
+def test_class_tampers_fail_on_the_pair_path(monkeypatch):
+    # a lone class is decided on the 2 x 2 blocks of its record; the record
+    # pulled back along a projection, a pair missing from its basis and a
+    # skew form added to its omega each fail there, at every point
+    rng = np.random.default_rng(113)
+    space = ConjugacyClass(3, GENERIC_XI3)
+    m, flows = flow_points(space, rng)
+    assert np.array_equal(space._pair_mismatch(m, flows)[0], [0, 0, 0])
+
+    class Short(ConjugacyClass):  # the pair set with its first pair dropped
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.pairs, self._gaps, self._moduli = self.pairs[1:], self._gaps[1:], self._moduli[1:]
+
+    # squeezing one direction of a pair nulls its block; the short basis lacks 2 rows
+    for mutant in (squeezed(ConjugacyClass, 0.0)(3, GENERIC_XI3), Short(3, GENERIC_XI3)):
+        assert np.array_equal(mutant._pair_mismatch(m, flows)[0], [2, 2, 2])
+        rep = verify_axiom(mutant, "min_degeneracy", samples=3, seed=113)
+        assert not rep.passed and rep.max_residual == 2.0
+    monkeypatch.setattr(ConjugacyClass, "structure", shifted_double(ConjugacyClass.structure))
+    assert np.array_equal(space._pair_mismatch(m, flows)[0], [6, 6, 6])
+    rep = verify_axiom(space, "min_degeneracy", samples=3, seed=113)
+    assert not rep.passed and rep.max_residual == 6.0
+    # the blocks alone stay nonzero: the bound off them is what fails it
+    monkeypatch.setattr(spaces, "OFF_BLOCK", np.inf)
+    assert verify_axiom(space, "min_degeneracy", samples=3, seed=113).passed
+
+
+def count_svds(monkeypatch):
+    """A list that grows by one at every np.linalg.svd call."""
+    calls, real = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_liouville_shortcut_declines_on_mutants(monkeypatch):
+    # a wrong omega that stays nondegenerate misses the Liouville identity,
+    # so its stack takes the SVD, where the rank rule decides it as before:
+    # a miss is no FAIL.  Each space here runs in one stack
+    svds = count_svds(monkeypatch)
+    fused, double = [Genus(2, 2)], [Double(2), Double(3), Genus(2, 2)]
+    mutants = [
+        (spaces, "_fuse", scaled_correction(spaces._fuse, -1.0), fused),
+        (spaces, "_fuse", scaled_correction(spaces._fuse, 0.5), fused),
+        (Double, "structure", shifted_double(Double.structure), double),
+        (Double, "structure", wrong_side_double, fused),
+    ]
+    for space in double:
+        svds.clear()
+        assert verify_axiom(space, "min_degeneracy", samples=3, seed=1).passed and not svds
+    for target, name, mutant, on in mutants:
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, mutant)
+            for space in on:
+                svds.clear()
+                verify_axiom(space, "min_degeneracy", samples=3, seed=1)
+                assert len(svds) == 1, (mutant, space)
+
+
+def test_liouville_shortcut_and_svd_fallback_agree(monkeypatch):
+    # the degeneracy streams' spaces, a class with -1 pairs and a fusion with
+    # class parts give the same reports with every point on the SVD path:
+    # the class hook bypassed and no Liouville constant to meet
+    def cases():
+        return [ConjugacyClass(2, (Q(1, 8), Q(-1, 8))), ConjugacyClass(2, (Q(1, 4), Q(-1, 4))),
+                ConjugacyClass(3, GENERIC_XI3), ConjugacyClass(4, REGULAR_XI[5]), Double(3),
+                Double(4), Fused([Double(3)]), Genus(2, 2), Genus(2, 3), Genus(3, 2), Genus(3, 3),
+                Fused([ConjugacyClass(2, (Q(1, 4), Q(-1, 4))), Double(2),
+                       ConjugacyClass(2, (Q(1, 8), Q(-1, 8)))])]
+
+    def reports(spaces_):
+        return [verify_axiom(s, "min_degeneracy", samples=3, seed=seed)
+                for s in spaces_ for seed in (0, 1)]
+
+    svds = count_svds(monkeypatch)
+    fast = reports(cases())
+    assert not svds
+    monkeypatch.setattr(ConjugacyClass, "_pair_mismatch", spaces.QSpace._pair_mismatch)
+    slow = cases()
+    for space in slow:
+        space._log_liouville = np.nan
+    assert reports(slow) == fast and len(svds) >= len(fast)
 
 
 @pytest.mark.parametrize(
@@ -783,7 +940,9 @@ def test_anti_fixed_rank_matches_realified_oracle(n, pairs, near):
     for space in (ConjugacyClass(n, turns), Double(n), Genus(n, 2)):
         m = forced_points(space, turns, rng)
         psis = np.stack(space._moment(m), axis=1)
-        qualifying, band = spaces._anti_fixed_rank(space, m, psis)
+        d = np.linalg.eigvals(psis)
+        moduli = np.abs(d[..., :, None] * d.conj()[..., None, :] + 1.0).reshape(len(d), -1)
+        qualifying, band = spaces._anti_fixed_rank(space, m, psis, moduli)
         ref_qualifying, ref_band = anti_fixed_rank_svd(space, m, psis)
         assert np.array_equal(qualifying, ref_qualifying), space
         assert np.array_equal(band, ref_band), space
@@ -791,15 +950,15 @@ def test_anti_fixed_rank_matches_realified_oracle(n, pairs, near):
         assert np.all((qualifying > 0) == (pairs > 0 and near == 0))
         if isinstance(space, ConjugacyClass):  # xi_M = 2 xi m on each null xi
             assert np.all(qualifying == (2 * pairs if near == 0 else 0))
-    # a class point u m_0 u* with the eigenframe its flow u gives: no decomposition
+    # class points u m_0 u* decided pair by pair in the eigenframe their flows u give: the
+    # null pairs of xi are the oracle's qualifying fields, and omega is null on those alone
     space = ConjugacyClass(n, turns)
     u = np.stack([random_special_unitary(n, rng) for _ in range(3)])[None]
     m = space._carry(u, space.base[:, None])
-    psis = np.stack(space._moment(m), axis=1)
-    frame = tuple(x[:, None] for x in space._moment_frame(u))
-    qualifying, band = spaces._anti_fixed_rank(space, m, psis, frame)
-    ref_qualifying, ref_band = anti_fixed_rank_svd(space, m, psis)
-    assert np.array_equal(qualifying, ref_qualifying) and np.array_equal(band, ref_band)
+    ref_qualifying, _ = anti_fixed_rank_svd(space, m, np.stack(space._moment(m), axis=1))
+    assert np.all(ref_qualifying == 2 * np.sum(space._moduli < 2 * spaces.RANK_CUTOFF))
+    mismatch, undecided = space._pair_mismatch(m, u)
+    assert not np.any(mismatch) and not np.any(undecided)
 
 
 def class_cases(n):
@@ -827,7 +986,7 @@ def test_class_basis_is_orthonormal_and_spans_the_svd_basis(n):
         m = space._carry(flows, space.base[:, None])
         ref = class_basis_svd(space, m)
         for given in (None, flows):
-            basis = space.field_at(block_rows(space._basis(m, given)), spaces._lift(m))
+            basis = field_at(space, block_rows(space._basis(m, given)), spaces._lift(m))
             assert basis.shape == ref.shape == (1, 3, basis.shape[-3], n, n), name
             assert basis.shape[-3] == space.dim - 2 * (name == "unresolved"), name
             b, r = spaces.realvec(basis), spaces.realvec(ref)
@@ -847,7 +1006,7 @@ def test_class_cocycle_and_moment_take_no_svd(monkeypatch):
     for axiom in ("cocycle", "moment"):
         assert verify_axiom(space, axiom, samples=3, seed=7).passed
     with pytest.raises(AssertionError):  # the patch bites
-        verify_axiom(space, "min_degeneracy", samples=1, seed=7)
+        reduction_rank(Genus(2, 1), Genus(2, 1).base)
 
 
 def test_class_point_is_decomposed_once_per_stack(monkeypatch):
@@ -868,21 +1027,23 @@ def test_class_point_is_decomposed_once_per_stack(monkeypatch):
 
 
 def test_min_degeneracy_decompositions_per_stack(monkeypatch):
-    # a lone class point takes its eigenframe from its own flow, so its
-    # stacks decompose nothing, with -1 pairs (class(2, 1/4)) or without; a
-    # product moment takes one eigvals pre-pass per stack
+    # a lone class point takes its eigenframe from its own flow and is
+    # decided pair by pair, so its stacks decompose nothing, with -1 pairs
+    # (class(2, 1/4)) or without; a generic product stack takes one eigvals
+    # pre-pass and one slogdet for the Liouville identity, and no SVD
     calls = []
-    for name in ("eig", "eigvals", "qr"):
+    for name in ("eig", "eigvals", "qr", "svd", "slogdet"):
         real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, real=real, **k:
+                            calls.append(name) or real(*a, **k))
     cases = [(ConjugacyClass(8, generic_xi(8)), 20, 3), (ConjugacyClass(2, (Q(1, 4), Q(-1, 4))), 3, 1),
              (Double(3), 40, 2), (Genus(2, 2), 3, 1), (Fused([Double(2)]), 3, 1)]
     for space, samples, stacks in cases:
         assert -(-samples // (spaces.STACK_ROWS // space.dim)) == stacks
         calls.clear()
         assert verify_axiom(space, "min_degeneracy", samples=samples, seed=7).passed
-        assert calls == ([] if isinstance(space, ConjugacyClass) else ["eigvals"] * stacks), space
+        assert calls == ([] if isinstance(space, ConjugacyClass)
+                         else ["eigvals", "slogdet"] * stacks), space
 
 
 def test_persistently_undecided_sampling_is_an_input_error():
@@ -978,7 +1139,7 @@ def test_action_moment_and_fields_over_points_match_single_points(name, space):
     cases = [
         (space._act(stack(gs), m), [space._act(g, x) for g, x in zip(gs, points)]),
         (np.stack(space._moment(m)), [np.stack(space._moment(x)) for x in points]),
-        (space.field_at(stack(datas), m), [space.field_at(d, x) for d, x in zip(datas, points)]),
+        (field_at(space, stack(datas), m), [field_at(space, d, x) for d, x in zip(datas, points)]),
         (space.field_flow(stack(datas), m, times),
          [space.field_flow(d, x, t) for d, x, t in zip(datas, points, times)]),
     ]
@@ -1526,7 +1687,7 @@ def test_genus_matches_explicit_fusion_chain(n, h):
         (space._act(g[None], m), other._act(g[None], m)),
         (space._act(g[None], basis[-1]), other._act(g[None], basis[-1])),
         (space._generating(xi[None], m), other._generating(xi[None], m)),
-        (space.field_at(data, m), other.field_at(data, m)),
+        (field_at(space, data, m), field_at(other, data, m)),
         (space.field_flow(data, m, 0.3), other.field_flow(data, m, 0.3)),
         (space.field_bracket(data, flip), other.field_bracket(data, flip)),
     ]
@@ -1548,7 +1709,7 @@ def test_slot_kinds_match_closed_forms():
     datas = [space.random_field(rng) for _ in range(3)]
     times = np.array([0.3, -0.7, 1.1])
     for m, data, t in ((points[0], datas[0], times[0]), (stack(points), stack(datas), times)):
-        at, flow = space.field_at(data, m), space.field_flow(data, m, t)
+        at, flow = field_at(space, data, m), space.field_flow(data, m, t)
         for j, (x, p) in enumerate(zip(data, m)):
             u = expm_skew(np.asarray(t)[..., None, None] * x)
             if j in (0, 3):
