@@ -296,8 +296,9 @@ def _run_holonomy(args) -> tuple[int, dict]:
         raise InputError(
             "invalid-grids", f"--grids takes comma-separated integers, got {args.grids!r}"
         ) from exc
-    if len(set(grids)) < 2 or min(grids) < 1:
-        raise InputError("invalid-grids", f"need two distinct grid sizes >= 1, got {grids}")
+    if len(set(grids)) < max(2, len(grids)) or min(grids) < 1:
+        raise InputError("invalid-grids",
+                         f"need two or more grid sizes >= 1, none repeated, got {grids}")
     if max(grids) > MAX_GRID:
         raise InputError("grid-too-large", f"grid size {max(grids)} exceeds {MAX_GRID}")
     if args.n < 2:
@@ -305,9 +306,7 @@ def _run_holonomy(args) -> tuple[int, dict]:
     _bounded(args.n**2 - 1)
 
     rng = np.random.default_rng(args.seed)
-    x = random_algebra(args.n, rng)
-    y = random_algebra(args.n, rng)
-    z = random_algebra(args.n, rng)
+    x, y, z = random_algebra(args.n, rng, shape=(3,))
     g0 = random_special_unitary(args.n, rng)
     # The test loop g0 exp(2 pi t W) exp(sin(2 pi t) z) in closed form: W is
     # i diag(1, 0, ..., 0, -1), and exp(s z) = V e^{-i s mu} V* for i z = V mu V*.
@@ -345,15 +344,14 @@ def _reduce_rank(args, h: int) -> tuple[int, dict]:
     import numpy as np
 
     from .spaces import make_space, reduction_rank
-    from .sun import expm_skew, random_special_unitary
+    from .sun import expm_skew, random_algebra, random_special_unitary
 
     rng = np.random.default_rng(args.seed)
     # The space is built first: it rejects an n the points cannot be drawn for.
     space = make_space("genus", n=args.n, h=h)
     point = space.base  # the identity
     if args.at == "abba":
-        a = random_special_unitary(args.n, rng)
-        b = random_special_unitary(args.n, rng)
+        a, b = expm_skew(random_algebra(args.n, rng, shape=(2,)))
         point = np.stack([a, b, b, a])
     elif args.at == "commuting":
         diag = 1j * np.diag([1.0] + [0.0] * (args.n - 2) + [-1.0])

@@ -14,10 +14,14 @@ one Gaussian su(n) element per slot.  Every space gives one structure record
 (Omega, Psi, L) for a stack of field data: the Gram matrix of its 2-form, its
 moment factors and their left logarithmic derivatives L = Psi^-1 dPsi; the
 right one is Ad_Psi L and is not stored.  Fusion is one rule on
-records; the verifier only reads records and the common interface, so every
-axiom check runs uniformly across spaces.  A stack of points carries leading
-axes P after the slot axis, (k, *P, n, n); records, moments, actions and
-fields then carry the same axes, and a single point is the case without them.
+records, and a run of parts that are one object, such as a genus's doubles,
+gives one record over a leading axis before the fold; the verifier only
+reads records and the common interface, so every axiom check runs uniformly
+across spaces.  A stack of points carries leading axes P after the slot
+axis, (k, *P, n, n); records, moments, actions and fields then carry the
+same axes, and a single point is the case without them.  The verifier draws
+each stack of moment, cocycle or equivariance samples in one generator call,
+the values of a loop over the samples, and runs its matrix work once per stack.
 
 The tangent basis is a block stack: slot j's basis data on its own d_j rows,
 the rows in slot order, a double's a rows then its b rows.  Its record is
@@ -42,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import lcm
 
 import numpy as np
@@ -224,10 +228,6 @@ class QSpace:
     group_factors: int
     dim: int
     class_slots: tuple = ()
-
-    def random_algebra_element(self, rng) -> np.ndarray:
-        """A Gaussian su(n) element per group factor, drawn in one call."""
-        return random_algebra(self.n, rng, shape=(self.group_factors,))
 
     def random_field(self, rng) -> np.ndarray:
         """A Gaussian su(n) element on every slot, drawn in one call."""
@@ -443,15 +443,24 @@ class Fused(QSpace):
                                    for p, k in zip(self.parts, self._keys))),)
 
     def structure(self, m, stack, blocks=False):
-        def record(p, k):  # a pair part's two factors fuse first, on the part's rows
-            r = p.structure(m[k], stack[k], blocks)
-            return _fuse(r.omega, r.factor(0), r.factor(1)) if p.group_factors == 2 else r
+        def records(run):  # a run of h parts that are one object: one record over an axis of h
+            (p, k), h = run[0], len(run)
+            size = k.stop - k.start
+            end = k.start + h * size
+            pm = m[k.start : end].reshape((h, size) + m.shape[1:]).swapaxes(0, 1)
+            r = p.structure(pm, [np.stack(stack[j:end:size]) for j in range(k.start, k.stop)],
+                            blocks)
+            if p.group_factors == 2:  # a pair part's two factors fuse first, on the part's rows
+                r = _fuse(r.omega, r.factor(0), r.factor(1))
+            psi, left = r.factor(0)
+            return [Structure(r.omega[i], (psi[i],), (left[i],)) for i in range(h)]
 
         def fold(r1, r2):  # on blocks the parts' rows are apart
             omega = (r1.omega, r2.omega) if blocks else r1.omega + r2.omega
             return _fuse(omega, r1.factor(0), r2.factor(0), blocks)
 
-        return reduce(fold, map(record, self.parts, self._keys))
+        runs = groupby(zip(self.parts, self._keys), key=lambda pk: id(pk[0]))
+        return reduce(fold, [r for _, run in runs for r in records(list(run))])
 
 
 class Genus(Fused):
@@ -627,25 +636,23 @@ def _equivariance_residuals(space: QSpace, m, g) -> np.ndarray:
                                for gi, left, right in zip(g, moved, space._moment(m))))
 
 
-def _draw(space: QSpace, axiom: str, rng) -> tuple:
-    """One sample as a loop over samples draws it, by the generator alone: the
-    point's field, then for moment xi and space.dim coefficients of w on the
-    tangent basis, for cocycle three field data, for equivariance g's exponent."""
-    f = space.random_field(rng)
-    if axiom == "moment":
-        xi = space.random_algebra_element(rng)
-        return f, xi, rng.normal(size=space.dim)
+def _draw_stack(space: QSpace, axiom: str, count: int, rng) -> tuple:
+    """The draws of count moment, cocycle or equivariance samples from one
+    generator call.  Per sample: the point's field, then for moment xi and
+    space.dim coefficients of w on the tangent basis, for cocycle three
+    fields, for equivariance g's exponent; a matrix is its real then its
+    imaginary part.  A Generator fills in order, so the values and the final
+    state are those of a loop over the samples.  Matrices come slot first,
+    then the samples; coefficients by sample."""
+    k, n = len(space.base), space.n
+    slots = 4 * k if axiom == "cocycle" else k + space.group_factors
+    size = slots * 2 * n * n
+    z = rng.normal(size=(count, size + (space.dim if axiom == "moment" else 0)))
+    x = z[:, :size].reshape(count, slots, 2, n, n)
+    x = np.moveaxis(project_algebra(x[:, :, 0] + 1j * x[:, :, 1]), 0, 1)
     if axiom == "cocycle":
-        return f, np.stack([space.random_field(rng) for _ in range(3)], axis=1)
-    if axiom == "equivariance":
-        return f, space.random_algebra_element(rng)
-    return (f,)
-
-
-def _stack_draws(draws: list) -> list:
-    """The draws of a stack of samples, each kind as one array: matrices
-    keep their slot axis first, then the samples; coefficients are by sample."""
-    return [np.stack(x, axis=int(x[0].ndim > 1)) for x in zip(*draws)]
+        return x[:k], np.moveaxis(x[k:].reshape((3, k) + x.shape[1:]), 0, 2)
+    return (x[:k], x[k:]) + ((z[:, size:],) if axiom == "moment" else ())
 
 
 def _residuals(space: QSpace, axiom: str, fd_step: float, f, *drawn) -> np.ndarray:
@@ -660,12 +667,13 @@ def _residuals(space: QSpace, axiom: str, fd_step: float, f, *drawn) -> np.ndarr
         xi, coeffs = drawn
         blocks = space._basis(m)
         ends = list(accumulate((x.shape[-3] for x in blocks), initial=0))
-        # one product per slot and sample over all rows, the block padded with zeros, as the
-        # loop combines its basis: over the block's rows alone BLAS rounds otherwise
-        pads = [[(0, 0), (a, ends[-1] - b), (0, 0), (0, 0)] for a, b in zip(ends, ends[1:])]
-        w = np.array([[np.tensordot(c[: ends[-1]], xp, axes=1)
-                       for c, xp in zip(coeffs, np.pad(x, pad))] for x, pad in zip(blocks, pads)])
-        return _moment_residuals(space, m, xi, w)
+        # one product over all rows of the zero-filled block stack, as the loop combines its
+        # basis: over a block's own rows alone BLAS rounds otherwise
+        rows = np.zeros(m.shape[:2] + (ends[-1],) + m.shape[2:], dtype=complex)
+        for j, x in enumerate(blocks):
+            rows[j, :, ends[j] : ends[j + 1]] = x
+        w = coeffs[:, None, : ends[-1]] @ rows.reshape(rows.shape[:3] + (m[0, 0].size,))
+        return _moment_residuals(space, m, xi, w.reshape(m.shape))
     if axiom == "cocycle":
         return _cocycle_residuals(space, m, _orthonormal_fields(drawn[0]), fd_step)
     if axiom == "equivariance":
@@ -677,18 +685,24 @@ def _sample_residuals(space: QSpace, axiom: str, samples: int, fd_step: float,
                       rng) -> np.ndarray:
     """The residual of each sample, with the draws of a loop over one sample
     at a time, evaluated in stacks of at most STACK_ROWS // dim samples (one
-    when dim > STACK_ROWS).  At the first undecided min_degeneracy sample of
-    a stack the results before it are kept and the state saved right after
-    its draw is restored, so the loop's redraw comes next.  RETRIES undecided
-    draws in a row are an error, and so is a residual that is not finite."""
+    when dim > STACK_ROWS), each drawn in one call.  min_degeneracy draws
+    sample by sample: at the first undecided sample of a stack the results
+    before it are kept and the state saved right after its draw is restored,
+    so the loop's redraw comes next.  RETRIES undecided draws in a row are
+    an error, and so is a residual that is not finite."""
     step = max(1, STACK_ROWS // max(space.dim, 1))
     out, done, undecided = np.empty(samples), 0, 0
     while done < samples:
-        draws, states = [], []
-        for _ in range(min(step, samples - done)):
-            draws.append(_draw(space, axiom, rng))
-            states.append(rng.bit_generator.state)
-        part, redo = _residuals(space, axiom, fd_step, *_stack_draws(draws)), []
+        count = min(step, samples - done)
+        if axiom == "min_degeneracy":  # a redraw restores the state right after a given draw
+            draws, states = [], []
+            for _ in range(count):
+                draws.append(space.random_field(rng))
+                states.append(rng.bit_generator.state)
+            drawn = (np.stack(draws, axis=1),)
+        else:
+            drawn = _draw_stack(space, axiom, count, rng)
+        part, redo = _residuals(space, axiom, fd_step, *drawn), []
         if axiom == "min_degeneracy":
             part, redo = part[0], np.flatnonzero(part[1])
         keep = redo[0] if len(redo) else len(part)

@@ -2,11 +2,13 @@
 linear algebra, the simple and lowest roots and the alcove, lattice and
 pre-quantization tests over Fractions, the one-matrix gerbe helpers, the
 constant connection of the acceptance tests and its JSON, one random point
-of a space, the zero-filled records that the block records of the spaces
-replaced, and the realified su(n) operators that their eigenbasis formulas
-replaced."""
+of a space, the verifier's draws sample by sample, the moment check's
+tangents slot by slot and sample by sample, a fused record part by part,
+the zero-filled records that the block records of the spaces replaced, and
+the realified su(n) operators that their eigenbasis formulas replaced."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -17,13 +19,14 @@ from quasiham.gerbe import _cover, _ordered_eig, _spectral_record
 from quasiham.holonomy import PiecewiseConnection
 from quasiham.prequant import NOT_A_WEIGHT
 from quasiham.rational import format_vector
-from quasiham.spaces import RANK_CUTOFF, _lift, _rank, realvec, unrealvec
+from quasiham.spaces import RANK_CUTOFF, _fuse, _lift, _rank, realvec, unrealvec
 from quasiham.sun import (
     _basis_stack,
     alcove_coordinates,
     check_algebra,
     check_special_unitary,
     complex_pairs,
+    random_algebra,
 )
 
 
@@ -211,6 +214,59 @@ def sample(space, rng):
     """A random point of a space: the time-one flow of a random field from
     its base point, as the verifier draws its points."""
     return space.field_flow(space.random_field(rng), space.base, 1.0)
+
+
+def algebra_element(space, rng):
+    """A Gaussian su(n) element per group factor, drawn in one call: xi of
+    the moment check, and the exponent of g of the equivariance check."""
+    return random_algebra(space.n, rng, shape=(space.group_factors,))
+
+
+def draw(space, axiom, rng):
+    """One sample as a loop over samples draws it, by the generator alone: the
+    point's field, then for moment xi and space.dim coefficients of w on the
+    tangent basis, for cocycle three field data, for equivariance g's exponent."""
+    f = space.random_field(rng)
+    if axiom == "moment":
+        xi = algebra_element(space, rng)
+        return f, xi, rng.normal(size=space.dim)
+    if axiom == "cocycle":
+        return f, np.stack([space.random_field(rng) for _ in range(3)], axis=1)
+    if axiom == "equivariance":
+        return f, algebra_element(space, rng)
+    return (f,)
+
+
+def stack_draws(draws):
+    """The draws of a stack of samples, each kind as one array: matrices
+    keep their slot axis first, then the samples; coefficients are by sample."""
+    return [np.stack(x, axis=int(x[0].ndim > 1)) for x in zip(*draws)]
+
+
+def moment_tangents(blocks, coeffs):
+    """The moment check's w at a stack of S points: per slot and sample, the
+    sample's d coefficients (S, d) against the slot's block of the basis
+    blocks, zero-padded to all d rows, in one tensordot each."""
+    ends = list(accumulate((x.shape[-3] for x in blocks), initial=0))
+    pads = [[(0, 0), (a, ends[-1] - b), (0, 0), (0, 0)] for a, b in zip(ends, ends[1:])]
+    return np.array([[np.tensordot(c[: ends[-1]], xp, axes=1)
+                      for c, xp in zip(coeffs, np.pad(x, pad))] for x, pad in zip(blocks, pads)])
+
+
+def part_by_part_record(space, m, stack, blocks=False):
+    """The record of a Fused space as a fold over its parts one at a time:
+    each part's own record on its slots (a pair part's two factors fused
+    first), then each fusion step, with no part sharing a call."""
+
+    def record(p, k):
+        r = p.structure(m[k], stack[k], blocks)
+        return _fuse(r.omega, r.factor(0), r.factor(1)) if p.group_factors == 2 else r
+
+    def fold(r1, r2):
+        omega = (r1.omega, r2.omega) if blocks else r1.omega + r2.omega
+        return _fuse(omega, r1.factor(0), r2.factor(0), blocks)
+
+    return reduce(fold, map(record, space.parts, space._keys))
 
 
 def field_at(space, data, m):

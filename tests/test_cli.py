@@ -616,6 +616,7 @@ CLASS = ["verify", "--space", "conjugacy_class", "--axiom", "moment"]
         (CLASS + ["--n", "4", "--xi", "1/8,-1/8"], "dimension-mismatch"),
         (CLASS + ["--n", "2", "--xi", "3/8,1/8,-1/8,-3/8"], "dimension-mismatch"),
         (["check-class", "--type", "A2", "--xi", "1/2", "--level", "1"], "dimension-mismatch"),
+        (["holonomy-convergence", "--grids", "8,8,16"], "invalid-grids"),
     ],
 )
 def test_invalid_input_exits_two_with_tag(argv, tag, capsys):

@@ -8,13 +8,18 @@ import scipy.linalg
 
 from oracles import (
     algebra_coords,
+    algebra_element,
     algebra_from_coords,
     anti_fixed_rank_svd,
     block_rows,
     class_basis_svd,
+    draw,
     field_at,
+    moment_tangents,
+    part_by_part_record,
     realified_operator,
     sample,
+    stack_draws,
     zero_filled_record,
 )
 from quasiham import spaces
@@ -79,7 +84,7 @@ def gram_of(space, m, data):
 def random_group(space, rng):
     """A group element as the verifier draws g: the exponential of the
     space's algebra draw, one slot per factor."""
-    return expm_skew(space.random_algebra_element(rng))
+    return expm_skew(algebra_element(space, rng))
 
 
 def pair_omega(space, m, v, w):
@@ -422,12 +427,13 @@ def test_record_matches_reference_moment_derivative(name, space, d):
 def test_random_tangent_is_basis_combination(name, space, d, monkeypatch):
     # the moment draw's w combines the basis with the d normals drawn after xi
     rng = np.random.default_rng(89)
-    f, xi, coeffs = spaces._draw(space, "moment", rng)
+    drawn = spaces._draw_stack(space, "moment", 1, rng)
+    f, xi, coeffs = drawn[0][:, 0], drawn[1][:, 0], drawn[2][0]
     m = space.field_flow(f, space.base, 1.0)
     ref_rng = np.random.default_rng(89)
     ref_m, basis = sample_with_basis(space, ref_rng)
     assert np.array_equal(m, ref_m) and len(basis) == d
-    assert np.array_equal(xi, space.random_algebra_element(ref_rng))
+    assert np.array_equal(xi, algebra_element(space, ref_rng))
     assert np.array_equal(coeffs, ref_rng.normal(size=len(basis)))
     assert ref_rng.bit_generator.state == rng.bit_generator.state  # the same draws
     ref = np.zeros_like(m)
@@ -436,9 +442,22 @@ def test_random_tangent_is_basis_combination(name, space, d, monkeypatch):
     # the w the stacked residual gets, from the basis built over the stack
     seen = []
     monkeypatch.setattr(spaces, "_moment_residuals", lambda sp, *args: seen.append(args))
-    spaces._residuals(space, "moment", 1e-4, *spaces._stack_draws([(f, xi, coeffs)]))
+    spaces._residuals(space, "moment", 1e-4, *drawn)
     [(_, _, w)] = seen
     assert np.max(np.abs(w[:, 0] - ref)) < 1e-14
+
+
+@pytest.mark.parametrize("name,space,d", gram_spaces())
+def test_moment_tangents_match_per_slot_products(name, space, d, monkeypatch):
+    # w of a stack of samples is one product over the zero-filled block stack:
+    # the per-slot, per-sample tensordot over all d rows, bit for bit
+    seen = []
+    monkeypatch.setattr(spaces, "_moment_residuals", lambda sp, *args: seen.append(args))
+    for count in (1, 2, 3, 5):
+        drawn = spaces._draw_stack(space, "moment", count, np.random.default_rng(227 + count))
+        spaces._residuals(space, "moment", 1e-4, *drawn)
+        m, _, w = seen[-1]
+        assert same_bits(w, moment_tangents(space._basis(m), drawn[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -1165,7 +1184,7 @@ def random_tangent(m, basis, rng):
 
 
 def moment_residual(space, m, basis, rng):
-    xi = space.random_algebra_element(rng)
+    xi = algebra_element(space, rng)
     v = space._generating(xi, m)
     w = random_tangent(m, basis, rng)
     rec = _record(space, m, [v, w])
@@ -1268,6 +1287,9 @@ def loop_residuals(space, axiom, samples, seed, fd_step=1e-4):
 # products matrix by matrix, and the degeneracy mismatch is an integer.
 STACK_TOLERANCES = {"moment": 1e-15, "cocycle": 1e-12, "equivariance": 0.0,
                     "min_degeneracy": 0.0}
+# The axioms whose stacks draw in one generator call; min_degeneracy draws
+# sample by sample.
+STACKED_DRAWS = ("moment", "cocycle", "equivariance")
 
 
 @pytest.mark.parametrize("axiom", ["moment", "cocycle", "equivariance", "min_degeneracy"])
@@ -1293,9 +1315,10 @@ LOOP_ONLY = ("random_tangent", "orthonormal_fields", "random_group")
 def spy_draws(space, monkeypatch):
     """Log every draw, in order: field data (a point's field first, then a
     cocycle's three), algebra elements (xi or the exponent of g), the loop
-    oracle's points and its own draws; and the stacked arguments the
+    oracle's points and its own draws, and each sample of the verifier's
+    stacked draw as those draws of the loop; and the stacked arguments the
     residuals get."""
-    log, stacked = [], []
+    log, stacked, draw_stack = [], [], spaces._draw_stack
 
     def spied(kind, fn):
         def spy(*args, **kwargs):
@@ -1305,10 +1328,21 @@ def spy_draws(space, monkeypatch):
         return spy
 
     monkeypatch.setitem(globals(), "sample", spied("point", sample))
-    for kind in ("random_algebra_element", "random_field"):
-        monkeypatch.setattr(space, kind, spied(kind, getattr(space, kind)))
-    for kind in LOOP_ONLY:
+    monkeypatch.setattr(space, "random_field", spied("random_field", space.random_field))
+    for kind in ("algebra_element",) + LOOP_ONLY:
         monkeypatch.setitem(globals(), kind, spied(kind, globals()[kind]))
+
+    def stacked_draw(sp, axiom, count, rng):
+        out = draw_stack(sp, axiom, count, rng)
+        for p in range(count):
+            log.append(("random_field", out[0][:, p]))
+            if axiom == "cocycle":
+                log.extend(("random_field", out[1][:, p, i]) for i in range(3))
+            else:
+                log.append(("algebra_element", out[1][:, p]))
+        return out
+
+    monkeypatch.setattr(spaces, "_draw_stack", stacked_draw)
     for name in ("_moment_residuals", "_cocycle_residuals", "_equivariance_residuals"):
         real = getattr(spaces, name)
         monkeypatch.setattr(spaces, name,
@@ -1334,7 +1368,7 @@ def test_verify_axiom_draws_what_the_loop_draws(axiom, monkeypatch):
         # the loop's points, w, fields and g equal, bit for bit, what the
         # verifier builds once per stack from its draws
         if axiom == "moment":
-            expected = (drawn_as("point"), drawn_as("random_algebra_element"),
+            expected = (drawn_as("point"), drawn_as("algebra_element"),
                         drawn_as("random_tangent"))
         elif axiom == "cocycle":
             expected = (drawn_as("point"), drawn_as("orthonormal_fields", stack), 1e-4)
@@ -1390,6 +1424,12 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def same_record(rec, ref):
+    """Two records hold the same bits, field by field."""
+    return (len(rec.psi) == len(ref.psi) and same_bits(rec.omega, ref.omega)
+            and all(map(same_bits, rec.psi + rec.left, ref.psi + ref.left)))
+
+
 class Raising:
     def __getattr__(self, name):
         raise AssertionError(f"numpy.linalg.{name} called in a draw")
@@ -1410,17 +1450,19 @@ def test_draws_keep_the_seed_contract(n, monkeypatch):
             for kind, draw in (("point", partial(sample, space)), ("field", space.random_field)):
                 assert same_bits(draw(np.random.default_rng(seed)),
                                  draw_by_parts(space, np.random.default_rng(seed), kind))
-            f = spaces._draw(space, "min_degeneracy", np.random.default_rng(seed))[0]
-            assert same_bits(space.field_flow(f, space.base, 1.0),
-                             draw_by_parts(space, np.random.default_rng(seed), "point"))
+            for axiom in STACKED_DRAWS:
+                f = spaces._draw_stack(space, axiom, 1, np.random.default_rng(seed))[0][:, 0]
+                assert same_bits(space.field_flow(f, space.base, 1.0),
+                                 draw_by_parts(space, np.random.default_rng(seed), "point"))
     # the draw loop calls the generator and no matrix function
     monkeypatch.setattr(spaces, "expm_skew", raising_expm)
     monkeypatch.setattr(np, "linalg", Raising())
     for space in contract_spaces(n):
         with pytest.raises(AssertionError):  # the patches bite: a point is matrix work
             sample(space, np.random.default_rng(n))
-        for axiom in spaces.AXIOMS:
-            spaces._draw(space, axiom, np.random.default_rng(n))
+        for axiom in STACKED_DRAWS:
+            spaces._draw_stack(space, axiom, 3, np.random.default_rng(n))
+        space.random_field(np.random.default_rng(n))  # min_degeneracy's draw
 
 
 class Scripted(Genus):
@@ -1511,9 +1553,16 @@ def test_every_axiom_stack_holds_at_most_stack_rows(name, space, axiom, step, mo
     samples, seed = 7, 41
     whole = spaces._sample_residuals(space, axiom, samples, 1e-4, np.random.default_rng(seed))
     monkeypatch.setattr(spaces, "STACK_ROWS", step * space.dim)
-    draws, stacks, residuals, draw = [], [], spaces._residuals, spaces._draw
-    monkeypatch.setattr(spaces, "_draw", lambda sp, ax, rng: draws.append(draw(sp, ax, rng))
-                        or draws[-1])
+    draws, stacks, residuals, draw_stack = [], [], spaces._residuals, spaces._draw_stack
+
+    def spied_draw(sp, ax, count, rng):
+        # the stack's samples as the loop draws them, by the oracle from the same state
+        ref = np.random.default_rng(0)
+        ref.bit_generator.state = rng.bit_generator.state
+        draws.extend(draw(sp, ax, ref) for _ in range(count))
+        return draw_stack(sp, ax, count, rng)
+
+    monkeypatch.setattr(spaces, "_draw_stack", spied_draw)
 
     def spied(sp, ax, fd_step, *drawn):
         stacks.append((len(draws), residuals(sp, ax, fd_step, *drawn)))
@@ -1525,9 +1574,69 @@ def test_every_axiom_stack_holds_at_most_stack_rows(name, space, axiom, step, mo
         [samples % step] if samples % step else [])
     assert len(draws) == samples and np.array_equal(stacked, whole)
     for end, part in stacks:
-        one_by_one = [residuals(space, axiom, 1e-4, *spaces._stack_draws([d]))[0]
+        one_by_one = [residuals(space, axiom, 1e-4, *stack_draws([d]))[0]
                       for d in draws[end - len(part):end]]
         assert np.array_equal(part, one_by_one)
+
+
+@pytest.mark.parametrize("axiom", STACKED_DRAWS)
+@pytest.mark.parametrize("name,space", stack_spaces())
+def test_stacked_draw_matches_the_loop_draws(name, space, axiom, monkeypatch):
+    # one generator call gives the per-sample loop's draws and leaves its
+    # state, bit for bit, at 1, 2 and 3 samples, and over stacks split at
+    # STACK_ROWS
+    for count in (1, 2, 3):
+        rng, ref = np.random.default_rng(211), np.random.default_rng(211)
+        stacked = spaces._draw_stack(space, axiom, count, rng)
+        loop = stack_draws([draw(space, axiom, ref) for _ in range(count)])
+        assert len(stacked) == len(loop) and all(map(same_bits, stacked, loop))
+        assert rng.bit_generator.state == ref.bit_generator.state
+    monkeypatch.setattr(spaces, "STACK_ROWS", 2 * space.dim)
+    rng, ref = np.random.default_rng(223), np.random.default_rng(223)
+    spaces._sample_residuals(space, axiom, 5, 1e-4, rng)
+    for _ in range(5):
+        draw(space, axiom, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class CountingGenerator(np.random.Generator):
+    """A generator that counts its normal calls."""
+
+    calls = 0
+
+    def normal(self, *args, **kwargs):
+        self.calls += 1
+        return super().normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("axiom", STACKED_DRAWS)
+def test_axiom_stack_draws_in_one_generator_call(axiom, monkeypatch):
+    # each moment, cocycle or equivariance stack draws its samples with one
+    # normal call, however many stacks STACK_ROWS splits them into
+    for _, space in stack_spaces():
+        for step, samples in ((1, 1), (1, 3), (2, 5), (5, 5)):
+            monkeypatch.setattr(spaces, "STACK_ROWS", step * space.dim)
+            rng = CountingGenerator(np.random.PCG64(229))
+            spaces._sample_residuals(space, axiom, samples, 1e-4, rng)
+            assert rng.calls == -(-samples // step), (space, step, samples)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_genus_record_makes_one_double_call(h, monkeypatch):
+    # the h doubles of a genus space are one object, and their record is one
+    # Double.structure call over an axis of h, in both layouts, at a point
+    # and over a stack of points
+    space, calls, real = Genus(2, h), [], Double.structure
+    monkeypatch.setattr(Double, "structure",
+                        lambda self, *args: calls.append(self) or real(self, *args))
+    rng = np.random.default_rng(233)
+    points = stack([sample(space, rng) for _ in range(3)])
+    for m in (points[:, 0], points):
+        blocks = space._basis(m)
+        for stacked, layout in ((block_rows(blocks), False), (blocks, True)):
+            calls.clear()
+            space.structure(m, stacked, layout)
+            assert calls == [space.parts[0]]
 
 
 def test_undecided_samples_are_counted_per_sample():
@@ -1693,6 +1802,13 @@ def test_genus_matches_explicit_fusion_chain(n, h):
     ]
     for flat, nested in pairs:
         assert np.array_equal(flat, nested)
+    # the h doubles are one object and make one record over an axis of h: the fold of
+    # their records one at a time, bit for bit, in both layouts and over a stack of points
+    for at in (m, stack([m, sample(space, rng)])):
+        blocks = space._basis(at)
+        for stacked, layout in ((block_rows(blocks), False), (blocks, True)):
+            assert same_record(space.structure(at, stacked, layout),
+                               part_by_part_record(space, at, stacked, layout))
 
 
 def test_slot_kinds_match_closed_forms():
@@ -1896,7 +2012,7 @@ def test_sphere4_action_shape():
 # the block records against the zero-filled records they replaced
 
 def block_record_spaces():
-    other = ConjugacyClass(3, (Q(3, 8), Q(-1, 8), Q(-1, 4)))
+    other, double = ConjugacyClass(3, (Q(3, 8), Q(-1, 8), Q(-1, 4))), Double(3)
     return [
         ("class(2)", ConjugacyClass(2, (Q(1, 8), Q(-1, 8)))),
         ("class(3)", ConjugacyClass(3, GENERIC_XI3)),
@@ -1910,6 +2026,7 @@ def block_record_spaces():
         ("genus(2,3)", Genus(2, 3)),
         ("genus(3,2)", Genus(3, 2)),
         ("class-double-class", Fused([ConjugacyClass(3, GENERIC_XI3), Double(3), other])),
+        ("runs", Fused([other, other, double, double])),
     ]
 
 
@@ -1925,6 +2042,9 @@ def test_block_record_matches_zero_filled_record(name, space):
         m = space._carry(flows, base)
         for given in (None, flows):
             rec = space.structure(m, space._basis(m, given), blocks=True)
+            if isinstance(space, Fused):  # a run of parts that are one object shares a call
+                ref = part_by_part_record(space, m, space._basis(m, given), blocks=True)
+                assert same_record(rec, ref), name
             ref = zero_filled_record(space, m, given)
             assert rec.omega.shape == ref.omega.shape == m.shape[1:-2] + (space.dim,) * 2
             assert np.max(np.abs(rec.omega - ref.omega)) <= 1e-13, name
