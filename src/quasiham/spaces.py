@@ -20,8 +20,8 @@ reads records and the common interface, so every axiom check runs uniformly
 across spaces.  A stack of points carries leading axes P after the slot
 axis, (k, *P, n, n); records, moments, actions and fields then carry the
 same axes, and a single point is the case without them.  The verifier draws
-each stack of moment, cocycle or equivariance samples in one generator call,
-the values of a loop over the samples, and runs its matrix work once per stack.
+each stack of samples of every axiom in one generator call, the values of a
+loop over the samples, and runs its matrix work once per stack.
 
 The tangent basis is a block stack: slot j's basis data on its own d_j rows,
 the rows in slot order, a double's a rows then its b rows.  Its record is
@@ -30,8 +30,8 @@ each fusion step adds the one block between the rows before it and the next
 part's, and stacks the lefts; min_degeneracy and reduction_rank read it.  In
 the eigenframe (diag m_0, u) of a lone class point u m_0 u*, the flow of its
 base point, Omega is one 2 x 2 block per eigenvalue pair of xi, decided pair
-by pair; a product point is decided by the Liouville identity, or an SVD.  The
-moment and cocycle checks read records over stacks whose every slot spans all rows.
+by pair; at a product point Ad_Psi + 1 picks the Liouville identity or an SVD.
+The moment and cocycle checks read records over stacks whose every slot spans all rows.
 
 Conventions: actions are left actions, generating vector fields satisfy
 [xi_M, zeta_M] = -[xi, zeta]_M, and the double pairs g-valued 1-forms by
@@ -60,7 +60,6 @@ from .sun import (
     pair_basis,
     pair_indices,
     project_algebra,
-    random_algebra,
     torus_point,
     unitary_eig,
     _PAULI,
@@ -70,24 +69,19 @@ from .sun import (
 
 RANK_CUTOFF = 1e-7
 KERNEL_FLOOR = 1e-12
-RETRIES = 8  # draws per sample before undecided ranks are an error
 # Tangents per stacked evaluation, STACK_ROWS // dim samples of any axiom.  More
 # gain little speed and cost memory: genus(4, 8) min_degeneracy with 50 samples
 # took 8.7-8.9 ms a sample at 512 (41 MB peak) and 8.1 ms in one stack (93 MB),
 # min of 3 (2-vCPU KVM guest, BLAS on 1 thread).
 STACK_ROWS = 512
-# A relative singular value in [RANK_CUTOFF, DECIDED_GAP) leaves a rank undecided, and
-# min_degeneracy redraws a sample whose ranks then disagree (genus(2,2) at |tr Psi| =
-# 2.5e-6: omega 8.6e-8, Ad_Psi + 1 1.25e-6).  The Liouville identity reads product points
-# with all |d_i conj(d_j) + 1| / 2 >= DECIDED_GAP: on the streams (seeds 1-4) all, least 4.3e-4.
-DECIDED_GAP = 1e-5
 # Off a lone class's 2 x 2 blocks, omega in units of its bound 2 |X| |Y| / 4 pi^2 on
 # the rows' data (of norm 4 pi^2 / gap) is rounding, at most 1.6e-15 (7 eps) on classes of
 # n = 3..16, near-wall ones too: 64 eps leaves a factor 9.  An entry above fails all rows.
 OFF_BLOCK = 64 * np.finfo(float).eps
-# |log density - the space's constant| on the streams' product points was at
-# most 2.8e-13; the Liouville mutants of omega miss it by more than 0.1.
-LIOUVILLE_MISS = 1e-8
+# |log density - the space's constant| grows like eps / min s, s = |d_i conj(d_j) + 1|: miss *
+# min s <= 9.7e-15 (44 eps) on forced points, so at the path's edge s = 2 RANK_CUTOFF a valid
+# point misses by up to 5e-8 (1e-8 failed 116 of 1,800); the Liouville mutants miss by over 0.1.
+LIOUVILLE_MISS = 1e-6
 # Largest tangent dimension (a class's n^2 - 1), checked before arrays grow with n or h.
 # Cold at it (5-7 runs, 2-vCPU KVM guest, BLAS on 1 thread): class(16) cocycle 0.23 s,
 # 38 MB; min_degeneracy 0.42-0.46 s, 49 MB; genus(4, 8) min_degeneracy 0.31-0.34 s, 40 MB.
@@ -219,19 +213,15 @@ class QSpace:
     hold a group point p), `_log_liouville`, the constant log of the
     Liouville density Pf(Omega) / det^1/2((1 + Ad_Psi) / 2) on orthonormal
     tangents (AMW 2002), and the hooks `_moment` and `structure`.  Written
-    here are `random_field`, the G-valued action by conjugation of every
-    slot, its generating field, and the bases, fields and flows of both slot
-    kinds.  `group_factors` is 1 for G-valued moment maps and 2 for the double.
+    here are the G-valued action by conjugation of every slot, its generating
+    field, and the bases, fields and flows of both slot kinds.
+    `group_factors` is 1 for G-valued moment maps and 2 for the double.
     """
 
     n: int
     group_factors: int
     dim: int
     class_slots: tuple = ()
-
-    def random_field(self, rng) -> np.ndarray:
-        """A Gaussian su(n) element on every slot, drawn in one call."""
-        return random_algebra(self.n, rng, shape=(len(self.base),))
 
     # -- hooks --------------------------------------------------------------
     def _moment(self, m) -> tuple:
@@ -347,7 +337,7 @@ class ConjugacyClass(QSpace):
         scale = (np.multiply.outer(gap, gap) * (1 - np.eye(r)) / (8 * np.pi**2))[:, None, :, None]
         off = np.abs(omega).reshape(omega.shape[:-2] + (r, 2, r, 2)) * scale
         mismatch[np.max(off, axis=(-4, -3, -2, -1), initial=0.0) > OFF_BLOCK] = self.dim
-        return mismatch, np.zeros(mismatch.shape, dtype=bool)
+        return mismatch
 
     def structure(self, m, stack, blocks=False):
         # data X are potentials of tangents X m - m X: m^-1 dm = Ad_{m^-1} X - X, and by Ad-
@@ -369,7 +359,7 @@ def _class_basis(d, v, pairs=None):
     if pairs is None:
         gap = np.abs(d[..., i] - d[..., j])
         pairs = np.argsort(-gap, axis=-1, kind="stable")[
-            ..., : _rank(gap, gap.max(axis=-1, initial=0.0))[0].flat[0]]
+            ..., : _rank(gap, gap.max(axis=-1, initial=0.0)).flat[0]]
     di, dj = (np.take_along_axis(d[..., k], pairs, axis=-1) for k in (i, j))
     turn = (dj / (dj - di)).imag[..., None, None, None] * np.array([1.0, -1.0])[:, None, None]
     b = pair_basis(v, pairs).reshape(v.shape[:-2] + (-1, 2, n, n))
@@ -558,26 +548,22 @@ def _cocycle_residuals(space: QSpace, m, f, fd_step: float) -> np.ndarray:
     return np.abs(d_omega - STRUCTURE_FORM_ORIENTATION * eta)
 
 
-def _rank(svals: np.ndarray, ref: np.ndarray) -> tuple:
-    """Per row of svals, relative to its reference value ref: how many exceed
-    RANK_CUTOFF (none if ref <= KERNEL_FLOOR), and whether one is in the band.
-    A NaN would count as neither, so a value that is not finite, which only a
-    failed primitive gives, is an error."""
+def _rank(svals: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Per row of svals, how many exceed RANK_CUTOFF relative to its reference
+    value ref (none if ref <= KERNEL_FLOOR).  A NaN would not count, so a value
+    that is not finite, which only a failed primitive gives, is an error."""
     if not np.all(np.isfinite(svals)):
         raise ToolkitError("non-finite singular values")
     live, ref = ref > KERNEL_FLOOR, ref[..., None]
-    rank = np.where(live, np.sum(svals > RANK_CUTOFF * ref, axis=-1), 0)
-    band = (svals >= RANK_CUTOFF * ref) & (svals < DECIDED_GAP * ref)
-    return rank, live & np.any(band, axis=-1)
+    return np.where(live, np.sum(svals > RANK_CUTOFF * ref, axis=-1), 0)
 
 
-def _anti_fixed_rank(space: QSpace, m, psis, s) -> tuple:
+def _anti_fixed_rank(space: QSpace, m, psis, s) -> np.ndarray:
     """Per point, with moment factors psis (count, f, n, n): the rank of
-    span{xi_M : Ad_Psi xi = -xi}, and whether a singular value of Ad_Psi + 1,
-    one of the moduli s = |d_i conj(d_j) + 1| of their eigenvalues, is in the
-    band on its scale 2.  Its null vectors are V B V* of pairs d_i = -d_j."""
+    span{xi_M : Ad_Psi xi = -xi}.  The singular values of Ad_Psi + 1 are the
+    moduli s = |d_i conj(d_j) + 1| of their eigenvalues, null below RANK_CUTOFF
+    on their scale 2, and its null vectors are V B V* of pairs d_i = -d_j."""
     count, f = psis.shape[:2]
-    undecided = _rank(s, np.full(count, 2.0))[1]
     qualifying = np.zeros(count, dtype=int)
     live = np.flatnonzero(np.any(s < 2.0 * RANK_CUTOFF, axis=-1))
     if live.size:
@@ -597,16 +583,16 @@ def _anti_fixed_rank(space: QSpace, m, psis, s) -> tuple:
         for k in space.class_slots:
             tangents[k] -= lm[k] @ gens[k]
         gs = np.linalg.svd(realvec(tangents), compute_uv=False)
-        qualifying[live], band = _rank(gs, gs[:, 0])
-        undecided[live] |= band
-    return qualifying, undecided
+        qualifying[live] = _rank(gs, gs[:, 0])
+    return qualifying
 
 
-def _degeneracy_mismatch(space: QSpace, m, flows=None) -> tuple[np.ndarray, np.ndarray]:
-    """|dim ker omega - dim span{xi_M : Ad_Psi xi = -xi}| per point of a stack,
-    and the mask of the undecided points, whose ranks disagree while a relative
-    singular value is in the band.  Given the slot flows, a lone class decides
-    pair by pair; else the Liouville identity (ker omega = 0) or an SVD."""
+def _degeneracy_mismatch(space: QSpace, m, flows=None) -> np.ndarray:
+    """|dim ker omega - dim span{xi_M : Ad_Psi xi = -xi}| per point of a stack.
+    Given the slot flows, a lone class decides pair by pair.  Else Ad_Psi + 1
+    picks the path: the Liouville identity (ker omega = 0) decides a point where
+    none of its singular values is null, and the SVD of omega and
+    _anti_fixed_rank decide it where one is or where the identity misses."""
     if flows is not None and (decided := space._pair_mismatch(m, flows)) is not None:
         return decided
     rec = space.structure(m, space._basis(m, flows), blocks=True)
@@ -615,18 +601,19 @@ def _degeneracy_mismatch(space: QSpace, m, flows=None) -> tuple[np.ndarray, np.n
     psis = np.stack(rec.psi, axis=1)
     d = np.linalg.eigvals(psis)
     s = np.abs(d[..., :, None] * d.conj()[..., None, :] + 1.0).reshape(len(d), -1)
-    # the log density 1/2 log|det Omega| - 1/2 sum log(s / 2) (AMW 2002), read where s is decided
+    if not np.all(np.isfinite(s)):
+        raise ToolkitError("non-finite eigenvalues of the moment")
+    # the log density 1/2 log|det Omega| - 1/2 sum log(s / 2) (AMW 2002), read where no s is null
     miss = np.abs(0.5 * np.linalg.slogdet(rec.omega)[1] - space._log_liouville
-                  - 0.5 * np.sum(np.log(np.maximum(s, 2 * DECIDED_GAP) / 2), axis=-1))
-    rest = np.flatnonzero(np.any(s < 2 * DECIDED_GAP, axis=-1) | ~(miss <= LIOUVILLE_MISS))
-    mismatch, undecided = np.zeros(len(d)), np.zeros(len(d), dtype=bool)
+                  - 0.5 * np.sum(np.log(np.maximum(s, 2 * RANK_CUTOFF) / 2), axis=-1))
+    rest = np.flatnonzero(np.any(s < 2 * RANK_CUTOFF, axis=-1) | ~(miss <= LIOUVILLE_MISS))
+    mismatch = np.zeros(len(d))
     if rest.size:
         svals = np.linalg.svd(rec.omega[rest], compute_uv=False)
-        rank, band = _rank(svals, svals.max(axis=-1, initial=0.0))
-        qualifying, fixed_band = _anti_fixed_rank(space, m[:, rest], psis[rest], s[rest])
+        rank = _rank(svals, svals.max(axis=-1, initial=0.0))
+        qualifying = _anti_fixed_rank(space, m[:, rest], psis[rest], s[rest])
         mismatch[rest] = np.abs(rec.omega.shape[-1] - rank - qualifying)
-        undecided[rest] = (mismatch[rest] > 0) & (band | fixed_band)
-    return mismatch, undecided
+    return mismatch
 
 
 def _equivariance_residuals(space: QSpace, m, g) -> np.ndarray:
@@ -637,21 +624,23 @@ def _equivariance_residuals(space: QSpace, m, g) -> np.ndarray:
 
 
 def _draw_stack(space: QSpace, axiom: str, count: int, rng) -> tuple:
-    """The draws of count moment, cocycle or equivariance samples from one
-    generator call.  Per sample: the point's field, then for moment xi and
-    space.dim coefficients of w on the tangent basis, for cocycle three
-    fields, for equivariance g's exponent; a matrix is its real then its
+    """The draws of count samples of an axiom from one generator call.  Per
+    sample: the point's field, then for moment xi and space.dim coefficients
+    of w on the tangent basis, for cocycle three fields, for equivariance g's
+    exponent, for min_degeneracy nothing more; a matrix is its real then its
     imaginary part.  A Generator fills in order, so the values and the final
     state are those of a loop over the samples.  Matrices come slot first,
     then the samples; coefficients by sample."""
     k, n = len(space.base), space.n
-    slots = 4 * k if axiom == "cocycle" else k + space.group_factors
+    slots = {"cocycle": 4 * k, "min_degeneracy": k}.get(axiom, k + space.group_factors)
     size = slots * 2 * n * n
     z = rng.normal(size=(count, size + (space.dim if axiom == "moment" else 0)))
     x = z[:, :size].reshape(count, slots, 2, n, n)
     x = np.moveaxis(project_algebra(x[:, :, 0] + 1j * x[:, :, 1]), 0, 1)
     if axiom == "cocycle":
         return x[:k], np.moveaxis(x[k:].reshape((3, k) + x.shape[1:]), 0, 2)
+    if axiom == "min_degeneracy":
+        return (x,)
     return (x[:k], x[k:]) + ((z[:, size:],) if axiom == "moment" else ())
 
 
@@ -659,8 +648,7 @@ def _residuals(space: QSpace, axiom: str, fd_step: float, f, *drawn) -> np.ndarr
     """The residuals at a stack of draws, whose matrix work runs once on the
     stack: the points are one flow of the stacked fields f from the base
     point.  A class basis of fewer than dim rows (eigenphases closer than
-    RANK_CUTOFF resolves) takes the first of each sample's coefficients.
-    min_degeneracy also returns its mask of undecided samples."""
+    RANK_CUTOFF resolves) takes the first of each sample's coefficients."""
     flows = expm_skew(f)
     m = space._carry(flows, space.base[:, None])
     if axiom == "moment":
@@ -684,37 +672,15 @@ def _residuals(space: QSpace, axiom: str, fd_step: float, f, *drawn) -> np.ndarr
 def _sample_residuals(space: QSpace, axiom: str, samples: int, fd_step: float,
                       rng) -> np.ndarray:
     """The residual of each sample, with the draws of a loop over one sample
-    at a time, evaluated in stacks of at most STACK_ROWS // dim samples (one
-    when dim > STACK_ROWS), each drawn in one call.  min_degeneracy draws
-    sample by sample: at the first undecided sample of a stack the results
-    before it are kept and the state saved right after its draw is restored,
-    so the loop's redraw comes next.  RETRIES undecided draws in a row are
-    an error, and so is a residual that is not finite."""
-    step = max(1, STACK_ROWS // max(space.dim, 1))
-    out, done, undecided = np.empty(samples), 0, 0
-    while done < samples:
-        count = min(step, samples - done)
-        if axiom == "min_degeneracy":  # a redraw restores the state right after a given draw
-            draws, states = [], []
-            for _ in range(count):
-                draws.append(space.random_field(rng))
-                states.append(rng.bit_generator.state)
-            drawn = (np.stack(draws, axis=1),)
-        else:
-            drawn = _draw_stack(space, axiom, count, rng)
-        part, redo = _residuals(space, axiom, fd_step, *drawn), []
-        if axiom == "min_degeneracy":
-            part, redo = part[0], np.flatnonzero(part[1])
-        keep = redo[0] if len(redo) else len(part)
-        if not np.all(np.isfinite(part[:keep])):
+    at a time, in stacks of at most STACK_ROWS // dim samples (one when dim >
+    STACK_ROWS), each drawn in one call; a residual not finite is an error."""
+    step, out = max(1, STACK_ROWS // max(space.dim, 1)), np.empty(samples)
+    for done in range(0, samples, step):
+        part = _residuals(space, axiom, fd_step,
+                          *_draw_stack(space, axiom, min(step, samples - done), rng))
+        if not np.all(np.isfinite(part)):
             raise ToolkitError(f"non-finite {axiom} residual")
-        out[done : done + keep], done = part[:keep], done + keep
-        undecided = 0 if keep else undecided
-        if len(redo):
-            undecided += 1
-            if undecided == RETRIES:
-                raise InputError("undecided-sample", f"no decided sample in {RETRIES} draws")
-            rng.bit_generator.state = states[keep]
+        out[done : done + len(part)] = part
     return out
 
 
@@ -758,7 +724,7 @@ def reduction_rank(space: QSpace, m) -> int:
     # the record is one computation: a NaN anywhere in it is a failed primitive
     if not (np.all(np.isfinite(svals)) and np.all(np.isfinite(rec.omega))):
         raise ToolkitError("non-finite moment differential")
-    return int(_rank(svals, svals.max(initial=0.0))[0])
+    return int(_rank(svals, svals.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

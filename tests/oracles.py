@@ -210,10 +210,16 @@ def connection_json(conn):
     return {"steps": conn.steps, "samples": complex_pairs(conn.samples)}
 
 
+def random_field(space, rng):
+    """A Gaussian su(n) element on every slot of a space, drawn in one call:
+    a point's field."""
+    return random_algebra(space.n, rng, shape=(len(space.base),))
+
+
 def sample(space, rng):
     """A random point of a space: the time-one flow of a random field from
     its base point, as the verifier draws its points."""
-    return space.field_flow(space.random_field(rng), space.base, 1.0)
+    return space.field_flow(random_field(space, rng), space.base, 1.0)
 
 
 def algebra_element(space, rng):
@@ -225,13 +231,14 @@ def algebra_element(space, rng):
 def draw(space, axiom, rng):
     """One sample as a loop over samples draws it, by the generator alone: the
     point's field, then for moment xi and space.dim coefficients of w on the
-    tangent basis, for cocycle three field data, for equivariance g's exponent."""
-    f = space.random_field(rng)
+    tangent basis, for cocycle three field data, for equivariance g's exponent,
+    for min_degeneracy nothing more."""
+    f = random_field(space, rng)
     if axiom == "moment":
         xi = algebra_element(space, rng)
         return f, xi, rng.normal(size=space.dim)
     if axiom == "cocycle":
-        return f, np.stack([space.random_field(rng) for _ in range(3)], axis=1)
+        return f, np.stack([random_field(space, rng) for _ in range(3)], axis=1)
     if axiom == "equivariance":
         return f, algebra_element(space, rng)
     return (f,)
@@ -342,7 +349,7 @@ def class_basis_svd(space, m):
     vectors of the realified fields x m - m x, at the first point's rank."""
     x, lm = _basis_stack(space.n), _lift(m)
     _, s, vt = np.linalg.svd(realvec(x @ lm - lm @ x), full_matrices=False)
-    return unrealvec(vt[..., : _rank(s, s[..., 0])[0].flat[0], :], space.n)
+    return unrealvec(vt[..., : _rank(s, s[..., 0]).flat[0], :], space.n)
 
 
 def anti_fixed_rank_svd(space, m, psis):
@@ -353,7 +360,6 @@ def anti_fixed_rank_svd(space, m, psis):
     s = np.linalg.svd(blocks, compute_uv=False)
     count, f, na = s.shape
     scale = np.maximum(s.max(axis=(-2, -1)), 1.0)
-    undecided = _rank(s.reshape(count, -1), scale)[1]
     qualifying = np.zeros(count, dtype=int)
     live = np.flatnonzero(np.any(s < RANK_CUTOFF * scale[:, None, None], axis=(-2, -1)))
     if live.size:
@@ -365,6 +371,5 @@ def anti_fixed_rank_svd(space, m, psis):
         lm = _lift(m[:, live])
         gens = field_at(space, space._generating(np.moveaxis(xis, 2, 0), lm), lm)
         gs = np.linalg.svd(realvec(gens), compute_uv=False)
-        qualifying[live], band = _rank(gs, gs[:, 0])
-        undecided[live] |= band
-    return qualifying, undecided
+        qualifying[live] = _rank(gs, gs[:, 0])
+    return qualifying
