@@ -27,11 +27,12 @@ The tangent basis is a block stack: slot j's basis data on its own d_j rows,
 the rows in slot order, a double's a rows then its b rows.  Its record is
 built block by block: a double pairs only its a rows with its b rows, and
 each fusion step adds the one block between the rows before it and the next
-part's, and stacks the lefts; min_degeneracy and reduction_rank read it.  In
-the eigenframe (diag m_0, u) of a lone class point u m_0 u*, the flow of its
-base point, Omega is one 2 x 2 block per eigenvalue pair of xi, decided pair
-by pair; at a product point Ad_Psi + 1 picks the Liouville identity or an SVD.
-The moment and cocycle checks read records over stacks whose every slot spans all rows.
+part's, and stacks the lefts; min_degeneracy and reduction_rank read it.  A
+class's basis at u m_0 u*, u the flow of its base point, is u C u* for one
+constant C, two rows per eigenvalue pair of xi; there a lone class's Omega
+is one 2 x 2 block per pair, decided pair by pair; at a product point
+Ad_Psi + 1 picks the Liouville identity or an SVD.  The moment and cocycle
+checks read records over stacks whose every slot spans all rows.
 
 Conventions: actions are left actions, generating vector fields satisfy
 [xi_M, zeta_M] = -[xi, zeta]_M, and the double pairs g-valued 1-forms by
@@ -74,9 +75,10 @@ KERNEL_FLOOR = 1e-12
 # took 8.7-8.9 ms a sample at 512 (41 MB peak) and 8.1 ms in one stack (93 MB),
 # min of 3 (2-vCPU KVM guest, BLAS on 1 thread).
 STACK_ROWS = 512
-# Off a lone class's 2 x 2 blocks, omega in units of its bound 2 |X| |Y| / 4 pi^2 on
-# the rows' data (of norm 4 pi^2 / gap) is rounding, at most 1.6e-15 (7 eps) on classes of
-# n = 3..16, near-wall ones too: 64 eps leaves a factor 9.  An entry above fails all rows.
+# Off a lone class's 2 x 2 blocks, omega in units of its bound 2 |X| |Y| / 4 pi^2 on the rows'
+# data (of norm 4 pi^2 / gap) is rounding, at most 1.4e-15 (6.2 eps) on 42 random classes of
+# n = 3..16, class(16) and the near-wall and tiny ones of n = 2..4 at 1e-5..1e-12 (3 seeds of
+# 4 points each): 64 eps leaves a factor 10.  An entry above fails all rows.
 OFF_BLOCK = 64 * np.finfo(float).eps
 # |log density - the space's constant| grows like eps / min s, s = |d_i conj(d_j) + 1|: miss *
 # min s <= 9.7e-15 (44 eps) on forced points, so at the path's edge s = 2 RANK_CUTOFF a valid
@@ -210,11 +212,12 @@ class QSpace:
     point; a stack of d of them has shape (k, *P, d, n, n).  An element of
     G, or of its algebra, has one slot per group factor.  Subclasses set
     `base`, `dim`, `class_slots`, the slots of a class point m (the others
-    hold a group point p), `_log_liouville`, the constant log of the
-    Liouville density Pf(Omega) / det^1/2((1 + Ad_Psi) / 2) on orthonormal
-    tangents (AMW 2002), and the hooks `_moment` and `structure`.  Written
-    here are the G-valued action by conjugation of every slot, its generating
-    field, and the bases, fields and flows of both slot kinds.
+    hold a group point p), `class_rows`, each class slot's constant basis
+    rows, `_log_liouville`, the constant log of the Liouville density
+    Pf(Omega) / det^1/2((1 + Ad_Psi) / 2) on orthonormal tangents (AMW
+    2002), and the hooks `_moment` and `structure`.  Written here are the
+    G-valued action by conjugation of every slot, its generating field, and
+    the bases, fields and flows of both slot kinds.
     `group_factors` is 1 for G-valued moment maps and 2 for the double.
     """
 
@@ -222,6 +225,7 @@ class QSpace:
     group_factors: int
     dim: int
     class_slots: tuple = ()
+    class_rows: tuple = ()
 
     # -- hooks --------------------------------------------------------------
     def _moment(self, m) -> tuple:
@@ -247,19 +251,17 @@ class QSpace:
         out[list(self.class_slots)] = xi
         return out
 
-    def _basis(self, m, flows=None):
+    def _basis(self, m, flows):
         """Field data of orthonormal tangent bases at a stack of points, one
         (*P, d_j, n, n) block per slot: the su(n) basis x_k on a group slot p
-        (the tangents x_k p are orthonormal), the class basis on a class slot,
-        whose eigenframe is (diag m_0, u) given the flows u that carry the
-        base point m_0 to m, else from unitary_eig."""
+        (the tangents x_k p are orthonormal), and on a class slot its class's
+        constant rows C carried by the slot's flow u, which takes the base
+        point m_0 to m = u m_0 u*: u C u*.  Only class slots read the flows."""
         x = _basis_stack(self.n)
-        x = np.broadcast_to(x, m.shape[1:-2] + x.shape)
-
-        def frame(j):
-            return unitary_eig(m[j]) if flows is None else (np.diagonal(self.base[j]), flows[j])
-
-        return [_class_basis(*frame(j)) if j in self.class_slots else x for j in range(len(m))]
+        out = [np.broadcast_to(x, m.shape[1:-2] + x.shape)] * len(m)
+        for j, rows in zip(self.class_slots, self.class_rows):
+            out[j] = _lift(flows[j]) @ rows @ _lift(_dag(flows[j]))
+        return out
 
     # extension fields for the invariant-extension derivative formula
     def field_flow(self, data, m, t):
@@ -317,23 +319,35 @@ class ConjugacyClass(QSpace):
         i, j = pair_indices(self.n)
         self.pairs = np.flatnonzero([(xi[a] - xi[b]) % den != 0 for a, b in zip(i, j)])
         di, dj = (np.diagonal(self.base[0])[k[self.pairs]] for k in (i, j))
-        self._gaps, self._moduli = 4 * np.pi**2 * np.abs(di - dj), np.abs(di * dj.conj() + 1)
+        gap = np.abs(di - dj)
+        self._gaps, self._moduli = 4 * np.pi**2 * gap, np.abs(di * dj.conj() + 1)
         self._log_liouville = -float(np.sum(np.log(self._gaps)))
+        # C, the basis at m_0 on the pairs (dim rows): the data X of the orthonormal tangents B m_0
+        # of a pair's basis elements B, X m_0 - m_0 X = B m_0, are B times f = d_j / (d_j - d_i) =
+        # 1/2 + i Im f at (i, j): the pair's (B_re, B_im) give (B_re / 2 + Im f B_im, B_im / 2 -
+        # Im f B_re).  class_rows keeps the pairs whose gap, x -> x m - m x's singular value there,
+        # the cutoff resolves against the largest.
+        b = _basis_stack(self.n)[: self.n * (self.n - 1)].reshape(-1, 2, self.n, self.n)[self.pairs]
+        turn = (dj / (dj - di)).imag[:, None, None, None] * np.array([1.0, -1.0])[:, None, None]
+        self._pair_rows = (0.5 * b + turn * b[:, ::-1]).reshape(-1, self.n, self.n)
+        top = gap.max(initial=0.0)
+        resolved = np.repeat((gap > RANK_CUTOFF * top) & (top > KERNEL_FLOOR), 2)
+        self.class_rows = (self._pair_rows[resolved],)
 
     def _moment(self, m):
         return (m[0],)
 
     def _pair_mismatch(self, m, flows):
-        # In the eigenframe (diag m_0, u) Omega on self.pairs is one block [[0, w], [-w, 0]] per
-        # pair, |w| 4 pi^2 |d_i - d_j| = |d_i conj(d_j) + 1| / 2 (AMW 2002): w is null where
-        # Ad_Psi + 1 is.  A pair that disagrees or that the basis lacks counts 2 rows.
-        basis = _class_basis(np.diagonal(self.base[0]), flows[0], self.pairs)
+        # On the basis u C u*, in the eigenframe (diag m_0, u), Omega is one block [[0, w], [-w, 0]]
+        # per pair, |w| 4 pi^2 |d_i - d_j| = |d_i conj(d_j) + 1| / 2 (AMW 2002): w is null where
+        # Ad_Psi + 1 is.  A pair that disagrees counts 2 rows.
+        basis = _lift(flows[0]) @ self._pair_rows @ _lift(_dag(flows[0]))
         omega, gap, r = self.structure(m, [basis], blocks=True).omega, self._gaps, len(self.pairs)
         if not np.all(np.isfinite(omega)):
             raise ToolkitError("non-finite class 2-form")
         w = np.diagonal(omega[..., ::2, 1::2], axis1=-2, axis2=-1)
         disagree = (np.abs(w) * gap < RANK_CUTOFF) != (self._moduli < 2 * RANK_CUTOFF)
-        mismatch = 2.0 * np.sum(disagree, axis=-1) + abs(self.dim - 2 * r)
+        mismatch = 2.0 * np.sum(disagree, axis=-1)
         scale = (np.multiply.outer(gap, gap) * (1 - np.eye(r)) / (8 * np.pi**2))[:, None, :, None]
         off = np.abs(omega).reshape(omega.shape[:-2] + (r, 2, r, 2)) * scale
         mismatch[np.max(off, axis=(-4, -3, -2, -1), initial=0.0) > OFF_BLOCK] = self.dim
@@ -345,27 +359,6 @@ class ConjugacyClass(QSpace):
         lm, x = _lift(m[0]), stack[0]
         left = _dag(lm) @ x @ lm - x
         return Structure(-_skew(basic_gram(left, x)), (m[0],), (left,))
-
-
-def _class_basis(d, v, pairs=None):
-    """Field data of orthonormal tangents at class points V diag(d) V* of
-    shape (*P, n, n) from their eigenframes (d may omit P), (*P, r, n, n), on
-    the given pairs (indices into pair_indices) or on those the cutoff resolves."""
-    # x m - m x = (x - Ad_m x) m for x = V B V* of pair (i, j) span V B V* m, singular value
-    # |d_i - d_j|: without pairs those resolved at the first point, by largest gap at every
-    # point.  In the eigenbasis the data of V B V* m is B times f = d_j / (d_j - d_i) = 1/2 +
-    # i Im f at (i, j): the pair's (B_re, B_im) give (B_re / 2 + Im f B_im, B_im / 2 - Im f B_re)
-    n, (i, j) = v.shape[-1], pair_indices(v.shape[-1])
-    if pairs is None:
-        gap = np.abs(d[..., i] - d[..., j])
-        pairs = np.argsort(-gap, axis=-1, kind="stable")[
-            ..., : _rank(gap, gap.max(axis=-1, initial=0.0)).flat[0]]
-    di, dj = (np.take_along_axis(d[..., k], pairs, axis=-1) for k in (i, j))
-    turn = (dj / (dj - di)).imag[..., None, None, None] * np.array([1.0, -1.0])[:, None, None]
-    b = pair_basis(v, pairs).reshape(v.shape[:-2] + (-1, 2, n, n))
-    out = turn * b[..., ::-1, :, :]
-    out += np.multiply(b, 0.5, out=b)  # in place, one temporary fewer
-    return out.reshape(v.shape[:-2] + (-1, n, n))
 
 
 class Double(QSpace):
@@ -426,6 +419,7 @@ class Fused(QSpace):
         self._keys = [slice(i, j) for i, j in zip(ends, ends[1:])]
         self.base = np.concatenate([p.base for p in parts])
         self.class_slots = tuple(e + j for p, e in zip(parts, ends) for j in p.class_slots)
+        self.class_rows = tuple(c for p in parts for c in p.class_rows)
         self._log_liouville = sum(p._log_liouville for p in parts)  # it multiplies under fusion
 
     def _moment(self, m):
@@ -587,13 +581,14 @@ def _anti_fixed_rank(space: QSpace, m, psis, s) -> np.ndarray:
     return qualifying
 
 
-def _degeneracy_mismatch(space: QSpace, m, flows=None) -> np.ndarray:
-    """|dim ker omega - dim span{xi_M : Ad_Psi xi = -xi}| per point of a stack.
-    Given the slot flows, a lone class decides pair by pair.  Else Ad_Psi + 1
-    picks the path: the Liouville identity (ker omega = 0) decides a point where
-    none of its singular values is null, and the SVD of omega and
-    _anti_fixed_rank decide it where one is or where the identity misses."""
-    if flows is not None and (decided := space._pair_mismatch(m, flows)) is not None:
+def _degeneracy_mismatch(space: QSpace, m, flows) -> np.ndarray:
+    """|dim ker omega - dim span{xi_M : Ad_Psi xi = -xi}| per point of a stack
+    that the flows carry the base to.  A lone class decides pair by pair.
+    Else Ad_Psi + 1 picks the path: the Liouville identity (ker omega = 0)
+    decides a point where none of its singular values is null, and the SVD
+    of omega and _anti_fixed_rank decide it where one is or where the
+    identity misses."""
+    if (decided := space._pair_mismatch(m, flows)) is not None:
         return decided
     rec = space.structure(m, space._basis(m, flows), blocks=True)
     if not np.all(np.isfinite(rec.omega)):
@@ -653,7 +648,7 @@ def _residuals(space: QSpace, axiom: str, fd_step: float, f, *drawn) -> np.ndarr
     m = space._carry(flows, space.base[:, None])
     if axiom == "moment":
         xi, coeffs = drawn
-        blocks = space._basis(m)
+        blocks = space._basis(m, flows)
         ends = list(accumulate((x.shape[-3] for x in blocks), initial=0))
         # one product over all rows of the zero-filled block stack, as the loop combines its
         # basis: over a block's own rows alone BLAS rounds otherwise
@@ -709,17 +704,18 @@ def verify_axiom(
     return VerificationReport(axiom, samples, worst, tolerance, passed=worst < tolerance)
 
 
-def reduction_rank(space: QSpace, m) -> int:
+def reduction_rank(space: QSpace, m, flows=None) -> int:
     """Numerical rank of the moment differential at a point of the identity
     level set, from the exact Jacobian Psi^-1 dPsi of the record on the
-    tangent basis; rank = dim SU(n) certifies the identity is regular there."""
+    tangent basis; rank = dim SU(n) certifies the identity is regular there.
+    Class slots read their basis from the flows that carry the base to m."""
     if space.group_factors != 1:
         raise InputError("not-g-valued", "rank check needs a G-valued moment map")
     psi = space._moment(m)[0]
     if np.max(np.abs(psi - np.eye(space.n))) >= 1e-8:
         raise InputError("not-identity-level", "moment value is not the identity")
     # realvec is an isometry of su(n), so the rank is that of its coordinates
-    rec = space.structure(m, space._basis(m), blocks=True)
+    rec = space.structure(m, space._basis(m, flows), blocks=True)
     svals = np.linalg.svd(realvec(rec.left[0][None]), compute_uv=False)
     # the record is one computation: a NaN anywhere in it is a failed primitive
     if not (np.all(np.isfinite(svals)) and np.all(np.isfinite(rec.omega))):

@@ -2,7 +2,8 @@
 linear algebra, the simple and lowest roots and the alcove, lattice and
 pre-quantization tests over Fractions, the one-matrix gerbe helpers, the
 constant connection of the acceptance tests and its JSON, one random point
-of a space, the verifier's draws sample by sample, the moment check's
+of a space with the flows that reach it, an eigenframe of a class point
+independent of its flow, the verifier's draws sample by sample, the moment check's
 tangents slot by slot and sample by sample, a fused record part by part,
 the zero-filled records that the block records of the spaces replaced, and
 the realified su(n) operators that their eigenbasis formulas replaced."""
@@ -23,9 +24,11 @@ from quasiham.spaces import RANK_CUTOFF, _fuse, _lift, _rank, realvec, unrealvec
 from quasiham.sun import (
     _basis_stack,
     alcove_coordinates,
+    alcove_order,
     check_algebra,
     check_special_unitary,
     complex_pairs,
+    expm_skew,
     random_algebra,
 )
 
@@ -216,10 +219,37 @@ def random_field(space, rng):
     return random_algebra(space.n, rng, shape=(len(space.base),))
 
 
+def sample_flows(space, rng):
+    """A random point of a space and the slot flows that carry its base
+    point there: the time-one flow of a random field, as the verifier draws
+    its points.  The flows give the basis of a class slot."""
+    flows = expm_skew(random_field(space, rng))
+    return space._carry(flows, space.base), flows
+
+
 def sample(space, rng):
-    """A random point of a space: the time-one flow of a random field from
-    its base point, as the verifier draws its points."""
-    return space.field_flow(random_field(space, rng), space.base, 1.0)
+    """A random point of a space, as sample_flows draws it."""
+    return sample_flows(space, rng)[0]
+
+
+def identity_flows(space, m):
+    """The flows of the base point, identity on every slot, in the shape of
+    points m; at the base point they give its basis."""
+    return np.broadcast_to(np.eye(space.n, dtype=complex), m.shape)
+
+
+def eig_frames(space, m):
+    """Slot frames of points m that no flow gives: on a class slot u m_0 u*
+    a unitary eigenframe V with V diag(m_0) V* = m, from eig with its
+    eigenvalues put in the order of diag m_0 by alcove_order and the QR of
+    its eigenvectors, which keeps a repeated eigenvalue's vectors in its
+    eigenspace; identity on a group slot."""
+    out = np.array(identity_flows(space, m))
+    for j in space.class_slots:
+        d, v = np.linalg.eig(m[j])
+        order = alcove_order(d)[1]
+        out[j] = np.linalg.qr(np.take_along_axis(v, order[..., None, :], axis=-1))[0]
+    return out
 
 
 def algebra_element(space, rng):
@@ -297,7 +327,7 @@ def block_rows(blocks):
     return out
 
 
-def zero_filled_record(space, m, flows=None):
+def zero_filled_record(space, m, flows):
     """The record of the tangent basis at m, as every record was built
     before the block records: each part on all d rows of the zero-filled
     basis, and each fusion over all of them."""

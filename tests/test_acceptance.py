@@ -43,7 +43,7 @@ from oracles import (
     fractions,
     fundamental_weights,
     fusion_prequantizable,
-    sample,
+    sample_flows,
     scale,
     vadd,
     vec,
@@ -192,8 +192,8 @@ def test_criterion_07_minimal_degeneracy():
     # kernel dimension equal to the full tangent dimension 2
     special = ConjugacyClass(2, (Q(1, 4), Q(-1, 4)))
     rng = np.random.default_rng(0)
-    m = sample(special, rng)
-    [basis] = special._basis(m)
+    m, flows = sample_flows(special, rng)
+    [basis] = special._basis(m, flows)
     flat = np.max(np.abs(special.structure(m, [basis], blocks=True).omega))
     rep = verify_axiom(special, "min_degeneracy", samples=20, seed=0)
     ok = (

@@ -1330,6 +1330,19 @@ def test_near_degenerate_classes_pass_min_degeneracy():
         assert code == 0 and payload["max_residual"] == 0.0, argv
 
 
+def test_tiny_class_moment_never_exits_3(capsys):
+    # xi = (eps, 0, 0, -eps) has a repeated eigenvalue: a basis ranked per
+    # stack on measured phases counted its rounding gap (1e-16) against a
+    # largest gap of about 1e-9, built 12 rows for dim 10 and exited 3 at
+    # eps <= 1e-10 (and at 1e-9, seed 2).  The rows come from xi's pairs now;
+    # the residual's growth like 1 / eps may still fail the absolute tolerance
+    for k in (9, 10, 11, 12):
+        for seed in (0, 1, 2):
+            argv = ["verify", "--space", "conjugacy_class", "--xi", f"1/{10**k},0,0,-1/{10**k}",
+                    "--axiom", "moment", "--samples", "3", "--seed", str(seed)]
+            assert main(argv) in (0, 1), argv
+
+
 def test_failed_verification_exits_one():
     assert main(["check-class", "--type", "A1", "--xi", "1/4,-1/4", "--level", "1"]) == 1
 

@@ -23,12 +23,15 @@ from test_cli import readme_commands
 
 SUN_PRIMITIVES = ["expm_skew", "basic_gram", "basic_inner", "unitary_eig", "alcove_order"]
 LINALG_PRIMITIVES = ["svd", "eig", "eigvals", "eigh", "qr", "det"]
-# The README's commands, commands on which NaN once passed silently, and a
-# class moment check, the one whose class basis decomposes its points
-# (min_degeneracy reads a lone class point's eigenframe from its flow).
+# The README's commands, commands on which NaN once passed silently, a class
+# moment check, and a genus min_degeneracy op whose sample 235 has a pair of
+# moment eigenvalues d_i = -d_j: _anti_fixed_rank's null branch, the one
+# caller of unitary_eig (class bases are carried by their flows).
 COMMANDS = readme_commands() + [
     ["verify", "--space", "conjugacy_class", "--n", "3", "--xi", "1/4,1/12,-1/3",
      "--axiom", "moment", "--samples", "5"],
+    ["verify", "--space", "genus", "--n", "2", "--genus", "2", "--axiom", "min_degeneracy",
+     "--samples", "235", "--seed", "21836"],
     ["reduce-rank", "--at", "abba", "--n", "3"],
     ["cocycle", "--n", "3", "--samples", "3"],
     ["verify", "--space", "genus", "--genus", "2", "--n", "2", "--axiom", "min_degeneracy",

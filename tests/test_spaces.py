@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import class_sweep
 import oracles
 from oracles import (
     algebra_coords,
@@ -15,12 +16,15 @@ from oracles import (
     block_rows,
     class_basis_svd,
     draw,
+    eig_frames,
     field_at,
+    identity_flows,
     moment_tangents,
     part_by_part_record,
     random_field,
     realified_operator,
     sample,
+    sample_flows,
     stack_draws,
     zero_filled_record,
 )
@@ -67,9 +71,10 @@ def as_stack(m, data):
     return np.moveaxis(np.array(data, dtype=complex).reshape((len(data),) + m.shape), 0, -3)
 
 
-def basis_list(space, m):
-    """The field data of the tangent basis at one point as a list."""
-    return list(np.moveaxis(block_rows(space._basis(m)), -3, 0))
+def basis_list(space, m, flows=None):
+    """The field data of the tangent basis at one point as a list; a class
+    slot takes its basis from the flows that carry the base point to m."""
+    return list(np.moveaxis(block_rows(space._basis(m, flows)), -3, 0))
 
 
 def _record(space, m, data):
@@ -260,8 +265,8 @@ def test_dimensions():
 @pytest.mark.parametrize("name,space", builtin_spaces())
 def test_omega_antisymmetric_bilinear(name, space):
     rng = np.random.default_rng(1)
-    m = sample(space, rng)
-    basis = basis_list(space, m)
+    m, flows = sample_flows(space, rng)
+    basis = basis_list(space, m, flows)
     v, w, u = (sum_basis(space, m, basis, rng) for _ in range(3))
     om = gram_of(space, m, [v, w, u, v + 0.7 * u])
     assert om[0, 1] == pytest.approx(-om[1, 0], abs=1e-10)
@@ -279,8 +284,8 @@ def sum_basis(space, m, basis, rng):
 def test_omega_invariant_under_action(name, space):
     rng = np.random.default_rng(2)
     for _ in range(5):
-        m = sample(space, rng)
-        basis = basis_list(space, m)
+        m, flows = sample_flows(space, rng)
+        basis = basis_list(space, m, flows)
         v = sum_basis(space, m, basis, rng)
         w = sum_basis(space, m, basis, rng)
         g = random_group(space, rng)
@@ -329,7 +334,8 @@ def test_unresolved_class_directions_take_the_first_coefficients():
     # RANK_CUTOFF: the basis has 4 of the 6 directions, the moment draw still
     # draws 6 coefficients, and w combines the basis with the first 4
     space = ConjugacyClass(3, (Q(1, 4) + Q(1, 10**8), Q(1, 4) - Q(1, 10**8), Q(-1, 2)))
-    assert space.dim == 6 and len(basis_list(space, space.base)) == 4
+    assert space.dim == 6
+    assert len(basis_list(space, space.base, identity_flows(space, space.base))) == 4
     rep = verify_axiom(space, "moment", samples=5, seed=1)
     assert rep.passed and rep.max_residual < 1e-12
 
@@ -343,7 +349,7 @@ def test_class_dim_is_exact_and_matches_tangent_basis():
     walls = 0
     for xi in points:
         c = ConjugacyClass(len(xi), xi)
-        assert c.dim == len(basis_list(c, c.base)), xi
+        assert c.dim == len(basis_list(c, c.base, identity_flows(c, c.base))), xi
         walls += xi[0] - xi[-1] == 1
     assert walls > 20
     assert ConjugacyClass(2, (Q(1, 2), Q(-1, 2))).dim == 0  # the half-central class
@@ -459,7 +465,7 @@ def test_moment_tangents_match_per_slot_products(name, space, d, monkeypatch):
         drawn = spaces._draw_stack(space, "moment", count, np.random.default_rng(227 + count))
         spaces._residuals(space, "moment", 1e-4, *drawn)
         m, _, w = seen[-1]
-        assert same_bits(w, moment_tangents(space._basis(m), drawn[2]))
+        assert same_bits(w, moment_tangents(space._basis(m, expm_skew(drawn[0])), drawn[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +499,8 @@ def test_equivariance_axiom(name, space):
 def test_degenerate_class_reports_full_kernel():
     space = ConjugacyClass(2, (Q(1, 4), Q(-1, 4)))
     rng = np.random.default_rng(23)
-    m = sample(space, rng)
-    basis = basis_list(space, m)
+    m, flows = sample_flows(space, rng)
+    basis = basis_list(space, m, flows)
     assert len(basis) == 2
     worst = np.max(np.abs(gram_of(space, m, basis)))
     assert worst < 1e-12  # omega vanishes identically on this class
@@ -578,11 +584,12 @@ def squeezed(cls, *shrinks):
     coefficients from the tangents of the field data; the points may carry
     leading axes, as for every structure.  A block stack is pulled back on
     its zero-filled rows and cut back into its blocks, which the map keeps:
-    it moves data only along a basis direction of the first slot."""
+    it moves data only along a basis direction of the first slot, in a
+    class slot's eigenframe from eig, as the structure gets no flows."""
 
     class Squeezed(cls):
         def structure(self, m, stack, blocks=False):
-            basis = block_rows(self._basis(m))
+            basis = block_rows(self._basis(m, eig_frames(self, m)))
             out = block_rows(stack) if blocks else stack
             tangents = field_at(self, out, spaces._lift(m))
             for i, shrink in enumerate(shrinks):
@@ -600,9 +607,10 @@ def squeezed(cls, *shrinks):
     return Squeezed
 
 
-def point_mismatch(space, m):
-    """The degeneracy mismatch at one point, evaluated as a stack of one."""
-    return spaces._degeneracy_mismatch(space, m[:, None])[0]
+def point_mismatch(space, m, flows=None):
+    """The degeneracy mismatch at one point, evaluated as a stack of one;
+    a class slot needs the flows that carry the base point to m."""
+    return spaces._degeneracy_mismatch(space, m[:, None], None if flows is None else flows[:, None])[0]
 
 
 def fusions(n):
@@ -636,13 +644,14 @@ def test_dropped_fusion_correction_fails_moment(n, monkeypatch):
         assert np.max(np.abs(gram_of(space, *point) - good)) > 1e-3
 
 
-def log_liouville_density(space, m):
+def log_liouville_density(space, m, flows):
     """The log of Pf(Omega) / det^1/2((1 + Ad_Psi) / 2) on the tangent basis
-    at m (Alekseev-Meinrenken-Woodward 2002): 1/2 sum log sigma_i(Omega) less
-    1/2 sum over i != j of log(|d_i conj(d_j) + 1| / 2) per moment factor with
-    eigenvalues d, the singular values of (1 + Ad_Psi) / 2 off the torus.
-    It reads the block record, which min_degeneracy reads."""
-    rec = space.structure(m, space._basis(m), blocks=True)
+    at m, which the flows reach (Alekseev-Meinrenken-Woodward 2002): 1/2 sum
+    log sigma_i(Omega) less 1/2 sum over i != j of log(|d_i conj(d_j) + 1| /
+    2) per moment factor with eigenvalues d, the singular values of (1 +
+    Ad_Psi) / 2 off the torus.  It reads the block record, which
+    min_degeneracy reads."""
+    rec = space.structure(m, space._basis(m, flows), blocks=True)
     d = np.linalg.eigvals(np.stack(rec.psi))
     pairs = np.abs(d[:, :, None] * d.conj()[:, None, :] + 1.0)[:, ~np.eye(space.n, dtype=bool)]
     return 0.5 * (np.sum(np.log(np.linalg.svd(rec.omega, compute_uv=False)))
@@ -680,7 +689,7 @@ def test_liouville_density_is_constant(monkeypatch):
     # the basis, orthonormal for Re tr(X* Y), its log density is
     # -(dim / 2) log 4 pi^2 at every point, which pins omega pointwise
     def spread(space):
-        logs = [log_liouville_density(space, sample(space, np.random.default_rng(seed)))
+        logs = [log_liouville_density(space, *sample_flows(space, np.random.default_rng(seed)))
                 for seed in range(8)]
         return np.max(np.abs(np.array(logs) + space.dim / 2 * np.log(4 * np.pi**2)))
 
@@ -736,9 +745,9 @@ def test_class_liouville_density_is_its_closed_form():
         assert abs(space._log_liouville - closed) <= 1e-10
         rng = np.random.default_rng(len(xi))
         for _ in range(3):
-            assert abs(log_liouville_density(space, sample(space, rng)) - closed) <= 1e-10, xi
+            assert abs(log_liouville_density(space, *sample_flows(space, rng)) - closed) <= 1e-10, xi
         m, flows = flow_points(space, rng)
-        basis = spaces._class_basis(np.diagonal(space.base[0]), flows[0], space.pairs)
+        basis = spaces._lift(flows[0]) @ space._pair_rows @ spaces._lift(spaces._dag(flows[0]))
         omega = space.structure(m, [basis], blocks=True).omega
         w = np.abs(np.diagonal(omega[..., ::2, 1::2], axis1=-2, axis2=-1))
         d = np.diagonal(space.base[0])
@@ -759,7 +768,8 @@ def liouville_spaces():
 def test_log_liouville_is_the_svd_density(name, space):
     rng = np.random.default_rng(space.dim)
     for _ in range(3):
-        assert abs(log_liouville_density(space, sample(space, rng)) - space._log_liouville) <= 1e-10
+        assert abs(log_liouville_density(space, *sample_flows(space, rng))
+                   - space._log_liouville) <= 1e-10
 
 
 def test_liouville_density_multiplies_under_fusion():
@@ -769,28 +779,22 @@ def test_liouville_density_multiplies_under_fusion():
     parts = class_closed_form(first) - 8 * np.log(4 * np.pi**2) + class_closed_form(second)
     rng = np.random.default_rng(137)
     for _ in range(4):
-        assert abs(log_liouville_density(space, sample(space, rng)) - parts) <= 1e-10
+        assert abs(log_liouville_density(space, *sample_flows(space, rng)) - parts) <= 1e-10
 
 
 def test_class_tampers_fail_on_the_pair_path(monkeypatch):
     # a lone class is decided on the 2 x 2 blocks of its record; the record
-    # pulled back along a projection, a pair missing from its basis and a
-    # skew form added to its omega each fail there, at every point
+    # pulled back along a projection and a skew form added to its omega each
+    # fail there, at every point
     rng = np.random.default_rng(113)
     space = ConjugacyClass(3, GENERIC_XI3)
     m, flows = flow_points(space, rng)
     assert np.array_equal(space._pair_mismatch(m, flows), [0, 0, 0])
-
-    class Short(ConjugacyClass):  # the pair set with its first pair dropped
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.pairs, self._gaps, self._moduli = self.pairs[1:], self._gaps[1:], self._moduli[1:]
-
-    # squeezing one direction of a pair nulls its block; the short basis lacks 2 rows
-    for mutant in (squeezed(ConjugacyClass, 0.0)(3, GENERIC_XI3), Short(3, GENERIC_XI3)):
-        assert np.array_equal(mutant._pair_mismatch(m, flows), [2, 2, 2])
-        rep = verify_axiom(mutant, "min_degeneracy", samples=3, seed=113)
-        assert not rep.passed and rep.max_residual == 2.0
+    # squeezing one direction of a pair nulls its block
+    mutant = squeezed(ConjugacyClass, 0.0)(3, GENERIC_XI3)
+    assert np.array_equal(mutant._pair_mismatch(m, flows), [2, 2, 2])
+    rep = verify_axiom(mutant, "min_degeneracy", samples=3, seed=113)
+    assert not rep.passed and rep.max_residual == 2.0
     monkeypatch.setattr(ConjugacyClass, "structure", shifted_double(ConjugacyClass.structure))
     assert np.array_equal(space._pair_mismatch(m, flows), [6, 6, 6])
     rep = verify_axiom(space, "min_degeneracy", samples=3, seed=113)
@@ -900,13 +904,13 @@ def test_class_near_half_wall_passes_min_degeneracy():
     # 6e-6 at every point of the class, yet it is invertible and the 2x2
     # omega has full rank
     space = ConjugacyClass(2, (Q(250001, 1000000), Q(-250001, 1000000)))
-    m = sample(space, np.random.default_rng(109))
+    m, flows = sample_flows(space, np.random.default_rng(109))
     psi = space._moment(m)[0]
     op = realified_operator(2, lambda x: psi @ x @ psi.conj().T + x)
     s = np.linalg.svd(op, compute_uv=False)
     rel = s / max(s[0], 1.0)
     assert np.any((rel >= spaces.RANK_CUTOFF) & (rel < 1e-5))
-    assert point_mismatch(space, m) == 0.0
+    assert point_mismatch(space, m, flows) == 0.0
     rep = verify_axiom(space, "min_degeneracy", samples=5, seed=109)
     assert rep.passed and rep.max_residual == 0.0
 
@@ -996,7 +1000,7 @@ def test_near_degenerate_product_points_are_decided(monkeypatch):
             for _ in range(5):
                 m = forced_points(space, forced_turns(space.n, 1, rng, off), rng, count=6)
                 svds.clear()
-                out = spaces._degeneracy_mismatch(space, m)
+                out = spaces._degeneracy_mismatch(space, m, None)
                 assert out.shape == (6,) and not np.any(out), (space, off)
                 assert bool(svds) == (off < Q(4, 10**8)), (space, off)
 
@@ -1015,17 +1019,25 @@ def class_cases(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
 def test_class_basis_is_orthonormal_and_spans_the_svd_basis(n):
-    # the tangents of the basis data: the eigenvectors of a pair 2e-6 apart,
-    # and so both bases, are exact to about eps / |d_i - d_j| = 1e-11, and
-    # so are the tangents X m - m X of data X of size 1 / |d_i - d_j|; the
-    # same holds with the eigenframes from the flows that drew the points
+    # at m_0 the tangents of C, the rows of xi's pairs, are B m_0 for the
+    # pair's off-diagonal basis elements B, to rounding in the rows' size.
+    # At flowed points the tangents of the basis from the flows, and from
+    # eig frames, whose eigenvectors of a pair 2e-6 apart (and so the SVD
+    # basis) are exact to about eps / |d_i - d_j| = 1e-11, are orthonormal
+    # and span the SVD basis; so are the tangents X m - m X of data X of
+    # size 1 / |d_i - d_j|
     for name, xi in class_cases(n):
         space = ConjugacyClass(n, xi)
+        rows, m0 = space._pair_rows, space.base[0]
+        pairs = spaces._basis_stack(n)[: n * (n - 1)].reshape(-1, 2, n, n)[space.pairs]
+        at_base = field_at(space, rows[None], spaces._lift(space.base))[0]
+        bound = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(rows), initial=0.0))
+        assert np.max(np.abs(at_base - pairs.reshape(rows.shape) @ m0), initial=0.0) < bound, name
         rng = np.random.default_rng(n)
         flows = expm_skew(stack([random_field(space, rng) for _ in range(3)]))
         m = space._carry(flows, space.base[:, None])
         ref = class_basis_svd(space, m)
-        for given in (None, flows):
+        for given in (eig_frames(space, m), flows):
             basis = field_at(space, block_rows(space._basis(m, given)), spaces._lift(m))
             assert basis.shape == ref.shape == (1, 3, basis.shape[-3], n, n), name
             assert basis.shape[-3] == space.dim - 2 * (name == "unresolved"), name
@@ -1034,6 +1046,39 @@ def test_class_basis_is_orthonormal_and_spans_the_svd_basis(n):
             assert np.max(np.abs(b @ b.swapaxes(-1, -2) - np.eye(b.shape[-2])), initial=0.0) < tol
             span = np.max(np.abs(r - r @ b.swapaxes(-1, -2) @ b), initial=0.0)
             assert span < tol, name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_class_basis_rows_per_path(n, monkeypatch):
+    # the moment check and a class slot in a fusion take two rows per pair of
+    # xi whose gap the cutoff resolves, two fewer where eigenphases lie 2e-8
+    # apart; a lone class's min_degeneracy takes two per pair of xi, dim rows
+    bases, lone = [], []
+    basis, structure = spaces.QSpace._basis, ConjugacyClass.structure
+
+    def spied_basis(self, m, flows):
+        out = basis(self, m, flows)
+        bases.append([x.shape[-3] for x in out])
+        return out
+
+    def spied_structure(self, m, stack, blocks=False):
+        lone.append(stack[0].shape[-3])
+        return structure(self, m, stack, blocks)
+
+    monkeypatch.setattr(spaces.QSpace, "_basis", spied_basis)
+    monkeypatch.setattr(ConjugacyClass, "structure", spied_structure)
+    for name, xi in class_cases(n):
+        space = ConjugacyClass(n, xi)
+        resolved = space.dim - 2 * (name == "unresolved")
+        assert space.dim == n * n - n - 2 * (name == "repeated"), name
+        bases.clear()
+        verify_axiom(space, "moment", samples=2, seed=1)
+        assert bases == [[resolved]], name
+        lone.clear()
+        verify_axiom(space, "min_degeneracy", samples=2, seed=1)
+        assert bases == [[resolved]] and lone == [space.dim], name
+        verify_axiom(Fused([space, Double(n)]), "min_degeneracy", samples=2, seed=1)
+        assert bases[1:] == [[resolved, n * n - 1, n * n - 1]], name
 
 
 def refuse_svd(*args, **kwargs):
@@ -1049,21 +1094,24 @@ def test_class_cocycle_and_moment_take_no_svd(monkeypatch):
         reduction_rank(Genus(2, 1), Genus(2, 1).base)
 
 
-def test_class_point_is_decomposed_once_per_stack(monkeypatch):
-    # the records read field data, so no record decomposes a class point:
-    # cocycle takes no eig at all, and moment one per stack, for its basis
+def test_class_point_is_never_decomposed(monkeypatch):
+    # the records read field data and a class's basis is its constant rows
+    # carried by the flows, so no stack decomposes a class point: moment
+    # takes no eig, QR or unitary_eig, and cocycle only the QR of its fields
     space = ConjugacyClass(8, generic_xi(8))
-    calls, eig, unitary = [], np.linalg.eig, spaces.unitary_eig
-    monkeypatch.setattr(spaces.np.linalg, "eig", lambda a: calls.append("eig") or eig(a))
-    monkeypatch.setattr(spaces, "unitary_eig", lambda a: calls.append("unitary") or unitary(a))
+    calls, unitary = [], spaces.unitary_eig
+    for name in ("eig", "qr"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, real=real, **k:
+                            calls.append(name) or real(*a, **k))
+    monkeypatch.setattr(spaces, "unitary_eig", lambda a: calls.append("unitary_eig") or unitary(a))
     samples = 20
     stacks = -(-samples // (spaces.STACK_ROWS // space.dim))
     assert stacks == 3
-    for axiom, count in (("cocycle", 0), ("moment", stacks)):
+    for axiom, expected in (("cocycle", ["qr"] * stacks), ("moment", [])):
         calls.clear()
         assert verify_axiom(space, axiom, samples=samples, seed=7).passed
-        # unitary_eig takes its one eig inside
-        assert calls == ["unitary", "eig"] * count, axiom
+        assert calls == expected, axiom
 
 
 def test_min_degeneracy_decompositions_per_stack(monkeypatch):
@@ -1194,8 +1242,8 @@ def test_action_moment_and_fields_over_points_match_single_points(name, space):
 
 def sample_with_basis(space, rng):
     """Draw a point and its tangent basis as a list."""
-    m = sample(space, rng)
-    return m, basis_list(space, m)
+    m, flows = sample_flows(space, rng)
+    return m, basis_list(space, m, flows)
 
 
 def random_tangent(m, basis, rng):
@@ -1281,7 +1329,7 @@ def loop_residuals(space, axiom, samples, seed, fd_step=1e-4):
     out = []
     for _ in range(samples):
         if axiom == "min_degeneracy":
-            out.append(point_mismatch(space, sample(space, rng)))
+            out.append(point_mismatch(space, *sample_flows(space, rng)))
             continue
         m, basis = sample_with_basis(space, rng)
         if axiom == "moment":
@@ -1329,16 +1377,16 @@ def spy_draws(space, monkeypatch):
     residuals get."""
     log, stacked, draw_stack = [], [], spaces._draw_stack
 
-    def spied(kind, fn):
+    def spied(kind, fn, logged=lambda out: out):
         def spy(*args, **kwargs):
             out = fn(*args, **kwargs)
-            log.append((kind, out))
+            log.append((kind, logged(out)))
             return out
         return spy
 
-    monkeypatch.setitem(globals(), "sample", spied("point", sample))
+    monkeypatch.setitem(globals(), "sample_flows", spied("point", sample_flows, lambda out: out[0]))
     field = spied("random_field", random_field)
-    monkeypatch.setattr(oracles, "random_field", field)  # the field of oracles.sample
+    monkeypatch.setattr(oracles, "random_field", field)  # the field of oracles.sample_flows
     monkeypatch.setitem(globals(), "random_field", field)
     for kind in ("algebra_element",) + LOOP_ONLY:
         monkeypatch.setitem(globals(), kind, spied(kind, globals()[kind]))
@@ -1399,10 +1447,10 @@ def test_stacked_draw_work_equals_per_sample_work(n):
     assert np.array_equal(expm_skew(xs), np.stack([expm_skew(x) for x in xs]))
     c = ConjugacyClass(n, generic_xi(n))
     for space in (c, Double(n), Genus(n, 2), Fused([Fused([c, c]), c])):
-        points = [sample(space, rng) for _ in range(4)]
-        bases = space._basis(stack(points))
-        assert all(np.array_equal(x[p], y) for p, m in enumerate(points)
-                   for x, y in zip(bases, space._basis(m)))
+        points, flows = zip(*(sample_flows(space, rng) for _ in range(4)))
+        bases = space._basis(stack(points), stack(flows))
+        assert all(np.array_equal(x[p], y) for p, (m, u) in enumerate(zip(points, flows))
+                   for x, y in zip(bases, space._basis(m, u)))
         datas = [[random_field(space, rng) for _ in range(3)] for _ in range(4)]
         fields = spaces._orthonormal_fields(stack([stack(d) for d in datas]))
         assert all(np.array_equal(fields[:, p], stack(orthonormalized(d)))
@@ -1600,7 +1648,7 @@ def test_genus_record_makes_one_double_call(h, monkeypatch):
     rng = np.random.default_rng(233)
     points = stack([sample(space, rng) for _ in range(3)])
     for m in (points[:, 0], points):
-        blocks = space._basis(m)
+        blocks = space._basis(m, None)
         for stacked, layout in ((block_rows(blocks), False), (blocks, True)):
             calls.clear()
             space.structure(m, stacked, layout)
@@ -1633,6 +1681,21 @@ def test_near_degenerate_class_passes(axiom, bound):
     assert rep.passed and rep.max_residual <= bound
 
 
+def test_class_sweep_subset_matches_its_table():
+    # class_sweep.json covers every space and axiom of the sweep, no cell exits 3, and a
+    # subset, n = 2 and 3, the three families at eps = 1e-5, 1e-8 and 1e-10, seed 0,
+    # gets the exit code and verdict the table records
+    recorded = class_sweep.load()
+    assert list(recorded) == sorted(class_sweep.groups())
+    assert all(len(cells) == len(class_sweep.SEEDS) for cells in recorded.values())
+    assert not [g for g, cells in recorded.items() if any(c[0] == 3 for c in cells)]
+    subset = class_sweep.groups(ns=(2, 3), exponents=(5, 8, 10))
+    assert len(subset) == 216
+    changed = [(g, recorded[g][0], got) for g in subset
+               if (got := class_sweep.run(g, 0)) != recorded[g][0]]
+    assert not changed, changed
+
+
 # ---------------------------------------------------------------------------
 # fusion structure
 
@@ -1646,8 +1709,8 @@ def test_fusion_moment_associativity():
     c = ConjugacyClass(2, (Q(1, 8), Q(-1, 8)))
     left, right = Fused([Fused([a, c]), b]), Fused([a, Fused([c, b])])
 
-    m = sample(left, rng)
-    basis = basis_list(left, m)
+    m, flows = sample_flows(left, rng)
+    basis = basis_list(left, m, flows)
     rec_left = _record(left, m, basis)
     rec_right = _record(right, m, basis)
     assert np.max(np.abs(rec_left.omega - rec_right.omega)) < 1e-12
@@ -1709,9 +1772,9 @@ def test_point_and_basis_shapes(name, space):
          "nested_fusion": 3}[name]
     n = space.n
     rng = np.random.default_rng(29)
-    m = sample(space, rng)
+    m, flows = sample_flows(space, rng)
     assert m.shape == space.base.shape == random_field(space, rng).shape == (k, n, n)
-    blocks, two = space._basis(m), space._basis(stack([m, m]))
+    blocks, two = space._basis(m, flows), space._basis(stack([m, m]), stack([flows, flows]))
     rows = [x.shape[0] for x in blocks]
     assert len(blocks) == len(two) == k and sum(rows) == space.dim
     assert [x.shape for x in blocks] == [(r, n, n) for r in rows]
@@ -1755,7 +1818,7 @@ def test_genus_matches_explicit_fusion_chain(n, h):
     # the h doubles are one object and make one record over an axis of h: the fold of
     # their records one at a time, bit for bit, in both layouts and over a stack of points
     for at in (m, stack([m, sample(space, rng)])):
-        blocks = space._basis(at)
+        blocks = space._basis(at, None)
         for stacked, layout in ((block_rows(blocks), False), (blocks, True)):
             assert same_record(space.structure(at, stacked, layout),
                                part_by_part_record(space, at, stacked, layout))
@@ -1771,10 +1834,11 @@ def test_slot_kinds_match_closed_forms():
     space = Fused(parts)
     assert space.class_slots == (0, 3)
     rng = np.random.default_rng(131)
-    points = [sample(space, rng) for _ in range(3)]
+    points, flows = zip(*(sample_flows(space, rng) for _ in range(3)))
     datas = [random_field(space, rng) for _ in range(3)]
     times = np.array([0.3, -0.7, 1.1])
-    for m, data, t in ((points[0], datas[0], times[0]), (stack(points), stack(datas), times)):
+    for m, reach, data, t in ((points[0], flows[0], datas[0], times[0]),
+                              (stack(points), stack(flows), stack(datas), times)):
         at, flow = field_at(space, data, m), space.field_flow(data, m, t)
         for j, (x, p) in enumerate(zip(data, m)):
             u = expm_skew(np.asarray(t)[..., None, None] * x)
@@ -1784,9 +1848,9 @@ def test_slot_kinds_match_closed_forms():
             else:
                 assert same_bits(at[j], x @ p)
                 assert same_bits(flow[j], u @ p)
-        basis = space._basis(m)
+        basis = space._basis(m, reach)
         for part, slots in zip(parts, ([0], [1, 2], [3])):
-            own = part._basis(m[slots])
+            own = part._basis(m[slots], reach[slots])
             assert all(same_bits(basis[j], x) for j, x in zip(slots, own))
         assert sum(x.shape[-3] for x in basis) == space.dim == 6 + 16 + 6
 
@@ -1815,7 +1879,7 @@ def test_reduction_rank_at_commuting_and_identity():
     e = np.eye(2, dtype=complex)
     assert reduction_rank(g21, np.stack([e, e])) == 0 == fd_reduction_rank(g21, np.stack([e, e]))
     point = ConjugacyClass(2, (Q(0), Q(0)))  # no tangents: an empty Jacobian
-    assert reduction_rank(point, point.base) == 0
+    assert reduction_rank(point, point.base, identity_flows(point, point.base)) == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1984,13 +2048,13 @@ def block_record_spaces():
 def test_block_record_matches_zero_filled_record(name, space):
     # min_degeneracy and reduction_rank read the record of the basis block by
     # block; it is the record of the zero-filled basis, at one point and over
-    # a stack, with class frames decomposed or taken from the flows
+    # a stack, with class frames from eig or from the flows
     rng = np.random.default_rng(151)
     fields = [random_field(space, rng) for _ in range(3)]
     for f, base in ((fields[0], space.base), (stack(fields), space.base[:, None])):
         flows = expm_skew(f)
         m = space._carry(flows, base)
-        for given in (None, flows):
+        for given in (eig_frames(space, m), flows):
             rec = space.structure(m, space._basis(m, given), blocks=True)
             if isinstance(space, Fused):  # a run of parts that are one object shares a call
                 ref = part_by_part_record(space, m, space._basis(m, given), blocks=True)
