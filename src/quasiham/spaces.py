@@ -49,11 +49,13 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, groupby
 from math import lcm
+from operator import add
 
 import numpy as np
 
 from .errors import InputError, ToolkitError, built_here
 from .sun import (
+    Jet,
     basic_gram,
     basic_inner,
     check_special_unitary,
@@ -122,11 +124,6 @@ def _dag(p: np.ndarray) -> np.ndarray:
 def _lift(p: np.ndarray) -> np.ndarray:
     """A point's matrix broadcast against the stack axis of its tangents."""
     return p[..., None, :, :]
-
-
-def _times(t) -> np.ndarray:
-    """Flow times broadcast against the matrix axes of field data."""
-    return np.asarray(t, dtype=float)[..., None, None]
 
 
 def _bounded(dim: int) -> int:
@@ -263,13 +260,6 @@ class QSpace:
             out[j] = _lift(flows[j]) @ rows @ _lift(_dag(flows[j]))
         return out
 
-    # extension fields for the invariant-extension derivative formula
-    def field_flow(self, data, m, t):
-        """The flow of the field for time t, a float or an array whose axes
-        broadcast against the leading axes of data and m after the slot axis:
-        exp(tX) p on a group slot, exp(tX) m exp(-tX) on a class slot."""
-        return self._carry(expm_skew(_times(t) * data), m)
-
     def _carry(self, u, m):
         """The points m moved by the slot flows u: u p on a group slot, u m u*
         on a class slot."""
@@ -278,11 +268,13 @@ class QSpace:
             out[j] = out[j] @ _dag(u[j])
         return out
 
-    def field_bracket(self, d1, d2):
-        """Data of the commutator field; the minus sign is the left-action
-        convention for generating fields and the right-invariant-frame
-        bracket for group slots."""
-        return -(d1 @ d2 - d2 @ d1)
+    def _tangents(self, data, m):
+        """The tangents at points m of field data X: X p on a group slot p,
+        X m - m X on a class slot m."""
+        out = data @ m
+        for j in self.class_slots:
+            out[j] -= m[j] @ data[j]
+        return out
 
 
 class ConjugacyClass(QSpace):
@@ -392,7 +384,7 @@ class Double(QSpace):
         pairing = basic_gram(al, br) + basic_gram(ar, bl)
         # on blocks the a rows pair only with the b rows, and each left stacks the two slots'
         # terms where over all rows it sums them
-        join = _rows if blocks else np.add
+        join = _rows if blocks else add
         return Structure(
             _joined(pairing) if blocks else _skew(pairing),
             self._moment(m),
@@ -493,8 +485,11 @@ class VerificationReport:
 
 
 AXIOMS = ("cocycle", "moment", "min_degeneracy", "equivariance")
+# cocycle: with exact derivatives a valid space's residual is the rounding of O(1) pairings, at
+# most 4.5e-16 (2 eps) on genus(4, 8), the bench streams and tests/class_sweep.py; 1e-12 (4,500
+# eps) leaves a factor 2,000, and a fusion correction scaled by 1 + 1e-6 gives 3e-8.
 DEFAULT_TOLERANCES = {
-    "cocycle": 1e-4,
+    "cocycle": 1e-12,
     "moment": 1e-8,
     "min_degeneracy": 0.5,
     "equivariance": 1e-9,
@@ -518,27 +513,25 @@ def _moment_residuals(space: QSpace, m, xi, w) -> np.ndarray:
     return np.abs(rec.omega[..., 0, 1] - rhs)
 
 
-def _cocycle_residuals(space: QSpace, m, f, fd_step: float) -> np.ndarray:
+def _cocycle_residuals(space: QSpace, m, f) -> np.ndarray:
     """|d omega - Psi* eta| on three fields f1, f2, f3 per point of a stack
     of S points, with data f of shape (k, S, 3, n, n).  d omega is the
-    invariant-extension formula with central differences: one flow of the
-    6 S points exp(+-h f_i) m, one record of the field pairs there (its Psi
-    gives the differences of the moment) and one record at m of [f1, f2],
-    [f1, f3], [f2, f3], f3, f2, f1."""
-    flows = space.field_flow(f[:, :, :, None], m[:, :, None, None], [fd_step, -fd_step])
-    moved = space.structure(flows, f[:, :, [[1, 2], [0, 2], [0, 1]]][:, :, :, None])
-    brackets = space.field_bracket(f[:, :, [0, 0, 1]], f[:, :, [1, 2, 2]])
-    base = space.structure(m, np.concatenate([brackets, f[:, :, ::-1]], axis=2))
-    deriv = (moved.omega[:, :, 0, 0, 1] - moved.omega[:, :, 1, 0, 1]) / (2.0 * fd_step)
-    om = base.omega
+    invariant-extension formula with exact derivatives: one record of the
+    field pairs [f2, f3], [f1, f3], [f1, f2] at the jets of m along f1, f2
+    and f3 (its Psi gives the jets of the moment, Psi* dPsi their theta^L),
+    and one record at m of [f1, f2], [f1, f3], [f2, f3], f3, f2, f1."""
+    lm = _lift(m)
+    moved = space.structure(Jet(np.broadcast_to(lm, f.shape), space._tangents(f, lm)),
+                            f[:, :, [[1, 2], [0, 2], [0, 1]]])
+    # the data of the commutator fields: the minus sign is the left-action convention for
+    # generating fields and the right-invariant-frame bracket for group slots
+    x, y = f[:, :, [0, 0, 1]], f[:, :, [1, 2, 2]]
+    base = space.structure(m, np.concatenate([-(x @ y - y @ x), f[:, :, ::-1]], axis=2))
+    deriv, om = moved.omega.tangent[..., 0, 1], base.omega
     d_omega = (deriv[:, 0] - deriv[:, 1] + deriv[:, 2]
                - om[:, 0, 3] + om[:, 1, 4] - om[:, 2, 5])
-    eta = 0.0
-    for psi, ends in zip(base.psi, moved.psi):
-        # theta^L of the finite-difference dPsi along each field
-        dpsi = (ends[:, :, 0] - ends[:, :, 1]) / (2.0 * fd_step)
-        pulled = project_algebra(_lift(_dag(psi)) @ dpsi)
-        eta = eta + _three_form_pulled([pulled[:, 0], pulled[:, 1], pulled[:, 2]])
+    eta = sum(_three_form_pulled((_dag(psi.value) @ psi.tangent).swapaxes(0, 1))
+              for psi in moved.psi)
     return np.abs(d_omega - STRUCTURE_FORM_ORIENTATION * eta)
 
 
@@ -572,10 +565,7 @@ def _anti_fixed_rank(space: QSpace, m, psis, s) -> np.ndarray:
         rows = (xis[:, :, :, None] * np.eye(f)[:, None, :, None, None]).reshape(
             (live.size, -1, f) + xis.shape[-2:])
         lm = _lift(m[:, live])
-        gens = space._generating(np.moveaxis(rows, 2, 0), lm)
-        tangents = gens @ lm  # X p on a group slot p, X m - m X on a class slot m
-        for k in space.class_slots:
-            tangents[k] -= lm[k] @ gens[k]
+        tangents = space._tangents(space._generating(np.moveaxis(rows, 2, 0), lm), lm)
         gs = np.linalg.svd(realvec(tangents), compute_uv=False)
         qualifying[live] = _rank(gs, gs[:, 0])
     return qualifying
@@ -639,7 +629,7 @@ def _draw_stack(space: QSpace, axiom: str, count: int, rng) -> tuple:
     return (x[:k], x[k:]) + ((z[:, size:],) if axiom == "moment" else ())
 
 
-def _residuals(space: QSpace, axiom: str, fd_step: float, f, *drawn) -> np.ndarray:
+def _residuals(space: QSpace, axiom: str, f, *drawn) -> np.ndarray:
     """The residuals at a stack of draws, whose matrix work runs once on the
     stack: the points are one flow of the stacked fields f from the base
     point.  A class basis of fewer than dim rows (eigenphases closer than
@@ -658,49 +648,36 @@ def _residuals(space: QSpace, axiom: str, fd_step: float, f, *drawn) -> np.ndarr
         w = coeffs[:, None, : ends[-1]] @ rows.reshape(rows.shape[:3] + (m[0, 0].size,))
         return _moment_residuals(space, m, xi, w.reshape(m.shape))
     if axiom == "cocycle":
-        return _cocycle_residuals(space, m, _orthonormal_fields(drawn[0]), fd_step)
+        return _cocycle_residuals(space, m, _orthonormal_fields(drawn[0]))
     if axiom == "equivariance":
         return _equivariance_residuals(space, m, expm_skew(drawn[0]))
     return _degeneracy_mismatch(space, m, flows)
 
 
-def _sample_residuals(space: QSpace, axiom: str, samples: int, fd_step: float,
-                      rng) -> np.ndarray:
+def _sample_residuals(space: QSpace, axiom: str, samples: int, rng) -> np.ndarray:
     """The residual of each sample, with the draws of a loop over one sample
     at a time, in stacks of at most STACK_ROWS // dim samples (one when dim >
     STACK_ROWS), each drawn in one call; a residual not finite is an error."""
     step, out = max(1, STACK_ROWS // max(space.dim, 1)), np.empty(samples)
     for done in range(0, samples, step):
-        part = _residuals(space, axiom, fd_step,
-                          *_draw_stack(space, axiom, min(step, samples - done), rng))
+        part = _residuals(space, axiom, *_draw_stack(space, axiom, min(step, samples - done), rng))
         if not np.all(np.isfinite(part)):
             raise ToolkitError(f"non-finite {axiom} residual")
         out[done : done + len(part)] = part
     return out
 
 
-def verify_axiom(
-    space: QSpace,
-    axiom: str,
-    samples: int = 50,
-    fd_step: float | None = None,
-    tol: float | None = None,
-    seed: int = 0,
-) -> VerificationReport:
+def verify_axiom(space: QSpace, axiom: str, samples: int = 50, tol: float | None = None,
+                 seed: int = 0) -> VerificationReport:
     """Check one defining condition on random samples and report the worst
     residual.  Sampling is driven by a single seeded generator, so reports
-    are reproducible.  fd_step, the cocycle's central-difference step, and tol
-    default to 1e-4 and to the axiom's DEFAULT_TOLERANCES entry."""
+    are reproducible.  tol defaults to the axiom's DEFAULT_TOLERANCES entry."""
     if axiom not in AXIOMS:
         raise InputError("unknown-axiom", f"axiom must be one of {AXIOMS}, got {axiom!r}")
     if samples < 1:
         raise InputError("invalid-samples", f"need samples >= 1, got {samples}")
-    fd_step = 1e-4 if fd_step is None else fd_step
-    if not (1e-6 < fd_step < 1e-2):
-        raise InputError("invalid-step", f"fd_step must lie in (1e-6, 1e-2), got {fd_step}")
     tolerance = DEFAULT_TOLERANCES[axiom] if tol is None else float(tol)
-    worst = float(np.max(_sample_residuals(space, axiom, samples, fd_step,
-                                           np.random.default_rng(seed))))
+    worst = float(np.max(_sample_residuals(space, axiom, samples, np.random.default_rng(seed))))
     return VerificationReport(axiom, samples, worst, tolerance, passed=worst < tolerance)
 
 

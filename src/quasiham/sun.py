@@ -84,12 +84,73 @@ def basic_inner(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
 
 def basic_gram(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The matrix basic_inner(xs[..., i, :, :], ys[..., j, :, :]) of two
-    stacks of n x n matrices, as one matrix product; further leading axes
-    broadcast."""
+    stacks of n x n matrices, or of Jets of them, as one matrix product;
+    further leading axes broadcast."""
     size = xs.shape[-2] * xs.shape[-1]
     flat_xs = xs.reshape(xs.shape[:-2] + (size,))
     flat_ys = ys.swapaxes(-1, -2).reshape(ys.shape[:-2] + (size,))
     return -np.real(flat_xs @ flat_ys.swapaxes(-1, -2)) / (4.0 * np.pi**2)
+
+
+class Jet:
+    """A first-order jet: an array's value and its derivative along one
+    tangent (forward mode; Griewank and Walther, Evaluating Derivatives,
+    2008).  Sums, scalar multiples and linear maps act on both parts and @
+    follows the product rule, so arithmetic made of these alone, such as a
+    structure record or basic_gram, gives the exact derivative of its
+    result.  An array's operators defer to a jet (__array_ufunc__ = None)."""
+
+    __array_ufunc__ = None
+    __slots__ = ("value", "tangent")
+
+    def __init__(self, value, tangent):
+        self.value, self.tangent = value, tangent
+
+    shape = property(lambda self: self.value.shape)
+    real = property(lambda self: Jet(self.value.real, self.tangent.real))
+
+    def __getitem__(self, key) -> Jet:
+        return Jet(self.value[key], self.tangent[key])
+
+    def __iter__(self):
+        return map(Jet, self.value, self.tangent)
+
+    def conj(self) -> Jet:
+        return Jet(self.value.conj(), self.tangent.conj())
+
+    def swapaxes(self, a: int, b: int) -> Jet:
+        return Jet(self.value.swapaxes(a, b), self.tangent.swapaxes(a, b))
+
+    def reshape(self, shape) -> Jet:
+        return Jet(self.value.reshape(shape), self.tangent.reshape(shape))
+
+    def __add__(self, other) -> Jet:
+        if isinstance(other, Jet):
+            return Jet(self.value + other.value, self.tangent + other.tangent)
+        return Jet(self.value + other, self.tangent)
+
+    def __sub__(self, other) -> Jet:
+        return self + -other
+
+    def __neg__(self) -> Jet:
+        return Jet(-self.value, -self.tangent)
+
+    def __mul__(self, scalar) -> Jet:
+        return Jet(self.value * scalar, self.tangent * scalar)
+
+    def __truediv__(self, scalar) -> Jet:
+        return Jet(self.value / scalar, self.tangent / scalar)
+
+    def __matmul__(self, other) -> Jet:
+        if isinstance(other, Jet):
+            return Jet(self.value @ other.value,
+                       self.tangent @ other.value + self.value @ other.tangent)
+        return Jet(self.value @ other, self.tangent @ other)
+
+    def __rmatmul__(self, other) -> Jet:
+        return Jet(other @ self.value, other @ self.tangent)
+
+    __rmul__ = __mul__
 
 
 def complex_pairs(a) -> list:

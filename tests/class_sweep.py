@@ -16,8 +16,13 @@ axiom, with [exit, pass] for seeds 0, 1 and 2:
   class C', Fused([C, C']), for n = 2 and 3
 
 Exit codes are the command line's: 0 PASS, 1 FAIL, 2 an input error and 3
-any other error.  ``test_spaces.py`` replays a subset.  Regenerate the table
-(only when a verdict is meant to change) with
+any other error.  ``test_spaces.py`` replays a subset.  Recompute every cell
+and print each one whose [exit, pass] differs from the table, exiting 1 if
+any does, with
+
+    PYTHONPATH=src python tests/class_sweep.py --check
+
+and regenerate the table (only when a verdict is meant to change) with
 
     PYTHONPATH=src python tests/class_sweep.py --write
 """
@@ -81,14 +86,33 @@ def load() -> dict:
         return json.load(fh)
 
 
+def cells() -> dict:
+    """Every line of the table, recomputed."""
+    return {g: [run(g, seed) for seed in SEEDS] for g in sorted(groups())}
+
+
 def write():
-    lines = [f"{json.dumps(g)}: {json.dumps([run(g, seed) for seed in SEEDS])}"
-             for g in sorted(groups())]
+    lines = [f"{json.dumps(g)}: {json.dumps(row)}" for g, row in cells().items()]
     with open(SWEEP_PATH, "w", encoding="utf-8") as fh:
         fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
 
+def check() -> int:
+    """Print every cell whose recomputed [exit, pass] differs from the
+    table's; 1 if any does, else 0."""
+    table, moved = load(), 0
+    for g, row in cells().items():
+        for seed, was, now in zip(SEEDS, table.get(g, [None] * len(SEEDS)), row):
+            if now != was:
+                print(f"{g} seed {seed}: {was} -> {now}")
+                moved += 1
+    print(f"{moved} of {len(SEEDS) * len(table)} cells differ")
+    return int(moved > 0)
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     write()

@@ -2,7 +2,8 @@
 linear algebra, the simple and lowest roots and the alcove, lattice and
 pre-quantization tests over Fractions, the one-matrix gerbe helpers, the
 constant connection of the acceptance tests and its JSON, one random point
-of a space with the flows that reach it, an eigenframe of a class point
+of a space with the flows that reach it, the flows and brackets of fields
+and the central-difference cocycle residual, an eigenframe of a class point
 independent of its flow, the verifier's draws sample by sample, the moment check's
 tangents slot by slot and sample by sample, a fused record part by part,
 the zero-filled records that the block records of the spaces replaced, and
@@ -20,15 +21,25 @@ from quasiham.gerbe import _cover, _ordered_eig, _spectral_record
 from quasiham.holonomy import PiecewiseConnection
 from quasiham.prequant import NOT_A_WEIGHT
 from quasiham.rational import format_vector
-from quasiham.spaces import RANK_CUTOFF, _fuse, _lift, _rank, realvec, unrealvec
+from quasiham.spaces import (
+    RANK_CUTOFF,
+    STRUCTURE_FORM_ORIENTATION,
+    _fuse,
+    _lift,
+    _rank,
+    realvec,
+    unrealvec,
+)
 from quasiham.sun import (
     _basis_stack,
+    _three_form_pulled,
     alcove_coordinates,
     alcove_order,
     check_algebra,
     check_special_unitary,
     complex_pairs,
     expm_skew,
+    project_algebra,
     random_algebra,
 )
 
@@ -313,6 +324,56 @@ def field_at(space, data, m):
     for j in space.class_slots:
         out[j] -= m[j] @ data[j]
     return out
+
+
+def field_flow(space, data, m, t):
+    """The flow of field data X for time t, a float or an array whose axes
+    broadcast against the leading axes of data and m after the slot axis:
+    exp(tX) p on a group slot p, exp(tX) m exp(-tX) on a class slot m."""
+    u = expm_skew(np.asarray(t, dtype=float)[..., None, None] * data)
+    out = u @ m
+    for j in space.class_slots:
+        out[j] = out[j] @ u[j].conj().swapaxes(-1, -2)
+    return out
+
+
+def field_bracket(d1, d2):
+    """Data of the commutator field of field data d1 and d2; the minus sign
+    is the left-action convention for generating fields and the
+    right-invariant-frame bracket for group slots."""
+    return -(d1 @ d2 - d2 @ d1)
+
+
+def fd_cocycle_residual(space, m, fields, fd_step=1e-4):
+    """|d omega - Psi* eta| at one point m on three field data, d omega by
+    the invariant-extension formula, with the derivatives of omega and of
+    the moment by central differences of step fd_step along the fields'
+    flows: the check that exact derivatives replaced.  Its error is the
+    truncation, O(fd_step^2), and the rounding of O(1) terms over 2 fd_step."""
+    f1, f2, f3 = fields
+
+    def omega_of(da, db, point):
+        return space.structure(point, np.stack([da, db], axis=-3)).omega[0, 1]
+
+    def derivative(d, da, db):
+        plus, minus = (field_flow(space, d, m, t) for t in (fd_step, -fd_step))
+        return (omega_of(da, db, plus) - omega_of(da, db, minus)) / (2.0 * fd_step)
+
+    d_omega = (
+        derivative(f1, f2, f3)
+        - derivative(f2, f1, f3)
+        + derivative(f3, f1, f2)
+        - omega_of(field_bracket(f1, f2), f3, m)
+        + omega_of(field_bracket(f1, f3), f2, m)
+        - omega_of(field_bracket(f2, f3), f1, m)
+    )
+    pulled = []  # per field, per factor: theta^L of the finite-difference dPsi
+    for d in (f1, f2, f3):
+        plus, minus = (space._moment(field_flow(space, d, m, t)) for t in (fd_step, -fd_step))
+        pulled.append([project_algebra(psi.conj().T @ ((pp - pm) / (2.0 * fd_step)))
+                       for psi, pp, pm in zip(space._moment(m), plus, minus)])
+    eta = sum(_three_form_pulled(list(per_factor)) for per_factor in zip(*pulled))
+    return float(abs(d_omega - STRUCTURE_FORM_ORIENTATION * eta))
 
 
 def block_rows(blocks):

@@ -287,6 +287,13 @@ def test_usage_errors_exit_two(capsys):
     err = capsys.readouterr().err
     assert "1/x" in err
     assert main(["check-class", "--type", "A9x", "--xi", "0", "--level", "1"]) == 2
+    # the cocycle check takes exact derivatives and no step
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["verify", "--space", "genus", "--genus", "2", "--n", "2", "--axiom", "cocycle",
+                  "--fd-step", "1e-4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fd-step 1e-4" in capsys.readouterr().err
 
 
 # sets of factor * w_1 of A2 (w_1 = (2, 1) / det, det = 3) and the origin, as
@@ -400,9 +407,9 @@ def test_reused_parser_keeps_no_state(monkeypatch):
     monkeypatch.setitem(cli._ROWS, name, (lambda args: (seen.append(args), (0, {}))[1],
                                           cli._ROWS[name][1]))
     verify = ["verify", "--space", "conjugacy_class", "--axiom", "cocycle"]
-    dispatch(verify + ["--xi", "1/4,-1/4", "--n", "3", "--fd-step", "5e-3", "--tol", "1"])
+    dispatch(verify + ["--xi", "1/4,-1/4", "--n", "3", "--samples", "7", "--tol", "1"])
     dispatch(verify + ["--xi", "1/8,-1/8"])
-    assert vars(seen[1]) == {**vars(seen[0]), "xi": ["1/8,-1/8"], "n": None, "fd_step": 1e-4,
+    assert vars(seen[1]) == {**vars(seen[0]), "xi": ["1/8,-1/8"], "n": None, "samples": 50,
                              "tol": None}
     assert seen[1].genus is None and not hasattr(seen[1], "json")
 
@@ -663,7 +670,7 @@ def test_unused_xi_exits_two(argv, message, capsys):
 
 # A value of each option, as its parser takes it, for the argv that give it.
 OPTION_TEXT = {"type": "A1", "level": "2", "xi": "1/8,-1/8", "torsion": "2", "n": "3",
-               "genus": "2", "samples": "3", "fd_step": "1e-3", "tol": "1", "seed": "1",
+               "genus": "2", "samples": "3", "tol": "1", "seed": "1",
                "grids": "4,8"}
 CONNECTION = json.dumps({"samples": [[[[0, 0.3], [0, 0]], [[0, 0], [0, -0.3]]]] * 4})
 
@@ -713,6 +720,8 @@ def test_every_option_is_read_by_a_row():
         read = {option for name, (_, reads) in cli._ROWS.items() if name.split()[0] == verb
                 for option in reads}
         assert read == set(verb_options(verb)), verb
+    # the parser names the verifier's axioms without importing it
+    assert cli._AXIOMS == importlib.import_module("quasiham.spaces").AXIOMS
 
 
 def readme_row(name):
@@ -830,7 +839,7 @@ INPUT_ERROR_TAGS = {
     "degenerate-fit", "dimension-mismatch", "empty-grid", "empty-vector", "grid-mismatch",
     "grid-too-large", "group-size-mismatch", "invalid-genus", "invalid-grids", "invalid-index",
     "invalid-level", "invalid-rank", "invalid-samples", "invalid-seed", "invalid-series",
-    "invalid-side", "invalid-step", "invalid-tolerance", "invalid-torsion", "invalid-type",
+    "invalid-side", "invalid-tolerance", "invalid-torsion", "invalid-type",
     "io-error",
     "malformed-connection", "malformed-json", "malformed-matrix", "malformed-rational",
     "missing-argument", "nonzero-sum", "not-a-root", "not-a-series",
@@ -874,10 +883,11 @@ def test_input_error_tags_are_the_reviewed_set():
 @pytest.mark.parametrize("space", [["conjugacy_class", "--xi", "1/8,-1/8"], ["double"]])
 def test_non_finite_residual_exits_3(space, axiom, monkeypatch, capsys):
     # with omega's pairings NaN the residuals are NaN: a fault of the
-    # program, not a failed verification, so nothing is printed as a verdict
+    # program, not a failed verification, so nothing is printed as a verdict.
+    # The product keeps the type of the pairings, an array or the cocycle's jet
     spaces = importlib.import_module("quasiham.spaces")
     gram = spaces.basic_gram
-    monkeypatch.setattr(spaces, "basic_gram", lambda xs, ys: np.full_like(gram(xs, ys), np.nan))
+    monkeypatch.setattr(spaces, "basic_gram", lambda xs, ys: gram(xs, ys) * np.nan)
     argv = ["verify", "--space", *space, "--n", "2", "--axiom", axiom, "--samples", "3", "--json"]
     assert main(argv) == 3
     assert capsys.readouterr() == ("", f"internal-error: ToolkitError: non-finite {axiom} residual\n")
@@ -947,7 +957,6 @@ VERIFY_SPACES = ["conjugacy_class", "double", "fused_double", "genus", "sphere4"
 # valid, valid for other n, unsorted, nonzero-sum and malformed alcove points
 XI_POOL = ["1/8,-1/8", "1/4,1/12,-1/3", "3/8,1/8,-1/8,-3/8", "1/2,-1/2", "-1/8,1/8",
            "1/4,1/4", "1/3,1/3,1/3", "1/0,0", "a,b", "", "nan,nan"]
-FLOAT_POOL = ["0", "nan", "inf", "-inf", "-1", "1e-7", "1e-4", "1e-3", "0.5"]
 # tolerances, mostly valid; 1e-300 fails every residual that is not 0
 TOL_POOL = ["1e-300", "1e-12", "1e-8", "1e-4", "0.5", "1", "10", "0", "nan"]
 
@@ -961,14 +970,13 @@ TOL_POOL = ["1e-300", "1e-12", "1e-8", "1e-4", "0.5", "1", "10", "0", "nan"]
        genus=st.sampled_from([1, 2, 3] * 3 + [-1, 0, 10**9]),
        samples=st.sampled_from([1, 2, 3, 4] * 3 + [0, -1]),
        # an option is left out half of the time, so that most argv reach a verifier
-       xi=st.none() | st.sampled_from(XI_POOL), fd_step=st.none() | st.sampled_from(FLOAT_POOL),
-       tol=st.none() | st.sampled_from(TOL_POOL), seed=st.integers(0, 2**32 - 1) | SEEDS,
-       data=st.data())
-def test_verify_fuzz_exits_cleanly(space, axiom, n, genus, samples, xi, fd_step, tol, seed, data):
+       xi=st.none() | st.sampled_from(XI_POOL), tol=st.none() | st.sampled_from(TOL_POOL),
+       seed=st.integers(0, 2**32 - 1) | SEEDS, data=st.data())
+def test_verify_fuzz_exits_cleanly(space, axiom, n, genus, samples, xi, tol, seed, data):
     argv = ["verify", f"--space={space}", "--json"] + ([f"--axiom={axiom}"] if axiom else [])
     name = f"verify --space {space}" + (f" --axiom {axiom}" if axiom else "")
     argv += row_options(data, name, {"n": n, "xi": xi, "genus": genus, "samples": samples,
-                                     "fd_step": fd_step, "tol": tol, "seed": seed})
+                                     "tol": tol, "seed": seed})
     assert_clean_exit(argv, *run_main_quietly(argv))
 
 

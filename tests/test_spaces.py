@@ -18,6 +18,7 @@ from oracles import (
     draw,
     eig_frames,
     field_at,
+    field_flow,
     identity_flows,
     moment_tangents,
     part_by_part_record,
@@ -43,7 +44,6 @@ from quasiham.spaces import (
     verify_axiom,
 )
 from quasiham.sun import (
-    _three_form_pulled,
     basic_gram,
     basic_inner,
     expm_skew,
@@ -437,7 +437,7 @@ def test_random_tangent_is_basis_combination(name, space, d, monkeypatch):
     rng = np.random.default_rng(89)
     drawn = spaces._draw_stack(space, "moment", 1, rng)
     f, xi, coeffs = drawn[0][:, 0], drawn[1][:, 0], drawn[2][0]
-    m = space.field_flow(f, space.base, 1.0)
+    m = field_flow(space, f, space.base, 1.0)
     ref_rng = np.random.default_rng(89)
     ref_m, basis = sample_with_basis(space, ref_rng)
     assert np.array_equal(m, ref_m) and len(basis) == d
@@ -450,7 +450,7 @@ def test_random_tangent_is_basis_combination(name, space, d, monkeypatch):
     # the w the stacked residual gets, from the basis built over the stack
     seen = []
     monkeypatch.setattr(spaces, "_moment_residuals", lambda sp, *args: seen.append(args))
-    spaces._residuals(space, "moment", 1e-4, *drawn)
+    spaces._residuals(space, "moment", *drawn)
     [(_, _, w)] = seen
     assert np.max(np.abs(w[:, 0] - ref)) < 1e-14
 
@@ -463,7 +463,7 @@ def test_moment_tangents_match_per_slot_products(name, space, d, monkeypatch):
     monkeypatch.setattr(spaces, "_moment_residuals", lambda sp, *args: seen.append(args))
     for count in (1, 2, 3, 5):
         drawn = spaces._draw_stack(space, "moment", count, np.random.default_rng(227 + count))
-        spaces._residuals(space, "moment", 1e-4, *drawn)
+        spaces._residuals(space, "moment", *drawn)
         m, _, w = seen[-1]
         assert same_bits(w, moment_tangents(space._basis(m, expm_skew(drawn[0])), drawn[2]))
 
@@ -479,9 +479,9 @@ def test_moment_axiom(name, space):
 
 @pytest.mark.parametrize("name,space", builtin_spaces())
 def test_cocycle_axiom(name, space):
-    rep = verify_axiom(space, "cocycle", samples=8, fd_step=1e-4, seed=13)
+    rep = verify_axiom(space, "cocycle", samples=8, seed=13)
     assert rep.passed, rep
-    assert rep.max_residual < 1e-6
+    assert rep.max_residual < 1e-13
 
 
 @pytest.mark.parametrize("name,space", builtin_spaces())
@@ -517,10 +517,10 @@ def test_tampered_omega_is_detected():
     rep = verify_axiom(ScaledDouble(2), "cocycle", samples=5, seed=31)
     assert not rep.passed and rep.max_residual > 1e-3
     # every sample of the stack fails, as in the per-sample loop
-    residuals = spaces._sample_residuals(ScaledDouble(2), "cocycle", 5, 1e-4,
-                                         np.random.default_rng(31))
+    residuals = spaces._sample_residuals(ScaledDouble(2), "cocycle", 5, np.random.default_rng(31))
     assert np.all(residuals > 1e-3)
-    assert np.max(np.abs(residuals - loop_residuals(ScaledDouble(2), "cocycle", 5, 31))) <= 1e-12
+    loop = loop_residuals(ScaledDouble(2), "cocycle", 5, 31)
+    assert np.max(np.abs(residuals - loop)) <= STACK_TOLERANCES["cocycle"]
 
 
 def orientation_spaces():
@@ -539,10 +539,10 @@ def orientation_spaces():
 
 
 def test_flipped_three_form_orientation_fails_cocycle(monkeypatch):
-    # residuals 4e-13 to 5e-10 as pinned, 1.5e-2 to 8.6e-2 flipped (tolerance 1e-4)
+    # residuals at most 2.2e-16 as pinned, 1.5e-2 to 8.6e-2 flipped (tolerance 1e-12)
     for space in orientation_spaces():
         rep = verify_axiom(space, "cocycle", samples=3, seed=211)
-        assert rep.passed and rep.max_residual < 1e-8
+        assert rep.passed and rep.max_residual < 1e-13
     monkeypatch.setattr(spaces, "STRUCTURE_FORM_ORIENTATION", 1.0)
     for space in orientation_spaces():
         rep = verify_axiom(space, "cocycle", samples=3, seed=211)
@@ -628,6 +628,19 @@ def scaled_correction(fuse, scale):
         return replace(rec, omega=bare + scale * (rec.omega - bare))
 
     return mutant
+
+
+@pytest.mark.parametrize("space", [Genus(2, 2), Fused([ConjugacyClass(2, (Q(1, 8), Q(-1, 8))),
+                                                      Double(2)])], ids=["genus22", "class+double"])
+def test_slightly_scaled_fusion_correction_fails_cocycle(space, monkeypatch):
+    # with exact derivatives the fusion correction scaled by 1 + 1e-6 leaves residuals near
+    # 3e-8, far above the tolerance 1e-12; central differences at h = 1e-4 had a floor of
+    # 1e-11 to 8e-10 and a tolerance of 1e-4, and passed it
+    rep = verify_axiom(space, "cocycle", samples=5, seed=233)
+    assert rep.passed and rep.max_residual < 1e-13
+    monkeypatch.setattr(spaces, "_fuse", scaled_correction(spaces._fuse, 1 + 1e-6))
+    rep = verify_axiom(space, "cocycle", samples=5, seed=233)
+    assert not rep.passed and rep.max_residual > 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1158,10 +1171,6 @@ def test_verify_axiom_argument_validation():
     assert err.value.code == "unknown-axiom"
     with pytest.raises(InputError):
         verify_axiom(d, "moment", samples=0)
-    with pytest.raises(InputError):
-        verify_axiom(d, "cocycle", fd_step=0.5)
-    with pytest.raises(InputError):
-        verify_axiom(d, "cocycle", fd_step=1e-7)
 
 
 def test_report_json():
@@ -1228,9 +1237,10 @@ def test_action_moment_and_fields_over_points_match_single_points(name, space):
     cases = [
         (space._act(stack(gs), m), [space._act(g, x) for g, x in zip(gs, points)]),
         (np.stack(space._moment(m)), [np.stack(space._moment(x)) for x in points]),
-        (field_at(space, stack(datas), m), [field_at(space, d, x) for d, x in zip(datas, points)]),
-        (space.field_flow(stack(datas), m, times),
-         [space.field_flow(d, x, t) for d, x, t in zip(datas, points, times)]),
+        (space._tangents(stack(datas), m),
+         [space._tangents(d, x) for d, x in zip(datas, points)]),
+        (space._carry(expm_skew(times[:, None, None] * stack(datas)), m),
+         [space._carry(expm_skew(t * d), x) for d, x, t in zip(datas, points, times)]),
     ]
     for stacked, singles in cases:
         for p, single in enumerate(singles):
@@ -1276,41 +1286,8 @@ def orthonormal_fields(space, rng):
     return orthonormalized([random_field(space, rng) for _ in range(3)])
 
 
-def cocycle_residual(space, m, rng, fd_step):
-    f1, f2, f3 = orthonormal_fields(space, rng)
-
-    def omega_of(da, db, point):
-        return gram_of(space, point, [da, db])[0, 1]
-
-    def derivative(d, da, db):
-        plus = space.field_flow(d, m, fd_step)
-        minus = space.field_flow(d, m, -fd_step)
-        return (omega_of(da, db, plus) - omega_of(da, db, minus)) / (2.0 * fd_step)
-
-    d_omega = (
-        derivative(f1, f2, f3)
-        - derivative(f2, f1, f3)
-        + derivative(f3, f1, f2)
-        - omega_of(space.field_bracket(f1, f2), f3, m)
-        + omega_of(space.field_bracket(f1, f3), f2, m)
-        - omega_of(space.field_bracket(f2, f3), f1, m)
-    )
-
-    psis = space._moment(m)
-    pulled = []  # per field, per factor: theta^L of the finite-difference dPsi
-    for d in (f1, f2, f3):
-        plus = space._moment(space.field_flow(d, m, fd_step))
-        minus = space._moment(space.field_flow(d, m, -fd_step))
-        row = []
-        for psi, pp, pm in zip(psis, plus, minus):
-            dpsi = (pp - pm) / (2.0 * fd_step)
-            row.append(project_algebra(psi.conj().T @ dpsi))
-        pulled.append(row)
-
-    eta_total = 0.0
-    for idx in range(len(psis)):
-        eta_total += _three_form_pulled([pulled[0][idx], pulled[1][idx], pulled[2][idx]])
-    return float(abs(d_omega - spaces.STRUCTURE_FORM_ORIENTATION * eta_total))
+def cocycle_residual(space, m, rng):
+    return oracles.fd_cocycle_residual(space, m, orthonormal_fields(space, rng))
 
 
 def equivariance_residual(space, m, rng):
@@ -1323,7 +1300,7 @@ def equivariance_residual(space, m, rng):
     return resid
 
 
-def loop_residuals(space, axiom, samples, seed, fd_step=1e-4):
+def loop_residuals(space, axiom, samples, seed):
     """The verifier's per-sample loop: one draw and one residual at a time."""
     rng = np.random.default_rng(seed)
     out = []
@@ -1335,17 +1312,19 @@ def loop_residuals(space, axiom, samples, seed, fd_step=1e-4):
         if axiom == "moment":
             out.append(moment_residual(space, m, basis, rng))
         elif axiom == "cocycle":
-            out.append(cocycle_residual(space, m, rng, fd_step))
+            out.append(cocycle_residual(space, m, rng))
         else:
             out.append(equivariance_residual(space, m, rng))
     return np.array(out)
 
 
 # Set from the arithmetic before measuring: the moment residual sums O(1)
-# pairings in another order (a few ulps of 1), the cocycle divides such
-# rounding by 2 fd_step = 2e-4, the equivariance residual repeats the same
-# products matrix by matrix, and the degeneracy mismatch is an integer.
-STACK_TOLERANCES = {"moment": 1e-15, "cocycle": 1e-12, "equivariance": 0.0,
+# pairings in another order (a few ulps of 1), the cocycle loop is the
+# central-difference oracle, whose truncation at h = 1e-4 is h^2 = 1e-8 times
+# O(1) third derivatives (3.0e-10 at most on these spaces), the equivariance
+# residual repeats the same products matrix by matrix, and the degeneracy
+# mismatch is an integer.
+STACK_TOLERANCES = {"moment": 1e-15, "cocycle": 1e-8, "equivariance": 0.0,
                     "min_degeneracy": 0.0}
 
 
@@ -1356,12 +1335,12 @@ def test_stacked_residuals_match_per_sample_loop(name, space, axiom):
         loop = loop_residuals(space, axiom, 5, seed)
         for samples in range(1, 6):
             rng = np.random.default_rng(seed)
-            stacked = spaces._sample_residuals(space, axiom, samples, 1e-4, rng)
+            stacked = spaces._sample_residuals(space, axiom, samples, rng)
             assert stacked.shape == (samples,)
             assert np.max(np.abs(stacked - loop[:samples])) <= STACK_TOLERANCES[axiom]
         rep = verify_axiom(space, axiom, samples=5, seed=seed)
         assert rep.max_residual == np.max(spaces._sample_residuals(
-            space, axiom, 5, 1e-4, np.random.default_rng(seed)))
+            space, axiom, 5, np.random.default_rng(seed)))
 
 
 # The loop oracle's own draws, made from draws of the verifier's: its w, its
@@ -1430,7 +1409,7 @@ def test_verify_axiom_draws_what_the_loop_draws(axiom, monkeypatch):
             expected = (drawn_as("point"), drawn_as("algebra_element"),
                         drawn_as("random_tangent"))
         elif axiom == "cocycle":
-            expected = (drawn_as("point"), drawn_as("orthonormal_fields", stack), 1e-4)
+            expected = (drawn_as("point"), drawn_as("orthonormal_fields", stack))
         else:
             expected = (drawn_as("point"), drawn_as("random_group"))
         assert len(stacked) == 1 and len(stacked[0]) == len(expected)
@@ -1512,7 +1491,7 @@ def test_draws_keep_the_seed_contract(n, monkeypatch):
                                  draw_by_parts(space, np.random.default_rng(seed), kind))
             for axiom in spaces.AXIOMS:
                 f = spaces._draw_stack(space, axiom, 1, np.random.default_rng(seed))[0][:, 0]
-                assert same_bits(space.field_flow(f, space.base, 1.0),
+                assert same_bits(field_flow(space, f, space.base, 1.0),
                                  draw_by_parts(space, np.random.default_rng(seed), "point"))
     # the draw loop calls the generator and no matrix function
     monkeypatch.setattr(spaces, "expm_skew", raising_expm)
@@ -1547,10 +1526,10 @@ def test_degeneracy_stacks_hold_at_most_stack_rows(reason, step, monkeypatch):
     monkeypatch.setattr(spaces, "_degeneracy_mismatch",
                         lambda sp, m, flows=None: sizes.append(m.shape[1]) or mismatch(sp, m, flows))
     rng = np.random.default_rng(5)
-    stacked = spaces._sample_residuals(space, "min_degeneracy", 5, 1e-4, rng)
+    stacked = spaces._sample_residuals(space, "min_degeneracy", 5, rng)
     assert max(sizes) == step and len(fields) == 5
     assert reason is None or np.array_equal(fields[1], near)
-    one_by_one = [point_mismatch(space, space.field_flow(f, space.base, 1.0)) for f in fields]
+    one_by_one = [point_mismatch(space, field_flow(space, f, space.base, 1.0)) for f in fields]
     assert np.array_equal(stacked, one_by_one) and not np.any(stacked)
     # the generator is where five draws of a loop leave it
     ref = np.random.default_rng(5)
@@ -1567,7 +1546,7 @@ def test_every_axiom_stack_holds_at_most_stack_rows(name, space, axiom, step, mo
     # of its draws one at a time bit for bit, and all of them the residuals
     # of one stack over every sample
     samples, seed = 7, 41
-    whole = spaces._sample_residuals(space, axiom, samples, 1e-4, np.random.default_rng(seed))
+    whole = spaces._sample_residuals(space, axiom, samples, np.random.default_rng(seed))
     monkeypatch.setattr(spaces, "STACK_ROWS", step * space.dim)
     draws, stacks, residuals, draw_stack = [], [], spaces._residuals, spaces._draw_stack
 
@@ -1580,17 +1559,17 @@ def test_every_axiom_stack_holds_at_most_stack_rows(name, space, axiom, step, mo
 
     monkeypatch.setattr(spaces, "_draw_stack", spied_draw)
 
-    def spied(sp, ax, fd_step, *drawn):
-        stacks.append((len(draws), residuals(sp, ax, fd_step, *drawn)))
+    def spied(sp, ax, *drawn):
+        stacks.append((len(draws), residuals(sp, ax, *drawn)))
         return stacks[-1][1]
 
     monkeypatch.setattr(spaces, "_residuals", spied)
-    stacked = spaces._sample_residuals(space, axiom, samples, 1e-4, np.random.default_rng(seed))
+    stacked = spaces._sample_residuals(space, axiom, samples, np.random.default_rng(seed))
     assert [len(part) for _, part in stacks] == [step] * (samples // step) + (
         [samples % step] if samples % step else [])
     assert len(draws) == samples and np.array_equal(stacked, whole)
     for end, part in stacks:
-        one_by_one = [residuals(space, axiom, 1e-4, *stack_draws([d]))[0]
+        one_by_one = [residuals(space, axiom, *stack_draws([d]))[0]
                       for d in draws[end - len(part):end]]
         assert np.array_equal(part, one_by_one)
 
@@ -1609,7 +1588,7 @@ def test_stacked_draw_matches_the_loop_draws(name, space, axiom, monkeypatch):
         assert rng.bit_generator.state == ref.bit_generator.state
     monkeypatch.setattr(spaces, "STACK_ROWS", 2 * space.dim)
     rng, ref = np.random.default_rng(223), np.random.default_rng(223)
-    spaces._sample_residuals(space, axiom, 5, 1e-4, rng)
+    spaces._sample_residuals(space, axiom, 5, rng)
     for _ in range(5):
         draw(space, axiom, ref)
     assert rng.bit_generator.state == ref.bit_generator.state
@@ -1633,7 +1612,7 @@ def test_axiom_stack_draws_in_one_generator_call(axiom, monkeypatch):
         for step, samples in ((1, 1), (1, 3), (2, 5), (5, 5)):
             monkeypatch.setattr(spaces, "STACK_ROWS", step * space.dim)
             rng = CountingGenerator(np.random.PCG64(229))
-            spaces._sample_residuals(space, axiom, samples, 1e-4, rng)
+            spaces._sample_residuals(space, axiom, samples, rng)
             assert rng.calls == -(-samples // step), (space, step, samples)
 
 
@@ -1792,7 +1771,6 @@ def test_genus_matches_explicit_fusion_chain(n, h):
     g = random_special_unitary(n, rng)
     xi = random_algebra(n, rng)
     data = random_field(space, np.random.default_rng(5))
-    flip = data[::-1]
     other = genus_chain(n, h)
     assert other.dim == space.dim
     assert np.array_equal(np.stack(basis), np.stack(basis_list(other, m)))
@@ -1809,9 +1787,8 @@ def test_genus_matches_explicit_fusion_chain(n, h):
         (space._act(g[None], m), other._act(g[None], m)),
         (space._act(g[None], basis[-1]), other._act(g[None], basis[-1])),
         (space._generating(xi[None], m), other._generating(xi[None], m)),
-        (field_at(space, data, m), field_at(other, data, m)),
-        (space.field_flow(data, m, 0.3), other.field_flow(data, m, 0.3)),
-        (space.field_bracket(data, flip), other.field_bracket(data, flip)),
+        (space._tangents(data, m), other._tangents(data, m)),
+        (space._carry(expm_skew(0.3 * data), m), other._carry(expm_skew(0.3 * data), m)),
     ]
     for flat, nested in pairs:
         assert np.array_equal(flat, nested)
@@ -1839,7 +1816,8 @@ def test_slot_kinds_match_closed_forms():
     times = np.array([0.3, -0.7, 1.1])
     for m, reach, data, t in ((points[0], flows[0], datas[0], times[0]),
                               (stack(points), stack(flows), stack(datas), times)):
-        at, flow = field_at(space, data, m), space.field_flow(data, m, t)
+        at = space._tangents(data, m)
+        flow = space._carry(expm_skew(np.asarray(t)[..., None, None] * data), m)
         for j, (x, p) in enumerate(zip(data, m)):
             u = expm_skew(np.asarray(t)[..., None, None] * x)
             if j in (0, 3):
