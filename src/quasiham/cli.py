@@ -57,9 +57,9 @@ from .roots import (
 
 # Largest --samples of any verb, checked before anything is drawn.  The
 # costliest verb per sample is cocycle at its largest n, 16, which holds every
-# sample's spectral record at once: 430 MB at 2000 samples, 1018 MB and 12 s
-# at 5000 (2-vCPU KVM guest, BLAS on 1 thread).  The README's eta_su2 check
-# takes 2000.
+# sample's eigenvectors and their Gram matrix at once: cold, 0.8 s and 97 MB
+# at 2000 samples, 1.7 s and 179 MB at 5000 (2-vCPU KVM guest, BLAS on 1
+# thread).  The README's eta_su2 check takes 2000.
 MAX_SAMPLES = 5000
 # Largest grid of holonomy-convergence.  A grid's loop and connection samples
 # grow as N n^2: --n 16 with a grid of 4096 took 0.5 s and 185 MB, --n 2 with
@@ -204,14 +204,12 @@ def _run_eta(args) -> tuple[int, dict]:
 
 
 def _run_cocycle(args) -> tuple[int, dict]:
-    from itertools import combinations
-
     import numpy as np
 
     from .gerbe import (
         _ordered_eig,
-        _spectral_record,
         _strict_gaps,
+        _unimodularity_defects,
         eigenline_weight,
         vertex_weight_consistency,
     )
@@ -226,22 +224,17 @@ def _run_cocycle(args) -> tuple[int, dict]:
     # a loop's draws, which reject a matrix with a gap that is not strict: the
     # missing samples are drawn as one stack until none is missing, and each
     # draw is decomposed once
-    phases, vecs = np.empty((0, args.n)), np.empty((0, args.n, args.n), dtype=complex)
+    vecs = np.empty((0, args.n, args.n), dtype=complex)
     rejected = 0
-    while len(phases) < args.samples:
-        a = expm_skew(random_algebra(args.n, rng, shape=(args.samples - len(phases),)))
+    while len(vecs) < args.samples:
+        a = expm_skew(random_algebra(args.n, rng, shape=(args.samples - len(vecs),)))
         lam, v = _ordered_eig(a)
         regular = np.all(_strict_gaps(lam), axis=-1)
         rejected += int(np.sum(~regular))
         if rejected > 100 * args.samples:
             raise ToolkitError("sampling failed: over 100 draws per sample missed the full cover")
-        phases, vecs = np.concatenate([phases, lam[regular]]), np.concatenate([vecs, v[regular]])
-    # one record of the accepted samples; each triple is one batched
-    # determinant over them, each pair's denominator is taken once, and a
-    # collapsed coefficient is a defect of one
-    record = _spectral_record(phases, vecs)
-    worst = float(np.max([np.max(np.abs(np.abs(record.coefficient(*triple)) - 1.0))
-                          for triple in combinations(range(1, args.n + 1), 3)]))
+        vecs = np.concatenate([vecs, v[regular]])
+    worst = float(np.max(_unimodularity_defects(vecs)))
     if not math.isfinite(worst):
         raise ToolkitError("non-finite cocycle defect")
     consistent = vertex_weight_consistency(args.n)

@@ -1,6 +1,7 @@
 """Reference implementations the tests check the package against: exact
 linear algebra, the simple and lowest roots and the alcove, lattice and
-pre-quantization tests over Fractions, the one-matrix gerbe helpers, the
+pre-quantization tests over Fractions, the gerbe's cover and its
+spectral record of QR bases with the one-matrix helpers, the
 constant connection of the acceptance tests and its JSON, one random point
 of a space with the flows that reach it, the flows and brackets of fields
 and the central-difference cocycle residual, an eigenframe of a class point
@@ -9,6 +10,7 @@ tangents slot by slot and sample by sample, a fused record part by part,
 the zero-filled records that the block records of the spaces replaced, and
 the realified su(n) operators that their eigenbasis formulas replaced."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
@@ -17,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from quasiham.errors import InputError
-from quasiham.gerbe import _cover, _ordered_eig, _spectral_record
+from quasiham.gerbe import _ordered_eig, _strict_gaps
 from quasiham.holonomy import PiecewiseConnection
 from quasiham.prequant import NOT_A_WEIGHT
 from quasiham.rational import format_vector
@@ -190,10 +192,46 @@ def a_series_from_euclidean(rs, x):
     return tuple(accumulate(x[:-1]))
 
 
+def cover(lam):
+    """Indices i whose gap after the i-th sorted phase is strict for every
+    row of phases."""
+    strict = np.all(_strict_gaps(lam), axis=tuple(range(lam.ndim - 1)))
+    return frozenset(int(i) + 1 for i in np.flatnonzero(strict))
+
+
+@dataclass(frozen=True)
+class SpectralRecord:
+    """The alcove phases (..., n) of a matrix or a stack of them, the cover
+    pieces containing every matrix and, for each pair i < j of those pieces,
+    orthonormal bases Q_ij (..., n, j - i) of the spectral subspaces of
+    eigenvalue positions i+1 .. j.  Each block has its own QR: slices of one
+    orthonormal frame would make [Q_ij | Q_jk] equal to Q_ik."""
+
+    phases: np.ndarray
+    cover: frozenset
+    bases: dict
+
+    def coefficient(self, i, j, k):
+        """<rep(i,k), rep(i,j) ^ rep(j,k)> / <rep(i,k), rep(i,k)>; by
+        Cauchy-Binet each pairing of top wedges is one determinant, taken
+        over the whole stack at once."""
+        if not (i < j < k):
+            raise InputError("invalid-index", f"need i < j < k, got ({i}, {j}, {k})")
+        if not {i, j, k} <= self.cover:
+            raise InputError("outside-cover", f"matrix is not in V_{i} * V_{j} * V_{k}")
+        full = self.bases[i, k].conj().swapaxes(-1, -2)
+        both = np.concatenate([self.bases[i, j], self.bases[j, k]], axis=-1)
+        out = np.linalg.det(full @ both) / np.linalg.det(full @ self.bases[i, k])
+        return complex(out) if out.ndim == 0 else out
+
+
 def spectral_record(a):
     """The record of a matrix or a stack of them from one validation and
-    one eig."""
-    return _spectral_record(*_ordered_eig(check_special_unitary(a)))
+    one eig, with one batched QR per pair of cover pieces."""
+    lam, vecs = _ordered_eig(check_special_unitary(a))
+    pieces = cover(lam)
+    bases = {(i, j): np.linalg.qr(vecs[..., i:j])[0] for i in pieces for j in pieces if i < j}
+    return SpectralRecord(phases=lam, cover=pieces, bases=bases)
 
 
 def record_check(record, i, j, k):
@@ -210,7 +248,7 @@ def cocycle_check(a, i, j, k):
 def cover_index_set(a):
     """Indices i in 1..n whose eigenvalue gap is strict: the cover pieces
     containing the matrix."""
-    return _cover(alcove_coordinates(a))
+    return cover(alcove_coordinates(a))
 
 
 def constant_connection(xi, steps):

@@ -844,7 +844,7 @@ INPUT_ERROR_TAGS = {
     "malformed-connection", "malformed-json", "malformed-matrix", "malformed-rational",
     "missing-argument", "nonzero-sum", "not-a-root", "not-a-series",
     "not-algebra", "not-g-valued", "not-identity-level", "not-in-alcove", "not-special-unitary",
-    "not-square", "not-tangent", "off-sphere", "outside-cover", "rank-too-large",
+    "not-square", "not-tangent", "off-sphere", "rank-too-large",
     "space-too-large", "too-many-samples", "too-many-weights",
     "unknown-axiom", "unknown-space", "unsupported-axiom", "unused-argument",
 }
@@ -1521,7 +1521,7 @@ def test_defined_functions_sees_every_def():
 PUBLIC_NAMES = {
     "AlcoveModel", "CartanVector", "ConjugacyClass", "Double", "Fused", "Genus", "InputError",
     "LevelWeightSet", "LieType", "PiecewiseConnection", "QSpace",
-    "RootSystem", "SpectralRecord", "ToolkitError", "VerificationReport", "a_series_embedding",
+    "RootSystem", "ToolkitError", "VerificationReport", "a_series_embedding",
     "a_series_numerators", "alcove_coordinates", "alcove_vertices", "algebra_basis",
     "basic_inner", "build_root_system", "canonical_three_form", "check_algebra",
     "check_special_unitary", "class_decision", "convergence_order", "eigenline_weight",
