@@ -18,12 +18,12 @@ row, from which prequant.class_decision reads its verdict and open faces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, gcd, lcm
 from operator import add, mul, sub
-from typing import Sequence
 
 from .errors import InputError, ToolkitError
 from .rational import format_rows
@@ -37,14 +37,11 @@ from .roots import RootSystem, a_series_embedding
 MAX_WEIGHT_COST = 2 * 10**6
 
 
-@dataclass(frozen=True)
-class AlcoveModel:
+class AlcoveModel(namedtuple("AlcoveModel", "rs nums den")):
     """Alcove vertices for one root system, vertex 0 always the origin:
     vertex j is the integer numerators nums[j] over one denominator den."""
 
-    rs: RootSystem
-    nums: tuple[tuple[int, ...], ...]
-    den: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         """The vertices, the transition weights v_j - v_i for i < j and for type
@@ -65,17 +62,13 @@ class AlcoveModel:
         return out
 
 
-@dataclass(frozen=True)
-class LevelWeightSet:
-    """All weights inside the closed level-k alcove, sorted lexicographically,
-    as integer numerators `nums` over one positive denominator `den`: weight
-    i is nums[i] / den entrywise, and integer order is the order of the
-    Fractions."""
+class LevelWeightSet(namedtuple("LevelWeightSet", "rs level nums den")):
+    """All weights inside the closed level-k alcove of the root system rs,
+    sorted lexicographically, as integer numerators `nums` over one positive
+    denominator `den`: weight i is nums[i] / den entrywise, and integer order
+    is the order of the Fractions."""
 
-    rs: RootSystem
-    level: int
-    nums: tuple[tuple[int, ...], ...]
-    den: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -57,8 +57,8 @@ from .roots import (
 
 # Largest --samples of any verb, checked before anything is drawn.  The
 # costliest verb per sample is cocycle at its largest n, 16, which holds every
-# sample's eigenvectors and their Gram matrix at once: cold, 0.8 s and 97 MB
-# at 2000 samples, 1.7 s and 179 MB at 5000 (2-vCPU KVM guest, BLAS on 1
+# sample's eigenvectors and their Gram matrix at once: cold, 0.7 s and 85 MB
+# at 2000 samples, 1.6 s and 155 MB at 5000 (2-vCPU KVM guest, BLAS on 1
 # thread).  The README's eta_su2 check takes 2000.
 MAX_SAMPLES = 5000
 # Largest grid of holonomy-convergence.  A grid's loop and connection samples
@@ -234,6 +234,8 @@ def _run_cocycle(args) -> tuple[int, dict]:
         if rejected > 100 * args.samples:
             raise ToolkitError("sampling failed: over 100 draws per sample missed the full cover")
         vecs = np.concatenate([vecs, v[regular]])
+    # the last draw stack is not needed by the defects, which peak above it
+    del a, lam, v, regular
     worst = float(np.max(_unimodularity_defects(vecs)))
     if not math.isfinite(worst):
         raise ToolkitError("non-finite cocycle defect")

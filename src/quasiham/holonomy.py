@@ -13,7 +13,7 @@ A constant sample ξ gives exp(ξ) exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -21,16 +21,15 @@ from .errors import InputError, ToolkitError
 from .sun import check_algebra, check_special_unitary, expm_skew, project_algebra
 
 
-@dataclass(frozen=True)
-class PiecewiseConnection:
+class PiecewiseConnection(namedtuple("PiecewiseConnection", "samples")):
     """Uniform grid of algebra values on the circle, held as one (N, n, n)
     array and validated once."""
 
-    samples: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, samples) -> "PiecewiseConnection":
         try:
-            samples = np.asarray(self.samples, dtype=complex)
+            samples = np.asarray(samples, dtype=complex)
         except ValueError as exc:
             raise InputError("malformed-connection", "samples must share one shape") from exc
         if samples.ndim != 3 or samples.size == 0 or samples.shape[1] != samples.shape[2]:
@@ -38,7 +37,7 @@ class PiecewiseConnection:
                 "empty-grid" if samples.size == 0 else "malformed-connection",
                 f"need a nonempty stack of square samples, got shape {samples.shape}",
             )
-        object.__setattr__(self, "samples", check_algebra(samples, tol=1e-9))
+        return super().__new__(cls, check_algebra(samples, tol=1e-9))
 
     @property
     def steps(self) -> int:

@@ -15,17 +15,16 @@ Fractions.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
 
 from .errors import InputError
 
 CartanVector = tuple[Fraction, ...]
-RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
 # an entry that int reads as the Fraction reads it: sign, ASCII digits, and
 # an optional ASCII denominator

@@ -15,16 +15,14 @@ tests run on those; only the Gram matrix `gram` is kept in Fractions, for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import lcm
 
 from .errors import InputError, ToolkitError
-from .rational import CartanVector, RationalMatrix, integer_inverse
-
-IntMatrix = tuple[tuple[int, ...], ...]
+from .rational import CartanVector, integer_inverse
 
 # Largest rank of the unbounded series A-D.  The exact verbs grow about as
 # rank^3 (root closure, integer inverse): in process on a 2-vCPU host,
@@ -43,25 +41,24 @@ _RANK_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class LieType:
-    """A simple Lie type: series letter plus rank."""
+class LieType(namedtuple("LieType", "series rank")):
+    """A simple Lie type: series letter (str) plus rank (int)."""
 
-    series: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        lo_hi = _RANK_RULES.get(self.series)
+    def __new__(cls, series: str, rank: int) -> "LieType":
+        lo_hi = _RANK_RULES.get(series)
         if lo_hi is None:
-            raise InputError("invalid-series", f"unknown series {self.series!r}")
+            raise InputError("invalid-series", f"unknown series {series!r}")
         lo, hi = lo_hi
-        if self.rank < lo or (hi is not None and self.rank > hi):
+        if rank < lo or (hi is not None and rank > hi):
             bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
             raise InputError(
-                "invalid-rank", f"series {self.series} needs rank {bound}, got {self.rank}"
+                "invalid-rank", f"series {series} needs rank {bound}, got {rank}"
             )
-        if self.rank > MAX_RANK:
-            raise InputError("rank-too-large", f"rank {self.rank} exceeds {MAX_RANK}")
+        if rank > MAX_RANK:
+            raise InputError("rank-too-large", f"rank {rank} exceeds {MAX_RANK}")
+        return super().__new__(cls, series, rank)
 
     @staticmethod
     def parse(text: str) -> "LieType":
@@ -75,8 +72,9 @@ class LieType:
         return f"{self.series}{self.rank}"
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(namedtuple("RootSystem", (
+        "lie_type cartan_matrix gram positive_roots dual_coxeter scale int_gram theta_row"
+        " marks comarks inverse_cartan det"))):
     """Immutable root-system data, in integers except `gram`.
 
     cartan_matrix[i][j] is 2(a_i, a_j)/(a_j, a_j); gram[i][j] = (a_i, a_j)
@@ -86,23 +84,12 @@ class RootSystem:
     and the highest root's coefficients are the marks.  int_gram is
     scale * gram with the least scale that clears the denominators, so
     (x, a_i^v) = 2 (int_gram x)_i / int_gram[i][i];  theta_row is
-    scale * (theta, a_j); the inverse Cartan matrix is inverse_cartan / det,
-    and its row i is det times the fundamental weight w_i.  Every field
-    takes part in equality; the hash is that of the type.
+    scale * (theta, a_j); comarks are a_i * d_i, integers for every simple
+    type; the inverse Cartan matrix is inverse_cartan / det, and its row i
+    is det times the fundamental weight w_i.  Matrices are tuples of rows.
+    Every field takes part in equality; the hash is that of the type.  No
+    __slots__: the instance dict holds the cached root index.
     """
-
-    lie_type: LieType
-    cartan_matrix: IntMatrix
-    gram: RationalMatrix
-    positive_roots: tuple[tuple[int, ...], ...]
-    dual_coxeter: int
-    scale: int
-    int_gram: IntMatrix
-    theta_row: tuple[int, ...]
-    marks: tuple[int, ...]
-    comarks: tuple[int, ...]  # a_i * d_i; integers for every simple type
-    inverse_cartan: IntMatrix
-    det: int
 
     def __hash__(self) -> int:
         return hash(self.lie_type)

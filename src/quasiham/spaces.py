@@ -43,8 +43,7 @@ structure equation are pinned by the moment and cocycle residual checks.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, groupby
@@ -142,19 +141,16 @@ def _group_rank(n) -> int:
 # ---------------------------------------------------------------------------
 # structure records and fusion
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(namedtuple("Structure", "omega psi left")):
     """A space's structure on the tangents v_1..v_d of d field data at a point.
 
-    omega is the d x d matrix omega(v_i, v_j).  Per moment factor, psi holds
-    its value and left the (d, n, n) stack Psi^-1 dPsi(v_i); dPsi(v_i) Psi^-1
-    is Ad_Psi of it.  Over a stack of points every field carries the points'
-    leading axes P in front.
+    omega is the d x d array omega(v_i, v_j).  Per moment factor, the tuple
+    psi holds its value and the tuple left the (d, n, n) stack
+    Psi^-1 dPsi(v_i); dPsi(v_i) Psi^-1 is Ad_Psi of it.  Over a stack of
+    points every field carries the points' leading axes P in front.
     """
 
-    omega: np.ndarray
-    psi: tuple
-    left: tuple
+    __slots__ = ()
 
     def factor(self, i: int) -> tuple:
         return self.psi[i], self.left[i]
@@ -470,16 +466,15 @@ def make_space(kind: str, *, n: int | None = None, xi=None, h: int | None = None
 # ---------------------------------------------------------------------------
 # verification
 
-@dataclass(frozen=True)
-class VerificationReport:
-    axiom: str
-    samples: int
-    max_residual: float
-    tolerance: float
-    passed: bool
+class VerificationReport(namedtuple("VerificationReport",
+                                     "axiom samples max_residual tolerance passed")):
+    """One axiom's check: its samples, worst residual, tolerance and verdict.
+    The field order is the order of the report's lines in the text output."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        out = dict(vars(self))
+        out = self._asdict()
         out["pass"] = out.pop("passed")
         return out
 

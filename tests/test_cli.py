@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import importlib
 import inspect
 import io
@@ -246,6 +245,22 @@ def test_abbreviated_json_flag_prints_json(capsys, flag):
     assert out == render(dispatch(["vertices", "--type", "A1"])[1], True) + "\n"
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (["verify", "--space", "double", "--n", "2", "--axiom", "moment", "--samples", "3"],
+     ["space: double", "n: 2", "axiom: moment", "samples: 3", "max_residual: {}",
+      "tolerance: 1e-08", "pass: true"]),
+    # sphere4 lists the axiom before the space
+    (["verify", "--space", "sphere4", "--samples", "3"],
+     ["axiom: equivariance", "space: sphere4", "samples: 3", "max_residual: {}",
+      "tolerance: 1e-10", "pass: true"]),
+])
+def test_verify_text_lists_the_report_in_field_order(capsys, argv, lines):
+    # VerificationReport's field order is the order of the report's lines
+    residual = dispatch(argv)[1]["max_residual"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [line.format(residual) for line in lines]
+
+
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
                 | st.sampled_from([-0.0, 2**64, -2**63, -10**400]) | st.text())
 # lists of one scalar type take the writer's one-map path
@@ -342,7 +357,7 @@ def test_level_weights_enumeration_fault_is_visible(monkeypatch, capsys):
     # them, so the verb's re-check raises instead of printing the true 13
     rs = build_root_system(LieType("B", 3))
     assert rs.comarks == (1, 2, 1)
-    faulty = dataclasses.replace(rs, comarks=(1, 1, 1))
+    faulty = rs._replace(comarks=(1, 1, 1))
     monkeypatch.setattr(cli, "build_root_system", lambda lie_type: faulty)
     argv = ["level-weights", "--type", "B3", "--level", "3"]
     with pytest.raises(ToolkitError, match="enumerated weight escaped the alcove"):
@@ -1584,6 +1599,35 @@ def test_exact_verbs_never_import_numerics():
         "dispatch(['level-weights', '--type', 'G2', '--level', '2'])\n"
         "dispatch(['check-class', '--type', 'A1', '--xi', '1/2,-1/2', '--level', '1'])\n"
         "assert 'numpy' not in sys.modules, 'exact verbs pulled in numpy'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_cli_import_loads_no_dataclasses_inspect_typing_or_numpy():
+    # every exact verb is a cold process, and dataclasses alone pulls in
+    # inspect, ast, dis and tokenize.  -S skips the site hooks, which may
+    # load typing themselves and so hide a module the package brings in
+    import os
+    import subprocess
+
+    code = (
+        "import sys\n"
+        "import quasiham.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'numpy'} & sys.modules.keys()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(quasiham.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_numerical_layer_loads_no_dataclasses():
+    import subprocess
+
+    code = (
+        "import sys\n"
+        "import quasiham.spaces, quasiham.holonomy\n"
+        "assert 'dataclasses' not in sys.modules, 'the numerical layer pulled in dataclasses'\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
 

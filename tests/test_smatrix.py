@@ -22,7 +22,6 @@ conformal weights and the central charge,
 (ST)^3 = S^2: a check of h that does not go through S.
 """
 
-from dataclasses import replace
 from functools import cache
 from math import comb, prod
 
@@ -153,7 +152,7 @@ def test_s_matrix_fails_on_a_wrong_comark(name, k, wrong):
     # together (B3 at level 3 gives 20 weights instead of 13, G2 at 4 15
     # instead of 9); the S-matrix, which reads neither, is not unitary
     rs = build_root_system(LieType.parse(name))
-    faulty = replace(rs, comarks=wrong)
+    faulty = rs._replace(comarks=wrong)
     lws = level_weights(faulty, k)
     assert len(lws.nums) > len(level_weights(rs, k).nums)
     s = s_matrix(rs, np.array(lws.nums, dtype=float) / lws.den, k, 1 + sum(wrong))

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as Q
 from functools import partial
 
@@ -512,7 +511,7 @@ def test_tampered_omega_is_detected():
     class ScaledDouble(Double):
         def structure(self, m, stack):
             rec = super().structure(m, stack)
-            return replace(rec, omega=2.0 * rec.omega)
+            return rec._replace(omega=2.0 * rec.omega)
 
     rep = verify_axiom(ScaledDouble(2), "cocycle", samples=5, seed=31)
     assert not rep.passed and rep.max_residual > 1e-3
@@ -571,7 +570,7 @@ def test_doubled_class_omega_fails_moment(n, xi):
     class Doubled(ConjugacyClass):
         def structure(self, m, stack):
             rec = super().structure(m, stack)
-            return replace(rec, omega=2.0 * rec.omega)
+            return rec._replace(omega=2.0 * rec.omega)
 
     assert verify_axiom(ConjugacyClass(n, xi), "moment", samples=4, seed=227).passed
     rep = verify_axiom(Doubled(n, xi), "moment", samples=4, seed=227)
@@ -625,7 +624,7 @@ def scaled_correction(fuse, scale):
     def mutant(omega, first, second, blocks=False):
         rec = fuse(omega, first, second, blocks)
         bare = fuse(omega, (first[0], 0.0 * first[1]), second, blocks).omega
-        return replace(rec, omega=bare + scale * (rec.omega - bare))
+        return rec._replace(omega=bare + scale * (rec.omega - bare))
 
     return mutant
 
@@ -692,7 +691,7 @@ def shifted_double(structure):
         rec = structure(self, m, stack, blocks)
         d = rec.omega.shape[-1]
         k = np.random.default_rng(0).normal(size=(d, d))
-        return replace(rec, omega=rec.omega + 1e-2 * (k - k.T))
+        return rec._replace(omega=rec.omega + 1e-2 * (k - k.T))
 
     return mutant
 
