@@ -111,12 +111,13 @@ def _gram_pairings(rs: RootSystem, nums_seq: Sequence[tuple[int, ...]]) -> list[
     return out
 
 
-def _is_weight(rs: RootSystem, pairings: list[list[int]], den: int) -> bool:
-    """Every (xi, a_i^v) = 2 p_i / (gram_ii den) over the pairing columns p is
-    an integer: gram_ii den divides 2 p for every p of column i exactly when
-    it divides 2 gcd(column i)."""
-    return not any(2 * gcd(*p) % (row[i] * den)
-                   for i, (row, p) in enumerate(zip(rs.int_gram, pairings)))
+def _weight_level(rs: RootSystem, pairings: list[list[int]], den: int) -> int:
+    """Smallest k >= 1 with k xi a weight for every xi = nums / den of the
+    pairing columns p: every (k xi, a_i^v) = 2 k p / q, q = gram_ii den, is
+    an integer for every p of column i exactly when q / gcd(2 gcd(column i), q)
+    divides k."""
+    return lcm(*(q // gcd(2 * gcd(*p), q)
+                 for i, (row, p) in enumerate(zip(rs.int_gram, pairings)) for q in [row[i] * den]))
 
 
 def _in_alcove(pairings: list[list[int]], top: int) -> bool:
@@ -131,7 +132,7 @@ def weight_checks(rs: RootSystem, nums_seq: Sequence[tuple[int, ...]], den: int,
     closed level-k alcove), decided on the Gram pairing columns of the whole
     set."""
     pairings = _gram_pairings(rs, nums_seq)
-    return _is_weight(rs, pairings, den), _in_alcove(pairings, k * rs.scale * den)
+    return _weight_level(rs, pairings, den) == 1, _in_alcove(pairings, k * rs.scale * den)
 
 
 def level_weights(rs: RootSystem, k: int) -> LevelWeightSet:
@@ -185,13 +186,9 @@ def weight_count(comarks: Sequence[int], k: int) -> int:
 @lru_cache(maxsize=None)
 def minimal_integral_level(rs: RootSystem) -> int:
     """Smallest k >= 1 with k * v in the weight lattice for every alcove
-    vertex v: the lcm of the denominators of the fundamental-weight
-    coordinates (v, a_i^v) = 2 p / q of the vertices, with p the Gram pairing
-    columns of their numerators and q = gram_ii * den."""
+    vertex v, read from the Gram pairing columns of their numerators."""
     model = alcove_vertices(rs)
-    return lcm(*(q // gcd(2 * p, q)
-                 for i, (row, col) in enumerate(zip(rs.int_gram, _gram_pairings(rs, model.nums)))
-                 for q in [row[i] * model.den] for p in col))
+    return _weight_level(rs, _gram_pairings(rs, model.nums), model.den)
 
 
 def gram_pairing(rs: RootSystem, nums: tuple[int, ...]) -> list[int]:

@@ -56,11 +56,13 @@ from .roots import (
 )
 
 # Largest --samples of any verb, checked before anything is drawn.  The
-# costliest verb per sample is cocycle at its largest n, 16, which holds every
-# sample's eigenvectors and their Gram matrix at once: cold, 0.7 s and 85 MB
-# at 2000 samples, 1.6 s and 155 MB at 5000 (2-vCPU KVM guest, BLAS on 1
-# thread).  The README's eta_su2 check takes 2000.
+# costliest verb per sample is cocycle at its largest n, 16, which draws and
+# reduces COCYCLE_STACK samples at a time, so its memory does not grow with
+# --samples: cold, 0.8 s at 2000 samples and 1.7 s at 5000, each peaking at
+# 50 MB (2-vCPU KVM guest, BLAS on 1 thread).  The README's eta_su2 check
+# takes 2000.
 MAX_SAMPLES = 5000
+COCYCLE_STACK = 256
 # Largest grid of holonomy-convergence.  A grid's loop and connection samples
 # grow as N n^2: --n 16 with a grid of 4096 took 0.5 s and 185 MB, --n 2 with
 # 65536 took 76 MB.
@@ -221,24 +223,24 @@ def _run_cocycle(args) -> tuple[int, dict]:
         raise InputError("invalid-rank", f"cocycle needs n >= 3, got {args.n}")
     _bounded(args.n**2 - 1)
     rng = np.random.default_rng(args.seed)
-    # a loop's draws, which reject a matrix with a gap that is not strict: the
-    # missing samples are drawn as one stack until none is missing, and each
-    # draw is decomposed once
-    vecs = np.empty((0, args.n, args.n), dtype=complex)
-    rejected = 0
-    while len(vecs) < args.samples:
-        a = expm_skew(random_algebra(args.n, rng, shape=(args.samples - len(vecs),)))
+    # a loop's draws, which reject a matrix with a gap that is not strict: at
+    # most COCYCLE_STACK of the missing samples are drawn at a time, in the
+    # generator's order, each draw is decomposed once, and a stack's defects
+    # are reduced to the running worst before the next stack is drawn
+    worst, kept, rejected = 0.0, 0, 0
+    while kept < args.samples:
+        a = expm_skew(random_algebra(args.n, rng, shape=(min(COCYCLE_STACK, args.samples - kept),)))
         lam, v = _ordered_eig(a)
         regular = np.all(_strict_gaps(lam), axis=-1)
         rejected += int(np.sum(~regular))
         if rejected > 100 * args.samples:
             raise ToolkitError("sampling failed: over 100 draws per sample missed the full cover")
-        vecs = np.concatenate([vecs, v[regular]])
-    # the last draw stack is not needed by the defects, which peak above it
-    del a, lam, v, regular
-    worst = float(np.max(_unimodularity_defects(vecs)))
-    if not math.isfinite(worst):
-        raise ToolkitError("non-finite cocycle defect")
+        kept += int(np.sum(regular))
+        defects = _unimodularity_defects(v[regular])
+        # max(0.0, nan) is 0.0: a non-finite defect is caught before the max
+        if not np.all(np.isfinite(defects)):
+            raise ToolkitError("non-finite cocycle defect")
+        worst = max(worst, float(np.max(defects, initial=0.0)))
     consistent = vertex_weight_consistency(args.n)
     payload = {
         "n": args.n,

@@ -12,7 +12,6 @@ eigenvectors and G_ij its block over eigenvalue positions i+1 .. j.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -35,6 +34,8 @@ def _strict_gaps(lam: np.ndarray) -> np.ndarray:
 
 def eigenline_weight(n: int, i: int) -> CartanVector:
     """Weight of the i-th eigenline bundle: e_i - (1/n)(1, ..., 1)."""
+    from fractions import Fraction
+
     if not 1 <= i <= n:
         raise InputError("invalid-index", f"need 1 <= i <= {n}, got {i}")
     base = [Fraction(-1, n)] * n

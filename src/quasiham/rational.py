@@ -9,14 +9,15 @@ entries with int and any other text through the Fractions.  Vectors born as
 integers, the level-k weights, the alcove vertices and the transition
 weights, are computed, checked and written (`format_rows`) as numerators over
 one denominator, and `integer_inverse` inverts an integer matrix without
-Fractions.
+Fractions.  `fractions`, with `decimal` and `numbers`, is imported only
+where a Fraction is made, in `parse_rational` and `format_vector`, so that
+an exact verb starts without it.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import gcd, lcm
@@ -24,7 +25,8 @@ from operator import mul
 
 from .errors import InputError
 
-CartanVector = tuple[Fraction, ...]
+# a vector in simple-root coordinates: a tuple of Fractions or ints
+CartanVector = tuple["Fraction", ...]
 
 # an entry that int reads as the Fraction reads it: sign, ASCII digits, and
 # an optional ASCII denominator
@@ -76,6 +78,8 @@ def common_denominator(x: CartanVector) -> tuple[tuple[int, ...], int]:
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or plain integer strings; reject anything else."""
+    from fractions import Fraction
+
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -118,6 +122,8 @@ def parse_numerators(text: str) -> tuple[tuple[int, ...], int]:
 
 
 def format_vector(x: CartanVector) -> list[str]:
+    from fractions import Fraction
+
     return [str(Fraction(a)) for a in x]
 
 

@@ -7,19 +7,17 @@ coefficients into geometry.  Positive roots come from height-by-height
 closure using root strings, so everything stays in exact integers.
 
 Roots, marks and comarks are integer tuples, and one record holds them with
-the rest of the integer lattice data: the Gram matrix scaled to integers and
-the inverse Cartan matrix over one denominator.  The lattice and alcove
-tests run on those; only the Gram matrix `gram` is kept in Fractions, for
-`inner_product`.
+the rest of the integer lattice data: the Gram matrix as integers over one
+scale and the inverse Cartan matrix over one denominator.  The lattice and
+alcove tests run on those; a Fraction is made only where one leaves the
+package, by `inner_product`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
-from math import lcm
 
 from .errors import InputError, ToolkitError
 from .rational import CartanVector, integer_inverse
@@ -73,23 +71,24 @@ class LieType(namedtuple("LieType", "series rank")):
 
 
 class RootSystem(namedtuple("RootSystem", (
-        "lie_type cartan_matrix gram positive_roots dual_coxeter scale int_gram theta_row"
+        "lie_type cartan_matrix positive_roots dual_coxeter scale int_gram theta_row"
         " marks comarks inverse_cartan det"))):
-    """Immutable root-system data, in integers except `gram`.
+    """Immutable root-system data, all in integers.
 
-    cartan_matrix[i][j] is 2(a_i, a_j)/(a_j, a_j); gram[i][j] = (a_i, a_j)
-    under the basic inner product, in Fractions.  Roots are integer
-    coefficient tuples, which compare and hash equal to tuples of the same
-    Fractions: positive_roots are ordered by height then lexicographically,
-    and the highest root's coefficients are the marks.  int_gram is
-    scale * gram with the least scale that clears the denominators, so
-    (x, a_i^v) = 2 (int_gram x)_i / int_gram[i][i];  theta_row is
-    scale * (theta, a_j); comarks are a_i * d_i, integers for every simple
-    type; the inverse Cartan matrix is inverse_cartan / det, and its row i
-    is det times the fundamental weight w_i.  Matrices are tuples of rows.
-    Every field takes part in equality; the hash is that of the type.  No
-    __slots__: the instance dict holds the cached root index.
+    cartan_matrix[i][j] is 2(a_i, a_j)/(a_j, a_j), and the Gram matrix of the
+    basic inner product, (a_i, a_j), is int_gram / scale with the least scale
+    that clears its denominators, so (x, a_i^v) = 2 (int_gram x)_i /
+    int_gram[i][i].  Roots are integer coefficient tuples, which compare
+    equal to tuples of the same Fractions: positive_roots are ordered by
+    height then lexicographically, and the highest root's coefficients are
+    the marks.  theta_row is scale * (theta, a_j); comarks are a_i * d_i,
+    integers for every simple type; the inverse Cartan matrix is
+    inverse_cartan / det, and its row i is det times the fundamental weight
+    w_i.  Matrices are tuples of rows.  Every field takes part in equality;
+    the hash is that of the type.
     """
+
+    __slots__ = ()
 
     def __hash__(self) -> int:
         return hash(self.lie_type)
@@ -99,17 +98,14 @@ class RootSystem(namedtuple("RootSystem", (
         return self.lie_type.rank
 
     def is_root(self, v: CartanVector) -> bool:
-        neg = tuple(-c for c in v)
-        return v in self._root_index or neg in self._root_index
-
-    @cached_property
-    def _root_index(self) -> frozenset:
-        return frozenset(self.positive_roots)
+        return v in self.positive_roots or tuple(-c for c in v) in self.positive_roots
 
 
-def _cartan_and_halves(lt: LieType) -> tuple[list[list[int]], list[Fraction]]:
+def _cartan_and_halves(lt: LieType) -> tuple[list[list[int]], list[int], int]:
+    """The Cartan matrix, and the half squared lengths d_i of the simple
+    roots as integers over one scale."""
     r = lt.rank
-    one = Fraction(1)
+    scale = {"B": 2, "C": 2, "F": 2, "G": 3}.get(lt.series, 1)
     cartan = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
 
     def chain(edges):
@@ -117,15 +113,15 @@ def _cartan_and_halves(lt: LieType) -> tuple[list[list[int]], list[Fraction]]:
             cartan[i][j] = -1
             cartan[j][i] = -1
 
-    halves = [one] * r
+    halves = [scale] * r
     if lt.series in ("A", "B", "C"):
         chain((i, i + 1) for i in range(r - 1))
         if lt.series == "B":
             cartan[r - 2][r - 1] = -2  # last root short
-            halves[r - 1] = Fraction(1, 2)
+            halves[r - 1] = 1
         elif lt.series == "C":
             cartan[r - 1][r - 2] = -2  # last root long, others short
-            halves = [Fraction(1, 2)] * (r - 1) + [one]
+            halves = [1] * (r - 1) + [2]
     elif lt.series == "D":
         chain((i, i + 1) for i in range(r - 2))
         chain([(r - 3, r - 1)])
@@ -137,12 +133,12 @@ def _cartan_and_halves(lt: LieType) -> tuple[list[list[int]], list[Fraction]]:
     elif lt.series == "F":
         chain([(0, 1), (1, 2), (2, 3)])
         cartan[1][2] = -2  # roots 3,4 short
-        halves[2] = halves[3] = Fraction(1, 2)
+        halves[2] = halves[3] = 1
     elif lt.series == "G":
         cartan[0][1] = -1
         cartan[1][0] = -3  # first root short, squared length 2/3
-        halves[0] = Fraction(1, 3)
-    return cartan, halves
+        halves[0] = 1
+    return cartan, halves, scale
 
 
 _OCTAL_DIGITS = bytes.maketrans(b"01234567", bytes(range(8)))
@@ -186,14 +182,11 @@ def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def build_root_system(lie_type: LieType) -> RootSystem:
     """Construct the full exact root-system record for one simple type."""
-    cartan, halves = _cartan_and_halves(lie_type)
-    r = lie_type.rank
-    gram = tuple(
-        tuple(halves[j] * cartan[i][j] for j in range(r)) for i in range(r)
-    )
-    for i in range(r):
-        for j in range(r):
-            if gram[i][j] != gram[j][i]:
+    cartan, halves, scale = _cartan_and_halves(lie_type)
+    igram = tuple(tuple(map(int.__mul__, row, halves)) for row in cartan)
+    for i, row in enumerate(igram):
+        for j, g in enumerate(row):
+            if g != igram[j][i]:
                 raise ToolkitError(f"asymmetric Gram matrix at {(i, j)}")
 
     positives = _positive_roots(cartan)
@@ -201,21 +194,17 @@ def build_root_system(lie_type: LieType) -> RootSystem:
     if len(positives) > 1 and sum(positives[-2]) == sum(highest):
         raise ToolkitError("highest root is not unique")
 
-    scale = lcm(*(d.denominator for d in halves))
-    igram = tuple(tuple(int(g * scale) for g in row) for row in gram)
     comarks = []
     for mark, d in zip(highest, halves):
-        comark = mark * d
-        if comark.denominator != 1:
-            raise ToolkitError(f"non-integer comark {comark}")
-        comarks.append(int(comark))
+        if mark * d % scale:
+            raise ToolkitError(f"non-integer comark {mark * d}/{scale}")
+        comarks.append(mark * d // scale)
     # (w_i, a_j^v) = sum_m c_m cartan[m][j] = delta_ij: the coefficient rows
     # of the fundamental weights are the rows of the inverse Cartan matrix.
     inverse, det = integer_inverse(cartan)
     return RootSystem(
         lie_type=lie_type,
         cartan_matrix=tuple(tuple(row) for row in cartan),
-        gram=gram,
         positive_roots=tuple(positives),
         # 1 + height of the highest root in the simple-coroot basis
         dual_coxeter=1 + sum(comarks),
@@ -230,14 +219,17 @@ def build_root_system(lie_type: LieType) -> RootSystem:
 
 
 def inner_product(rs: RootSystem, x: CartanVector, y: CartanVector) -> Fraction:
-    """Basic inner product of two vectors given in simple-root coordinates."""
+    """Basic inner product of two vectors given in simple-root coordinates,
+    as a Fraction: x int_gram y / scale."""
+    from fractions import Fraction
+
     if len(x) != rs.rank or len(y) != rs.rank:
         raise InputError(
             "dimension-mismatch",
             f"expected vectors of length {rs.rank}, got {len(x)} and {len(y)}",
         )
-    return sum((a * sum(g * b for g, b in zip(row, y) if g) for a, row in zip(x, rs.gram) if a),
-               Fraction(0))
+    total = sum(a * sum(g * b for g, b in zip(row, y) if g) for a, row in zip(x, rs.int_gram) if a)
+    return Fraction(total, rs.scale)
 
 
 def height(rs: RootSystem, root: CartanVector) -> int:

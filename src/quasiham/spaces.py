@@ -44,7 +44,6 @@ structure equation are pinned by the moment and cocycle residual checks.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, groupby
 from math import lcm
@@ -286,6 +285,8 @@ class ConjugacyClass(QSpace):
         on integer numerators over one denominator."""
         self.n = int(n)
         if den is None:
+            from fractions import Fraction
+
             xi = [Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**9)
                   for x in xi]
             den = lcm(*(x.denominator for x in xi))

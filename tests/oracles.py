@@ -12,7 +12,7 @@ the realified su(n) operators that their eigenbasis formulas replaced."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -82,6 +82,13 @@ def fractions(record):
     return tuple(tuple(map(exact.__getitem__, v)) for v in record.nums)
 
 
+@cache
+def gram(rs):
+    """The Gram matrix of the basic inner product in Fractions: (a_i, a_j) =
+    int_gram[i][j] / scale."""
+    return tuple(tuple(Fraction(g, rs.scale) for g in row) for row in rs.int_gram)
+
+
 def simple_roots(rs):
     """The unit coordinate vectors: the simple roots in their own basis."""
     r = rs.rank
@@ -102,17 +109,17 @@ def root_pairings(rs, x):
     """(a_i, x) for every simple root: the Gram matrix times x."""
     if len(x) != rs.rank:
         raise InputError("dimension-mismatch", f"expected length {rs.rank}")
-    return matvec(rs.gram, x)
+    return matvec(gram(rs), x)
 
 
 def coroot_pairing(rs, x, i):
     """(x, a_i^v) = 2(x, a_i)/(a_i, a_i) for the i-th simple root."""
-    return 2 * root_pairings(rs, x)[i] / rs.gram[i][i]
+    return 2 * root_pairings(rs, x)[i] / gram(rs)[i][i]
 
 
 def fundamental_weight_coords(rs, mu):
     """Coordinates of mu against the fundamental weights: m_i = (mu, a_i^v)."""
-    return tuple(2 * p / rs.gram[i][i] for i, p in enumerate(root_pairings(rs, mu)))
+    return tuple(2 * p / gram(rs)[i][i] for i, p in enumerate(root_pairings(rs, mu)))
 
 
 def reflect(rs, v, i):

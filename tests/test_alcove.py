@@ -39,6 +39,7 @@ from oracles import (  # noqa: E402
     fractions,
     fundamental_weight_coords,
     fundamental_weights,
+    gram,
     lowest_root,
     matvec,
     open_face_set,
@@ -406,7 +407,7 @@ def fraction_level_weights(rs, k):
     r = rs.rank
     ct = [[Q(rs.cartan_matrix[m][j]) for m in range(r)] for j in range(r)]
     fundamental = [solve(ct, tuple(Q(int(j == i)) for j in range(r))) for i in range(r)]
-    comarks = [a * rs.gram[i][i] / 2 for i, a in enumerate(rs.marks)]
+    comarks = [a * gram(rs)[i][i] / 2 for i, a in enumerate(rs.marks)]
     weights = []
 
     def descend(i, partial, budget):
@@ -491,16 +492,16 @@ def test_level_weights_verb_makes_no_fraction_check(monkeypatch):
 def test_minimal_level_is_lcm_of_comarks(name):
     rs = rs_of(name)
     comarks = [int(c) for c in rs.comarks]
-    assert comarks == [a * rs.gram[i][i] / 2 for i, a in enumerate(rs.marks)]
+    assert comarks == [a * gram(rs)[i][i] / 2 for i, a in enumerate(rs.marks)]
     assert minimal_integral_level(rs) == math.lcm(*comarks)
 
 
 @pytest.mark.parametrize("name", TABLE_TYPES)
 def test_vertices_solve_their_defining_systems(name):
     rs = rs_of(name)
-    theta_row = matvec(rs.gram, rs.marks)
+    theta_row = matvec(gram(rs), rs.marks)
     vertices = fractions(alcove_vertices(rs))
     for j in range(rs.rank):
-        rows = [theta_row if i == j else rs.gram[i] for i in range(rs.rank)]
+        rows = [theta_row if i == j else gram(rs)[i] for i in range(rs.rank)]
         rhs = tuple(Q(int(i == j)) for i in range(rs.rank))
         assert vertices[j + 1] == solve(rows, rhs)

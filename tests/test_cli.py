@@ -1604,16 +1604,19 @@ def test_exact_verbs_never_import_numerics():
 
 
 def test_cli_import_loads_no_dataclasses_inspect_typing_or_numpy():
-    # every exact verb is a cold process, and dataclasses alone pulls in
-    # inspect, ast, dis and tokenize.  -S skips the site hooks, which may
-    # load typing themselves and so hide a module the package brings in
+    # every exact verb is a cold process: dataclasses alone pulls in inspect,
+    # ast, dis and tokenize, and fractions pulls in decimal and numbers, where
+    # the exact layer decides on integers and makes a Fraction only where one
+    # leaves the package.  -S skips the site hooks, which may load typing
+    # themselves and so hide a module the package brings in
     import os
     import subprocess
 
     code = (
         "import sys\n"
         "import quasiham.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'typing', 'numpy'} & sys.modules.keys()))\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'numpy', 'fractions', 'decimal',"
+        " 'numbers'} & sys.modules.keys()))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(quasiham.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
@@ -1622,12 +1625,14 @@ def test_cli_import_loads_no_dataclasses_inspect_typing_or_numpy():
 
 
 def test_numerical_layer_loads_no_dataclasses():
+    # numpy itself loads numbers, so only fractions and decimal are checked
     import subprocess
 
     code = (
         "import sys\n"
-        "import quasiham.spaces, quasiham.holonomy\n"
-        "assert 'dataclasses' not in sys.modules, 'the numerical layer pulled in dataclasses'\n"
+        "import quasiham.spaces, quasiham.gerbe, quasiham.holonomy\n"
+        "loaded = sorted({'dataclasses', 'fractions', 'decimal'} & sys.modules.keys())\n"
+        "assert not loaded, f'the numerical layer pulled in {loaded}'\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
 

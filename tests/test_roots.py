@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
+from quasiham.alcove import AlcoveModel, LevelWeightSet, alcove_vertices, level_weights
 from quasiham.errors import InputError
 from quasiham.rational import integer_inverse
 from quasiham.roots import (
     LieType,
+    RootSystem,
     a_series_embedding,
     build_root_system,
     height,
@@ -17,6 +20,7 @@ from oracles import (
     coroot_pairing,
     dot,
     fundamental_weights,
+    gram,
     lowest_root,
     matvec,
     reflect,
@@ -61,14 +65,52 @@ def test_type_parsing():
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_gram_symmetric_positive_definite(name):
     rs = rs_of(name)
+    g = gram(rs)
     n = rs.rank
     for i in range(n):
         for j in range(n):
-            assert rs.gram[i][j] == rs.gram[j][i]
+            assert g[i][j] == g[j][i]
+            # the Cartan matrix's definition, 2 (a_i, a_j) / (a_j, a_j)
+            assert rs.cartan_matrix[i][j] == 2 * g[i][j] / g[j][j]
     # Sylvester criterion with exact leading-minor determinants
     for k in range(1, n + 1):
-        minor = [row[:k] for row in rs.gram[:k]]
+        minor = [row[:k] for row in g[:k]]
         assert _det(minor) > 0
+
+
+def _integers(value):
+    """An int, or a tuple of them at any depth."""
+    if isinstance(value, tuple):
+        return all(map(_integers, value))
+    return type(value) is int
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_root_system_record_holds_only_integers(name):
+    rs = rs_of(name)
+    assert rs._fields[0] == "lie_type" and "gram" not in rs._fields
+    for field in rs._fields[1:]:
+        assert _integers(getattr(rs, field)), field
+    # every record is slotted: no instance dict beside the tuple
+    records = (rs.lie_type, rs, alcove_vertices(rs), level_weights(rs, 1))
+    assert [type(r) for r in records] == [LieType, RootSystem, AlcoveModel, LevelWeightSet]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2"])
+def test_inner_product_matches_the_fraction_gram_matrix(name):
+    # the types whose Gram matrix has denominators: scale 2, and 3 for G2
+    rs = rs_of(name)
+    assert rs.scale == (3 if name == "G2" else 2)
+    rng = random.Random(name)
+    vectors = [*rs.positive_roots, *fundamental_weights(rs)]
+    vectors += [tuple(Q(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rs.rank))
+                for _ in range(20)]
+    for x in vectors:
+        for y in vectors:
+            value = inner_product(rs, x, y)
+            assert type(value) is Q and value == dot(x, matvec(gram(rs), y))
 
 
 def _det(m):
