@@ -17,7 +17,7 @@ _HOME = {
         "minimal_integral_level",
     ],
     "errors": ["InputError", "ToolkitError"],
-    "gerbe": ["eigenline_weight", "vertex_weight_consistency"],
+    "gerbe": ["eigenline_weights", "vertex_weight_consistency"],
     "holonomy": ["PiecewiseConnection", "convergence_order", "gauge_transform"],
     "prequant": ["class_decision", "torsion_level_admissible"],
     "rational": ["CartanVector", "parse_rational", "parse_vector"],

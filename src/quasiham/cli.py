@@ -46,7 +46,7 @@ from .alcove import (
 )
 from .errors import InputError, ToolkitError, built_here
 from .prequant import NOT_A_WEIGHT, class_decision, torsion_level_admissible
-from .rational import format_rows, format_vector, parse_numerators
+from .rational import format_rows, parse_numerators
 from .roots import (
     LieType,
     a_series_embedding,
@@ -56,13 +56,11 @@ from .roots import (
 )
 
 # Largest --samples of any verb, checked before anything is drawn.  The
-# costliest verb per sample is cocycle at its largest n, 16, which draws and
-# reduces COCYCLE_STACK samples at a time, so its memory does not grow with
-# --samples: cold, 0.8 s at 2000 samples and 1.7 s at 5000, each peaking at
-# 50 MB (2-vCPU KVM guest, BLAS on 1 thread).  The README's eta_su2 check
-# takes 2000.
+# costliest verb per sample is cocycle at its largest n, 16, whose memory
+# gerbe.COCYCLE_STACK holds to one stack: cold, 0.8 s at 2000 samples and
+# 1.7 s at 5000 (2-vCPU KVM guest, BLAS on 1 thread).  The README's eta_su2
+# check takes 2000.
 MAX_SAMPLES = 5000
-COCYCLE_STACK = 256
 # Largest grid of holonomy-convergence.  A grid's loop and connection samples
 # grow as N n^2: --n 16 with a grid of 4096 took 0.5 s and 185 MB, --n 2 with
 # 65536 took 76 MB.
@@ -208,39 +206,15 @@ def _run_eta(args) -> tuple[int, dict]:
 def _run_cocycle(args) -> tuple[int, dict]:
     import numpy as np
 
-    from .gerbe import (
-        _ordered_eig,
-        _strict_gaps,
-        _unimodularity_defects,
-        eigenline_weight,
-        vertex_weight_consistency,
-    )
+    from .gerbe import eigenline_weights, max_unimodularity_defect, vertex_weight_consistency
     from .spaces import _bounded
-    from .sun import expm_skew, random_algebra
 
     # the cocycle is checked on triples i < j < k of eigenvalue indices
     if args.n < 3:
         raise InputError("invalid-rank", f"cocycle needs n >= 3, got {args.n}")
     _bounded(args.n**2 - 1)
-    rng = np.random.default_rng(args.seed)
-    # a loop's draws, which reject a matrix with a gap that is not strict: at
-    # most COCYCLE_STACK of the missing samples are drawn at a time, in the
-    # generator's order, each draw is decomposed once, and a stack's defects
-    # are reduced to the running worst before the next stack is drawn
-    worst, kept, rejected = 0.0, 0, 0
-    while kept < args.samples:
-        a = expm_skew(random_algebra(args.n, rng, shape=(min(COCYCLE_STACK, args.samples - kept),)))
-        lam, v = _ordered_eig(a)
-        regular = np.all(_strict_gaps(lam), axis=-1)
-        rejected += int(np.sum(~regular))
-        if rejected > 100 * args.samples:
-            raise ToolkitError("sampling failed: over 100 draws per sample missed the full cover")
-        kept += int(np.sum(regular))
-        defects = _unimodularity_defects(v[regular])
-        # max(0.0, nan) is 0.0: a non-finite defect is caught before the max
-        if not np.all(np.isfinite(defects)):
-            raise ToolkitError("non-finite cocycle defect")
-        worst = max(worst, float(np.max(defects, initial=0.0)))
+    worst, rejected = max_unimodularity_defect(args.n, args.samples,
+                                               np.random.default_rng(args.seed))
     consistent = vertex_weight_consistency(args.n)
     payload = {
         "n": args.n,
@@ -248,9 +222,7 @@ def _run_cocycle(args) -> tuple[int, dict]:
         "rejected": rejected,
         "max_unimodularity_defect": worst,
         "tolerance": args.tol,
-        "eigenline_weights": [
-            format_vector(eigenline_weight(args.n, i)) for i in range(1, args.n + 1)
-        ],
+        "eigenline_weights": format_rows(eigenline_weights(args.n), args.n),
         "vertex_weight_consistency": consistent,
         "pass": worst < args.tol and consistent,
     }

@@ -6,12 +6,12 @@ tuple of Fractions; it is cleared to integer numerators over one denominator
 once (`common_denominator`) and stays integer from there.  `parse_numerators`
 reads a vector straight into that cleared form, plain ASCII 'p' and 'p/q'
 entries with int and any other text through the Fractions.  Vectors born as
-integers, the level-k weights, the alcove vertices and the transition
-weights, are computed, checked and written (`format_rows`) as numerators over
-one denominator, and `integer_inverse` inverts an integer matrix without
-Fractions.  `fractions`, with `decimal` and `numbers`, is imported only
-where a Fraction is made, in `parse_rational` and `format_vector`, so that
-an exact verb starts without it.
+integers, the level-k weights, the alcove vertices, the transition weights
+and the eigenline weights, are computed, checked and written (`format_rows`)
+as numerators over one denominator, and `integer_inverse` inverts an integer
+matrix without Fractions.  `fractions`, with `decimal` and `numbers`, is
+imported only where a Fraction is made, in `parse_rational`, so that an
+exact verb starts without it.
 """
 
 from __future__ import annotations
@@ -121,12 +121,6 @@ def parse_numerators(text: str) -> tuple[tuple[int, ...], int]:
     return tuple(p * (den // q) for p, q in zip(nums, dens)), den
 
 
-def format_vector(x: CartanVector) -> list[str]:
-    from fractions import Fraction
-
-    return [str(Fraction(a)) for a in x]
-
-
 def format_ratio(n: int, den: int) -> str:
     """str(Fraction(n, den)) for den > 0, without building the Fraction."""
     g = gcd(n, den)
@@ -134,7 +128,7 @@ def format_ratio(n: int, den: int) -> str:
 
 
 def format_rows(rows: Sequence[tuple[int, ...]], den: int) -> list[list[str]]:
-    """format_vector(w / den) for each numerator vector w of rows, one
-    format_ratio per distinct numerator."""
+    """The entries w_i / den of each numerator vector w of rows as
+    str(Fraction) gives them, one format_ratio per distinct numerator."""
     text = {n: format_ratio(n, den) for n in set(chain.from_iterable(rows))}.__getitem__
     return list(map(list, map(partial(map, text), rows)))

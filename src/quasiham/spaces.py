@@ -54,6 +54,7 @@ import numpy as np
 from .errors import InputError, ToolkitError, built_here
 from .sun import (
     Jet,
+    algebra_basis,
     basic_gram,
     basic_inner,
     check_special_unitary,
@@ -64,7 +65,6 @@ from .sun import (
     torus_point,
     unitary_eig,
     _PAULI,
-    _basis_stack,
     _three_form_pulled,
 )
 
@@ -249,7 +249,7 @@ class QSpace:
         (the tangents x_k p are orthonormal), and on a class slot its class's
         constant rows C carried by the slot's flow u, which takes the base
         point m_0 to m = u m_0 u*: u C u*.  Only class slots read the flows."""
-        x = _basis_stack(self.n)
+        x = algebra_basis(self.n)
         out = [np.broadcast_to(x, m.shape[1:-2] + x.shape)] * len(m)
         for j, rows in zip(self.class_slots, self.class_rows):
             out[j] = _lift(flows[j]) @ rows @ _lift(_dag(flows[j]))
@@ -316,9 +316,10 @@ class ConjugacyClass(QSpace):
         # 1/2 + i Im f at (i, j): the pair's (B_re, B_im) give (B_re / 2 + Im f B_im, B_im / 2 -
         # Im f B_re).  class_rows keeps the pairs whose gap, x -> x m - m x's singular value there,
         # the cutoff resolves against the largest.
-        b = _basis_stack(self.n)[: self.n * (self.n - 1)].reshape(-1, 2, self.n, self.n)[self.pairs]
+        n = self.n
+        b = algebra_basis(n)[: n * (n - 1)].reshape(-1, 2, n, n)[self.pairs]
         turn = (dj / (dj - di)).imag[:, None, None, None] * np.array([1.0, -1.0])[:, None, None]
-        self._pair_rows = (0.5 * b + turn * b[:, ::-1]).reshape(-1, self.n, self.n)
+        self._pair_rows = (0.5 * b + turn * b[:, ::-1]).reshape(-1, n, n)
         top = gap.max(initial=0.0)
         resolved = np.repeat((gap > RANK_CUTOFF * top) & (top > KERNEL_FLOOR), 2)
         self.class_rows = (self._pair_rows[resolved],)

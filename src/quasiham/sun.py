@@ -288,31 +288,20 @@ def _three_form_pulled(xs: list[np.ndarray]) -> float | np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def algebra_basis(n: int) -> tuple[np.ndarray, ...]:
-    """Orthonormal real basis of su(n) for Re tr(X* Y)."""
-    out = []
+def algebra_basis(n: int) -> np.ndarray:
+    """Orthonormal real basis of su(n) for Re tr(X* Y), as one read-only
+    (n^2-1, n, n) array: the real and the imaginary element of each pair of
+    pair_indices, then the n-1 diagonal elements."""
+    out = np.zeros((n * n - 1, n, n), dtype=complex)
     s = 1.0 / np.sqrt(2.0)
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k], m[k, j] = s, -s
-            out.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = m[k, j] = 1j * s
-            out.append(m)
+    for p, (j, k) in enumerate(zip(*pair_indices(n))):
+        out[2 * p, j, k], out[2 * p, k, j] = s, -s
+        out[2 * p + 1, j, k] = out[2 * p + 1, k, j] = 1j * s
     for j in range(n - 1):
         d = np.zeros(n)
         d[: j + 1] = 1.0
         d[j + 1] = -(j + 1.0)
-        d /= np.linalg.norm(d)
-        out.append(1j * np.diag(d))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _basis_stack(n: int) -> np.ndarray:
-    """algebra_basis(n) as one read-only (n^2-1, n, n) array."""
-    out = np.array(algebra_basis(n)).reshape(-1, n, n)
+        out[n * (n - 1) + j] = 1j * np.diag(d / np.linalg.norm(d))
     out.flags.writeable = False
     return out
 
@@ -335,7 +324,7 @@ def pair_basis(v: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """V B V* for the two off-diagonal algebra_basis elements B of each pair,
     an index into pair_indices: (*P, 2r, n, n) for v (*P, n, n), pairs (*P, r)."""
     n = v.shape[-1]
-    b = _basis_stack(n)[: n * (n - 1)].reshape(-1, 2, n, n)[pairs]
+    b = algebra_basis(n)[: n * (n - 1)].reshape(-1, 2, n, n)[pairs]
     b = b.reshape(b.shape[:-4] + (-1, n, n))
     return v[..., None, :, :] @ b @ v.conj().swapaxes(-1, -2)[..., None, :, :]
 

@@ -1,7 +1,7 @@
 """Reference implementations the tests check the package against: exact
 linear algebra, the simple and lowest roots and the alcove, lattice and
-pre-quantization tests over Fractions, the gerbe's cover and its
-spectral record of QR bases with the one-matrix helpers, the
+pre-quantization tests over Fractions with their text, the gerbe's cover
+and its spectral record of QR bases with the one-matrix helpers, the
 constant connection of the acceptance tests and its JSON, one random point
 of a space with the flows that reach it, the flows and brackets of fields
 and the central-difference cocycle residual, an eigenframe of a class point
@@ -22,7 +22,6 @@ from quasiham.errors import InputError
 from quasiham.gerbe import _ordered_eig, _strict_gaps
 from quasiham.holonomy import PiecewiseConnection
 from quasiham.prequant import NOT_A_WEIGHT
-from quasiham.rational import format_vector
 from quasiham.spaces import (
     RANK_CUTOFF,
     STRUCTURE_FORM_ORIENTATION,
@@ -33,10 +32,10 @@ from quasiham.spaces import (
     unrealvec,
 )
 from quasiham.sun import (
-    _basis_stack,
     _three_form_pulled,
     alcove_coordinates,
     alcove_order,
+    algebra_basis,
     check_algebra,
     check_special_unitary,
     complex_pairs,
@@ -73,6 +72,11 @@ def dot(x, y):
 
 def matvec(m, x):
     return tuple(sum((a * b for a, b in zip(row, x, strict=True) if a), Fraction(0)) for row in m)
+
+
+def format_vector(x):
+    """The entries of a vector of ints or Fractions as 'p/q' strings."""
+    return [str(Fraction(a)) for a in x]
 
 
 def fractions(record):
@@ -465,25 +469,25 @@ def solve(m, rhs):
 def algebra_coords(x):
     """Coordinates of an algebra element in the orthonormal real basis,
     Re tr(B_k* X); leading axes of x are kept."""
-    return np.real(np.einsum("kij,...ij->...k", _basis_stack(x.shape[-1]).conj(), x))
+    return np.real(np.einsum("kij,...ij->...k", algebra_basis(x.shape[-1]).conj(), x))
 
 
 def algebra_from_coords(n, coords):
     """Inverse of algebra_coords; leading axes of coords are kept."""
-    return np.einsum("...k,kij->...ij", coords, _basis_stack(n))
+    return np.einsum("...k,kij->...ij", coords, algebra_basis(n))
 
 
 def realified_operator(n, fn):
     """Matrix of a real-linear operator on su(n) in the orthonormal basis;
     fn is applied once to the stacked basis.  An fn that adds leading axes
     in front of the basis axis gives a stack of matrices."""
-    return algebra_coords(fn(_basis_stack(n))).swapaxes(-1, -2)
+    return algebra_coords(fn(algebra_basis(n))).swapaxes(-1, -2)
 
 
 def class_basis_svd(space, m):
     """A class's tangent bases at a stack of points as the right singular
     vectors of the realified fields x m - m x, at the first point's rank."""
-    x, lm = _basis_stack(space.n), _lift(m)
+    x, lm = algebra_basis(space.n), _lift(m)
     _, s, vt = np.linalg.svd(realvec(x @ lm - lm @ x), full_matrices=False)
     return unrealvec(vt[..., : _rank(s, s[..., 0]).flat[0], :], space.n)
 

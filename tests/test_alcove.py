@@ -19,7 +19,6 @@ from quasiham.alcove import (
 from quasiham.cli import dispatch, render
 from quasiham.errors import InputError
 from quasiham.prequant import class_decision
-from quasiham.rational import format_vector
 from quasiham.roots import (
     LieType,
     a_series_embedding,
@@ -36,6 +35,7 @@ from workloads import LEVELS, TABLE_TYPES  # noqa: E402
 from oracles import (  # noqa: E402
     alcove_contains,
     barycentric_coords,
+    format_vector,
     fractions,
     fundamental_weight_coords,
     fundamental_weights,

@@ -26,7 +26,7 @@ from quasiham.alcove import LevelWeightSet
 from quasiham.cli import MAX_GRID, MAX_SAMPLES, dispatch, main, render
 from quasiham.errors import InputError, ToolkitError
 from quasiham.prequant import torsion_level_admissible
-from quasiham.rational import common_denominator, format_vector, parse_numerators, parse_vector
+from quasiham.rational import common_denominator, parse_numerators, parse_vector
 from quasiham.roots import MAX_RANK, LieType, a_series_embedding, build_root_system
 from quasiham.serialize import matrix_from_json
 from quasiham.sun import complex_pairs
@@ -35,6 +35,7 @@ from oracles import (
     a_series_from_euclidean,
     barycentric_coords,
     class_prequantizable,
+    format_vector,
     fractions,
     fundamental_weights,
     fusion_prequantizable,
@@ -852,7 +853,7 @@ def test_internal_failure_exits_3(case, monkeypatch, capsys):
 # ToolkitError, exit 3, and carries no tag.
 INPUT_ERROR_TAGS = {
     "degenerate-fit", "dimension-mismatch", "empty-grid", "empty-vector", "grid-mismatch",
-    "grid-too-large", "group-size-mismatch", "invalid-genus", "invalid-grids", "invalid-index",
+    "grid-too-large", "group-size-mismatch", "invalid-genus", "invalid-grids",
     "invalid-level", "invalid-rank", "invalid-samples", "invalid-seed", "invalid-series",
     "invalid-side", "invalid-tolerance", "invalid-torsion", "invalid-type",
     "io-error",
@@ -1539,7 +1540,7 @@ PUBLIC_NAMES = {
     "RootSystem", "ToolkitError", "VerificationReport", "a_series_embedding",
     "a_series_numerators", "alcove_coordinates", "alcove_vertices", "algebra_basis",
     "basic_inner", "build_root_system", "canonical_three_form", "check_algebra",
-    "check_special_unitary", "class_decision", "convergence_order", "eigenline_weight",
+    "check_special_unitary", "class_decision", "convergence_order", "eigenline_weights",
     "eta_integral_su2", "expm_skew", "gauge_transform", "height", "inner_product",
     "level_weights", "make_space", "maurer_cartan", "minimal_integral_level",
     "parse_rational", "parse_vector", "project_algebra", "random_algebra",

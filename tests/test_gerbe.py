@@ -1,17 +1,21 @@
+import ast
 import importlib
 import json
+import subprocess
+import sys
 from fractions import Fraction as Q
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quasiham.cli import dispatch, main, render
 from quasiham.errors import InputError
-from quasiham.gerbe import eigenline_weight, vertex_weight_consistency
+from quasiham.gerbe import eigenline_weights, vertex_weight_consistency
 from quasiham.prequant import class_decision
-from quasiham.rational import common_denominator, format_vector
+from quasiham.rational import common_denominator
 from quasiham.roots import LieType, a_series_numerators, build_root_system
 from quasiham.sun import (
     alcove_coordinates,
@@ -23,6 +27,7 @@ from quasiham.sun import (
 from oracles import (
     cocycle_check,
     cover_index_set,
+    format_vector,
     record_check,
     spectral_record,
     transition_weight,
@@ -89,13 +94,17 @@ def test_cover_examples_su2():
     assert cover_index_set(-np.eye(2, dtype=complex)) == frozenset({1})
 
 
+def eigenline_weight(n, i):
+    """The i-th eigenline weight e_i - (1/n)(1, ..., 1) as Fractions."""
+    return tuple(Q(a, n) for a in eigenline_weights(n)[i - 1])
+
+
 def test_eigenline_weights():
+    assert eigenline_weights(3) == ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
     assert eigenline_weight(3, 2) == (Q(-1, 3), Q(2, 3), Q(-1, 3))
     for n in (2, 3, 4, 5):
-        total = tuple(sum(eigenline_weight(n, i)[k] for i in range(1, n + 1)) for k in range(n))
-        assert all(t == 0 for t in total)
-    with pytest.raises(InputError):
-        eigenline_weight(3, 4)
+        assert len(eigenline_weights(n)) == n
+        assert all(sum(column) == 0 for column in zip(*eigenline_weights(n)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -111,6 +120,23 @@ def test_vertex_weight_consistency_can_fail(monkeypatch):
                                  model.nums[2]))
     monkeypatch.setattr(alcove, "alcove_vertices", lambda rs: moved)
     assert not vertex_weight_consistency.__wrapped__(3)
+
+
+def test_cocycle_fails_on_a_tampered_weight_table(monkeypatch):
+    # the verb prints the weight table that it checks: with rows 1 and 2
+    # swapped the first partial sum misses the first alcove vertex
+    honest = eigenline_weights(4)
+    swapped = (honest[1], honest[0]) + honest[2:]
+    monkeypatch.setattr(gerbe, "eigenline_weights", lambda n: swapped)
+    vertex_weight_consistency.cache_clear()
+    try:
+        code, payload = dispatch(["cocycle", "--n", "4", "--samples", "5"])
+    finally:
+        vertex_weight_consistency.cache_clear()
+    assert code == 1 and payload["pass"] is False
+    assert payload["vertex_weight_consistency"] is False
+    assert payload["eigenline_weights"] == [format_vector(Q(a, 4) for a in row) for row in swapped]
+    assert payload["max_unimodularity_defect"] < payload["tolerance"]
 
 
 def test_transition_weights_are_eigenline_sums():
@@ -548,7 +574,7 @@ def test_cocycle_stack_size_changes_no_byte(stack, monkeypatch):
     code, payload = dispatch(argv)
     stacked = []
     defects = gerbe._unimodularity_defects
-    monkeypatch.setattr(cli, "COCYCLE_STACK", stack)
+    monkeypatch.setattr(gerbe, "COCYCLE_STACK", stack)
     monkeypatch.setattr(gerbe, "_unimodularity_defects",
                         lambda vecs: stacked.append(len(vecs)) or defects(vecs))
     again, repeat = dispatch(argv)
@@ -625,7 +651,7 @@ def test_one_non_finite_defect_in_a_later_stack_exits_3(monkeypatch, capsys):
             out[0, -1] = np.nan
         return out
 
-    monkeypatch.setattr(cli, "COCYCLE_STACK", 2)
+    monkeypatch.setattr(gerbe, "COCYCLE_STACK", 2)
     monkeypatch.setattr(gerbe, "_unimodularity_defects", tampered)
     assert main(["cocycle", "--n", "3", "--samples", "5"]) == 3
     assert calls == [2, 2]
@@ -671,3 +697,29 @@ def test_cocycle_memory_holds_only_the_eigenvectors():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0 and json.loads(proc.stdout)["pass"] is True
     assert int(proc.stderr) < 60 * 1024
+
+
+def test_cli_holds_no_cocycle_algorithm():
+    # the draws, the stack size and the defects live in gerbe: the command
+    # line imports no private name of it and sets no stack size of its own
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "gerbe" for alias in node.names]
+    assert imported and not [name for name in imported if name.startswith("_")]
+    assert not [node for node in ast.walk(tree)
+                if getattr(node, "id", getattr(node, "attr", None)) == "COCYCLE_STACK"
+                and isinstance(getattr(node, "ctx", None), ast.Store)]
+
+
+def test_cocycle_dispatch_loads_no_fractions():
+    # the eigenline weights are integer numerators over n from the table to
+    # the printed text
+    code = (
+        "import sys\n"
+        "from quasiham.cli import dispatch\n"
+        "code, payload = dispatch(['cocycle', '--n', '3', '--samples', '5'])\n"
+        "assert code == 0 and payload['pass'], payload\n"
+        "sys.exit('fractions' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

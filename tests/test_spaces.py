@@ -43,6 +43,7 @@ from quasiham.spaces import (
     verify_axiom,
 )
 from quasiham.sun import (
+    algebra_basis,
     basic_gram,
     basic_inner,
     expm_skew,
@@ -1041,7 +1042,7 @@ def test_class_basis_is_orthonormal_and_spans_the_svd_basis(n):
     for name, xi in class_cases(n):
         space = ConjugacyClass(n, xi)
         rows, m0 = space._pair_rows, space.base[0]
-        pairs = spaces._basis_stack(n)[: n * (n - 1)].reshape(-1, 2, n, n)[space.pairs]
+        pairs = algebra_basis(n)[: n * (n - 1)].reshape(-1, 2, n, n)[space.pairs]
         at_base = field_at(space, rows[None], spaces._lift(space.base))[0]
         bound = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(rows), initial=0.0))
         assert np.max(np.abs(at_base - pairs.reshape(rows.shape) @ m0), initial=0.0) < bound, name

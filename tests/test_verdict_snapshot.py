@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from quasiham.cli import dispatch, render
+from quasiham.errors import InputError
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "bench"))
@@ -38,8 +39,10 @@ def run(argv):
         code, payload = dispatch(argv)
     except SystemExit as exc:
         return (2 if exc.code is None else int(exc.code)), None
-    except Exception:  # the command line prints these with exit 2
+    except InputError:
         return 2, None
+    except Exception:  # a fault of the program, not of its input: exit 3
+        return 3, None
     return code, json.loads(render(payload, as_json=True))
 
 
