@@ -1,17 +1,19 @@
 """Command-line front end.
 
 Every verb routes to library operations and renders either human-readable
-text or JSON (--json).  Every option is read or refused: `_ROWS` gives each
-row of a verb the options it reads, with their defaults, and any other given
-option exits 2.  Identical invocations produce byte-identical JSON.  Exit
-codes: 0 success/pass, 1 a verification that ran and failed, 2 usage or
-input errors (a tagged InputError), 3 any other exception, an internal
-error, without traceback and with nothing on stdout.  Internal errors
-include a non-finite residual, a failed eigensolver and every check on data
-the package built itself: the root tables, the level-weight enumeration, the
-alcove normalization and the cocycle verb's draws, when more than 100 per
-sample miss the full cover.  A closed stdout ends the output quietly and
-keeps the exit code.
+text or JSON (--json).  The command line and the replay tools in tests/ end
+an op through `run(argv)` and `outcome`, the one mapping from exception to
+exit code.  Every option is read or refused: `_ROWS` gives each row of a
+verb the options it reads, with their defaults, and any other given option
+exits 2.  Identical invocations produce byte-identical JSON.  Exit codes: 0
+success/pass, 1 a verification that ran and failed, 2 usage or input errors
+(a tagged InputError), 3 any other exception, an internal error, without
+traceback and with nothing on stdout.  Internal errors include a non-finite
+residual, a failed eigensolver and every check on data the package built
+itself: the root tables, the level-weight enumeration, the alcove
+normalization and the cocycle verb's draws, when more than 100 per sample
+miss the full cover.  A closed stdout ends the output quietly and keeps the
+exit code.
 
 Numerical modules import lazily inside handlers so exact verbs stay snappy.
 The exact verbs keep their per-op cost low: check-class reads each --xi
@@ -161,7 +163,8 @@ def _run_check_class(args) -> tuple[int, dict]:
 
 
 def _run_axiom(args) -> tuple[int, dict]:
-    from .spaces import ConjugacyClass, _bounded, make_space, verify_axiom
+    from .spaces import ConjugacyClass, make_space, verify_axiom
+    from .sun import _bounded
 
     if args.xi is None:
         space = make_space(args.space, n=args.n, h=args.genus)
@@ -207,7 +210,7 @@ def _run_cocycle(args) -> tuple[int, dict]:
     import numpy as np
 
     from .gerbe import eigenline_weights, max_unimodularity_defect, vertex_weight_consistency
-    from .spaces import _bounded
+    from .sun import _bounded
 
     # the cocycle is checked on triples i < j < k of eigenvalue indices
     if args.n < 3:
@@ -249,8 +252,7 @@ def _run_holonomy(args) -> tuple[int, dict]:
     import numpy as np
 
     from .holonomy import convergence_order, gauge_equivariance_residual
-    from .spaces import _bounded
-    from .sun import random_algebra, random_special_unitary
+    from .sun import _bounded, random_algebra, random_special_unitary
 
     try:
         grids = [int(s) for s in args.grids.split(",")]
@@ -644,18 +646,34 @@ def _render_table(levels: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def outcome(op, *args) -> tuple[int, str, str]:
+    """(exit code, stdout text, stderr text) of op(*args), which returns an
+    exit code and its stdout text: the package's one mapping from exception
+    to exit code.  A SystemExit, argparse's own exit, passes through."""
     try:
+        code, text = op(*args)
+    except InputError as exc:
+        return 2, "", f"error: {exc}"
+    except Exception as exc:  # a fault of the program, not of its input
+        return 3, "", f"internal-error: {type(exc).__name__}: {exc}"
+    return code, text, ""
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """What the command line prints for argv, each text without its final
+    newline: the payload is JSON if and only if --json is given."""
+    def rendered():
         args = _parse(argv)
         code, payload = _run(args)
-        text = render(payload, "json" in args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # a fault of the program, not of its input
-        print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return code, render(payload, "json" in args)
+    return outcome(rendered)
+
+
+def main(argv: list[str] | None = None) -> int:
+    code, text, error = run(sys.argv[1:] if argv is None else argv)
+    if error:
+        print(error, file=sys.stderr)
+        return code
     try:
         print(text, flush=True)
     except BrokenPipeError:

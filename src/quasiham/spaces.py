@@ -54,6 +54,7 @@ import numpy as np
 from .errors import InputError, ToolkitError, built_here
 from .sun import (
     Jet,
+    MAX_DIM,
     algebra_basis,
     basic_gram,
     basic_inner,
@@ -65,6 +66,7 @@ from .sun import (
     torus_point,
     unitary_eig,
     _PAULI,
+    _bounded,
     _three_form_pulled,
 )
 
@@ -84,10 +86,6 @@ OFF_BLOCK = 64 * np.finfo(float).eps
 # min s <= 9.7e-15 (44 eps) on forced points, so at the path's edge s = 2 RANK_CUTOFF a valid
 # point misses by up to 5e-8 (1e-8 failed 116 of 1,800); the Liouville mutants miss by over 0.1.
 LIOUVILLE_MISS = 1e-6
-# Largest tangent dimension (a class's n^2 - 1), checked before arrays grow with n or h.
-# Cold at it (5-7 runs, 2-vCPU KVM guest, BLAS on 1 thread): class(16) cocycle 0.23 s,
-# 38 MB; min_degeneracy 0.42-0.46 s, 49 MB; genus(4, 8) min_degeneracy 0.31-0.34 s, 40 MB.
-MAX_DIM = 256
 
 # Relative orientation of the canonical 3-form inside the structure equation
 # d omega = Psi* eta.  With the 2-form and moment conventions used here the
@@ -122,12 +120,6 @@ def _dag(p: np.ndarray) -> np.ndarray:
 def _lift(p: np.ndarray) -> np.ndarray:
     """A point's matrix broadcast against the stack axis of its tangents."""
     return p[..., None, :, :]
-
-
-def _bounded(dim: int) -> int:
-    if dim > MAX_DIM:
-        raise InputError("space-too-large", f"tangent dimension {dim} exceeds {MAX_DIM}")
-    return dim
 
 
 def _group_rank(n) -> int:

@@ -15,10 +15,10 @@ axiom, with [exit, pass] for seeds 0, 1 and 2:
 - that class fused with a double, Fused([C, Double(n)]), or with a generic
   class C', Fused([C, C']), for n = 2 and 3
 
-Exit codes are the command line's: 0 PASS, 1 FAIL, 2 an input error and 3
-any other error.  ``test_spaces.py`` replays a subset.  Recompute every cell
-and print each one whose [exit, pass] differs from the table, exiting 1 if
-any does, with
+Exit codes are the command line's, from ``quasiham.cli.outcome``: 0 PASS,
+1 FAIL, 2 an input error and 3 any other error.  ``test_spaces.py`` replays
+a subset.  Recompute every cell and print each one whose [exit, pass]
+differs from the table, exiting 1 if any does, with
 
     PYTHONPATH=src python tests/class_sweep.py --check
 
@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from quasiham.errors import InputError
+from quasiham.cli import outcome
 from quasiham.spaces import AXIOMS, ConjugacyClass, Double, Fused, verify_axiom
 
 SWEEP_PATH = Path(__file__).resolve().parent / "class_sweep.json"
@@ -69,16 +69,16 @@ def space(kind: str, n: int, family: str, k: int):
     return Fused([c, Double(n) if kind == "class+double" else ConjugacyClass(n, GENERIC[n])])
 
 
+def verdict(group: str, seed: int) -> tuple[int, str]:
+    kind, n, family, k, axiom = group.split("/")
+    rep = verify_axiom(space(kind, int(n), family, int(k)), axiom, samples=SAMPLES, seed=seed)
+    return (0 if rep.passed else 1), ""
+
+
 def run(group: str, seed: int) -> list:
     """[exit code, verdict] of one cell, as the command line ends."""
-    kind, n, family, k, axiom = group.split("/")
-    try:
-        rep = verify_axiom(space(kind, int(n), family, int(k)), axiom, samples=SAMPLES, seed=seed)
-    except InputError:
-        return [2, None]
-    except Exception:  # a fault of the program, not of its input
-        return [3, None]
-    return [0 if rep.passed else 1, rep.passed]
+    code = outcome(verdict, group, seed)[0]
+    return [code, {0: True, 1: False}.get(code)]
 
 
 def load() -> dict:

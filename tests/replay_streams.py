@@ -1,16 +1,15 @@
 """Stream replay: one digest per benchmark workload and one for the cocycle
 verb, so that a change which should keep every output can show it does.
 
-Each op is a CLI argument vector run through ``quasiham.cli.dispatch`` and
-``render(payload, True)``; an op that raises ends as the command line ends,
-with exit 2 and ``error: ...`` for an input error and exit 3 and
-``internal-error: ...`` otherwise.  A digest is the sha256 of
-``f"{code}\\n{text}\\n"`` over the ops of its stream, in order:
+Each op is a CLI argument vector with ``--json``, run by
+``quasiham.cli.run``, which ends it as the command line does; its text is
+what the command line prints, on stdout or on stderr.  A digest is the
+sha256 of ``f"{code}\\n{text}\\n"`` over the ops of its stream, in order:
 
 - ``exact``, ``degeneracy`` and ``pointwise``: the ops of
   ``bench/workloads.py``, seeds 1 and 2, each the prelude and 4 rounds
-- ``cocycle``: ``cocycle --n N --seed S --samples 5`` for n = 3..6 at seeds
-  0-59, then ``--samples 50`` for n = 8, 12 and 16 at seeds 0-7
+- ``cocycle``: ``cocycle --n N --seed S --samples 5 --json`` for n = 3..6 at
+  seeds 0-59, then ``--samples 50`` for n = 8, 12 and 16 at seeds 0-7
 
 Print the four digests of the package on ``PYTHONPATH`` with
 
@@ -22,8 +21,9 @@ exiting 1 if any does, with
 
     python tests/replay_streams.py --against TREE
 
-BLAS runs on one thread, as in the benchmark.  The streams come from this
-checkout's ``bench/workloads.py`` in both trees.
+BLAS runs on one thread, as in the benchmark.  Each tree replays its own
+streams with its own copy of this script; the ops are paired in order, and
+the replay stops if a pair names different ops.
 """
 
 import hashlib
@@ -59,23 +59,16 @@ def streams():
                 yield workload, op.argv
     for n, seed, samples in COCYCLE_RUNS:
         yield "cocycle", ["cocycle", "--n", str(n), "--seed", str(seed),
-                          "--samples", str(samples)]
+                          "--samples", str(samples), "--json"]
 
 
 def replay():
     """(stream name, argv, exit code, text) of every op, in replay order."""
-    from quasiham.cli import dispatch, render
-    from quasiham.errors import InputError
+    from quasiham.cli import run
 
     for name, argv in streams():
-        try:
-            code, payload = dispatch(list(argv))
-            text = render(payload, True)
-        except InputError as exc:
-            code, text = 2, f"error: {exc}"
-        except Exception as exc:  # a fault of the program, not of its input
-            code, text = 3, f"internal-error: {type(exc).__name__}: {exc}"
-        yield name, argv, code, text
+        code, out, err = run(list(argv))
+        yield name, argv, code, out + err
 
 
 def tally(table: dict, name: str, code: int, text: str):
@@ -90,23 +83,18 @@ def show(table: dict):
         print(f"  {name} ({count} ops): {digest.hexdigest()}")
 
 
-def emit():
-    """Every op as one JSON line, for --against."""
-    for record in replay():
-        print(json.dumps(record), flush=True)
-
-
 def _records(tree: Path):
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.Popen([sys.executable, __file__, "--emit"], env=env,
-                            stdout=subprocess.PIPE, text=True)
-    try:
-        for line in proc.stdout:
-            yield json.loads(line)
-    finally:
-        proc.stdout.close()
-        if proc.wait():
-            raise SystemExit(f"replay in {tree} exited {proc.returncode}")
+    proc = subprocess.Popen([sys.executable, tree / "tests" / "replay_streams.py", "--emit"],
+                            env=env, stdout=subprocess.PIPE, text=True)
+    with proc:
+        try:
+            yield from map(json.loads, proc.stdout)
+        except GeneratorExit:  # the pairing stopped early: end the replay quietly
+            proc.kill()
+            raise
+    if proc.returncode:
+        raise SystemExit(f"replay in {tree} exited {proc.returncode}")
 
 
 def against(tree: Path) -> int:
@@ -114,7 +102,11 @@ def against(tree: Path) -> int:
     each op that differs and both trees' digests; 1 if any op differs."""
     ours, theirs = {}, {}
     ops = moved = 0
-    for mine, other in zip(_records(ROOT), _records(tree)):
+    for mine, other in zip(_records(ROOT), _records(tree), strict=True):
+        # both trees print JSON, and older ones leave --json out of an argv
+        named = [f"{r[0]}: {' '.join(a for a in r[1] if a != '--json')}" for r in (mine, other)]
+        if named[0] != named[1]:
+            raise SystemExit(f"streams diverge at op {ops}: {named[0]} vs {named[1]}")
         tally(ours, mine[0], *mine[2:])
         tally(theirs, other[0], *other[2:])
         ops += 1
@@ -131,8 +123,9 @@ def against(tree: Path) -> int:
 
 if __name__ == "__main__":
     args = sys.argv[1:]
-    if args == ["--emit"]:
-        emit()
+    if args == ["--emit"]:  # every op as one JSON line, for --against
+        for record in replay():
+            print(json.dumps(record), flush=True)
     elif len(args) == 2 and args[0] == "--against":
         sys.exit(against(Path(args[1]).resolve()))
     elif args:

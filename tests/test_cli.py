@@ -4,10 +4,13 @@ import inspect
 import io
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
+import types
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
@@ -119,7 +122,7 @@ def test_class_rows_take_n_from_xi(xi, n):
     # count n: the report is that of the argv with --n n, bit for bit
     argv = ["verify", "--space", "conjugacy_class", "--xi", xi, "--axiom", "moment",
             "--samples", "3", "--json"]
-    assert run_main_quietly(argv) == run_main_quietly(argv + ["--n", str(n)])
+    assert run_quietly(argv) == run_quietly(argv + ["--n", str(n)])
     code, payload = dispatch(argv)
     assert code == 0 and payload["n"] == n
 
@@ -142,7 +145,7 @@ def test_fused_double_is_the_genus_one_space(axiom):
     # both are Fused([Double(n)]): their --json reports differ only in the
     # space's name
     common = ["--n", "3", "--axiom", axiom, "--samples", "3", "--seed", "0", "--json"]
-    fused, genus = (run_main_quietly(["verify", "--space", space] + extra + common)
+    fused, genus = (run_quietly(["verify", "--space", space] + extra + common)
                     for space, extra in (("fused_double", []), ("genus", ["--genus", "1"])))
     assert fused[0] == genus[0] == 0 and fused[2:] == genus[2:] == ("", [])
     first, second = json.loads(fused[1]), json.loads(genus[1])
@@ -239,11 +242,10 @@ def test_json_determinism():
 
 
 @pytest.mark.parametrize("flag", ["--js", "--jso", "--json"])
-def test_abbreviated_json_flag_prints_json(capsys, flag):
-    # argparse accepts a unique prefix of --json; main prints what it parsed
-    assert main(["vertices", "--type", "A1", flag]) == 0
-    out = capsys.readouterr().out
-    assert out == render(dispatch(["vertices", "--type", "A1"])[1], True) + "\n"
+def test_abbreviated_json_flag_prints_json(flag):
+    # argparse accepts a unique prefix of --json; the command line prints what it parsed
+    assert cli.run(["vertices", "--type", "A1", flag]) == (
+        0, render(dispatch(["vertices", "--type", "A1"])[1], True), "")
 
 
 @pytest.mark.parametrize("argv, lines", [
@@ -255,11 +257,10 @@ def test_abbreviated_json_flag_prints_json(capsys, flag):
      ["axiom: equivariance", "space: sphere4", "samples: 3", "max_residual: {}",
       "tolerance: 1e-10", "pass: true"]),
 ])
-def test_verify_text_lists_the_report_in_field_order(capsys, argv, lines):
+def test_verify_text_lists_the_report_in_field_order(argv, lines):
     # VerificationReport's field order is the order of the report's lines
     residual = dispatch(argv)[1]["max_residual"]
-    assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines() == [line.format(residual) for line in lines]
+    assert cli.run(argv) == (0, "\n".join(line.format(residual) for line in lines), "")
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
@@ -299,17 +300,41 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["table", "--bogus-flag"])
     assert exc.value.code == 2
-    assert main(["check-class", "--type", "A1", "--xi", "1/x", "--level", "2"]) == 2
-    err = capsys.readouterr().err
-    assert "1/x" in err
-    assert main(["check-class", "--type", "A9x", "--xi", "0", "--level", "1"]) == 2
+    code, _, err = cli.run(["check-class", "--type", "A1", "--xi", "1/x", "--level", "2"])
+    assert code == 2 and "1/x" in err
+    assert cli.run(["check-class", "--type", "A9x", "--xi", "0", "--level", "1"])[0] == 2
     # the cocycle check takes exact derivatives and no step
-    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         dispatch(["verify", "--space", "genus", "--genus", "2", "--n", "2", "--axiom", "cocycle",
                   "--fd-step", "1e-4"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --fd-step 1e-4" in capsys.readouterr().err
+
+
+# one argv for each way an op ends, with its stderr's start; the exit-3 one
+# runs a patched handler
+RUN_ENDINGS = [
+    (["table"], 0, ""),
+    (["verify", "--space", "double", "--axiom", "moment", "--samples", "2", "--tol", "1e-300"],
+     1, ""),
+    (["cocycle", "--n", "2"], 2, "error: invalid-rank: "),
+    (["table", "--json"], 3, "internal-error: RuntimeError: handler fault"),
+]
+
+
+@pytest.mark.parametrize("argv,code,error", RUN_ENDINGS,
+                         ids=[f"exit{code}-{argv[0]}" for argv, code, _ in RUN_ENDINGS])
+def test_main_prints_what_run_returns(argv, code, error, monkeypatch, capsys):
+    # run holds the one mapping from exception to exit code; main adds a
+    # newline to each text it prints and nothing else
+    if code == 3:
+        fault = mock.Mock(side_effect=RuntimeError("handler fault"))
+        monkeypatch.setitem(cli._ROWS, "table", (fault, {}))
+    ended, out, err = cli.run(argv)
+    assert capsys.readouterr() == ("", "")
+    assert ended == code and (out == "") == (code > 1) == (err != "") and err.startswith(error)
+    assert main(argv) == code
+    assert capsys.readouterr() == (out and out + "\n", err and err + "\n")
 
 
 # sets of factor * w_1 of A2 (w_1 = (2, 1) / det, det = 3) and the origin, as
@@ -327,7 +352,7 @@ FAKE_NUMERATORS = {
     [("1/2", "escaped the lattice"), ("2", "escaped the alcove"), ("-1", "escaped the alcove"),
      ("-1,1/2", "escaped the alcove")],
 )
-def test_level_weights_validation_can_fail(monkeypatch, capsys, factor, message):
+def test_level_weights_validation_can_fail(monkeypatch, factor, message):
     # half of w_1 lies in the level-1 alcove but is no weight; 2 w_1 is a
     # weight beyond the level bound; -w_1 is a weight within the level bound
     # with a negative label, so only the p_i >= 0 test catches it.  A set
@@ -348,11 +373,11 @@ def test_level_weights_validation_can_fail(monkeypatch, capsys, factor, message)
     argv = ["level-weights", "--type", "A2", "--level", "1"]
     with pytest.raises(ToolkitError, match=message):
         dispatch(argv)
-    assert main(argv) == 3  # a failed self-check is a fault of the program
-    assert capsys.readouterr().err == f"internal-error: ToolkitError: enumerated weight {message}\n"
+    # a failed self-check is a fault of the program
+    assert cli.run(argv) == (3, "", f"internal-error: ToolkitError: enumerated weight {message}")
 
 
-def test_level_weights_enumeration_fault_is_visible(monkeypatch, capsys):
+def test_level_weights_enumeration_fault_is_visible(monkeypatch):
     # with B3's middle comark lowered from 2 to 1 the label budget admits 20
     # candidates at level 3, 7 of them outside the alcove; nothing filters
     # them, so the verb's re-check raises instead of printing the true 13
@@ -363,9 +388,8 @@ def test_level_weights_enumeration_fault_is_visible(monkeypatch, capsys):
     argv = ["level-weights", "--type", "B3", "--level", "3"]
     with pytest.raises(ToolkitError, match="enumerated weight escaped the alcove"):
         dispatch(argv)
-    assert main(argv) == 3
-    assert "internal-error: ToolkitError: enumerated weight escaped the alcove" in \
-        capsys.readouterr().err
+    assert cli.run(argv) == (3, "", "internal-error: ToolkitError: enumerated weight escaped"
+                                    " the alcove")
 
 
 def count_paired(monkeypatch) -> list:
@@ -590,12 +614,11 @@ def test_bench_streams_take_the_table(monkeypatch):
         ["reduce-rank", "--n", "0", "--at", "identity"],
     ],
 )
-def test_group_rank_below_two_exits_two(argv, capsys):
+def test_group_rank_below_two_exits_two(argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv + ["--json"]) == 2
-    captured = capsys.readouterr()
-    assert "invalid-rank" in captured.err and captured.out == ""
+        code, out, err = cli.run(argv + ["--json"])
+    assert code == 2 and out == "" and "invalid-rank" in err
 
 
 CLASS = ["verify", "--space", "conjugacy_class", "--axiom", "moment"]
@@ -642,12 +665,11 @@ CLASS = ["verify", "--space", "conjugacy_class", "--axiom", "moment"]
         (["holonomy-convergence", "--grids", "8,8,16"], "invalid-grids"),
     ],
 )
-def test_invalid_input_exits_two_with_tag(argv, tag, capsys):
+def test_invalid_input_exits_two_with_tag(argv, tag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv + ["--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {tag}:") and captured.out == ""
+        code, out, err = cli.run(argv + ["--json"])
+    assert code == 2 and out == "" and err.startswith(f"error: {tag}:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -661,11 +683,11 @@ def test_invalid_input_exits_two_with_tag(argv, tag, capsys):
     ["holonomy-convergence"],
     ["reduce-rank", "--at", "abba"],
 ], ids=" ".join)
-def test_negative_seed_exits_two(argv, capsys):
+def test_negative_seed_exits_two(argv):
     # every verb that draws refuses a negative seed before it draws; the
     # generator's ValueError made it an internal error, exit 3
-    assert main(argv + ["--seed", "-1"]) == 2
-    assert capsys.readouterr() == ("", "error: invalid-seed: need --seed >= 0, got -1\n")
+    assert cli.run(argv + ["--seed", "-1"]) == (
+        2, "", "error: invalid-seed: need --seed >= 0, got -1")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -677,11 +699,10 @@ def test_negative_seed_exits_two(argv, capsys):
     (["verify", "--space", "sphere4", "--xi", "1/4,-1/4"],
      "verify --space sphere4 does not read --xi"),
 ], ids=["class", "double", "genus", "sphere4"])
-def test_unused_xi_exits_two(argv, message, capsys):
+def test_unused_xi_exits_two(argv, message):
     # a --xi the space does not read is refused, not dropped: a second class
     # ran no check, and a double ignored its --xi
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: unused-argument: {message}\n")
+    assert cli.run(argv) == (2, "", f"error: unused-argument: {message}")
 
 
 # A value of each option, as its parser takes it, for the argv that give it.
@@ -720,15 +741,15 @@ def test_every_option_is_read_or_refused(name, tmp_path, monkeypatch):
     argv = name.split() + ["conn.json"] * name.endswith("--file")
     argv += [text for option, default in reads.items() if default is cli._REQUIRED
              for text in (cli._flag(option), OPTION_TEXT[option])]
-    shortest = run_main_quietly(argv)
+    shortest = run_quietly(argv)
     assert shortest[0] in (0, 1) and shortest[1], argv
     for option in verb_options(name.split()[0]):
         flag = cli._flag(option)
         if option not in reads:
-            assert run_main_quietly(argv + [flag, OPTION_TEXT[option]]) == (
-                2, "", f"error: unused-argument: {name} does not read {flag}\n", []), option
+            assert run_quietly(argv + [flag, OPTION_TEXT[option]]) == (
+                2, "", f"error: unused-argument: {name} does not read {flag}", []), option
         elif default_text(name, option) is not None:
-            assert run_main_quietly(argv + [flag, default_text(name, option)]) == shortest, option
+            assert run_quietly(argv + [flag, default_text(name, option)]) == shortest, option
 
 
 def test_every_option_is_read_by_a_row():
@@ -760,7 +781,7 @@ def test_readme_row_table_is_the_rows():
     assert table == [readme_row(name) for name in cli._ROWS]
 
 
-# Spaces past spaces.MAX_DIM: memory for su(300) bases or a list of 10^9
+# Spaces past sun.MAX_DIM: memory for su(300) bases or a list of 10^9
 # doubles, or the root system of A299 (18 s), before the bound was checked.
 HUGE = str(10**12)
 TOO_LARGE = [
@@ -789,12 +810,11 @@ TOO_LARGE = [
 
 
 @pytest.mark.parametrize("argv,tag", TOO_LARGE, ids=[f"argv{i}" for i in range(len(TOO_LARGE))])
-def test_too_large_space_exits_two_at_once(argv, tag, capsys):
+def test_too_large_space_exits_two_at_once(argv, tag):
     start = time.perf_counter()
-    assert main(argv + ["--json"]) == 2
+    code, out, err = cli.run(argv + ["--json"])
     assert time.perf_counter() - start < 1.0
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {tag}:") and captured.out == ""
+    assert code == 2 and out == "" and err.startswith(f"error: {tag}:")
 
 
 def test_largest_accepted_sizes_run():
@@ -831,7 +851,7 @@ def raise_linalg_error(*args, **kwargs):
 
 
 @pytest.mark.parametrize("case", ["class", "cocycle"])
-def test_internal_failure_exits_3(case, monkeypatch, capsys):
+def test_internal_failure_exits_3(case, monkeypatch):
     # LinAlgError is a ValueError, yet a failed eigensolver is no input
     # error: the README's class command, whose one eigensolver is eigh in
     # the flow that gives each point and its eigenframe, and a cocycle,
@@ -843,9 +863,7 @@ def test_internal_failure_exits_3(case, monkeypatch, capsys):
     else:
         monkeypatch.setattr(np.linalg, "eig", raise_linalg_error)
         argv = ["cocycle", "--n", "3", "--samples", "3"]
-    assert main(argv) == 3, argv
-    out, err = capsys.readouterr()
-    assert out == "" and err == "internal-error: LinAlgError: Eigenvalues did not converge\n"
+    assert cli.run(argv) == (3, "", "internal-error: LinAlgError: Eigenvalues did not converge")
 
 
 # Every tag an InputError in src/ can carry.  A new tag is a reviewed
@@ -897,7 +915,7 @@ def test_input_error_tags_are_the_reviewed_set():
 
 @pytest.mark.parametrize("axiom", ["moment", "cocycle"])
 @pytest.mark.parametrize("space", [["conjugacy_class", "--xi", "1/8,-1/8"], ["double"]])
-def test_non_finite_residual_exits_3(space, axiom, monkeypatch, capsys):
+def test_non_finite_residual_exits_3(space, axiom, monkeypatch):
     # with omega's pairings NaN the residuals are NaN: a fault of the
     # program, not a failed verification, so nothing is printed as a verdict.
     # The product keeps the type of the pairings, an array or the cocycle's jet
@@ -905,40 +923,36 @@ def test_non_finite_residual_exits_3(space, axiom, monkeypatch, capsys):
     gram = spaces.basic_gram
     monkeypatch.setattr(spaces, "basic_gram", lambda xs, ys: gram(xs, ys) * np.nan)
     argv = ["verify", "--space", *space, "--n", "2", "--axiom", axiom, "--samples", "3", "--json"]
-    assert main(argv) == 3
-    assert capsys.readouterr() == ("", f"internal-error: ToolkitError: non-finite {axiom} residual\n")
+    assert cli.run(argv) == (3, "", f"internal-error: ToolkitError: non-finite {axiom} residual")
 
 
 @pytest.mark.parametrize("space,module,name,what", [
     ("sphere4", "quasiham.spaces", "sphere4_moment", "sphere4 residual"),
     ("eta_su2", "quasiham.sun", "canonical_three_form", "eta_su2 integral"),
 ])
-def test_non_finite_value_exits_3(space, module, name, what, monkeypatch, capsys):
+def test_non_finite_value_exits_3(space, module, name, what, monkeypatch):
     mod = importlib.import_module(module)
     fn = getattr(mod, name)
     monkeypatch.setattr(mod, name, lambda *args, **kw: np.full_like(fn(*args, **kw), np.nan))
-    assert main(["verify", "--space", space, "--samples", "5"]) == 3
-    assert capsys.readouterr() == ("", f"internal-error: ToolkitError: non-finite {what}\n")
+    assert cli.run(["verify", "--space", space, "--samples", "5"]) == (
+        3, "", f"internal-error: ToolkitError: non-finite {what}")
 
 
 @pytest.mark.parametrize("xi,shown", [("3/4", "3/4"), ("3/4,-1/4", "3/4,-1/4"),
                                       ("0.75", "3/4")])
-def test_not_in_alcove_shows_xi_as_entered(xi, shown, capsys):
-    assert main(["check-class", "--type", "A2" if "," in xi else "A1", f"--xi={xi}",
-                 "--level", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith(f"error: not-in-alcove: {shown} ")
-    assert "Fraction(" not in captured.err
+def test_not_in_alcove_shows_xi_as_entered(xi, shown):
+    code, out, err = cli.run(["check-class", "--type", "A2" if "," in xi else "A1", f"--xi={xi}",
+                              "--level", "1"])
+    assert code == 2 and out == "" and err.startswith(f"error: not-in-alcove: {shown} ")
+    assert "Fraction(" not in err
 
 
-def run_main_quietly(argv):
-    """Exit code, stdout, stderr and warnings of main(argv)."""
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
-            redirect_stderr(err):
+def run_quietly(argv):
+    """Exit code, stdout, stderr and warnings of the command line on argv."""
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+        code, out, err = cli.run(argv)
+    return code, out, err, [str(w.message) for w in caught]
 
 
 def assert_clean_exit(argv, code, out, err, caught):
@@ -993,7 +1007,7 @@ def test_verify_fuzz_exits_cleanly(space, axiom, n, genus, samples, xi, tol, see
     name = f"verify --space {space}" + (f" --axiom {axiom}" if axiom else "")
     argv += row_options(data, name, {"n": n, "xi": xi, "genus": genus, "samples": samples,
                                      "tol": tol, "seed": seed})
-    assert_clean_exit(argv, *run_main_quietly(argv))
+    assert_clean_exit(argv, *run_quietly(argv))
 
 
 @settings(max_examples=150, deadline=None, database=None,
@@ -1008,7 +1022,7 @@ def test_cocycle_fuzz_exits_cleanly(n, samples, tol, seed, data):
     # the one cocycle row reads every option of the verb, so none is unread
     argv = ["cocycle", "--json"] + row_options(
         data, "cocycle", {"n": n, "samples": samples, "tol": tol, "seed": seed})
-    assert_clean_exit(argv, *run_main_quietly(argv))
+    assert_clean_exit(argv, *run_quietly(argv))
 
 
 # at most four grids of at most 256 steps, some of them malformed
@@ -1027,7 +1041,7 @@ def test_holonomy_convergence_fuzz_exits_cleanly(n, grids, seed, data):
     # that row reads no --n, --grids or --seed
     if data.draw(st.integers(0, 3)) == 0:
         argv.append("--file=conn.json")
-    assert_clean_exit(argv, *run_main_quietly(argv))
+    assert_clean_exit(argv, *run_quietly(argv))
 
 
 @settings(max_examples=5, deadline=None, database=None)
@@ -1043,7 +1057,7 @@ def test_reduce_rank_fuzz_exits_cleanly(seed, offset):
         argv = ["reduce-rank", f"--at={at}", f"--n={n}", f"--seed={seed}", "--json"]
         if "genus" in cli._ROWS[f"reduce-rank --at {at}"][1] or (i + offset) % 4 == 0:
             argv.append(f"--genus={genus}")
-        assert_clean_exit(argv, *run_main_quietly(argv))
+        assert_clean_exit(argv, *run_quietly(argv))
 
 
 # spellings LieType.parse accepts, then unknown series, out-of-range ranks and
@@ -1060,7 +1074,7 @@ def test_level_weights_and_vertices_exit_cleanly(lie_type):
     levels = [*range(-1, 9), 10**6, 10**40]
     for argv in [["vertices"]] + [["level-weights", f"--level={k}"] for k in levels]:
         argv += [f"--type={lie_type}", "--json"]
-        assert_clean_exit(argv, *run_main_quietly(argv))
+        assert_clean_exit(argv, *run_quietly(argv))
 
 
 @settings(max_examples=500, deadline=None, database=None)
@@ -1071,7 +1085,7 @@ def test_check_class_fuzz_exits_cleanly(lie_type, level, xis):
     for torsion in (None, -1, 0, 1, 2, 3):
         argv = ["check-class", f"--type={lie_type}", f"--level={level}", "--json"]
         argv += [f"--xi={xi}" for xi in xis] + ([] if torsion is None else [f"--torsion={torsion}"])
-        assert_clean_exit(argv, *run_main_quietly(argv))
+        assert_clean_exit(argv, *run_quietly(argv))
 
 
 # every series, at ranks where a draw stays cheap
@@ -1126,56 +1140,52 @@ def check_class_argv(draw):
 
 
 def check_class_oracle(args):
-    """(exit code, payload) of check-class from the Fraction oracles, or
-    (2, tag, message) for an input error, on the namespace that `_run` hands
-    the check-class row."""
+    """(exit code, payload) of check-class from the Fraction oracles, on the
+    namespace that `_run` hands the check-class row."""
     rs = build_root_system(LieType.parse(args.type))
-    try:
-        xis = []
-        for text in args.xi:
-            xi = parse_vector(text)
-            if rs.lie_type.series == "A" and len(xi) == rs.rank + 1:
-                xi = a_series_from_euclidean(rs, xi)
-            elif len(xi) != rs.rank:
-                raise InputError("dimension-mismatch", "")
-            xis.append(xi)
-        verdicts = [class_prequantizable(rs, xi, args.level) for xi in xis]
-        classes = []
-        for xi, (answer, witness) in zip(xis, verdicts):
-            faces = [j for j, t in enumerate(barycentric_coords(rs, xi)) if t > 0]
-            verdict = {"answer": answer, "level": args.level,
-                       "witness": format_vector(witness) if answer else witness}
-            classes.append({"xi": format_vector(xi), "verdict": verdict,
-                            "boundary": len(faces) <= rs.rank, "open_faces": faces})
-        answer = fusion_prequantizable(verdicts)
-        payload = {"lie_type": str(rs.lie_type), "level": args.level, "classes": classes,
-                   "prequantizable": answer}
-        if args.torsion is not None:
-            payload["torsion_admissible"] = torsion_level_admissible(args.torsion, args.level)
-            answer = answer and payload["torsion_admissible"]
-    except InputError as exc:
-        return 2, exc.code, str(exc)
+    xis = []
+    for text in args.xi:
+        xi = parse_vector(text)
+        if rs.lie_type.series == "A" and len(xi) == rs.rank + 1:
+            xi = a_series_from_euclidean(rs, xi)
+        elif len(xi) != rs.rank:
+            raise InputError("dimension-mismatch", "")
+        xis.append(xi)
+    verdicts = [class_prequantizable(rs, xi, args.level) for xi in xis]
+    classes = []
+    for xi, (answer, witness) in zip(xis, verdicts):
+        faces = [j for j, t in enumerate(barycentric_coords(rs, xi)) if t > 0]
+        verdict = {"answer": answer, "level": args.level,
+                   "witness": format_vector(witness) if answer else witness}
+        classes.append({"xi": format_vector(xi), "verdict": verdict,
+                        "boundary": len(faces) <= rs.rank, "open_faces": faces})
+    answer = fusion_prequantizable(verdicts)
+    payload = {"lie_type": str(rs.lie_type), "level": args.level, "classes": classes,
+               "prequantizable": answer}
+    if args.torsion is not None:
+        payload["torsion_admissible"] = torsion_level_admissible(args.torsion, args.level)
+        answer = answer and payload["torsion_admissible"]
     return (0 if answer else 1), payload
 
 
 @settings(max_examples=400, deadline=None, database=None)
-@given(argv=check_class_argv(), as_json=st.booleans())
-def test_check_class_matches_fraction_oracle(argv, as_json):
-    # the integer path gives the payload, exit code and error of the
-    # Fraction oracles, on every series and spelling
-    with mock.patch.dict(cli._ROWS, {"check-class": (check_class_oracle,
-                                                     cli._ROWS["check-class"][1])}):
-        expected = dispatch(argv)
-    event(f"exit {expected[0]}")
-    try:
-        code, payload = dispatch(argv)
-    except InputError as exc:
-        assert expected[0] == 2 and exc.code == expected[1], (argv, expected)
+@given(argv=check_class_argv())
+def test_check_class_matches_fraction_oracle(argv):
+    # the integer path prints the text, JSON and error of the Fraction
+    # oracles with their exit code, on every series and spelling
+    for argv in (argv, argv + ["--json"]):
+        with mock.patch.dict(cli._ROWS, {"check-class": (check_class_oracle,
+                                                         cli._ROWS["check-class"][1])}):
+            expected = cli.run(argv)
+        code, out, err = cli.run(argv)
+        # an internal error on either path fails, even with equal text
+        assert expected[0] != 3 and code != 3, (argv, expected, err)
         # the messages of the oracles' errors; the dimension check is the verb's own
-        assert exc.code == "dimension-mismatch" or str(exc) == expected[2]
-        return
-    assert (code, payload) == expected, argv
-    assert render(payload, as_json) == render(expected[1], as_json)
+        tag = "error: dimension-mismatch: "
+        if expected[2] == tag:
+            err = err[:len(tag)]
+        assert (code, out, err) == expected, argv
+    event(f"exit {code}")
 
 
 def read_xi(reader, text):
@@ -1220,7 +1230,7 @@ def test_parse_numerators_past_the_int_digit_limit(text):
     # Fraction: the entry is malformed, an exit 2, not an internal error
     assert read_xi(parse_numerators, text) == read_xi(fraction_reader, text)
     assert read_xi(parse_numerators, text)[0] == "malformed-rational"
-    assert run_main_quietly(["check-class", "--type", "A1", "--xi", text, "--level", "1"])[0] == 2
+    assert run_quietly(["check-class", "--type", "A1", "--xi", text, "--level", "1"])[0] == 2
 
 
 # ASCII digits three times as likely as each other character
@@ -1238,10 +1248,9 @@ def test_parse_numerators_is_the_fraction_reader(text):
         assert read_xi(parse_numerators, text) == read_xi(fraction_reader, text)
 
 
-def test_missing_connection_file_exits_two(tmp_path, capsys):
-    assert main(["holonomy-convergence", "--file", str(tmp_path / "missing.json")]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: io-error:") and captured.out == ""
+def test_missing_connection_file_exits_two(tmp_path):
+    code, out, err = cli.run(["holonomy-convergence", "--file", str(tmp_path / "missing.json")])
+    assert code == 2 and out == "" and err.startswith("error: io-error:")
 
 
 PAIR = [0.0, 0.3]
@@ -1272,7 +1281,7 @@ def test_holonomy_file_fuzz_exits_with_a_tag(content, tmp_path):
     else:
         path.write_text(content, encoding="utf-8")
     argv = ["holonomy-convergence", "--file", str(path), "--json"]
-    code, out, err, caught = run_main_quietly(argv)
+    code, out, err, caught = run_quietly(argv)
     assert_clean_exit(argv, code, out, err, caught)
 
 
@@ -1283,13 +1292,12 @@ def test_holonomy_file_fuzz_exits_with_a_tag(content, tmp_path):
                                       ("not-algebra", "not-algebra"),
                                       ("nan-entry", "not-algebra"),
                                       ("inf-entry", "not-algebra")])
-def test_holonomy_file_errors_carry_tags(name, tag, tmp_path, capsys):
+def test_holonomy_file_errors_carry_tags(name, tag, tmp_path):
     path = tmp_path / "conn.json"
     content = BAD_FILES[name]
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
-    assert main(["holonomy-convergence", "--file", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {tag}:") and captured.out == ""
+    code, out, err = cli.run(["holonomy-convergence", "--file", str(path)])
+    assert code == 2 and out == "" and err.startswith(f"error: {tag}:")
 
 
 def test_seed_1976016887_degeneracy_is_decided_at_the_first_draw(monkeypatch):
@@ -1459,8 +1467,6 @@ def test_closed_pipe_exits_without_traceback():
     # the reader closes after one line; 200 kB of JSON outgrow a pipe's
     # buffer, so the verb is still writing when it does.  The verb's exit
     # code stays, and nothing is printed on stderr, at exit either
-    import subprocess
-
     argv = ["level-weights", "--type", "A2", "--level", "100", "--json"]
     proc = subprocess.Popen([sys.executable, "-m", "quasiham.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -1589,9 +1595,6 @@ def test_parser_help_lists_all_verbs():
 
 def test_exact_verbs_never_import_numerics():
     # keeps `table` comfortably inside its one-second budget
-    import subprocess
-    import sys
-
     code = (
         "import sys\n"
         "from quasiham.cli import dispatch\n"
@@ -1610,9 +1613,6 @@ def test_cli_import_loads_no_dataclasses_inspect_typing_or_numpy():
     # the exact layer decides on integers and makes a Fraction only where one
     # leaves the package.  -S skips the site hooks, which may load typing
     # themselves and so hide a module the package brings in
-    import os
-    import subprocess
-
     code = (
         "import sys\n"
         "import quasiham.cli\n"
@@ -1627,8 +1627,6 @@ def test_cli_import_loads_no_dataclasses_inspect_typing_or_numpy():
 
 def test_numerical_layer_loads_no_dataclasses():
     # numpy itself loads numbers, so only fractions and decimal are checked
-    import subprocess
-
     code = (
         "import sys\n"
         "import quasiham.spaces, quasiham.gerbe, quasiham.holonomy\n"
@@ -1639,9 +1637,6 @@ def test_numerical_layer_loads_no_dataclasses():
 
 
 def test_numerical_verbs_never_import_scipy(tmp_path):
-    import subprocess
-    import sys
-
     conn = tmp_path / "conn.json"
     conn.write_text(json.dumps({"samples": [[[[0, 0.3], [0, 0]], [[0, 0], [0, -0.3]]]]}))
     code = (
@@ -1665,12 +1660,21 @@ def test_numerical_verbs_never_import_scipy(tmp_path):
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
+def test_cocycle_and_holonomy_import_no_spaces():
+    # the dimension bound lives in sun, which both verbs load anyway
+    code = (
+        "import sys\n"
+        "from quasiham.cli import dispatch\n"
+        "dispatch(['cocycle', '--n', '3', '--samples', '2'])\n"
+        "dispatch(['holonomy-convergence', '--n', '2'])\n"
+        "assert 'quasiham.spaces' not in sys.modules, 'a verb pulled in quasiham.spaces'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_numerical_layer_loads_numpy_random_on_import():
     # every numerical verb draws from numpy.random, which numpy loads lazily;
     # its import belongs to loading the layer, not to the first verb's time
-    import subprocess
-    import sys
-
     code = (
         "import sys\n"
         "import quasiham.spaces\n"
@@ -1682,9 +1686,6 @@ def test_numerical_layer_loads_numpy_random_on_import():
 def test_package_name_holonomy_is_the_submodule_in_every_process():
     # the function is quasiham.holonomy.holonomy; the package name is the
     # submodule in a fresh process and after a verb has loaded it
-    import subprocess
-    import types
-
     code = (
         "import types\n"
         "from quasiham import holonomy\n"

@@ -2,11 +2,11 @@
 LinAlgError must never let a command exit 0 (a pass) or 2 (an input error).
 
 Each primitive is patched in every quasiham module that binds it, and each
-command of the README runs through main.  A spy records whether the command
-called the patched function; one that did must exit 1 or 3.  A clean spy run
-first finds the primitives each command calls: the run up to the first call
-of a primitive is the same with or without the fault, so a command that
-never calls it cannot be affected.
+command of the README runs as the command line runs it (`cli.run`).  A spy
+records whether the command called the patched function; one that did must
+exit 1 or 3.  A clean spy run first finds the primitives each command calls:
+the run up to the first call of a primitive is the same with or without the
+fault, so a command that never calls it cannot be affected.
 """
 
 import importlib
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from quasiham.cli import main
+from quasiham.cli import run
 
 from test_cli import readme_commands
 
@@ -97,14 +97,14 @@ def callers(workdir):
             patch(mp, name, spy)
         for argv in COMMANDS:
             called.clear()
-            assert main(argv) == 0, argv
+            assert run(argv)[0] == 0, argv
             out[" ".join(argv)] = set(called)
     return out
 
 
 @pytest.mark.parametrize("mode", ["nan", "raise"])
 @pytest.mark.parametrize("name", SUN_PRIMITIVES + LINALG_PRIMITIVES)
-def test_injected_fault_never_exits_0_or_2(name, mode, callers, workdir, monkeypatch, capsys):
+def test_injected_fault_never_exits_0_or_2(name, mode, callers, workdir, monkeypatch):
     calls = []
 
     def faulty(fn):
@@ -122,8 +122,7 @@ def test_injected_fault_never_exits_0_or_2(name, mode, callers, workdir, monkeyp
         if name not in callers[" ".join(argv)]:
             continue
         calls.clear()
-        code = main(argv)
-        out, _ = capsys.readouterr()
+        code, out, _ = run(argv)
         assert calls, argv
         assert code in (1, 3), (argv, code)
         assert (code == 3) == (out == ""), argv

@@ -510,13 +510,13 @@ def scalar_draws(monkeypatch, rows):
     monkeypatch.setattr(sun, "random_algebra", draw)
 
 
-def test_cocycle_sampling_failure_exits_3(monkeypatch, capsys):
+def test_cocycle_sampling_failure_exits_3(monkeypatch):
     # every draw is the identity, which lies on a wall: the verb gives up
     # after 100 draws per sample, a fault of its own sampling, not of argv
     scalar_draws(monkeypatch, range(10**9))
-    assert main(["cocycle", "--n", "3", "--samples", "3"]) == 3
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("internal-error: ToolkitError: sampling failed")
+    code, out, err = cli.run(["cocycle", "--n", "3", "--samples", "3"])
+    assert code == 3 and out == ""
+    assert err.startswith("internal-error: ToolkitError: sampling failed")
 
 
 def loop_draws(n, samples, seed):
@@ -682,9 +682,6 @@ def test_cocycle_memory_holds_only_the_eigenvectors():
     # resident size of the process it was forked from into RUSAGE_SELF's
     # ru_maxrss at exec, so from a large test process that would read the
     # parent's size
-    import subprocess
-    import sys
-
     code = (
         "import sys\n"
         "from quasiham.cli import main\n"

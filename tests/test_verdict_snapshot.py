@@ -20,8 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from quasiham.cli import dispatch, render
-from quasiham.errors import InputError
+from quasiham import cli
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "bench"))
@@ -30,20 +29,6 @@ from workloads import Stream  # noqa: E402
 
 VERDICTS_PATH = HERE / "verdicts.json"
 STREAMS = [(w, s) for w in ("degeneracy", "pointwise") for s in (1, 2, 3, 4)]
-
-
-def run(argv):
-    """(exit code, payload) as the command line would end; payload is None
-    when the op exits with an error."""
-    try:
-        code, payload = dispatch(argv)
-    except SystemExit as exc:
-        return (2 if exc.code is None else int(exc.code)), None
-    except InputError:
-        return 2, None
-    except Exception:  # a fault of the program, not of its input: exit 3
-        return 3, None
-    return code, json.loads(render(payload, as_json=True))
 
 
 def residual(payload):
@@ -60,7 +45,9 @@ def residual(payload):
 def replay(workload, seed):
     out = []
     for op in Stream(workload, seed).round():
-        code, payload = run(op.argv)
+        # the op gives --json; an op that exits with an error prints no payload
+        code, text, _ = cli.run(op.argv)
+        payload = json.loads(text) if text else None
         out.append({
             "argv": " ".join(op.argv),
             "exit": code,
