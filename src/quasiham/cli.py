@@ -59,9 +59,9 @@ from .roots import (
 
 # Largest --samples of any verb, checked before anything is drawn.  The
 # costliest verb per sample is cocycle at its largest n, 16, whose memory
-# gerbe.COCYCLE_STACK holds to one stack: cold, 0.8 s at 2000 samples and
-# 1.7 s at 5000 (2-vCPU KVM guest, BLAS on 1 thread).  The README's eta_su2
-# check takes 2000.
+# gerbe.COCYCLE_STACK holds to one stack: cold, 0.46-0.50 s at 2000 samples
+# and 0.91-0.93 s at 5000, 48 MB at both (2-vCPU KVM guest, BLAS on 1
+# thread).  The README's eta_su2 check takes 2000.
 MAX_SAMPLES = 5000
 # Largest grid of holonomy-convergence.  A grid's loop and connection samples
 # grow as N n^2: --n 16 with a grid of 4096 took 0.5 s and 185 MB, --n 2 with

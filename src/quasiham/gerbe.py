@@ -23,7 +23,7 @@ from .sun import alcove_order
 GAP_TOL = 1e-9
 # Samples drawn and reduced at a time by max_unimodularity_defect, so that the
 # cocycle verb's memory does not grow with its samples: cold, --n 16 peaks at
-# 50 MB at 2000 and at 5000 samples (2-vCPU KVM guest, BLAS on 1 thread).
+# 48 MB at 2000 and at 5000 samples (2-vCPU KVM guest, BLAS on 1 thread).
 COCYCLE_STACK = 256
 
 
@@ -62,15 +62,6 @@ def vertex_weight_consistency(n: int) -> bool:
     return True
 
 
-def _ordered_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The alcove phases of special unitary matrices and their eigenvectors
-    in the same order, from one eig: alcove_order's permutation reorders the
-    columns."""
-    d, v = np.linalg.eig(a)
-    lam, order = alcove_order(d)
-    return lam, np.take_along_axis(v, order[..., None, :], axis=-1)
-
-
 def _unimodularity_defects(vecs: np.ndarray) -> np.ndarray:
     """||coefficient| - 1| of every triple i < j < k of eigenvalue positions,
     (comb(n, 3), ...), from eigenvectors vecs (..., n, n) in alcove order:
@@ -88,22 +79,23 @@ def max_unimodularity_defect(n: int, samples: int, rng: np.random.Generator) -> 
     exp(X) of SU(n), X from random_algebra, that lie in all n cover pieces,
     and the count of draws with a gap that is not strict, which are drawn
     again.  At most COCYCLE_STACK of the missing samples are drawn at a
-    time, in the generator's order, each draw is decomposed once, and a
-    stack's defects are reduced to the running worst before the next stack
-    is drawn."""
+    time, in the generator's order, each draw is decomposed once, by the
+    eigh of iX, and a stack's defects are reduced to the running worst
+    before the next stack is drawn."""
     # looked up at each call: the tests replace sun.random_algebra to put draws on walls
-    from .sun import expm_skew, random_algebra
+    from .sun import _skew_eigh, random_algebra
 
     worst, kept, rejected = 0.0, 0, 0
     while kept < samples:
-        a = expm_skew(random_algebra(n, rng, shape=(min(COCYCLE_STACK, samples - kept),)))
-        lam, v = _ordered_eig(a)
+        lam, v = _skew_eigh(random_algebra(n, rng, shape=(min(COCYCLE_STACK, samples - kept),)))
+        # exp(X) = V diag(e^{-i lam}) V*: V's columns take the order of its alcove phases
+        lam, order = alcove_order(np.exp(-1j * lam))
         regular = np.all(_strict_gaps(lam), axis=-1)
         rejected += int(np.sum(~regular))
         if rejected > 100 * samples:
             raise ToolkitError("sampling failed: over 100 draws per sample missed the full cover")
         kept += int(np.sum(regular))
-        defects = _unimodularity_defects(v[regular])
+        defects = _unimodularity_defects(np.take_along_axis(v, order[..., None, :], -1)[regular])
         # max(0.0, nan) is 0.0: a non-finite defect is caught before the max
         if not np.all(np.isfinite(defects)):
             raise ToolkitError("non-finite cocycle defect")

@@ -62,7 +62,7 @@ class LieType(namedtuple("LieType", "series rank")):
     def parse(text: str) -> "LieType":
         """Parse 'A2', 'a2', or 'A_2' style labels."""
         t = text.strip().replace("_", "")
-        if len(t) < 2 or not t[0].isalpha() or not t[1:].isdigit():
+        if len(t) < 2 or not t[0].isalpha() or not t[1:].isdecimal():
             raise InputError("invalid-type", f"cannot parse Lie type {text!r}")
         return LieType(t[0].upper(), int(t[1:]))
 

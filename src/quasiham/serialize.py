@@ -12,11 +12,13 @@ from .holonomy import PiecewiseConnection
 
 def matrix_from_json(data) -> np.ndarray:
     try:
-        out = np.array([[complex(entry[0], entry[1]) for entry in row] for row in data],
-                       dtype=complex)
-    except (TypeError, IndexError, ValueError) as exc:
+        # two values per entry by unpacking; of the non-numbers complex() takes only a bool
+        out = np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
+        if any(isinstance(v, bool) for row in data for entry in row for v in entry):
+            raise TypeError("a bool is not a number")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(
-            "malformed-matrix", "expected rows of equal length of [re, im] pair entries"
+            "malformed-matrix", "expected rows of equal length of [re, im] number pairs"
         ) from exc
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise InputError("malformed-matrix", f"expected a square matrix, got {out.shape}")

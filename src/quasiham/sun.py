@@ -183,6 +183,12 @@ def random_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return expm_skew(random_algebra(n, rng))
 
 
+def _skew_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, V) with (X - X*)/2 = V diag(-i lam) V*: the eigh of i (X - X*)/2."""
+    x = np.asarray(x, dtype=complex)
+    return np.linalg.eigh(0.5j * (x - x.conj().swapaxes(-1, -2)))
+
+
 def expm_skew(x: np.ndarray) -> np.ndarray:
     """exp of anti-Hermitian matrices, over any leading batch axes.
 
@@ -193,8 +199,7 @@ def expm_skew(x: np.ndarray) -> np.ndarray:
     connection read from a file, say) is exponentiated as its nearest
     anti-Hermitian matrix, and the result stays unitary.
     """
-    x = np.asarray(x, dtype=complex)
-    lam, v = np.linalg.eigh(0.5j * (x - x.conj().swapaxes(-1, -2)))
+    lam, v = _skew_eigh(x)
     return (v * np.exp(-1j * lam)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from quasiham.errors import InputError
-from quasiham.gerbe import _ordered_eig, _strict_gaps
+from quasiham.gerbe import _strict_gaps
 from quasiham.holonomy import PiecewiseConnection
 from quasiham.prequant import NOT_A_WEIGHT
 from quasiham.spaces import (
@@ -236,10 +236,19 @@ class SpectralRecord:
         return complex(out) if out.ndim == 0 else out
 
 
+def ordered_eig(a):
+    """The alcove phases of special unitary matrices and their eigenvectors
+    in the same order, from one eig of the matrices themselves, not of
+    their logarithms: alcove_order's permutation reorders the columns."""
+    d, v = np.linalg.eig(a)
+    lam, order = alcove_order(d)
+    return lam, np.take_along_axis(v, order[..., None, :], axis=-1)
+
+
 def spectral_record(a):
     """The record of a matrix or a stack of them from one validation and
     one eig, with one batched QR per pair of cover pieces."""
-    lam, vecs = _ordered_eig(check_special_unitary(a))
+    lam, vecs = ordered_eig(check_special_unitary(a))
     pieces = cover(lam)
     bases = {(i, j): np.linalg.qr(vecs[..., i:j])[0] for i in pieces for j in pieces if i < j}
     return SpectralRecord(phases=lam, cover=pieces, bases=bases)

@@ -17,6 +17,7 @@ Print the four digests of the package on ``PYTHONPATH`` with
 
 and replay every op in this checkout and in a second one (a ``git archive``
 of another commit, say), listing each op whose exit code or text differs,
+with the top-level keys that differ when both texts are JSON objects,
 exiting 1 if any does, with
 
     python tests/replay_streams.py --against TREE
@@ -97,6 +98,19 @@ def _records(tree: Path):
         raise SystemExit(f"replay in {tree} exited {proc.returncode}")
 
 
+def differing_keys(text: str, before: str) -> list:
+    """The top-level keys whose values differ between two texts that are
+    both JSON objects, in order of appearance; [] if either is not one."""
+    try:
+        new, old = json.loads(text), json.loads(before)
+    except ValueError:
+        return []
+    if not (isinstance(new, dict) and isinstance(old, dict)):
+        return []
+    return [key for key in {**old, **new}
+            if key not in new or key not in old or json.dumps(new[key]) != json.dumps(old[key])]
+
+
 def against(tree: Path) -> int:
     """Replay in this checkout and in tree, one op of each at a time; print
     each op that differs and both trees' digests; 1 if any op differs."""
@@ -112,8 +126,10 @@ def against(tree: Path) -> int:
         ops += 1
         if mine[2:] != other[2:]:
             moved += 1
+            keys = differing_keys(mine[3], other[3])
             print(f"{mine[0]} {' '.join(mine[1])}: exit {other[2]} -> {mine[2]}"
-                  + (", text differs" if mine[3] != other[3] else ""))
+                  + (", text differs" if mine[3] != other[3] else "")
+                  + (f": {', '.join(keys)}" if keys else ""))
     for label, table in ((tree, theirs), (ROOT, ours)):
         print(f"{label}:")
         show(table)

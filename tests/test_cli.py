@@ -663,6 +663,8 @@ CLASS = ["verify", "--space", "conjugacy_class", "--axiom", "moment"]
         (CLASS + ["--n", "2", "--xi", "3/8,1/8,-1/8,-3/8"], "dimension-mismatch"),
         (["check-class", "--type", "A2", "--xi", "1/2", "--level", "1"], "dimension-mismatch"),
         (["holonomy-convergence", "--grids", "8,8,16"], "invalid-grids"),
+        # '²'.isdigit() is true, but int() refuses it
+        (["vertices", "--type", "A²"], "invalid-type"),
     ],
 )
 def test_invalid_input_exits_two_with_tag(argv, tag):
@@ -855,13 +857,12 @@ def test_internal_failure_exits_3(case, monkeypatch):
     # LinAlgError is a ValueError, yet a failed eigensolver is no input
     # error: the README's class command, whose one eigensolver is eigh in
     # the flow that gives each point and its eigenframe, and a cocycle,
-    # which decomposes each draw with eig, exit 3 with the exception named
-    # and no traceback
+    # which decomposes each draw with the eigh that exponentiates it, exit 3
+    # with the exception named and no traceback
+    monkeypatch.setattr(np.linalg, "eigh", raise_linalg_error)
     if case == "class":
-        monkeypatch.setattr(np.linalg, "eigh", raise_linalg_error)
         argv = next(argv for argv in readme_commands() if "conjugacy_class" in argv)
     else:
-        monkeypatch.setattr(np.linalg, "eig", raise_linalg_error)
         argv = ["cocycle", "--n", "3", "--samples", "3"]
     assert cli.run(argv) == (3, "", "internal-error: LinAlgError: Eigenvalues did not converge")
 
@@ -1267,6 +1268,12 @@ BAD_FILES = {
     # json reads NaN and Infinity as floats
     "nan-entry": json.dumps([[[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]),
     "inf-entry": json.dumps([[[[0.0, 0.0], [0.0, float("inf")]], [[0.0, 0.0], [0.0, 0.0]]]]),
+    # an entry is exactly two JSON numbers: not an object with two keys, not an
+    # integer past float range, not three numbers and not a bool
+    "object-entry": json.dumps([[[{"0": 0, "1": 0.3}, PAIR], [PAIR, PAIR]]]),
+    "huge-entry": "[[[[1" + "0" * 400 + ", 0.3], [0, 0]], [[0, 0], [0, 0]]]]",
+    "long-entry": json.dumps([[[[0, 0.3, 99], PAIR], [PAIR, [0, -0.3]]]]),
+    "bool-entry": json.dumps([[[[False, 0.3], PAIR], [PAIR, [0, -0.3]]]]),
 }
 
 
@@ -1291,7 +1298,11 @@ def test_holonomy_file_fuzz_exits_with_a_tag(content, tmp_path):
                                       ("ragged-stack", "malformed-matrix"),
                                       ("not-algebra", "not-algebra"),
                                       ("nan-entry", "not-algebra"),
-                                      ("inf-entry", "not-algebra")])
+                                      ("inf-entry", "not-algebra"),
+                                      ("object-entry", "malformed-matrix"),
+                                      ("huge-entry", "malformed-matrix"),
+                                      ("long-entry", "malformed-matrix"),
+                                      ("bool-entry", "malformed-matrix")])
 def test_holonomy_file_errors_carry_tags(name, tag, tmp_path):
     path = tmp_path / "conn.json"
     content = BAD_FILES[name]
@@ -1426,7 +1437,7 @@ COVERAGE_ARGV = [
 UNREACHED = {
     "quasiham.sun.alcove_coordinates": "the phases of matrices whose eigenvectors are not "
                                        "needed; the cocycle verb takes its phases and vectors "
-                                       "from one eig per draw",
+                                       "from the eigh that exponentiates each draw",
     "quasiham.roots.inner_product": "the exact side of the exact-numerical bridge",
     "quasiham.sun.torus_algebra": "the numerical side of the exact-numerical bridge",
     "quasiham.__getattr__": "the module protocol: the verbs import from the modules",

@@ -20,6 +20,7 @@ from quasiham.roots import LieType, a_series_numerators, build_root_system
 from quasiham.sun import (
     alcove_coordinates,
     alcove_order,
+    expm_skew,
     random_special_unitary,
     torus_point,
 )
@@ -28,6 +29,7 @@ from oracles import (
     cocycle_check,
     cover_index_set,
     format_vector,
+    ordered_eig,
     record_check,
     spectral_record,
     transition_weight,
@@ -275,7 +277,7 @@ def test_determinant_coefficient_matches_wedge_pairing(n, seed):
     record = spectral_record(a)
     assert record.cover == frozenset(range(1, n + 1))
     # and the verb's Gram defect is the oracle's distance from the circle
-    defects = gerbe._unimodularity_defects(gerbe._ordered_eig(a)[1])
+    defects = gerbe._unimodularity_defects(ordered_eig(a)[1])
     for t, (i, j, k) in enumerate(combinations(range(1, n + 1), 3)):
         full = wedge_coordinates(record.bases[i, k])
         product = wedge_product(
@@ -330,12 +332,12 @@ def test_record_rejects_non_unitary():
         assert err.value.code == "not-square"
 
 
-def greedy_order(a):
-    """The alcove phases of one matrix and the order of eig's eigenvalues
-    matched to them greedily: position by position, the nearest eigenvalue
-    not yet taken."""
+def greedy_order(a, vals=None):
+    """The alcove phases of one matrix and the order of its eigenvalues vals,
+    by default eig's, matched to them greedily: position by position, the
+    nearest eigenvalue not yet taken."""
     lam = alcove_coordinates(a)
-    vals = np.linalg.eig(a)[0]
+    vals = np.linalg.eig(a)[0] if vals is None else vals
     unused = list(range(len(vals)))
     order = []
     for t in np.exp(2j * np.pi * lam):
@@ -349,6 +351,14 @@ def greedy_order(a):
 def greedy_vectors(a):
     """The eigenvectors of one matrix in the order of greedy_order."""
     return np.linalg.eig(a)[1][:, greedy_order(a)[1]]
+
+
+def draw_vectors(x):
+    """The eigenvectors of exp(x) for one algebra draw x, from the eigh of
+    the Hermitian i x that exponentiates it, in the order greedy_order
+    matches their eigenvalues e^{-i lam} to the phases of exp(x)."""
+    lam, v = np.linalg.eigh(0.5j * (x - x.conj().T))
+    return v[:, greedy_order(expm_skew(x), np.exp(-1j * lam))[1]]
 
 
 def record_per_matrix(a):
@@ -470,11 +480,11 @@ def cocycle_payload_per_sample(n, samples, seed):
     rng = np.random.default_rng(seed)
     worst, rejected, done = 0.0, 0, 0
     while done < samples:
-        a = random_special_unitary(n, rng)
-        if len(record_per_matrix(a)[1]) < n:
+        x = sun.random_algebra(n, rng)  # looked up at each call, as scalar_draws patches it
+        if len(cover_index_set(expm_skew(x))) < n:
             rejected += 1
             continue
-        worst = max(worst, float(np.max(gerbe._unimodularity_defects(greedy_vectors(a)))))
+        worst = max(worst, float(np.max(gerbe._unimodularity_defects(draw_vectors(x)))))
         done += 1
     return {
         "n": n, "samples": samples, "rejected": rejected, "max_unimodularity_defect": worst,
@@ -520,39 +530,40 @@ def test_cocycle_sampling_failure_exits_3(monkeypatch):
 
 
 def loop_draws(n, samples, seed):
-    """The accepted matrices and the rejected count of the cocycle verb as a
-    loop that draws one matrix at a time."""
+    """The accepted algebra draws and the rejected count of the cocycle verb
+    as a loop that draws one matrix at a time."""
     rng, accepted, rejected = np.random.default_rng(seed), [], 0
     while len(accepted) < samples:
-        a = random_special_unitary(n, rng)
-        if len(cover_index_set(a)) < n:
+        x = sun.random_algebra(n, rng)
+        if len(cover_index_set(expm_skew(x))) < n:
             rejected += 1
         else:
-            accepted.append(a)
+            accepted.append(x)
     return np.stack(accepted), rejected
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("scalar,stacks", [((), 1), ((1,), 2), ((1, 4, 5), 3)])
 def test_cocycle_draws_equal_the_loop(n, scalar, stacks, monkeypatch):
-    # one eig per stack of draws and no eigvals, and each stack's defects are
-    # taken from the ordered vectors of its eig; the rejected draws are made
-    # up in the next stack: with draws 1, 4 and 5 rejected the stacks are
-    # draws 0-4, 5-6 and 7
-    calls, stacked = {"eig": [], "eigvals": []}, []
+    # one eigh per stack of draws, the one that exponentiates them, and no
+    # eig or eigvals; each stack's defects are taken from the ordered vectors
+    # of its eigh; the rejected draws are made up in the next stack: with
+    # draws 1, 4 and 5 rejected the stacks are draws 0-4, 5-6 and 7
+    calls, stacked = {"eigh": [], "eig": [], "eigvals": []}, []
     defects = gerbe._unimodularity_defects
     with monkeypatch.context() as patch:
         patch.setattr(gerbe, "_unimodularity_defects",
                       lambda vecs: stacked.append(vecs) or defects(vecs))
-        for name, real in [("eig", np.linalg.eig), ("eigvals", np.linalg.eigvals)]:
+        for name in calls:
+            real = getattr(np.linalg, name)
             patch.setattr(np.linalg, name,
                           lambda a, name=name, real=real: calls[name].append(a) or real(a))
         scalar_draws(patch, scalar)
         code, payload = dispatch(["cocycle", "--n", str(n), "--samples", "5", "--seed", "11"])
     assert code == 0 and payload["rejected"] == len(scalar)
     # every draw is decomposed once: the accepted five and the rejected ones
-    assert len(calls["eig"]) == stacks and sum(map(len, calls["eig"])) == 5 + len(scalar)
-    assert calls["eigvals"] == []
+    assert len(calls["eigh"]) == stacks and sum(map(len, calls["eigh"])) == 5 + len(scalar)
+    assert calls["eig"] == calls["eigvals"] == []
     with monkeypatch.context() as patch:
         scalar_draws(patch, scalar)
         accepted, rejected = loop_draws(n, 5, 11)
@@ -562,7 +573,7 @@ def test_cocycle_draws_equal_the_loop(n, scalar, stacks, monkeypatch):
     assert len(stacked) == stacks
     assert rejected == payload["rejected"]
     assert np.array_equal(np.concatenate(stacked),
-                          np.stack([greedy_vectors(a) for a in accepted]))
+                          np.stack([draw_vectors(x) for x in accepted]))
     assert render(payload, True) == render(expected, True)
 
 
