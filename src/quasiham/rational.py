@@ -17,6 +17,7 @@ exact verb starts without it.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Sequence
 from functools import partial
 from itertools import chain
@@ -31,6 +32,8 @@ CartanVector = tuple["Fraction", ...]
 # an entry that int reads as the Fraction reads it: sign, ASCII digits, and
 # an optional ASCII denominator
 _PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# the exponent that ends a decimal entry, as Fraction reads it
+_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*\Z")
 
 
 def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -77,13 +80,21 @@ def common_denominator(x: CartanVector) -> tuple[tuple[int, ...], int]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or plain integer strings; reject anything else."""
+    """Parse 'p/q' or plain integer strings; reject anything else, and a
+    value whose numerator or denominator has more digits than int prints
+    (sys.get_int_max_str_digits()), as Fraction rejects a 'p/q' that long."""
     from fractions import Fraction
 
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     try:
-        return Fraction(text.strip())
+        # an exponent e spells 10^|e| with no digits to convert: refuse a long one unbuilt
+        if (exponent := _EXPONENT.search(text)) and abs(int(exponent[1])) > limit:
+            raise ValueError(f"exponent beyond {limit} digits")
+        value = Fraction(text.strip())
+        str(value)  # int refuses to print past the limit: here, not where the value is printed
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError("malformed-rational", f"expected 'p/q', got {text!r}") from exc
+    return value
 
 
 def parse_vector(text: str) -> CartanVector:

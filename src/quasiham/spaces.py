@@ -24,15 +24,15 @@ each stack of samples of every axiom in one generator call, the values of a
 loop over the samples, and runs its matrix work once per stack.
 
 The tangent basis is a block stack: slot j's basis data on its own d_j rows,
-the rows in slot order, a double's a rows then its b rows.  Its record is
-built block by block: a double pairs only its a rows with its b rows, and
-each fusion step adds the one block between the rows before it and the next
-part's, and stacks the lefts; min_degeneracy and reduction_rank read it.  A
-class's basis at u m_0 u*, u the flow of its base point, is u C u* for one
-constant C, two rows per eigenvalue pair of xi; there a lone class's Omega
-is one 2 x 2 block per pair, decided pair by pair; at a product point
-Ad_Psi + 1 picks the Liouville identity or an SVD.  The moment and cocycle
-checks read records over stacks whose every slot spans all rows.
+the rows in slot order, a double's a rows then its b rows, and a class's
+u C u*, u the flow of its base point, for one constant C with two rows per
+eigenvalue pair of xi.  Its record is built block by block: a double pairs
+only its a rows with its b rows, and each fusion step adds the one block
+between the rows before it and the next part's, and stacks the lefts;
+min_degeneracy and reduction_rank read it.  A lone class's Omega is one 2 x 2
+block per pair, decided pair by pair; at a product point Ad_Psi + 1 picks the
+Liouville identity or an SVD, on Omega scaled by its row norms.  The moment
+and cocycle checks read records over stacks whose every slot spans all rows.
 
 Conventions: actions are left actions, generating vector fields satisfy
 [xi_M, zeta_M] = -[xi, zeta]_M, and the double pairs g-valued 1-forms by
@@ -83,9 +83,12 @@ STACK_ROWS = 512
 # 4 points each): 64 eps leaves a factor 10.  An entry above fails all rows.
 OFF_BLOCK = 64 * np.finfo(float).eps
 # |log density - the space's constant| grows like eps / min s, s = |d_i conj(d_j) + 1|: miss *
-# min s <= 9.7e-15 (44 eps) on forced points, so at the path's edge s = 2 RANK_CUTOFF a valid
-# point misses by up to 5e-8 (1e-8 failed 116 of 1,800); the Liouville mutants miss by over 0.1.
+# min s <= 8.0e-15 (36 eps) on forced points, so at the path's edge s = 2 RANK_CUTOFF a valid
+# point misses by up to 4e-8 (1e-8 failed 18 of 720); the Liouville mutants miss by 0.01 or more.
 LIOUVILLE_MISS = 1e-6
+# A class with two eigenvalues closer than this is refused: (eps, 0, ..., -eps) of n = 2..4, alone
+# and fused with a double, passes every axiom down to |d_i - d_j| = 6.3e-18, fails from 1.3e-18.
+MIN_GAP = 1e-16
 
 # Relative orientation of the canonical 3-form inside the structure equation
 # d omega = Psi* eta.  With the 2-form and moment conventions used here the
@@ -196,8 +199,8 @@ class QSpace:
     point; a stack of d of them has shape (k, *P, d, n, n).  An element of
     G, or of its algebra, has one slot per group factor.  Subclasses set
     `base`, `dim`, `class_slots`, the slots of a class point m (the others
-    hold a group point p), `class_rows`, each class slot's constant basis
-    rows, `_log_liouville`, the constant log of the Liouville density
+    hold a group point p), `class_rows`, each class slot's basis C on all
+    its pairs, `_log_liouville`, the constant log of the Liouville density
     Pf(Omega) / det^1/2((1 + Ad_Psi) / 2) on orthonormal tangents (AMW
     2002), and the hooks `_moment` and `structure`.  Written here are the
     G-valued action by conjugation of every slot, its generating field, and
@@ -223,8 +226,8 @@ class QSpace:
         rows in slot order and zero on every other slot."""
         raise NotImplementedError
 
-    def _pair_mismatch(self, m, flows):
-        """_degeneracy_mismatch decided by the record's shape at points the flows reach, or None."""
+    def _pair_mismatch(self, omega):
+        """_degeneracy_mismatch decided by the shape of the block record's omega, or None."""
 
     def _act(self, g, m):
         return g @ m @ _dag(g)
@@ -275,7 +278,7 @@ class ConjugacyClass(QSpace):
         """xi are the eigenvalue coordinates: rationals or floats, or with den
         integer numerators over den.  The checks and the dimension are exact,
         on integer numerators over one denominator."""
-        self.n = int(n)
+        n = self.n = int(n)
         if den is None:
             from fractions import Fraction
 
@@ -301,32 +304,25 @@ class ConjugacyClass(QSpace):
         self.pairs = np.flatnonzero([(xi[a] - xi[b]) % den != 0 for a, b in zip(i, j)])
         di, dj = (np.diagonal(self.base[0])[k[self.pairs]] for k in (i, j))
         gap = np.abs(di - dj)
+        if gap.min(initial=np.inf) < MIN_GAP:
+            raise InputError("unresolved-class", f"eigenvalues {gap.min():.2g} apart, < {MIN_GAP}")
         self._gaps, self._moduli = 4 * np.pi**2 * gap, np.abs(di * dj.conj() + 1)
         self._log_liouville = -float(np.sum(np.log(self._gaps)))
-        # C, the basis at m_0 on the pairs (dim rows): the data X of the orthonormal tangents B m_0
-        # of a pair's basis elements B, X m_0 - m_0 X = B m_0, are B times f = d_j / (d_j - d_i) =
-        # 1/2 + i Im f at (i, j): the pair's (B_re, B_im) give (B_re / 2 + Im f B_im, B_im / 2 -
-        # Im f B_re).  class_rows keeps the pairs whose gap, x -> x m - m x's singular value there,
-        # the cutoff resolves against the largest.
-        n = self.n
+        # C, the basis at m_0 on all pairs: the data X of the orthonormal tangents B m_0 of a pair's
+        # basis elements B, X m_0 - m_0 X = B m_0, are B times f = d_j / (d_j - d_i) = 1/2 + i Im f
+        # at (i, j): the pair's (B_re, B_im) give (B_re / 2 + Im f B_im, B_im / 2 - Im f B_re).
         b = algebra_basis(n)[: n * (n - 1)].reshape(-1, 2, n, n)[self.pairs]
         turn = (dj / (dj - di)).imag[:, None, None, None] * np.array([1.0, -1.0])[:, None, None]
-        self._pair_rows = (0.5 * b + turn * b[:, ::-1]).reshape(-1, n, n)
-        top = gap.max(initial=0.0)
-        resolved = np.repeat((gap > RANK_CUTOFF * top) & (top > KERNEL_FLOOR), 2)
-        self.class_rows = (self._pair_rows[resolved],)
+        self.class_rows = ((0.5 * b + turn * b[:, ::-1]).reshape(-1, n, n),)
 
     def _moment(self, m):
         return (m[0],)
 
-    def _pair_mismatch(self, m, flows):
+    def _pair_mismatch(self, omega):
         # On the basis u C u*, in the eigenframe (diag m_0, u), Omega is one block [[0, w], [-w, 0]]
         # per pair, |w| 4 pi^2 |d_i - d_j| = |d_i conj(d_j) + 1| / 2 (AMW 2002): w is null where
         # Ad_Psi + 1 is.  A pair that disagrees counts 2 rows.
-        basis = _lift(flows[0]) @ self._pair_rows @ _lift(_dag(flows[0]))
-        omega, gap, r = self.structure(m, [basis], blocks=True).omega, self._gaps, len(self.pairs)
-        if not np.all(np.isfinite(omega)):
-            raise ToolkitError("non-finite class 2-form")
+        gap, r = self._gaps, len(self.pairs)
         w = np.diagonal(omega[..., ::2, 1::2], axis1=-2, axis2=-1)
         disagree = (np.abs(w) * gap < RANK_CUTOFF) != (self._moduli < 2 * RANK_CUTOFF)
         mismatch = 2.0 * np.sum(disagree, axis=-1)
@@ -474,12 +470,13 @@ class VerificationReport(namedtuple("VerificationReport",
 
 
 AXIOMS = ("cocycle", "moment", "min_degeneracy", "equivariance")
-# cocycle: with exact derivatives a valid space's residual is the rounding of O(1) pairings, at
-# most 4.5e-16 (2 eps) on genus(4, 8), the bench streams and tests/class_sweep.py; 1e-12 (4,500
-# eps) leaves a factor 2,000, and a fusion correction scaled by 1 + 1e-6 gives 3e-8.
+# cocycle, with exact derivatives, and moment, on a unit w: a valid space's residual is the rounding
+# of O(1) pairings, at most 4.5e-16 (2 eps) and 6.9e-16 on genus(4, 8), the bench streams and
+# tests/class_sweep.py; 1e-12 leaves a factor 1,400, and the fusion correction scaled by 1 + 1e-6
+# gives 3e-8 (cocycle), by 1 + 1e-10 4.4e-12 and more (moment).
 DEFAULT_TOLERANCES = {
     "cocycle": 1e-12,
-    "moment": 1e-8,
+    "moment": 1e-12,
     "min_degeneracy": 0.5,
     "equivariance": 1e-9,
 }
@@ -567,26 +564,30 @@ def _degeneracy_mismatch(space: QSpace, m, flows) -> np.ndarray:
     decides a point where none of its singular values is null, and the SVD
     of omega and _anti_fixed_rank decide it where one is or where the
     identity misses."""
-    if (decided := space._pair_mismatch(m, flows)) is not None:
-        return decided
     rec = space.structure(m, space._basis(m, flows), blocks=True)
     if not np.all(np.isfinite(rec.omega)):
         raise ToolkitError("non-finite 2-form")
+    if (decided := space._pair_mismatch(rec.omega)) is not None:
+        return decided
     psis = np.stack(rec.psi, axis=1)
     d = np.linalg.eigvals(psis)
     s = np.abs(d[..., :, None] * d.conj()[..., None, :] + 1.0).reshape(len(d), -1)
     if not np.all(np.isfinite(s)):
         raise ToolkitError("non-finite eigenvalues of the moment")
+    # Omega_ij / (D_i D_j), D_i = sqrt(max(|row_i|, 1)): a class pair's rows, data of size 1 / gap,
+    # shrink to one scale, and no row grows, whose entries may all be rounding (as class(2, 1/4)'s)
+    scale = np.sqrt(np.maximum(np.linalg.norm(rec.omega, axis=-1), 1.0))
+    omega = rec.omega / (scale[..., :, None] * scale[..., None, :])
     # the log density 1/2 log|det Omega| - 1/2 sum log(s / 2) (AMW 2002), read where no s is null
-    miss = np.abs(0.5 * np.linalg.slogdet(rec.omega)[1] - space._log_liouville
+    miss = np.abs(0.5 * np.linalg.slogdet(omega)[1] + np.log(scale).sum(-1) - space._log_liouville
                   - 0.5 * np.sum(np.log(np.maximum(s, 2 * RANK_CUTOFF) / 2), axis=-1))
     rest = np.flatnonzero(np.any(s < 2 * RANK_CUTOFF, axis=-1) | ~(miss <= LIOUVILLE_MISS))
     mismatch = np.zeros(len(d))
     if rest.size:
-        svals = np.linalg.svd(rec.omega[rest], compute_uv=False)
+        svals = np.linalg.svd(omega[rest], compute_uv=False)
         rank = _rank(svals, svals.max(axis=-1, initial=0.0))
         qualifying = _anti_fixed_rank(space, m[:, rest], psis[rest], s[rest])
-        mismatch[rest] = np.abs(rec.omega.shape[-1] - rank - qualifying)
+        mismatch[rest] = np.abs(omega.shape[-1] - rank - qualifying)
     return mismatch
 
 
@@ -621,8 +622,8 @@ def _draw_stack(space: QSpace, axiom: str, count: int, rng) -> tuple:
 def _residuals(space: QSpace, axiom: str, f, *drawn) -> np.ndarray:
     """The residuals at a stack of draws, whose matrix work runs once on the
     stack: the points are one flow of the stacked fields f from the base
-    point.  A class basis of fewer than dim rows (eigenphases closer than
-    RANK_CUTOFF resolves) takes the first of each sample's coefficients."""
+    point.  The moment check reads the unit tangent w / |w|, w the sample's
+    dim coefficients on the basis and |w| the norm of its field data."""
     flows = expm_skew(f)
     m = space._carry(flows, space.base[:, None])
     if axiom == "moment":
@@ -631,11 +632,13 @@ def _residuals(space: QSpace, axiom: str, f, *drawn) -> np.ndarray:
         ends = list(accumulate((x.shape[-3] for x in blocks), initial=0))
         # one product over all rows of the zero-filled block stack, as the loop combines its
         # basis: over a block's own rows alone BLAS rounds otherwise
-        rows = np.zeros(m.shape[:2] + (ends[-1],) + m.shape[2:], dtype=complex)
+        rows = np.zeros(m.shape[:2] + (space.dim,) + m.shape[2:], dtype=complex)
         for j, x in enumerate(blocks):
             rows[j, :, ends[j] : ends[j + 1]] = x
-        w = coeffs[:, None, : ends[-1]] @ rows.reshape(rows.shape[:3] + (m[0, 0].size,))
-        return _moment_residuals(space, m, xi, w.reshape(m.shape))
+        w = (coeffs[:, None] @ rows.reshape(rows.shape[:3] + (m[0, 0].size,))).reshape(m.shape)
+        # one sum along each sample's own row, the same bits in any stack; a point keeps w = 0
+        norm = np.linalg.norm(realvec(w), axis=-1)[:, None, None]
+        return _moment_residuals(space, m, xi, w / np.where(norm > 0, norm, 1.0))
     if axiom == "cocycle":
         return _cocycle_residuals(space, m, _orthonormal_fields(drawn[0]))
     if axiom == "equivariance":

@@ -6,7 +6,7 @@ constant connection of the acceptance tests and its JSON, one random point
 of a space with the flows that reach it, the flows and brackets of fields
 and the central-difference cocycle residual, an eigenframe of a class point
 independent of its flow, the verifier's draws sample by sample, the moment check's
-tangents slot by slot and sample by sample, a fused record part by part,
+unit tangents slot by slot and sample by sample, a fused record part by part,
 the zero-filled records that the block records of the spaces replaced, and
 the realified su(n) operators that their eigenbasis formulas replaced."""
 
@@ -349,14 +349,27 @@ def stack_draws(draws):
     return [np.stack(x, axis=int(x[0].ndim > 1)) for x in zip(*draws)]
 
 
+def unit_tangents(w):
+    """Field data w of shape (k, *S, n, n) over each sample's norm, the
+    square root of the sum of the squares of its real vector, sample by
+    sample; a zero w stays zero."""
+    out = np.array(w)
+    for s in np.ndindex(w.shape[1:-2]):
+        v = realvec(w[(slice(None),) + s])
+        out[(slice(None),) + s] /= np.sqrt(np.sum(v * v)) or 1.0
+    return out
+
+
 def moment_tangents(blocks, coeffs):
-    """The moment check's w at a stack of S points: per slot and sample, the
-    sample's d coefficients (S, d) against the slot's block of the basis
-    blocks, zero-padded to all d rows, in one tensordot each."""
+    """The moment check's unit w at a stack of S points: per slot and
+    sample, the sample's d coefficients (S, d) against the slot's block of
+    the basis blocks, zero-padded to all d rows, in one tensordot each, then
+    over the sample's norm."""
     ends = list(accumulate((x.shape[-3] for x in blocks), initial=0))
     pads = [[(0, 0), (a, ends[-1] - b), (0, 0), (0, 0)] for a, b in zip(ends, ends[1:])]
-    return np.array([[np.tensordot(c[: ends[-1]], xp, axes=1)
-                      for c, xp in zip(coeffs, np.pad(x, pad))] for x, pad in zip(blocks, pads)])
+    return unit_tangents(np.array([[np.tensordot(c, xp, axes=1)
+                                    for c, xp in zip(coeffs, np.pad(x, pad))]
+                                   for x, pad in zip(blocks, pads)]))
 
 
 def part_by_part_record(space, m, stack, blocks=False):

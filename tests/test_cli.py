@@ -251,7 +251,7 @@ def test_abbreviated_json_flag_prints_json(flag):
 @pytest.mark.parametrize("argv, lines", [
     (["verify", "--space", "double", "--n", "2", "--axiom", "moment", "--samples", "3"],
      ["space: double", "n: 2", "axiom: moment", "samples: 3", "max_residual: {}",
-      "tolerance: 1e-08", "pass: true"]),
+      "tolerance: 1e-12", "pass: true"]),
     # sphere4 lists the axiom before the space
     (["verify", "--space", "sphere4", "--samples", "3"],
      ["axiom: equivariance", "space: sphere4", "samples: 3", "max_residual: {}",
@@ -665,6 +665,18 @@ CLASS = ["verify", "--space", "conjugacy_class", "--axiom", "moment"]
         (["holonomy-convergence", "--grids", "8,8,16"], "invalid-grids"),
         # '²'.isdigit() is true, but int() refuses it
         (["vertices", "--type", "A²"], "invalid-type"),
+        # an exponent builds a power of ten that int will not print, as a 'p/q' that long is
+        (["check-class", "--type", "A1", "--xi", "1e5000", "--level", "1"], "malformed-rational"),
+        (["check-class", "--type", "A1", "--xi", "1e-5000,-1e-5000", "--level", "1"],
+         "malformed-rational"),
+        (["check-class", "--type", "A1", "--xi", "1e4300,-1e4300", "--level", "1"],
+         "malformed-rational"),
+        (["check-class", "--type", "A1", "--xi", "1e1000000000000,-1", "--level", "1"],
+         "malformed-rational"),
+        # eigenvalues 0 and 6e-22 apart in floating point
+        (CLASS + ["--n", "2", "--xi", "1e-400,-1e-400"], "unresolved-class"),
+        (CLASS + ["--n", "3", "--xi", "1/10000000000000000000000,0,-1/10000000000000000000000"],
+         "unresolved-class"),
     ],
 )
 def test_invalid_input_exits_two_with_tag(argv, tag):
@@ -881,7 +893,7 @@ INPUT_ERROR_TAGS = {
     "not-algebra", "not-g-valued", "not-identity-level", "not-in-alcove", "not-special-unitary",
     "not-square", "not-tangent", "off-sphere", "rank-too-large",
     "space-too-large", "too-many-samples", "too-many-weights",
-    "unknown-axiom", "unknown-space", "unsupported-axiom", "unused-argument",
+    "unknown-axiom", "unknown-space", "unresolved-class", "unsupported-axiom", "unused-argument",
 }
 
 
@@ -1377,13 +1389,13 @@ def test_tiny_class_moment_never_exits_3(capsys):
     # xi = (eps, 0, 0, -eps) has a repeated eigenvalue: a basis ranked per
     # stack on measured phases counted its rounding gap (1e-16) against a
     # largest gap of about 1e-9, built 12 rows for dim 10 and exited 3 at
-    # eps <= 1e-10 (and at 1e-9, seed 2).  The rows come from xi's pairs now;
-    # the residual's growth like 1 / eps may still fail the absolute tolerance
+    # eps <= 1e-10 (and at 1e-9, seed 2).  The rows come from xi's pairs, and
+    # w of unit norm keeps the residual at rounding where it grew like 1 / eps
     for k in (9, 10, 11, 12):
         for seed in (0, 1, 2):
             argv = ["verify", "--space", "conjugacy_class", "--xi", f"1/{10**k},0,0,-1/{10**k}",
                     "--axiom", "moment", "--samples", "3", "--seed", str(seed)]
-            assert main(argv) in (0, 1), argv
+            assert main(argv) == 0, argv
 
 
 def test_failed_verification_exits_one():
