@@ -45,7 +45,6 @@ _HOME = {
         "verify_axiom",
     ],
     "sun": [
-        "alcove_coordinates",
         "algebra_basis",
         "basic_inner",
         "canonical_three_form",

@@ -217,15 +217,6 @@ def torus_point(lam) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * lam))
 
 
-def alcove_coordinates(a: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalue phases of a special unitary matrix, normalized to
-    the fundamental alcove: descending, summing to zero, top-bottom gap at
-    most one.  Phases within SNAP_TOL of an alcove wall are snapped onto it.
-    A stack of matrices gives the stack of their coordinates.
-    """
-    return alcove_order(np.linalg.eigvals(check_special_unitary(a)))[0]
-
-
 def alcove_order(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The alcove coordinates lam of special unitary matrices with
     eigenvalues d (..., n), and the permutation that puts d in their order:
@@ -263,22 +254,19 @@ def alcove_order(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, order
 
 
-def maurer_cartan(g: np.ndarray, v: np.ndarray, side: str, tol: float = 1e-8) -> np.ndarray:
-    """Left or right translation of a tangent vector at g back to the
-    algebra; leading axes of g and v broadcast, and the tangency check
-    covers the whole stack."""
+def maurer_cartan(g: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Left translation of a tangent vector at g back to the algebra,
+    theta^L(v) = g^-1 v; leading axes of g and v broadcast, and the tangency
+    check covers the whole stack."""
     g = np.asarray(g, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if side not in ("left", "right"):
-        raise InputError("invalid-side", f"side must be 'left' or 'right', got {side!r}")
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
         raise InputError("not-tangent", "non-finite point or vector")
-    ginv = g.conj().swapaxes(-1, -2)
-    x = ginv @ v
+    x = g.conj().swapaxes(-1, -2) @ v
     defect = np.max(np.abs(x + x.conj().swapaxes(-1, -2)))
     if defect >= tol or np.max(np.abs(np.trace(x, axis1=-2, axis2=-1))) >= tol:
         raise InputError("not-tangent", f"vector is not tangent at g (defect {defect:.2e})")
-    return x if side == "left" else v @ ginv
+    return x
 
 
 def canonical_three_form(
@@ -291,7 +279,7 @@ def canonical_three_form(
     """The bi-invariant 3-form (1/12) B(theta, [theta, theta]) evaluated on
     three tangent vectors at g; stacks of points and tangents give an array
     of values."""
-    return _three_form_pulled([maurer_cartan(g, v, "left", tol=tol) for v in (v1, v2, v3)])
+    return _three_form_pulled([maurer_cartan(g, v, tol=tol) for v in (v1, v2, v3)])
 
 
 def _three_form_pulled(xs: list[np.ndarray]) -> float | np.ndarray:

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the package against: exact
 linear algebra, the simple and lowest roots and the alcove, lattice and
-pre-quantization tests over Fractions with their text, the gerbe's cover
-and its spectral record of QR bases with the one-matrix helpers, the
-constant connection of the acceptance tests and its JSON, one random point
+pre-quantization tests over Fractions with their text, the alcove
+coordinates of a matrix, the gerbe's cover and its spectral record of QR
+bases with the one-matrix helpers, the constant connection of the
+acceptance tests and its JSON, one random point
 of a space with the flows that reach it, the flows and brackets of fields
 and the central-difference cocycle residual, an eigenframe of a class point
 independent of its flow, the verifier's draws sample by sample, the moment check's
@@ -33,7 +34,6 @@ from quasiham.spaces import (
 )
 from quasiham.sun import (
     _three_form_pulled,
-    alcove_coordinates,
     alcove_order,
     algebra_basis,
     check_algebra,
@@ -234,6 +234,15 @@ class SpectralRecord:
         both = np.concatenate([self.bases[i, j], self.bases[j, k]], axis=-1)
         out = np.linalg.det(full @ both) / np.linalg.det(full @ self.bases[i, k])
         return complex(out) if out.ndim == 0 else out
+
+
+def alcove_coordinates(a):
+    """Sorted eigenvalue phases of a special unitary matrix, normalized to
+    the fundamental alcove: descending, summing to zero, top-bottom gap at
+    most one.  Phases within SNAP_TOL of an alcove wall are snapped onto it.
+    A stack of matrices gives the stack of their coordinates.  The package
+    reads its phases from the eigh that exponentiates a draw instead."""
+    return alcove_order(np.linalg.eigvals(check_special_unitary(a)))[0]
 
 
 def ordered_eig(a):

@@ -159,7 +159,7 @@ def test_criterion_05_moment_condition():
     start = time.perf_counter()
     worst = {}
     for name, space in axiom_space_list():
-        rep = verify_axiom(space, "moment", samples=50, tol=1e-8, seed=0)
+        rep = verify_axiom(space, "moment", samples=50, seed=0)
         worst[name] = rep.max_residual
     elapsed = time.perf_counter() - start
     ok = max(worst.values()) < 1e-8 and elapsed < 10.0
@@ -173,7 +173,7 @@ def test_criterion_06_relative_cocycle():
     start = time.perf_counter()
     worst = {}
     for name, space in axiom_space_list():
-        rep = verify_axiom(space, "cocycle", samples=20, tol=1e-4, seed=0)
+        rep = verify_axiom(space, "cocycle", samples=20, seed=0)
         worst[name] = rep.max_residual
     elapsed = time.perf_counter() - start
     ok = max(worst.values()) < 1e-4 and elapsed < 60.0

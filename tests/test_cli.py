@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import quasiham
 from quasiham import alcove, cli, prequant
 from quasiham.alcove import LevelWeightSet
-from quasiham.cli import MAX_GRID, MAX_SAMPLES, dispatch, main, render
+from quasiham.cli import MAX_SAMPLES, dispatch, main, render
 from quasiham.errors import InputError, ToolkitError
 from quasiham.prequant import torsion_level_admissible
 from quasiham.rational import common_denominator, parse_numerators, parse_vector
@@ -204,10 +204,8 @@ def test_cocycle_reports_rejected_draws(monkeypatch):
 
 
 def test_holonomy_verb():
-    code, payload = dispatch(
-        ["holonomy-convergence", "--grids", "8,16,32,64", "--seed", "5"]
-    )
-    assert code == 0
+    code, payload = dispatch(["holonomy-convergence", "--seed", "5"])
+    assert code == 0 and payload["grids"] == [8, 16, 32, 64, 128]
     assert abs(payload["order"] - 2.0) <= 0.3
 
 
@@ -315,8 +313,7 @@ def test_usage_errors_exit_two(capsys):
 # runs a patched handler
 RUN_ENDINGS = [
     (["table"], 0, ""),
-    (["verify", "--space", "double", "--axiom", "moment", "--samples", "2", "--tol", "1e-300"],
-     1, ""),
+    (["check-class", "--type", "A1", "--xi", "1/3,-1/3", "--level", "1"], 1, ""),
     (["cocycle", "--n", "2"], 2, "error: invalid-rank: "),
     (["table", "--json"], 3, "internal-error: RuntimeError: handler fault"),
 ]
@@ -447,10 +444,10 @@ def test_reused_parser_keeps_no_state(monkeypatch):
     monkeypatch.setitem(cli._ROWS, name, (lambda args: (seen.append(args), (0, {}))[1],
                                           cli._ROWS[name][1]))
     verify = ["verify", "--space", "conjugacy_class", "--axiom", "cocycle"]
-    dispatch(verify + ["--xi", "1/4,-1/4", "--n", "3", "--samples", "7", "--tol", "1"])
+    dispatch(verify + ["--xi", "1/4,-1/4", "--n", "3", "--samples", "7", "--seed", "4"])
     dispatch(verify + ["--xi", "1/8,-1/8"])
     assert vars(seen[1]) == {**vars(seen[0]), "xi": ["1/8,-1/8"], "n": None, "samples": 50,
-                             "tol": None}
+                             "seed": 0}
     assert seen[1].genus is None and not hasattr(seen[1], "json")
 
 
@@ -632,14 +629,13 @@ CLASS = ["verify", "--space", "conjugacy_class", "--axiom", "moment"]
         (["verify", "--space", "eta_su2", "--samples", "0"], "invalid-samples"),
         (["verify", "--space", "double", "--axiom", "moment", "--samples", "-1"],
          "invalid-samples"),
-        (["verify", "--space", "double", "--axiom", "moment", "--tol", "nan"],
-         "invalid-tolerance"),
-        (["verify", "--space", "double", "--axiom", "moment", "--tol", "-1"],
-         "invalid-tolerance"),
-        (["verify", "--space", "sphere4", "--tol", "0"], "invalid-tolerance"),
-        (["cocycle", "--tol", "inf"], "invalid-tolerance"),
-        (["holonomy-convergence", "--grids", "8"], "invalid-grids"),
-        (["holonomy-convergence", "--grids", "8,8"], "invalid-grids"),
+        (["verify", "--space", "genus", "--genus", "0", "--axiom", "moment"], "invalid-genus"),
+        (["level-weights", "--type", "A1", "--level", "-1"], "invalid-level"),
+        (["check-class", "--type", "A1", "--xi", "0", "--level", "1", "--torsion", "0"],
+         "invalid-torsion"),
+        (["vertices", "--type", "Z3"], "invalid-series"),
+        (["verify", "--space", "double", "--n", "1", "--axiom", "moment"], "invalid-rank"),
+        (["verify", "--space", "sphere4", "--axiom", "cocycle"], "unsupported-axiom"),
         (["cocycle", "--n", "0", "--samples", "1"], "invalid-rank"),
         (["cocycle", "--n", "1"], "invalid-rank"),
         (["cocycle", "--n", "2", "--samples", "1"], "invalid-rank"),
@@ -650,10 +646,11 @@ CLASS = ["verify", "--space", "conjugacy_class", "--axiom", "moment"]
         (["verify", "--space", "sphere4", "--axiom", "moment"], "unsupported-axiom"),
         (["verify", "--space", "double"], "missing-argument"),
         (["verify", "--space", "conjugacy_class", "--axiom", "moment"], "missing-argument"),
-        (["holonomy-convergence", "--grids", "a,b"], "invalid-grids"),
-        (["holonomy-convergence", "--grids", "8,,16"], "invalid-grids"),
-        (["holonomy-convergence", "--grids", "0,8"], "invalid-grids"),
-        (["holonomy-convergence", "--grids=-8,8"], "invalid-grids"),
+        (["verify", "--space", "sphere4", "--n", "3"], "unused-argument"),
+        # one past each bound
+        (["cocycle", "--n", "17"], "space-too-large"),
+        (["verify", "--space", "eta_su2", "--samples", str(MAX_SAMPLES + 1)], "too-many-samples"),
+        (["vertices", "--type", f"D{MAX_RANK + 1}"], "rank-too-large"),
         (CLASS + ["--n", "2", "--xi", "a"], "malformed-rational"),
         (CLASS + ["--n", "2", "--xi", "1/0,0"], "malformed-rational"),
         (CLASS + ["--n", "2", "--xi", "nan,nan"], "malformed-rational"),
@@ -662,7 +659,7 @@ CLASS = ["verify", "--space", "conjugacy_class", "--axiom", "moment"]
         (CLASS + ["--n", "4", "--xi", "1/8,-1/8"], "dimension-mismatch"),
         (CLASS + ["--n", "2", "--xi", "3/8,1/8,-1/8,-3/8"], "dimension-mismatch"),
         (["check-class", "--type", "A2", "--xi", "1/2", "--level", "1"], "dimension-mismatch"),
-        (["holonomy-convergence", "--grids", "8,8,16"], "invalid-grids"),
+        (["holonomy-convergence", "--file", "no-such-dir/connection.json"], "io-error"),
         # '²'.isdigit() is true, but int() refuses it
         (["vertices", "--type", "A²"], "invalid-type"),
         # an exponent builds a power of ten that int will not print, as a 'p/q' that long is
@@ -721,20 +718,17 @@ def test_unused_xi_exits_two(argv, message):
 
 # A value of each option, as its parser takes it, for the argv that give it.
 OPTION_TEXT = {"type": "A1", "level": "2", "xi": "1/8,-1/8", "torsion": "2", "n": "3",
-               "genus": "2", "samples": "3", "tol": "1", "seed": "1",
-               "grids": "4,8"}
+               "genus": "2", "samples": "3", "seed": "1"}
 CONNECTION = json.dumps({"samples": [[[[0, 0.3], [0, 0]], [[0, 0], [0, -0.3]]]] * 4})
 
 
 def default_text(name, option):
-    """The argv text of the default of an option the row `name` reads, an
-    axiom row's tolerance that of its axiom; None if it has no default."""
+    """The argv text of the default of an option the row `name` reads; None
+    if it has no default."""
     default = cli._ROWS[name][1][option]
-    if option == "tol" and default is None:
-        default = importlib.import_module("quasiham.spaces").DEFAULT_TOLERANCES[name.split()[-1]]
     if default is None or default is cli._REQUIRED:
         return None
-    return repr(default) if isinstance(default, float) else str(default)
+    return str(default)
 
 
 def verb_options(verb):
@@ -742,6 +736,14 @@ def verb_options(verb):
     --json, which every row reads, and the options that pick the row."""
     return [action.dest for action in cli._shared_parsers()[1][verb]._actions
             if action.dest not in ("help", "json", "file", *cli._PICKS)]
+
+
+def shortest_argv(name):
+    """The row's name with its required options; conn.json for the file row,
+    which the caller writes."""
+    argv = name.split() + ["conn.json"] * name.endswith("--file")
+    return argv + [text for option, default in cli._ROWS[name][1].items()
+                   if default is cli._REQUIRED for text in (cli._flag(option), OPTION_TEXT[option])]
 
 
 @pytest.mark.parametrize("name", list(cli._ROWS))
@@ -752,9 +754,7 @@ def test_every_option_is_read_or_refused(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "conn.json").write_text(CONNECTION)
     reads = cli._ROWS[name][1]
-    argv = name.split() + ["conn.json"] * name.endswith("--file")
-    argv += [text for option, default in reads.items() if default is cli._REQUIRED
-             for text in (cli._flag(option), OPTION_TEXT[option])]
+    argv = shortest_argv(name)
     shortest = run_quietly(argv)
     assert shortest[0] in (0, 1) and shortest[1], argv
     for option in verb_options(name.split()[0]):
@@ -775,15 +775,56 @@ def test_every_option_is_read_by_a_row():
     assert cli._AXIOMS == importlib.import_module("quasiham.spaces").AXIOMS
 
 
+# The named constant that each row with a tolerance compares its verdict with.
+ROW_TOLERANCES = {
+    **{f"verify --space {space} --axiom {axiom}":
+       importlib.import_module("quasiham.spaces").TOLERANCES[axiom]
+       for space in cli._SPACE_READS for axiom in cli._AXIOMS},
+    "verify --space sphere4": cli.SPHERE4_TOLERANCE,
+    "verify --space sphere4 --axiom equivariance": cli.SPHERE4_TOLERANCE,
+    "verify --space eta_su2": cli.ETA_TOLERANCE,
+    "cocycle": cli.COCYCLE_TOLERANCE,
+}
+
+
+@pytest.mark.parametrize("name", list(cli._ROWS))
+def test_printed_bar_is_the_named_constant(name, tmp_path, monkeypatch):
+    # a verdict's bar is a constant of the package, never an option: each row
+    # with a tolerance prints its constant and no other row prints one, and
+    # holonomy-convergence prints its grids
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conn.json").write_text(CONNECTION)
+    argv = shortest_argv(name) + ["--samples", "2"] * ("samples" in cli._ROWS[name][1])
+    code, payload = dispatch(argv)
+    assert code in (0, 1), argv
+    assert payload.get("tolerance") == ROW_TOLERANCES.get(name)
+    grids = list(cli.HOLONOMY_GRIDS) if name == "holonomy-convergence" else None
+    assert payload.get("grids") == grids
+
+
+# Each row that took a user-set bar, with that option: --tol 1 passed any
+# residual below 1, and --grids 32,64,128 turned the n = 8 FAIL into a PASS.
+BAR_OPTIONS = [*((name, ["--tol", "1"]) for name in ROW_TOLERANCES),
+               ("holonomy-convergence", ["--n", "8", "--grids", "32,64,128"])]
+
+
+@pytest.mark.parametrize("name,given", BAR_OPTIONS, ids=[name for name, _ in BAR_OPTIONS])
+def test_no_option_sets_a_bar(name, given, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(shortest_argv(name) + given)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: unrecognized arguments: {' '.join(given[-2:])}\n")
+
+
 def readme_row(name):
     """The README's table line of a row."""
-    reads = cli._ROWS[name][1]
     cells = [f"`{cli._flag(option)}` (required)" if default is cli._REQUIRED
              else f"`{cli._flag(option)}`" if default is None
              else f"`{cli._flag(option)} {default_text(name, option)}`"
-             for option, default in reads.items() if option != "tol"]
-    tol = default_text(name, "tol") if "tol" in reads else None
-    return f"| `{name}` | {', '.join(cells) or '—'} | {tol or '—'} |"
+             for option, default in cli._ROWS[name][1].items()]
+    tol = ROW_TOLERANCES.get(name)
+    return f"| `{name}` | {', '.join(cells) or '—'} | {'—' if tol is None else repr(tol)} |"
 
 
 def test_readme_row_table_is_the_rows():
@@ -808,7 +849,7 @@ TOO_LARGE = [
     # each of these allocated before any check and died of a MemoryError
     (["cocycle", "--n", "3", "--samples", HUGE], "too-many-samples"),
     (["cocycle", "--n", "100000"], "space-too-large"),
-    (["holonomy-convergence", "--grids", "8," + HUGE], "grid-too-large"),
+    (["holonomy-convergence", "--n", "17"], "space-too-large"),
     (["holonomy-convergence", "--n", "100000"], "space-too-large"),
     (["verify", "--space", "sphere4", "--samples", HUGE], "too-many-samples"),
     (["verify", "--space", "eta_su2", "--samples", HUGE], "too-many-samples"),
@@ -834,7 +875,7 @@ def test_too_large_space_exits_two_at_once(argv, tag):
 def test_largest_accepted_sizes_run():
     # the bounds reject only what is above them
     for argv in (["cocycle", "--n", "16", "--samples", "2"],
-                 ["holonomy-convergence", "--n", "2", "--grids", f"8,{MAX_GRID}"],
+                 ["holonomy-convergence", "--n", "16"],
                  ["verify", "--space", "sphere4", "--samples", str(MAX_SAMPLES)],
                  ["vertices", "--type", f"A{MAX_RANK}"]):
         assert dispatch(argv)[0] in (0, 1), argv
@@ -884,10 +925,8 @@ def test_internal_failure_exits_3(case, monkeypatch):
 # ToolkitError, exit 3, and carries no tag.
 INPUT_ERROR_TAGS = {
     "degenerate-fit", "dimension-mismatch", "empty-grid", "empty-vector", "grid-mismatch",
-    "grid-too-large", "group-size-mismatch", "invalid-genus", "invalid-grids",
-    "invalid-level", "invalid-rank", "invalid-samples", "invalid-seed", "invalid-series",
-    "invalid-side", "invalid-tolerance", "invalid-torsion", "invalid-type",
-    "io-error",
+    "group-size-mismatch", "invalid-genus", "invalid-level", "invalid-rank", "invalid-samples",
+    "invalid-seed", "invalid-series", "invalid-torsion", "invalid-type", "io-error",
     "malformed-connection", "malformed-json", "malformed-matrix", "malformed-rational",
     "missing-argument", "nonzero-sum", "not-a-root", "not-a-series",
     "not-algebra", "not-g-valued", "not-identity-level", "not-in-alcove", "not-special-unitary",
@@ -1000,8 +1039,6 @@ VERIFY_SPACES = ["conjugacy_class", "double", "fused_double", "genus", "sphere4"
 # valid, valid for other n, unsorted, nonzero-sum and malformed alcove points
 XI_POOL = ["1/8,-1/8", "1/4,1/12,-1/3", "3/8,1/8,-1/8,-3/8", "1/2,-1/2", "-1/8,1/8",
            "1/4,1/4", "1/3,1/3,1/3", "1/0,0", "a,b", "", "nan,nan"]
-# tolerances, mostly valid; 1e-300 fails every residual that is not 0
-TOL_POOL = ["1e-300", "1e-12", "1e-8", "1e-4", "0.5", "1", "10", "0", "nan"]
 
 
 @settings(max_examples=400, deadline=None, database=None,
@@ -1013,45 +1050,38 @@ TOL_POOL = ["1e-300", "1e-12", "1e-8", "1e-4", "0.5", "1", "10", "0", "nan"]
        genus=st.sampled_from([1, 2, 3] * 3 + [-1, 0, 10**9]),
        samples=st.sampled_from([1, 2, 3, 4] * 3 + [0, -1]),
        # an option is left out half of the time, so that most argv reach a verifier
-       xi=st.none() | st.sampled_from(XI_POOL), tol=st.none() | st.sampled_from(TOL_POOL),
-       seed=st.integers(0, 2**32 - 1) | SEEDS, data=st.data())
-def test_verify_fuzz_exits_cleanly(space, axiom, n, genus, samples, xi, tol, seed, data):
+       xi=st.none() | st.sampled_from(XI_POOL), seed=st.integers(0, 2**32 - 1) | SEEDS,
+       data=st.data())
+def test_verify_fuzz_exits_cleanly(space, axiom, n, genus, samples, xi, seed, data):
     argv = ["verify", f"--space={space}", "--json"] + ([f"--axiom={axiom}"] if axiom else [])
     name = f"verify --space {space}" + (f" --axiom {axiom}" if axiom else "")
     argv += row_options(data, name, {"n": n, "xi": xi, "genus": genus, "samples": samples,
-                                     "tol": tol, "seed": seed})
+                                     "seed": seed})
     assert_clean_exit(argv, *run_quietly(argv))
 
 
 @settings(max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-# an invalid --n, --samples or --seed in a minority, and TOL_POOL's 1e-300,
-# so that most argv reach the verifier and some of them fail it
+# an invalid --n, --samples or --seed in a minority, so that most argv reach
+# the verifier
 @given(n=st.sampled_from([3, 4, 5, 6] * 3 + [-1, 0, 1, 2]),
        samples=st.sampled_from([1, 2, 3, 4, 5] * 3 + [0, -1]),
-       tol=st.none() | st.sampled_from(TOL_POOL), seed=st.integers(0, 2**32 - 1) | SEEDS,
-       data=st.data())
-def test_cocycle_fuzz_exits_cleanly(n, samples, tol, seed, data):
+       seed=st.integers(0, 2**32 - 1) | SEEDS, data=st.data())
+def test_cocycle_fuzz_exits_cleanly(n, samples, seed, data):
     # the one cocycle row reads every option of the verb, so none is unread
     argv = ["cocycle", "--json"] + row_options(
-        data, "cocycle", {"n": n, "samples": samples, "tol": tol, "seed": seed})
+        data, "cocycle", {"n": n, "samples": samples, "seed": seed})
     assert_clean_exit(argv, *run_quietly(argv))
-
-
-# at most four grids of at most 256 steps, some of them malformed
-GRID_ITEMS = st.integers(-2, 256).map(str) | st.sampled_from(["", "x", "1.5", " 16"])
 
 
 @settings(max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(n=st.integers(-1, 6), grids=st.none() | st.lists(GRID_ITEMS, min_size=1, max_size=4),
-       seed=SEEDS, data=st.data())
-def test_holonomy_convergence_fuzz_exits_cleanly(n, grids, seed, data):
+@given(n=st.integers(-1, 6), seed=SEEDS, data=st.data())
+def test_holonomy_convergence_fuzz_exits_cleanly(n, seed, data):
     argv = ["holonomy-convergence", "--json"] + row_options(
-        data, "holonomy-convergence",
-        {"n": n, "grids": None if grids is None else ",".join(grids), "seed": seed})
+        data, "holonomy-convergence", {"n": n, "seed": seed})
     # the grid row reads every option but --file, which picks the file row:
-    # that row reads no --n, --grids or --seed
+    # that row reads no --n or --seed
     if data.draw(st.integers(0, 3)) == 0:
         argv.append("--file=conn.json")
     assert_clean_exit(argv, *run_quietly(argv))
@@ -1432,7 +1462,7 @@ COVERAGE_ARGV = [
     ["verify", "--space", "sphere4", "--axiom", "equivariance", "--samples", "2"],
     ["verify", "--space", "eta_su2", "--samples", "2"],
     ["cocycle", "--n", "3", "--samples", "2"],
-    ["holonomy-convergence", "--grids", "4,8"],
+    ["holonomy-convergence"],
     *(["reduce-rank", "--n", "2", "--at", at] for at in ["abba", "commuting", "identity"]),
     ["verify", "--space", "double", "--xi", "1/4,-1/4", "--axiom", "moment"],
     # every point of this class has a pair d_i = -d_j, which its pair rule decides
@@ -1447,9 +1477,6 @@ COVERAGE_ARGV = [
 # qualified name, with its reason.  Test-only forms of what the verbs run
 # live in tests/oracles.py instead.
 UNREACHED = {
-    "quasiham.sun.alcove_coordinates": "the phases of matrices whose eigenvectors are not "
-                                       "needed; the cocycle verb takes its phases and vectors "
-                                       "from the eigh that exponentiates each draw",
     "quasiham.roots.inner_product": "the exact side of the exact-numerical bridge",
     "quasiham.sun.torus_algebra": "the numerical side of the exact-numerical bridge",
     "quasiham.__getattr__": "the module protocol: the verbs import from the modules",
@@ -1567,7 +1594,7 @@ PUBLIC_NAMES = {
     "AlcoveModel", "CartanVector", "ConjugacyClass", "Double", "Fused", "Genus", "InputError",
     "LevelWeightSet", "LieType", "PiecewiseConnection", "QSpace",
     "RootSystem", "ToolkitError", "VerificationReport", "a_series_embedding",
-    "a_series_numerators", "alcove_coordinates", "alcove_vertices", "algebra_basis",
+    "a_series_numerators", "alcove_vertices", "algebra_basis",
     "basic_inner", "build_root_system", "canonical_three_form", "check_algebra",
     "check_special_unitary", "class_decision", "convergence_order", "eigenline_weights",
     "eta_integral_su2", "expm_skew", "gauge_transform", "height", "inner_product",
@@ -1594,7 +1621,7 @@ def test_all_payloads_json_clean():
         ["verify", "--space", "sphere4", "--samples", "10"],
         ["verify", "--space", "eta_su2", "--samples", "50"],
         ["cocycle", "--n", "3", "--samples", "3"],
-        ["holonomy-convergence", "--grids", "8,16"],
+        ["holonomy-convergence"],
         ["reduce-rank", "--n", "2", "--at", "identity"],
     ]:
         _, payload = dispatch(argv)
@@ -1674,7 +1701,7 @@ def test_numerical_verbs_never_import_scipy(tmp_path):
         "dispatch(['verify', '--space', 'sphere4', '--samples', '2'])\n"
         "dispatch(['verify', '--space', 'eta_su2', '--samples', '2'])\n"
         "dispatch(['cocycle', '--n', '3', '--samples', '2'])\n"
-        "dispatch(['holonomy-convergence', '--grids', '8,16'])\n"
+        "dispatch(['holonomy-convergence'])\n"
         f"dispatch(['holonomy-convergence', '--file', {str(conn)!r}])\n"
         "dispatch(['reduce-rank', '--n', '3', '--at', 'commuting'])\n"
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
@@ -1716,7 +1743,7 @@ def test_package_name_holonomy_is_the_submodule_in_every_process():
         "assert callable(holonomy.holonomy)\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
-    dispatch(["holonomy-convergence", "--grids", "4,8"])
+    dispatch(["holonomy-convergence"])
     from quasiham import holonomy
 
     assert isinstance(holonomy, types.ModuleType) and holonomy is sys.modules["quasiham.holonomy"]

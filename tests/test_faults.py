@@ -37,7 +37,7 @@ COMMANDS = readme_commands() + [
     ["verify", "--space", "genus", "--genus", "2", "--n", "2", "--axiom", "min_degeneracy",
      "--samples", "5"],
     ["verify", "--space", "double", "--n", "3", "--axiom", "min_degeneracy", "--samples", "5"],
-    ["holonomy-convergence", "--n", "2", "--grids", "8,16"],
+    ["holonomy-convergence", "--n", "2"],
     ["verify", "--space", "sphere4", "--samples", "5"],
 ]
 

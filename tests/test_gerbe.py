@@ -18,7 +18,6 @@ from quasiham.prequant import class_decision
 from quasiham.rational import common_denominator
 from quasiham.roots import LieType, a_series_numerators, build_root_system
 from quasiham.sun import (
-    alcove_coordinates,
     alcove_order,
     expm_skew,
     random_special_unitary,
@@ -26,6 +25,7 @@ from quasiham.sun import (
 )
 
 from oracles import (
+    alcove_coordinates,
     cocycle_check,
     cover_index_set,
     format_vector,

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import algebra_coords, algebra_from_coords, realified_operator
+from oracles import alcove_coordinates, algebra_coords, algebra_from_coords, realified_operator
 from quasiham import sun
 from quasiham.errors import InputError
 from quasiham.sun import (
     _three_form_pulled,
-    alcove_coordinates,
     algebra_basis,
     basic_inner,
     canonical_three_form,
@@ -141,20 +140,13 @@ def test_maurer_cartan():
     rng = np.random.default_rng(4)
     e = np.eye(2, dtype=complex)
     x = random_algebra(2, rng)
-    assert np.allclose(maurer_cartan(e, x, "left"), x)
-    assert np.allclose(maurer_cartan(e, x, "right"), x)
+    assert np.allclose(maurer_cartan(e, x), x)
     g = random_special_unitary(2, rng)
-    v = x @ g  # right-translated tangent vector
-    assert np.allclose(maurer_cartan(g, v, "right"), x)
-    # left and right values are conjugate: theta_L = Ad_{g^-1} theta_R
-    left = maurer_cartan(g, v, "left")
-    right = maurer_cartan(g, v, "right")
-    assert np.allclose(left, g.conj().T @ right @ g)
+    v = g @ x  # left-translated tangent vector
+    assert np.allclose(maurer_cartan(g, v), x)
     with pytest.raises(InputError) as err:
-        maurer_cartan(g, np.eye(2, dtype=complex), "left")
+        maurer_cartan(g, np.eye(2, dtype=complex))
     assert err.value.code == "not-tangent"
-    with pytest.raises(InputError):
-        maurer_cartan(g, v, "middle")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -174,7 +166,7 @@ def test_validators_reject_non_finite_entries(bad):
     e = np.eye(3, dtype=complex)
     for point, vector in [(e, x[1]), (g[1], np.zeros((3, 3)))]:
         with pytest.raises(InputError) as err:
-            maurer_cartan(point, vector, "left")
+            maurer_cartan(point, vector)
         assert err.value.code == "not-tangent"
 
 
@@ -282,11 +274,11 @@ def test_three_form_and_maurer_cartan_on_stacks():
     gs = np.stack([random_special_unitary(3, rng) for _ in range(5)])
     vs = gs[:, None] @ np.stack([[random_algebra(3, rng) for _ in range(3)] for _ in range(5)])
     values = canonical_three_form(gs, vs[:, 0], vs[:, 1], vs[:, 2])
-    right = maurer_cartan(gs, vs[:, 0], "right")
-    assert values.shape == (5,) and right.shape == (5, 3, 3)
-    for g, v, value, x in zip(gs, vs, values, right):
+    left = maurer_cartan(gs, vs[:, 0])
+    assert values.shape == (5,) and left.shape == (5, 3, 3)
+    for g, v, value, x in zip(gs, vs, values, left):
         assert abs(value - canonical_three_form(g, *v)) < 1e-15
-        assert np.max(np.abs(x - maurer_cartan(g, v[0], "right"))) < 1e-15
+        assert np.max(np.abs(x - maurer_cartan(g, v[0]))) < 1e-15
     # one non-tangent vector in the stack fails the whole stack, whether it
     # is off the anti-Hermitian matrices or off the traceless ones
     for offset in (1e-6 * np.diag([1.0, -1.0, 0.0]), 1e-6j * np.eye(3)):
