@@ -37,7 +37,6 @@ _HOME = {
         "Genus",
         "QSpace",
         "VerificationReport",
-        "make_space",
         "reduction_rank",
         "sphere4_act",
         "sphere4_equivariance_residual",

@@ -179,11 +179,15 @@ def _run_check_class(args) -> tuple[int, dict]:
 
 
 def _run_axiom(args) -> tuple[int, dict]:
-    from .spaces import ConjugacyClass, make_space, verify_axiom
+    from .spaces import ConjugacyClass, Double, Fused, Genus, verify_axiom
     from .sun import _bounded
 
-    if args.xi is None:
-        space = make_space(args.space, n=args.n, h=args.genus)
+    if args.space == "double":
+        space = Double(args.n)
+    elif args.space == "fused_double":
+        space = Fused([Double(args.n)])
+    elif args.space == "genus":
+        space = Genus(args.n, args.genus)
     else:  # a class, the one space that reads --xi; without --n, n counts its entries
         if len(args.xi) > 1:
             raise InputError("unused-argument", f"conjugacy_class takes 1 --xi, got {len(args.xi)}")
@@ -313,12 +317,12 @@ def _reduce_rank(args, h: int) -> tuple[int, dict]:
     """The moment map's rank on genus(n, h) at the point --at names."""
     import numpy as np
 
-    from .spaces import make_space, reduction_rank
+    from .spaces import Genus, reduction_rank
     from .sun import expm_skew, random_algebra, random_special_unitary
 
     rng = np.random.default_rng(args.seed)
     # The space is built first: it rejects an n the points cannot be drawn for.
-    space = make_space("genus", n=args.n, h=h)
+    space = Genus(args.n, h)
     point = space.base  # the identity
     if args.at == "abba":
         a, b = expm_skew(random_algebra(args.n, rng, shape=(2,)))
@@ -480,10 +484,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 # The default of a read option that the argv must give.
 _REQUIRED = object()
-# The options of each verify space beyond --n 2.  A class reads --n without
-# a default: its --xi entries, eigenvalue coordinates, count n.  The axioms
-# are spaces.AXIOMS, named here so that the parser does not import the
-# numerical layer.
+# The options of each verify space beyond --n 2; _run_axiom builds each
+# space from them.  A class reads --n without a default: its --xi entries,
+# eigenvalue coordinates, count n.  The axioms are spaces.AXIOMS, named here
+# so that the parser does not import the numerical layer.
 _SPACE_READS = {"conjugacy_class": {"n": None, "xi": _REQUIRED}, "double": {},
                 "fused_double": {}, "genus": {"genus": 1}}
 _AXIOMS = ("cocycle", "moment", "min_degeneracy", "equivariance")

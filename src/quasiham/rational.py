@@ -74,8 +74,12 @@ def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], 
 
 def common_denominator(x: CartanVector) -> tuple[tuple[int, ...], int]:
     """(nums, den) with x = nums / den entrywise and den the lcm of the
-    entry denominators; accepts ints and Fractions."""
-    den = lcm(*[a.denominator for a in x])
+    entry denominators; accepts ints and Fractions, and refuses any other
+    entry, a float among them, rather than round it."""
+    try:
+        den = lcm(*[a.denominator for a in x])
+    except AttributeError:
+        raise InputError("malformed-rational", f"expected ints or Fractions, got {x!r}") from None
     return tuple(a.numerator * (den // a.denominator) for a in x), den
 
 

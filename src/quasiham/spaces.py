@@ -46,12 +46,12 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import reduce
 from itertools import accumulate, groupby
-from math import lcm
 from operator import add
 
 import numpy as np
 
 from .errors import InputError, ToolkitError, built_here
+from .rational import common_denominator
 from .sun import (
     Jet,
     MAX_DIM,
@@ -275,17 +275,12 @@ class ConjugacyClass(QSpace):
     class_slots = (0,)
 
     def __init__(self, n: int, xi, den: int | None = None):
-        """xi are the eigenvalue coordinates: rationals or floats, or with den
-        integer numerators over den.  The checks and the dimension are exact,
-        on integer numerators over one denominator."""
+        """xi are the eigenvalue coordinates: ints or Fractions, or integer
+        numerators over den.  The checks and the dimension are exact, on
+        integer numerators over one denominator."""
         n = self.n = int(n)
         if den is None:
-            from fractions import Fraction
-
-            xi = [Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**9)
-                  for x in xi]
-            den = lcm(*(x.denominator for x in xi))
-            xi = [x.numerator * (den // x.denominator) for x in xi]
+            xi, den = common_denominator(xi)
         if len(xi) != self.n:
             raise InputError("dimension-mismatch", f"xi must have length {self.n}")
         _bounded(self.n**2 - 1)
@@ -435,22 +430,6 @@ class Genus(Fused):
             raise InputError("invalid-genus", f"genus must be >= 1, got {h}")
         _bounded(2 * int(h) * (_group_rank(n) ** 2 - 1))
         super().__init__([Double(n)] * int(h))
-
-
-def make_space(kind: str, *, n: int | None = None, xi=None, h: int | None = None) -> QSpace:
-    """Build one of the built-in spaces by name."""
-    table = {
-        "conjugacy_class": ((n, xi), "n and xi", lambda: ConjugacyClass(n, xi)),
-        "double": ((n,), "n", lambda: Double(n)),
-        "fused_double": ((n,), "n", lambda: Fused([Double(n)])),
-        "genus": ((n, h), "n and h", lambda: Genus(n, h)),
-    }
-    if kind not in table:
-        raise InputError("unknown-space", f"no space kind {kind!r}")
-    needed, names, build = table[kind]
-    if any(arg is None for arg in needed):
-        raise InputError("missing-argument", f"{kind} needs {names}")
-    return build()
 
 
 # ---------------------------------------------------------------------------

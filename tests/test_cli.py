@@ -143,14 +143,15 @@ def test_class_rows_without_n_refuse(argv, tag):
 @pytest.mark.parametrize("axiom", ["cocycle", "moment", "min_degeneracy", "equivariance"])
 def test_fused_double_is_the_genus_one_space(axiom):
     # both are Fused([Double(n)]): their --json reports differ only in the
-    # space's name
+    # space's name, and are the report of Fused([Double(n)]) itself
     common = ["--n", "3", "--axiom", axiom, "--samples", "3", "--seed", "0", "--json"]
     fused, genus = (run_quietly(["verify", "--space", space] + extra + common)
                     for space, extra in (("fused_double", []), ("genus", ["--genus", "1"])))
     assert fused[0] == genus[0] == 0 and fused[2:] == genus[2:] == ("", [])
     first, second = json.loads(fused[1]), json.loads(genus[1])
     assert (first.pop("space"), second.pop("space")) == ("fused_double", "genus")
-    assert first == second
+    report = quasiham.verify_axiom(quasiham.Fused([quasiham.Double(3)]), axiom, samples=3, seed=0)
+    assert first == second == {"n": 3, **report.to_json()}
 
 
 def test_verify_verb_sphere4_and_eta():
@@ -932,7 +933,7 @@ INPUT_ERROR_TAGS = {
     "not-algebra", "not-g-valued", "not-identity-level", "not-in-alcove", "not-special-unitary",
     "not-square", "not-tangent", "off-sphere", "rank-too-large",
     "space-too-large", "too-many-samples", "too-many-weights",
-    "unknown-axiom", "unknown-space", "unresolved-class", "unsupported-axiom", "unused-argument",
+    "unknown-axiom", "unresolved-class", "unsupported-axiom", "unused-argument",
 }
 
 
@@ -1598,7 +1599,7 @@ PUBLIC_NAMES = {
     "basic_inner", "build_root_system", "canonical_three_form", "check_algebra",
     "check_special_unitary", "class_decision", "convergence_order", "eigenline_weights",
     "eta_integral_su2", "expm_skew", "gauge_transform", "height", "inner_product",
-    "level_weights", "make_space", "maurer_cartan", "minimal_integral_level",
+    "level_weights", "maurer_cartan", "minimal_integral_level",
     "parse_rational", "parse_vector", "project_algebra", "random_algebra",
     "random_special_unitary", "reduction_rank", "sphere4_act", "sphere4_equivariance_residual",
     "sphere4_moment", "torsion_level_admissible", "torus_algebra", "torus_point",

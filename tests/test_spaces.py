@@ -36,7 +36,6 @@ from quasiham.spaces import (
     Double,
     Fused,
     Genus,
-    make_space,
     reduction_rank,
     sphere4_act,
     sphere4_equivariance_residual,
@@ -196,18 +195,13 @@ def fd_reduction_rank(space, m, fd_step=1e-5):
 # ---------------------------------------------------------------------------
 # construction and validation
 
-def test_make_space_dispatch():
-    assert isinstance(make_space("conjugacy_class", n=2, xi=(Q(1, 4), Q(-1, 4))), ConjugacyClass)
-    assert isinstance(make_space("double", n=2), Double)
-    fused = make_space("fused_double", n=3)
-    assert type(fused) is Fused and [type(p) for p in fused.parts] == [Double]
-    assert isinstance(make_space("genus", n=2, h=2), Genus)
-    for kind in ("nonsense", "fusion", "internal_fusion"):
+def test_class_refuses_a_float_xi():
+    # a float is no exact rational: the class refuses it rather than verify
+    # the nearby Fraction it rounds to
+    for xi in ((0.1, -0.1), (Q(1, 4), -0.25)):
         with pytest.raises(InputError) as err:
-            make_space(kind, n=2)
-        assert err.value.code == "unknown-space"
-    with pytest.raises(InputError):
-        make_space("conjugacy_class", n=2)
+            ConjugacyClass(2, xi)
+        assert err.value.code == "malformed-rational"
 
 
 def test_space_validation_errors():
